@@ -15,6 +15,7 @@ a discrepancy (or, with --strict, an erratum), 2 for usage errors.
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from . import analytic, intervals, sequences, verifier
 
@@ -30,6 +31,9 @@ SUITE_MIN = {
     "analytic": 1,
     "all": 547,
 }
+
+# Suites whose range is fixed by the printed tables; --limit does not apply.
+FIXED_RANGE_SUITES = ("table", "intervals")
 
 # Scan range used when --limit is not given.
 SUITE_DEFAULT = {
@@ -70,6 +74,22 @@ def _print_table(rows, columns):
         print("  ".join(str(row[col]).rjust(w) for col, w in zip(columns, widths)))
 
 
+@contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's int -> str digit cap (Python 3.11+) for the
+    block and restore it afterwards: exact y outgrows the default 4300
+    digits from n = 21735 on."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def cmd_seq(args):
     start, stop = args.start, args.stop
     if start < 1 or stop < start:
@@ -78,14 +98,15 @@ def cmd_seq(args):
     columns = ["n", "z", "m", "r", "c", "x", "c_minus_m", "y_sign"]
     if args.exact_y:
         columns.append("y")
-    if args.format == "csv":
-        print(",".join(columns))
-        for row in rows:
-            print(",".join(str(row[col]) for col in columns))
-    elif args.format == "json":
-        print(json.dumps(rows, indent=2))
-    else:
-        _print_table(rows, columns)
+    with _unlimited_int_digits():
+        if args.format == "csv":
+            print(",".join(columns))
+            for row in rows:
+                print(",".join(str(row[col]) for col in columns))
+        elif args.format == "json":
+            print(json.dumps(rows, indent=2))
+        else:
+            _print_table(rows, columns)
     return 0
 
 
@@ -167,6 +188,12 @@ def cmd_verify(args):
             file=sys.stderr,
         )
         return 2
+    if args.limit is not None and args.suite in FIXED_RANGE_SUITES:
+        print(
+            f"note: suite {args.suite!r} checks the printed tables at their "
+            "fixed range; --limit is ignored",
+            file=sys.stderr,
+        )
     reports = _suite_reports(args.suite, args.limit, args.tol)
     _emit_reports(reports, args.format)
     return _reports_rc(reports, args.strict)

@@ -7,7 +7,9 @@ and moves in lockstep with z(n).  Chaining these intervals from n = 1
 tiles the positive integers; the first 41 links of the chain reach 577.
 """
 
+import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import sequences
 
@@ -65,6 +67,30 @@ def f_bounds(n: int) -> tuple[int, int]:
     return max(d1, e1), min(d2, e2)
 
 
+def _link_end(r: int, m: int) -> int:
+    """Last n of the link on which r and m take these values: the end of
+    m's block, floor(m*m/2) + m, or of r's block, 2**r, whichever comes
+    first (the same ends d_bounds and e_bounds give)."""
+    return min(m * m // 2 + m, 1 << r)
+
+
+def chain_links(limit: int) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (lo, hi, r, m) for each link of the chain from 1 that starts
+    at or below limit, the last link clipped to end at limit.
+
+    r and m are constant on every [lo, hi], the links are consecutive and
+    cover [1, limit], and each costs O(1) integer operations; there are
+    about sqrt(2 * limit) of them.  A limit below 1 yields nothing.
+    """
+    lo = 1
+    while lo <= limit:
+        mm = math.isqrt(2 * lo)
+        rr = (lo - 1).bit_length()
+        hi = min(_link_end(rr, mm), limit)
+        yield lo, hi, rr, mm
+        lo = hi + 1
+
+
 def interval_table(n_max: int) -> list[IntervalRecord]:
     """The interval chain from 1, one record per link, while links start
     at or below n_max.
@@ -76,21 +102,17 @@ def interval_table(n_max: int) -> list[IntervalRecord]:
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
     records = []
-    lo = 1
-    index = 1
-    while lo <= n_max:
-        _, hi = f_bounds(lo)
+    for index, (lo, _, rr, mm) in enumerate(chain_links(n_max), start=1):
+        hi = _link_end(rr, mm)
         records.append(
             IntervalRecord(
                 index=index,
                 lo=lo,
                 hi=hi,
-                r_const=sequences.r(lo),
-                m_const=sequences.m(lo),
+                r_const=rr,
+                m_const=mm,
                 x_lo=sequences.x(lo),
                 x_hi=sequences.x(hi),
             )
         )
-        lo = hi + 1
-        index += 1
     return records

@@ -20,7 +20,7 @@ counterexample list is non-empty.
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from . import intervals, sequences
 from .exactarith import cmp_pow2_vs_pow
@@ -108,10 +108,15 @@ class SignPartition:
         runs: ordered tuple of (start, end, sign) with sign in {-1, 0, 1};
             runs are consecutive, disjoint, cover [1, limit], and adjacent
             runs carry different signs.
+        blocks: chain links whose signs were settled as a whole.
+        per_n: values of n whose sign was decided one at a time; together
+            with the blocks they cover [1, limit] exactly once.
     """
 
     limit: int
     runs: tuple
+    blocks: int = field(default=0, compare=False)
+    per_n: int = field(default=0, compare=False)
 
     def runs_of(self, sign: int) -> list[tuple[int, int]]:
         """The (start, end) pairs whose run has the given sign."""
@@ -125,39 +130,61 @@ class SignPartition:
         return out
 
 
-def _build_partition(limit: int, signs: Iterable[tuple[int, int]]) -> SignPartition:
-    runs = []
-    start = cur = None
-    for n, s in signs:
-        if s != cur:
-            if cur is not None:
-                runs.append((start, n - 1, cur))
-            start, cur = n, s
-    runs.append((start, limit, cur))
-    return SignPartition(limit=limit, runs=tuple(runs))
+def _append_run(runs: list, a: int, b: int, sign: int) -> None:
+    """Extend runs by [a, b] with the given sign, merging into the last
+    run when the sign repeats; an empty [a, b] adds nothing."""
+    if a > b:
+        return
+    if runs and runs[-1][2] == sign:
+        runs[-1][1] = b
+    else:
+        runs.append([a, b, sign])
 
 
 def partition_x(limit: int) -> SignPartition:
-    """Exact sign runs of x over [1, limit]."""
+    """Exact sign runs of x over [1, limit], one chain link at a time.
+
+    On a link r and m are constant, so x(n) = z(n) - K with K = (r+1)*m,
+    and z(n) = floor((2n - 1)/3) does not decrease.  Hence x < 0 exactly
+    for n <= floor(3K/2), x = 0 for floor(3K/2) < n <= floor((3K+3)/2),
+    and x > 0 above that: every link is settled in O(1).
+    """
     if limit < 1:
         raise ValueError("limit must be a positive integer")
-    return _build_partition(
-        limit,
-        ((n, (xx > 0) - (xx < 0)) for n, _, _, _, _, xx in sequences.scan(1, limit)),
-    )
+    runs: list = []
+    blocks = 0
+    for lo, hi, rr, mm in intervals.chain_links(limit):
+        blocks += 1
+        k3 = 3 * (rr + 1) * mm
+        neg_end, zero_end = k3 // 2, (k3 + 3) // 2
+        _append_run(runs, lo, min(hi, neg_end), -1)
+        _append_run(runs, max(lo, neg_end + 1), min(hi, zero_end), 0)
+        _append_run(runs, max(lo, zero_end + 1), hi, 1)
+    return SignPartition(limit, tuple(map(tuple, runs)), blocks=blocks)
 
 
 def partition_y(limit: int) -> SignPartition:
-    """Exact sign runs of y over [1, limit], via term comparison."""
+    """Exact sign runs of y over [1, limit], one chain link at a time.
+
+    A link [lo, hi] with m >= 2 is positive throughout when
+    c(lo) - m >= bitlen(hi) * (m - 1): c does not decrease and, for every
+    n <= hi, n**(m-1) < 2**(bitlen(hi) * (m-1)).  This is the bit-length
+    fast path of cmp_pow2_vs_pow applied to the whole link.  Every other
+    link, and n = 1, is decided one n at a time by cmp_pow2_vs_pow.
+    """
     if limit < 1:
         raise ValueError("limit must be a positive integer")
-    return _build_partition(
-        limit,
-        (
-            (n, cmp_pow2_vs_pow(cc - mm, n, mm - 1))
-            for n, _, mm, _, cc, _ in sequences.scan(1, limit)
-        ),
-    )
+    runs: list = []
+    blocks = per_n = 0
+    for lo, hi, _, mm in intervals.chain_links(limit):
+        if mm >= 2 and sequences.c(lo) - mm >= hi.bit_length() * (mm - 1):
+            blocks += 1
+            _append_run(runs, lo, hi, 1)
+            continue
+        for n in range(lo, hi + 1):
+            per_n += 1
+            _append_run(runs, n, n, cmp_pow2_vs_pow(sequences.c(n) - mm, n, mm - 1))
+    return SignPartition(limit, tuple(map(tuple, runs)), blocks=blocks, per_n=per_n)
 
 
 # ---------------------------------------------------------------------------
@@ -433,16 +460,50 @@ def _runs_repr(runs: list[tuple[int, int]]) -> str:
     return ", ".join(f"[{a}, {b}]" for a, b in runs) if runs else "(none)"
 
 
+def _expected_runs(
+    limit: int, expected_sign: Callable[[int], int], pieces: Iterable[tuple[int, int]]
+) -> list:
+    """Runs of expected_sign over [1, limit].  The sign may change only
+    where one of the given (a, b) pieces of the classification starts or
+    ends, so it is read once per stretch between those cuts."""
+    cuts = sorted({1, *(n for a, b in pieces for n in (a, b + 1) if 1 < n <= limit)})
+    runs: list = []
+    for a, b in zip(cuts, cuts[1:] + [limit + 1]):
+        _append_run(runs, a, b - 1, expected_sign(a))
+    return runs
+
+
+def _mismatches(actual, expected) -> list[int]:
+    """Every n, in increasing order, at which two run lists covering the
+    same range carry different signs."""
+    out: list[int] = []
+    i = j = 0
+    while i < len(actual) and j < len(expected):
+        a1, b1, s1 = actual[i]
+        a2, b2, s2 = expected[j]
+        if s1 != s2:
+            out.extend(range(max(a1, a2), min(b1, b2) + 1))
+        if b1 <= b2:
+            i += 1
+        if b2 <= b1:
+            j += 1
+    return out
+
+
 def check_theorem1(limit: int) -> VerificationReport:
     """Theorem 1: x is zero exactly on {436, 451, 529, 545, 546},
     negative exactly on [1, 435], {450} and [513, 528], positive
-    everywhere else.  Verified by exhaustive scan of [1, limit]."""
+    everywhere else.
+
+    Checked on [1, limit] by comparing the sign runs of partition_x,
+    which settles each chain link in O(1) from the exact cut points of
+    x on it, with the runs of the classification; no n is visited one
+    at a time.  Counterexamples are every n where the two disagree."""
     part = partition_x(limit)
-    counterexamples = []
-    for a, b, s in part.runs:
-        for n in range(a, b + 1):
-            if expected_x_sign(n) != s:
-                counterexamples.append(n)
+    pieces = [*((n, n) for n in X_ZERO_SET), *X_NEGATIVE_RUNS]
+    counterexamples = _mismatches(
+        part.runs, _expected_runs(limit, expected_x_sign, pieces)
+    )
     details = (
         f"zero set {{{', '.join(str(n) for n in sorted(part.support_of(0)))}}}; "
         f"negative runs {_runs_repr(part.runs_of(-1))}; "
@@ -454,20 +515,28 @@ def check_theorem1(limit: int) -> VerificationReport:
         limit,
         details,
         counterexamples=counterexamples,
-        data={"runs": [list(run) for run in part.runs]},
+        data={
+            "runs": [list(run) for run in part.runs],
+            "blocks": part.blocks,
+            "per_n": part.per_n,
+        },
     )
 
 
 def check_theorem2(limit: int) -> VerificationReport:
     """Theorem 2: y is never zero, negative exactly on [5, 335],
-    [338, 350] and [365, 368], positive everywhere else.  Verified by
-    exhaustive exact sign computation on [1, limit]."""
+    [338, 350] and [365, 368], positive everywhere else.
+
+    Checked on [1, limit] by comparing the sign runs of partition_y with
+    the runs of the classification.  partition_y certifies a chain link
+    positive as a whole when c(lo) - m >= bitlen(hi) * (m - 1) and falls
+    back to the exact per-n comparison on every other link; data.blocks
+    and data.per_n count the two.  The classification has no zero, so
+    any n with y = 0 is a counterexample."""
     part = partition_y(limit)
-    counterexamples = []
-    for a, b, s in part.runs:
-        for n in range(a, b + 1):
-            if s == 0 or expected_y_sign(n) != s:
-                counterexamples.append(n)
+    counterexamples = _mismatches(
+        part.runs, _expected_runs(limit, expected_y_sign, Y_NEGATIVE_RUNS)
+    )
     details = (
         f"no zeros; negative runs {_runs_repr(part.runs_of(-1))}; "
         f"positive runs {_runs_repr(part.runs_of(1))}; "
@@ -479,7 +548,11 @@ def check_theorem2(limit: int) -> VerificationReport:
         limit,
         details,
         counterexamples=counterexamples,
-        data={"runs": [list(run) for run in part.runs]},
+        data={
+            "runs": [list(run) for run in part.runs],
+            "blocks": part.blocks,
+            "per_n": part.per_n,
+        },
     )
 
 
@@ -659,8 +732,10 @@ POSITIVE_TAIL_START = 404
 
 
 def check_positive_tail(limit: int) -> VerificationReport:
-    """y(n) > 0 for every n >= 404.  Scans [404, limit]; an honest
-    no-op when the limit sits below the tail."""
+    """y(n) > 0 for every n >= 404.  Checked on [404, limit] by reading
+    the y runs of partition_y there: chain links certified positive as a
+    whole, the rest decided per n (data.blocks and data.per_n count the
+    two).  An honest no-op when the limit sits below the tail."""
     if limit < 1:
         raise ValueError("limit must be a positive integer")
     start = POSITIVE_TAIL_START
@@ -670,11 +745,11 @@ def check_positive_tail(limit: int) -> VerificationReport:
             start,
             limit,
             f"limit {limit} is below the tail start {start}; nothing scanned",
+            data={"blocks": 0, "per_n": 0},
         )
+    part = partition_y(limit)
     counterexamples = [
-        n
-        for n, _, mm, _, cc, _ in sequences.scan(start, limit)
-        if cmp_pow2_vs_pow(cc - mm, n, mm - 1) != 1
+        n for a, b, s in part.runs if s != 1 for n in range(max(a, start), b + 1)
     ]
     details = f"y > 0 at every n in [{start}, {limit}]"
     return _make_report(
@@ -683,6 +758,7 @@ def check_positive_tail(limit: int) -> VerificationReport:
         limit,
         details,
         counterexamples=counterexamples,
+        data={"blocks": part.blocks, "per_n": part.per_n},
     )
 
 

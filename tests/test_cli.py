@@ -5,6 +5,9 @@ stdout bytes can be asserted without spawning subprocesses.
 """
 
 import json
+import math
+import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -29,6 +32,26 @@ SEQ_ROWS_1_16 = [
     (15, 9, 5, 4, 14, -16, 9, -1, -50113),
     (16, 10, 5, 4, 14, -15, 9, -1, -65024),
 ]
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Parsing the output back needs the int <-> str digit cap lifted."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def exact_y(n):
+    c = 2 * n - 2 * ((2 * n - 1) // 3) + 2
+    m = math.isqrt(2 * n)
+    return 2 ** (c - m) - n ** (m - 1)
 
 
 class TestSeq:
@@ -86,6 +109,26 @@ class TestSeq:
         out = capsys.readouterr().out
         header = out.split("\n")[0].split()
         assert header == ["n", "z", "m", "r", "c", "x", "c_minus_m", "y_sign"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_exact_y_past_the_digit_cap(self, capsys, fmt):
+        # y(21735) is the first y with more than 4300 decimal digits
+        cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        argv = ["seq", "--from", "21730", "--to", "21740", "--exact-y"]
+        assert cli.main(argv + ["--format", fmt]) == 0
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+        out = capsys.readouterr().out
+        with unlimited_int_digits():
+            if fmt == "json":
+                got = [(row["n"], row["y"]) for row in json.loads(out)]
+            elif fmt == "csv":
+                lines = out.strip().split("\n")[1:]
+                got = [(int(f[0]), int(f[-1])) for f in (ln.split(",") for ln in lines)]
+            else:
+                lines = out.strip().split("\n")[1:]
+                got = [(int(f[0]), int(f[-1])) for f in (ln.split() for ln in lines)]
+            assert got == [(n, exact_y(n)) for n in range(21730, 21741)]
+            assert len(str(abs(exact_y(21735)))) > 4300
 
     def test_bad_range_exits_2(self, capsys):
         assert cli.main(["seq", "--from", "0", "--to", "5"]) == 2
@@ -158,6 +201,29 @@ class TestVerify:
         assert cli.main(["verify", "--suite", "theorem2"]) == 0
         assert cli.main(["verify", "--suite", "lemmas"]) == 0
         capsys.readouterr()
+
+    def test_limit_ignored_note(self, capsys):
+        for suite in ("table", "intervals"):
+            assert cli.main(["verify", "--suite", suite]) == 0
+            plain = capsys.readouterr()
+            assert plain.err == ""
+            assert cli.main(["verify", "--suite", suite, "--limit", "5000"]) == 0
+            noted = capsys.readouterr()
+            assert noted.out == plain.out
+            assert noted.err.count("\n") == 1
+            assert "--limit is ignored" in noted.err
+        assert cli.main(["verify", "--suite", "theorem1", "--limit", "600"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_theorem2_at_one_billion(self, capsys):
+        assert cli.main(["verify", "--suite", "theorem2", "--limit", "1000000000"]) == 0
+        assert "[CONFIRMED] theorem2  [1, 1000000000]" in capsys.readouterr().out
+
+    def test_json_counts_blocks(self, capsys):
+        argv = ["verify", "--suite", "theorem2", "--limit", "5000", "--format", "json"]
+        assert cli.main(argv) == 0
+        (rep,) = json.loads(capsys.readouterr().out)
+        assert set(rep["data"]) == {"runs", "blocks", "per_n"}
 
     def test_low_limit_exits_2(self, capsys):
         assert cli.main(["verify", "--suite", "theorem1", "--limit", "100"]) == 2

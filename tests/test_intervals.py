@@ -165,6 +165,42 @@ class TestChain:
                 assert intervals.f_bounds(n) == (rec.lo, rec.hi)
 
 
+class TestChainWalker:
+    def test_links_are_consecutive_and_cover_the_range(self):
+        for limit in (1, 2, 8, 577, 1000, 12345, 10**5):
+            links = list(intervals.chain_links(limit))
+            assert links[0][0] == 1
+            assert links[-1][1] == limit
+            for (_, hi, _, _), (lo, _, _, _) in zip(links, links[1:]):
+                assert lo == hi + 1
+            for lo, hi, _, _ in links:
+                assert lo <= hi
+
+    def test_m_and_r_constant_on_each_link(self):
+        for lo, hi, rr, mm in intervals.chain_links(10**5):
+            for n in {lo, (lo + hi) // 2, hi}:
+                assert sequences.m(n) == mm
+                assert sequences.r(n) == rr
+
+    def test_links_are_f_blocks_clipped_at_the_limit(self):
+        limit = 50000
+        for lo, hi, _, _ in intervals.chain_links(limit):
+            f1, f2 = intervals.f_bounds(lo)
+            assert (f1, min(f2, limit)) == (lo, hi)
+
+    def test_far_out_links_spot_checked(self):
+        limit = 10**9
+        for lo, hi, rr, mm in intervals.chain_links(limit):
+            if lo > limit - 10**6:
+                for n in (lo, hi):
+                    assert (sequences.m(n), sequences.r(n)) == (mm, rr)
+                if hi < limit:
+                    assert intervals.f_bounds(lo) == (lo, hi)
+
+    def test_empty_below_one(self):
+        assert list(intervals.chain_links(0)) == []
+
+
 class TestBlockAnchors:
     def test_d_width_follows_parity(self):
         # block width is m for even m, m - 1 for odd m

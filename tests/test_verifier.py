@@ -8,10 +8,16 @@ never set freely.
 """
 
 import json
+from functools import lru_cache
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ineqscan import sequences, verifier
+from ineqscan import intervals, sequences, verifier
+from ineqscan.exactarith import cmp_pow2_vs_pow
+
+REFERENCE_TOP = 10**5
 
 X_RUNS_600 = (
     (1, 435, -1),
@@ -264,3 +270,169 @@ class TestLemmaAnchors:
         assert row.y_sign == -1
         assert row.x == -25
         assert row.x <= -row.r - 3 <= -6  # -25 <= -12 <= -6
+
+
+# ---------------------------------------------------------------------------
+# Blockwise partitions against the plain per-n route
+# ---------------------------------------------------------------------------
+
+
+def _push(runs, n, sign):
+    if runs and runs[-1][2] == sign:
+        runs[-1][1] = n
+    else:
+        runs.append([n, n, sign])
+
+
+def per_n_runs(limit):
+    """The per-n route: the sign of x and of y at every n of [1, limit],
+    folded into runs.  This is the oracle for the blockwise partitions."""
+    xs, ys = [], []
+    for n, _, mm, _, cc, xx in sequences.scan(1, limit):
+        _push(xs, n, (xx > 0) - (xx < 0))
+        _push(ys, n, cmp_pow2_vs_pow(cc - mm, n, mm - 1))
+    return tuple(map(tuple, xs)), tuple(map(tuple, ys))
+
+
+@lru_cache(maxsize=None)
+def reference_runs():
+    return per_n_runs(REFERENCE_TOP)
+
+
+def truncated(runs, limit):
+    return tuple((a, min(b, limit), s) for a, b, s in runs if a <= limit)
+
+
+def per_n_x_counterexamples(runs):
+    """Theorem 1's comparison, one n at a time."""
+    return [
+        n
+        for a, b, s in runs
+        for n in range(a, b + 1)
+        if verifier.expected_x_sign(n) != s
+    ]
+
+
+def per_n_y_counterexamples(runs):
+    """Theorem 2's comparison, one n at a time; y = 0 never holds."""
+    return [
+        n
+        for a, b, s in runs
+        for n in range(a, b + 1)
+        if s == 0 or verifier.expected_y_sign(n) != s
+    ]
+
+
+def assert_blockwise_matches_reference(limit):
+    ref_x, ref_y = reference_runs()
+    assert verifier.partition_x(limit).runs == truncated(ref_x, limit)
+    assert verifier.partition_y(limit).runs == truncated(ref_y, limit)
+
+
+class TestBlockwiseAgainstPerN:
+    def test_at_every_link_end_and_past_it(self):
+        for _, hi, _, _ in intervals.chain_links(REFERENCE_TOP - 1):
+            assert_blockwise_matches_reference(hi)
+            assert_blockwise_matches_reference(hi + 1)
+
+    @given(st.integers(min_value=1, max_value=REFERENCE_TOP))
+    def test_any_limit(self, limit):
+        assert_blockwise_matches_reference(limit)
+
+    def test_at_one_million(self):
+        ref_x, ref_y = per_n_runs(10**6)
+        assert verifier.partition_x(10**6).runs == ref_x
+        assert verifier.partition_y(10**6).runs == ref_y
+
+    def test_blocks_and_per_n_cover_the_range(self):
+        for limit in (1, 420, 5000, REFERENCE_TOP):
+            part = verifier.partition_x(limit)
+            assert part.per_n == 0
+            assert part.blocks == sum(1 for _ in intervals.chain_links(limit))
+            part = verifier.partition_y(limit)
+            settled = [
+                hi - lo + 1
+                for lo, hi, _, mm in intervals.chain_links(limit)
+                if mm >= 2
+                and sequences.c(lo) - mm >= hi.bit_length() * (mm - 1)
+            ]
+            assert part.blocks == len(settled)
+            assert part.per_n + sum(settled) == limit
+
+
+class TestConstantsAreChecked:
+    """A wrong classification constant must surface as a discrepancy
+    whose counterexamples are exactly those of the per-n comparison."""
+
+    LIMIT = 5000
+
+    def test_wrong_x_zero_set(self, monkeypatch):
+        monkeypatch.setattr(
+            verifier, "X_ZERO_SET", frozenset({436, 451, 529, 545, 547})
+        )
+        rep = verifier.check_theorem1(self.LIMIT)
+        ref_x, _ = per_n_runs(self.LIMIT)
+        assert rep.status == verifier.DISCREPANCY
+        assert rep.counterexamples == per_n_x_counterexamples(ref_x)
+        assert rep.counterexamples == [546, 547]
+
+    def test_wrong_x_negative_runs(self, monkeypatch):
+        monkeypatch.setattr(
+            verifier, "X_NEGATIVE_RUNS", ((1, 430), (450, 451), (513, 4000))
+        )
+        rep = verifier.check_theorem1(self.LIMIT)
+        ref_x, _ = per_n_runs(self.LIMIT)
+        assert rep.status == verifier.DISCREPANCY
+        assert rep.counterexamples == per_n_x_counterexamples(ref_x)
+        assert rep.counterexamples[:6] == [431, 432, 433, 434, 435, 530]
+        assert rep.counterexamples[-1] == 4000
+
+    def test_wrong_y_negative_runs(self, monkeypatch):
+        monkeypatch.setattr(
+            verifier, "Y_NEGATIVE_RUNS", ((5, 330), (338, 352), (365, 368))
+        )
+        rep = verifier.check_theorem2(self.LIMIT)
+        _, ref_y = per_n_runs(self.LIMIT)
+        assert rep.status == verifier.DISCREPANCY
+        assert rep.counterexamples == per_n_y_counterexamples(ref_y)
+        assert rep.counterexamples == [331, 332, 333, 334, 335, 351, 352]
+
+    def test_tail_started_too_early(self, monkeypatch):
+        monkeypatch.setattr(verifier, "POSITIVE_TAIL_START", 335)
+        rep = verifier.check_positive_tail(self.LIMIT)
+        _, ref_y = per_n_runs(self.LIMIT)
+        per_n = [
+            n for a, b, s in ref_y for n in range(max(a, 335), b + 1) if s != 1
+        ]
+        assert rep.status == verifier.DISCREPANCY
+        assert rep.counterexamples == per_n
+        assert per_n[:2] == [335, 338] and per_n[-1] == 368
+
+
+class TestReach:
+    def test_theorems_at_one_billion_decide_few_n_singly(self, monkeypatch):
+        calls = 0
+
+        def counting_cmp(*args):
+            nonlocal calls
+            calls += 1
+            return cmp_pow2_vs_pow(*args)
+
+        monkeypatch.setattr(verifier, "cmp_pow2_vs_pow", counting_cmp)
+        t1 = verifier.check_theorem1(10**9)
+        t2 = verifier.check_theorem2(10**9)
+        assert t1.status == t2.status == verifier.CONFIRMED
+        assert t1.data["per_n"] == 0
+        assert t2.data["per_n"] <= 420
+        assert calls == t2.data["per_n"]
+
+    def test_reports_carry_block_counts(self):
+        for rep in (
+            verifier.check_theorem1(5000),
+            verifier.check_theorem2(5000),
+            verifier.check_positive_tail(5000),
+        ):
+            assert rep.data["blocks"] > 0
+            assert rep.data["per_n"] >= 0
+        rep = verifier.check_positive_tail(100)
+        assert rep.data == {"blocks": 0, "per_n": 0}
