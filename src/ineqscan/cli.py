@@ -9,11 +9,13 @@ Subcommands:
 
 Exit codes: 0 when every requested check is clean (documented errata do
 not count against a run unless --strict is given), 1 when a check found
-a discrepancy (or, with --strict, an erratum), 2 for usage errors.
+a discrepancy (or, with --strict, an erratum) or when stdout was closed
+before the output ended, 2 for usage errors.
 """
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 
@@ -32,6 +34,14 @@ SUITE_MIN = {
     "all": 547,
 }
 
+# Largest --limit each suite accepts, where it has one.  Both run the
+# exact-y range-bound check, which builds every y(n) (about 2n/3 bits) and
+# grows like L**1.7: about 1.5 minutes at 10**6, hours at 10**7.
+SUITE_MAX = {
+    "lemmas": 10**6,
+    "all": 10**6,
+}
+
 # Suites whose range is fixed by the printed tables; --limit does not apply.
 FIXED_RANGE_SUITES = ("table", "intervals")
 
@@ -44,34 +54,39 @@ SUITE_DEFAULT = {
 }
 
 
-def _seq_rows(start, stop, exact_y):
-    rows = []
-    for n in range(start, stop + 1):
-        rw = sequences.row(n)
-        rec = {
-            "n": rw.n,
-            "z": rw.z,
-            "m": rw.m,
-            "r": rw.r,
-            "c": rw.c,
-            "x": rw.x,
-            "c_minus_m": rw.c_minus_m,
-            "y_sign": rw.y_sign,
-        }
-        if exact_y:
-            rec["y"] = sequences.y_value(n)
-        rows.append(rec)
-    return rows
+def _emit_table(columns, records, fmt):
+    """Write records, tuples of ints in column order, to stdout as csv,
+    json or text.
 
-
-def _print_table(rows, columns):
-    widths = [
-        max(len(col), max((len(str(row[col])) for row in rows), default=0))
-        for col in columns
-    ]
-    print("  ".join(col.rjust(w) for col, w in zip(columns, widths)))
-    for row in rows:
-        print("  ".join(str(row[col]).rjust(w) for col, w in zip(columns, widths)))
+    csv and json are written as the records arrive, so memory stays flat
+    however long the range.  text sizes each column to its widest cell,
+    so it keeps every row (as strings) before writing any: it is meant
+    for ranges a person reads.
+    """
+    out = sys.stdout
+    if fmt == "csv":
+        out.write(",".join(columns) + "\n")
+        line = ",".join(["%s"] * len(columns)) + "\n"
+        out.writelines(line % rec for rec in records)
+    elif fmt == "json":
+        # The bytes of json.dumps(list_of_dicts, indent=2), a record at a
+        # time: JSON writes an int as str() does.
+        fields = ",\n    ".join(f"{json.dumps(col)}: %s" for col in columns)
+        obj = "{\n    " + fields + "\n  }"
+        sep = "[\n  "
+        for rec in records:
+            out.write(sep + obj % rec)
+            sep = ",\n  "
+        out.write("[]\n" if sep == "[\n  " else "\n]\n")
+    else:
+        cells = [tuple(map(str, rec)) for rec in records]
+        widths = [
+            max([len(col)] + [len(row[i]) for row in cells])
+            for i, col in enumerate(columns)
+        ]
+        line = "  ".join(f"%{w}s" for w in widths) + "\n"
+        out.write(line % tuple(columns))
+        out.writelines(line % row for row in cells)
 
 
 @contextmanager
@@ -94,45 +109,23 @@ def cmd_seq(args):
     start, stop = args.start, args.stop
     if start < 1 or stop < start:
         raise ValueError("need 1 <= --from <= --to")
-    rows = _seq_rows(start, stop, args.exact_y)
     columns = ["n", "z", "m", "r", "c", "x", "c_minus_m", "y_sign"]
+    records = sequences.rows(start, stop)
     if args.exact_y:
         columns.append("y")
+        records = (rec + (sequences.y_value(rec[0]),) for rec in records)
     with _unlimited_int_digits():
-        if args.format == "csv":
-            print(",".join(columns))
-            for row in rows:
-                print(",".join(str(row[col]) for col in columns))
-        elif args.format == "json":
-            print(json.dumps(rows, indent=2))
-        else:
-            _print_table(rows, columns)
+        _emit_table(columns, records, args.format)
     return 0
 
 
 def cmd_intervals(args):
-    records = intervals.interval_table(args.limit)
     columns = ["index", "lo", "hi", "r", "m", "x_lo", "x_hi"]
-    rows = [
-        {
-            "index": rec.index,
-            "lo": rec.lo,
-            "hi": rec.hi,
-            "r": rec.r_const,
-            "m": rec.m_const,
-            "x_lo": rec.x_lo,
-            "x_hi": rec.x_hi,
-        }
-        for rec in records
-    ]
-    if args.format == "csv":
-        print(",".join(columns))
-        for row in rows:
-            print(",".join(str(row[col]) for col in columns))
-    elif args.format == "json":
-        print(json.dumps(rows, indent=2))
-    else:
-        _print_table(rows, columns)
+    records = (
+        (rec.index, rec.lo, rec.hi, rec.r_const, rec.m_const, rec.x_lo, rec.x_hi)
+        for rec in intervals.interval_table(args.limit)
+    )
+    _emit_table(columns, records, args.format)
     return 0
 
 
@@ -185,6 +178,15 @@ def cmd_verify(args):
         print(
             f"error: suite {args.suite!r} needs --limit >= "
             f"{SUITE_MIN[args.suite]} to attest its claims",
+            file=sys.stderr,
+        )
+        return 2
+    cap = SUITE_MAX.get(args.suite)
+    if cap is not None and args.limit is not None and args.limit > cap:
+        print(
+            f"error: suite {args.suite!r} takes --limit <= {cap}: "
+            "its exact-y range-bound check builds every y(n), which takes hours "
+            "by 10**7; --suite theorem1|theorem2 classify the signs up to 10**12",
             file=sys.stderr,
         )
         return 2
@@ -257,10 +259,18 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away (as with `| head`).  Point stdout at devnull
+        # so the flush at exit cannot fail again, and exit quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,70 +1,36 @@
 """Exact integer kernel.
 
-Integer square root, exact powers, and exact ordering of a power of two
-against a general power.  Everything runs on Python's arbitrary-precision
-integers and no floating point enters any code path here, so the results
-are safe to feed into exhaustive sign classifications.
+Exact ordering of a power of two against a general power.  It runs on
+Python's arbitrary-precision integers and no floating point enters any
+code path here, so the results are safe to feed into exhaustive sign
+classifications.  Integer square roots and powers come from the
+standard library (math.isqrt and the built-in **), which are exact on
+ints.
 """
 
 LT, EQ, GT = -1, 0, 1
 
 
-def isqrt(v: int) -> int:
-    """Return the largest s with s*s <= v.
-
-    Newton iteration on integers, started from the power of two just
-    above the square root (read off the bit length).  Starting above the
-    root makes every iterate an upper bound until the floor value is
-    reached, at which point the iteration stops decreasing.
-    """
-    if v < 0:
-        raise ValueError("isqrt is undefined for negative values")
-    if v == 0:
-        return 0
-    s = 1 << ((v.bit_length() + 1) // 2)
-    while True:
-        t = (s + v // s) // 2
-        if t >= s:
-            return s
-        s = t
-
-
-def nat_pow(base: int, exp: int) -> int:
-    """Return base**exp exactly by binary exponentiation; 0**0 is 1."""
-    if base < 0 or exp < 0:
-        raise ValueError("nat_pow expects non-negative base and exponent")
-    result = 1
-    while exp:
-        if exp & 1:
-            result *= base
-        exp >>= 1
-        if exp:
-            base *= base
-    return result
-
-
-def cmp_pow2_vs_pow(e: int, n: int, k: int, use_fast_path: bool = True) -> int:
+def cmp_pow2_vs_pow(e: int, n: int, k: int) -> int:
     """Exact ordering of 2**e versus n**k: one of LT, EQ, GT.
 
     The fast path needs only bit lengths: with L = n.bit_length() we have
     2**(L-1) <= n < 2**L, so e >= L*k forces GT, and e <= (L-1)*k forces
     LT provided n is not exactly 2**(L-1).  Everything undecided falls
-    back to building both powers and comparing them outright.  The flag
-    exists so the shortcut can be cross-checked against the plain route;
-    the result is identical either way.
+    back to building both powers and comparing them outright.
     """
     if e < 0 or k < 0:
         raise ValueError("exponents must be non-negative")
     if n < 1:
         raise ValueError("base must be a positive integer")
-    if use_fast_path and k > 0:
+    if k > 0:
         bits = n.bit_length()
         if e >= bits * k:
             return GT
         if e <= (bits - 1) * k and n != 1 << (bits - 1):
             return LT
     lhs = 1 << e
-    rhs = nat_pow(n, k)
+    rhs = n**k
     if lhs < rhs:
         return LT
     if lhs > rhs:

@@ -15,12 +15,20 @@ sign of y is decided by exact comparison of the terms rather than by
 subtracting them; ask for y_value only when you really need the digits.
 The gap c(n) - m(n) is at least 2 for every n (exactly 2 only at n = 2),
 which keeps the pow2_term exponent positive.
+
+The scalar functions compute one value from scratch.  Ranges go through
+the stepper instead: scan yields (n, z, m, r, c, x), starting m from one
+math.isqrt and then advancing it step by step, and rows adds c - m and
+the exact sign of y, yielding whole rows as plain tuples.  row(n) is one
+step of rows, so a SequenceRow and a row of a range scan come from the
+same code.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .exactarith import cmp_pow2_vs_pow, isqrt, nat_pow
+from .exactarith import cmp_pow2_vs_pow
 
 
 @dataclass(frozen=True)
@@ -51,7 +59,7 @@ def z(n: int) -> int:
 def m(n: int) -> int:
     """Largest integer whose square is at most 2n."""
     _require_positive(n)
-    return isqrt(2 * n)
+    return math.isqrt(2 * n)
 
 
 def r(n: int) -> int:
@@ -81,7 +89,7 @@ def pow2_term(n: int) -> int:
 def npow_term(n: int) -> int:
     """n**(m(n) - 1), the n-power side of y(n)."""
     _require_positive(n)
-    return nat_pow(n, m(n) - 1)
+    return n ** (m(n) - 1)
 
 
 def y_sign(n: int) -> int:
@@ -103,37 +111,41 @@ def y_value(n: int) -> int:
 def row(n: int) -> SequenceRow:
     """All sequence values at n bundled into one record."""
     _require_positive(n)
-    zz = (2 * n - 1) // 3
-    mm = isqrt(2 * n)
-    rr = (n - 1).bit_length()
-    cc = 2 * n - 2 * zz + 2
-    return SequenceRow(
-        n=n,
-        z=zz,
-        m=mm,
-        r=rr,
-        c=cc,
-        x=zz - (rr + 1) * mm,
-        c_minus_m=cc - mm,
-        y_sign=cmp_pow2_vs_pow(cc - mm, n, mm - 1),
-    )
+    return SequenceRow(*next(rows(n, n)))
 
 
 def scan(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int, int]]:
     """Yield (n, z, m, r, c, x) for each n in [lo, hi].
 
-    Streaming counterpart of row() for range scans: m is advanced
-    incrementally instead of recomputed from scratch, which keeps a full
-    scan close to constant work per step.  An empty range yields nothing.
+    The stepper for range scans: m starts from math.isqrt and is then
+    advanced past each square (m + 1)**2 as 2n reaches it, which keeps a
+    full scan close to constant work per step.  An empty range yields
+    nothing.
     """
     if lo < 1:
         raise ValueError("lo must be a positive integer")
-    mm = isqrt(2 * lo)
+    mm = math.isqrt(2 * lo)
+    next_sq = (mm + 1) * (mm + 1)
     for n in range(lo, hi + 1):
         nn = 2 * n
-        while (mm + 1) * (mm + 1) <= nn:
+        # 2n grows by 2 a step and consecutive squares are at least 3 apart,
+        # so m grows by at most one per step.
+        if nn >= next_sq:
             mm += 1
+            next_sq += 2 * mm + 1
         zz = (nn - 1) // 3
         rr = (n - 1).bit_length()
         cc = nn - 2 * zz + 2
         yield n, zz, mm, rr, cc, zz - (rr + 1) * mm
+
+
+def rows(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
+    """Yield (n, z, m, r, c, x, c_minus_m, y_sign) for each n in [lo, hi],
+    in SequenceRow field order, as plain tuples.
+
+    scan supplies the first six values; y_sign is the exact comparison of
+    2**(c - m) with n**(m - 1), as in y_sign(n).  An empty range yields
+    nothing.
+    """
+    for n, zz, mm, rr, cc, xx in scan(lo, hi):
+        yield n, zz, mm, rr, cc, xx, cc - mm, cmp_pow2_vs_pow(cc - mm, n, mm - 1)

@@ -1,17 +1,22 @@
 """End-to-end tests of the command line front end.
 
 Everything runs in-process through cli.main so exit codes and exact
-stdout bytes can be asserted without spawning subprocesses.
+stdout bytes can be asserted without spawning subprocesses; only the
+closed-pipe test needs a real child process and a real pipe.
 """
 
 import json
 import math
+import os
+import subprocess
 import sys
+import tracemalloc
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
-from ineqscan import cli
+from ineqscan import cli, intervals, sequences
 
 # computed rows for the default seq range, including the exact y column
 SEQ_ROWS_1_16 = [
@@ -52,6 +57,115 @@ def exact_y(n):
     c = 2 * n - 2 * ((2 * n - 1) // 3) + 2
     m = math.isqrt(2 * n)
     return 2 ** (c - m) - n ** (m - 1)
+
+
+def reference_table(rows, columns, fmt):
+    """Print dict rows the way seq and intervals did before they
+    streamed: the whole table built first, then printed."""
+    if fmt == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join(str(row[col]) for col in columns) for row in rows]
+    elif fmt == "json":
+        lines = [json.dumps(rows, indent=2)]
+    else:
+        widths = [
+            max(len(col), max((len(str(row[col])) for row in rows), default=0))
+            for col in columns
+        ]
+        lines = ["  ".join(col.rjust(w) for col, w in zip(columns, widths))]
+        lines += [
+            "  ".join(str(row[col]).rjust(w) for col, w in zip(columns, widths))
+            for row in rows
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def reference_seq(start, stop, exact_y, fmt):
+    """seq output from one sequences.row() per n, kept as dicts."""
+    columns = ["n", "z", "m", "r", "c", "x", "c_minus_m", "y_sign"]
+    rows = []
+    for n in range(start, stop + 1):
+        rw = sequences.row(n)
+        rec = {col: getattr(rw, col) for col in columns}
+        if exact_y:
+            rec["y"] = sequences.y_value(n)
+        rows.append(rec)
+    with unlimited_int_digits():
+        return reference_table(rows, columns + ["y"] * exact_y, fmt)
+
+
+def reference_intervals(limit, fmt):
+    columns = ["index", "lo", "hi", "r", "m", "x_lo", "x_hi"]
+    rows = [
+        {
+            "index": rec.index,
+            "lo": rec.lo,
+            "hi": rec.hi,
+            "r": rec.r_const,
+            "m": rec.m_const,
+            "x_lo": rec.x_lo,
+            "x_hi": rec.x_hi,
+        }
+        for rec in intervals.interval_table(limit)
+    ]
+    return reference_table(rows, columns, fmt)
+
+
+class TestStreamedOutput:
+    # 2040..2060 crosses m's step at 2n = 64*64 (n = 2048) and r's at
+    # n = 2**11 + 1; y(21735) is the first y with more than 4300 digits
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    @pytest.mark.parametrize("exact_y", [False, True])
+    @pytest.mark.parametrize(
+        "start, stop",
+        [(1, 1), (1, 16), (13, 16), (400, 600), (2040, 2060), (21730, 21740)],
+    )
+    def test_seq_matches_row_by_row_emitter(self, capsys, fmt, exact_y, start, stop):
+        argv = ["seq", "--from", str(start), "--to", str(stop), "--format", fmt]
+        assert cli.main(argv + ["--exact-y"] * exact_y) == 0
+        assert capsys.readouterr().out == reference_seq(start, stop, exact_y, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_intervals_match_table_emitter(self, capsys, fmt):
+        assert cli.main(["intervals", "--limit", "600", "--format", fmt]) == 0
+        assert capsys.readouterr().out == reference_intervals(600, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_seq_streams_in_constant_memory(self, monkeypatch, fmt):
+        # 100k rows held as dicts took tens of MB
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                rc = cli.main(["seq", "--from", "1", "--to", "100000", "--format", fmt])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert rc == 0
+        assert peak < 2 * 2**20
+
+    def test_closed_pipe_exits_quietly(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["seq", "--to", "1000000", "--format", "csv"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ineqscan.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            head = [proc.stdout.readline() for _ in range(2)]
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert head == [b"n,z,m,r,c,x,c_minus_m,y_sign\n", b"1,0,1,0,4,-1,3,1\n"]
+        assert err == b""
+        assert proc.returncode == 1
 
 
 class TestSeq:
@@ -232,6 +346,14 @@ class TestVerify:
         assert cli.main(["verify", "--suite", "theorem2", "--limit", "100"]) == 2
         assert cli.main(["verify", "--suite", "all", "--limit", "546"]) == 2
         capsys.readouterr()
+
+    def test_exact_y_suites_capped(self, capsys):
+        for suite in ("lemmas", "all"):
+            argv = ["verify", "--suite", suite, "--limit", str(10**6 + 1)]
+            assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "range-bound" in err and "--suite theorem1|theorem2" in err
 
     def test_minimum_limits_accepted(self, capsys):
         assert cli.main(["verify", "--suite", "theorem1", "--limit", "547"]) == 0

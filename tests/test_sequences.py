@@ -8,12 +8,13 @@ correct ones, which differ from a published table; the verifier, not
 this module, is where that mismatch is surfaced.
 """
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ineqscan import sequences
-from ineqscan.exactarith import isqrt
 
 # n: (z, m, r, c, x, c_minus_m, y)
 GOLDEN_ROWS = {
@@ -175,6 +176,41 @@ class TestScan:
             assert n <= 1 << rr and n > 1 << (rr - 1)
 
 
+class TestRows:
+    """rows(lo, hi), the stepper behind seq, against the scalar functions."""
+
+    @staticmethod
+    def scalar_rows(lo, hi):
+        return [
+            (
+                n,
+                sequences.z(n),
+                sequences.m(n),
+                sequences.r(n),
+                sequences.c(n),
+                sequences.x(n),
+                sequences.c(n) - sequences.m(n),
+                sequences.y_sign(n),
+            )
+            for n in range(lo, hi + 1)
+        ]
+
+    def test_prefix(self):
+        assert list(sequences.rows(1, 5000)) == self.scalar_rows(1, 5000)
+
+    def test_windows_around_m_thresholds(self):
+        # m steps where 2n reaches k*k; start the stepper on either side
+        for k in (99, 1000, 2**20, 2**20 + 1, 10**9 + 7, 2**64):
+            mid = k * k // 2
+            for lo in (mid - 3, mid, mid + 1):
+                assert list(sequences.rows(lo, mid + 5)) == self.scalar_rows(lo, mid + 5)
+
+    def test_empty_and_invalid_windows(self):
+        assert list(sequences.rows(10, 9)) == []
+        with pytest.raises(ValueError):
+            list(sequences.rows(0, 5))
+
+
 class TestMonotonicity:
     def test_index_columns_never_decrease(self):
         prev = None
@@ -207,7 +243,7 @@ class TestMonotonicity:
 
 @given(st.integers(min_value=1, max_value=10**12))
 def test_m_matches_isqrt_everywhere(n):
-    assert sequences.m(n) == isqrt(2 * n)
+    assert sequences.m(n) == math.isqrt(2 * n)
 
 
 @given(st.integers(min_value=1, max_value=10**9))
