@@ -1,123 +1,10 @@
 """Exact verification of the sign classification of two integer
 sequences, with real-valued envelope checks on the side.
 
-The public surface re-exported here covers the sequence definitions,
-the interval chain, the claim checks, and the envelope machinery; the
-command line lives in ineqscan.cli.
+Import from the submodules: sequences (the definitions and the
+stepper), intervals (the constant-(r, m) chain), exactarith (the exact
+power comparison), verifier (the claim checks and their reports),
+analytic (envelopes, roots and float checks) and cli (the command line).
 """
 
-from .analytic import (
-    FCoeffs,
-    RootBracket,
-    X_LOWER,
-    X_UPPER,
-    Y_LOWER,
-    Y_UPPER,
-    Y_real,
-    check_approximations,
-    check_bounds_Y,
-    check_bounds_x,
-    check_roots,
-    check_sign_consistency,
-    d_real,
-    isolate_root,
-)
-from .exactarith import EQ, GT, LT, cmp_pow2_vs_pow
-from .intervals import (
-    IntervalRecord,
-    d_bounds,
-    e_bounds,
-    f_bounds,
-    interval_table,
-)
-from .sequences import (
-    SequenceRow,
-    c,
-    m,
-    pow2_term,
-    npow_term,
-    r,
-    row,
-    scan,
-    x,
-    y_sign,
-    y_value,
-    z,
-)
-from .verifier import (
-    CONFIRMED,
-    DISCREPANCY,
-    KNOWN_ERRATUM,
-    Erratum,
-    SignPartition,
-    VerificationReport,
-    check_gap,
-    check_interval_table,
-    check_negative_x_bound,
-    check_positive_tail,
-    check_range_bounds,
-    check_reference_table,
-    check_sign_criteria,
-    check_theorem1,
-    check_theorem2,
-    partition_x,
-    partition_y,
-    y_range_bound,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CONFIRMED",
-    "DISCREPANCY",
-    "EQ",
-    "Erratum",
-    "FCoeffs",
-    "GT",
-    "IntervalRecord",
-    "KNOWN_ERRATUM",
-    "LT",
-    "RootBracket",
-    "SequenceRow",
-    "SignPartition",
-    "VerificationReport",
-    "X_LOWER",
-    "X_UPPER",
-    "Y_LOWER",
-    "Y_UPPER",
-    "Y_real",
-    "c",
-    "check_approximations",
-    "check_bounds_Y",
-    "check_bounds_x",
-    "check_gap",
-    "check_interval_table",
-    "check_negative_x_bound",
-    "check_positive_tail",
-    "check_range_bounds",
-    "check_reference_table",
-    "check_roots",
-    "check_sign_consistency",
-    "check_theorem1",
-    "check_theorem2",
-    "cmp_pow2_vs_pow",
-    "d_bounds",
-    "d_real",
-    "e_bounds",
-    "f_bounds",
-    "interval_table",
-    "isolate_root",
-    "m",
-    "npow_term",
-    "partition_x",
-    "partition_y",
-    "pow2_term",
-    "r",
-    "row",
-    "scan",
-    "x",
-    "y_range_bound",
-    "y_sign",
-    "y_value",
-    "z",
-]

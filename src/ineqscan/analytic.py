@@ -10,14 +10,18 @@ Everything here is ordinary floating point.  That is safe because the
 quantities involved are tiny (hundreds), the margins are large compared
 with double precision, and any comparison that lands inside float noise
 is reported instead of trusted.
+
+The range checks walk the stepper in sequences: scan for x and c - m,
+rows where the exact sign of y is needed.  The real surrogate
+Y = (c - m) - (m - 1) log2(n) is written once, in _Y.  Reports and
+erratum lookups go through verifier.make_report and verifier.erratum_for.
 """
 
 import math
 from dataclasses import dataclass
 
 from . import sequences
-from .exactarith import cmp_pow2_vs_pow
-from .verifier import KNOWN_ERRATA, Erratum, VerificationReport, _make_report
+from .verifier import KNOWN_ERRATA, VerificationReport, erratum_for, make_report
 
 LOG2 = math.log(2.0)
 
@@ -65,19 +69,12 @@ ROOT_SCAN_START = {
 }
 
 # Unit-width integer brackets around the main root of each instance,
-# as recomputed here.  The published bracket for y-lower reads
-# (379, 389); see the erratum registry.
+# as recomputed here.  The published brackets agree except for y-lower,
+# which reads (379, 389); the erratum registry records that misprint.
 ROOT_BRACKETS = {
     "x-lower": (560, 561),
     "x-upper": (384, 385),
     "y-lower": (379, 380),
-    "y-upper": (324, 325),
-}
-
-PRINTED_BRACKETS = {
-    "x-lower": (560, 561),
-    "x-upper": (384, 385),
-    "y-lower": (379, 389),
     "y-upper": (324, 325),
 }
 
@@ -135,14 +132,19 @@ class RootBracket:
         return self.hi - self.lo
 
 
+def _require_tol(tol: float) -> None:
+    # NaN passes "tol <= 0" and would skip the bisection loop unnoticed.
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a finite positive number")
+
+
 def isolate_root(coeffs: FCoeffs, lo: float, hi: float, tol: float = 1e-9) -> RootBracket:
     """Shrink a sign-changing bracket to width <= tol by bisection.
 
     The endpoints must evaluate to nonzero values of opposite sign.
     Stops early if float resolution is exhausted before tol is reached.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _require_tol(tol)
     if not lo < hi:
         raise ValueError("need lo < hi")
     flo = F_eval(coeffs, lo)
@@ -173,14 +175,20 @@ def d_real(n: int) -> float:
     return -mm - (mm - 1) * math.log2(n)
 
 
-def Y_real(n: int) -> float:
-    """c(n) + d_real(n), the real surrogate whose sign matches y(n).
+def _Y(n: int, c_minus_m: int, m: int) -> float:
+    """(c - m) - (m - 1) * log2(n), the exponent gap between the two
+    exact terms of y, from the integer parts a scan already holds."""
+    return c_minus_m - (m - 1) * math.log2(n)
 
-    Equals (c - m) - (m - 1) log2(n), the exponent gap between the two
-    exact terms of y; its sign agrees with y wherever it is not within
-    float noise of zero.
+
+def Y_real(n: int) -> float:
+    """The real surrogate (c - m) - (m - 1) log2(n) whose sign matches
+    y(n) wherever it is not within float noise of zero.
+
+    It equals c(n) + d_real(n) up to float rounding.
     """
-    return sequences.c(n) + d_real(n)
+    mm = sequences.m(n)
+    return _Y(n, sequences.c(n) - mm, mm)
 
 
 # ---------------------------------------------------------------------------
@@ -188,78 +196,56 @@ def Y_real(n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _margin_details(base: str, min_low, min_low_at, min_up, min_up_at) -> str:
+def _check_envelopes(claim_id, what, lower, upper, limit, pairs):
+    """One claim that the lower envelope stays strictly below, and the
+    upper strictly above, every value of the (n, value) pairs over
+    [1, limit]; the smallest margin on each side is reported."""
+    if limit < 1:
+        raise ValueError("limit must be a positive integer")
+    counterexamples = []
+    min_low = min_up = math.inf
+    min_low_at = min_up_at = None
+    for n, value in pairs:
+        low = value - F_eval(lower, n)
+        up = F_eval(upper, n) - value
+        if low <= 0 or up <= 0:
+            counterexamples.append(n)
+        if low < min_low:
+            min_low, min_low_at = low, n
+        if up < min_up:
+            min_up, min_up_at = up, n
     details = (
-        f"{base}; smallest lower margin {min_low:.6f} at n = {min_low_at}, "
+        f"both envelopes strict around {what}; smallest lower margin "
+        f"{min_low:.6f} at n = {min_low_at}, "
         f"smallest upper margin {min_up:.6f} at n = {min_up_at}"
     )
     if min(min_low, min_up) < MARGIN_FLOOR:
         details += "; warning: a margin sits inside float noise"
-    return details
+    return make_report(
+        claim_id,
+        1,
+        limit,
+        details,
+        counterexamples=counterexamples,
+        data={"min_lower_margin": min_low, "min_upper_margin": min_up},
+    )
 
 
 def check_bounds_x(limit: int) -> VerificationReport:
     """The x-lower envelope stays strictly below x(n) and the x-upper
     envelope strictly above it, for every n in [1, limit]."""
-    if limit < 1:
-        raise ValueError("limit must be a positive integer")
-    counterexamples = []
-    min_low = min_up = math.inf
-    min_low_at = min_up_at = None
-    for n, _, _, _, _, xx in sequences.scan(1, limit):
-        low = xx - F_eval(X_LOWER, n)
-        up = F_eval(X_UPPER, n) - xx
-        if low <= 0 or up <= 0:
-            counterexamples.append(n)
-        if low < min_low:
-            min_low, min_low_at = low, n
-        if up < min_up:
-            min_up, min_up_at = up, n
-    details = _margin_details(
-        "both envelopes strict around x", min_low, min_low_at, min_up, min_up_at
-    )
-    return _make_report(
-        "analytic/x-bounds",
-        1,
-        limit,
-        details,
-        counterexamples=counterexamples,
-        data={"min_lower_margin": min_low, "min_upper_margin": min_up},
-    )
+    pairs = ((n, xx) for n, _, _, _, _, xx in sequences.scan(1, limit))
+    return _check_envelopes("analytic/x-bounds", "x", X_LOWER, X_UPPER, limit, pairs)
 
 
 def check_bounds_Y(limit: int) -> VerificationReport:
     """The y-lower envelope stays strictly below Y_real(n) and the
     y-upper envelope strictly above it, for every n in [1, limit]."""
-    if limit < 1:
-        raise ValueError("limit must be a positive integer")
-    counterexamples = []
-    min_low = min_up = math.inf
-    min_low_at = min_up_at = None
-    for n, _, mm, _, cc, _ in sequences.scan(1, limit):
-        yy = (cc - mm) - (mm - 1) * math.log2(n)
-        low = yy - F_eval(Y_LOWER, n)
-        up = F_eval(Y_UPPER, n) - yy
-        if low <= 0 or up <= 0:
-            counterexamples.append(n)
-        if low < min_low:
-            min_low, min_low_at = low, n
-        if up < min_up:
-            min_up, min_up_at = up, n
-    details = _margin_details(
-        "both envelopes strict around the y surrogate",
-        min_low,
-        min_low_at,
-        min_up,
-        min_up_at,
+    pairs = (
+        (n, _Y(n, cc - mm, mm)) for n, _, mm, _, cc, _ in sequences.scan(1, limit)
     )
-    return _make_report(
-        "analytic/Y-bounds",
-        1,
-        limit,
-        details,
-        counterexamples=counterexamples,
-        data={"min_lower_margin": min_low, "min_upper_margin": min_up},
+    return _check_envelopes(
+        "analytic/Y-bounds", "the y surrogate", Y_LOWER, Y_UPPER, limit, pairs
     )
 
 
@@ -277,15 +263,15 @@ def check_sign_consistency(limit: int) -> VerificationReport:
     counterexamples = []
     min_abs = math.inf
     min_abs_at = None
-    for n, _, mm, _, cc, _ in sequences.scan(1, limit):
-        yy = (cc - mm) - (mm - 1) * math.log2(n)
+    for n, _, mm, _, _, _, cm, sign in sequences.rows(1, limit):
+        yy = _Y(n, cm, mm)
         if n >= 5 and abs(yy) < min_abs:
             min_abs, min_abs_at = abs(yy), n
         if abs(yy) <= 1e-6:
             counterexamples.append(n)
             continue
         float_sign = 1 if yy > 0 else -1
-        if float_sign != cmp_pow2_vs_pow(cc - mm, n, mm - 1):
+        if float_sign != sign:
             counterexamples.append(n)
     if min_abs_at is None:
         min_abs = None
@@ -295,7 +281,7 @@ def check_sign_consistency(limit: int) -> VerificationReport:
             f"float surrogate sign matches the exact sign everywhere; "
             f"smallest |Y| over [5, {limit}] is {min_abs:.6f} at n = {min_abs_at}"
         )
-    return _make_report(
+    return make_report(
         "analytic/sign-consistency",
         1,
         limit,
@@ -359,7 +345,7 @@ def check_approximations() -> VerificationReport:
         "one-decimal tolerance); increment identity exact to 1e-12 and "
         "increments strictly growing on [368, 388]"
     )
-    return _make_report(
+    return make_report(
         "analytic/approximations",
         325,
         391,
@@ -377,8 +363,7 @@ def check_roots(tol: float = 1e-9, grid_hi: int = 10000) -> list[VerificationRep
     the recomputed and published ones, then bisect down to tol.  The
     published y-lower bracket is a documented misprint.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _require_tol(tol)
     reports = []
     for name, coeffs in NAMED_INSTANCES.items():
         start = ROOT_SCAN_START[name]
@@ -399,15 +384,11 @@ def check_roots(tol: float = 1e-9, grid_hi: int = 10000) -> list[VerificationRep
             bracket = (flips[0] - 1, flips[0])
             if bracket != ROOT_BRACKETS[name]:
                 counterexamples.append(f"scan bracket {bracket}")
-            if PRINTED_BRACKETS[name] != ROOT_BRACKETS[name]:
-                entry = KNOWN_ERRATA.get(("root-bracket", "bracket", name))
-                if entry is not None and entry[2] == bracket:
-                    label, printed, _, note = entry
-                    errata.append(
-                        Erratum(item=label, printed=printed, computed=bracket, note=note)
-                    )
-                else:
-                    counterexamples.append("unexplained printed bracket mismatch")
+            erratum = erratum_for("root-bracket", "bracket", name, bracket)
+            if erratum is not None:
+                errata.append(erratum)
+            elif ("root-bracket", "bracket", name) in KNOWN_ERRATA:
+                counterexamples.append("unexplained printed bracket mismatch")
             refined = isolate_root(coeffs, float(bracket[0]), float(bracket[1]), tol)
             data.update(
                 {
@@ -423,7 +404,7 @@ def check_roots(tol: float = 1e-9, grid_hi: int = 10000) -> list[VerificationRep
                 f"[{refined.lo:.12f}, {refined.hi:.12f}]"
             )
         reports.append(
-            _make_report(
+            make_report(
                 f"roots/{name}",
                 start,
                 grid_hi,

@@ -34,12 +34,22 @@ SUITE_MIN = {
     "all": 547,
 }
 
-# Largest --limit each suite accepts, where it has one.  Both run the
-# exact-y range-bound check, which builds every y(n) (about 2n/3 bits) and
-# grows like L**1.7: about 1.5 minutes at 10**6, hours at 10**7.
+# Largest --limit each suite accepts, where it has one, with the check that
+# sets it.  The exact-y range-bound check builds every y(n) (about 2n/3
+# bits) and grows like L**1.7: about 1.5 minutes at 10**6, hours at 10**7.
+# The float envelope scan takes a few seconds per 10**6 n: an hour or more
+# by 10**9.
+_RANGE_BOUND = (
+    "its exact-y range-bound check builds every y(n), which takes hours by 10**7"
+)
+_ENVELOPE_SCAN = (
+    "its float envelope scan evaluates the envelopes at every n, "
+    "which takes an hour or more by 10**9"
+)
 SUITE_MAX = {
-    "lemmas": 10**6,
-    "all": 10**6,
+    "lemmas": (10**6, _RANGE_BOUND),
+    "analytic": (10**7, _ENVELOPE_SCAN),
+    "all": (10**6, _RANGE_BOUND),
 }
 
 # Suites whose range is fixed by the printed tables; --limit does not apply.
@@ -181,12 +191,11 @@ def cmd_verify(args):
             file=sys.stderr,
         )
         return 2
-    cap = SUITE_MAX.get(args.suite)
+    cap, reason = SUITE_MAX.get(args.suite, (None, None))
     if cap is not None and args.limit is not None and args.limit > cap:
         print(
-            f"error: suite {args.suite!r} takes --limit <= {cap}: "
-            "its exact-y range-bound check builds every y(n), which takes hours "
-            "by 10**7; --suite theorem1|theorem2 classify the signs up to 10**12",
+            f"error: suite {args.suite!r} takes --limit <= {cap}: {reason}; "
+            "--suite theorem1|theorem2 classify the signs up to 10**12",
             file=sys.stderr,
         )
         return 2

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from . import intervals, sequences
-from .exactarith import cmp_pow2_vs_pow
 
 # ---------------------------------------------------------------------------
 # Report plumbing
@@ -77,7 +76,7 @@ class VerificationReport:
         }
 
 
-def _make_report(claim_id, lo, hi, details, counterexamples=(), errata=(), data=None):
+def make_report(claim_id, lo, hi, details, counterexamples=(), errata=(), data=None):
     """Build a report with the status derived from its evidence."""
     counterexamples = list(counterexamples)
     errata = list(errata)
@@ -169,8 +168,9 @@ def partition_y(limit: int) -> SignPartition:
     A link [lo, hi] with m >= 2 is positive throughout when
     c(lo) - m >= bitlen(hi) * (m - 1): c does not decrease and, for every
     n <= hi, n**(m-1) < 2**(bitlen(hi) * (m-1)).  This is the bit-length
-    fast path of cmp_pow2_vs_pow applied to the whole link.  Every other
-    link, and n = 1, is decided one n at a time by cmp_pow2_vs_pow.
+    fast path of the exact y-sign comparison applied to the whole link.
+    Every other link, and n = 1, is decided one n at a time from the
+    exact y_sign of sequences.rows.
     """
     if limit < 1:
         raise ValueError("limit must be a positive integer")
@@ -181,9 +181,9 @@ def partition_y(limit: int) -> SignPartition:
             blocks += 1
             _append_run(runs, lo, hi, 1)
             continue
-        for n in range(lo, hi + 1):
+        for n, *_, sign in sequences.rows(lo, hi):
             per_n += 1
-            _append_run(runs, n, n, cmp_pow2_vs_pow(sequences.c(n) - mm, n, mm - 1))
+            _append_run(runs, n, n, sign)
     return SignPartition(limit, tuple(map(tuple, runs)), blocks=blocks, per_n=per_n)
 
 
@@ -313,7 +313,7 @@ KNOWN_ERRATA = {
 }
 
 
-def _erratum_from_registry(claim: str, column: str, key, computed) -> Erratum | None:
+def erratum_for(claim: str, column: str, key, computed) -> Erratum | None:
     """Return the documented erratum for this cell if the computed value
     matches the documented correction; None otherwise."""
     entry = KNOWN_ERRATA.get((claim, column, key))
@@ -387,7 +387,7 @@ def check_reference_table() -> VerificationReport:
             if computed == printed:
                 cells_confirmed += 1
                 continue
-            erratum = _erratum_from_registry("reference-table", column, n, computed)
+            erratum = erratum_for("reference-table", column, n, computed)
             if erratum is not None:
                 errata.append(erratum)
             else:
@@ -397,7 +397,7 @@ def check_reference_table() -> VerificationReport:
         f"{cells_confirmed} match the printed values exactly; "
         f"{len(errata)} documented misprint{'s' if len(errata) != 1 else ''}"
     )
-    return _make_report(
+    return make_report(
         "reference-table",
         1,
         16,
@@ -418,24 +418,14 @@ def check_interval_table() -> VerificationReport:
     if len(computed) != len(INTERVAL_TABLE):
         counterexamples.append(len(computed))
     for rec, printed in zip(computed, INTERVAL_TABLE):
-        printed_rec = dict(
-            zip(("lo", "hi", "r", "m", "x_lo", "x_hi"), printed)
-        )
-        computed_rec = {
-            "lo": rec.lo,
-            "hi": rec.hi,
-            "r": rec.r_const,
-            "m": rec.m_const,
-            "x_lo": rec.x_lo,
-            "x_hi": rec.x_hi,
-        }
-        for column in ("lo", "hi", "r", "m", "x_lo", "x_hi"):
-            if computed_rec[column] == printed_rec[column]:
+        values = (rec.lo, rec.hi, rec.r_const, rec.m_const, rec.x_lo, rec.x_hi)
+        for column, value, printed_value in zip(
+            ("lo", "hi", "r", "m", "x_lo", "x_hi"), values, printed
+        ):
+            if value == printed_value:
                 fields_confirmed += 1
                 continue
-            erratum = _erratum_from_registry(
-                "interval-table", column, rec.index, computed_rec[column]
-            )
+            erratum = erratum_for("interval-table", column, rec.index, value)
             if erratum is not None:
                 errata.append(erratum)
             else:
@@ -445,7 +435,7 @@ def check_interval_table() -> VerificationReport:
         f"{fields_confirmed} of {6 * len(INTERVAL_TABLE)} printed fields match; "
         f"{len(errata)} documented misprint{'s' if len(errata) != 1 else ''}"
     )
-    return _make_report(
+    return make_report(
         "interval-table",
         1,
         INTERVAL_TABLE[-1][1],
@@ -509,7 +499,7 @@ def check_theorem1(limit: int) -> VerificationReport:
         f"negative runs {_runs_repr(part.runs_of(-1))}; "
         f"positive runs {_runs_repr(part.runs_of(1))}"
     )
-    return _make_report(
+    return make_report(
         "theorem1",
         1,
         limit,
@@ -542,7 +532,7 @@ def check_theorem2(limit: int) -> VerificationReport:
         f"positive runs {_runs_repr(part.runs_of(1))}; "
         + NARRATIVE_NOTE_338_350
     )
-    return _make_report(
+    return make_report(
         "theorem2",
         1,
         limit,
@@ -560,48 +550,44 @@ def check_gap(limit: int) -> VerificationReport:
     """The gap c(n) - m(n) is at least 2 with equality only at n = 2,
     and at least 5 for every n >= 10.
 
-    The scan is incremental (c steps by 2 at multiples of 3, m by the
-    square threshold), which is what makes a full pass over a million
-    values cheap; the stepping is equivalent to the definitions and is
-    cross-checked against them in the test suite.
+    Walked one chain link at a time.  On a link m is constant and c does
+    not decrease, so the gap is smallest at the link's first n.  A link
+    from n >= 10 on whose first gap exceeds 5 and the least gap so far
+    can hold neither a counterexample nor a new minimum; it is settled
+    from that first gap alone.  Every other link is scanned one n at a
+    time.  Only the six links that end by n = 12 need the scan, so the
+    cost is O(links), about sqrt(2 * limit).
     """
     if limit < 1:
         raise ValueError("limit must be a positive integer")
     counterexamples = []
-    mm = 1
-    threshold = 4  # (mm + 1) ** 2
-    cc = 4
-    trip = 0
     min_gap = None
     min_gap_at = []
     min_gap_from_10 = None
-    for n in range(1, limit + 1):
-        nn = n + n
-        while threshold <= nn:
-            mm += 1
-            threshold = (mm + 1) * (mm + 1)
-        trip += 1
-        if trip == 3:
-            trip = 0
-            cc += 2
-        gap = cc - mm
-        if min_gap is None or gap < min_gap:
-            min_gap = gap
-            min_gap_at = [n]
-        elif gap == min_gap:
-            min_gap_at.append(n)
-        if n >= 10:
-            if min_gap_from_10 is None or gap < min_gap_from_10:
-                min_gap_from_10 = gap
-            if gap < 5:
+    for lo, hi, _, mm in intervals.chain_links(limit):
+        first = sequences.c(lo) - mm
+        if lo >= 10 and first > 5 and first > min_gap:
+            min_gap_from_10 = min(min_gap_from_10, first)
+            continue
+        for n, _, _, _, cc, _ in sequences.scan(lo, hi):
+            gap = cc - mm
+            if min_gap is None or gap < min_gap:
+                min_gap = gap
+                min_gap_at = [n]
+            elif gap == min_gap:
+                min_gap_at.append(n)
+            if n >= 10:
+                if min_gap_from_10 is None or gap < min_gap_from_10:
+                    min_gap_from_10 = gap
+                if gap < 5:
+                    counterexamples.append(n)
+            if gap < 2 or (gap == 2 and n != 2):
                 counterexamples.append(n)
-        if gap < 2 or (gap == 2 and n != 2):
-            counterexamples.append(n)
     details = (
         f"min gap {min_gap} attained exactly at {min_gap_at}; "
         f"min gap over n >= 10 is {min_gap_from_10}"
     )
-    return _make_report(
+    return make_report(
         "lemmas/gap",
         1,
         limit,
@@ -656,7 +642,7 @@ def check_range_bounds(limit: int) -> VerificationReport:
         f"{decided_positive} decided positive by their bounds alone; "
         "y strictly decreases whenever m and c both repeat"
     )
-    return _make_report(
+    return make_report(
         "lemmas/range-bounds",
         1,
         limit,
@@ -678,21 +664,21 @@ def check_sign_criteria(limit: int) -> VerificationReport:
     counterexamples = []
     applies_negative = 0
     applies_positive = 0
-    for n, _, mm, rr, cc, _ in sequences.scan(1, limit):
+    for n, _, mm, rr, cc, _, _, sign in sequences.rows(1, limit):
         threshold = rr * (mm - 1)
         if cc <= threshold + 1:
             applies_negative += 1
-            if cmp_pow2_vs_pow(cc - mm, n, mm - 1) != -1:
+            if sign != -1:
                 counterexamples.append(n)
         elif cc > threshold + mm:
             applies_positive += 1
-            if cmp_pow2_vs_pow(cc - mm, n, mm - 1) != 1:
+            if sign != 1:
                 counterexamples.append(n)
     details = (
         f"negative criterion applies to {applies_negative} values, "
         f"positive criterion to {applies_positive}; no contradictions"
     )
-    return _make_report(
+    return make_report(
         "lemmas/sign-criteria",
         1,
         limit,
@@ -712,13 +698,13 @@ def check_negative_x_bound(limit: int) -> VerificationReport:
         raise ValueError("limit must be a positive integer")
     counterexamples = []
     applicable = 0
-    for n, _, mm, rr, cc, xx in sequences.scan(1, limit):
-        if cmp_pow2_vs_pow(cc - mm, n, mm - 1) <= 0:
+    for n, _, _, rr, _, xx, _, sign in sequences.rows(1, limit):
+        if sign <= 0:
             applicable += 1
             if not (xx <= -rr - 3 <= -6):
                 counterexamples.append(n)
     details = f"bound checked at {applicable} values with y <= 0"
-    return _make_report(
+    return make_report(
         "lemmas/negative-x-bound",
         1,
         limit,
@@ -740,7 +726,7 @@ def check_positive_tail(limit: int) -> VerificationReport:
         raise ValueError("limit must be a positive integer")
     start = POSITIVE_TAIL_START
     if limit < start:
-        return _make_report(
+        return make_report(
             "lemmas/positive-tail",
             start,
             limit,
@@ -752,7 +738,7 @@ def check_positive_tail(limit: int) -> VerificationReport:
         n for a, b, s in part.runs if s != 1 for n in range(max(a, start), b + 1)
     ]
     details = f"y > 0 at every n in [{start}, {limit}]"
-    return _make_report(
+    return make_report(
         "lemmas/positive-tail",
         start,
         limit,

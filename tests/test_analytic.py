@@ -10,8 +10,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ineqscan import analytic, sequences, verifier
+from ineqscan.exactarith import cmp_pow2_vs_pow
 
 INSTANCES = list(analytic.NAMED_INSTANCES.items())
 
@@ -126,6 +129,14 @@ class TestRootIsolation:
             analytic.isolate_root(analytic.X_LOWER, 561.0, 560.0)
         with pytest.raises(ValueError):
             analytic.isolate_root(analytic.X_LOWER, 560.0, 561.0, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_tolerance(self, tol):
+        # NaN passes a plain "tol <= 0" guard and would skip the bisection
+        with pytest.raises(ValueError):
+            analytic.isolate_root(analytic.X_LOWER, 560.0, 561.0, tol=tol)
+        with pytest.raises(ValueError):
+            analytic.check_roots(tol)
 
     def test_check_roots_reports(self):
         reports = analytic.check_roots()
@@ -270,3 +281,185 @@ class TestClosedFormAnchors:
         blob = json.loads(json.dumps(rep.to_dict()))
         assert blob["data"]["min_abs_Y"] is None
         assert rep.status == verifier.CONFIRMED
+
+
+# ---------------------------------------------------------------------------
+# Rewritten checks against the plain per-n loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_margins(claim_id, base, lower, upper, limit, values):
+    counterexamples = []
+    min_low = min_up = math.inf
+    min_low_at = min_up_at = None
+    for n, value in values:
+        low = value - analytic.F_eval(lower, n)
+        up = analytic.F_eval(upper, n) - value
+        if low <= 0 or up <= 0:
+            counterexamples.append(n)
+        if low < min_low:
+            min_low, min_low_at = low, n
+        if up < min_up:
+            min_up, min_up_at = up, n
+    details = (
+        f"{base}; smallest lower margin {min_low:.6f} at n = {min_low_at}, "
+        f"smallest upper margin {min_up:.6f} at n = {min_up_at}"
+    )
+    if min(min_low, min_up) < analytic.MARGIN_FLOOR:
+        details += "; warning: a margin sits inside float noise"
+    return verifier.make_report(
+        claim_id,
+        1,
+        limit,
+        details,
+        counterexamples=counterexamples,
+        data={"min_lower_margin": min_low, "min_upper_margin": min_up},
+    )
+
+
+def reference_bounds_x(limit):
+    values = [(n, xx) for n, _, _, _, _, xx in sequences.scan(1, limit)]
+    return _reference_margins(
+        "analytic/x-bounds",
+        "both envelopes strict around x",
+        analytic.X_LOWER,
+        analytic.X_UPPER,
+        limit,
+        values,
+    )
+
+
+def reference_bounds_Y(limit):
+    values = [
+        (n, (cc - mm) - (mm - 1) * math.log2(n))
+        for n, _, mm, _, cc, _ in sequences.scan(1, limit)
+    ]
+    return _reference_margins(
+        "analytic/Y-bounds",
+        "both envelopes strict around the y surrogate",
+        analytic.Y_LOWER,
+        analytic.Y_UPPER,
+        limit,
+        values,
+    )
+
+
+def reference_sign_consistency(limit):
+    counterexamples = []
+    min_abs, min_abs_at = math.inf, None
+    for n, _, mm, _, cc, _ in sequences.scan(1, limit):
+        yy = (cc - mm) - (mm - 1) * math.log2(n)
+        if n >= 5 and abs(yy) < min_abs:
+            min_abs, min_abs_at = abs(yy), n
+        if abs(yy) <= 1e-6:
+            counterexamples.append(n)
+            continue
+        if (1 if yy > 0 else -1) != cmp_pow2_vs_pow(cc - mm, n, mm - 1):
+            counterexamples.append(n)
+    if min_abs_at is None:
+        min_abs = None
+        details = "float surrogate sign matches the exact sign everywhere"
+    else:
+        details = (
+            f"float surrogate sign matches the exact sign everywhere; "
+            f"smallest |Y| over [5, {limit}] is {min_abs:.6f} at n = {min_abs_at}"
+        )
+    return verifier.make_report(
+        "analytic/sign-consistency",
+        1,
+        limit,
+        details,
+        counterexamples=counterexamples,
+        data={"min_abs_Y": min_abs, "min_abs_Y_at": min_abs_at},
+    )
+
+
+REFERENCE_CHECKS = (
+    (analytic.check_bounds_x, reference_bounds_x),
+    (analytic.check_bounds_Y, reference_bounds_Y),
+    (analytic.check_sign_consistency, reference_sign_consistency),
+)
+
+
+class TestRewrittenChecksAgainstPerN:
+    @pytest.mark.parametrize("limit", [1, 2, 9, 10, 11, 12, 20, 547, 5000])
+    def test_spot_limits(self, limit):
+        for check, reference in REFERENCE_CHECKS:
+            assert check(limit).to_dict() == reference(limit).to_dict()
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=1, max_value=20000))
+    def test_any_limit(self, limit):
+        for check, reference in REFERENCE_CHECKS:
+            assert check(limit).to_dict() == reference(limit).to_dict()
+
+    def test_invalid_limit(self):
+        for check, _ in REFERENCE_CHECKS:
+            with pytest.raises(ValueError):
+                check(0)
+
+    def test_surrogate_at_the_printed_points(self):
+        # Y_real is computed as (c - m) - (m - 1) log2(n); at the printed
+        # points and across the increment identity it agrees bit for bit
+        # with c + d_real(n)
+        printed = [n for _, kind, n, _, _ in analytic.APPROXIMATIONS if kind == "Y"]
+        for n in printed + list(range(371, 392)):
+            assert analytic.Y_real(n) == sequences.c(n) + analytic.d_real(n)
+
+
+class TestSandwichThroughSharedLoop:
+    """An envelope that dips below the data must surface as a
+    discrepancy, with the counterexamples of the plain per-n loop."""
+
+    def test_x_upper_below_the_data(self, monkeypatch):
+        monkeypatch.setattr(analytic, "X_UPPER", analytic.FCoeffs(-4, 1, 1))
+        rep = analytic.check_bounds_x(2000)
+        assert rep.status == verifier.DISCREPANCY
+        assert rep.data["min_upper_margin"] <= 0
+        assert rep.to_dict() == reference_bounds_x(2000).to_dict()
+
+    def test_y_upper_below_the_data(self, monkeypatch):
+        monkeypatch.setattr(analytic, "Y_UPPER", analytic.FCoeffs(0, 1, 2))
+        rep = analytic.check_bounds_Y(2000)
+        assert rep.status == verifier.DISCREPANCY
+        assert rep.data["min_upper_margin"] <= 0
+        assert rep.to_dict() == reference_bounds_Y(2000).to_dict()
+
+
+class TestRootRegistry:
+    KEY = ("root-bracket", "bracket", "y-lower")
+
+    @staticmethod
+    def _y_lower():
+        (rep,) = [r for r in analytic.check_roots(1e-6) if r.claim_id == "roots/y-lower"]
+        return rep
+
+    def test_untouched_registry(self):
+        rep = self._y_lower()
+        assert rep.status == verifier.KNOWN_ERRATUM
+        assert rep.counterexamples == []
+        assert rep.errata == [
+            verifier.Erratum(
+                "y-lower root bracket",
+                (379, 389),
+                (379, 380),
+                verifier.KNOWN_ERRATA[self.KEY][3],
+            )
+        ]
+
+    def test_wrong_correction_is_a_discrepancy(self, monkeypatch):
+        label, printed, _, note = verifier.KNOWN_ERRATA[self.KEY]
+        monkeypatch.setitem(
+            verifier.KNOWN_ERRATA, self.KEY, (label, printed, (378, 379), note)
+        )
+        rep = self._y_lower()
+        assert rep.status == verifier.DISCREPANCY
+        assert rep.errata == []
+        assert rep.counterexamples == ["unexplained printed bracket mismatch"]
+
+    def test_published_bracket_stays_published(self):
+        # the registry is the only record of the printed y-lower bracket;
+        # correcting it there would hide the misprint from every report
+        label, printed, computed, _ = verifier.KNOWN_ERRATA[self.KEY]
+        assert printed == (379, 389)
+        assert computed == analytic.ROOT_BRACKETS["y-lower"]

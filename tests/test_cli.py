@@ -355,6 +355,14 @@ class TestVerify:
             assert out == ""
             assert "range-bound" in err and "--suite theorem1|theorem2" in err
 
+    def test_analytic_suite_capped(self, capsys):
+        argv = ["verify", "--suite", "analytic", "--limit", str(10**7 + 1)]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "10000000" in err and "float envelope scan" in err
+        assert "range-bound" not in err
+
     def test_minimum_limits_accepted(self, capsys):
         assert cli.main(["verify", "--suite", "theorem1", "--limit", "547"]) == 0
         assert cli.main(["verify", "--suite", "lemmas", "--limit", "404"]) == 0
@@ -388,3 +396,10 @@ class TestRoots:
     def test_bad_tol_exits_2(self, capsys):
         assert cli.main(["roots", "--tol", "-1"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exits_2(self, capsys, tol):
+        assert cli.main(["roots", "--tol", tol]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "tol must be a finite positive number" in err

@@ -11,7 +11,7 @@ import json
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ineqscan import intervals, sequences, verifier
@@ -91,14 +91,14 @@ class TestPartitions:
 
 class TestReportShape:
     def test_status_follows_evidence(self):
-        rep = verifier._make_report("demo", 1, 10, "clean")
+        rep = verifier.make_report("demo", 1, 10, "clean")
         assert rep.status == verifier.CONFIRMED
-        rep = verifier._make_report(
+        rep = verifier.make_report(
             "demo", 1, 10, "typo",
             errata=[verifier.Erratum("it", 1, 2, "why")],
         )
         assert rep.status == verifier.KNOWN_ERRATUM
-        rep = verifier._make_report(
+        rep = verifier.make_report(
             "demo", 1, 10, "broken",
             counterexamples=[7],
             errata=[verifier.Erratum("it", 1, 2, "why")],
@@ -418,7 +418,7 @@ class TestReach:
             calls += 1
             return cmp_pow2_vs_pow(*args)
 
-        monkeypatch.setattr(verifier, "cmp_pow2_vs_pow", counting_cmp)
+        monkeypatch.setattr(sequences, "cmp_pow2_vs_pow", counting_cmp)
         t1 = verifier.check_theorem1(10**9)
         t2 = verifier.check_theorem2(10**9)
         assert t1.status == t2.status == verifier.CONFIRMED
@@ -436,3 +436,145 @@ class TestReach:
             assert rep.data["per_n"] >= 0
         rep = verifier.check_positive_tail(100)
         assert rep.data == {"blocks": 0, "per_n": 0}
+
+
+# ---------------------------------------------------------------------------
+# Rewritten checks against the plain per-n loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_gap(limit):
+    """check_gap as an independent stepper: c steps by 2 at every third n,
+    m past each square threshold, every n visited."""
+    counterexamples = []
+    mm, threshold, cc, trip = 1, 4, 4, 0
+    min_gap, min_gap_at, min_gap_from_10 = None, [], None
+    for n in range(1, limit + 1):
+        while threshold <= 2 * n:
+            mm += 1
+            threshold = (mm + 1) * (mm + 1)
+        trip += 1
+        if trip == 3:
+            trip = 0
+            cc += 2
+        gap = cc - mm
+        if min_gap is None or gap < min_gap:
+            min_gap, min_gap_at = gap, [n]
+        elif gap == min_gap:
+            min_gap_at.append(n)
+        if n >= 10:
+            if min_gap_from_10 is None or gap < min_gap_from_10:
+                min_gap_from_10 = gap
+            if gap < 5:
+                counterexamples.append(n)
+        if gap < 2 or (gap == 2 and n != 2):
+            counterexamples.append(n)
+    return verifier.make_report(
+        "lemmas/gap",
+        1,
+        limit,
+        f"min gap {min_gap} attained exactly at {min_gap_at}; "
+        f"min gap over n >= 10 is {min_gap_from_10}",
+        counterexamples=counterexamples,
+        data={
+            "min_gap": min_gap,
+            "min_gap_at": min_gap_at,
+            "min_gap_from_10": min_gap_from_10,
+        },
+    )
+
+
+def reference_sign_criteria(limit):
+    counterexamples = []
+    applies_negative = applies_positive = 0
+    for n, _, mm, rr, cc, _ in sequences.scan(1, limit):
+        threshold = rr * (mm - 1)
+        if cc <= threshold + 1:
+            applies_negative += 1
+            if cmp_pow2_vs_pow(cc - mm, n, mm - 1) != -1:
+                counterexamples.append(n)
+        elif cc > threshold + mm:
+            applies_positive += 1
+            if cmp_pow2_vs_pow(cc - mm, n, mm - 1) != 1:
+                counterexamples.append(n)
+    return verifier.make_report(
+        "lemmas/sign-criteria",
+        1,
+        limit,
+        f"negative criterion applies to {applies_negative} values, "
+        f"positive criterion to {applies_positive}; no contradictions",
+        counterexamples=counterexamples,
+        data={
+            "applies_negative": applies_negative,
+            "applies_positive": applies_positive,
+        },
+    )
+
+
+def reference_negative_x_bound(limit):
+    counterexamples = []
+    applicable = 0
+    for n, _, mm, rr, cc, xx in sequences.scan(1, limit):
+        if cmp_pow2_vs_pow(cc - mm, n, mm - 1) <= 0:
+            applicable += 1
+            if not (xx <= -rr - 3 <= -6):
+                counterexamples.append(n)
+    return verifier.make_report(
+        "lemmas/negative-x-bound",
+        1,
+        limit,
+        f"bound checked at {applicable} values with y <= 0",
+        counterexamples=counterexamples,
+        data={"applicable": applicable},
+    )
+
+
+REFERENCE_CHECKS = (
+    (verifier.check_gap, reference_gap),
+    (verifier.check_sign_criteria, reference_sign_criteria),
+    (verifier.check_negative_x_bound, reference_negative_x_bound),
+)
+
+SPOT_LIMITS = (1, 2, 9, 10, 11, 12, 20, 547, 5000)
+
+
+class TestRewrittenChecksAgainstPerN:
+    @pytest.mark.parametrize("limit", SPOT_LIMITS)
+    def test_spot_limits(self, limit):
+        for check, reference in REFERENCE_CHECKS:
+            assert check(limit).to_dict() == reference(limit).to_dict()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=1, max_value=20000))
+    def test_any_limit(self, limit):
+        for check, reference in REFERENCE_CHECKS:
+            assert check(limit).to_dict() == reference(limit).to_dict()
+
+    def test_gap_at_one_million(self):
+        assert verifier.check_gap(10**6).to_dict() == reference_gap(10**6).to_dict()
+
+    def test_gap_settles_links_as_a_whole(self, monkeypatch):
+        # far past the scanned start, the gap check visits no n singly
+        calls = 0
+        scan = sequences.scan
+
+        def counting_scan(lo, hi):
+            nonlocal calls
+            calls += hi - lo + 1
+            return scan(lo, hi)
+
+        monkeypatch.setattr(sequences, "scan", counting_scan)
+        rep = verifier.check_gap(10**12)
+        assert rep.status == verifier.CONFIRMED
+        assert rep.data["min_gap_from_10"] == 6
+        assert calls == 12
+
+
+class TestRegistry:
+    def test_erratum_for_matches_the_documented_correction(self):
+        err = verifier.erratum_for("reference-table", "x", 15, -16)
+        assert err == verifier.Erratum(
+            "x(15)", -21, -16, verifier.KNOWN_ERRATA[("reference-table", "x", 15)][3]
+        )
+        assert verifier.erratum_for("reference-table", "x", 15, -17) is None
+        assert verifier.erratum_for("reference-table", "x", 14, -16) is None
