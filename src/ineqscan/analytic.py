@@ -132,8 +132,11 @@ class RootBracket:
         return self.hi - self.lo
 
 
-def _require_tol(tol: float) -> None:
-    # NaN passes "tol <= 0" and would skip the bisection loop unnoticed.
+def require_tol(tol: float) -> None:
+    """Raise ValueError unless tol is a finite positive number.
+
+    NaN passes "tol <= 0" and would skip the bisection loop unnoticed.
+    """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a finite positive number")
 
@@ -144,7 +147,7 @@ def isolate_root(coeffs: FCoeffs, lo: float, hi: float, tol: float = 1e-9) -> Ro
     The endpoints must evaluate to nonzero values of opposite sign.
     Stops early if float resolution is exhausted before tol is reached.
     """
-    _require_tol(tol)
+    require_tol(tol)
     if not lo < hi:
         raise ValueError("need lo < hi")
     flo = F_eval(coeffs, lo)
@@ -363,7 +366,7 @@ def check_roots(tol: float = 1e-9, grid_hi: int = 10000) -> list[VerificationRep
     the recomputed and published ones, then bisect down to tol.  The
     published y-lower bracket is a documented misprint.
     """
-    _require_tol(tol)
+    require_tol(tol)
     reports = []
     for name, coeffs in NAMED_INSTANCES.items():
         start = ROOT_SCAN_START[name]

@@ -131,11 +131,7 @@ def cmd_seq(args):
 
 def cmd_intervals(args):
     columns = ["index", "lo", "hi", "r", "m", "x_lo", "x_hi"]
-    records = (
-        (rec.index, rec.lo, rec.hi, rec.r_const, rec.m_const, rec.x_lo, rec.x_hi)
-        for rec in intervals.interval_table(args.limit)
-    )
-    _emit_table(columns, records, args.format)
+    _emit_table(columns, intervals.interval_table(args.limit), args.format)
     return 0
 
 
@@ -184,6 +180,8 @@ def _reports_rc(reports, strict):
 
 
 def cmd_verify(args):
+    # Refuse a bad --tol before any check runs, not after the whole suite.
+    analytic.require_tol(args.tol)
     if args.limit is not None and args.limit < SUITE_MIN[args.suite]:
         print(
             f"error: suite {args.suite!r} needs --limit >= "

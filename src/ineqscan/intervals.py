@@ -1,21 +1,21 @@
-"""Maximal intervals on which m and r are simultaneously constant.
+"""The lemma-level block functions and the printed interval table.
 
 m(n) is constant on blocks pinned down by its defining square inequality
-and r(n) on blocks of consecutive powers of two.  Intersecting the two
-block structures gives maximal intervals on which x(n) is non-decreasing
-and moves in lockstep with z(n).  Chaining these intervals from n = 1
-tiles the positive integers; the first 41 links of the chain reach 577.
+(d_bounds) and r(n) on blocks of consecutive powers of two (e_bounds).
+Intersecting the two block structures (f_bounds) gives maximal intervals
+on which x(n) is non-decreasing and moves in lockstep with z(n).
+Chaining these intervals from n = 1 tiles the positive integers; the
+first 41 links of the chain reach 577.  The walker over the chain is
+sequences.chain_links, which the stepper and every blockwise check use;
+interval_table reports its links in full, as the table is printed.
 """
 
-import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import NamedTuple
 
 from . import sequences
 
 
-@dataclass(frozen=True)
-class IntervalRecord:
+class IntervalRecord(NamedTuple):
     """One link of the interval chain.
 
     Attributes:
@@ -67,30 +67,6 @@ def f_bounds(n: int) -> tuple[int, int]:
     return max(d1, e1), min(d2, e2)
 
 
-def _link_end(r: int, m: int) -> int:
-    """Last n of the link on which r and m take these values: the end of
-    m's block, floor(m*m/2) + m, or of r's block, 2**r, whichever comes
-    first (the same ends d_bounds and e_bounds give)."""
-    return min(m * m // 2 + m, 1 << r)
-
-
-def chain_links(limit: int) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (lo, hi, r, m) for each link of the chain from 1 that starts
-    at or below limit, the last link clipped to end at limit.
-
-    r and m are constant on every [lo, hi], the links are consecutive and
-    cover [1, limit], and each costs O(1) integer operations; there are
-    about sqrt(2 * limit) of them.  A limit below 1 yields nothing.
-    """
-    lo = 1
-    while lo <= limit:
-        mm = math.isqrt(2 * lo)
-        rr = (lo - 1).bit_length()
-        hi = min(_link_end(rr, mm), limit)
-        yield lo, hi, rr, mm
-        lo = hi + 1
-
-
 def interval_table(n_max: int) -> list[IntervalRecord]:
     """The interval chain from 1, one record per link, while links start
     at or below n_max.
@@ -102,8 +78,8 @@ def interval_table(n_max: int) -> list[IntervalRecord]:
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
     records = []
-    for index, (lo, _, rr, mm) in enumerate(chain_links(n_max), start=1):
-        hi = _link_end(rr, mm)
+    for index, (lo, _, rr, mm) in enumerate(sequences.chain_links(1, n_max), start=1):
+        hi = f_bounds(lo)[1]
         records.append(
             IntervalRecord(
                 index=index,

@@ -17,11 +17,12 @@ The gap c(n) - m(n) is at least 2 for every n (exactly 2 only at n = 2),
 which keeps the pow2_term exponent positive.
 
 The scalar functions compute one value from scratch.  Ranges go through
-the stepper instead: scan yields (n, z, m, r, c, x), starting m from one
-math.isqrt and then advancing it step by step, and rows adds c - m and
-the exact sign of y, yielding whole rows as plain tuples.  row(n) is one
-step of rows, so a SequenceRow and a row of a range scan come from the
-same code.
+the interval chain instead: chain_links(lo, hi) yields the maximal links
+on which m and r are both constant, one math.isqrt and one bit_length
+per link; scan steps n inside each link, taking m, r and (r + 1)*m from
+it, and yields (n, z, m, r, c, x); rows adds c - m and the exact sign of
+y, yielding whole rows as plain tuples.  row(n) is one step of rows, so
+a SequenceRow and a row of a range scan come from the same code.
 """
 
 import math
@@ -114,29 +115,40 @@ def row(n: int) -> SequenceRow:
     return SequenceRow(*next(rows(n, n)))
 
 
-def scan(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int, int]]:
-    """Yield (n, z, m, r, c, x) for each n in [lo, hi].
+def chain_links(lo: int, hi: int) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (a, b, r, m) for each link of the interval chain that meets
+    [lo, hi], clipped to [lo, hi].
 
-    The stepper for range scans: m starts from math.isqrt and is then
-    advanced past each square (m + 1)**2 as 2n reaches it, which keeps a
-    full scan close to constant work per step.  An empty range yields
-    nothing.
+    A link is a maximal run of n on which m and r are both constant: it
+    ends at the end of m's block, floor(m*m/2) + m, or of r's block,
+    2**r, whichever comes first.  The links are consecutive and cover
+    [lo, hi]; each costs O(1) integer operations, and there are at most
+    about sqrt(2 * hi) of them.  An empty range yields nothing.
     """
     if lo < 1:
         raise ValueError("lo must be a positive integer")
-    mm = math.isqrt(2 * lo)
-    next_sq = (mm + 1) * (mm + 1)
-    for n in range(lo, hi + 1):
-        nn = 2 * n
-        # 2n grows by 2 a step and consecutive squares are at least 3 apart,
-        # so m grows by at most one per step.
-        if nn >= next_sq:
-            mm += 1
-            next_sq += 2 * mm + 1
-        zz = (nn - 1) // 3
-        rr = (n - 1).bit_length()
-        cc = nn - 2 * zz + 2
-        yield n, zz, mm, rr, cc, zz - (rr + 1) * mm
+    a = lo
+    while a <= hi:
+        mm = math.isqrt(2 * a)
+        rr = (a - 1).bit_length()
+        b = min(mm * mm // 2 + mm, 1 << rr, hi)
+        yield a, b, rr, mm
+        a = b + 1
+
+
+def scan(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """Yield (n, z, m, r, c, x) for each n in [lo, hi].
+
+    The stepper for range scans: it walks chain_links(lo, hi) and steps n
+    inside each link, where m, r and (r + 1)*m are the link's constants,
+    so x is z minus a constant.  An empty range yields nothing.
+    """
+    for a, b, rr, mm in chain_links(lo, hi):
+        k = (rr + 1) * mm
+        for n in range(a, b + 1):
+            nn = 2 * n
+            zz = (nn - 1) // 3
+            yield n, zz, mm, rr, nn - 2 * zz + 2, zz - k
 
 
 def rows(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:

@@ -152,7 +152,7 @@ def partition_x(limit: int) -> SignPartition:
         raise ValueError("limit must be a positive integer")
     runs: list = []
     blocks = 0
-    for lo, hi, rr, mm in intervals.chain_links(limit):
+    for lo, hi, rr, mm in sequences.chain_links(1, limit):
         blocks += 1
         k3 = 3 * (rr + 1) * mm
         neg_end, zero_end = k3 // 2, (k3 + 3) // 2
@@ -176,7 +176,7 @@ def partition_y(limit: int) -> SignPartition:
         raise ValueError("limit must be a positive integer")
     runs: list = []
     blocks = per_n = 0
-    for lo, hi, _, mm in intervals.chain_links(limit):
+    for lo, hi, _, mm in sequences.chain_links(1, limit):
         if mm >= 2 and sequences.c(lo) - mm >= hi.bit_length() * (mm - 1):
             blocks += 1
             _append_run(runs, lo, hi, 1)
@@ -418,9 +418,8 @@ def check_interval_table() -> VerificationReport:
     if len(computed) != len(INTERVAL_TABLE):
         counterexamples.append(len(computed))
     for rec, printed in zip(computed, INTERVAL_TABLE):
-        values = (rec.lo, rec.hi, rec.r_const, rec.m_const, rec.x_lo, rec.x_hi)
         for column, value, printed_value in zip(
-            ("lo", "hi", "r", "m", "x_lo", "x_hi"), values, printed
+            ("lo", "hi", "r", "m", "x_lo", "x_hi"), rec[1:], printed
         ):
             if value == printed_value:
                 fields_confirmed += 1
@@ -564,7 +563,7 @@ def check_gap(limit: int) -> VerificationReport:
     min_gap = None
     min_gap_at = []
     min_gap_from_10 = None
-    for lo, hi, _, mm in intervals.chain_links(limit):
+    for lo, hi, _, mm in sequences.chain_links(1, limit):
         first = sequences.c(lo) - mm
         if lo >= 10 and first > 5 and first > min_gap:
             min_gap_from_10 = min(min_gap_from_10, first)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from ineqscan import cli, intervals, sequences
+from ineqscan import cli, intervals, sequences, verifier
 
 # computed rows for the default seq range, including the exact y column
 SEQ_ROWS_1_16 = [
@@ -403,3 +403,18 @@ class TestRoots:
         out, err = capsys.readouterr()
         assert out == ""
         assert "tol must be a finite positive number" in err
+
+    @pytest.mark.parametrize("suite", ["all", "lemmas", "table"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_verify_refuses_bad_tol_before_any_check(
+        self, monkeypatch, capsys, suite, tol
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a check ran before --tol was refused")
+
+        for name in ("check_reference_table", "check_gap"):
+            monkeypatch.setattr(verifier, name, must_not_run)
+        assert cli.main(["verify", "--suite", suite, "--tol", tol]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: tol must be a finite positive number\n"

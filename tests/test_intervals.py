@@ -7,6 +7,8 @@ link where a published copy shows 32.
 """
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ineqscan import intervals, sequences
 
@@ -168,7 +170,7 @@ class TestChain:
 class TestChainWalker:
     def test_links_are_consecutive_and_cover_the_range(self):
         for limit in (1, 2, 8, 577, 1000, 12345, 10**5):
-            links = list(intervals.chain_links(limit))
+            links = list(sequences.chain_links(1, limit))
             assert links[0][0] == 1
             assert links[-1][1] == limit
             for (_, hi, _, _), (lo, _, _, _) in zip(links, links[1:]):
@@ -177,20 +179,20 @@ class TestChainWalker:
                 assert lo <= hi
 
     def test_m_and_r_constant_on_each_link(self):
-        for lo, hi, rr, mm in intervals.chain_links(10**5):
+        for lo, hi, rr, mm in sequences.chain_links(1, 10**5):
             for n in {lo, (lo + hi) // 2, hi}:
                 assert sequences.m(n) == mm
                 assert sequences.r(n) == rr
 
     def test_links_are_f_blocks_clipped_at_the_limit(self):
         limit = 50000
-        for lo, hi, _, _ in intervals.chain_links(limit):
+        for lo, hi, _, _ in sequences.chain_links(1, limit):
             f1, f2 = intervals.f_bounds(lo)
             assert (f1, min(f2, limit)) == (lo, hi)
 
     def test_far_out_links_spot_checked(self):
         limit = 10**9
-        for lo, hi, rr, mm in intervals.chain_links(limit):
+        for lo, hi, rr, mm in sequences.chain_links(1, limit):
             if lo > limit - 10**6:
                 for n in (lo, hi):
                     assert (sequences.m(n), sequences.r(n)) == (mm, rr)
@@ -198,7 +200,31 @@ class TestChainWalker:
                     assert intervals.f_bounds(lo) == (lo, hi)
 
     def test_empty_below_one(self):
-        assert list(intervals.chain_links(0)) == []
+        assert list(sequences.chain_links(1, 0)) == []
+
+    @given(st.integers(1, 10**15), st.integers(0, 10**4))
+    @example(lo=1, width=10**4)
+    @example(lo=2**40 - 3, width=10)  # a link ends where r steps
+    @example(lo=44721358**2 // 2 - 3, width=10)  # and where m steps
+    def test_links_from_any_start(self, lo, width):
+        hi = min(lo + width, 10**15)
+        links = list(sequences.chain_links(lo, hi))
+        assert links[0][0] == lo
+        assert links[-1][1] == hi
+        for (_, b, _, _), (a, _, _, _) in zip(links, links[1:]):
+            assert a == b + 1
+        for a, b, rr, mm in links:
+            f1, f2 = intervals.f_bounds(a)
+            assert (max(f1, lo), min(f2, hi)) == (a, b)
+            for n in (a, b):
+                assert (sequences.m(n), sequences.r(n)) == (mm, rr)
+
+    def test_start_below_one_and_empty_range(self):
+        for lo in (0, -7):
+            with pytest.raises(ValueError):
+                list(sequences.chain_links(lo, 5))
+        assert list(sequences.chain_links(10, 9)) == []
+        assert list(sequences.chain_links(10**12, 1)) == []
 
 
 class TestBlockAnchors:

@@ -199,9 +199,11 @@ class TestRows:
         assert list(sequences.rows(1, 5000)) == self.scalar_rows(1, 5000)
 
     def test_windows_around_m_thresholds(self):
-        # m steps where 2n reaches k*k; start the stepper on either side
-        for k in (99, 1000, 2**20, 2**20 + 1, 10**9 + 7, 2**64):
-            mid = k * k // 2
+        # m steps where 2n reaches k*k, and a link of the chain also ends
+        # where r steps, at 2**j; start the stepper on either side
+        mids = [k * k // 2 for k in (99, 1000, 2**20, 2**20 + 1, 10**9 + 7, 2**64)]
+        mids += [2**j for j in range(2, 65)]
+        for mid in mids:
             for lo in (mid - 3, mid, mid + 1):
                 assert list(sequences.rows(lo, mid + 5)) == self.scalar_rows(lo, mid + 5)
 

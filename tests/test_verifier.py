@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ineqscan import intervals, sequences, verifier
+from ineqscan import sequences, verifier
 from ineqscan.exactarith import cmp_pow2_vs_pow
 
 REFERENCE_TOP = 10**5
@@ -331,7 +331,7 @@ def assert_blockwise_matches_reference(limit):
 
 class TestBlockwiseAgainstPerN:
     def test_at_every_link_end_and_past_it(self):
-        for _, hi, _, _ in intervals.chain_links(REFERENCE_TOP - 1):
+        for _, hi, _, _ in sequences.chain_links(1, REFERENCE_TOP - 1):
             assert_blockwise_matches_reference(hi)
             assert_blockwise_matches_reference(hi + 1)
 
@@ -348,11 +348,11 @@ class TestBlockwiseAgainstPerN:
         for limit in (1, 420, 5000, REFERENCE_TOP):
             part = verifier.partition_x(limit)
             assert part.per_n == 0
-            assert part.blocks == sum(1 for _ in intervals.chain_links(limit))
+            assert part.blocks == sum(1 for _ in sequences.chain_links(1, limit))
             part = verifier.partition_y(limit)
             settled = [
                 hi - lo + 1
-                for lo, hi, _, mm in intervals.chain_links(limit)
+                for lo, hi, _, mm in sequences.chain_links(1, limit)
                 if mm >= 2
                 and sequences.c(lo) - mm >= hi.bit_length() * (mm - 1)
             ]
