@@ -11,16 +11,20 @@ quantities involved are tiny (hundreds), the margins are large compared
 with double precision, and any comparison that lands inside float noise
 is reported instead of trusted.
 
-The range checks walk the stepper in sequences: scan for x and c - m,
-rows where the exact sign of y is needed.  The real surrogate
-Y = (c - m) - (m - 1) log2(n) is written once, in _Y.  Reports and
-erratum lookups go through verifier.make_report and verifier.erratum_for.
+The range checks walk the stepper in sequences.scan for x, m and c - m.
+The exact sign of y comes from the runs of verifier.partition_y, the
+one place that decides it, and never from a per-n comparison here.
+The real surrogate Y = (c - m) - (m - 1) log2(n) is written once, in
+_Y.  Reports and erratum lookups go through verifier.make_report and
+verifier.erratum_for.
 """
 
 import math
 from dataclasses import dataclass
 
-from . import sequences
+# partition_y is called through the module, so a wrapper set on
+# verifier.partition_y (a tracer or a test double) sees every call.
+from . import sequences, verifier
 from .verifier import KNOWN_ERRATA, VerificationReport, erratum_for, make_report
 
 LOG2 = math.log(2.0)
@@ -255,6 +259,9 @@ def check_bounds_Y(limit: int) -> VerificationReport:
 def check_sign_consistency(limit: int) -> VerificationReport:
     """sign(Y_real(n)) agrees with the exact sign of y(n) on [1, limit].
 
+    The exact sign is read from the runs of verifier.partition_y, and
+    each run is stepped with sequences.scan for c - m and m.
+
     Any |Y_real| at or below 1e-6 would be too close to zero to trust
     the float sign and is reported as a counterexample; none occur (the
     smallest magnitude from n = 5 on is about 0.105).  The reported
@@ -266,16 +273,17 @@ def check_sign_consistency(limit: int) -> VerificationReport:
     counterexamples = []
     min_abs = math.inf
     min_abs_at = None
-    for n, _, mm, _, _, _, cm, sign in sequences.rows(1, limit):
-        yy = _Y(n, cm, mm)
-        if n >= 5 and abs(yy) < min_abs:
-            min_abs, min_abs_at = abs(yy), n
-        if abs(yy) <= 1e-6:
-            counterexamples.append(n)
-            continue
-        float_sign = 1 if yy > 0 else -1
-        if float_sign != sign:
-            counterexamples.append(n)
+    for a, b, sign in verifier.partition_y(limit).runs:
+        for n, _, mm, _, cc, _ in sequences.scan(a, b):
+            yy = _Y(n, cc - mm, mm)
+            if n >= 5 and abs(yy) < min_abs:
+                min_abs, min_abs_at = abs(yy), n
+            if abs(yy) <= 1e-6:
+                counterexamples.append(n)
+                continue
+            float_sign = 1 if yy > 0 else -1
+            if float_sign != sign:
+                counterexamples.append(n)
     if min_abs_at is None:
         min_abs = None
         details = "float surrogate sign matches the exact sign everywhere"

@@ -7,10 +7,12 @@ on which x(n) is non-decreasing and moves in lockstep with z(n).
 Chaining these intervals from n = 1 tiles the positive integers; the
 first 41 links of the chain reach 577.  The walker over the chain is
 sequences.chain_links, which the stepper and every blockwise check use;
-interval_table reports its links in full, as the table is printed.
+d_bounds, e_bounds and f_bounds describe the block around one given n.
+interval_table is a generator: it yields the links one at a time, each
+in full, as the table is printed.
 """
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import sequences
 
@@ -67,28 +69,21 @@ def f_bounds(n: int) -> tuple[int, int]:
     return max(d1, e1), min(d2, e2)
 
 
-def interval_table(n_max: int) -> list[IntervalRecord]:
+def interval_table(n_max: int) -> Iterator[IntervalRecord]:
     """The interval chain from 1, one record per link, while links start
     at or below n_max.
 
     Each emitted interval is reported in full, so the last hi may exceed
     n_max; the chain stops as soon as the next link would start beyond
     n_max.  Records are consecutive and disjoint and cover [1, n_max].
+    They are yielded one at a time from sequences.chain_links run up to
+    the end of n_max's own link, so memory stays flat.  n_max is checked
+    on the call, before the first record is asked for.
     """
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
-    records = []
-    for index, (lo, _, rr, mm) in enumerate(sequences.chain_links(1, n_max), start=1):
-        hi = f_bounds(lo)[1]
-        records.append(
-            IntervalRecord(
-                index=index,
-                lo=lo,
-                hi=hi,
-                r_const=rr,
-                m_const=mm,
-                x_lo=sequences.x(lo),
-                x_hi=sequences.x(hi),
-            )
-        )
-    return records
+    links = sequences.chain_links(1, f_bounds(n_max)[1])
+    return (
+        IntervalRecord(index, lo, hi, rr, mm, sequences.x(lo), sequences.x(hi))
+        for index, (lo, hi, rr, mm) in enumerate(links, start=1)
+    )

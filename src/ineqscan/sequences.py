@@ -22,7 +22,10 @@ on which m and r are both constant, one math.isqrt and one bit_length
 per link; scan steps n inside each link, taking m, r and (r + 1)*m from
 it, and yields (n, z, m, r, c, x); rows adds c - m and the exact sign of
 y, yielding whole rows as plain tuples.  row(n) is one step of rows, so
-a SequenceRow and a row of a range scan come from the same code.
+a SequenceRow and a row of a range scan come from the same code.  rows
+serves seq and row only.  The range checks read the sign of y from the
+runs of verifier.partition_y, which calls y_sign for the few n whose
+link it cannot certify as a whole.
 """
 
 import math

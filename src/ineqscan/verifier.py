@@ -20,6 +20,8 @@ counterexample list is non-empty.
 
 import json
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Callable, Iterable
 
 from . import intervals, sequences
@@ -169,8 +171,9 @@ def partition_y(limit: int) -> SignPartition:
     c(lo) - m >= bitlen(hi) * (m - 1): c does not decrease and, for every
     n <= hi, n**(m-1) < 2**(bitlen(hi) * (m-1)).  This is the bit-length
     fast path of the exact y-sign comparison applied to the whole link.
-    Every other link, and n = 1, is decided one n at a time from the
-    exact y_sign of sequences.rows.
+    Every other link, and n = 1, is decided one n at a time by the exact
+    comparison sequences.y_sign.  These runs are the one source of y's
+    sign for every check in this package.
     """
     if limit < 1:
         raise ValueError("limit must be a positive integer")
@@ -181,9 +184,9 @@ def partition_y(limit: int) -> SignPartition:
             blocks += 1
             _append_run(runs, lo, hi, 1)
             continue
-        for n, *_, sign in sequences.rows(lo, hi):
-            per_n += 1
-            _append_run(runs, n, n, sign)
+        per_n += hi - lo + 1
+        for n in range(lo, hi + 1):
+            _append_run(runs, n, n, sequences.y_sign(n))
     return SignPartition(limit, tuple(map(tuple, runs)), blocks=blocks, per_n=per_n)
 
 
@@ -342,30 +345,6 @@ def expected_y_sign(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Interval pruning bound
-# ---------------------------------------------------------------------------
-
-
-def y_range_bound(u: int, v: int) -> tuple[int, int]:
-    """Exact bounds (low, high) with low <= y(n) <= high for all n in
-    [u, v], valid whenever m is constant on [u, v].
-
-    low is pow2_term(u) - npow_term(v) and high is pow2_term(v) -
-    npow_term(u); the enclosure follows from c being non-decreasing and
-    the n-power term increasing.  high < 0 proves the whole interval
-    negative and low > 0 proves it positive, which is what makes this a
-    useful pruning accelerator.  Raises ValueError when m(u) != m(v).
-    """
-    if u < 1 or v < u:
-        raise ValueError("need 1 <= u <= v")
-    if sequences.m(u) != sequences.m(v):
-        raise ValueError("m must be constant on [u, v]")
-    low = sequences.pow2_term(u) - sequences.npow_term(v)
-    high = sequences.pow2_term(v) - sequences.npow_term(u)
-    return low, high
-
-
-# ---------------------------------------------------------------------------
 # Claim checks
 # ---------------------------------------------------------------------------
 
@@ -411,7 +390,7 @@ def check_reference_table() -> VerificationReport:
 def check_interval_table() -> VerificationReport:
     """Recompute the 41-link interval chain against the printed rows."""
     last_lo = INTERVAL_TABLE[-1][0]
-    computed = intervals.interval_table(last_lo)
+    computed = list(intervals.interval_table(last_lo))
     counterexamples = []
     errata = []
     fields_confirmed = 0
@@ -603,18 +582,24 @@ def check_gap(limit: int) -> VerificationReport:
 def check_range_bounds(limit: int) -> VerificationReport:
     """Within each constant-m block, the endpoint bound pair encloses
     every y, a one-signed bound decides the whole block, and y strictly
-    decreases across steps that keep both m and c."""
+    decreases across steps that keep both m and c.
+
+    The blocks are the links of sequences.chain_links(1, limit) grouped
+    by m.  On a block [a, b] c does not decrease and n**(m-1) increases,
+    so low = 2**(c(a)-m) - b**(m-1) and high = 2**(c(b)-m) - a**(m-1)
+    enclose y; high < 0 decides the block negative and low > 0 positive.
+    Every exact y is still built and tested against the pair."""
     if limit < 1:
         raise ValueError("limit must be a positive integer")
     counterexamples = []
     blocks = 0
     decided_negative = 0
     decided_positive = 0
-    lo = 1
-    while lo <= limit:
-        d1, d2 = intervals.d_bounds(lo)
-        hi = min(d2, limit)
-        low, high = y_range_bound(d1, hi)
+    for mm, links in groupby(sequences.chain_links(1, limit), key=itemgetter(3)):
+        links = list(links)
+        a, b = links[0][0], links[-1][1]
+        low = (1 << (sequences.c(a) - mm)) - b ** (mm - 1)
+        high = (1 << (sequences.c(b) - mm)) - a ** (mm - 1)
         blocks += 1
         if high < 0:
             decided_negative += 1
@@ -622,7 +607,7 @@ def check_range_bounds(limit: int) -> VerificationReport:
             decided_positive += 1
         prev_c = None
         prev_y = None
-        for n, _, mm, _, cc, _ in sequences.scan(d1, hi):
+        for n, _, _, _, cc, _ in sequences.scan(a, b):
             yv = (1 << (cc - mm)) - n ** (mm - 1)
             if not low <= yv <= high:
                 counterexamples.append(n)
@@ -634,7 +619,6 @@ def check_range_bounds(limit: int) -> VerificationReport:
             if prev_c == cc and not yv < prev_y:
                 counterexamples.append(n)
             prev_c, prev_y = cc, yv
-        lo = d2 + 1
     details = (
         f"{blocks} constant-m blocks; endpoint bounds enclose every y; "
         f"{decided_negative} blocks decided negative and "
@@ -657,22 +641,26 @@ def check_range_bounds(limit: int) -> VerificationReport:
 
 def check_sign_criteria(limit: int) -> VerificationReport:
     """The two threshold criteria on c: with s = r(n) and t = m(n),
-    c <= s(t-1) + 1 forces y < 0 and c > s(t-1) + t forces y > 0."""
+    c <= s(t-1) + 1 forces y < 0 and c > s(t-1) + t forces y > 0.
+
+    The sign of y comes from the runs of partition_y; each run is
+    stepped with sequences.scan for r, m and c."""
     if limit < 1:
         raise ValueError("limit must be a positive integer")
     counterexamples = []
     applies_negative = 0
     applies_positive = 0
-    for n, _, mm, rr, cc, _, _, sign in sequences.rows(1, limit):
-        threshold = rr * (mm - 1)
-        if cc <= threshold + 1:
-            applies_negative += 1
-            if sign != -1:
-                counterexamples.append(n)
-        elif cc > threshold + mm:
-            applies_positive += 1
-            if sign != 1:
-                counterexamples.append(n)
+    for a, b, sign in partition_y(limit).runs:
+        for n, _, mm, rr, cc, _ in sequences.scan(a, b):
+            threshold = rr * (mm - 1)
+            if cc <= threshold + 1:
+                applies_negative += 1
+                if sign != -1:
+                    counterexamples.append(n)
+            elif cc > threshold + mm:
+                applies_positive += 1
+                if sign != 1:
+                    counterexamples.append(n)
     details = (
         f"negative criterion applies to {applies_negative} values, "
         f"positive criterion to {applies_positive}; no contradictions"
@@ -692,13 +680,18 @@ def check_sign_criteria(limit: int) -> VerificationReport:
 
 def check_negative_x_bound(limit: int) -> VerificationReport:
     """Wherever y(n) <= 0, x(n) is at most -r(n) - 3, which is itself
-    at most -6.  Vacuous below n = 5 where y is positive."""
+    at most -6.  Vacuous below n = 5 where y is positive.
+
+    Only the runs of partition_y with y <= 0 are stepped.  By theorem 2
+    they end at n = 368, so the cost is that of partition_y, O(links)."""
     if limit < 1:
         raise ValueError("limit must be a positive integer")
     counterexamples = []
     applicable = 0
-    for n, _, _, rr, _, xx, _, sign in sequences.rows(1, limit):
-        if sign <= 0:
+    for a, b, sign in partition_y(limit).runs:
+        if sign > 0:
+            continue
+        for n, _, _, rr, _, xx in sequences.scan(a, b):
             applicable += 1
             if not (xx <= -rr - 3 <= -6):
                 counterexamples.append(n)

@@ -2,9 +2,10 @@
 tolerances and runtime budgets.
 
 Each test prints a single [PASS]/[FAIL] line (visible with pytest -s,
-or by running this file directly) and then asserts.  The checks here
-deliberately re-verify through the public surface rather than reaching
-into module internals, so this file doubles as a usage tour.
+or by running this file directly, which needs no install and no
+PYTHONPATH) and then asserts.  The checks here deliberately re-verify
+through the public surface rather than reaching into module internals,
+so this file doubles as a usage tour.
 """
 
 import contextlib
@@ -12,6 +13,12 @@ import io
 import json
 import sys
 import time
+from pathlib import Path
+
+if __name__ == "__main__":
+    # Run as a script: import the package from this checkout's src/,
+    # which pytest otherwise puts on the path (pyproject.toml).
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ineqscan import analytic, cli, sequences, verifier
 

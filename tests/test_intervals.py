@@ -6,6 +6,8 @@ follow hi + 1) and is the computed truth, including m = 33 in the last
 link where a published copy shows 32.
 """
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -117,7 +119,7 @@ class TestChain:
         assert [(t.lo, t.hi) for t in recs] == [(1, 1), (2, 2), (3, 4), (5, 7), (8, 8)]
 
     def test_golden_chain(self):
-        recs = intervals.interval_table(545)
+        recs = list(intervals.interval_table(545))
         assert len(recs) == 41
         got = [
             (t.index, t.lo, t.hi, t.r_const, t.m_const, t.x_lo, t.x_hi)
@@ -133,12 +135,26 @@ class TestChain:
             assert (sequences.r(nxt), sequences.m(nxt)) != (rec.r_const, rec.m_const)
 
     def test_links_tile_without_gaps(self):
-        recs = intervals.interval_table(2000)
+        recs = list(intervals.interval_table(2000))
         assert recs[0].lo == 1
         for prev, cur in zip(recs, recs[1:]):
             assert cur.lo == prev.hi + 1
         assert recs[-1].hi >= 2000
         assert recs[-1].lo <= 2000
+
+    def test_streams_in_constant_memory(self):
+        # about 44,700 links; a list of their records alone peaks near 13 MB
+        links = 0
+        tracemalloc.start()
+        try:
+            for rec in intervals.interval_table(10**9):
+                links += 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert links == rec.index == sum(1 for _ in sequences.chain_links(1, rec.hi))
+        assert rec.lo <= 10**9 <= rec.hi
 
     def test_x_endpoints_and_monotonicity(self):
         for rec in intervals.interval_table(600):

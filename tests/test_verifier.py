@@ -7,6 +7,7 @@ acceptance gate rely on: status is derived from the evidence lists and
 never set freely.
 """
 
+import dataclasses
 import json
 from functools import lru_cache
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ineqscan import sequences, verifier
+from ineqscan import analytic, exactarith, intervals, sequences, verifier
 from ineqscan.exactarith import cmp_pow2_vs_pow
 
 REFERENCE_TOP = 10**5
@@ -221,35 +222,6 @@ class TestLemmaChecks:
         assert "nothing scanned" in rep.details
 
 
-class TestRangeBound:
-    def test_examples(self):
-        low, high = verifier.y_range_bound(265, 287)
-        assert high < 0
-        low, high = verifier.y_range_bound(338, 350)
-        assert high < 0
-        low, high = verifier.y_range_bound(547, 577)
-        assert low > 0
-
-    def test_degenerate_interval(self):
-        for n in (1, 17, 512):
-            low, high = verifier.y_range_bound(n, n)
-            assert low == high == sequences.y_value(n)
-
-    def test_bounds_enclose_values(self):
-        for u, v in ((18, 24), (113, 127), (365, 391), (450, 480)):
-            low, high = verifier.y_range_bound(u, v)
-            for n in range(u, v + 1):
-                assert low <= sequences.y_value(n) <= high
-
-    def test_rejects_mixed_m(self):
-        with pytest.raises(ValueError):
-            verifier.y_range_bound(7, 8)  # m jumps from 3 to 4
-        with pytest.raises(ValueError):
-            verifier.y_range_bound(0, 5)
-        with pytest.raises(ValueError):
-            verifier.y_range_bound(10, 9)
-
-
 class TestLemmaAnchors:
     """Hand-checked rows where each criterion visibly fires."""
 
@@ -426,6 +398,11 @@ class TestReach:
         assert t2.data["per_n"] <= 420
         assert calls == t2.data["per_n"]
 
+    def test_negative_x_bound_at_one_billion(self):
+        rep = verifier.check_negative_x_bound(10**9)
+        assert rep.status == verifier.CONFIRMED
+        assert rep.data["applicable"] == 348
+
     def test_reports_carry_block_counts(self):
         for rep in (
             verifier.check_theorem1(5000),
@@ -529,6 +506,51 @@ def reference_negative_x_bound(limit):
     )
 
 
+def reference_range_bounds(limit):
+    """check_range_bounds as a walk over intervals.d_bounds blocks, with
+    the endpoint enclosure of each block built from the scalar terms and
+    every y from sequences.y_value."""
+    counterexamples = []
+    blocks = decided_negative = decided_positive = 0
+    lo = 1
+    while lo <= limit:
+        d1, d2 = intervals.d_bounds(lo)
+        hi = min(d2, limit)
+        low = sequences.pow2_term(d1) - sequences.npow_term(hi)
+        high = sequences.pow2_term(hi) - sequences.npow_term(d1)
+        blocks += 1
+        decided_negative += high < 0
+        decided_positive += low > 0
+        prev_c = prev_y = None
+        for n in range(d1, hi + 1):
+            cc, yv = sequences.c(n), sequences.y_value(n)
+            if not low <= yv <= high:
+                counterexamples.append(n)
+            if high < 0 and not yv < 0:
+                counterexamples.append(n)
+            if low > 0 and not yv > 0:
+                counterexamples.append(n)
+            if prev_c == cc and not yv < prev_y:
+                counterexamples.append(n)
+            prev_c, prev_y = cc, yv
+        lo = d2 + 1
+    return verifier.make_report(
+        "lemmas/range-bounds",
+        1,
+        limit,
+        f"{blocks} constant-m blocks; endpoint bounds enclose every y; "
+        f"{decided_negative} blocks decided negative and "
+        f"{decided_positive} decided positive by their bounds alone; "
+        "y strictly decreases whenever m and c both repeat",
+        counterexamples=counterexamples,
+        data={
+            "blocks": blocks,
+            "decided_negative": decided_negative,
+            "decided_positive": decided_positive,
+        },
+    )
+
+
 REFERENCE_CHECKS = (
     (verifier.check_gap, reference_gap),
     (verifier.check_sign_criteria, reference_sign_criteria),
@@ -541,7 +563,9 @@ SPOT_LIMITS = (1, 2, 9, 10, 11, 12, 20, 547, 5000)
 class TestRewrittenChecksAgainstPerN:
     @pytest.mark.parametrize("limit", SPOT_LIMITS)
     def test_spot_limits(self, limit):
-        for check, reference in REFERENCE_CHECKS:
+        for check, reference in REFERENCE_CHECKS + (
+            (verifier.check_range_bounds, reference_range_bounds),
+        ):
             assert check(limit).to_dict() == reference(limit).to_dict()
 
     @settings(max_examples=25, deadline=None)
@@ -549,6 +573,15 @@ class TestRewrittenChecksAgainstPerN:
     def test_any_limit(self, limit):
         for check, reference in REFERENCE_CHECKS:
             assert check(limit).to_dict() == reference(limit).to_dict()
+
+    # every y is built exactly on both sides, so the range stays short
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=1, max_value=3000))
+    def test_range_bounds_any_limit(self, limit):
+        assert (
+            verifier.check_range_bounds(limit).to_dict()
+            == reference_range_bounds(limit).to_dict()
+        )
 
     def test_gap_at_one_million(self):
         assert verifier.check_gap(10**6).to_dict() == reference_gap(10**6).to_dict()
@@ -568,6 +601,45 @@ class TestRewrittenChecksAgainstPerN:
         assert rep.status == verifier.CONFIRMED
         assert rep.data["min_gap_from_10"] == 6
         assert calls == 12
+
+
+SIGN_READERS = (
+    verifier.check_sign_criteria,
+    verifier.check_negative_x_bound,
+    analytic.check_sign_consistency,
+)
+
+
+class TestOneSignSource:
+    """The range checks that need the sign of y read it from the runs of
+    verifier.partition_y and compare no powers themselves."""
+
+    def test_flipped_run_is_a_discrepancy(self, monkeypatch):
+        part = verifier.partition_y(5000)
+        a, b, sign = part.runs[-1]  # the positive tail, [369, 5000]
+        flipped = dataclasses.replace(part, runs=part.runs[:-1] + ((a, b, -sign),))
+        monkeypatch.setattr(verifier, "partition_y", lambda limit: flipped)
+        for check in SIGN_READERS:
+            rep = check(5000)
+            assert rep.status == verifier.DISCREPANCY, check.__name__
+            assert all(a <= n <= b for n in rep.counterexamples)
+
+    def test_compares_only_in_the_partition_fallback(self, monkeypatch):
+        limit = 10**5
+        per_n = verifier.partition_y(limit).per_n
+        calls = 0
+
+        def counting_cmp(*args):
+            nonlocal calls
+            calls += 1
+            return cmp_pow2_vs_pow(*args)
+
+        monkeypatch.setattr(sequences, "cmp_pow2_vs_pow", counting_cmp)
+        monkeypatch.setattr(exactarith, "cmp_pow2_vs_pow", counting_cmp)
+        for check in SIGN_READERS:
+            calls = 0
+            assert check(limit).status == verifier.CONFIRMED
+            assert calls == per_n, check.__name__
 
 
 class TestRegistry:
