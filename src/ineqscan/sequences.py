@@ -73,7 +73,8 @@ def r(n: int) -> int:
 
 
 def c(n: int) -> int:
-    """2n - 2*z(n) + 2; non-decreasing, steps by 2 at multiples of 3."""
+    """2n - 2*z(n) + 2, which is 2*(n // 3) + 4 in closed form:
+    non-decreasing, steps by 2 at multiples of 3."""
     _require_positive(n)
     return 2 * n - 2 * z(n) + 2
 

@@ -24,7 +24,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Any, Callable, Iterable
 
-from . import intervals, sequences
+from . import exactarith, intervals, sequences
 
 # ---------------------------------------------------------------------------
 # Report plumbing
@@ -442,19 +442,25 @@ def _expected_runs(
 
 
 def _mismatches(actual, expected) -> list[int]:
-    """Every n, in increasing order, at which two run lists covering the
-    same range carry different signs."""
+    """Every n, in increasing order, at which a run of actual and a run of
+    expected overlap with different signs.
+
+    Both are iterables of (start, end, sign) runs in increasing order;
+    the runs of actual cover a range that holds every run of expected,
+    so expected is read to its end.  One merge, holding one run of each
+    at a time."""
     out: list[int] = []
-    i = j = 0
-    while i < len(actual) and j < len(expected):
-        a1, b1, s1 = actual[i]
-        a2, b2, s2 = expected[j]
+    actual, expected = iter(actual), iter(expected)
+    run1, run2 = next(actual, None), next(expected, None)
+    while run1 is not None and run2 is not None:
+        a1, b1, s1 = run1
+        a2, b2, s2 = run2
         if s1 != s2:
             out.extend(range(max(a1, a2), min(b1, b2) + 1))
         if b1 <= b2:
-            i += 1
+            run1 = next(actual, None)
         if b2 <= b1:
-            j += 1
+            run2 = next(expected, None)
     return out
 
 
@@ -585,10 +591,15 @@ def check_range_bounds(limit: int) -> VerificationReport:
     decreases across steps that keep both m and c.
 
     The blocks are the links of sequences.chain_links(1, limit) grouped
-    by m.  On a block [a, b] c does not decrease and n**(m-1) increases,
-    so low = 2**(c(a)-m) - b**(m-1) and high = 2**(c(b)-m) - a**(m-1)
-    enclose y; high < 0 decides the block negative and low > 0 positive.
-    Every exact y is still built and tested against the pair."""
+    by m.  On a block [a, b] c(n) = 2*(n // 3) + 4 does not decrease and,
+    for m >= 2, n**(m-1) strictly increases, so low = 2**(c(a)-m) - b**(m-1)
+    and high = 2**(c(b)-m) - a**(m-1) enclose y, high < 0 decides the
+    block negative, low > 0 decides it positive, and y strictly decreases
+    wherever c repeats: no such block can hold a counterexample.  Each
+    block is therefore settled by the signs of high and low alone, two
+    exact comparisons of a power of two with a power that build neither
+    bound.  Only the m = 1 block, n = 1, builds its exact y and tests it
+    against the pair.  The cost is O(links)."""
     if limit < 1:
         raise ValueError("limit must be a positive integer")
     counterexamples = []
@@ -598,13 +609,15 @@ def check_range_bounds(limit: int) -> VerificationReport:
     for mm, links in groupby(sequences.chain_links(1, limit), key=itemgetter(3)):
         links = list(links)
         a, b = links[0][0], links[-1][1]
+        blocks += 1
+        if exactarith.cmp_pow2_vs_pow(sequences.c(b) - mm, a, mm - 1) < 0:
+            decided_negative += 1
+        if exactarith.cmp_pow2_vs_pow(sequences.c(a) - mm, b, mm - 1) > 0:
+            decided_positive += 1
+        if mm > 1:
+            continue
         low = (1 << (sequences.c(a) - mm)) - b ** (mm - 1)
         high = (1 << (sequences.c(b) - mm)) - a ** (mm - 1)
-        blocks += 1
-        if high < 0:
-            decided_negative += 1
-        if low > 0:
-            decided_positive += 1
         prev_c = None
         prev_y = None
         for n, _, _, _, cc, _ in sequences.scan(a, b):
@@ -643,24 +656,32 @@ def check_sign_criteria(limit: int) -> VerificationReport:
     """The two threshold criteria on c: with s = r(n) and t = m(n),
     c <= s(t-1) + 1 forces y < 0 and c > s(t-1) + t forces y > 0.
 
-    The sign of y comes from the runs of partition_y; each run is
-    stepped with sequences.scan for r, m and c."""
+    Settled one chain link at a time.  On a link (a, b, r, m) the
+    threshold T = r*(m-1) is constant and c(n) = 2*(n // 3) + 4 does not
+    decrease, so the negative criterion holds exactly on the prefix
+    n <= 3*((T - 3) // 2) + 2 of the link and the positive one exactly on
+    the suffix n >= 3*((T + m - 4) // 2) + 3.  These pieces are merged
+    with the runs of partition_y: the counterexamples are the n where a
+    piece meets a run of the other sign.  No n is visited one at a time,
+    so the cost is that of partition_y, O(links)."""
     if limit < 1:
         raise ValueError("limit must be a positive integer")
-    counterexamples = []
-    applies_negative = 0
-    applies_positive = 0
-    for a, b, sign in partition_y(limit).runs:
-        for n, _, mm, rr, cc, _ in sequences.scan(a, b):
+    applies = {-1: 0, 1: 0}
+
+    def pieces():
+        for a, b, rr, mm in sequences.chain_links(1, limit):
             threshold = rr * (mm - 1)
-            if cc <= threshold + 1:
-                applies_negative += 1
-                if sign != -1:
-                    counterexamples.append(n)
-            elif cc > threshold + mm:
-                applies_positive += 1
-                if sign != 1:
-                    counterexamples.append(n)
+            neg_end = min(b, 3 * ((threshold - 3) // 2) + 2)
+            if a <= neg_end:
+                applies[-1] += neg_end - a + 1
+                yield a, neg_end, -1
+            pos_start = max(a, 3 * ((threshold + mm - 4) // 2) + 3)
+            if pos_start <= b:
+                applies[1] += b - pos_start + 1
+                yield pos_start, b, 1
+
+    counterexamples = _mismatches(partition_y(limit).runs, pieces())
+    applies_negative, applies_positive = applies[-1], applies[1]
     details = (
         f"negative criterion applies to {applies_negative} values, "
         f"positive criterion to {applies_positive}; no contradictions"

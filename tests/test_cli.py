@@ -347,13 +347,22 @@ class TestVerify:
         assert cli.main(["verify", "--suite", "all", "--limit", "546"]) == 2
         capsys.readouterr()
 
-    def test_exact_y_suites_capped(self, capsys):
-        for suite in ("lemmas", "all"):
-            argv = ["verify", "--suite", suite, "--limit", str(10**6 + 1)]
-            assert cli.main(argv) == 2
-            out, err = capsys.readouterr()
-            assert out == ""
-            assert "range-bound" in err and "--suite theorem1|theorem2" in err
+    def test_all_suite_capped_by_envelope_scan(self, capsys):
+        argv = ["verify", "--suite", "all", "--limit", str(10**7 + 1)]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "10000000" in err and "float envelope scan" in err
+        assert "--suite theorem1|theorem2|lemmas" in err
+
+    def test_lemmas_at_one_billion(self, capsys):
+        argv = ["verify", "--suite", "lemmas", "--limit", "1000000000", "--format", "json"]
+        assert cli.main(argv) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert len(reports) == 5
+        for rep in reports:
+            assert rep["status"] == "CONFIRMED", rep["claim_id"]
+            assert rep["range"][1] == 10**9
 
     def test_analytic_suite_capped(self, capsys):
         argv = ["verify", "--suite", "analytic", "--limit", str(10**7 + 1)]

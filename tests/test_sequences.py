@@ -94,6 +94,12 @@ class TestDefiningProperties:
                 assert cc >= prev
             prev = cc
 
+    def test_c_closed_form(self):
+        # the block routes of the range-bound and sign-criteria checks
+        # rest on this identity
+        for n in range(1, 10**5 + 1):
+            assert sequences.c(n) == 2 * (n // 3) + 4, n
+
     def test_y_value_sign_agrees_with_y_sign(self):
         for n in range(1, 5000):
             yv = sequences.y_value(n)
@@ -251,3 +257,8 @@ def test_m_matches_isqrt_everywhere(n):
 @given(st.integers(min_value=1, max_value=10**9))
 def test_x_closed_form(n):
     assert sequences.x(n) == sequences.z(n) - (sequences.r(n) + 1) * sequences.m(n)
+
+
+@given(st.integers(min_value=1, max_value=10**40))
+def test_c_closed_form_everywhere(n):
+    assert sequences.c(n) == 2 * (n // 3) + 4

@@ -403,6 +403,49 @@ class TestReach:
         assert rep.status == verifier.CONFIRMED
         assert rep.data["applicable"] == 348
 
+    def test_range_bounds_at_one_billion_compares_block_ends(self, monkeypatch):
+        spans = []
+        scan = sequences.scan
+
+        def recording_scan(lo, hi):
+            spans.append((lo, hi))
+            return scan(lo, hi)
+
+        calls = 0
+
+        def counting_cmp(*args):
+            nonlocal calls
+            calls += 1
+            return cmp_pow2_vs_pow(*args)
+
+        monkeypatch.setattr(sequences, "scan", recording_scan)
+        monkeypatch.setattr(exactarith, "cmp_pow2_vs_pow", counting_cmp)
+        rep = verifier.check_range_bounds(10**9)
+        assert rep.status == verifier.CONFIRMED
+        assert rep.data == {
+            "blocks": 44721,
+            "decided_negative": 20,
+            "decided_positive": 44695,
+        }
+        assert spans == [(1, 1)]
+        assert calls == 2 * rep.data["blocks"]
+
+    def test_sign_criteria_at_one_billion_visits_no_n(self, monkeypatch):
+        calls = 0
+        scan = sequences.scan
+
+        def counting_scan(lo, hi):
+            nonlocal calls
+            calls += hi - lo + 1
+            return scan(lo, hi)
+
+        monkeypatch.setattr(sequences, "scan", counting_scan)
+        rep = verifier.check_sign_criteria(10**9)
+        assert rep.status == verifier.CONFIRMED
+        assert rep.data["applies_negative"] == 297
+        assert rep.data["applies_positive"] == 999999608
+        assert calls == 0
+
     def test_reports_carry_block_counts(self):
         for rep in (
             verifier.check_theorem1(5000),
@@ -557,7 +600,7 @@ REFERENCE_CHECKS = (
     (verifier.check_negative_x_bound, reference_negative_x_bound),
 )
 
-SPOT_LIMITS = (1, 2, 9, 10, 11, 12, 20, 547, 5000)
+SPOT_LIMITS = (1, 2, 9, 10, 11, 12, 20, 547, 5000, REFERENCE_TOP)
 
 
 class TestRewrittenChecksAgainstPerN:
@@ -574,7 +617,17 @@ class TestRewrittenChecksAgainstPerN:
         for check, reference in REFERENCE_CHECKS:
             assert check(limit).to_dict() == reference(limit).to_dict()
 
-    # every y is built exactly on both sides, so the range stays short
+    def test_block_routes_at_every_limit_to_600(self):
+        # every printed link end and every boundary of y's sign runs
+        # falls in this range
+        for limit in range(1, 601):
+            for check, reference in (
+                (verifier.check_range_bounds, reference_range_bounds),
+                (verifier.check_sign_criteria, reference_sign_criteria),
+            ):
+                assert check(limit).to_dict() == reference(limit).to_dict(), limit
+
+    # the reference builds every y exactly, so the range stays short
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=3000))
     def test_range_bounds_any_limit(self, limit):
