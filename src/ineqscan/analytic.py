@@ -6,17 +6,22 @@ family of smooth envelope functions that sandwich the integer data,
 their first two derivatives, bisection brackets for the envelope roots,
 and spot checks of the published decimal approximations.
 
-Everything here is ordinary floating point.  That is safe because the
-quantities involved are tiny (hundreds), the margins are large compared
-with double precision, and any comparison that lands inside float noise
-is reported instead of trusted.
+Everything here is ordinary floating point.  That is safe on the range
+the command line allows (n <= 10**7): the margins there stay far above
+double-precision error, and any comparison that lands inside float
+noise is reported instead of trusted.  Past it the margins shrink toward
+float error, which is why that range is capped.
 
-The range checks walk the stepper in sequences.scan for x, m and c - m.
-The exact sign of y comes from the runs of verifier.partition_y, the
-one place that decides it, and never from a per-n comparison here.
-The real surrogate Y = (c - m) - (m - 1) log2(n) is written once, in
-_Y.  Reports and erratum lookups go through verifier.make_report and
-verifier.erratum_for.
+The range checks walk sequences.chain_links.  On a link m and r are
+fixed, and every margin they report is monotone up to a term that
+depends only on n mod 3, so each link is settled from at most three n
+at either end; the links below PER_N_BELOW, and any link whose
+candidates fail, are stepped per n (see _check_envelopes and
+check_sign_consistency).  The exact sign of y comes from the runs of
+verifier.partition_y, the one place that decides it, and never from a
+per-n comparison here.  The real surrogate Y = (c - m) - (m - 1) log2(n)
+is written once, in _Y.  Reports and erratum lookups go through
+verifier.make_report and verifier.erratum_for.
 """
 
 import math
@@ -25,7 +30,13 @@ from dataclasses import dataclass
 # partition_y is called through the module, so a wrapper set on
 # verifier.partition_y (a tracer or a test double) sees every call.
 from . import sequences, verifier
-from .verifier import KNOWN_ERRATA, VerificationReport, erratum_for, make_report
+from .verifier import (
+    KNOWN_ERRATA,
+    VerificationReport,
+    erratum_for,
+    make_report,
+    plural,
+)
 
 LOG2 = math.log(2.0)
 
@@ -182,10 +193,11 @@ def d_real(n: int) -> float:
     return -mm - (mm - 1) * math.log2(n)
 
 
-def _Y(n: int, c_minus_m: int, m: int) -> float:
-    """(c - m) - (m - 1) * log2(n), the exponent gap between the two
-    exact terms of y, from the integer parts a scan already holds."""
-    return c_minus_m - (m - 1) * math.log2(n)
+def _Y(n: int, m: int) -> float:
+    """(c(n) - m) - (m - 1) * log2(n), the exponent gap between the two
+    exact terms of y, given m = m(n), which a range check takes from the
+    chain link."""
+    return sequences.c(n) - m - (m - 1) * math.log2(n)
 
 
 def Y_real(n: int) -> float:
@@ -194,36 +206,100 @@ def Y_real(n: int) -> float:
 
     It equals c(n) + d_real(n) up to float rounding.
     """
-    mm = sequences.m(n)
-    return _Y(n, sequences.c(n) - mm, mm)
+    return _Y(n, sequences.m(n))
 
 
 # ---------------------------------------------------------------------------
 # Checks
 # ---------------------------------------------------------------------------
 
+# Chain links that start below this n are stepped one n at a time; every
+# later link is settled from a few candidate n.  It keeps the candidate
+# route clear of the small n where the monotonicity arguments below do
+# not hold (y-upper needs n >= 2, the three-step rise of Y needs n >= 10).
+PER_N_BELOW = 16
 
-def _check_envelopes(claim_id, what, lower, upper, limit, pairs):
+
+def _margins_monotone(coeffs: FCoeffs) -> bool:
+    """Whether s * ln(2**b * n) > max(0, 2c - 2), s = sqrt(2n), holds at
+    n = PER_N_BELOW for this instance: the condition under which
+    _check_envelopes settles a link from candidate n.  The left side
+    increases with n once it is positive, so it then holds from there on."""
+    n = PER_N_BELOW
+    return math.sqrt(2 * n) * (coeffs.b * LOG2 + math.log(n)) > max(0, 2 * coeffs.c - 2)
+
+
+def _lowest(best, pairs):
+    """Fold (value, n) pairs, given in increasing n, into best = (value, n).
+    The comparison is strict, so a tie keeps the earlier n, as a walk over
+    every n does."""
+    for pair in pairs:
+        if pair[0] < best[0]:
+            best = pair
+    return best
+
+
+def _check_envelopes(claim_id, what, lower, upper, limit, value):
     """One claim that the lower envelope stays strictly below, and the
-    upper strictly above, every value of the (n, value) pairs over
-    [1, limit]; the smallest margin on each side is reported."""
+    upper strictly above, value(n, r, m) for every n in [1, limit]; the
+    smallest margin on each side is reported.
+
+    Each chain link (a, b, r, m) is settled from at most six n.  On a link
+    r and m are fixed, and z(n) = (2n - 1)//3 and c(n) = 2*(n//3) + 4 are
+    2n/3 plus a term that depends only on n mod 3.  So on each residue
+    class mod 3 of a link, x = z - (r + 1)m is 2n/3 plus a constant, and
+    Y = (c - m) - (m - 1) log2(n) is 2n/3 - (m - 1) log2(n) plus a
+    constant.  With s = sqrt(2n), an instance (a, b, c) gives
+    G(n) = 2n/3 - F(n) = -a + b s - c log2(n) + s log2(n), whose derivative
+    is (s (b ln 2 + ln n + 2) - 2c) / (s**2 ln 2).  As m <= s, the
+    derivative of G(n) - (m - 1) log2(n) is at least
+    (s ln(2**b n) + 2 - 2c) / (s**2 ln 2), the smaller of the two, so both
+    are positive where s ln(2**b n) > 2c - 2.  _margins_monotone checks
+    that at n = PER_N_BELOW; the four named instances meet it from n = 2
+    on (y-upper, b = 1 and c = 2, is the tightest: 2 ln 4 > 2).  Then on
+    each residue class of a link value - F_lower increases and
+    F_upper - value decreases: the lower margin is least among the first
+    three n of the link and the upper margin among the last three.
+
+    A link from PER_N_BELOW on is therefore settled by its lower margins
+    at those first three n and its upper margins at the last three,
+    provided both instances pass _margins_monotone.  Every other link,
+    and a link with a candidate margin <= 0, is stepped per n, so the
+    counterexample list stays exact.  Candidates are folded in increasing
+    n with a strict <, so the minima and their n are those of a walk over
+    every n, as long as float error stays below the three-step change of
+    a margin (above 0.01 up to n = 10**7, against float errors near 1e-9).
+    """
     if limit < 1:
         raise ValueError("limit must be a positive integer")
+    blockwise = _margins_monotone(lower) and _margins_monotone(upper)
+
+    def margins(rr, mm, firsts, lasts):
+        lows = [(value(n, rr, mm) - F_eval(lower, n), n) for n in firsts]
+        ups = [(F_eval(upper, n) - value(n, rr, mm), n) for n in lasts]
+        return lows, ups
+
     counterexamples = []
-    min_low = min_up = math.inf
-    min_low_at = min_up_at = None
-    for n, value in pairs:
-        low = value - F_eval(lower, n)
-        up = F_eval(upper, n) - value
-        if low <= 0 or up <= 0:
-            counterexamples.append(n)
-        if low < min_low:
-            min_low, min_low_at = low, n
-        if up < min_up:
-            min_up, min_up_at = up, n
+    best_low = best_up = (math.inf, None)
+    for a, b, rr, mm in sequences.chain_links(1, limit):
+        link = range(a, b + 1)
+        lows = ups = None
+        if blockwise and a >= PER_N_BELOW:
+            lows, ups = margins(rr, mm, link[:3], link[-3:])
+        if lows is None or not all(margin > 0 for margin, _ in lows + ups):
+            lows, ups = margins(rr, mm, link, link)
+        counterexamples.extend(sorted({n for margin, n in lows + ups if margin <= 0}))
+        best_low, best_up = _lowest(best_low, lows), _lowest(best_up, ups)
+    (min_low, min_low_at), (min_up, min_up_at) = best_low, best_up
+    if counterexamples:
+        claim = (
+            f"envelopes not strict around {what} at "
+            f"{plural(len(counterexamples), 'value')}"
+        )
+    else:
+        claim = f"both envelopes strict around {what}"
     details = (
-        f"both envelopes strict around {what}; smallest lower margin "
-        f"{min_low:.6f} at n = {min_low_at}, "
+        f"{claim}; smallest lower margin {min_low:.6f} at n = {min_low_at}, "
         f"smallest upper margin {min_up:.6f} at n = {min_up_at}"
     )
     if min(min_low, min_up) < MARGIN_FLOOR:
@@ -241,26 +317,59 @@ def _check_envelopes(claim_id, what, lower, upper, limit, pairs):
 def check_bounds_x(limit: int) -> VerificationReport:
     """The x-lower envelope stays strictly below x(n) and the x-upper
     envelope strictly above it, for every n in [1, limit]."""
-    pairs = ((n, xx) for n, _, _, _, _, xx in sequences.scan(1, limit))
-    return _check_envelopes("analytic/x-bounds", "x", X_LOWER, X_UPPER, limit, pairs)
+    return _check_envelopes(
+        "analytic/x-bounds",
+        "x",
+        X_LOWER,
+        X_UPPER,
+        limit,
+        lambda n, rr, mm: sequences.z(n) - (rr + 1) * mm,
+    )
 
 
 def check_bounds_Y(limit: int) -> VerificationReport:
     """The y-lower envelope stays strictly below Y_real(n) and the
     y-upper envelope strictly above it, for every n in [1, limit]."""
-    pairs = (
-        (n, _Y(n, cc - mm, mm)) for n, _, mm, _, cc, _ in sequences.scan(1, limit)
-    )
     return _check_envelopes(
-        "analytic/Y-bounds", "the y surrogate", Y_LOWER, Y_UPPER, limit, pairs
+        "analytic/Y-bounds",
+        "the y surrogate",
+        Y_LOWER,
+        Y_UPPER,
+        limit,
+        lambda n, rr, mm: _Y(n, mm),
     )
+
+
+def _run_pieces(runs, limit):
+    """Yield (a, b, m, sign) for each stretch [a, b] where one of the
+    consecutive (start, end, sign) runs covering [1, limit] meets one
+    chain link, in increasing order."""
+    runs = iter(runs)
+    run_end = 0
+    for lo, hi, _, mm in sequences.chain_links(1, limit):
+        while lo <= hi:
+            if run_end < lo:
+                _, run_end, sign = next(runs)
+            end = min(hi, run_end)
+            yield lo, end, mm, sign
+            lo = end + 1
 
 
 def check_sign_consistency(limit: int) -> VerificationReport:
     """sign(Y_real(n)) agrees with the exact sign of y(n) on [1, limit].
 
-    The exact sign is read from the runs of verifier.partition_y, and
-    each run is stepped with sequences.scan for c - m and m.
+    The exact sign is read from the runs of verifier.partition_y, cut at
+    the chain links so that m is fixed on each piece.  With s = sqrt(2n)
+    and m <= s, Y(n + 3) - Y(n) = 2 - (m - 1) log2(1 + 3/n) is at least
+    2 - 3(s - 1)/(n ln 2), which is positive from n = 10 on (1.50 is
+    subtracted at n = 10, less after).  So Y increases on each residue
+    class mod 3 of a piece: a positive piece is settled by Y at its
+    first three n and a negative one by Y at its last three, and the
+    same n hold the piece's least |Y|.  A piece is stepped per n instead
+    when it starts below PER_N_BELOW, when its run has sign 0, or when a
+    candidate has |Y| <= 1e-6 or the wrong sign, so the counterexample
+    list stays exact.  Candidates are folded in increasing n with a
+    strict <, as a walk over every n would.
 
     Any |Y_real| at or below 1e-6 would be too close to zero to trust
     the float sign and is reported as a counterexample; none occur (the
@@ -271,27 +380,30 @@ def check_sign_consistency(limit: int) -> VerificationReport:
     if limit < 1:
         raise ValueError("limit must be a positive integer")
     counterexamples = []
-    min_abs = math.inf
-    min_abs_at = None
-    for a, b, sign in verifier.partition_y(limit).runs:
-        for n, _, mm, _, cc, _ in sequences.scan(a, b):
-            yy = _Y(n, cc - mm, mm)
-            if n >= 5 and abs(yy) < min_abs:
-                min_abs, min_abs_at = abs(yy), n
-            if abs(yy) <= 1e-6:
-                counterexamples.append(n)
-                continue
-            float_sign = 1 if yy > 0 else -1
-            if float_sign != sign:
-                counterexamples.append(n)
+    best = (math.inf, None)
+    for a, b, mm, sign in _run_pieces(verifier.partition_y(limit).runs, limit):
+        piece = range(a, b + 1)
+        ys = None
+        if a >= PER_N_BELOW and sign != 0:
+            ys = [(_Y(n, mm), n) for n in (piece[:3] if sign > 0 else piece[-3:])]
+        if ys is None or not all(sign * y > 1e-6 for y, _ in ys):
+            ys = [(_Y(n, mm), n) for n in piece]
+        counterexamples.extend(
+            n for y, n in ys if abs(y) <= 1e-6 or (1 if y > 0 else -1) != sign
+        )
+        best = _lowest(best, [(abs(y), n) for y, n in ys if n >= 5])
+    min_abs, min_abs_at = best
+    if counterexamples:
+        details = (
+            "float surrogate sign differs from the exact sign at "
+            f"{plural(len(counterexamples), 'value')}"
+        )
+    else:
+        details = "float surrogate sign matches the exact sign everywhere"
     if min_abs_at is None:
         min_abs = None
-        details = "float surrogate sign matches the exact sign everywhere"
     else:
-        details = (
-            f"float surrogate sign matches the exact sign everywhere; "
-            f"smallest |Y| over [5, {limit}] is {min_abs:.6f} at n = {min_abs_at}"
-        )
+        details += f"; smallest |Y| over [5, {limit}] is {min_abs:.6f} at n = {min_abs_at}"
     return make_report(
         "analytic/sign-consistency",
         1,

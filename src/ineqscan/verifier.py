@@ -15,7 +15,8 @@ Report statuses:
 
 Any DISCREPANCY is a bug, either in the code or in the golden data, and
 fails the test suite.  A report's status is DISCREPANCY exactly when its
-counterexample list is non-empty.
+counterexample list is non-empty, and its details state a claim as holding
+only when that list is empty; otherwise they give the count.
 """
 
 import json
@@ -76,6 +77,11 @@ class VerificationReport:
             "errata": [e.to_dict() for e in self.errata],
             "data": self.data,
         }
+
+
+def plural(count: int, noun: str) -> str:
+    """The count followed by the noun, with an s unless the count is 1."""
+    return f"{count} {noun}{'' if count == 1 else 's'}"
 
 
 def make_report(claim_id, lo, hi, details, counterexamples=(), errata=(), data=None):
@@ -374,7 +380,7 @@ def check_reference_table() -> VerificationReport:
     details = (
         "48 cells recomputed from the definitions; "
         f"{cells_confirmed} match the printed values exactly; "
-        f"{len(errata)} documented misprint{'s' if len(errata) != 1 else ''}"
+        + plural(len(errata), "documented misprint")
     )
     return make_report(
         "reference-table",
@@ -411,7 +417,7 @@ def check_interval_table() -> VerificationReport:
     details = (
         f"{len(computed)} chain links recomputed; "
         f"{fields_confirmed} of {6 * len(INTERVAL_TABLE)} printed fields match; "
-        f"{len(errata)} documented misprint{'s' if len(errata) != 1 else ''}"
+        + plural(len(errata), "documented misprint")
     )
     return make_report(
         "interval-table",
@@ -511,8 +517,10 @@ def check_theorem2(limit: int) -> VerificationReport:
     counterexamples = _mismatches(
         part.runs, _expected_runs(limit, expected_y_sign, Y_NEGATIVE_RUNS)
     )
+    zeros = part.runs_of(0)
     details = (
-        f"no zeros; negative runs {_runs_repr(part.runs_of(-1))}; "
+        (f"zero runs {_runs_repr(zeros)}" if zeros else "no zeros")
+        + f"; negative runs {_runs_repr(part.runs_of(-1))}; "
         f"positive runs {_runs_repr(part.runs_of(1))}; "
         + NARRATIVE_NOTE_338_350
     )
@@ -632,12 +640,21 @@ def check_range_bounds(limit: int) -> VerificationReport:
             if prev_c == cc and not yv < prev_y:
                 counterexamples.append(n)
             prev_c, prev_y = cc, yv
-    details = (
-        f"{blocks} constant-m blocks; endpoint bounds enclose every y; "
+    decided = (
         f"{decided_negative} blocks decided negative and "
-        f"{decided_positive} decided positive by their bounds alone; "
-        "y strictly decreases whenever m and c both repeat"
+        f"{decided_positive} decided positive by their bounds alone"
     )
+    if counterexamples:
+        details = (
+            f"{blocks} constant-m blocks; "
+            f"{plural(len(counterexamples), 'counterexample')} to the enclosure, "
+            f"the block sign or the decrease; {decided}"
+        )
+    else:
+        details = (
+            f"{blocks} constant-m blocks; endpoint bounds enclose every y; "
+            f"{decided}; y strictly decreases whenever m and c both repeat"
+        )
     return make_report(
         "lemmas/range-bounds",
         1,
@@ -682,9 +699,12 @@ def check_sign_criteria(limit: int) -> VerificationReport:
 
     counterexamples = _mismatches(partition_y(limit).runs, pieces())
     applies_negative, applies_positive = applies[-1], applies[1]
+    verdict = "no contradictions"
+    if counterexamples:
+        verdict = plural(len(counterexamples), "contradiction")
     details = (
         f"negative criterion applies to {applies_negative} values, "
-        f"positive criterion to {applies_positive}; no contradictions"
+        f"positive criterion to {applies_positive}; {verdict}"
     )
     return make_report(
         "lemmas/sign-criteria",
@@ -750,7 +770,13 @@ def check_positive_tail(limit: int) -> VerificationReport:
     counterexamples = [
         n for a, b, s in part.runs if s != 1 for n in range(max(a, start), b + 1)
     ]
-    details = f"y > 0 at every n in [{start}, {limit}]"
+    if counterexamples:
+        details = (
+            f"y <= 0 at {plural(len(counterexamples), 'value')} "
+            f"in [{start}, {limit}]"
+        )
+    else:
+        details = f"y > 0 at every n in [{start}, {limit}]"
     return make_report(
         "lemmas/positive-tail",
         start,

@@ -6,6 +6,7 @@ the bisection brackets against values recomputed with an independent
 script; those appear here rounded to 12 places.
 """
 
+import dataclasses
 import json
 import math
 
@@ -288,7 +289,7 @@ class TestClosedFormAnchors:
 # ---------------------------------------------------------------------------
 
 
-def _reference_margins(claim_id, base, lower, upper, limit, values):
+def _reference_margins(claim_id, what, lower, upper, limit, values):
     counterexamples = []
     min_low = min_up = math.inf
     min_low_at = min_up_at = None
@@ -301,6 +302,11 @@ def _reference_margins(claim_id, base, lower, upper, limit, values):
             min_low, min_low_at = low, n
         if up < min_up:
             min_up, min_up_at = up, n
+    if counterexamples:
+        base = f"envelopes not strict around {what} at {len(counterexamples)} value"
+        base += "" if len(counterexamples) == 1 else "s"
+    else:
+        base = f"both envelopes strict around {what}"
     details = (
         f"{base}; smallest lower margin {min_low:.6f} at n = {min_low_at}, "
         f"smallest upper margin {min_up:.6f} at n = {min_up_at}"
@@ -321,7 +327,7 @@ def reference_bounds_x(limit):
     values = [(n, xx) for n, _, _, _, _, xx in sequences.scan(1, limit)]
     return _reference_margins(
         "analytic/x-bounds",
-        "both envelopes strict around x",
+        "x",
         analytic.X_LOWER,
         analytic.X_UPPER,
         limit,
@@ -336,7 +342,7 @@ def reference_bounds_Y(limit):
     ]
     return _reference_margins(
         "analytic/Y-bounds",
-        "both envelopes strict around the y surrogate",
+        "the y surrogate",
         analytic.Y_LOWER,
         analytic.Y_UPPER,
         limit,
@@ -356,14 +362,17 @@ def reference_sign_consistency(limit):
             continue
         if (1 if yy > 0 else -1) != cmp_pow2_vs_pow(cc - mm, n, mm - 1):
             counterexamples.append(n)
+    if counterexamples:
+        details = (
+            "float surrogate sign differs from the exact sign at "
+            f"{len(counterexamples)} value" + ("" if len(counterexamples) == 1 else "s")
+        )
+    else:
+        details = "float surrogate sign matches the exact sign everywhere"
     if min_abs_at is None:
         min_abs = None
-        details = "float surrogate sign matches the exact sign everywhere"
     else:
-        details = (
-            f"float surrogate sign matches the exact sign everywhere; "
-            f"smallest |Y| over [5, {limit}] is {min_abs:.6f} at n = {min_abs_at}"
-        )
+        details += f"; smallest |Y| over [5, {limit}] is {min_abs:.6f} at n = {min_abs_at}"
     return verifier.make_report(
         "analytic/sign-consistency",
         1,
@@ -407,6 +416,129 @@ class TestRewrittenChecksAgainstPerN:
             assert analytic.Y_real(n) == sequences.c(n) + analytic.d_real(n)
 
 
+class TestCandidateRoute:
+    """The three range checks settle each chain link from a few candidate
+    n; the per-n references above are the oracle."""
+
+    def test_every_limit_to_600(self):
+        # every printed link and every boundary of y's sign runs ends in
+        # this range, so each clipped last link is compared too
+        for limit in range(1, 601):
+            for check, reference in REFERENCE_CHECKS:
+                assert check(limit).to_dict() == reference(limit).to_dict(), limit
+
+    def test_at_ten_to_the_fifth(self):
+        for check, reference in REFERENCE_CHECKS:
+            assert check(10**5).to_dict() == reference(10**5).to_dict()
+
+    def test_links_at_one_billion(self, monkeypatch):
+        # past the per-n prefix no n is stepped: F_eval runs at most six
+        # times per link, Y at most three times per piece of a sign run
+        limit = 10**9
+        links = sum(1 for _ in sequences.chain_links(1, limit))
+        runs = len(verifier.partition_y(limit).runs)
+        prefix = analytic.PER_N_BELOW
+        calls = {"F_eval": 0, "_Y": 0}
+        scanned = []
+
+        def counting(name):
+            inner = getattr(analytic, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        scan = sequences.scan
+
+        def recording_scan(lo, hi):
+            scanned.append((lo, hi))
+            return scan(lo, hi)
+
+        for name in calls:
+            monkeypatch.setattr(analytic, name, counting(name))
+        monkeypatch.setattr(sequences, "scan", recording_scan)
+        for check in (analytic.check_bounds_x, analytic.check_bounds_Y):
+            calls["F_eval"] = 0
+            assert check(limit).status == verifier.CONFIRMED
+            assert calls["F_eval"] <= 6 * links + 2 * prefix, check.__name__
+        calls["_Y"] = 0
+        assert analytic.check_sign_consistency(limit).status == verifier.CONFIRMED
+        assert calls["_Y"] <= 3 * (links + runs) + prefix
+        assert all(hi < prefix for _, hi in scanned)
+
+    @pytest.mark.parametrize("limit", [17, 100, 600, 2000])
+    def test_instance_outside_the_proved_class_is_walked_per_n(self, monkeypatch, limit):
+        # c = 40 breaks the monotonicity the candidate route rests on: the
+        # check must step every n and still equal the per-n reference
+        mutant = analytic.FCoeffs(1, 1, 40)
+        calls = 0
+        f_eval = analytic.F_eval
+
+        def counting_f_eval(coeffs, t):
+            nonlocal calls
+            calls += 1
+            return f_eval(coeffs, t)
+
+        for name, check, reference in (
+            ("X_UPPER", analytic.check_bounds_x, reference_bounds_x),
+            ("Y_UPPER", analytic.check_bounds_Y, reference_bounds_Y),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(analytic, name, mutant)
+                expected = reference(limit).to_dict()
+                patch.setattr(analytic, "F_eval", counting_f_eval)
+                calls = 0
+                assert check(limit).to_dict() == expected, name
+                assert calls == 2 * limit, name
+
+    def test_tied_margins_keep_the_first_n(self, monkeypatch):
+        # with whole-number envelopes the x margins are integers and tie
+        # often (floor keeps them monotone on each residue class, since x
+        # steps by exactly 2 every three n); the smallest margin must be
+        # reported at its first n
+        f_eval = analytic.F_eval
+        monkeypatch.setattr(
+            analytic, "F_eval", lambda coeffs, t: float(math.floor(f_eval(coeffs, t)))
+        )
+        for limit in range(1, 601):
+            rep = analytic.check_bounds_x(limit)
+            assert rep.to_dict() == reference_bounds_x(limit).to_dict(), limit
+
+    @pytest.mark.parametrize("favoured", [0, 1, 2])
+    def test_period_three_term_in_the_envelopes(self, monkeypatch, favoured):
+        # a term that depends only on n mod 3 keeps every margin monotone
+        # on each residue class, so the candidate route must stay exact;
+        # raising the margins off one class moves the link minima onto
+        # that class, the third candidate on some links
+        f_eval = analytic.F_eval
+
+        def shifted(coeffs, t):
+            if int(t) % 3 == favoured:
+                return f_eval(coeffs, t)
+            lower = coeffs in (analytic.X_LOWER, analytic.Y_LOWER)
+            return f_eval(coeffs, t) + (-3.0 if lower else 3.0)
+
+        monkeypatch.setattr(analytic, "F_eval", shifted)
+        for limit in [*range(1, 601, 7), 5000]:
+            for check, reference in REFERENCE_CHECKS[:2]:
+                assert check(limit).to_dict() == reference(limit).to_dict(), limit
+
+    def test_flipped_run_is_stepped_per_n(self, monkeypatch):
+        # the float sign disagrees with a flipped run at every n of it,
+        # so every n of the run must be listed, not only the candidates
+        part = verifier.partition_y(5000)
+        a, b, sign = part.runs[-1]
+        flipped = dataclasses.replace(part, runs=part.runs[:-1] + ((a, b, -sign),))
+        monkeypatch.setattr(verifier, "partition_y", lambda limit: flipped)
+        rep = analytic.check_sign_consistency(5000)
+        assert rep.counterexamples == list(range(a, b + 1))
+        assert rep.details.startswith(
+            f"float surrogate sign differs from the exact sign at {b - a + 1} values;"
+        )
+
+
 class TestSandwichThroughSharedLoop:
     """An envelope that dips below the data must surface as a
     discrepancy, with the counterexamples of the plain per-n loop."""
@@ -417,6 +549,9 @@ class TestSandwichThroughSharedLoop:
         assert rep.status == verifier.DISCREPANCY
         assert rep.data["min_upper_margin"] <= 0
         assert rep.to_dict() == reference_bounds_x(2000).to_dict()
+        assert rep.details.startswith(
+            f"envelopes not strict around x at {len(rep.counterexamples)} values;"
+        )
 
     def test_y_upper_below_the_data(self, monkeypatch):
         monkeypatch.setattr(analytic, "Y_UPPER", analytic.FCoeffs(0, 1, 2))
@@ -424,6 +559,7 @@ class TestSandwichThroughSharedLoop:
         assert rep.status == verifier.DISCREPANCY
         assert rep.data["min_upper_margin"] <= 0
         assert rep.to_dict() == reference_bounds_Y(2000).to_dict()
+        assert "both envelopes strict" not in rep.details
 
 
 class TestRootRegistry:

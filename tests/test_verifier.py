@@ -517,12 +517,16 @@ def reference_sign_criteria(limit):
             applies_positive += 1
             if cmp_pow2_vs_pow(cc - mm, n, mm - 1) != 1:
                 counterexamples.append(n)
+    verdict = f"{len(counterexamples)} contradiction" + (
+        "" if len(counterexamples) == 1 else "s"
+    )
     return verifier.make_report(
         "lemmas/sign-criteria",
         1,
         limit,
         f"negative criterion applies to {applies_negative} values, "
-        f"positive criterion to {applies_positive}; no contradictions",
+        f"positive criterion to {applies_positive}; "
+        + (verdict if counterexamples else "no contradictions"),
         counterexamples=counterexamples,
         data={
             "applies_negative": applies_negative,
@@ -577,14 +581,27 @@ def reference_range_bounds(limit):
                 counterexamples.append(n)
             prev_c, prev_y = cc, yv
         lo = d2 + 1
+    decided = (
+        f"{decided_negative} blocks decided negative and "
+        f"{decided_positive} decided positive by their bounds alone"
+    )
+    count = len(counterexamples)
+    if count:
+        details = (
+            f"{blocks} constant-m blocks; {count} counterexample"
+            f"{'' if count == 1 else 's'} to the enclosure, the block sign or "
+            f"the decrease; {decided}"
+        )
+    else:
+        details = (
+            f"{blocks} constant-m blocks; endpoint bounds enclose every y; "
+            f"{decided}; y strictly decreases whenever m and c both repeat"
+        )
     return verifier.make_report(
         "lemmas/range-bounds",
         1,
         limit,
-        f"{blocks} constant-m blocks; endpoint bounds enclose every y; "
-        f"{decided_negative} blocks decided negative and "
-        f"{decided_positive} decided positive by their bounds alone; "
-        "y strictly decreases whenever m and c both repeat",
+        details,
         counterexamples=counterexamples,
         data={
             "blocks": blocks,
@@ -656,10 +673,49 @@ class TestRewrittenChecksAgainstPerN:
         assert calls == 12
 
 
+class TestDetailsFollowCounterexamples:
+    def test_range_bounds_counterexample(self, monkeypatch):
+        # a c one too large moves the bounds of the n = 1 block off its y
+        c = sequences.c
+        monkeypatch.setattr(sequences, "c", lambda n: c(n) + 1)
+        rep = verifier.check_range_bounds(600)
+        assert rep.counterexamples == [1]
+        assert "; 1 counterexample to the enclosure, the block sign or the decrease; " in (
+            rep.details
+        )
+        assert not any(phrase in rep.details for phrase in CLAIMS_OF_SUCCESS)
+
+    def test_zero_run_is_named(self, monkeypatch):
+        part = verifier.partition_y(1000)
+        zeroed = dataclasses.replace(
+            part, runs=part.runs[:1] + ((5, 5, 0), (6, 335, -1)) + part.runs[2:]
+        )
+        monkeypatch.setattr(verifier, "partition_y", lambda limit: zeroed)
+        rep = verifier.check_theorem2(1000)
+        assert rep.counterexamples == [5]
+        assert rep.details.startswith("zero runs [5, 5]; negative runs [6, 335], ")
+
+    def test_confirmed_details_keep_their_claims(self):
+        assert "; no contradictions" in verifier.check_sign_criteria(600).details
+        rep = verifier.check_range_bounds(600)
+        assert "endpoint bounds enclose every y" in rep.details
+        assert rep.details.endswith("y strictly decreases whenever m and c both repeat")
+
+
 SIGN_READERS = (
     verifier.check_sign_criteria,
     verifier.check_negative_x_bound,
     analytic.check_sign_consistency,
+)
+
+
+# Phrases a report may carry only when it lists no counterexample.
+CLAIMS_OF_SUCCESS = (
+    "no contradictions",
+    "float surrogate sign matches the exact sign everywhere",
+    "y > 0 at every n",
+    "endpoint bounds enclose every y",
+    "y strictly decreases whenever",
 )
 
 
@@ -672,10 +728,16 @@ class TestOneSignSource:
         a, b, sign = part.runs[-1]  # the positive tail, [369, 5000]
         flipped = dataclasses.replace(part, runs=part.runs[:-1] + ((a, b, -sign),))
         monkeypatch.setattr(verifier, "partition_y", lambda limit: flipped)
-        for check in SIGN_READERS:
+        for check in SIGN_READERS + (verifier.check_positive_tail,):
             rep = check(5000)
             assert rep.status == verifier.DISCREPANCY, check.__name__
             assert all(a <= n <= b for n in rep.counterexamples)
+            # the details follow the counterexamples, not the claim
+            assert not any(phrase in rep.details for phrase in CLAIMS_OF_SUCCESS)
+        rep = verifier.check_sign_criteria(5000)
+        assert rep.details.endswith(f"; {len(rep.counterexamples)} contradictions")
+        rep = verifier.check_positive_tail(5000)
+        assert rep.details == f"y <= 0 at {5000 - 404 + 1} values in [404, 5000]"
 
     def test_compares_only_in_the_partition_fallback(self, monkeypatch):
         limit = 10**5
