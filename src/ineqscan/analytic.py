@@ -26,6 +26,7 @@ verifier.make_report and verifier.erratum_for.
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 # partition_y is called through the module, so a wrapper set on
 # verifier.partition_y (a tracer or a test double) sees every call.
@@ -229,16 +230,6 @@ def _margins_monotone(coeffs: FCoeffs) -> bool:
     return math.sqrt(2 * n) * (coeffs.b * LOG2 + math.log(n)) > max(0, 2 * coeffs.c - 2)
 
 
-def _lowest(best, pairs):
-    """Fold (value, n) pairs, given in increasing n, into best = (value, n).
-    The comparison is strict, so a tie keeps the earlier n, as a walk over
-    every n does."""
-    for pair in pairs:
-        if pair[0] < best[0]:
-            best = pair
-    return best
-
-
 def _check_envelopes(claim_id, what, lower, upper, limit, value):
     """One claim that the lower envelope stays strictly below, and the
     upper strictly above, value(n, r, m) for every n in [1, limit]; the
@@ -266,9 +257,10 @@ def _check_envelopes(claim_id, what, lower, upper, limit, value):
     provided both instances pass _margins_monotone.  Every other link,
     and a link with a candidate margin <= 0, is stepped per n, so the
     counterexample list stays exact.  Candidates are folded in increasing
-    n with a strict <, so the minima and their n are those of a walk over
-    every n, as long as float error stays below the three-step change of
-    a margin (above 0.01 up to n = 10**7, against float errors near 1e-9).
+    n by min, which keeps the first of equal values, so the minima and
+    their n are those of a walk over every n, as long as float error stays
+    below the three-step change of a margin (above 0.01 up to n = 10**7,
+    against float errors near 1e-9).
     """
     if limit < 1:
         raise ValueError("limit must be a positive integer")
@@ -289,7 +281,8 @@ def _check_envelopes(claim_id, what, lower, upper, limit, value):
         if lows is None or not all(margin > 0 for margin, _ in lows + ups):
             lows, ups = margins(rr, mm, link, link)
         counterexamples.extend(sorted({n for margin, n in lows + ups if margin <= 0}))
-        best_low, best_up = _lowest(best_low, lows), _lowest(best_up, ups)
+        best_low = min((best_low, *lows), key=itemgetter(0))
+        best_up = min((best_up, *ups), key=itemgetter(0))
     (min_low, min_low_at), (min_up, min_up_at) = best_low, best_up
     if counterexamples:
         claim = (
@@ -329,7 +322,14 @@ def check_bounds_x(limit: int) -> VerificationReport:
 
 def check_bounds_Y(limit: int) -> VerificationReport:
     """The y-lower envelope stays strictly below Y_real(n) and the
-    y-upper envelope strictly above it, for every n in [1, limit]."""
+    y-upper envelope strictly above it, for every n in [1, limit].
+
+    In real arithmetic the lower margin ties at exactly 2/3 wherever 2n
+    is a perfect square and n = 2 (mod 3): there sqrt(2n) = m, so
+    Y - F = c - 2n/3 - 2, and c = 2(n - 2)/3 + 4.  The n reported for the
+    smallest lower margin is whichever of those ties float rounding puts
+    lowest (98, 1682 and 27848 at limits 600, 5000 and 10**5), not a
+    property of the envelope; the error budget has to settle it."""
     return _check_envelopes(
         "analytic/Y-bounds",
         "the y surrogate",
@@ -368,8 +368,8 @@ def check_sign_consistency(limit: int) -> VerificationReport:
     same n hold the piece's least |Y|.  A piece is stepped per n instead
     when it starts below PER_N_BELOW, when its run has sign 0, or when a
     candidate has |Y| <= 1e-6 or the wrong sign, so the counterexample
-    list stays exact.  Candidates are folded in increasing n with a
-    strict <, as a walk over every n would.
+    list stays exact.  Candidates are folded in increasing n by min,
+    which keeps the first of equal values, as a walk over every n would.
 
     Any |Y_real| at or below 1e-6 would be too close to zero to trust
     the float sign and is reported as a counterexample; none occur (the
@@ -391,7 +391,7 @@ def check_sign_consistency(limit: int) -> VerificationReport:
         counterexamples.extend(
             n for y, n in ys if abs(y) <= 1e-6 or (1 if y > 0 else -1) != sign
         )
-        best = _lowest(best, [(abs(y), n) for y, n in ys if n >= 5])
+        best = min((best, *((abs(y), n) for y, n in ys if n >= 5)), key=itemgetter(0))
     min_abs, min_abs_at = best
     if counterexamples:
         details = (

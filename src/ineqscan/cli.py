@@ -7,6 +7,9 @@ Subcommands:
     verify      run claim checks and report their status
     roots       isolate the envelope roots by bisection
 
+Each verify suite is one row of SUITES: its checks, its smallest and
+default --limit and its cap, if any.  --suite all runs every row.
+
 Exit codes: 0 when every requested check is clean (documented errata do
 not count against a run unless --strict is given), 1 when a check found
 a discrepancy (or, with --strict, an erratum) or when stdout was closed
@@ -18,47 +21,64 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from typing import Callable, NamedTuple
 
 from . import analytic, intervals, sequences, verifier
 
-# Smallest --limit each verify suite accepts.  The interesting sign
-# structure ends at n = 546, so the first theorem needs to see past it;
-# the y-side claims need the start of the all-positive tail at 404.
-SUITE_MIN = {
-    "table": 1,
-    "intervals": 1,
-    "theorem1": 547,
-    "theorem2": 404,
-    "lemmas": 404,
-    "analytic": 1,
-    "all": 547,
-}
+class Suite(NamedTuple):
+    """The smallest --limit that attests the claims, the --limit used when
+    none is given (None where the printed tables fix the range and --limit
+    is ignored), run(limit, tol) -> reports, and (largest --limit, why)."""
 
-# Largest --limit each suite accepts, where it has one, with the check that
-# sets it.  The theorem and lemma checks are O(links) and reach 10**12 in
-# seconds, so theorem1, theorem2 and lemmas have no cap.  The float
-# envelope scan is O(links) as well, but the margins it reports shrink
-# toward float error as n grows, so it is capped until they carry one.
-_ENVELOPE_SCAN = (
-    "its float envelope scan compares margins that shrink toward float "
-    "error as n grows (about 1e-3 at 2**29 + 1, and a float 0.0 for a true "
-    "6e-6 at 2**45 + 1), so the cap waits for an error budget"
-)
-SUITE_MAX = {
-    "analytic": (10**7, _ENVELOPE_SCAN),
-    "all": (10**7, _ENVELOPE_SCAN),
-}
+    minimum: int
+    default: int | None
+    run: Callable
+    cap: tuple | None = None
 
-# Suites whose range is fixed by the printed tables; --limit does not apply.
-FIXED_RANGE_SUITES = ("table", "intervals")
 
-# Scan range used when --limit is not given.
-SUITE_DEFAULT = {
-    "theorem1": 600,
-    "theorem2": 1000,
-    "lemmas": 5000,
-    "analytic": 100000,
+# x's sign structure ends at n = 546, so the first theorem needs to see
+# past it; the y-side claims need the start of the all-positive tail.
+_X_SETTLED = max(verifier.X_ZERO_SET) + 1
+_Y_SETTLED = verifier.POSITIVE_TAIL_START
+
+# In report order.  Checks are looked up through their module at call
+# time, so a wrapper set there (a tracer or a test double) sees the call.
+SUITES = {
+    "table": Suite(1, None, lambda limit, _: [verifier.check_reference_table()]),
+    "intervals": Suite(1, None, lambda limit, _: [verifier.check_interval_table()]),
+    "theorem1": Suite(_X_SETTLED, 600, lambda limit, _: [verifier.check_theorem1(limit)]),
+    "theorem2": Suite(_Y_SETTLED, 1000, lambda limit, _: [verifier.check_theorem2(limit)]),
+    "lemmas": Suite(
+        _Y_SETTLED,
+        5000,
+        lambda limit, _: [
+            verifier.check_gap(limit),
+            verifier.check_range_bounds(limit),
+            verifier.check_sign_criteria(limit),
+            verifier.check_negative_x_bound(limit),
+            verifier.check_positive_tail(limit),
+        ],
+    ),
+    "analytic": Suite(
+        1,
+        100000,
+        lambda limit, tol: [
+            analytic.check_bounds_x(limit),
+            analytic.check_bounds_Y(limit),
+            analytic.check_sign_consistency(limit),
+            analytic.check_approximations(),
+            *analytic.check_roots(tol),
+        ],
+        cap=(
+            10**7,
+            "its float envelope scan compares margins that shrink toward float "
+            "error as n grows (about 1e-3 at 2**29 + 1, and a float 0.0 for a true "
+            "6e-6 at 2**45 + 1), so the cap waits for an error budget",
+        ),
+    ),
 }
+# The suites --limit takes up to 10**12: those with a range and no cap.
+_UNCAPPED = "|".join(k for k, v in SUITES.items() if v.default and not v.cap)
 
 
 def _emit_table(columns, records, fmt):
@@ -132,33 +152,6 @@ def cmd_intervals(args):
     return 0
 
 
-def _suite_reports(suite, limit, tol):
-    reports = []
-    if suite in ("table", "all"):
-        reports.append(verifier.check_reference_table())
-    if suite in ("intervals", "all"):
-        reports.append(verifier.check_interval_table())
-    if suite in ("theorem1", "all"):
-        reports.append(verifier.check_theorem1(limit or SUITE_DEFAULT["theorem1"]))
-    if suite in ("theorem2", "all"):
-        reports.append(verifier.check_theorem2(limit or SUITE_DEFAULT["theorem2"]))
-    if suite in ("lemmas", "all"):
-        span = limit or SUITE_DEFAULT["lemmas"]
-        reports.append(verifier.check_gap(span))
-        reports.append(verifier.check_range_bounds(span))
-        reports.append(verifier.check_sign_criteria(span))
-        reports.append(verifier.check_negative_x_bound(span))
-        reports.append(verifier.check_positive_tail(span))
-    if suite in ("analytic", "all"):
-        span = limit or SUITE_DEFAULT["analytic"]
-        reports.append(analytic.check_bounds_x(span))
-        reports.append(analytic.check_bounds_Y(span))
-        reports.append(analytic.check_sign_consistency(span))
-        reports.append(analytic.check_approximations())
-        reports.extend(analytic.check_roots(tol))
-    return reports
-
-
 def _emit_reports(reports, fmt):
     if fmt == "json":
         print(verifier.reports_to_json(reports))
@@ -179,28 +172,31 @@ def _reports_rc(reports, strict):
 def cmd_verify(args):
     # Refuse a bad --tol before any check runs, not after the whole suite.
     analytic.require_tol(args.tol)
-    if args.limit is not None and args.limit < SUITE_MIN[args.suite]:
-        print(
-            f"error: suite {args.suite!r} needs --limit >= "
-            f"{SUITE_MIN[args.suite]} to attest its claims",
-            file=sys.stderr,
-        )
-        return 2
-    cap, reason = SUITE_MAX.get(args.suite, (None, None))
-    if cap is not None and args.limit is not None and args.limit > cap:
-        print(
-            f"error: suite {args.suite!r} takes --limit <= {cap}: {reason}; "
-            "--suite theorem1|theorem2|lemmas reach 10**12",
-            file=sys.stderr,
-        )
-        return 2
-    if args.limit is not None and args.suite in FIXED_RANGE_SUITES:
-        print(
-            f"note: suite {args.suite!r} checks the printed tables at their "
-            "fixed range; --limit is ignored",
-            file=sys.stderr,
-        )
-    reports = _suite_reports(args.suite, args.limit, args.tol)
+    parts = SUITES.values() if args.suite == "all" else [SUITES[args.suite]]
+    if args.limit is not None:
+        minimum = max(p.minimum for p in parts)
+        if args.limit < minimum:
+            print(
+                f"error: suite {args.suite!r} needs --limit >= {minimum} "
+                "to attest its claims",
+                file=sys.stderr,
+            )
+            return 2
+        cap, reason = min((p.cap for p in parts if p.cap), default=(None, None))
+        if cap is not None and args.limit > cap:
+            print(
+                f"error: suite {args.suite!r} takes --limit <= {cap}: {reason}; "
+                f"--suite {_UNCAPPED} reach 10**12",
+                file=sys.stderr,
+            )
+            return 2
+        if all(p.default is None for p in parts):
+            print(
+                f"note: suite {args.suite!r} checks the printed tables at their "
+                "fixed range; --limit is ignored",
+                file=sys.stderr,
+            )
+    reports = [rep for p in parts for rep in p.run(args.limit or p.default, args.tol)]
     _emit_reports(reports, args.format)
     return _reports_rc(reports, args.strict)
 
@@ -238,7 +234,7 @@ def build_parser():
     p_ver = sub.add_parser("verify", help="run claim checks")
     p_ver.add_argument(
         "--suite",
-        choices=("table", "intervals", "theorem1", "theorem2", "lemmas", "analytic", "all"),
+        choices=(*SUITES, "all"),
         default="all",
     )
     p_ver.add_argument("--limit", type=int, default=None, metavar="N")

@@ -20,7 +20,7 @@ only when that list is empty; otherwise they give the count.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import groupby
 from operator import itemgetter
 from typing import Any, Callable, Iterable
@@ -46,12 +46,7 @@ class Erratum:
     note: str
 
     def to_dict(self) -> dict:
-        return {
-            "item": self.item,
-            "printed": self.printed,
-            "computed": self.computed,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass

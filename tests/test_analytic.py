@@ -9,6 +9,7 @@ script; those appear here rounded to 12 places.
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -189,6 +190,16 @@ class TestSandwich:
         rep = analytic.check_bounds_Y(10**4)
         assert rep.status == verifier.CONFIRMED
         assert rep.data["min_upper_margin"] > 0
+
+    @pytest.mark.parametrize("limit", [600, 5000, 10**5])
+    def test_y_lower_margin_ties_at_two_thirds(self, limit):
+        # Y - F = c - 2n/3 - 2 = 2/3 where 2n = m*m and n % 3 == 2, so the
+        # reported n is one of those ties, picked by float rounding
+        rep = analytic.check_bounds_Y(limit)
+        assert abs(rep.data["min_lower_margin"] - 2 / 3) < 1e-9
+        n = int(re.search(r"smallest lower margin \S+ at n = (\d+)", rep.details)[1])
+        assert math.isqrt(2 * n) ** 2 == 2 * n
+        assert n % 3 == 2
 
     def test_pointwise_spot_checks(self):
         for n in (1, 2, 16, 365, 546, 9999):

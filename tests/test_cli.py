@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from ineqscan import cli, intervals, sequences, verifier
+from ineqscan import analytic, cli, intervals, sequences, verifier
 
 # computed rows for the default seq range, including the exact y column
 SEQ_ROWS_1_16 = [
@@ -382,6 +382,94 @@ class TestVerify:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0].startswith("claim_id,lo,hi,status")
         assert len(lines) == 2
+
+
+LEMMA_CHECKS = [
+    "check_gap",
+    "check_range_bounds",
+    "check_sign_criteria",
+    "check_negative_x_bound",
+    "check_positive_tail",
+]
+
+
+def all_suite_calls(limit=None, tol=1e-9):
+    """Every check verify --suite all runs, in report order, with the
+    arguments it gets: the --limit given, else its suite's default."""
+    return [
+        ("verifier", "check_reference_table"),
+        ("verifier", "check_interval_table"),
+        ("verifier", "check_theorem1", limit or 600),
+        ("verifier", "check_theorem2", limit or 1000),
+        *(("verifier", name, limit or 5000) for name in LEMMA_CHECKS),
+        ("analytic", "check_bounds_x", limit or 100000),
+        ("analytic", "check_bounds_Y", limit or 100000),
+        ("analytic", "check_sign_consistency", limit or 100000),
+        ("analytic", "check_approximations"),
+        ("analytic", "check_roots", tol),
+    ]
+
+
+class TestSuiteTable:
+    """verify looks each check up through its module when it runs, so a
+    wrapper set on the module sees every call, with the limit the suite
+    passes."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        recorded = []
+        for module in (verifier, analytic):
+            short = module.__name__.rsplit(".", 1)[-1]
+            for name in dir(module):
+                if name.startswith("check_"):
+                    check = getattr(module, name)
+
+                    def wrapper(*args, _check=check, _name=(short, name)):
+                        recorded.append((*_name, *args))
+                        return _check(*args)
+
+                    monkeypatch.setattr(module, name, wrapper)
+        return recorded
+
+    def test_all_runs_every_check_in_report_order_at_its_default(self, calls, capsys):
+        assert cli.main(["verify"]) == 0
+        capsys.readouterr()
+        assert calls == all_suite_calls()
+
+    def test_all_passes_the_given_limit_and_tol(self, calls, capsys):
+        argv = ["verify", "--suite", "all", "--limit", "547", "--tol", "1e-6"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert calls == all_suite_calls(limit=547, tol=1e-6)
+
+    @pytest.mark.parametrize("argv, limit", [([], 5000), (["--limit", "404"], 404)])
+    def test_lemmas_runs_exactly_the_lemma_checks(self, calls, capsys, argv, limit):
+        assert cli.main(["verify", "--suite", "lemmas", *argv]) == 0
+        capsys.readouterr()
+        assert calls == [("verifier", name, limit) for name in LEMMA_CHECKS]
+
+
+def readme_suites():
+    """The rows of README's suite table: name -> (minimum, default, cap)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        name, limits = cells[0], cells[2:]
+        if len(limits) == 3 and name.startswith("`") and limits[0].isdigit():
+            rows[name.strip("`")] = tuple(int(c) if c.isdigit() else None for c in limits)
+    return rows
+
+
+def test_readme_suite_table_matches_suites():
+    rows = readme_suites()
+    assert list(rows) == [*cli.SUITES, "all"]
+    for name, suite in cli.SUITES.items():
+        cap = suite.cap and suite.cap[0]
+        assert rows[name] == (suite.minimum, suite.default, cap), name
+    minimum = max(suite.minimum for suite in cli.SUITES.values())
+    cap = min(suite.cap[0] for suite in cli.SUITES.values() if suite.cap)
+    assert rows["all"] == (minimum, None, cap)
 
 
 class TestRoots:
