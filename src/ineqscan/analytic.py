@@ -340,27 +340,13 @@ def check_bounds_Y(limit: int) -> VerificationReport:
     )
 
 
-def _run_pieces(runs, limit):
-    """Yield (a, b, m, sign) for each stretch [a, b] where one of the
-    consecutive (start, end, sign) runs covering [1, limit] meets one
-    chain link, in increasing order."""
-    runs = iter(runs)
-    run_end = 0
-    for lo, hi, _, mm in sequences.chain_links(1, limit):
-        while lo <= hi:
-            if run_end < lo:
-                _, run_end, sign = next(runs)
-            end = min(hi, run_end)
-            yield lo, end, mm, sign
-            lo = end + 1
-
-
 def check_sign_consistency(limit: int) -> VerificationReport:
     """sign(Y_real(n)) agrees with the exact sign of y(n) on [1, limit].
 
-    The exact sign is read from the runs of verifier.partition_y, cut at
-    the chain links so that m is fixed on each piece.  With s = sqrt(2n)
-    and m <= s, Y(n + 3) - Y(n) = 2 - (m - 1) log2(1 + 3/n) is at least
+    Walked run by run: for each run (a, b, sign) of verifier.partition_y,
+    the chain links clipped to [a, b], so that the sign and m are fixed
+    on each piece.  With s = sqrt(2n) and m <= s,
+    Y(n + 3) - Y(n) = 2 - (m - 1) log2(1 + 3/n) is at least
     2 - 3(s - 1)/(n ln 2), which is positive from n = 10 on (1.50 is
     subtracted at n = 10, less after).  So Y increases on each residue
     class mod 3 of a piece: a positive piece is settled by Y at its
@@ -381,17 +367,20 @@ def check_sign_consistency(limit: int) -> VerificationReport:
         raise ValueError("limit must be a positive integer")
     counterexamples = []
     best = (math.inf, None)
-    for a, b, mm, sign in _run_pieces(verifier.partition_y(limit).runs, limit):
-        piece = range(a, b + 1)
-        ys = None
-        if a >= PER_N_BELOW and sign != 0:
-            ys = [(_Y(n, mm), n) for n in (piece[:3] if sign > 0 else piece[-3:])]
-        if ys is None or not all(sign * y > 1e-6 for y, _ in ys):
-            ys = [(_Y(n, mm), n) for n in piece]
-        counterexamples.extend(
-            n for y, n in ys if abs(y) <= 1e-6 or (1 if y > 0 else -1) != sign
-        )
-        best = min((best, *((abs(y), n) for y, n in ys if n >= 5)), key=itemgetter(0))
+    for a, b, sign in verifier.partition_y(limit).runs:
+        for lo, hi, _, mm in sequences.chain_links(a, b):
+            piece = range(lo, hi + 1)
+            ys = None
+            if lo >= PER_N_BELOW and sign != 0:
+                ys = [(_Y(n, mm), n) for n in (piece[:3] if sign > 0 else piece[-3:])]
+            if ys is None or not all(sign * y > 1e-6 for y, _ in ys):
+                ys = [(_Y(n, mm), n) for n in piece]
+            counterexamples.extend(
+                n for y, n in ys if abs(y) <= 1e-6 or (1 if y > 0 else -1) != sign
+            )
+            best = min(
+                (best, *((abs(y), n) for y, n in ys if n >= 5)), key=itemgetter(0)
+            )
     min_abs, min_abs_at = best
     if counterexamples:
         details = (

@@ -668,32 +668,32 @@ def check_sign_criteria(limit: int) -> VerificationReport:
     """The two threshold criteria on c: with s = r(n) and t = m(n),
     c <= s(t-1) + 1 forces y < 0 and c > s(t-1) + t forces y > 0.
 
-    Settled one chain link at a time.  On a link (a, b, r, m) the
-    threshold T = r*(m-1) is constant and c(n) = 2*(n // 3) + 4 does not
-    decrease, so the negative criterion holds exactly on the prefix
-    n <= 3*((T - 3) // 2) + 2 of the link and the positive one exactly on
-    the suffix n >= 3*((T + m - 4) // 2) + 3.  These pieces are merged
-    with the runs of partition_y: the counterexamples are the n where a
-    piece meets a run of the other sign.  No n is visited one at a time,
-    so the cost is that of partition_y, O(links)."""
+    Walked run by run: for each run (a, b, sign) of partition_y, the
+    chain links clipped to [a, b].  r and m are functions of n, so a
+    clipped link keeps its link's threshold T = r*(m-1), and
+    c(n) = 2*(n // 3) + 4 does not decrease: the negative criterion holds
+    exactly on the prefix n <= 3*((T - 3) // 2) + 2 of the link and the
+    positive one exactly on the suffix n >= 3*((T + m - 4) // 2) + 3.
+    Each piece where a criterion holds against the run's sign is a list
+    of counterexamples.  No n is visited one at a time, so the cost is
+    that of partition_y, O(links)."""
     if limit < 1:
         raise ValueError("limit must be a positive integer")
-    applies = {-1: 0, 1: 0}
-
-    def pieces():
-        for a, b, rr, mm in sequences.chain_links(1, limit):
+    counterexamples = []
+    applies_negative = applies_positive = 0
+    for a, b, sign in partition_y(limit).runs:
+        for lo, hi, rr, mm in sequences.chain_links(a, b):
             threshold = rr * (mm - 1)
-            neg_end = min(b, 3 * ((threshold - 3) // 2) + 2)
-            if a <= neg_end:
-                applies[-1] += neg_end - a + 1
-                yield a, neg_end, -1
-            pos_start = max(a, 3 * ((threshold + mm - 4) // 2) + 3)
-            if pos_start <= b:
-                applies[1] += b - pos_start + 1
-                yield pos_start, b, 1
-
-    counterexamples = _mismatches(partition_y(limit).runs, pieces())
-    applies_negative, applies_positive = applies[-1], applies[1]
+            neg_end = min(hi, 3 * ((threshold - 3) // 2) + 2)
+            if lo <= neg_end:
+                applies_negative += neg_end - lo + 1
+                if sign != -1:
+                    counterexamples.extend(range(lo, neg_end + 1))
+            pos_start = max(lo, 3 * ((threshold + mm - 4) // 2) + 3)
+            if pos_start <= hi:
+                applies_positive += hi - pos_start + 1
+                if sign != 1:
+                    counterexamples.extend(range(pos_start, hi + 1))
     verdict = "no contradictions"
     if counterexamples:
         verdict = plural(len(counterexamples), "contradiction")
@@ -718,8 +718,10 @@ def check_negative_x_bound(limit: int) -> VerificationReport:
     """Wherever y(n) <= 0, x(n) is at most -r(n) - 3, which is itself
     at most -6.  Vacuous below n = 5 where y is positive.
 
-    Only the runs of partition_y with y <= 0 are stepped.  By theorem 2
-    they end at n = 368, so the cost is that of partition_y, O(links)."""
+    Walked run by run, as check_sign_criteria is: only the runs of
+    partition_y with y <= 0 are stepped, by scan over their chain links.
+    By theorem 2 they end at n = 368, so the cost is that of partition_y,
+    O(links)."""
     if limit < 1:
         raise ValueError("limit must be a positive integer")
     counterexamples = []

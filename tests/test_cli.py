@@ -321,11 +321,12 @@ class TestVerify:
             assert cli.main(["verify", "--suite", suite]) == 0
             plain = capsys.readouterr()
             assert plain.err == ""
-            assert cli.main(["verify", "--suite", suite, "--limit", "5000"]) == 0
-            noted = capsys.readouterr()
-            assert noted.out == plain.out
-            assert noted.err.count("\n") == 1
-            assert "--limit is ignored" in noted.err
+            for limit in ("5000", "0", "-3"):
+                assert cli.main(["verify", "--suite", suite, "--limit", limit]) == 0
+                noted = capsys.readouterr()
+                assert noted.out == plain.out
+                assert noted.err.count("\n") == 1
+                assert "--limit is ignored" in noted.err
         assert cli.main(["verify", "--suite", "theorem1", "--limit", "600"]) == 0
         assert capsys.readouterr().err == ""
 
@@ -346,6 +347,8 @@ class TestVerify:
         assert cli.main(["verify", "--suite", "theorem2", "--limit", "100"]) == 2
         assert cli.main(["verify", "--suite", "all", "--limit", "546"]) == 2
         capsys.readouterr()
+        assert cli.main(["verify", "--suite", "all", "--limit", "0"]) == 2
+        assert "547" in capsys.readouterr().err
 
     def test_all_suite_capped_by_envelope_scan(self, capsys):
         argv = ["verify", "--suite", "all", "--limit", str(10**7 + 1)]
@@ -450,13 +453,16 @@ class TestSuiteTable:
 
 
 def readme_suites():
-    """The rows of README's suite table: name -> (minimum, default, cap)."""
+    """The rows of README's suite table: name -> (minimum, default, cap),
+    with None for a cell that is not a number ("none", "fixed range")."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = {}
     for line in readme.splitlines():
         cells = [cell.strip() for cell in line.strip("|").split("|")]
         name, limits = cells[0], cells[2:]
-        if len(limits) == 3 and name.startswith("`") and limits[0].isdigit():
+        if len(limits) == 3 and name.startswith("`") and (
+            limits[0].isdigit() or limits[0] == "none"
+        ):
             rows[name.strip("`")] = tuple(int(c) if c.isdigit() else None for c in limits)
     return rows
 
@@ -467,9 +473,22 @@ def test_readme_suite_table_matches_suites():
     for name, suite in cli.SUITES.items():
         cap = suite.cap and suite.cap[0]
         assert rows[name] == (suite.minimum, suite.default, cap), name
-    minimum = max(suite.minimum for suite in cli.SUITES.values())
+    minimum = max(suite.minimum or 0 for suite in cli.SUITES.values())
     cap = min(suite.cap[0] for suite in cli.SUITES.values() if suite.cap)
     assert rows["all"] == (minimum, None, cap)
+
+
+@pytest.mark.parametrize(
+    "suite, limit", [("theorem1", 10**6), ("theorem2", 10**6), ("lemmas", 10**9)]
+)
+def test_integer_suites_match_golden_bytes(capsys, suite, limit):
+    # tests/golden holds the JSON these suites print, recorded once; it
+    # holds no floats, so a changed byte is a change of behaviour: mend the
+    # code, never regenerate the files to match it
+    argv = ["verify", "--suite", suite, "--limit", str(limit), "--format", "json"]
+    assert cli.main(argv) == 0
+    golden = Path(__file__).resolve().parent / "golden" / f"{suite}-{limit}.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
 class TestRoots:

@@ -739,6 +739,28 @@ class TestOneSignSource:
         rep = verifier.check_positive_tail(5000)
         assert rep.details == f"y <= 0 at {5000 - 404 + 1} values in [404, 5000]"
 
+    def test_run_boundary_inside_a_link_is_cut_exactly(self, monkeypatch):
+        # a negative run [1000, 1010] strictly inside the link [968, 1012]:
+        # the checks must cut the link at both run ends, so exactly the n of
+        # that run disagree, and the criteria still count every n once
+        part = verifier.partition_y(5000)
+        assert part.runs[-1] == (369, 5000, 1)
+        assert (968, 1012, 10, 44) in sequences.chain_links(900, 1100)
+        split = ((369, 999, 1), (1000, 1010, -1), (1011, 5000, 1))
+        split_part = dataclasses.replace(part, runs=part.runs[:-1] + split)
+        monkeypatch.setattr(verifier, "partition_y", lambda limit: split_part)
+        positive = [
+            n
+            for n in range(1000, 1011)
+            if sequences.c(n) > sequences.r(n) * (sequences.m(n) - 1) + sequences.m(n)
+        ]
+        assert positive == list(range(1000, 1011))
+        rep = verifier.check_sign_criteria(5000)
+        assert rep.counterexamples == positive
+        assert (rep.data["applies_negative"], rep.data["applies_positive"]) == (297, 4608)
+        rep = analytic.check_sign_consistency(5000)
+        assert rep.counterexamples == list(range(1000, 1011))
+
     def test_compares_only_in_the_partition_fallback(self, monkeypatch):
         limit = 10**5
         per_n = verifier.partition_y(limit).per_n
