@@ -25,8 +25,8 @@ verifier.make_report and verifier.erratum_for.
 """
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 # partition_y is called through the module, so a wrapper set on
 # verifier.partition_y (a tracer or a test double) sees every call.
@@ -46,8 +46,7 @@ LOG2 = math.log(2.0)
 MARGIN_FLOOR = 1e-9
 
 
-@dataclass(frozen=True)
-class FCoeffs:
+class FCoeffs(NamedTuple):
     """Coefficients (a, b, c) of one envelope instance.
 
     The envelope family is
@@ -134,8 +133,7 @@ def F_second(coeffs: FCoeffs, t: float) -> float:
     return num / (2.0 * math.sqrt(2.0) * t * t * LOG2)
 
 
-@dataclass(frozen=True)
-class RootBracket:
+class RootBracket(NamedTuple):
     """A bisection outcome: the root lies strictly inside (lo, hi)."""
 
     lo: float

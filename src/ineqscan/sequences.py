@@ -29,14 +29,12 @@ link it cannot certify as a whole.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .exactarith import cmp_pow2_vs_pow
 
 
-@dataclass(frozen=True)
-class SequenceRow:
+class SequenceRow(NamedTuple):
     """Every sequence value at a single n, mutually consistent."""
 
     n: int

@@ -20,10 +20,9 @@ only when that list is empty; otherwise they give the count.
 """
 
 import json
-from dataclasses import asdict, dataclass, field
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from . import exactarith, intervals, sequences
 
@@ -36,8 +35,7 @@ KNOWN_ERRATUM = "KNOWN_ERRATUM"
 DISCREPANCY = "DISCREPANCY"
 
 
-@dataclass(frozen=True)
-class Erratum:
+class Erratum(NamedTuple):
     """One documented misprint in the reference data."""
 
     item: str
@@ -45,22 +43,21 @@ class Erratum:
     computed: Any
     note: str
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
+class VerificationReport(NamedTuple):
+    """Outcome of one claim check over an inclusive range [lo, hi].
 
-@dataclass
-class VerificationReport:
-    """Outcome of one claim check over an inclusive range [lo, hi]."""
+    Built by make_report and immutable, so its status stays the one its
+    evidence gives."""
 
     claim_id: str
     lo: int
     hi: int
     status: str
     details: str
-    counterexamples: list = field(default_factory=list)
-    errata: list = field(default_factory=list)
-    data: dict = field(default_factory=dict)
+    counterexamples: list
+    errata: list
+    data: dict
 
     def to_dict(self) -> dict:
         return {
@@ -69,7 +66,7 @@ class VerificationReport:
             "status": self.status,
             "details": self.details,
             "counterexamples": list(self.counterexamples),
-            "errata": [e.to_dict() for e in self.errata],
+            "errata": [e._asdict() for e in self.errata],
             "data": self.data,
         }
 
@@ -101,8 +98,7 @@ def make_report(claim_id, lo, hi, details, counterexamples=(), errata=(), data=N
     )
 
 
-@dataclass(frozen=True)
-class SignPartition:
+class SignPartition(NamedTuple):
     """Decomposition of [1, limit] into maximal runs of constant sign.
 
     Attributes:
@@ -113,12 +109,15 @@ class SignPartition:
         blocks: chain links whose signs were settled as a whole.
         per_n: values of n whose sign was decided one at a time; together
             with the blocks they cover [1, limit] exactly once.
+
+    Partitions compare as tuples, blocks and per_n included; compare runs
+    to ask whether two routes agree on the signs.
     """
 
     limit: int
     runs: tuple
-    blocks: int = field(default=0, compare=False)
-    per_n: int = field(default=0, compare=False)
+    blocks: int = 0
+    per_n: int = 0
 
     def runs_of(self, sign: int) -> list[tuple[int, int]]:
         """The (start, end) pairs whose run has the given sign."""
@@ -283,9 +282,10 @@ NARRATIVE_NOTE_338_350 = (
 )
 
 # Documented misprints in the reference data, keyed by
-# (claim, field, item key).  Values: (label, printed, computed, note).
+# (claim, field, item key); a report carries the Erratum when the
+# recomputed value is its computed field.
 KNOWN_ERRATA = {
-    ("reference-table", "x", 15): (
+    ("reference-table", "x", 15): Erratum(
         "x(15)",
         -21,
         -16,
@@ -293,21 +293,21 @@ KNOWN_ERRATA = {
         "-21 also contradicts the printed interval row for [13, 16] "
         "(x between -17 and -15)",
     ),
-    ("reference-table", "x", 16): (
+    ("reference-table", "x", 16): Erratum(
         "x(16)",
         -20,
         -15,
         "definitions give z=10, r=4, m=5, so x = 10 - 5*5 = -15; same "
         "interval-row contradiction as x(15)",
     ),
-    ("interval-table", "m", 41): (
+    ("interval-table", "m", 41): Erratum(
         "interval 41 m",
         32,
         33,
         "isqrt(2*545) = 33 since 33*33 = 1089 <= 1090 < 1156; the printed "
         "x range 0..21 for this row is itself only consistent with m = 33",
     ),
-    ("root-bracket", "bracket", "y-lower"): (
+    ("root-bracket", "bracket", "y-lower"): Erratum(
         "y-lower root bracket",
         (379, 389),
         (379, 380),
@@ -321,12 +321,7 @@ def erratum_for(claim: str, column: str, key, computed) -> Erratum | None:
     """Return the documented erratum for this cell if the computed value
     matches the documented correction; None otherwise."""
     entry = KNOWN_ERRATA.get((claim, column, key))
-    if entry is None:
-        return None
-    label, printed, expected, note = entry
-    if computed != expected:
-        return None
-    return Erratum(item=label, printed=printed, computed=computed, note=note)
+    return Erratum(*entry) if entry is not None and entry[2] == computed else None
 
 
 def expected_x_sign(n: int) -> int:

@@ -6,7 +6,6 @@ the bisection brackets against values recomputed with an independent
 script; those appear here rounded to 12 places.
 """
 
-import dataclasses
 import json
 import math
 import re
@@ -541,7 +540,7 @@ class TestCandidateRoute:
         # so every n of the run must be listed, not only the candidates
         part = verifier.partition_y(5000)
         a, b, sign = part.runs[-1]
-        flipped = dataclasses.replace(part, runs=part.runs[:-1] + ((a, b, -sign),))
+        flipped = part._replace(runs=part.runs[:-1] + ((a, b, -sign),))
         monkeypatch.setattr(verifier, "partition_y", lambda limit: flipped)
         rep = analytic.check_sign_consistency(5000)
         assert rep.counterexamples == list(range(a, b + 1))

@@ -2,7 +2,8 @@
 
 Everything runs in-process through cli.main so exit codes and exact
 stdout bytes can be asserted without spawning subprocesses; only the
-closed-pipe test needs a real child process and a real pipe.
+closed-pipe test needs a real child process and a real pipe, and the
+import test a fresh interpreter.
 """
 
 import json
@@ -479,16 +480,43 @@ def test_readme_suite_table_matches_suites():
 
 
 @pytest.mark.parametrize(
-    "suite, limit", [("theorem1", 10**6), ("theorem2", 10**6), ("lemmas", 10**9)]
+    "suite, limit",
+    [
+        ("theorem1", 10**6),
+        ("theorem2", 10**6),
+        ("lemmas", 10**9),
+        ("table", None),
+        ("intervals", None),
+    ],
 )
 def test_integer_suites_match_golden_bytes(capsys, suite, limit):
     # tests/golden holds the JSON these suites print, recorded once; it
     # holds no floats, so a changed byte is a change of behaviour: mend the
-    # code, never regenerate the files to match it
-    argv = ["verify", "--suite", suite, "--limit", str(limit), "--format", "json"]
+    # code, never regenerate the files to match it.  table and intervals
+    # run at their fixed range and pin how errata serialize.
+    argv = ["verify", "--suite", suite, "--format", "json"]
+    name = suite
+    if limit is not None:
+        argv += ["--limit", str(limit)]
+        name += f"-{limit}"
     assert cli.main(argv) == 0
-    golden = Path(__file__).resolve().parent / "golden" / f"{suite}-{limit}.json"
+    golden = Path(__file__).resolve().parent / "golden" / f"{name}.json"
     assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+def test_cli_import_loads_no_dataclasses():
+    # every record is a NamedTuple; dataclasses would cost each CLI process
+    # most of the package's import time.  -S keeps site .pth hooks out.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "import ineqscan.cli, ineqscan.intervals; "
+        "assert 'dataclasses' not in sys.modules"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 class TestRoots:
@@ -508,6 +536,12 @@ class TestRoots:
         assert len(reports) == 4
         for rep in reports:
             assert rep["data"]["width"] <= 1e-6
+        # the one erratum, key order included; floats elsewhere in this
+        # output keep it out of tests/golden
+        (rep,) = [rep for rep in reports if rep["claim_id"] == "roots/y-lower"]
+        item, _, _, note = verifier.KNOWN_ERRATA[("root-bracket", "bracket", "y-lower")]
+        expected = {"item": item, "printed": [379, 389], "computed": [379, 380], "note": note}
+        assert [list(e.items()) for e in rep["errata"]] == [list(expected.items())]
 
     def test_bad_tol_exits_2(self, capsys):
         assert cli.main(["roots", "--tol", "-1"]) == 2

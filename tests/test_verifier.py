@@ -7,7 +7,6 @@ acceptance gate rely on: status is derived from the evidence lists and
 never set freely.
 """
 
-import dataclasses
 import json
 from functools import lru_cache
 
@@ -104,6 +103,13 @@ class TestReportShape:
             counterexamples=[7],
             errata=[verifier.Erratum("it", 1, 2, "why")],
         )
+        assert rep.status == verifier.DISCREPANCY
+
+    def test_reports_are_immutable(self):
+        rep = verifier.make_report("demo", 1, 10, "broken", counterexamples=[7])
+        assert rep.status == verifier.DISCREPANCY
+        with pytest.raises(AttributeError):
+            rep.status = verifier.CONFIRMED
         assert rep.status == verifier.DISCREPANCY
 
     def test_to_dict_round_trips_through_json(self):
@@ -687,8 +693,8 @@ class TestDetailsFollowCounterexamples:
 
     def test_zero_run_is_named(self, monkeypatch):
         part = verifier.partition_y(1000)
-        zeroed = dataclasses.replace(
-            part, runs=part.runs[:1] + ((5, 5, 0), (6, 335, -1)) + part.runs[2:]
+        zeroed = part._replace(
+            runs=part.runs[:1] + ((5, 5, 0), (6, 335, -1)) + part.runs[2:]
         )
         monkeypatch.setattr(verifier, "partition_y", lambda limit: zeroed)
         rep = verifier.check_theorem2(1000)
@@ -726,7 +732,7 @@ class TestOneSignSource:
     def test_flipped_run_is_a_discrepancy(self, monkeypatch):
         part = verifier.partition_y(5000)
         a, b, sign = part.runs[-1]  # the positive tail, [369, 5000]
-        flipped = dataclasses.replace(part, runs=part.runs[:-1] + ((a, b, -sign),))
+        flipped = part._replace(runs=part.runs[:-1] + ((a, b, -sign),))
         monkeypatch.setattr(verifier, "partition_y", lambda limit: flipped)
         for check in SIGN_READERS + (verifier.check_positive_tail,):
             rep = check(5000)
@@ -747,7 +753,7 @@ class TestOneSignSource:
         assert part.runs[-1] == (369, 5000, 1)
         assert (968, 1012, 10, 44) in sequences.chain_links(900, 1100)
         split = ((369, 999, 1), (1000, 1010, -1), (1011, 5000, 1))
-        split_part = dataclasses.replace(part, runs=part.runs[:-1] + split)
+        split_part = part._replace(runs=part.runs[:-1] + split)
         monkeypatch.setattr(verifier, "partition_y", lambda limit: split_part)
         positive = [
             n
