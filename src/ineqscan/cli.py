@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 from typing import Callable, NamedTuple
 
 from . import analytic, intervals, sequences, verifier
@@ -117,23 +116,48 @@ def _emit_table(columns, records, fmt):
         out.writelines(line % row for row in cells)
 
 
-@contextmanager
-def _unlimited_int_digits():
-    """Lift the interpreter's int -> str digit cap (Python 3.11+) for the
-    block and restore it afterwards: exact y outgrows the default 4300
-    digits from n = 21735 on."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
+def _with_exact_y(records):
+    """Append y(n) to each record of sequences.rows, as an exact Decimal.
+
+    y = 2**e - q with e = c - m and q = n**(m - 1), and q has a small
+    share of y's bits (about a fifth at n = 20000, less further out).
+    So 2**e is kept as a Decimal P from row to row: multiplied by
+    2**(e' - e) when e rises (by 2 at each multiple of 3 inside a link),
+    and recomputed by one power when e falls (by 1 at each m step).  Each
+    row then converts only q = 2**e - y from binary, where str(y) of the
+    int would convert all of y, at a cost quadratic in its digits.
+
+    Exact: every operand is an integer with exponent 0, the precision
+    and exponent range are the largest the module allows, and Inexact
+    and Rounded trap, so a result that could not be held exactly raises
+    instead of rounding.  str() of an integral Decimal with exponent 0
+    is the same text, sign included, as str() of the int.  The value is
+    still sequences.y_value(n), called once per row: P - (2**e - y) = y.
+    """
+    import decimal  # only --exact-y pays its import and memory
+
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
+    )
+    e = p = None
+    for rec in records:
+        y = sequences.y_value(rec[0])
+        if rec[6] != e:  # rec[6] is c - m
+            if e is not None and rec[6] > e:
+                p = ctx.multiply(p, 1 << (rec[6] - e))
+            else:
+                p = ctx.power(2, rec[6])
+            e = rec[6]
+        yield rec + (ctx.subtract(p, (1 << e) - y),)
 
 
 def cmd_seq(args):
+    """Print sequences.rows over [--from, --to]; with --exact-y, add y(n)
+    as an exact Decimal built by _with_exact_y, whose text is that of the
+    int, so no big int is converted to str and the interpreter's digit
+    cap never applies."""
     start, stop = args.start, args.stop
     if start < 1 or stop < start:
         raise ValueError("need 1 <= --from <= --to")
@@ -141,9 +165,8 @@ def cmd_seq(args):
     records = sequences.rows(start, stop)
     if args.exact_y:
         columns.append("y")
-        records = (rec + (sequences.y_value(rec[0]),) for rec in records)
-    with _unlimited_int_digits():
-        _emit_table(columns, records, args.format)
+        records = _with_exact_y(records)
+    _emit_table(columns, records, args.format)
     return 0
 
 

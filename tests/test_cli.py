@@ -3,19 +3,22 @@
 Everything runs in-process through cli.main so exit codes and exact
 stdout bytes can be asserted without spawning subprocesses; only the
 closed-pipe test needs a real child process and a real pipe, and the
-import test a fresh interpreter.
+two import tests a fresh interpreter.
 """
 
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ineqscan import analytic, cli, intervals, sequences, verifier
 
@@ -58,6 +61,16 @@ def exact_y(n):
     c = 2 * n - 2 * ((2 * n - 1) // 3) + 2
     m = math.isqrt(2 * n)
     return 2 ** (c - m) - n ** (m - 1)
+
+
+def printed_y(out):
+    """(n, y) as printed by seq --format csv --exact-y, both kept as text."""
+    return [(f[0], f[-1]) for f in (ln.split(",") for ln in out.split("\n")[1:-1])]
+
+
+def expected_y(start, stop):
+    with unlimited_int_digits():
+        return [(str(n), str(sequences.y_value(n))) for n in range(start, stop + 1)]
 
 
 def reference_table(rows, columns, fmt):
@@ -114,12 +127,21 @@ def reference_intervals(limit, fmt):
 
 class TestStreamedOutput:
     # 2040..2060 crosses m's step at 2n = 64*64 (n = 2048) and r's at
-    # n = 2**11 + 1; y(21735) is the first y with more than 4300 digits
+    # n = 2**11 + 1; y(21735) is the first y with more than 4300 digits;
+    # 124997..125003 crosses m's step at n = 500*500/2, where c - m falls
     @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
     @pytest.mark.parametrize("exact_y", [False, True])
     @pytest.mark.parametrize(
         "start, stop",
-        [(1, 1), (1, 16), (13, 16), (400, 600), (2040, 2060), (21730, 21740)],
+        [
+            (1, 1),
+            (1, 16),
+            (13, 16),
+            (400, 600),
+            (2040, 2060),
+            (21730, 21740),
+            (124997, 125003),
+        ],
     )
     def test_seq_matches_row_by_row_emitter(self, capsys, fmt, exact_y, start, stop):
         argv = ["seq", "--from", str(start), "--to", str(stop), "--format", fmt]
@@ -244,6 +266,33 @@ class TestSeq:
                 got = [(int(f[0]), int(f[-1])) for f in (ln.split() for ln in lines)]
             assert got == [(n, exact_y(n)) for n in range(21730, 21741)]
             assert len(str(abs(exact_y(21735)))) > 4300
+
+    # The y column carries 2**(c - m) from row to row: all of [1, 600]
+    # (y <= 0 up to 368), m's steps at n = k*k//2 (c - m falls by 1, or
+    # rises by 1 where the step is a multiple of 3), windows starting at
+    # each residue mod 3 (c - m rises by 2 at multiples of 3), r's steps
+    # at 2**r and one window at 10**6.
+    @pytest.mark.parametrize(
+        "start, stop",
+        [(1, 600)]
+        + [(k * k // 2 - 3, k * k // 2 + 3) for k in (37, 66, 99, 150, 301, 500, 700)]
+        + [(3000 + i, 3010 + i) for i in range(3)]
+        + [(2**r - 3, 2**r + 3) for r in range(11, 18)]
+        + [(10**6, 10**6 + 2)],
+    )
+    def test_exact_y_column_is_str_of_y_value(self, capsys, start, stop):
+        argv = ["seq", "--from", str(start), "--to", str(stop), "--format", "csv"]
+        assert cli.main(argv + ["--exact-y"]) == 0
+        assert printed_y(capsys.readouterr().out) == expected_y(start, stop)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 2 * 10**5), st.integers(0, 40))
+    def test_exact_y_column_on_any_window(self, start, width):
+        buf = io.StringIO()
+        argv = ["seq", "--from", str(start), "--to", str(start + width), "--exact-y"]
+        with redirect_stdout(buf):
+            assert cli.main(argv + ["--format", "csv"]) == 0
+        assert printed_y(buf.getvalue()) == expected_y(start, start + width)
 
     def test_bad_range_exits_2(self, capsys):
         assert cli.main(["seq", "--from", "0", "--to", "5"]) == 2
@@ -513,6 +562,32 @@ def test_cli_import_loads_no_dataclasses():
         "import ineqscan.cli, ineqscan.intervals; "
         "assert 'dataclasses' not in sys.modules"
     )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_decimal_loads_only_for_exact_y():
+    # --exact-y alone imports decimal; every other command keeps its
+    # start-up time and memory.  -S keeps site .pth hooks out.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"""
+import io, sys
+sys.path.insert(0, {src!r})
+from ineqscan import cli
+sys.stdout = io.StringIO()
+for argv in (
+    "verify --suite all --limit 5000 --format json",
+    "seq --to 100 --format csv",
+    "intervals --limit 600",
+    "roots",
+):
+    assert cli.main(argv.split()) == 0, argv
+assert "decimal" not in sys.modules
+assert cli.main("seq --to 20 --exact-y".split()) == 0
+assert "decimal" in sys.modules
+"""
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, timeout=60
     )
