@@ -22,7 +22,7 @@ only when that list is empty; otherwise they give the count.
 import json
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, NamedTuple
 
 from . import exactarith, intervals, sequences
 
@@ -324,52 +324,41 @@ def erratum_for(claim: str, column: str, key, computed) -> Erratum | None:
     return Erratum(*entry) if entry is not None and entry[2] == computed else None
 
 
-def expected_x_sign(n: int) -> int:
-    """Sign of x(n) according to the reference classification."""
-    if n in X_ZERO_SET:
-        return 0
-    if any(a <= n <= b for a, b in X_NEGATIVE_RUNS):
-        return -1
-    return 1
-
-
-def expected_y_sign(n: int) -> int:
-    """Sign of y(n) according to the reference classification."""
-    if any(a <= n <= b for a, b in Y_NEGATIVE_RUNS):
-        return -1
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # Claim checks
 # ---------------------------------------------------------------------------
 
 
+def _compare_printed(claim: str, cells) -> tuple[int, list, list]:
+    """Compare recomputed cells with the printed ones.
+
+    Each cell is (column, key, computed, printed).  Returns the number of
+    cells that match, the documented errata that explain a mismatch, and
+    the key of every other mismatched cell, once per cell, in cell order.
+    """
+    matched = 0
+    errata, counterexamples = [], []
+    for column, key, computed, printed in cells:
+        if computed == printed:
+            matched += 1
+        elif (erratum := erratum_for(claim, column, key, computed)) is not None:
+            errata.append(erratum)
+        else:
+            counterexamples.append(key)
+    return matched, errata, counterexamples
+
+
 def check_reference_table() -> VerificationReport:
     """Recompute (x, c - m, y) for n = 1..16 against the printed table."""
-    counterexamples = []
-    errata = []
-    cells_confirmed = 0
+    cells = []
     for n in range(1, 17):
         rw = sequences.row(n)
-        printed_x, printed_cm, printed_y = REFERENCE_TABLE[n]
-        cells = (
-            ("x", rw.x, printed_x),
-            ("c_minus_m", rw.c_minus_m, printed_cm),
-            ("y", sequences.y_value(n), printed_y),
-        )
-        for column, computed, printed in cells:
-            if computed == printed:
-                cells_confirmed += 1
-                continue
-            erratum = erratum_for("reference-table", column, n, computed)
-            if erratum is not None:
-                errata.append(erratum)
-            else:
-                counterexamples.append(n)
+        values = (rw.x, rw.c_minus_m, sequences.y_value(n))
+        cells.extend(zip(("x", "c_minus_m", "y"), [n] * 3, values, REFERENCE_TABLE[n]))
+    confirmed, errata, counterexamples = _compare_printed("reference-table", cells)
     details = (
         "48 cells recomputed from the definitions; "
-        f"{cells_confirmed} match the printed values exactly; "
+        f"{confirmed} match the printed values exactly; "
         + plural(len(errata), "documented misprint")
     )
     return make_report(
@@ -379,34 +368,26 @@ def check_reference_table() -> VerificationReport:
         details,
         counterexamples=counterexamples,
         errata=errata,
-        data={"cells_confirmed": cells_confirmed},
+        data={"cells_confirmed": confirmed},
     )
 
 
 def check_interval_table() -> VerificationReport:
     """Recompute the 41-link interval chain against the printed rows."""
-    last_lo = INTERVAL_TABLE[-1][0]
-    computed = list(intervals.interval_table(last_lo))
-    counterexamples = []
-    errata = []
-    fields_confirmed = 0
-    if len(computed) != len(INTERVAL_TABLE):
-        counterexamples.append(len(computed))
-    for rec, printed in zip(computed, INTERVAL_TABLE):
+    computed = list(intervals.interval_table(INTERVAL_TABLE[-1][0]))
+    cells = [
+        (column, rec.index, value, printed_value)
+        for rec, printed in zip(computed, INTERVAL_TABLE)
         for column, value, printed_value in zip(
             ("lo", "hi", "r", "m", "x_lo", "x_hi"), rec[1:], printed
-        ):
-            if value == printed_value:
-                fields_confirmed += 1
-                continue
-            erratum = erratum_for("interval-table", column, rec.index, value)
-            if erratum is not None:
-                errata.append(erratum)
-            else:
-                counterexamples.append(rec.index)
+        )
+    ]
+    confirmed, errata, counterexamples = _compare_printed("interval-table", cells)
+    if len(computed) != len(INTERVAL_TABLE):
+        counterexamples.insert(0, len(computed))
     details = (
         f"{len(computed)} chain links recomputed; "
-        f"{fields_confirmed} of {6 * len(INTERVAL_TABLE)} printed fields match; "
+        f"{confirmed} of {6 * len(INTERVAL_TABLE)} printed fields match; "
         + plural(len(errata), "documented misprint")
     )
     return make_report(
@@ -416,7 +397,7 @@ def check_interval_table() -> VerificationReport:
         details,
         counterexamples=counterexamples,
         errata=errata,
-        data={"fields_confirmed": fields_confirmed, "links": len(computed)},
+        data={"fields_confirmed": confirmed, "links": len(computed)},
     )
 
 
@@ -424,16 +405,18 @@ def _runs_repr(runs: list[tuple[int, int]]) -> str:
     return ", ".join(f"[{a}, {b}]" for a, b in runs) if runs else "(none)"
 
 
-def _expected_runs(
-    limit: int, expected_sign: Callable[[int], int], pieces: Iterable[tuple[int, int]]
-) -> list:
-    """Runs of expected_sign over [1, limit].  The sign may change only
-    where one of the given (a, b) pieces of the classification starts or
-    ends, so it is read once per stretch between those cuts."""
+def _printed_runs(limit: int, zeros, negative_runs) -> list:
+    """Runs of a printed sign classification over [1, limit]: zero on
+    zeros, negative on negative_runs except at a zero, positive
+    everywhere else.  The sign can change only where a zero or one of
+    the (a, b) negative runs starts or ends, so it is read once per
+    stretch between those cuts."""
+    pieces = [*((n, n) for n in zeros), *negative_runs]
     cuts = sorted({1, *(n for a, b in pieces for n in (a, b + 1) if 1 < n <= limit)})
     runs: list = []
     for a, b in zip(cuts, cuts[1:] + [limit + 1]):
-        _append_run(runs, a, b - 1, expected_sign(a))
+        negative = any(lo <= a <= hi for lo, hi in negative_runs)
+        _append_run(runs, a, b - 1, 0 if a in zeros else -1 if negative else 1)
     return runs
 
 
@@ -460,6 +443,29 @@ def _mismatches(actual, expected) -> list[int]:
     return out
 
 
+def _theorem_report(
+    claim_id: str, part: SignPartition, printed: list, zeros_text: str, *notes: str
+) -> VerificationReport:
+    """Compare the runs of part with the printed runs; every n where they
+    disagree is a counterexample.  The details open with zeros_text."""
+    negative, positive = (_runs_repr(part.runs_of(sign)) for sign in (-1, 1))
+    details = "; ".join(
+        [zeros_text, f"negative runs {negative}", f"positive runs {positive}", *notes]
+    )
+    return make_report(
+        claim_id,
+        1,
+        part.limit,
+        details,
+        counterexamples=_mismatches(part.runs, printed),
+        data={
+            "runs": [list(run) for run in part.runs],
+            "blocks": part.blocks,
+            "per_n": part.per_n,
+        },
+    )
+
+
 def check_theorem1(limit: int) -> VerificationReport:
     """Theorem 1: x is zero exactly on {436, 451, 529, 545, 546},
     negative exactly on [1, 435], {450} and [513, 528], positive
@@ -470,26 +476,11 @@ def check_theorem1(limit: int) -> VerificationReport:
     x on it, with the runs of the classification; no n is visited one
     at a time.  Counterexamples are every n where the two disagree."""
     part = partition_x(limit)
-    pieces = [*((n, n) for n in X_ZERO_SET), *X_NEGATIVE_RUNS]
-    counterexamples = _mismatches(
-        part.runs, _expected_runs(limit, expected_x_sign, pieces)
-    )
-    details = (
-        f"zero set {{{', '.join(str(n) for n in sorted(part.support_of(0)))}}}; "
-        f"negative runs {_runs_repr(part.runs_of(-1))}; "
-        f"positive runs {_runs_repr(part.runs_of(1))}"
-    )
-    return make_report(
+    return _theorem_report(
         "theorem1",
-        1,
-        limit,
-        details,
-        counterexamples=counterexamples,
-        data={
-            "runs": [list(run) for run in part.runs],
-            "blocks": part.blocks,
-            "per_n": part.per_n,
-        },
+        part,
+        _printed_runs(limit, X_ZERO_SET, X_NEGATIVE_RUNS),
+        f"zero set {{{', '.join(str(n) for n in part.support_of(0))}}}",
     )
 
 
@@ -504,27 +495,13 @@ def check_theorem2(limit: int) -> VerificationReport:
     and data.per_n count the two.  The classification has no zero, so
     any n with y = 0 is a counterexample."""
     part = partition_y(limit)
-    counterexamples = _mismatches(
-        part.runs, _expected_runs(limit, expected_y_sign, Y_NEGATIVE_RUNS)
-    )
     zeros = part.runs_of(0)
-    details = (
-        (f"zero runs {_runs_repr(zeros)}" if zeros else "no zeros")
-        + f"; negative runs {_runs_repr(part.runs_of(-1))}; "
-        f"positive runs {_runs_repr(part.runs_of(1))}; "
-        + NARRATIVE_NOTE_338_350
-    )
-    return make_report(
+    return _theorem_report(
         "theorem2",
-        1,
-        limit,
-        details,
-        counterexamples=counterexamples,
-        data={
-            "runs": [list(run) for run in part.runs],
-            "blocks": part.blocks,
-            "per_n": part.per_n,
-        },
+        part,
+        _printed_runs(limit, (), Y_NEGATIVE_RUNS),
+        f"zero runs {_runs_repr(zeros)}" if zeros else "no zeros",
+        NARRATIVE_NOTE_338_350,
     )
 
 
@@ -811,7 +788,7 @@ def reports_to_text(reports: list[VerificationReport]) -> str:
     errata_count = sum(len(rep.errata) for rep in reports)
     discrepancies = sum(1 for rep in reports if rep.status == DISCREPANCY)
     lines.append(
-        f"summary: {len(reports)} claims; {confirmed} confirmed; "
+        f"summary: {plural(len(reports), 'claim')}; {confirmed} confirmed; "
         f"{errata_count} documented erratum entr"
         f"{'ies' if errata_count != 1 else 'y'}; "
         f"{discrepancies} discrepanc{'ies' if discrepancies != 1 else 'y'}"

@@ -131,6 +131,8 @@ class TestReportShape:
         assert "[KNOWN_ERRATUM] reference-table" in text
         assert "[CONFIRMED] theorem1" in text
         assert "summary: 2 claims" in text
+        text = verifier.reports_to_text(reports[:1])
+        assert text.splitlines()[-1].startswith("summary: 1 claim; ")
         parsed = json.loads(verifier.reports_to_json(reports))
         assert len(parsed) == 2
         csv_text = verifier.reports_to_csv(reports)
@@ -160,6 +162,56 @@ class TestGoldenTableChecks:
         assert rep.data["links"] == 41
         assert rep.data["fields_confirmed"] == 245
 
+    def test_wrong_reference_cell_is_a_counterexample(self, monkeypatch):
+        table = dict(verifier.REFERENCE_TABLE)
+        table[3] = (-5, 4, 14)
+        monkeypatch.setattr(verifier, "REFERENCE_TABLE", table)
+        rep = verifier.check_reference_table()
+        assert rep.status == verifier.DISCREPANCY
+        assert rep.counterexamples == [3]
+        assert [e.item for e in rep.errata] == ["x(15)", "x(16)"]
+        assert rep.data["cells_confirmed"] == 45
+
+    def test_erratum_with_another_correction_is_a_counterexample(
+        self, monkeypatch
+    ):
+        # the registry explains x(15) only if the recomputed value is the
+        # documented correction; a different correction leaves it bare
+        key = ("reference-table", "x", 15)
+        registry = dict(verifier.KNOWN_ERRATA)
+        registry[key] = registry[key]._replace(computed=-17)
+        monkeypatch.setattr(verifier, "KNOWN_ERRATA", registry)
+        rep = verifier.check_reference_table()
+        assert rep.status == verifier.DISCREPANCY
+        assert rep.counterexamples == [15]
+        assert [e.item for e in rep.errata] == ["x(16)"]
+        assert rep.data["cells_confirmed"] == 46
+
+    def test_extra_printed_link_lists_each_bad_field(self, monkeypatch):
+        # the recomputed link 42 is (578, 612, 10, 34, 11, 33): the two
+        # x fields disagree, so the link is listed once for each
+        monkeypatch.setattr(
+            verifier,
+            "INTERVAL_TABLE",
+            verifier.INTERVAL_TABLE + ((578, 612, 10, 34, 0, 0),),
+        )
+        rep = verifier.check_interval_table()
+        assert rep.status == verifier.DISCREPANCY
+        assert rep.counterexamples == [42, 42]
+        assert [e.item for e in rep.errata] == ["interval 41 m"]
+        assert rep.data == {"fields_confirmed": 249, "links": 42}
+
+    def test_link_count_mismatch_comes_first(self, monkeypatch):
+        # without printed link 40 the chain up to 545 still has 41 links;
+        # printed row 40 is then link 41, so four of its fields disagree
+        table = verifier.INTERVAL_TABLE
+        monkeypatch.setattr(verifier, "INTERVAL_TABLE", table[:39] + table[40:])
+        rep = verifier.check_interval_table()
+        assert rep.status == verifier.DISCREPANCY
+        assert rep.counterexamples == [41, 40, 40, 40, 40]
+        assert rep.errata == []
+        assert rep.data == {"fields_confirmed": 236, "links": 41}
+
     def test_printed_tables_stay_printed(self):
         # the embedded data must keep the misprints; correcting them in
         # place would defeat the whole point of the erratum reports
@@ -182,15 +234,13 @@ class TestTheoremChecks:
         assert "[338, 350]" in rep.details
         assert "narrative" in rep.details
 
-    def test_expected_sign_helpers(self):
-        assert verifier.expected_x_sign(436) == 0
-        assert verifier.expected_x_sign(450) == -1
-        assert verifier.expected_x_sign(437) == 1
-        assert verifier.expected_x_sign(547) == 1
-        assert verifier.expected_y_sign(5) == -1
-        assert verifier.expected_y_sign(337) == 1
-        assert verifier.expected_y_sign(368) == -1
-        assert verifier.expected_y_sign(369) == 1
+    def test_printed_runs_are_the_frozen_partitions(self):
+        x_runs = verifier._printed_runs(
+            600, verifier.X_ZERO_SET, verifier.X_NEGATIVE_RUNS
+        )
+        y_runs = verifier._printed_runs(5000, (), verifier.Y_NEGATIVE_RUNS)
+        assert tuple(map(tuple, x_runs)) == X_RUNS_600
+        assert tuple(map(tuple, y_runs)) == Y_RUNS_5000
 
 
 class TestLemmaChecks:
@@ -281,13 +331,30 @@ def truncated(runs, limit):
     return tuple((a, min(b, limit), s) for a, b, s in runs if a <= limit)
 
 
+def expected_x_sign(n):
+    """Sign of x(n) by the printed classification, read at n alone; a
+    zero wins over a negative run that also holds n."""
+    if n in verifier.X_ZERO_SET:
+        return 0
+    if any(a <= n <= b for a, b in verifier.X_NEGATIVE_RUNS):
+        return -1
+    return 1
+
+
+def expected_y_sign(n):
+    """Sign of y(n) by the printed classification, read at n alone."""
+    if any(a <= n <= b for a, b in verifier.Y_NEGATIVE_RUNS):
+        return -1
+    return 1
+
+
 def per_n_x_counterexamples(runs):
     """Theorem 1's comparison, one n at a time."""
     return [
         n
         for a, b, s in runs
         for n in range(a, b + 1)
-        if verifier.expected_x_sign(n) != s
+        if expected_x_sign(n) != s
     ]
 
 
@@ -297,7 +364,7 @@ def per_n_y_counterexamples(runs):
         n
         for a, b, s in runs
         for n in range(a, b + 1)
-        if s == 0 or verifier.expected_y_sign(n) != s
+        if s == 0 or expected_y_sign(n) != s
     ]
 
 
@@ -374,6 +441,29 @@ class TestConstantsAreChecked:
         assert rep.status == verifier.DISCREPANCY
         assert rep.counterexamples == per_n_y_counterexamples(ref_y)
         assert rep.counterexamples == [331, 332, 333, 334, 335, 351, 352]
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("X_ZERO_SET", frozenset({436, 451, 529, 545, 547})),
+            ("X_NEGATIVE_RUNS", ((1, 430), (450, 451), (513, 4000))),
+            ("Y_NEGATIVE_RUNS", ((5, 330), (338, 352), (365, 368))),
+        ],
+    )
+    def test_wrong_constant_at_every_limit_to_600(self, monkeypatch, name, value):
+        # the printed runs are clipped at the limit, which may fall inside
+        # a zero, a negative run or a stretch between them
+        monkeypatch.setattr(verifier, name, value)
+        ref_x, ref_y = reference_runs()
+        for limit in range(1, 601):
+            theorem1 = verifier.check_theorem1(limit)
+            theorem2 = verifier.check_theorem2(limit)
+            assert theorem1.counterexamples == per_n_x_counterexamples(
+                truncated(ref_x, limit)
+            )
+            assert theorem2.counterexamples == per_n_y_counterexamples(
+                truncated(ref_y, limit)
+            )
 
     def test_tail_started_too_early(self, monkeypatch):
         monkeypatch.setattr(verifier, "POSITIVE_TAIL_START", 335)
