@@ -20,8 +20,9 @@ candidates fail, are stepped per n (see _check_envelopes and
 check_sign_consistency).  The exact sign of y comes from the runs of
 verifier.partition_y, the one place that decides it, and never from a
 per-n comparison here.  The real surrogate Y = (c - m) - (m - 1) log2(n)
-is written once, in _Y.  Reports and erratum lookups go through
-verifier.make_report and verifier.erratum_for.
+is written once, in _Y.  Reports go through verifier.make_report, and
+the root brackets are compared with the printed ones, erratum lookups
+included, through verifier.compare_printed.
 """
 
 import math
@@ -31,13 +32,7 @@ from typing import NamedTuple
 # partition_y is called through the module, so a wrapper set on
 # verifier.partition_y (a tracer or a test double) sees every call.
 from . import sequences, verifier
-from .verifier import (
-    KNOWN_ERRATA,
-    VerificationReport,
-    erratum_for,
-    make_report,
-    plural,
-)
+from .verifier import VerificationReport, compare_printed, make_report, plural
 
 LOG2 = math.log(2.0)
 
@@ -73,23 +68,25 @@ NAMED_INSTANCES = {
     "y-upper": Y_UPPER,
 }
 
-# First grid point of the root scan for each instance.  Three of the
-# envelopes dip through zero once more near the origin; starting past
-# that dip leaves exactly one sign change in the scanned window.
+# The root scan walks the integer grid from each instance's start point
+# to ROOT_SCAN_HI.  Three of the envelopes dip through zero once more near
+# the origin; starting past that dip leaves exactly one sign change in the
+# scanned window.
 ROOT_SCAN_START = {
     "x-lower": 1,
     "x-upper": 4,
     "y-lower": 4,
     "y-upper": 9,
 }
+ROOT_SCAN_HI = 10000
 
-# Unit-width integer brackets around the main root of each instance,
-# as recomputed here.  The published brackets agree except for y-lower,
-# which reads (379, 389); the erratum registry records that misprint.
+# Unit-width integer brackets around the main root of each instance, as
+# printed.  The y-lower bracket is a documented misprint of (379, 380);
+# see verifier.KNOWN_ERRATA.
 ROOT_BRACKETS = {
     "x-lower": (560, 561),
     "x-upper": (384, 385),
-    "y-lower": (379, 380),
+    "y-lower": (379, 389),
     "y-upper": (324, 325),
 }
 
@@ -138,8 +135,6 @@ class RootBracket(NamedTuple):
 
     lo: float
     hi: float
-    lo_sign: int
-    hi_sign: int
 
     @property
     def width(self) -> float:
@@ -177,9 +172,7 @@ def isolate_root(coeffs: FCoeffs, lo: float, hi: float, tol: float = 1e-9) -> Ro
             lo = mid
         else:
             hi = mid
-    if neg_left:
-        return RootBracket(lo, hi, -1, 1)
-    return RootBracket(lo, hi, 1, -1)
+    return RootBracket(lo, hi)
 
 
 def d_real(n: int) -> float:
@@ -431,7 +424,8 @@ def _approx_value(kind: str, n: int) -> float:
 def check_approximations() -> VerificationReport:
     """Recompute the published decimal values at print precision, and
     confirm the three-step increment identity Y(n+3) - Y(n) = 2 +
-    (d(n+3) - d(n)) together with the increments growing on [371, 388].
+    (d(n+3) - d(n)) on [371, 388] together with the increments
+    d(n+3) - d(n) growing on [368, 388].
     """
     counterexamples = []
     computed = {}
@@ -440,15 +434,13 @@ def check_approximations() -> VerificationReport:
         computed[label] = value
         if abs(value - printed) > tol:
             counterexamples.append(label)
+    increments = {n: d_real(n + 3) - d_real(n) for n in range(368, 389)}
     for n in range(371, 389):
-        step_y = Y_real(n + 3) - Y_real(n)
-        step_d = d_real(n + 3) - d_real(n)
-        if abs(step_y - (2.0 + step_d)) > 1e-12:
+        if abs(Y_real(n + 3) - Y_real(n) - (2.0 + increments[n])) > 1e-12:
             counterexamples.append(f"increment identity at n = {n}")
-    increments = [d_real(n + 3) - d_real(n) for n in range(368, 389)]
-    for i in range(1, len(increments)):
-        if not increments[i] > increments[i - 1]:
-            counterexamples.append(f"increment not growing at n = {368 + i}")
+    for n in range(369, 389):
+        if not increments[n] > increments[n - 1]:
+            counterexamples.append(f"increment not growing at n = {n}")
     details = (
         f"{len(APPROXIMATIONS)} published decimals match at print precision "
         "(the -2.4 entry is a one-decimal print of -2.3056, checked at "
@@ -461,44 +453,38 @@ def check_approximations() -> VerificationReport:
         391,
         details,
         counterexamples=counterexamples,
-        data={label: value for label, value in computed.items()},
+        data=computed,
     )
 
 
-def check_roots(tol: float = 1e-9, grid_hi: int = 10000) -> list[VerificationReport]:
+def check_roots(tol: float = 1e-9) -> list[VerificationReport]:
     """Isolate the main root of each envelope instance.
 
-    For each instance: scan the integer grid from its start point and
-    require exactly one sign change, compare the unit bracket against
-    the recomputed and published ones, then bisect down to tol.  The
-    published y-lower bracket is a documented misprint.
+    For each instance: scan the integer grid [ROOT_SCAN_START, ROOT_SCAN_HI]
+    and require exactly one sign change, compare the unit bracket with the
+    printed one, then bisect down to tol.  The printed y-lower bracket is
+    a documented misprint.
     """
     require_tol(tol)
     reports = []
     for name, coeffs in NAMED_INSTANCES.items():
         start = ROOT_SCAN_START[name]
-        counterexamples = []
-        errata = []
         flips = []
         prev = F_eval(coeffs, start)
-        for t in range(start + 1, grid_hi + 1):
+        for t in range(start + 1, ROOT_SCAN_HI + 1):
             cur = F_eval(coeffs, t)
             if (cur < 0) != (prev < 0):
                 flips.append(t)
             prev = cur
-        data = {"flips": list(flips), "scan_start": start, "scan_hi": grid_hi}
+        data = {"flips": flips, "scan_start": start, "scan_hi": ROOT_SCAN_HI}
         if len(flips) != 1:
-            counterexamples.append(f"{len(flips)} sign changes at {flips}")
-            details = f"expected one sign change on [{start}, {grid_hi}]"
+            errata, counterexamples = [], [f"{len(flips)} sign changes at {flips}"]
+            details = f"expected one sign change on [{start}, {ROOT_SCAN_HI}]"
         else:
             bracket = (flips[0] - 1, flips[0])
-            if bracket != ROOT_BRACKETS[name]:
-                counterexamples.append(f"scan bracket {bracket}")
-            erratum = erratum_for("root-bracket", "bracket", name, bracket)
-            if erratum is not None:
-                errata.append(erratum)
-            elif ("root-bracket", "bracket", name) in KNOWN_ERRATA:
-                counterexamples.append("unexplained printed bracket mismatch")
+            _, errata, counterexamples = compare_printed(
+                "root-bracket", [("bracket", name, bracket, ROOT_BRACKETS[name])]
+            )
             refined = isolate_root(coeffs, float(bracket[0]), float(bracket[1]), tol)
             data.update(
                 {
@@ -509,7 +495,7 @@ def check_roots(tol: float = 1e-9, grid_hi: int = 10000) -> list[VerificationRep
                 }
             )
             details = (
-                f"one sign change on [{start}, {grid_hi}]; root inside "
+                f"one sign change on [{start}, {ROOT_SCAN_HI}]; root inside "
                 f"({bracket[0]}, {bracket[1]}), bisected to "
                 f"[{refined.lo:.12f}, {refined.hi:.12f}]"
             )
@@ -517,7 +503,7 @@ def check_roots(tol: float = 1e-9, grid_hi: int = 10000) -> list[VerificationRep
             make_report(
                 f"roots/{name}",
                 start,
-                grid_hi,
+                ROOT_SCAN_HI,
                 details,
                 counterexamples=counterexamples,
                 errata=errata,

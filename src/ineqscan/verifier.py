@@ -329,7 +329,7 @@ def erratum_for(claim: str, column: str, key, computed) -> Erratum | None:
 # ---------------------------------------------------------------------------
 
 
-def _compare_printed(claim: str, cells) -> tuple[int, list, list]:
+def compare_printed(claim: str, cells) -> tuple[int, list, list]:
     """Compare recomputed cells with the printed ones.
 
     Each cell is (column, key, computed, printed).  Returns the number of
@@ -355,7 +355,7 @@ def check_reference_table() -> VerificationReport:
         rw = sequences.row(n)
         values = (rw.x, rw.c_minus_m, sequences.y_value(n))
         cells.extend(zip(("x", "c_minus_m", "y"), [n] * 3, values, REFERENCE_TABLE[n]))
-    confirmed, errata, counterexamples = _compare_printed("reference-table", cells)
+    confirmed, errata, counterexamples = compare_printed("reference-table", cells)
     details = (
         "48 cells recomputed from the definitions; "
         f"{confirmed} match the printed values exactly; "
@@ -382,7 +382,7 @@ def check_interval_table() -> VerificationReport:
             ("lo", "hi", "r", "m", "x_lo", "x_hi"), rec[1:], printed
         )
     ]
-    confirmed, errata, counterexamples = _compare_printed("interval-table", cells)
+    confirmed, errata, counterexamples = compare_printed("interval-table", cells)
     if len(computed) != len(INTERVAL_TABLE):
         counterexamples.insert(0, len(computed))
     details = (

@@ -158,7 +158,7 @@ def test_criterion_06_implication_lemmas():
 
 def test_criterion_07_root_brackets():
     t0 = time.perf_counter()
-    reports = analytic.check_roots(tol=1e-9, grid_hi=10**4)
+    reports = analytic.check_roots(tol=1e-9)
     dt = time.perf_counter() - t0
     expected = {
         "roots/x-lower": (560, 561),
@@ -174,6 +174,7 @@ def test_criterion_07_root_brackets():
             and tuple(rep.data["bracket"]) == expected[rep.claim_id]
             and rep.data["width"] <= 1e-9
             and len(rep.data["flips"]) == 1
+            and rep.data["scan_hi"] == 10**4
         )
     _criterion(
         7,

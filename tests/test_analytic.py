@@ -28,6 +28,12 @@ GOLDEN_ROOTS = {
 }
 
 
+def unit_bracket(name):
+    """The integer bracket (k, k + 1) around the golden root."""
+    k = math.floor(GOLDEN_ROOTS[name])
+    return k, k + 1
+
+
 class TestEvaluation:
     def test_anchor_values(self):
         assert analytic.F_eval(analytic.X_LOWER, 1.0) == pytest.approx(
@@ -101,27 +107,30 @@ class TestDerivatives:
 class TestRootIsolation:
     def test_bisection_shrinks_to_tolerance(self):
         for name, coeffs in INSTANCES:
-            lo, hi = analytic.ROOT_BRACKETS[name]
+            lo, hi = unit_bracket(name)
             out = analytic.isolate_root(coeffs, float(lo), float(hi), 1e-9)
             assert out.width <= 1e-9
             assert out.lo < GOLDEN_ROOTS[name] < out.hi
-            assert {out.lo_sign, out.hi_sign} == {-1, 1}
+            flo = analytic.F_eval(coeffs, out.lo)
+            fhi = analytic.F_eval(coeffs, out.hi)
+            assert flo != 0 and fhi != 0 and (flo < 0) != (fhi < 0)
 
     def test_brackets_nest_as_tolerance_shrinks(self):
         for name, coeffs in INSTANCES:
-            lo, hi = analytic.ROOT_BRACKETS[name]
+            lo, hi = unit_bracket(name)
             coarse = analytic.isolate_root(coeffs, float(lo), float(hi), 1e-3)
             fine = analytic.isolate_root(coeffs, float(lo), float(hi), 1e-9)
             assert coarse.lo <= fine.lo < fine.hi <= coarse.hi
 
     def test_endpoint_signs_honest(self):
+        # bisected from the printed brackets, the y-lower misprint included
         for name, coeffs in INSTANCES:
             lo, hi = analytic.ROOT_BRACKETS[name]
             out = analytic.isolate_root(coeffs, float(lo), float(hi))
             flo = analytic.F_eval(coeffs, out.lo)
             fhi = analytic.F_eval(coeffs, out.hi)
-            assert (flo < 0) == (out.lo_sign == -1)
-            assert (fhi < 0) == (out.hi_sign == -1)
+            assert flo != 0 and fhi != 0 and (flo < 0) != (fhi < 0)
+            assert out.lo < GOLDEN_ROOTS[name] < out.hi
 
     def test_rejects_bad_brackets(self):
         with pytest.raises(ValueError):
@@ -150,13 +159,24 @@ class TestRootIsolation:
         by_name = {rep.claim_id.split("/")[1]: rep for rep in reports}
         for name, rep in by_name.items():
             assert rep.counterexamples == []
-            assert rep.data["bracket"] == list(analytic.ROOT_BRACKETS[name])
+            assert rep.data["bracket"] == list(unit_bracket(name))
             assert rep.data["width"] <= 1e-9
             assert abs(rep.data["root_lo"] - GOLDEN_ROOTS[name]) < 1e-8
         assert by_name["y-lower"].status == verifier.KNOWN_ERRATUM
         assert by_name["y-lower"].errata[0].printed == (379, 389)
         for name in ("x-lower", "x-upper", "y-upper"):
             assert by_name[name].status == verifier.CONFIRMED
+
+    def test_scan_through_the_dip_is_a_discrepancy(self, monkeypatch):
+        # from t = 1 the y-upper grid also crosses the dip near the
+        # origin, so the scan sees two sign changes and brackets nothing
+        monkeypatch.setitem(analytic.ROOT_SCAN_START, "y-upper", 1)
+        (rep,) = [r for r in analytic.check_roots() if r.claim_id == "roots/y-upper"]
+        assert rep.status == verifier.DISCREPANCY
+        assert rep.counterexamples == ["2 sign changes at [9, 325]"]
+        assert rep.details == "expected one sign change on [1, 10000]"
+        assert rep.errata == []
+        assert "bracket" not in rep.data
 
 
 class TestSurrogates:
@@ -601,11 +621,20 @@ class TestRootRegistry:
         rep = self._y_lower()
         assert rep.status == verifier.DISCREPANCY
         assert rep.errata == []
-        assert rep.counterexamples == ["unexplained printed bracket mismatch"]
+        assert rep.counterexamples == ["y-lower"]
 
     def test_published_bracket_stays_published(self):
-        # the registry is the only record of the printed y-lower bracket;
+        # the roots table keeps the printed y-lower bracket verbatim;
         # correcting it there would hide the misprint from every report
         label, printed, computed, _ = verifier.KNOWN_ERRATA[self.KEY]
-        assert printed == (379, 389)
-        assert computed == analytic.ROOT_BRACKETS["y-lower"]
+        assert printed == analytic.ROOT_BRACKETS["y-lower"]
+        assert computed == (379, 380)
+
+    def test_drifted_printed_bracket_is_a_discrepancy(self, monkeypatch):
+        # a printed bracket no erratum explains is a counterexample
+        monkeypatch.setitem(analytic.ROOT_BRACKETS, "x-lower", (559, 560))
+        (rep,) = [r for r in analytic.check_roots(1e-6) if r.claim_id == "roots/x-lower"]
+        assert rep.status == verifier.DISCREPANCY
+        assert rep.counterexamples == ["x-lower"]
+        assert rep.errata == []
+        assert rep.data["bracket"] == [560, 561]

@@ -883,3 +883,30 @@ class TestRegistry:
         )
         assert verifier.erratum_for("reference-table", "x", 15, -17) is None
         assert verifier.erratum_for("reference-table", "x", 14, -16) is None
+
+    def test_each_misprint_is_a_cell_of_its_printed_table(self):
+        # every table keeps its printed values verbatim, so the registry's
+        # printed value is the cell itself
+        columns = ("x", "c_minus_m", "y")
+        fields = ("lo", "hi", "r", "m", "x_lo", "x_hi")
+        printed_cell = {
+            "reference-table": lambda col, key: verifier.REFERENCE_TABLE[key][
+                columns.index(col)
+            ],
+            "interval-table": lambda col, key: verifier.INTERVAL_TABLE[key - 1][
+                fields.index(col)
+            ],
+            "root-bracket": lambda col, key: analytic.ROOT_BRACKETS[key],
+        }
+        cells = {
+            (claim, col, key): printed_cell[claim](col, key)
+            for claim, col, key in verifier.KNOWN_ERRATA
+        }
+        assert cells == {
+            ("reference-table", "x", 15): -21,
+            ("reference-table", "x", 16): -20,
+            ("interval-table", "m", 41): 32,
+            ("root-bracket", "bracket", "y-lower"): (379, 389),
+        }
+        for cell, printed in cells.items():
+            assert verifier.KNOWN_ERRATA[cell].printed == printed
