@@ -81,6 +81,11 @@ SUITES = {
 _UNCAPPED = "|".join(k for k, v in SUITES.items() if v.default and not v.cap)
 
 
+# seq --format text keeps every row before it prints any (about 0.7 GB at
+# this many rows), so longer text ranges are refused before a row is built.
+TEXT_MAX_ROWS = 10**6
+
+
 def _emit_table(columns, records, fmt):
     """Write records, tuples of ints in column order, to stdout as csv,
     json or text.
@@ -157,10 +162,17 @@ def cmd_seq(args):
     """Print sequences.rows over [--from, --to]; with --exact-y, add y(n)
     as an exact Decimal built by _with_exact_y, whose text is that of the
     int, so no big int is converted to str and the interpreter's digit
-    cap never applies."""
+    cap never applies.  A text range longer than TEXT_MAX_ROWS is refused
+    before any row is built."""
     start, stop = args.start, args.stop
     if start < 1 or stop < start:
         raise ValueError("need 1 <= --from <= --to")
+    if args.format == "text" and stop - start + 1 > TEXT_MAX_ROWS:
+        raise ValueError(
+            f"--format text holds every row in memory and takes at most "
+            f"{TEXT_MAX_ROWS} rows, not {stop - start + 1}; "
+            "--format csv|json stream any range"
+        )
     columns = ["n", "z", "m", "r", "c", "x", "c_minus_m", "y_sign"]
     records = sequences.rows(start, stop)
     if args.exact_y:

@@ -20,12 +20,16 @@ The scalar functions compute one value from scratch.  Ranges go through
 the interval chain instead: chain_links(lo, hi) yields the maximal links
 on which m and r are both constant, one math.isqrt and one bit_length
 per link; scan steps n inside each link, taking m, r and (r + 1)*m from
-it, and yields (n, z, m, r, c, x); rows adds c - m and the exact sign of
-y, yielding whole rows as plain tuples.  row(n) is one step of rows, so
-a SequenceRow and a row of a range scan come from the same code.  rows
-serves seq and row only.  The range checks read the sign of y from the
-runs of verifier.partition_y, which calls y_sign for the few n whose
-link it cannot certify as a whole.
+it, and yields (n, z, m, r, c, x).  rows walks the same links and
+steps the same way, adding c - m and the sign of y, and yields whole
+rows as plain tuples.  It settles y's sign once per link where
+positive_link certifies y > 0 on all of it, and compares the two terms
+of y exactly for each n of the other links, all of them below n = 421.
+row(n) is one step of rows, so a SequenceRow and a row of a range scan
+come from the same code.  rows serves seq and row only.  The range
+checks read the sign of y from the runs of verifier.partition_y, which
+applies the same certificate and calls y_sign for the few n whose link
+it leaves open.
 """
 
 import math
@@ -153,13 +157,37 @@ def scan(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int, int]]:
             yield n, zz, mm, rr, nn - 2 * zz + 2, zz - k
 
 
+def positive_link(lo: int, hi: int, mm: int) -> bool:
+    """True when one bit-length comparison certifies y > 0 on all of
+    [lo, hi], a run of n on which m(n) = mm throughout, such as a link of
+    chain_links or a piece of one.
+
+    The certificate is mm >= 2 and c(lo) - mm >= bitlen(hi) * (mm - 1):
+    c does not decrease, so 2**(c(n) - mm) >= 2**(c(lo) - mm), and every
+    n <= hi has n**(mm - 1) < 2**(bitlen(hi) * (mm - 1)).  It is the
+    fast path of the exact y-sign comparison applied to the whole run.
+    False leaves the run undecided, not negative.
+    """
+    return mm >= 2 and c(lo) - mm >= hi.bit_length() * (mm - 1)
+
+
 def rows(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
     """Yield (n, z, m, r, c, x, c_minus_m, y_sign) for each n in [lo, hi],
     in SequenceRow field order, as plain tuples.
 
-    scan supplies the first six values; y_sign is the exact comparison of
-    2**(c - m) with n**(m - 1), as in y_sign(n).  An empty range yields
-    nothing.
+    Walks chain_links(lo, hi) and steps n inside each link as scan does,
+    with m, r and (r + 1)*m as the link's constants.  y_sign is 1 for
+    every n of a link that positive_link certifies, and otherwise the
+    exact comparison of 2**(c - m) with n**(m - 1), as in y_sign(n).  An
+    empty range yields nothing.
     """
-    for n, zz, mm, rr, cc, xx in scan(lo, hi):
-        yield n, zz, mm, rr, cc, xx, cc - mm, cmp_pow2_vs_pow(cc - mm, n, mm - 1)
+    for a, b, rr, mm in chain_links(lo, hi):
+        k = (rr + 1) * mm
+        settled = positive_link(a, b, mm)
+        for n in range(a, b + 1):
+            nn = 2 * n
+            zz = (nn - 1) // 3
+            cc = nn - 2 * zz + 2
+            yield n, zz, mm, rr, cc, zz - k, cc - mm, (
+                1 if settled else cmp_pow2_vs_pow(cc - mm, n, mm - 1)
+            )

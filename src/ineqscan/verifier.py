@@ -167,20 +167,19 @@ def partition_x(limit: int) -> SignPartition:
 def partition_y(limit: int) -> SignPartition:
     """Exact sign runs of y over [1, limit], one chain link at a time.
 
-    A link [lo, hi] with m >= 2 is positive throughout when
-    c(lo) - m >= bitlen(hi) * (m - 1): c does not decrease and, for every
-    n <= hi, n**(m-1) < 2**(bitlen(hi) * (m-1)).  This is the bit-length
-    fast path of the exact y-sign comparison applied to the whole link.
-    Every other link, and n = 1, is decided one n at a time by the exact
-    comparison sequences.y_sign.  These runs are the one source of y's
-    sign for every check in this package.
+    A link [lo, hi] is positive throughout when sequences.positive_link
+    certifies it, by the bit-length fast path of the exact y-sign
+    comparison applied to the whole link.  Every other link, and n = 1,
+    is decided one n at a time by the exact comparison sequences.y_sign.
+    These runs are the one source of y's sign for every check in this
+    package.
     """
     if limit < 1:
         raise ValueError("limit must be a positive integer")
     runs: list = []
     blocks = per_n = 0
     for lo, hi, _, mm in sequences.chain_links(1, limit):
-        if mm >= 2 and sequences.c(lo) - mm >= hi.bit_length() * (mm - 1):
+        if sequences.positive_link(lo, hi, mm):
             blocks += 1
             _append_run(runs, lo, hi, 1)
             continue

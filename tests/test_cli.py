@@ -6,6 +6,7 @@ closed-pipe test needs a real child process and a real pipe, and the
 two import tests a fresh interpreter.
 """
 
+import hashlib
 import io
 import json
 import math
@@ -293,6 +294,54 @@ class TestSeq:
         with redirect_stdout(buf):
             assert cli.main(argv + ["--format", "csv"]) == 0
         assert printed_y(buf.getvalue()) == expected_y(start, start + width)
+
+    # sha256 of the csv bytes, recorded once: every row of the first
+    # 200000 (the benchmark's window, y <= 0 up to n = 368) and 20000 rows
+    # around 10**12, where every chain link is certified positive whole
+    @pytest.mark.parametrize(
+        "start, stop, digest",
+        [
+            (1, 200000, "62c2e4bf7512b7fe11d03be39e0020def96fa58f943764e99d7240239ba1d3c6"),
+            (
+                999999990000,
+                1000000009999,
+                "8dc0004c0d314281dd43a2a7a1aef33869b639593ba9272547decb85e0daede7",
+            ),
+        ],
+    )
+    def test_csv_matches_golden_digest(self, start, stop, digest):
+        buf = io.StringIO()
+        argv = ["seq", "--from", str(start), "--to", str(stop), "--format", "csv"]
+        with redirect_stdout(buf):
+            assert cli.main(argv) == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("exact_y", [False, True])
+    def test_long_text_range_is_refused_before_any_row(
+        self, capsys, monkeypatch, exact_y
+    ):
+        def no_rows(lo, hi):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(sequences, "rows", no_rows)
+        argv = ["seq", "--from", "5", "--to", str(5 + cli.TEXT_MAX_ROWS)]
+        assert cli.main(argv + ["--exact-y"] * exact_y) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "--format csv|json" in err
+        assert str(cli.TEXT_MAX_ROWS) in err
+
+    def test_text_limit_is_inclusive(self, capsys, monkeypatch):
+        assert cli.TEXT_MAX_ROWS == 10**6
+        monkeypatch.setattr(cli, "TEXT_MAX_ROWS", 4)
+        assert cli.main(["seq", "--from", "13", "--to", "16"]) == 0
+        assert capsys.readouterr().out == reference_seq(13, 16, False, "text")
+        assert cli.main(["seq", "--from", "13", "--to", "17"]) == 2
+        assert capsys.readouterr().out == ""
+        # csv and json stream, so the limit does not apply to them
+        for fmt in ("csv", "json"):
+            assert cli.main(["seq", "--from", "13", "--to", "17", "--format", fmt]) == 0
+            assert capsys.readouterr().out == reference_seq(13, 17, False, fmt)
 
     def test_bad_range_exits_2(self, capsys):
         assert cli.main(["seq", "--from", "0", "--to", "5"]) == 2

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ineqscan import sequences
+from ineqscan import sequences, verifier
 
 # n: (z, m, r, c, x, c_minus_m, y)
 GOLDEN_ROWS = {
@@ -217,6 +217,46 @@ class TestRows:
         assert list(sequences.rows(10, 9)) == []
         with pytest.raises(ValueError):
             list(sequences.rows(0, 5))
+
+    # rows settles y's sign per link with positive_link and compares per n
+    # elsewhere; a window that starts or ends inside a link hands the
+    # certificate a clipped link, whose c(lo) and bitlen(hi) differ from
+    # the whole link's
+    @pytest.mark.parametrize("width", [0, 1, 50])
+    def test_every_short_window_to_600(self, width):
+        for lo in range(1, 601):
+            assert list(sequences.rows(lo, lo + width)) == self.scalar_rows(lo, lo + width)
+
+    def test_windows_at_link_ends(self):
+        ends = [b for _, b, _, _ in sequences.chain_links(1, 2000)][:60]
+        assert len(ends) == 60
+        for b in ends:
+            for lo in (b - 1, b, b + 1):
+                lo = max(lo, 1)
+                assert list(sequences.rows(lo, lo + 80)) == self.scalar_rows(lo, lo + 80)
+
+    def test_first_six_columns_are_scan(self):
+        for j in range(1, 41):
+            for lo in (2**j - 1, 2**j, 2**j + 1):
+                got = [rec[:6] for rec in sequences.rows(lo, lo + 300)]
+                assert got == list(sequences.scan(lo, lo + 300))
+
+    def test_compares_only_the_uncertified_n(self, monkeypatch):
+        # below n = 421 some links are left to the per-n comparison, as in
+        # partition_y; from there on every link is certified as a whole
+        per_n = verifier.partition_y(200000).per_n
+        calls = 0
+        cmp = sequences.cmp_pow2_vs_pow
+
+        def counting_cmp(*args):
+            nonlocal calls
+            calls += 1
+            return cmp(*args)
+
+        monkeypatch.setattr(sequences, "cmp_pow2_vs_pow", counting_cmp)
+        for _ in sequences.rows(1, 200000):
+            pass
+        assert calls == per_n == 417
 
 
 class TestMonotonicity:
