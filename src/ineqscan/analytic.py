@@ -185,6 +185,11 @@ def d_real(n: int) -> float:
     return -mm - (mm - 1) * math.log2(n)
 
 
+def delta_d(n: int) -> float:
+    """The three-step increment d_real(n + 3) - d_real(n)."""
+    return d_real(n + 3) - d_real(n)
+
+
 def _Y(n: int, m: int) -> float:
     """(c(n) - m) - (m - 1) * log2(n), the exponent gap between the two
     exact terms of y, given m = m(n), which a range check takes from the
@@ -400,25 +405,15 @@ def check_sign_consistency(limit: int) -> VerificationReport:
 # only 0.3.  The -2.4 entry is a coarse one-decimal print of -2.3056;
 # it is a rounding artifact of the source, not a misprint.
 APPROXIMATIONS = (
-    ("Y(325)", "Y", 325, -5.26, 0.02),
-    ("Y(337)", "Y", 337, 1.48, 0.02),
-    ("Y(338)", "Y", 338, -8.02, 0.02),
-    ("Y(353)", "Y", 353, 0.41, 0.02),
-    ("Y(365)", "Y", 365, -2.4, 0.1),
-    ("Y(371)", "Y", 371, 1.08, 0.02),
-    ("d(364)", "d", 364, -238.7, 0.1),
-    ("delta_d(371)", "delta_d", 371, -0.3, 0.05),
+    ("Y(325)", Y_real, 325, -5.26, 0.02),
+    ("Y(337)", Y_real, 337, 1.48, 0.02),
+    ("Y(338)", Y_real, 338, -8.02, 0.02),
+    ("Y(353)", Y_real, 353, 0.41, 0.02),
+    ("Y(365)", Y_real, 365, -2.4, 0.1),
+    ("Y(371)", Y_real, 371, 1.08, 0.02),
+    ("d(364)", d_real, 364, -238.7, 0.1),
+    ("delta_d(371)", delta_d, 371, -0.3, 0.05),
 )
-
-
-def _approx_value(kind: str, n: int) -> float:
-    if kind == "Y":
-        return Y_real(n)
-    if kind == "d":
-        return d_real(n)
-    if kind == "delta_d":
-        return d_real(n + 3) - d_real(n)
-    raise ValueError(f"unknown approximation kind {kind!r}")
 
 
 def check_approximations() -> VerificationReport:
@@ -429,12 +424,12 @@ def check_approximations() -> VerificationReport:
     """
     counterexamples = []
     computed = {}
-    for label, kind, n, printed, tol in APPROXIMATIONS:
-        value = _approx_value(kind, n)
+    for label, value_at, n, printed, tol in APPROXIMATIONS:
+        value = value_at(n)
         computed[label] = value
         if abs(value - printed) > tol:
             counterexamples.append(label)
-    increments = {n: d_real(n + 3) - d_real(n) for n in range(368, 389)}
+    increments = {n: delta_d(n) for n in range(368, 389)}
     for n in range(371, 389):
         if abs(Y_real(n + 3) - Y_real(n) - (2.0 + increments[n])) > 1e-12:
             counterexamples.append(f"increment identity at n = {n}")

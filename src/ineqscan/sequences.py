@@ -29,7 +29,9 @@ row(n) is one step of rows, so a SequenceRow and a row of a range scan
 come from the same code.  rows serves seq and row only.  The range
 checks read the sign of y from the runs of verifier.partition_y, which
 applies the same certificate and calls y_sign for the few n whose link
-it leaves open.
+it leaves open.  bound_signs gives the exact signs of y's two endpoint
+bounds on a constant-m block, which is all verifier.check_range_bounds
+needs; no other module compares the two terms of y.
 """
 
 import math
@@ -169,6 +171,16 @@ def positive_link(lo: int, hi: int, mm: int) -> bool:
     False leaves the run undecided, not negative.
     """
     return mm >= 2 and c(lo) - mm >= hi.bit_length() * (mm - 1)
+
+
+def bound_signs(a: int, b: int, mm: int) -> tuple[int, int]:
+    """Exact signs of y's endpoint bounds on [a, b], a run of n with
+    m(n) = mm throughout: high = 2**(c(b) - mm) - a**(mm - 1), then
+    low = 2**(c(a) - mm) - b**(mm - 1).  Neither bound is built."""
+    return (
+        cmp_pow2_vs_pow(c(b) - mm, a, mm - 1),
+        cmp_pow2_vs_pow(c(a) - mm, b, mm - 1),
+    )
 
 
 def rows(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:

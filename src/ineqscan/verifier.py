@@ -17,6 +17,11 @@ Any DISCREPANCY is a bug, either in the code or in the golden data, and
 fails the test suite.  A report's status is DISCREPANCY exactly when its
 counterexample list is non-empty, and its details state a claim as holding
 only when that list is empty; otherwise they give the count.
+
+This module compares no powers and builds no term of y itself: the sign
+runs of y come from sequences.positive_link and sequences.y_sign, the
+signs of y's endpoint bounds from sequences.bound_signs, and the exact y
+of the reference table from sequences.y_value.
 """
 
 import json
@@ -24,7 +29,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Any, NamedTuple
 
-from . import exactarith, intervals, sequences
+from . import intervals, sequences
 
 # ---------------------------------------------------------------------------
 # Report plumbing
@@ -404,7 +409,7 @@ def _runs_repr(runs: list[tuple[int, int]]) -> str:
     return ", ".join(f"[{a}, {b}]" for a, b in runs) if runs else "(none)"
 
 
-def _printed_runs(limit: int, zeros, negative_runs) -> list:
+def printed_runs(limit: int, zeros, negative_runs) -> list:
     """Runs of a printed sign classification over [1, limit]: zero on
     zeros, negative on negative_runs except at a zero, positive
     everywhere else.  The sign can change only where a zero or one of
@@ -478,7 +483,7 @@ def check_theorem1(limit: int) -> VerificationReport:
     return _theorem_report(
         "theorem1",
         part,
-        _printed_runs(limit, X_ZERO_SET, X_NEGATIVE_RUNS),
+        printed_runs(limit, X_ZERO_SET, X_NEGATIVE_RUNS),
         f"zero set {{{', '.join(str(n) for n in part.support_of(0))}}}",
     )
 
@@ -498,7 +503,7 @@ def check_theorem2(limit: int) -> VerificationReport:
     return _theorem_report(
         "theorem2",
         part,
-        _printed_runs(limit, (), Y_NEGATIVE_RUNS),
+        printed_runs(limit, (), Y_NEGATIVE_RUNS),
         f"zero runs {_runs_repr(zeros)}" if zeros else "no zeros",
         NARRATIVE_NOTE_338_350,
     )
@@ -569,64 +574,31 @@ def check_range_bounds(limit: int) -> VerificationReport:
     for m >= 2, n**(m-1) strictly increases, so low = 2**(c(a)-m) - b**(m-1)
     and high = 2**(c(b)-m) - a**(m-1) enclose y, high < 0 decides the
     block negative, low > 0 decides it positive, and y strictly decreases
-    wherever c repeats: no such block can hold a counterexample.  Each
-    block is therefore settled by the signs of high and low alone, two
-    exact comparisons of a power of two with a power that build neither
-    bound.  Only the m = 1 block, n = 1, builds its exact y and tests it
-    against the pair.  The cost is O(links)."""
+    wherever c repeats.  m = 1 only at n = 1, a block of one point: there
+    a = b, both bounds equal y(1), and there is no step to decrease
+    across.  No block can hold a counterexample, so each is settled by
+    sequences.bound_signs, the signs of high and low alone, and no y is
+    evaluated.  The cost is O(links)."""
     if limit < 1:
         raise ValueError("limit must be a positive integer")
-    counterexamples = []
-    blocks = 0
-    decided_negative = 0
-    decided_positive = 0
+    blocks = decided_negative = decided_positive = 0
     for mm, links in groupby(sequences.chain_links(1, limit), key=itemgetter(3)):
         links = list(links)
-        a, b = links[0][0], links[-1][1]
+        high, low = sequences.bound_signs(links[0][0], links[-1][1], mm)
         blocks += 1
-        if exactarith.cmp_pow2_vs_pow(sequences.c(b) - mm, a, mm - 1) < 0:
-            decided_negative += 1
-        if exactarith.cmp_pow2_vs_pow(sequences.c(a) - mm, b, mm - 1) > 0:
-            decided_positive += 1
-        if mm > 1:
-            continue
-        low = (1 << (sequences.c(a) - mm)) - b ** (mm - 1)
-        high = (1 << (sequences.c(b) - mm)) - a ** (mm - 1)
-        prev_c = None
-        prev_y = None
-        for n, _, _, _, cc, _ in sequences.scan(a, b):
-            yv = (1 << (cc - mm)) - n ** (mm - 1)
-            if not low <= yv <= high:
-                counterexamples.append(n)
-            sign = (yv > 0) - (yv < 0)
-            if high < 0 and sign != -1:
-                counterexamples.append(n)
-            if low > 0 and sign != 1:
-                counterexamples.append(n)
-            if prev_c == cc and not yv < prev_y:
-                counterexamples.append(n)
-            prev_c, prev_y = cc, yv
-    decided = (
+        decided_negative += high < 0
+        decided_positive += low > 0
+    details = (
+        f"{blocks} constant-m blocks; endpoint bounds enclose every y; "
         f"{decided_negative} blocks decided negative and "
-        f"{decided_positive} decided positive by their bounds alone"
+        f"{decided_positive} decided positive by their bounds alone; "
+        "y strictly decreases whenever m and c both repeat"
     )
-    if counterexamples:
-        details = (
-            f"{blocks} constant-m blocks; "
-            f"{plural(len(counterexamples), 'counterexample')} to the enclosure, "
-            f"the block sign or the decrease; {decided}"
-        )
-    else:
-        details = (
-            f"{blocks} constant-m blocks; endpoint bounds enclose every y; "
-            f"{decided}; y strictly decreases whenever m and c both repeat"
-        )
     return make_report(
         "lemmas/range-bounds",
         1,
         limit,
         details,
-        counterexamples=counterexamples,
         data={
             "blocks": blocks,
             "decided_negative": decided_negative,
@@ -735,9 +707,7 @@ def check_positive_tail(limit: int) -> VerificationReport:
             data={"blocks": 0, "per_n": 0},
         )
     part = partition_y(limit)
-    counterexamples = [
-        n for a, b, s in part.runs if s != 1 for n in range(max(a, start), b + 1)
-    ]
+    counterexamples = _mismatches(part.runs, [(start, limit, 1)])
     if counterexamples:
         details = (
             f"y <= 0 at {plural(len(counterexamples), 'value')} "

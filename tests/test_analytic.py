@@ -237,8 +237,8 @@ class TestApproximations:
         assert rep.counterexamples == []
 
     def test_each_entry_within_its_tolerance(self):
-        for label, kind, n, printed, tol in analytic.APPROXIMATIONS:
-            value = analytic._approx_value(kind, n)
+        for label, value_at, n, printed, tol in analytic.APPROXIMATIONS:
+            value = value_at(n)
             assert abs(value - printed) <= tol, label
 
     def test_one_decimal_entry_really_needs_loose_tolerance(self):
@@ -441,7 +441,9 @@ class TestRewrittenChecksAgainstPerN:
         # Y_real is computed as (c - m) - (m - 1) log2(n); at the printed
         # points and across the increment identity it agrees bit for bit
         # with c + d_real(n)
-        printed = [n for _, kind, n, _, _ in analytic.APPROXIMATIONS if kind == "Y"]
+        printed = [
+            n for _, value_at, n, _, _ in analytic.APPROXIMATIONS if value_at is analytic.Y_real
+        ]
         for n in printed + list(range(371, 392)):
             assert analytic.Y_real(n) == sequences.c(n) + analytic.d_real(n)
 

@@ -9,6 +9,7 @@ this module, is where that mismatch is surfaced.
 """
 
 import math
+from itertools import groupby
 
 import pytest
 from hypothesis import given
@@ -257,6 +258,40 @@ class TestRows:
         for _ in sequences.rows(1, 200000):
             pass
         assert calls == per_n == 417
+
+
+def sign(v):
+    return (v > 0) - (v < 0)
+
+
+class TestBoundSigns:
+    """bound_signs against the endpoint bounds of y, built in full."""
+
+    @staticmethod
+    def built_bounds(a, b, mm):
+        high = (1 << (sequences.c(b) - mm)) - a ** (mm - 1)
+        low = (1 << (sequences.c(a) - mm)) - b ** (mm - 1)
+        return high, low
+
+    def test_every_block_whole_and_clipped_to_3000(self):
+        # the blocks come from m itself, not from chain_links; a clip keeps
+        # one end of its block, as a limit or a run start inside it does
+        blocks = 0
+        for mm, ns in groupby(range(1, 3001), key=sequences.m):
+            ns = list(ns)
+            a, b = ns[0], ns[-1]
+            blocks += 1
+            for lo, hi in [(a, e) for e in ns] + [(s, b) for s in ns]:
+                high, low = self.built_bounds(lo, hi, mm)
+                assert sequences.bound_signs(lo, hi, mm) == (sign(high), sign(low))
+        assert blocks == 77
+
+    def test_one_point_block_at_n_one(self):
+        # m = 1 only at n = 1, so the m = 1 block is [1, 1], where both
+        # bounds are y(1) and there is no step to decrease across
+        assert [n for n in range(1, 3001) if sequences.m(n) == 1] == [1]
+        assert self.built_bounds(1, 1, 1) == (sequences.y_value(1),) * 2 == (7, 7)
+        assert sequences.bound_signs(1, 1, 1) == (1, 1)
 
 
 class TestMonotonicity:
