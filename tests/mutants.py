@@ -2,8 +2,7 @@
 
 Run from anywhere, with pytest and hypothesis installed:
 
-    python tests/mutants.py                 # every entry
-    python tests/mutants.py -k bound_signs  # only entries whose name matches
+    python tests/mutants.py
 
 Each entry of MUTANTS is (name, file, old text, new text, test selector).
 For each one the script copies src/, tests/ and pyproject.toml to a fresh
@@ -11,21 +10,20 @@ temporary directory, replaces the one exact occurrence of the old text
 in the file, and runs `python -m pytest -x -q` on the selector there.
 pytest's `pythonpath = ["src"]` then imports the mutated copy; a conftest
 written into the copy records `ineqscan.__file__`, and the script checks
-that it lies in the copy.  The mutant is killed when the run fails or
-outlasts --timeout.  Before any mutant, every selector must pass on an
-unmutated copy, so a kill means the mutation and nothing else.
+that every passing run imported it from the copy.  The mutant is killed
+when the run fails, for any reason, or outlasts TIMEOUT.  Before any
+mutant, every selector must pass on an unmutated copy, so a kill means
+the mutation and nothing else.
 
 The script exits 1 if an old text is missing or occurs more than once,
 if a selector fails on the unmutated copy, or if a mutant of MUTANTS
-survives.  KNOWN_SURVIVORS lists mutants the tests do not catch, each
-with the reason as a sixth field.  They run too, and their outcome is
-printed but never changes the exit code; one that starts to be killed
-is named, so it can move to MUTANTS.
+survives.  KNOWN_SURVIVORS lists mutants the tests do not catch, with
+the reason as a sixth field.  Their old texts must be present, but they
+are not run.
 
 Stdlib only.  The name keeps pytest from collecting this file.
 """
 
-import argparse
 import os
 import shutil
 import signal
@@ -46,6 +44,8 @@ T_SEQ = "tests/test_sequences.py"
 T_VER = "tests/test_verifier.py"
 T_ANA = "tests/test_analytic.py"
 T_CLI = "tests/test_cli.py"
+
+TIMEOUT = 300.0  # seconds per pytest run; one that outlasts it is a kill
 
 MUTANTS = [
     (
@@ -205,7 +205,7 @@ def mutated(root: Path, file: str, old: str, new: str) -> str:
     return text.replace(old, new)
 
 
-def run_pytest(copy: Path, selectors: list, timeout: float) -> tuple:
+def run_pytest(copy: Path, selectors: list) -> tuple:
     """Run pytest -x -q in copy; return (outcome, seconds, output tail).
     outcome is "passed", "failed" or "timeout"."""
     origin = copy / "origin.txt"
@@ -223,29 +223,24 @@ def run_pytest(copy: Path, selectors: list, timeout: float) -> tuple:
         start_new_session=True,
     )
     try:
-        out, _ = proc.communicate(timeout=timeout)
+        out, _ = proc.communicate(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
         return "timeout", time.monotonic() - t0, ""
     seconds = time.monotonic() - t0
+    tail = "\n".join(out.strip().splitlines()[-3:])
+    if proc.returncode != 0:
+        return "failed", seconds, tail
     imported = origin.read_text() if origin.exists() else ""
     if not imported or not Path(imported).resolve().is_relative_to(copy.resolve()):
         raise RuntimeError(f"the tests imported ineqscan from {imported!r}, not from {copy}")
-    tail = "\n".join(out.strip().splitlines()[-3:])
-    return ("passed" if proc.returncode == 0 else "failed"), seconds, tail
+    return "passed", seconds, tail
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("-k", default="", help="only entries whose name contains this text")
-    ap.add_argument("--timeout", type=float, default=300.0, help="seconds per pytest run")
-    args = ap.parse_args(argv)
-
-    entries = [(*e, None) for e in MUTANTS] + KNOWN_SURVIVORS
-    entries = [e for e in entries if args.k in e[0]]
+def main() -> int:
     missing = 0
-    for name, file, old, new, *_ in entries:
+    for name, file, old, new, *_ in MUTANTS + KNOWN_SURVIVORS:
         try:
             mutated(ROOT, file, old, new)
         except LookupError as err:
@@ -258,28 +253,25 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="ineqscan-mutants-") as tmp:
         base = Path(tmp) / "unmutated"
         make_copy(base)
-        selectors = sorted({e[4] for e in entries})
-        outcome, seconds, tail = run_pytest(base, selectors, args.timeout)
+        selectors = sorted({e[4] for e in MUTANTS})
+        outcome, seconds, tail = run_pytest(base, selectors)
         print(f"baseline {outcome} in {seconds:.1f} s ({len(selectors)} selectors)")
         if outcome != "passed":
             print(tail)
             return 1
-        for i, (name, file, old, new, selector, reason) in enumerate(entries):
+        for i, (name, file, old, new, selector) in enumerate(MUTANTS):
             copy = Path(tmp) / f"mutant-{i}"
             make_copy(copy)
             (copy / file).write_text(mutated(copy, file, old, new))
-            outcome, seconds, _ = run_pytest(copy, [selector], args.timeout)
+            outcome, seconds, _ = run_pytest(copy, [selector])
             killed = outcome != "passed"
+            survived += not killed
             print(f"{'killed' if killed else 'SURVIVED':8} {name} ({outcome} in {seconds:.1f} s)")
-            if reason is None:
-                survived += not killed
-            elif killed:
-                print("         listed as a known survivor, now killed: move it to MUTANTS")
-            else:
-                print(f"         known survivor: {reason}")
             shutil.rmtree(copy)
+    for name, *_, reason in KNOWN_SURVIVORS:
+        print(f"not run  {name}: known survivor, {reason}")
     print(
-        f"{len(entries)} entries, {survived} registered mutants survived, "
+        f"{len(MUTANTS)} registered mutants, {survived} survived, "
         f"{time.monotonic() - t0:.0f} s in all"
     )
     return 1 if survived else 0
