@@ -81,9 +81,19 @@ SUITES = {
 _UNCAPPED = "|".join(k for k, v in SUITES.items() if v.default and not v.cap)
 
 
-# seq --format text keeps every row before it prints any (about 0.7 GB at
-# this many rows), so longer text ranges are refused before a row is built.
+# Text tables keep every row before they print any (about 0.7 GB at this
+# many seq rows), so longer ones are refused before a row is built.
 TEXT_MAX_ROWS = 10**6
+
+
+def _refuse_long_text(fmt, rows):
+    """Refuse a text table of more rows, or of a bound on them, than TEXT_MAX_ROWS."""
+    if fmt == "text" and rows > TEXT_MAX_ROWS:
+        raise ValueError(
+            f"--format text holds every row in memory and takes at most "
+            f"{TEXT_MAX_ROWS} rows, not {rows}; "
+            "--format csv|json stream any range"
+        )
 
 
 def _emit_table(columns, records, fmt):
@@ -122,7 +132,7 @@ def _emit_table(columns, records, fmt):
 
 
 def _with_exact_y(records):
-    """Append y(n) to each record of sequences.rows, as an exact Decimal.
+    """Append y(n) to each record of sequences.scan, as an exact Decimal.
 
     y = 2**e - q with e = c - m and q = n**(m - 1), and q has a small
     share of y's bits (about a fifth at n = 20000, less further out).
@@ -159,7 +169,7 @@ def _with_exact_y(records):
 
 
 def cmd_seq(args):
-    """Print sequences.rows over [--from, --to]; with --exact-y, add y(n)
+    """Print sequences.scan over [--from, --to]; with --exact-y, add y(n)
     as an exact Decimal built by _with_exact_y, whose text is that of the
     int, so no big int is converted to str and the interpreter's digit
     cap never applies.  A text range longer than TEXT_MAX_ROWS is refused
@@ -167,14 +177,9 @@ def cmd_seq(args):
     start, stop = args.start, args.stop
     if start < 1 or stop < start:
         raise ValueError("need 1 <= --from <= --to")
-    if args.format == "text" and stop - start + 1 > TEXT_MAX_ROWS:
-        raise ValueError(
-            f"--format text holds every row in memory and takes at most "
-            f"{TEXT_MAX_ROWS} rows, not {stop - start + 1}; "
-            "--format csv|json stream any range"
-        )
+    _refuse_long_text(args.format, stop - start + 1)
     columns = ["n", "z", "m", "r", "c", "x", "c_minus_m", "y_sign"]
-    records = sequences.rows(start, stop)
+    records = sequences.scan(start, stop)
     if args.exact_y:
         columns.append("y")
         records = _with_exact_y(records)
@@ -183,26 +188,21 @@ def cmd_seq(args):
 
 
 def cmd_intervals(args):
+    limit = max(args.limit, 1)  # a row per m-block, at most one more per power of 2
+    _refuse_long_text(args.format, sequences.m(limit) + limit.bit_length())
     columns = ["index", "lo", "hi", "r", "m", "x_lo", "x_hi"]
     _emit_table(columns, intervals.interval_table(args.limit), args.format)
     return 0
 
 
-def _emit_reports(reports, fmt):
-    if fmt == "json":
-        print(verifier.reports_to_json(reports))
-    elif fmt == "csv":
-        print(verifier.reports_to_csv(reports))
-    else:
-        print(verifier.reports_to_text(reports))
-
-
-def _reports_rc(reports, strict):
-    if any(rep.status == verifier.DISCREPANCY for rep in reports):
-        return 1
-    if strict and any(rep.errata for rep in reports):
-        return 1
-    return 0
+def _emit_reports(reports, args):
+    """Print the reports in --format; return the exit code, 1 when one is a
+    discrepancy, or with --strict a documented erratum, and 0 otherwise."""
+    emit = {"json": verifier.reports_to_json, "csv": verifier.reports_to_csv}
+    print(emit.get(args.format, verifier.reports_to_text)(reports))
+    statuses = {rep.status for rep in reports}
+    strict_fail = args.strict and verifier.KNOWN_ERRATUM in statuses
+    return int(verifier.DISCREPANCY in statuses or strict_fail)
 
 
 def cmd_verify(args):
@@ -233,14 +233,11 @@ def cmd_verify(args):
                 file=sys.stderr,
             )
     reports = [rep for p in parts for rep in p.run(args.limit or p.default, args.tol)]
-    _emit_reports(reports, args.format)
-    return _reports_rc(reports, args.strict)
+    return _emit_reports(reports, args)
 
 
 def cmd_roots(args):
-    reports = analytic.check_roots(args.tol)
-    _emit_reports(reports, args.format)
-    return _reports_rc(reports, args.strict)
+    return _emit_reports(analytic.check_roots(args.tol), args)
 
 
 def build_parser():

@@ -19,19 +19,18 @@ which keeps the pow2_term exponent positive.
 The scalar functions compute one value from scratch.  Ranges go through
 the interval chain instead: chain_links(lo, hi) yields the maximal links
 on which m and r are both constant, one math.isqrt and one bit_length
-per link; scan steps n inside each link, taking m, r and (r + 1)*m from
-it, and yields (n, z, m, r, c, x).  rows walks the same links and
-steps the same way, adding c - m and the sign of y, and yields whole
-rows as plain tuples.  It settles y's sign once per link where
+per link.  scan, the one stepper, steps n inside each link, taking m, r
+and (r + 1)*m from it, and yields whole rows as plain tuples in
+SequenceRow order.  It settles y's sign once per link where
 positive_link certifies y > 0 on all of it, and compares the two terms
 of y exactly for each n of the other links, all of them below n = 421.
-row(n) is one step of rows, so a SequenceRow and a row of a range scan
-come from the same code.  rows serves seq and row only.  The range
-checks read the sign of y from the runs of verifier.partition_y, which
-applies the same certificate and calls y_sign for the few n whose link
-it leaves open.  bound_signs gives the exact signs of y's two endpoint
-bounds on a constant-m block, which is all verifier.check_range_bounds
-needs; no other module compares the two terms of y.
+row(n) is one step of scan, so a SequenceRow and a row of a range scan
+come from the same code.  The range checks read the sign of y from the
+runs of verifier.partition_y, which applies the same certificate and
+reads the sign of each n on the links it leaves open from scan.
+bound_signs gives the exact signs of y's two endpoint bounds on a
+constant-m block, which is all verifier.check_range_bounds needs; no
+other module compares the two terms of y.
 """
 
 import math
@@ -120,7 +119,7 @@ def y_value(n: int) -> int:
 def row(n: int) -> SequenceRow:
     """All sequence values at n bundled into one record."""
     _require_positive(n)
-    return SequenceRow(*next(rows(n, n)))
+    return SequenceRow(*next(scan(n, n)))
 
 
 def chain_links(lo: int, hi: int) -> Iterator[tuple[int, int, int, int]]:
@@ -142,21 +141,6 @@ def chain_links(lo: int, hi: int) -> Iterator[tuple[int, int, int, int]]:
         b = min(mm * mm // 2 + mm, 1 << rr, hi)
         yield a, b, rr, mm
         a = b + 1
-
-
-def scan(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int, int]]:
-    """Yield (n, z, m, r, c, x) for each n in [lo, hi].
-
-    The stepper for range scans: it walks chain_links(lo, hi) and steps n
-    inside each link, where m, r and (r + 1)*m are the link's constants,
-    so x is z minus a constant.  An empty range yields nothing.
-    """
-    for a, b, rr, mm in chain_links(lo, hi):
-        k = (rr + 1) * mm
-        for n in range(a, b + 1):
-            nn = 2 * n
-            zz = (nn - 1) // 3
-            yield n, zz, mm, rr, nn - 2 * zz + 2, zz - k
 
 
 def positive_link(lo: int, hi: int, mm: int) -> bool:
@@ -183,15 +167,16 @@ def bound_signs(a: int, b: int, mm: int) -> tuple[int, int]:
     )
 
 
-def rows(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
+def scan(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
     """Yield (n, z, m, r, c, x, c_minus_m, y_sign) for each n in [lo, hi],
     in SequenceRow field order, as plain tuples.
 
-    Walks chain_links(lo, hi) and steps n inside each link as scan does,
-    with m, r and (r + 1)*m as the link's constants.  y_sign is 1 for
-    every n of a link that positive_link certifies, and otherwise the
-    exact comparison of 2**(c - m) with n**(m - 1), as in y_sign(n).  An
-    empty range yields nothing.
+    The stepper for ranges: it walks chain_links(lo, hi) and steps n
+    inside each link, where m, r and (r + 1)*m are the link's constants,
+    so x is z minus a constant.  y_sign is 1 for every n of a link that
+    positive_link certifies, and otherwise the exact comparison of
+    2**(c - m) with n**(m - 1), as in y_sign(n).  An empty range yields
+    nothing.
     """
     for a, b, rr, mm in chain_links(lo, hi):
         k = (rr + 1) * mm

@@ -18,8 +18,8 @@ fails the test suite.  A report's status is DISCREPANCY exactly when its
 counterexample list is non-empty, and its details state a claim as holding
 only when that list is empty; otherwise they give the count.
 
-This module compares no powers and builds no term of y itself: the sign
-runs of y come from sequences.positive_link and sequences.y_sign, the
+This module compares no powers and builds no term of y itself: y's sign
+runs come from sequences.positive_link and sequences.scan's y_sign, the
 signs of y's endpoint bounds from sequences.bound_signs, and the exact y
 of the reference table from sequences.y_value.
 """
@@ -175,7 +175,8 @@ def partition_y(limit: int) -> SignPartition:
     A link [lo, hi] is positive throughout when sequences.positive_link
     certifies it, by the bit-length fast path of the exact y-sign
     comparison applied to the whole link.  Every other link, and n = 1,
-    is decided one n at a time by the exact comparison sequences.y_sign.
+    is decided one n at a time: its signs are the y_sign column of
+    sequences.scan over the link, the exact comparison of y's two terms.
     These runs are the one source of y's sign for every check in this
     package.
     """
@@ -189,8 +190,8 @@ def partition_y(limit: int) -> SignPartition:
             _append_run(runs, lo, hi, 1)
             continue
         per_n += hi - lo + 1
-        for n in range(lo, hi + 1):
-            _append_run(runs, n, n, sequences.y_sign(n))
+        for n, *_, sign in sequences.scan(lo, hi):
+            _append_run(runs, n, n, sign)
     return SignPartition(limit, tuple(map(tuple, runs)), blocks=blocks, per_n=per_n)
 
 
@@ -517,9 +518,9 @@ def check_gap(limit: int) -> VerificationReport:
     not decrease, so the gap is smallest at the link's first n.  A link
     from n >= 10 on whose first gap exceeds 5 and the least gap so far
     can hold neither a counterexample nor a new minimum; it is settled
-    from that first gap alone.  Every other link is scanned one n at a
-    time.  Only the six links that end by n = 12 need the scan, so the
-    cost is O(links), about sqrt(2 * limit).
+    from that first gap alone.  Every other link is stepped one n at a
+    time, as sequences.c(n) - m.  Only the six links that end by n = 12
+    need the steps, so the cost is O(links), about sqrt(2 * limit).
     """
     if limit < 1:
         raise ValueError("limit must be a positive integer")
@@ -532,8 +533,8 @@ def check_gap(limit: int) -> VerificationReport:
         if lo >= 10 and first > 5 and first > min_gap:
             min_gap_from_10 = min(min_gap_from_10, first)
             continue
-        for n, _, _, _, cc, _ in sequences.scan(lo, hi):
-            gap = cc - mm
+        for n in range(lo, hi + 1):
+            gap = sequences.c(n) - mm
             if min_gap is None or gap < min_gap:
                 min_gap = gap
                 min_gap_at = [n]
@@ -661,10 +662,13 @@ def check_negative_x_bound(limit: int) -> VerificationReport:
     """Wherever y(n) <= 0, x(n) is at most -r(n) - 3, which is itself
     at most -6.  Vacuous below n = 5 where y is positive.
 
-    Walked run by run, as check_sign_criteria is: only the runs of
-    partition_y with y <= 0 are stepped, by scan over their chain links.
-    By theorem 2 they end at n = 368, so the cost is that of partition_y,
-    O(links)."""
+    Walked run by run, as check_sign_criteria is: for each run of
+    partition_y with y <= 0, the chain links clipped to it.  On a link
+    x = z - K with K = (r+1)*m and z does not decrease, so x <= -r - 3
+    holds exactly on the prefix n <= (3*(K - r - 3) + 3) // 2, and
+    -r - 3 <= -6 exactly when r >= 3.  Every n of a piece is applicable;
+    the rest of the piece past that prefix is counterexamples.  No n is
+    visited one at a time, so the cost is that of partition_y, O(links)."""
     if limit < 1:
         raise ValueError("limit must be a positive integer")
     counterexamples = []
@@ -672,10 +676,10 @@ def check_negative_x_bound(limit: int) -> VerificationReport:
     for a, b, sign in partition_y(limit).runs:
         if sign > 0:
             continue
-        for n, _, _, rr, _, xx in sequences.scan(a, b):
-            applicable += 1
-            if not (xx <= -rr - 3 <= -6):
-                counterexamples.append(n)
+        for lo, hi, rr, mm in sequences.chain_links(a, b):
+            applicable += hi - lo + 1
+            holds_to = (3 * ((rr + 1) * mm - rr - 3) + 3) // 2 if rr >= 3 else 0
+            counterexamples.extend(range(max(lo, holds_to + 1), hi + 1))
     details = f"bound checked at {applicable} values with y <= 0"
     return make_report(
         "lemmas/negative-x-bound",

@@ -105,12 +105,34 @@ MUTANTS = [
         f"{T_SEQ}::TestRows",
     ),
     (
-        # partition_y's whole links admit no wrong sign; rows' clipped ones do
+        # partition_y's whole links admit no wrong sign; scan's clipped ones do
         "positive_link: certificate relaxed by one bit",
         SEQ,
         "return mm >= 2 and c(lo) - mm >= hi.bit_length() * (mm - 1)",
         "return mm >= 2 and c(lo) - mm + 1 >= hi.bit_length() * (mm - 1)",
         f"{T_SEQ}::TestRows",
+    ),
+    (
+        "scan: every link settled positive",
+        SEQ,
+        "settled = positive_link(a, b, mm)",
+        "settled = True",
+        f"{T_SEQ}::TestRows",
+    ),
+    (
+        # the signs stay right; only the count of comparisons grows
+        "scan: no link settled, every n compared",
+        SEQ,
+        "settled = positive_link(a, b, mm)",
+        "settled = False",
+        f"{T_SEQ}::TestRows",
+    ),
+    (
+        "partition_y: fallback sign fixed at 1",
+        VER,
+        "_append_run(runs, n, n, sign)",
+        "_append_run(runs, n, n, 1)",
+        f"{T_VER}::TestPartitions",
     ),
     (
         "partition_x: negative cut one too late",
@@ -132,6 +154,27 @@ MUTANTS = [
         "neg_end = min(hi, 3 * ((threshold - 3) // 2) + 2)",
         "neg_end = min(hi, 3 * ((threshold - 3) // 2) + 3)",
         f"{T_VER}::TestRewrittenChecksAgainstPerN::test_block_routes_at_every_limit_to_600",
+    ),
+    (
+        "check_negative_x_bound: cut one later on odd 3*(K - r - 3) + 3",
+        VER,
+        "- rr - 3) + 3) // 2 if rr >= 3",
+        "- rr - 3) + 4) // 2 if rr >= 3",
+        f"{T_VER}::TestOneSignSource::test_negative_x_bound_cut_on_faulty_runs",
+    ),
+    (
+        "check_negative_x_bound: -r - 3 <= -6 taken from r >= 2",
+        VER,
+        "if rr >= 3 else 0",
+        "if rr >= 2 else 0",
+        f"{T_VER}::TestOneSignSource::test_negative_x_bound_cut_on_faulty_runs",
+    ),
+    (
+        "check_negative_x_bound: counterexamples from one past the cut",
+        VER,
+        "range(max(lo, holds_to + 1), hi + 1)",
+        "range(max(lo, holds_to + 2), hi + 1)",
+        f"{T_VER}::TestOneSignSource::test_negative_x_bound_cut_on_faulty_runs",
     ),
     (
         "check_positive_tail: tail read from one past its start",

@@ -323,7 +323,7 @@ class TestSeq:
         def no_rows(lo, hi):
             raise AssertionError("a row was built")
 
-        monkeypatch.setattr(sequences, "rows", no_rows)
+        monkeypatch.setattr(sequences, "scan", no_rows)
         argv = ["seq", "--from", "5", "--to", str(5 + cli.TEXT_MAX_ROWS)]
         assert cli.main(argv + ["--exact-y"] * exact_y) == 2
         out, err = capsys.readouterr()
@@ -368,6 +368,38 @@ class TestIntervals:
     def test_bad_limit_exits_2(self, capsys):
         assert cli.main(["intervals", "--limit", "0"]) == 2
         capsys.readouterr()
+
+    def test_long_text_table_is_refused_before_any_link(self, capsys, monkeypatch):
+        # at most isqrt(2 * limit) m-blocks, and one more link per power of
+        # two: 447250 rows bound 10**11's 447248, and 1414253 pass the
+        # limit at 10**12, so only text at 10**12 is refused
+        class Walked(Exception):
+            pass
+
+        def no_links(lo, hi):
+            raise Walked
+
+        monkeypatch.setattr(sequences, "chain_links", no_links)
+        assert cli.main(["intervals", "--limit", str(10**12)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "--format csv|json" in err
+        assert str(cli.TEXT_MAX_ROWS) in err
+        for argv in (
+            ["intervals", "--limit", str(10**11)],
+            ["intervals", "--limit", str(10**12), "--format", "csv"],
+        ):
+            with pytest.raises(Walked):
+                cli.main(argv)
+
+    def test_text_limit_applies_to_the_bound(self, capsys, monkeypatch):
+        # the table to 10 has 6 links; its bound is isqrt(20) + bitlen(10) = 8
+        monkeypatch.setattr(cli, "TEXT_MAX_ROWS", 8)
+        assert cli.main(["intervals", "--limit", "10"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 6
+        assert cli.main(["intervals", "--limit", "13"]) == 2
+        assert capsys.readouterr().out == ""
+        assert cli.main(["intervals", "--limit", "13", "--format", "csv"]) == 0
 
 
 class TestVerify:

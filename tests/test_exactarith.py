@@ -23,7 +23,7 @@ from ineqscan.exactarith import EQ, GT, LT, cmp_pow2_vs_pow
 
 def scan_m(lo, hi):
     """The m column of sequences.scan over [lo, hi]."""
-    return [mm for _, _, mm, _, _, _ in sequences.scan(lo, hi)]
+    return [rec[2] for rec in sequences.scan(lo, hi)]
 
 
 class TestIsqrt:
@@ -147,7 +147,7 @@ class TestCmp:
 
     def test_fast_path_agrees_with_exact_path(self):
         # the exponent triples the sequences actually produce
-        for n, _, mm, _, cc, _ in sequences.scan(1, 5000):
+        for n, _, mm, _, cc, _, _, _ in sequences.scan(1, 5000):
             e, k = cc - mm, mm - 1
             assert cmp_pow2_vs_pow(e, n, k) == self._direct(e, n, k), n
 

@@ -137,54 +137,9 @@ class TestDefiningProperties:
                 fn(-7)
 
 
-class TestScan:
-    def test_matches_scalar_functions_prefix(self):
-        rows = list(sequences.scan(1, 2000))
-        assert len(rows) == 2000
-        for n, zz, mm, rr, cc, xx in rows:
-            assert zz == sequences.z(n)
-            assert mm == sequences.m(n)
-            assert rr == sequences.r(n)
-            assert cc == sequences.c(n)
-            assert xx == sequences.x(n)
-
-    def test_arbitrary_window(self):
-        rows = list(sequences.scan(950, 1050))
-        assert [t[0] for t in rows] == list(range(950, 1050 + 1))
-        for n, zz, mm, rr, cc, xx in rows:
-            assert (zz, mm, rr, cc, xx) == (
-                sequences.z(n),
-                sequences.m(n),
-                sequences.r(n),
-                sequences.c(n),
-                sequences.x(n),
-            )
-
-    def test_empty_and_invalid_windows(self):
-        assert list(sequences.scan(10, 9)) == []
-        with pytest.raises(ValueError):
-            list(sequences.scan(0, 5))
-
-    def test_defining_inequalities_at_scale(self):
-        # one pass over a million values checking the inequalities that
-        # define every column; the incremental stepping must never drift
-        count = 0
-        for n, zz, mm, rr, cc, xx in sequences.scan(1, 10**6):
-            nn = n + n
-            assert 3 * zz < nn <= 3 * zz + 3
-            assert mm * mm <= nn < (mm + 1) * (mm + 1)
-            assert cc == nn - 2 * zz + 2
-            assert xx == zz - (rr + 1) * mm
-            count += 1
-        assert count == 10**6
-
-    def test_r_column_at_scale_spot(self):
-        for n, _, _, rr, _, _ in sequences.scan(10**6 - 100, 10**6):
-            assert n <= 1 << rr and n > 1 << (rr - 1)
-
-
 class TestRows:
-    """rows(lo, hi), the stepper behind seq, against the scalar functions."""
+    """scan(lo, hi), the one stepper, behind seq, row and partition_y's
+    fallback: its rows against the scalar functions."""
 
     @staticmethod
     def scalar_rows(lo, hi):
@@ -202,8 +157,49 @@ class TestRows:
             for n in range(lo, hi + 1)
         ]
 
+    def test_matches_scalar_functions_prefix(self):
+        rows = list(sequences.scan(1, 2000))
+        assert len(rows) == 2000
+        for n, zz, mm, rr, cc, xx, _, _ in rows:
+            assert zz == sequences.z(n)
+            assert mm == sequences.m(n)
+            assert rr == sequences.r(n)
+            assert cc == sequences.c(n)
+            assert xx == sequences.x(n)
+
+    def test_arbitrary_window(self):
+        rows = list(sequences.scan(950, 1050))
+        assert [t[0] for t in rows] == list(range(950, 1050 + 1))
+        for n, zz, mm, rr, cc, xx, _, _ in rows:
+            assert (zz, mm, rr, cc, xx) == (
+                sequences.z(n),
+                sequences.m(n),
+                sequences.r(n),
+                sequences.c(n),
+                sequences.x(n),
+            )
+
+    def test_defining_inequalities_at_scale(self):
+        # one pass over a million values checking the inequalities that
+        # define every column; the incremental stepping must never drift
+        count = 0
+        for n, zz, mm, rr, cc, xx, cm, ys in sequences.scan(1, 10**6):
+            nn = n + n
+            assert 3 * zz < nn <= 3 * zz + 3
+            assert mm * mm <= nn < (mm + 1) * (mm + 1)
+            assert cc == nn - 2 * zz + 2
+            assert xx == zz - (rr + 1) * mm
+            assert cm == cc - mm
+            assert ys in (-1, 1)
+            count += 1
+        assert count == 10**6
+
+    def test_r_column_at_scale_spot(self):
+        for n, _, _, rr, _, _, _, _ in sequences.scan(10**6 - 100, 10**6):
+            assert n <= 1 << rr and n > 1 << (rr - 1)
+
     def test_prefix(self):
-        assert list(sequences.rows(1, 5000)) == self.scalar_rows(1, 5000)
+        assert list(sequences.scan(1, 5000)) == self.scalar_rows(1, 5000)
 
     def test_windows_around_m_thresholds(self):
         # m steps where 2n reaches k*k, and a link of the chain also ends
@@ -212,21 +208,21 @@ class TestRows:
         mids += [2**j for j in range(2, 65)]
         for mid in mids:
             for lo in (mid - 3, mid, mid + 1):
-                assert list(sequences.rows(lo, mid + 5)) == self.scalar_rows(lo, mid + 5)
+                assert list(sequences.scan(lo, mid + 5)) == self.scalar_rows(lo, mid + 5)
 
     def test_empty_and_invalid_windows(self):
-        assert list(sequences.rows(10, 9)) == []
+        assert list(sequences.scan(10, 9)) == []
         with pytest.raises(ValueError):
-            list(sequences.rows(0, 5))
+            list(sequences.scan(0, 5))
 
-    # rows settles y's sign per link with positive_link and compares per n
+    # scan settles y's sign per link with positive_link and compares per n
     # elsewhere; a window that starts or ends inside a link hands the
     # certificate a clipped link, whose c(lo) and bitlen(hi) differ from
     # the whole link's
     @pytest.mark.parametrize("width", [0, 1, 50])
     def test_every_short_window_to_600(self, width):
         for lo in range(1, 601):
-            assert list(sequences.rows(lo, lo + width)) == self.scalar_rows(lo, lo + width)
+            assert list(sequences.scan(lo, lo + width)) == self.scalar_rows(lo, lo + width)
 
     def test_windows_at_link_ends(self):
         ends = [b for _, b, _, _ in sequences.chain_links(1, 2000)][:60]
@@ -234,13 +230,7 @@ class TestRows:
         for b in ends:
             for lo in (b - 1, b, b + 1):
                 lo = max(lo, 1)
-                assert list(sequences.rows(lo, lo + 80)) == self.scalar_rows(lo, lo + 80)
-
-    def test_first_six_columns_are_scan(self):
-        for j in range(1, 41):
-            for lo in (2**j - 1, 2**j, 2**j + 1):
-                got = [rec[:6] for rec in sequences.rows(lo, lo + 300)]
-                assert got == list(sequences.scan(lo, lo + 300))
+                assert list(sequences.scan(lo, lo + 80)) == self.scalar_rows(lo, lo + 80)
 
     def test_compares_only_the_uncertified_n(self, monkeypatch):
         # below n = 421 some links are left to the per-n comparison, as in
@@ -255,7 +245,7 @@ class TestRows:
             return cmp(*args)
 
         monkeypatch.setattr(sequences, "cmp_pow2_vs_pow", counting_cmp)
-        for _ in sequences.rows(1, 200000):
+        for _ in sequences.scan(1, 200000):
             pass
         assert calls == per_n == 417
 
@@ -297,7 +287,7 @@ class TestBoundSigns:
 class TestMonotonicity:
     def test_index_columns_never_decrease(self):
         prev = None
-        for n, zz, mm, rr, cc, _ in sequences.scan(1, 3000):
+        for n, zz, mm, rr, cc, _, _, _ in sequences.scan(1, 3000):
             if prev is not None:
                 assert zz >= prev[0]
                 assert mm >= prev[1]

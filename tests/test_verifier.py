@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ineqscan import analytic, exactarith, intervals, sequences, verifier
+from ineqscan import analytic, cli, exactarith, intervals, sequences, verifier
 from ineqscan.exactarith import cmp_pow2_vs_pow
 
 REFERENCE_TOP = 10**5
@@ -324,7 +324,7 @@ def per_n_runs(limit):
     """The per-n route: the sign of x and of y at every n of [1, limit],
     folded into runs.  This is the oracle for the blockwise partitions."""
     xs, ys = [], []
-    for n, _, mm, _, cc, xx in sequences.scan(1, limit):
+    for n, _, mm, _, cc, xx, _, _ in sequences.scan(1, limit):
         _push(xs, n, (xx > 0) - (xx < 0))
         _push(ys, n, cmp_pow2_vs_pow(cc - mm, n, mm - 1))
     return tuple(map(tuple, xs)), tuple(map(tuple, ys))
@@ -535,6 +535,10 @@ class TestReach:
         assert calls == 2 * rep.data["blocks"]
 
     def test_sign_criteria_at_one_billion_visits_no_n(self, monkeypatch):
+        # partition_y's fallback steps its few open n through scan; with the
+        # partition built beforehand, the check itself steps none
+        part = verifier.partition_y(10**9)
+        monkeypatch.setattr(verifier, "partition_y", lambda limit: part)
         calls = 0
         scan = sequences.scan
 
@@ -611,7 +615,7 @@ def reference_gap(limit):
 def reference_sign_criteria(limit):
     counterexamples = []
     applies_negative = applies_positive = 0
-    for n, _, mm, rr, cc, _ in sequences.scan(1, limit):
+    for n, _, mm, rr, cc, _, _, _ in sequences.scan(1, limit):
         threshold = rr * (mm - 1)
         if cc <= threshold + 1:
             applies_negative += 1
@@ -642,7 +646,7 @@ def reference_sign_criteria(limit):
 def reference_negative_x_bound(limit):
     counterexamples = []
     applicable = 0
-    for n, _, mm, rr, cc, xx in sequences.scan(1, limit):
+    for n, _, mm, rr, cc, xx, _, _ in sequences.scan(1, limit):
         if cmp_pow2_vs_pow(cc - mm, n, mm - 1) <= 0:
             applicable += 1
             if not (xx <= -rr - 3 <= -6):
@@ -761,20 +765,37 @@ class TestRewrittenChecksAgainstPerN:
         assert verifier.check_gap(10**6).to_dict() == reference_gap(10**6).to_dict()
 
     def test_gap_settles_links_as_a_whole(self, monkeypatch):
-        # far past the scanned start, the gap check visits no n singly
-        calls = 0
-        scan = sequences.scan
+        # far past the stepped start, the gap check reads c once per link,
+        # and once per n only on the six links that end by n = 12
+        walks, spans = [], []
+        links = calls = 0
+        chain_links, scan, c = sequences.chain_links, sequences.scan, sequences.c
 
-        def counting_scan(lo, hi):
-            nonlocal calls
-            calls += hi - lo + 1
+        def counting_links(lo, hi):
+            nonlocal links
+            walks.append((lo, hi))
+            for link in chain_links(lo, hi):
+                links += 1
+                yield link
+
+        def recording_scan(lo, hi):
+            spans.append((lo, hi))
             return scan(lo, hi)
 
-        monkeypatch.setattr(sequences, "scan", counting_scan)
+        def counting_c(n):
+            nonlocal calls
+            calls += 1
+            return c(n)
+
+        monkeypatch.setattr(sequences, "chain_links", counting_links)
+        monkeypatch.setattr(sequences, "scan", recording_scan)
+        monkeypatch.setattr(sequences, "c", counting_c)
         rep = verifier.check_gap(10**12)
         assert rep.status == verifier.CONFIRMED
         assert rep.data["min_gap_from_10"] == 6
-        assert calls == 12
+        assert walks == [(1, 10**12)] and links == 1414251
+        assert spans == []
+        assert calls == links + 12
 
 
 class TestDetailsFollowCounterexamples:
@@ -853,6 +874,59 @@ class TestOneSignSource:
         assert (rep.data["applies_negative"], rep.data["applies_positive"]) == (297, 4608)
         rep = analytic.check_sign_consistency(5000)
         assert rep.counterexamples == list(range(1000, 1011))
+
+    # faulty partitions: all negative on [1, L], and a y <= 0 run that
+    # starts inside the link [392, 420], before its cut at 403.  On the
+    # true runs x <= -r - 3 holds at every n, so no cut is tested there
+    @pytest.mark.parametrize(
+        "runs",
+        [((1, 5, -1),), ((1, 30, -1),), ((1, 600, -1),), ((1, 3000, -1),)]
+        + [((1, 394, 1), (395, 3000, -1))],
+    )
+    def test_negative_x_bound_cut_on_faulty_runs(self, monkeypatch, runs):
+        limit = runs[-1][1]
+        part = verifier.SignPartition(limit, runs)
+        monkeypatch.setattr(verifier, "partition_y", lambda limit: part)
+        stepped = [n for a, b, s in runs if s <= 0 for n in range(a, b + 1)]
+        expected = [
+            n for n in stepped if not sequences.x(n) <= -sequences.r(n) - 3 <= -6
+        ]
+        rep = verifier.check_negative_x_bound(limit)
+        assert (rep.data["applicable"], rep.counterexamples) == (len(stepped), expected)
+        assert 0 < len(expected) < len(stepped) or limit == 5
+
+    def test_scan_steps_only_the_partition_fallback(self, monkeypatch, capsys):
+        # through the CLI, every lemma check reads partition_y, whose
+        # fallback is the one caller of scan: it steps each link that the
+        # certificate leaves open, once per partition_y call
+        limit = 10**6
+        open_links = [
+            (lo, hi)
+            for lo, hi, _, mm in sequences.chain_links(1, limit)
+            if not (mm >= 2 and sequences.c(lo) - mm >= hi.bit_length() * (mm - 1))
+        ]
+        per_n = verifier.partition_y(limit).per_n
+        spans = []
+        parts = 0
+        scan, partition_y = sequences.scan, verifier.partition_y
+
+        def recording_scan(lo, hi):
+            spans.append((lo, hi))
+            return scan(lo, hi)
+
+        def counting_partition(limit):
+            nonlocal parts
+            parts += 1
+            return partition_y(limit)
+
+        monkeypatch.setattr(sequences, "scan", recording_scan)
+        monkeypatch.setattr(verifier, "partition_y", counting_partition)
+        argv = ["verify", "--suite", "lemmas", "--limit", str(limit), "--format", "json"]
+        assert cli.main(argv) == 0
+        assert '"status": "CONFIRMED"' in capsys.readouterr().out
+        assert parts == 3
+        assert spans == open_links * parts
+        assert sum(hi - lo + 1 for lo, hi in spans) == per_n * parts
 
     def test_compares_only_in_the_partition_fallback(self, monkeypatch):
         limit = 10**5
