@@ -137,25 +137,10 @@ class TestDefiningProperties:
                 fn(-7)
 
 
-class TestRows:
+class TestScan:
     """scan(lo, hi), the one stepper, behind seq, row and partition_y's
-    fallback: its rows against the scalar functions."""
-
-    @staticmethod
-    def scalar_rows(lo, hi):
-        return [
-            (
-                n,
-                sequences.z(n),
-                sequences.m(n),
-                sequences.r(n),
-                sequences.c(n),
-                sequences.x(n),
-                sequences.c(n) - sequences.m(n),
-                sequences.y_sign(n),
-            )
-            for n in range(lo, hi + 1)
-        ]
+    fallback: each column against its scalar function and the
+    inequalities that define it."""
 
     def test_matches_scalar_functions_prefix(self):
         rows = list(sequences.scan(1, 2000))
@@ -179,6 +164,11 @@ class TestRows:
                 sequences.x(n),
             )
 
+    def test_empty_and_invalid_windows(self):
+        assert list(sequences.scan(10, 9)) == []
+        with pytest.raises(ValueError):
+            list(sequences.scan(0, 5))
+
     def test_defining_inequalities_at_scale(self):
         # one pass over a million values checking the inequalities that
         # define every column; the incremental stepping must never drift
@@ -198,6 +188,27 @@ class TestRows:
         for n, _, _, rr, _, _, _, _ in sequences.scan(10**6 - 100, 10**6):
             assert n <= 1 << rr and n > 1 << (rr - 1)
 
+
+class TestRows:
+    """scan's whole rows, y's sign included, against the scalar
+    functions."""
+
+    @staticmethod
+    def scalar_rows(lo, hi):
+        return [
+            (
+                n,
+                sequences.z(n),
+                sequences.m(n),
+                sequences.r(n),
+                sequences.c(n),
+                sequences.x(n),
+                sequences.c(n) - sequences.m(n),
+                sequences.y_sign(n),
+            )
+            for n in range(lo, hi + 1)
+        ]
+
     def test_prefix(self):
         assert list(sequences.scan(1, 5000)) == self.scalar_rows(1, 5000)
 
@@ -211,9 +222,14 @@ class TestRows:
                 assert list(sequences.scan(lo, mid + 5)) == self.scalar_rows(lo, mid + 5)
 
     def test_empty_and_invalid_windows(self):
-        assert list(sequences.scan(10, 9)) == []
-        with pytest.raises(ValueError):
-            list(sequences.scan(0, 5))
+        # a window that ends before it starts is empty wherever it lies,
+        # at a link end too; a start below 1 is refused even then
+        ends = [b for _, b, _, _ in sequences.chain_links(1, 2000)][:20]
+        for lo in [2**40, 10**12 + 1] + [b + 1 for b in ends]:
+            assert list(sequences.scan(lo, lo - 1)) == []
+        for lo, hi in ((0, -1), (0, 0), (-3, 5)):
+            with pytest.raises(ValueError):
+                list(sequences.scan(lo, hi))
 
     # scan settles y's sign per link with positive_link and compares per n
     # elsewhere; a window that starts or ends inside a link hands the
