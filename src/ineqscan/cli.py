@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from typing import Callable, NamedTuple
 
 from . import analytic, intervals, sequences, verifier
@@ -96,32 +97,49 @@ def _refuse_long_text(fmt, rows):
         )
 
 
-def _emit_table(columns, records, fmt):
-    """Write records, tuples of ints in column order, to stdout as csv,
-    json or text.
+def _cells(block):
+    """A cell per column of a block: the text of an int column, which all
+    of the block's rows share, and "%s" for a column with a value per row;
+    then the rows of those columns, as tuples."""
+    cells = [str(col) if isinstance(col, int) else "%s" for col in block]
+    return cells, zip(*[col for col in block if not isinstance(col, int)])
 
-    csv and json are written as the records arrive, so memory stays flat
-    however long the range.  text sizes each column to its widest cell,
-    so it keeps every row (as strings) before writing any: it is meant
-    for ranges a person reads.
+
+def _emit_table(columns, blocks, fmt):
+    """Write blocks of columns, in the shape of sequences.scan_columns, to
+    stdout as csv, json or text.
+
+    csv and json build the row template of each block once, with the
+    block's int columns written into it, and then write the block's rows
+    one at a time, so memory stays flat however long the range.  text
+    sizes each column to its widest cell, so it keeps every row (as
+    strings) before writing any: it is meant for ranges a person reads.
     """
     out = sys.stdout
     if fmt == "csv":
         out.write(",".join(columns) + "\n")
-        line = ",".join(["%s"] * len(columns)) + "\n"
-        out.writelines(line % rec for rec in records)
+        for block in blocks:
+            cells, rows = _cells(block)
+            out.writelines(map((",".join(cells) + "\n").__mod__, rows))
     elif fmt == "json":
-        # The bytes of json.dumps(list_of_dicts, indent=2), a record at a
+        # The bytes of json.dumps(list_of_dicts, indent=2), a row at a
         # time: JSON writes an int as str() does.
-        fields = ",\n    ".join(f"{json.dumps(col)}: %s" for col in columns)
-        obj = "{\n    " + fields + "\n  }"
-        sep = "[\n  "
-        for rec in records:
-            out.write(sep + obj % rec)
-            sep = ",\n  "
-        out.write("[]\n" if sep == "[\n  " else "\n]\n")
+        names = [json.dumps(col) + ": " for col in columns]
+        first = True
+        for block in blocks:
+            cells, rows = _cells(block)
+            obj = "{\n    " + ",\n    ".join(map(str.__add__, names, cells)) + "\n  }"
+            if first:
+                out.write("[\n  " + obj % next(rows))
+                first = False
+            out.writelines(map((",\n  " + obj).__mod__, rows))
+        out.write("[]\n" if first else "\n]\n")
     else:
-        cells = [tuple(map(str, rec)) for rec in records]
+        cells = [
+            tuple(map(str, rec))
+            for block in blocks
+            for rec in sequences.block_rows(block)
+        ]
         widths = [
             max([len(col)] + [len(row[i]) for row in cells])
             for i, col in enumerate(columns)
@@ -131,16 +149,19 @@ def _emit_table(columns, records, fmt):
         out.writelines(line % row for row in cells)
 
 
-def _with_exact_y(records):
-    """Append y(n) to each record of sequences.scan, as an exact Decimal.
+def _with_exact_y(blocks):
+    """Append y(n) to each block of sequences.scan_columns, as a lazy
+    column of exact Decimals, so only one y is held at a time.
 
     y = 2**e - q with e = c - m and q = n**(m - 1), and q has a small
     share of y's bits (about a fifth at n = 20000, less further out).
-    So 2**e is kept as a Decimal P from row to row: multiplied by
-    2**(e' - e) when e rises (by 2 at each multiple of 3 inside a link),
-    and recomputed by one power when e falls (by 1 at each m step).  Each
-    row then converts only q = 2**e - y from binary, where str(y) of the
-    int would convert all of y, at a cost quadratic in its digits.
+    So 2**e is kept as a Decimal P from row to row, across blocks:
+    multiplied by 2**(e' - e) when e rises (by 2 at each multiple of 3
+    inside a link), and recomputed by one power when e falls (by 1 at
+    each m step).  Each row then converts only q = 2**e - y from binary,
+    where str(y) of the int would convert all of y, at a cost quadratic
+    in its digits.  A block's column is read to its end before the next
+    block is asked for, which is the order P steps in.
 
     Exact: every operand is an integer with exponent 0, the precision
     and exponent range are the largest the module allows, and Inexact
@@ -157,41 +178,55 @@ def _with_exact_y(records):
         traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
     )
     e = p = None
-    for rec in records:
-        y = sequences.y_value(rec[0])
-        if rec[6] != e:  # rec[6] is c - m
-            if e is not None and rec[6] > e:
-                p = ctx.multiply(p, 1 << (rec[6] - e))
-            else:
-                p = ctx.power(2, rec[6])
-            e = rec[6]
-        yield rec + (ctx.subtract(p, (1 << e) - y),)
+
+    def column(ns, gaps):  # gaps is the c - m column
+        nonlocal e, p
+        for n, gap in zip(ns, gaps):
+            y = sequences.y_value(n)
+            if gap != e:
+                if e is not None and gap > e:
+                    p = ctx.multiply(p, 1 << (gap - e))
+                else:
+                    p = ctx.power(2, gap)
+                e = gap
+            yield ctx.subtract(p, (1 << e) - y)
+
+    for block in blocks:
+        yield block + (column(block[0], block[6]),)
 
 
 def cmd_seq(args):
-    """Print sequences.scan over [--from, --to]; with --exact-y, add y(n)
-    as an exact Decimal built by _with_exact_y, whose text is that of the
-    int, so no big int is converted to str and the interpreter's digit
-    cap never applies.  A text range longer than TEXT_MAX_ROWS is refused
-    before any row is built."""
+    """Print sequences.scan_columns over [--from, --to], a block at a time;
+    with --exact-y, add y(n) as an exact Decimal built by _with_exact_y,
+    whose text is that of the int, so no big int is converted to str and
+    the interpreter's digit cap never applies.  A text range longer than
+    TEXT_MAX_ROWS is refused before any row is built."""
     start, stop = args.start, args.stop
     if start < 1 or stop < start:
         raise ValueError("need 1 <= --from <= --to")
     _refuse_long_text(args.format, stop - start + 1)
     columns = ["n", "z", "m", "r", "c", "x", "c_minus_m", "y_sign"]
-    records = sequences.scan(start, stop)
+    blocks = sequences.scan_columns(start, stop)
     if args.exact_y:
         columns.append("y")
-        records = _with_exact_y(records)
-    _emit_table(columns, records, args.format)
+        blocks = _with_exact_y(blocks)
+    _emit_table(columns, blocks, args.format)
     return 0
+
+
+def _chunks(records):
+    """Records regrouped as blocks of columns, 64 rows at a time: few
+    enough that a long table's memory stays flat."""
+    records = iter(records)
+    while chunk := list(islice(records, 64)):
+        yield tuple(zip(*chunk))
 
 
 def cmd_intervals(args):
     limit = max(args.limit, 1)  # a row per m-block, at most one more per power of 2
     _refuse_long_text(args.format, sequences.m(limit) + limit.bit_length())
     columns = ["index", "lo", "hi", "r", "m", "x_lo", "x_hi"]
-    _emit_table(columns, intervals.interval_table(args.limit), args.format)
+    _emit_table(columns, _chunks(intervals.interval_table(args.limit)), args.format)
     return 0
 
 

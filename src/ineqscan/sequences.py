@@ -19,24 +19,33 @@ which keeps the pow2_term exponent positive.
 The scalar functions compute one value from scratch.  Ranges go through
 the interval chain instead: chain_links(lo, hi) yields the maximal links
 on which m and r are both constant, one math.isqrt and one bit_length
-per link.  scan, the one stepper, steps n inside each link, taking m, r
-and (r + 1)*m from it, and yields whole rows as plain tuples in
-SequenceRow order.  It settles y's sign once per link where
-positive_link certifies y > 0 on all of it, and compares the two terms
-of y exactly for each n of the other links, all of them below n = 421.
-row(n) is one step of scan, so a SequenceRow and a row of a range scan
-come from the same code.  The range checks read the sign of y from the
-runs of verifier.partition_y, which applies the same certificate and
-reads the sign of each n on the links it leaves open from scan.
-bound_signs gives the exact signs of y's two endpoint bounds on a
-constant-m block, which is all verifier.check_range_bounds needs; no
-other module compares the two terms of y.
+per link.  scan_columns, the one stepper, cuts each link into pieces of
+at most PIECE rows and yields a block of columns per piece, in
+SequenceRow order, taking m, r and (r + 1)*m from the link: n is a
+range, m and r are ints, and the other columns are lists.  It settles
+y's sign once per link where positive_link certifies y > 0 on all of
+it, and gives that sign as the int 1; it compares the two terms of y
+exactly for each n of the other links, all of them below n = 421.
+scan_columns serves seq, which writes a block's int columns into the
+block's row template once.  scan yields the rows of those blocks as
+plain tuples, and row(n) is one row of scan, so a SequenceRow and a row
+of a range scan come from the same code.  The range checks read the
+sign of y from the runs of verifier.partition_y, which applies the same
+certificate and reads the sign of each n on the links it leaves open
+from scan.  bound_signs gives the exact signs of y's two endpoint bounds
+on a constant-m block, which is all verifier.check_range_bounds needs;
+no other module compares the two terms of y.
 """
 
 import math
+from itertools import repeat
 from typing import Iterator, NamedTuple
 
 from .exactarith import cmp_pow2_vs_pow
+
+# The most rows in one block of scan_columns: it keeps a block's lists small
+# on links of millions of n, and seq still builds a row template rarely.
+PIECE = 1024
 
 
 class SequenceRow(NamedTuple):
@@ -167,24 +176,43 @@ def bound_signs(a: int, b: int, mm: int) -> tuple[int, int]:
     )
 
 
-def scan(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
-    """Yield (n, z, m, r, c, x, c_minus_m, y_sign) for each n in [lo, hi],
-    in SequenceRow field order, as plain tuples.
+def scan_columns(lo: int, hi: int) -> Iterator[tuple]:
+    """Yield one block per piece of each chain link that meets [lo, hi],
+    in order; a piece holds at most PIECE rows.
 
-    The stepper for ranges: it walks chain_links(lo, hi) and steps n
-    inside each link, where m, r and (r + 1)*m are the link's constants,
-    so x is z minus a constant.  y_sign is 1 for every n of a link that
-    positive_link certifies, and otherwise the exact comparison of
-    2**(c - m) with n**(m - 1), as in y_sign(n).  An empty range yields
-    nothing.
+    A block is a tuple of columns in SequenceRow order: n is a range, m
+    and r are the link's constant ints, y_sign is the int 1 on a link
+    that positive_link certifies and otherwise a list of exact
+    comparisons of 2**(c - m) with n**(m - 1), as in y_sign(n), and z, c,
+    x and c_minus_m are lists.  Inside a link x is z minus the constant
+    (r + 1)*m.  The cap on a piece keeps memory flat on links of millions
+    of n.  An empty range yields nothing.
     """
     for a, b, rr, mm in chain_links(lo, hi):
         k = (rr + 1) * mm
         settled = positive_link(a, b, mm)
-        for n in range(a, b + 1):
-            nn = 2 * n
-            zz = (nn - 1) // 3
-            cc = nn - 2 * zz + 2
-            yield n, zz, mm, rr, cc, zz - k, cc - mm, (
-                1 if settled else cmp_pow2_vs_pow(cc - mm, n, mm - 1)
+        for s in range(a, b + 1, PIECE):
+            ns = range(s, min(s + PIECE, b + 1))
+            zs = [(2 * n - 1) // 3 for n in ns]
+            cs = [2 * (n // 3) + 4 for n in ns]  # c(n) in closed form
+            gaps = [cc - mm for cc in cs]
+            yield ns, zs, mm, rr, cs, [zz - k for zz in zs], gaps, (
+                1
+                if settled
+                else [cmp_pow2_vs_pow(g, n, mm - 1) for n, g in zip(ns, gaps)]
             )
+
+
+def block_rows(block: tuple) -> Iterator[tuple]:
+    """The rows of a block of columns, as tuples: an int column repeats
+    its value on every row, and every other column is iterated."""
+    return zip(*[repeat(col) if isinstance(col, int) else col for col in block])
+
+
+def scan(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
+    """Yield (n, z, m, r, c, x, c_minus_m, y_sign) for each n in [lo, hi],
+    in SequenceRow field order, as plain tuples: the rows of the blocks
+    of scan_columns(lo, hi).  An empty range yields nothing.
+    """
+    for block in scan_columns(lo, hi):
+        yield from block_rows(block)

@@ -193,16 +193,44 @@ MUTANTS = [
     (
         "_with_exact_y: P multiplied by one power of two too many",
         CLI,
-        "p = ctx.multiply(p, 1 << (rec[6] - e))",
-        "p = ctx.multiply(p, 1 << (rec[6] - e + 1))",
+        "p = ctx.multiply(p, 1 << (gap - e))",
+        "p = ctx.multiply(p, 1 << (gap - e + 1))",
         f"{T_CLI}::TestSeq",
     ),
     (
         "_with_exact_y: P not recomputed when e falls",
         CLI,
-        "            else:\n                p = ctx.power(2, rec[6])",
-        "            elif e is None:\n                p = ctx.power(2, rec[6])",
+        "                else:\n                    p = ctx.power(2, gap)",
+        "                elif e is None:\n                    p = ctx.power(2, gap)",
         f"{T_CLI}::TestSeq",
+    ),
+    (
+        "_with_exact_y: the lazy y column made a list",
+        CLI,
+        "yield block + (column(block[0], block[6]),)",
+        "yield block + (list(column(block[0], block[6])),)",
+        f"{T_CLI}::TestStreamedOutput::test_blocks_hold_little",
+    ),
+    (
+        "scan_columns: a piece ends one row short",
+        SEQ,
+        "ns = range(s, min(s + PIECE, b + 1))",
+        "ns = range(s, min(s + PIECE - 1, b + 1))",
+        f"{T_CLI}::TestSeq::test_csv_matches_golden_digest",
+    ),
+    (
+        "scan_columns: a piece ends one row long",
+        SEQ,
+        "ns = range(s, min(s + PIECE, b + 1))",
+        "ns = range(s, min(s + PIECE + 1, b + 1))",
+        f"{T_CLI}::TestSeq::test_csv_matches_golden_digest",
+    ),
+    (
+        "scan_columns: the piece cap removed, one block per link",
+        SEQ,
+        "for s in range(a, b + 1, PIECE):\n            ns = range(s, min(s + PIECE, b + 1))",
+        "for s in (a,):\n            ns = range(a, b + 1)",
+        f"{T_CLI}::TestStreamedOutput::test_blocks_hold_little",
     ),
 ]
 
@@ -210,8 +238,8 @@ KNOWN_SURVIVORS = [
     (
         "_with_exact_y: P recomputed by one power at every rise of e",
         CLI,
-        "p = ctx.multiply(p, 1 << (rec[6] - e))",
-        "p = ctx.power(2, rec[6])",
+        "p = ctx.multiply(p, 1 << (gap - e))",
+        "p = ctx.power(2, gap)",
         f"{T_CLI}::TestSeq",
         "equivalent: P is 2**e either way, so only the time of seq --exact-y "
         "changes, which the benchmark measures and no test does",

@@ -154,19 +154,41 @@ class TestStreamedOutput:
         assert cli.main(["intervals", "--limit", "600", "--format", fmt]) == 0
         assert capsys.readouterr().out == reference_intervals(600, fmt)
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_seq_streams_in_constant_memory(self, monkeypatch, fmt):
-        # 100k rows held as dicts took tens of MB
+    @staticmethod
+    def traced_peak(monkeypatch, argv):
+        """The peak of memory traced while cli.main runs argv into devnull."""
         with open(os.devnull, "w") as sink:
             monkeypatch.setattr(sys, "stdout", sink)
             tracemalloc.start()
             try:
-                rc = cli.main(["seq", "--from", "1", "--to", "100000", "--format", fmt])
+                assert cli.main(argv) == 0
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert rc == 0
-        assert peak < 2 * 2**20
+        return peak
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_seq_streams_in_constant_memory(self, monkeypatch, fmt):
+        # 100k rows held as dicts took tens of MB
+        argv = ["seq", "--from", "1", "--to", "100000", "--format", fmt]
+        assert self.traced_peak(monkeypatch, argv) < 2 * 2**20
+
+    # One guard per way a block could hold too much: every y of a block
+    # at once (about 2 MB here, where one at a time peaks near 0.4 MB), a
+    # chain link of over a million n in one block instead of pieces of
+    # PIECE rows (3.4 MB on this window, against about 0.5 MB), and the
+    # interval table in large chunks (2.6 MB with 4096 links a block).
+    @pytest.mark.parametrize(
+        "argv, limit_mb",
+        [
+            (["seq", "--from", "60000", "--to", "60399", "--exact-y", "--format", "csv"], 1),
+            (["seq", "--from", "60000", "--to", "60399", "--exact-y", "--format", "json"], 1),
+            (["seq", "--from", str(10**12), "--to", str(10**12 + 20000), "--format", "csv"], 1.5),
+            (["intervals", "--limit", str(10**9), "--format", "csv"], 1),
+        ],
+    )
+    def test_blocks_hold_little(self, monkeypatch, argv, limit_mb):
+        assert self.traced_peak(monkeypatch, argv) < limit_mb * 2**20
 
     def test_closed_pipe_exits_quietly(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -324,6 +346,7 @@ class TestSeq:
             raise AssertionError("a row was built")
 
         monkeypatch.setattr(sequences, "scan", no_rows)
+        monkeypatch.setattr(sequences, "scan_columns", no_rows)
         argv = ["seq", "--from", "5", "--to", str(5 + cli.TEXT_MAX_ROWS)]
         assert cli.main(argv + ["--exact-y"] * exact_y) == 2
         out, err = capsys.readouterr()

@@ -266,6 +266,49 @@ class TestRows:
         assert calls == per_n == 417
 
 
+class TestScanColumns:
+    """scan_columns' blocks: how they tile the range, their column types
+    and constants, and the rows scan reads from them."""
+
+    # [392, 421] holds the last links left to the per-n comparison and
+    # the first certified one; around 10**12 one link is cut into pieces
+    @pytest.mark.parametrize(
+        "lo, hi", [(1, 3000), (392, 421), (10**12 - 5000, 10**12 + 5000)]
+    )
+    def test_blocks_tile_the_range_in_link_pieces(self, lo, hi):
+        assert sequences.PIECE == 1024
+        blocks = list(sequences.scan_columns(lo, hi))
+        links = iter(sequences.chain_links(lo, hi))
+        a = b = start = lo - 1
+        for block in blocks:
+            ns, zs, mm, rr, cs, xs, gaps, ys = block
+            assert type(ns) is range and ns.step == 1 and ns.start == start + 1
+            if ns.start > b:  # the block opens the next link
+                assert ns.start == b + 1
+                a, b, link_r, link_m = next(links)
+            # pieces are cut from a link's start; only its last is short
+            assert (ns.start - a) % 1024 == 0
+            assert len(ns) == 1024 or ns[-1] == b
+            assert 1 <= len(ns) <= 1024 and ns[-1] <= b
+            start = ns[-1]
+            assert type(mm) is int and type(rr) is int and (rr, mm) == (link_r, link_m)
+            assert mm == sequences.m(ns[0]) == sequences.m(ns[-1])
+            assert rr == sequences.r(ns[0]) == sequences.r(ns[-1])
+            for col in (zs, cs, xs, gaps):
+                assert type(col) is list and len(col) == len(ns)
+            if sequences.positive_link(a, b, mm):
+                assert type(ys) is int and ys == 1
+            else:
+                assert type(ys) is list and len(ys) == len(ns)
+        assert start == hi and next(links, None) is None
+        flat = [
+            tuple(col if type(col) is int else col[i] for col in block)
+            for block in blocks
+            for i in range(len(block[0]))
+        ]
+        assert list(sequences.scan(lo, hi)) == flat
+
+
 def sign(v):
     return (v > 0) - (v < 0)
 
