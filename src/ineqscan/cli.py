@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
 from itertools import islice
 from typing import Callable, NamedTuple
 
@@ -97,42 +98,56 @@ def _refuse_long_text(fmt, rows):
         )
 
 
-def _cells(block):
-    """A cell per column of a block: the text of an int column, which all
-    of the block's rows share, and "%s" for a column with a value per row;
-    then the rows of those columns, as tuples."""
-    cells = [str(col) if isinstance(col, int) else "%s" for col in block]
-    return cells, zip(*[col for col in block if not isinstance(col, int)])
+def _block_text(row, block):
+    """The text of a block of columns, as strings to write.  row(cells) is
+    the row template for a cell per column: an int column's text, shared
+    by every row, or "%s".  The other columns are interleaved into one
+    argument list by slice assignment, so the block is one string; a lazy
+    last column (--exact-y's y) is formatted a row at a time instead, so
+    one of its values is held at a time."""
+    line = row([str(col) if isinstance(col, int) else "%s" for col in block])
+    cols = [col for col in block if not isinstance(col, int)]
+    if isinstance(cols[-1], Iterator):
+        return map(line.__mod__, zip(*cols))
+    size, width = len(cols[0]), len(cols)
+    args = [None] * (size * width)
+    for i, col in enumerate(cols):
+        args[i::width] = col
+    return [line * size % tuple(args)]
 
 
 def _emit_table(columns, blocks, fmt):
     """Write blocks of columns, in the shape of sequences.scan_columns, to
     stdout as csv, json or text.
 
-    csv and json build the row template of each block once, with the
-    block's int columns written into it, and then write the block's rows
-    one at a time, so memory stays flat however long the range.  text
-    sizes each column to its widest cell, so it keeps every row (as
-    strings) before writing any: it is meant for ranges a person reads.
+    csv and json write each block as the text _block_text gives, with
+    one write per block (a row at a time for --exact-y), so memory stays
+    flat however long the range.  text sizes each column to its widest
+    cell, so it keeps every row (as strings) before writing any: it is
+    meant for ranges a person reads.
     """
     out = sys.stdout
     if fmt == "csv":
         out.write(",".join(columns) + "\n")
         for block in blocks:
-            cells, rows = _cells(block)
-            out.writelines(map((",".join(cells) + "\n").__mod__, rows))
+            out.writelines(_block_text(lambda cells: ",".join(cells) + "\n", block))
     elif fmt == "json":
-        # The bytes of json.dumps(list_of_dicts, indent=2), a row at a
-        # time: JSON writes an int as str() does.
+        # The bytes of json.dumps(list_of_dicts, indent=2), a block at a
+        # time: JSON writes an int as str() does.  Every row opens with
+        # ",", which the first row's "[" replaces.
         names = [json.dumps(col) + ": " for col in columns]
+
+        def row(cells):
+            pairs = ",\n    ".join(map(str.__add__, names, cells))
+            return ",\n  {\n    " + pairs + "\n  }"
+
         first = True
         for block in blocks:
-            cells, rows = _cells(block)
-            obj = "{\n    " + ",\n    ".join(map(str.__add__, names, cells)) + "\n  }"
+            text = iter(_block_text(row, block))
             if first:
-                out.write("[\n  " + obj % next(rows))
+                out.write("[" + next(text)[1:])
                 first = False
-            out.writelines(map((",\n  " + obj).__mod__, rows))
+            out.writelines(text)
         out.write("[]\n" if first else "\n]\n")
     else:
         cells = [

@@ -22,19 +22,22 @@ on which m and r are both constant, one math.isqrt and one bit_length
 per link.  scan_columns, the one stepper, cuts each link into pieces of
 at most PIECE rows and yields a block of columns per piece, in
 SequenceRow order, taking m, r and (r + 1)*m from the link: n is a
-range, m and r are ints, and the other columns are lists.  It settles
-y's sign once per link where positive_link certifies y > 0 on all of
-it, and gives that sign as the int 1; it compares the two terms of y
-exactly for each n of the other links, all of them below n = 421.
-scan_columns serves seq, which writes a block's int columns into the
-block's row template once.  scan yields the rows of those blocks as
-plain tuples, and row(n) is one row of scan, so a SequenceRow and a row
-of a range scan come from the same code.  The range checks read the
-sign of y from the runs of verifier.partition_y, which applies the same
-certificate and reads the sign of each n on the links it leaves open
-from scan.  bound_signs gives the exact signs of y's two endpoint bounds
-on a constant-m block, which is all verifier.check_range_bounds needs;
-no other module compares the two terms of y.
+range, m and r are ints, and the other columns are lists.  z, c, x and
+c - m each rise by 2 every 3 rows of a link, so only their first three
+values are computed in Python and each list is filled from a step-2
+range per residue of n mod 3 by slice assignment.  It settles y's sign
+once per link where positive_link certifies y > 0 on all of it, and
+gives that sign as the int 1; it compares the two terms of y exactly
+for each n of the other links, all of them below n = 421.  scan_columns
+serves seq, which writes each block as one string.  scan yields the
+rows of those blocks as plain tuples, and row(n) is one row of scan, so
+a SequenceRow and a row of a range scan come from the same code.  The
+range checks read the sign of y from the runs of verifier.partition_y,
+which applies the same certificate and reads the sign of each n on the
+links it leaves open from scan.  bound_signs gives the exact signs of
+y's two endpoint bounds on a constant-m block, which is all
+verifier.check_range_bounds needs; no other module compares the two
+terms of y.
 """
 
 import math
@@ -176,6 +179,16 @@ def bound_signs(a: int, b: int, mm: int) -> tuple[int, int]:
     )
 
 
+def _rising(first3, size):
+    """A column of size values that rises by 2 every 3 rows, as z, c, x
+    and c - m do inside a link, from its first (up to) three values: each
+    third of the rows is a step-2 range, written in by slice assignment."""
+    col = [0] * size
+    for i, v in enumerate(first3):
+        col[i::3] = range(v, v + 2 * len(range(i, size, 3)), 2)
+    return col
+
+
 def scan_columns(lo: int, hi: int) -> Iterator[tuple]:
     """Yield one block per piece of each chain link that meets [lo, hi],
     in order; a piece holds at most PIECE rows.
@@ -184,19 +197,22 @@ def scan_columns(lo: int, hi: int) -> Iterator[tuple]:
     and r are the link's constant ints, y_sign is the int 1 on a link
     that positive_link certifies and otherwise a list of exact
     comparisons of 2**(c - m) with n**(m - 1), as in y_sign(n), and z, c,
-    x and c_minus_m are lists.  Inside a link x is z minus the constant
-    (r + 1)*m.  The cap on a piece keeps memory flat on links of millions
-    of n.  An empty range yields nothing.
+    x and c_minus_m are lists built by _rising.  Inside a link x is z
+    minus the constant (r + 1)*m.  The cap on a piece keeps memory flat
+    on links of millions of n.  An empty range yields nothing.
     """
     for a, b, rr, mm in chain_links(lo, hi):
         k = (rr + 1) * mm
         settled = positive_link(a, b, mm)
         for s in range(a, b + 1, PIECE):
             ns = range(s, min(s + PIECE, b + 1))
-            zs = [(2 * n - 1) // 3 for n in ns]
-            cs = [2 * (n // 3) + 4 for n in ns]  # c(n) in closed form
-            gaps = [cc - mm for cc in cs]
-            yield ns, zs, mm, rr, cs, [zz - k for zz in zs], gaps, (
+            size = len(ns)
+            z3 = [(2 * n - 1) // 3 for n in ns[:3]]
+            c3 = [2 * (n // 3) + 4 for n in ns[:3]]  # c(n) in closed form
+            zs, cs = _rising(z3, size), _rising(c3, size)
+            xs = _rising([zz - k for zz in z3], size)
+            gaps = _rising([cc - mm for cc in c3], size)
+            yield ns, zs, mm, rr, cs, xs, gaps, (
                 1
                 if settled
                 else [cmp_pow2_vs_pow(g, n, mm - 1) for n, g in zip(ns, gaps)]

@@ -226,6 +226,27 @@ MUTANTS = [
         f"{T_CLI}::TestSeq::test_csv_matches_golden_digest",
     ),
     (
+        "_rising: each third of a column rises by 1, not 2",
+        SEQ,
+        "col[i::3] = range(v, v + 2 * len(range(i, size, 3)), 2)",
+        "col[i::3] = range(v, v + len(range(i, size, 3)))",
+        f"{T_SEQ}::TestRows",
+    ),
+    (
+        "scan_columns: c's first three values taken at n + 1",
+        SEQ,
+        "c3 = [2 * (n // 3) + 4 for n in ns[:3]]",
+        "c3 = [2 * ((n + 1) // 3) + 4 for n in ns[:3]]",
+        f"{T_SEQ}::TestRows",
+    ),
+    (
+        "_block_text: a lazy column formatted with the rest, every y of a block at once",
+        CLI,
+        "    if isinstance(cols[-1], Iterator):",
+        "    if False:",
+        f"{T_CLI}::TestStreamedOutput::test_blocks_hold_little",
+    ),
+    (
         "scan_columns: the piece cap removed, one block per link",
         SEQ,
         "for s in range(a, b + 1, PIECE):\n            ns = range(s, min(s + PIECE, b + 1))",

@@ -178,6 +178,8 @@ class TestStreamedOutput:
     # chain link of over a million n in one block instead of pieces of
     # PIECE rows (3.4 MB on this window, against about 0.5 MB), and the
     # interval table in large chunks (2.6 MB with 4096 links a block).
+    # A json block's text, written as one string, is the largest a block
+    # holds: about 0.7 MB at 10**12 with pieces of PIECE rows.
     @pytest.mark.parametrize(
         "argv, limit_mb",
         [
@@ -185,6 +187,7 @@ class TestStreamedOutput:
             (["seq", "--from", "60000", "--to", "60399", "--exact-y", "--format", "json"], 1),
             (["seq", "--from", str(10**12), "--to", str(10**12 + 20000), "--format", "csv"], 1.5),
             (["intervals", "--limit", str(10**9), "--format", "csv"], 1),
+            (["seq", "--from", str(10**12), "--to", str(10**12 + 20000), "--format", "json"], 1.5),
         ],
     )
     def test_blocks_hold_little(self, monkeypatch, argv, limit_mb):
@@ -334,6 +337,26 @@ class TestSeq:
     def test_csv_matches_golden_digest(self, start, stop, digest):
         buf = io.StringIO()
         argv = ["seq", "--from", str(start), "--to", str(stop), "--format", "csv"]
+        with redirect_stdout(buf):
+            assert cli.main(argv) == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+    # the same windows as json: the blocks are written through another
+    # row template, whose first row opens with "[" instead of ","
+    @pytest.mark.parametrize(
+        "start, stop, digest",
+        [
+            (1, 200000, "7fabc2bd67dacb822ba27eaebb3720379ab73cafb12ec4ea993d9a3640a1ffc5"),
+            (
+                999999990000,
+                1000000009999,
+                "927d590c90e590924f241a7f98d340d33d4b4338332da53d2b8082ac9c19ecec",
+            ),
+        ],
+    )
+    def test_json_matches_golden_digest(self, start, stop, digest):
+        buf = io.StringIO()
+        argv = ["seq", "--from", str(start), "--to", str(stop), "--format", "json"]
         with redirect_stdout(buf):
             assert cli.main(argv) == 0
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest

@@ -235,10 +235,22 @@ class TestRows:
     # elsewhere; a window that starts or ends inside a link hands the
     # certificate a clipped link, whose c(lo) and bitlen(hi) differ from
     # the whole link's
-    @pytest.mark.parametrize("width", [0, 1, 50])
+    # and each piece's z, c, x and c - m are filled from its first three
+    # rows, so a piece of 1 to 6 rows can start at any residue of n mod 3
+    @pytest.mark.parametrize("width", [0, 1, 2, 3, 4, 5, 50])
     def test_every_short_window_to_600(self, width):
         for lo in range(1, 601):
             assert list(sequences.scan(lo, lo + width)) == self.scalar_rows(lo, lo + width)
+
+    # windows of PIECE - 1, PIECE and PIECE + 1 rows inside one link of
+    # 44721 n around 10**9: one short piece, one whole, and one whole and
+    # a piece of one row, from each residue of n mod 3
+    @pytest.mark.parametrize("rows", [1023, 1024, 1025])
+    def test_piece_sized_windows_in_one_long_link(self, rows):
+        for lo in (10**9, 10**9 + 1, 10**9 + 2):
+            hi = lo + rows - 1
+            assert len(list(sequences.chain_links(lo, hi))) == 1
+            assert list(sequences.scan(lo, hi)) == self.scalar_rows(lo, hi)
 
     def test_windows_at_link_ends(self):
         ends = [b for _, b, _, _ in sequences.chain_links(1, 2000)][:60]
