@@ -6,11 +6,16 @@ family of smooth envelope functions that sandwich the integer data,
 their first two derivatives, bisection brackets for the envelope roots,
 and spot checks of the published decimal approximations.
 
-Everything here is ordinary floating point.  That is safe on the range
-the command line allows (n <= 10**7): the margins there stay far above
-double-precision error, and any comparison that lands inside float
-noise is reported instead of trusted.  Past it the margins shrink toward
-float error, which is why that range is capped.
+The envelope checks, the surrogates and the bisection are ordinary
+floating point.  That is safe on the range the command line allows
+(n <= 10**7): the margins there stay far above double-precision error,
+and any comparison that lands inside float noise is reported instead of
+trusted.  Past it the margins shrink toward float error, which is why
+that range is capped.  One piece is exact: positive_beyond proves, in
+integers only, that an envelope stays positive on a whole real tail
+[t, oo), and check_roots stops its float grid walk at the first positive
+t where it holds, just past each root, instead of walking on to
+ROOT_SCAN_HI.
 
 The range checks walk sequences.chain_links.  On a link m and r are
 fixed, and every margin they report is monotone up to a term that
@@ -123,11 +128,51 @@ def F_second(coeffs: FCoeffs, t: float) -> float:
 
     Positive exactly when sqrt(t) * ln(2**b * t) exceeds 2 sqrt(2) c, so
     each instance is convex beyond max(2, exp(2 c) / 2**b).
+    positive_beyond decides the integer form of that condition,
+    2**b t >= 9**c with t > 2.
     """
     if t <= 0:
         raise ValueError("envelope functions are defined for t > 0 only")
     num = math.sqrt(t) * (coeffs.b * LOG2 + math.log(t)) - 2.0 * math.sqrt(2.0) * coeffs.c
     return num / (2.0 * math.sqrt(2.0) * t * t * LOG2)
+
+
+# Scales of the integer bounds in positive_beyond: log2 t is bounded to
+# within 1/LOG_SCALE and sqrt(2 t) to within 1/SQRT_SCALE.
+LOG_SCALE = 1 << 12
+SQRT_SCALE = 1 << 20
+
+
+def positive_beyond(coeffs: FCoeffs, t: int) -> bool:
+    """Whether F(u) > 0 is proved for every real u >= t, in integers only.
+
+    True only when three facts hold, so that F(u) >= F(t) + F'(t)(u - t) > 0:
+
+    1. F'' > 0 on [t, oo): t > 2, b >= 0, c >= 0 and 2**b t >= 9**c.  As
+       e**2 < 9 this gives ln(2**b u) > 2c for u >= t, and with sqrt(u) >
+       sqrt(2) that is sqrt(u) ln(2**b u) > 2 sqrt(2) c, F_second's
+       condition (for c = 0, ln(2**b u) > 0 is enough).
+    2. F(t) > 0.  With Q = LOG_SCALE, p = bitlen(t**Q) - 1 gives
+       p <= Q log2 t < p + 1; with K = SQRT_SCALE, r = isqrt(2 t K**2)
+       gives r <= K sqrt(2 t) < r + 1.  As c >= 0 and b + log2 t > 0,
+       F(t) > 2t/3 + a + c p/Q - (b + (p + 1)/Q)(r + 1)/K, which is
+       required to be > 0, multiplied out by 3QK.
+    3. F'(t) > 0.  With s = sqrt(2 t), s F'(t) = 2s/3 - b - log2 t
+       + 2(c/s - 1)/ln 2.  Dropping c >= 0 and taking ln 2 > 2/3 (the
+       first three terms of ln 2 = sum 1/(k 2**k)) gives s F'(t) >
+       2r/(3K) - b - (p + 1)/Q - 3, required to be > 0, multiplied by 3QK.
+
+    False says only that these bounds do not settle it.
+    """
+    a, b, c = coeffs
+    if t <= 2 or b < 0 or c < 0 or (t << b) < 9**c:
+        return False
+    q, k = LOG_SCALE, SQRT_SCALE
+    p = (t**q).bit_length() - 1
+    r = math.isqrt(2 * t * k * k)
+    value = 2 * t * q * k + 3 * a * q * k + 3 * c * p * k - 3 * (b * q + p + 1) * (r + 1)
+    slope = 2 * r * q - 3 * k * ((b + 3) * q + p + 1)
+    return value > 0 and slope > 0
 
 
 class RootBracket(NamedTuple):
@@ -455,10 +500,23 @@ def check_approximations() -> VerificationReport:
 def check_roots(tol: float = 1e-9) -> list[VerificationReport]:
     """Isolate the main root of each envelope instance.
 
-    For each instance: scan the integer grid [ROOT_SCAN_START, ROOT_SCAN_HI]
-    and require exactly one sign change, compare the unit bracket with the
-    printed one, then bisect down to tol.  The printed y-lower bracket is
-    a documented misprint.
+    For each instance: find the sign changes of F on the integer grid
+    [ROOT_SCAN_START, ROOT_SCAN_HI] and require exactly one, compare the
+    unit bracket with the printed one, then bisect down to tol.  The
+    printed y-lower bracket is a documented misprint.
+
+    The grid is walked in floats from the start, and the walk stops at the
+    first t where F turns positive and positive_beyond(coeffs, t) holds.
+    That predicate proves, in integers only, F(u) > 0 for every real
+    u >= t from three facts: F'' > 0 on [t, oo) (t > 2, b, c >= 0 and
+    2**b t >= 9**c, as e**2 < 9), F(t) > 0 and F'(t) > 0.  The last two
+    bound log2 t by p/Q <= log2 t < (p + 1)/Q with p = bitlen(t**Q) - 1,
+    sqrt(2 t) by r/K <= sqrt(2 t) < (r + 1)/K with r = isqrt(2 t K**2),
+    and 1/ln 2 by 3/2, and compare the multiplied-out bounds as integers.
+    So F has no zero past t, and "one sign change" holds for every real
+    past the root, not only on the grid.  Anywhere the predicate refuses,
+    the walk goes on toward ROOT_SCAN_HI.  The four named instances stop
+    at 561, 385, 380 and 325, just past their roots.
     """
     require_tol(tol)
     reports = []
@@ -470,6 +528,8 @@ def check_roots(tol: float = 1e-9) -> list[VerificationReport]:
             cur = F_eval(coeffs, t)
             if (cur < 0) != (prev < 0):
                 flips.append(t)
+                if prev < 0 and positive_beyond(coeffs, t):
+                    break
             prev = cur
         data = {"flips": flips, "scan_start": start, "scan_hi": ROOT_SCAN_HI}
         if len(flips) != 1:

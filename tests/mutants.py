@@ -191,6 +191,44 @@ MUTANTS = [
         f"{T_ANA}::TestApproximations",
     ),
     (
+        "check_roots: the scan stops at any positive flip without the predicate",
+        ANA,
+        "if prev < 0 and positive_beyond(coeffs, t):",
+        "if prev < 0:",
+        f"{T_ANA}::TestRootScan",
+    ),
+    (
+        # the reports stay the same; only the F_eval calls grow
+        "check_roots: the walk goes on past a proved tail",
+        ANA,
+        "positive_beyond(coeffs, t):\n                    break",
+        "positive_beyond(coeffs, t):\n                    pass",
+        f"{T_ANA}::TestRootScan::test_scan_stops_at_the_first_positive_grid_point",
+    ),
+    (
+        "positive_beyond: bitlen(t**Q) for bitlen(t**Q) - 1",
+        ANA,
+        "p = (t**q).bit_length() - 1",
+        "p = (t**q).bit_length()",
+        f"{T_ANA}::TestPositiveBeyond",
+    ),
+    (
+        "positive_beyond: r for r + 1 in the sqrt upper bound",
+        ANA,
+        "- 3 * (b * q + p + 1) * (r + 1)",
+        "- 3 * (b * q + p + 1) * r",
+        f"{T_ANA}::TestPositiveBeyond",
+    ),
+    (
+        # sound at integer t >= 3 as well, since sqrt(3) ln 7 > 2 sqrt(2);
+        # test_convexity_guard pins the guard the docstring proves
+        "positive_beyond: 7**c for 9**c in the convexity guard",
+        ANA,
+        "(t << b) < 9**c",
+        "(t << b) < 7**c",
+        f"{T_ANA}::TestPositiveBeyond",
+    ),
+    (
         "_with_exact_y: P multiplied by one power of two too many",
         CLI,
         "p = ctx.multiply(p, 1 << (gap - e))",

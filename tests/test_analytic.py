@@ -1,17 +1,20 @@
 """Tests for the envelope family and its root isolation.
 
 Closed-form derivatives are validated against central finite
-differences, the envelope sandwich against the exact integer data, and
-the bisection brackets against values recomputed with an independent
-script; those appear here rounded to 12 places.
+differences, the envelope sandwich against the exact integer data, the
+bisection brackets against values recomputed with an independent
+script (those appear here rounded to 12 places), and the integer tail
+certificate positive_beyond against F, F' and F'' at 80 digits.
 """
 
+import decimal
 import json
 import math
 import re
+from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ineqscan import analytic, sequences, verifier
@@ -32,6 +35,23 @@ def unit_bracket(name):
     """The integer bracket (k, k + 1) around the golden root."""
     k = math.floor(GOLDEN_ROOTS[name])
     return k, k + 1
+
+
+EXACT = decimal.Context(prec=80)
+LN2 = EXACT.ln(2)
+
+
+def exact_terms(coeffs, u):
+    """F(u), F'(u) and F''(u) to 80 digits, u an int, float or Decimal."""
+    a, b, c = coeffs
+    with decimal.localcontext(EXACT):
+        u = Decimal(u)
+        s, root2 = (2 * u).sqrt(), Decimal(2).sqrt()
+        lg = u.ln() / LN2
+        f = 2 * u / 3 + a - b * s + c * lg - s * lg
+        f1 = Decimal(2) / 3 - b / s + c / (u * LN2) - lg / s - s / (u * LN2)
+        f2 = (u.sqrt() * (b + lg) * LN2 - 2 * root2 * c) / (2 * root2 * u * u * LN2)
+    return f, f1, f2
 
 
 class TestEvaluation:
@@ -643,3 +663,217 @@ class TestRootRegistry:
         assert rep.counterexamples == ["x-lower"]
         assert rep.errata == []
         assert rep.data["bracket"] == [560, 561]
+
+
+# ---------------------------------------------------------------------------
+# The integer tail certificate, and the root scan it stops
+# ---------------------------------------------------------------------------
+
+
+class TestPositiveBeyond:
+    """positive_beyond(coeffs, t) proves F(u) > 0 on [t, oo) in integers;
+    exact_terms is the oracle."""
+
+    # each instance's float root lies in (first - 1, first)
+    FIRST_PROVED = {"x-lower": 561, "x-upper": 385, "y-lower": 380, "y-upper": 325}
+
+    def test_named_instances_against_the_exact_reference(self):
+        for name, coeffs in INSTANCES:
+            first = self.FIRST_PROVED[name]
+            proved = [t for t in range(1, 1301) if analytic.positive_beyond(coeffs, t)]
+            assert proved == list(range(first, 1301)), name
+            for t in proved:
+                assert all(v > 0 for v in exact_terms(coeffs, t)), (name, t)
+            assert exact_terms(coeffs, first - 1)[0] < 0, name
+
+    def test_decides_both_edges_of_a_family(self):
+        # For each (b, c, t), a is set twice.  The largest a with
+        # F(t) <= 0 must be refused.  The least a with F(t) above the
+        # slack of the bounds, (c + s)/Q + (b + log2 t + 1)/K, must be
+        # proved wherever s F'(t) - 2c/(s ln 2), the part of s F'(t) the
+        # bounds keep, exceeds 3 - 2/ln 2 + 1/Q + 1/K, the slack of
+        # 1/ln 2 < 3/2 and of the bounds.  A looser bound on log2 t fails
+        # the second at some t where F(t) is within s/Q of the slack.
+        q, k = Decimal(analytic.LOG_SCALE), Decimal(analytic.SQRT_SCALE)
+        proved = 0
+        for t in range(3, 401):
+            with decimal.localcontext(EXACT):
+                s, lg = Decimal(2 * t).sqrt(), Decimal(t).ln() / LN2
+            for b in range(4):
+                for c in range(3):
+                    if (t << b) < 9**c:
+                        continue
+                    g, g1, _ = exact_terms((0, b, c), t)
+                    below = analytic.FCoeffs(math.floor(-g), b, c)
+                    assert not analytic.positive_beyond(below, t), (below, t)
+                    with decimal.localcontext(EXACT):
+                        kept = s * g1 - 2 * c / (s * LN2)
+                        if kept <= 3 - 2 / LN2 + 1 / q + 1 / k:
+                            continue
+                        slack = (c + s) / q + (b + lg + 1) / k
+                    above = analytic.FCoeffs(math.floor(slack - g) + 1, b, c)
+                    assert analytic.positive_beyond(above, t), (above, t)
+                    proved += 1
+        assert proved > 2500
+
+    @pytest.mark.parametrize(
+        "a, b, t",
+        [(3401, 281, 393615), (101468, 361, 248494), (-19404, 269, 428732)],
+    )
+    def test_refuses_just_below_zero(self, a, b, t):
+        # F(t) < 0 by less than 2e-4 while F'(t) > 0: found by a search
+        # for the points where bounding sqrt(2t) above by r/K instead of
+        # (r + 1)/K claims a positive F(t)
+        coeffs = analytic.FCoeffs(a, b, 0)
+        f, f1, _ = exact_terms(coeffs, t)
+        assert -2e-4 < f < 0 < f1
+        assert not analytic.positive_beyond(coeffs, t)
+
+    def test_convexity_guard(self):
+        # proved only where 2**b t >= 9**c, which gives F'' > 0 on [t, oo)
+        # through e**2 < 9; here F(t) > 0 and F'(t) > 0 on the whole range,
+        # so only the guard refuses below 729 (7**c would let 343 on:
+        # sqrt(3) ln 7 > 2 sqrt(2) makes that bound sound at integer t >= 3,
+        # but it is not the one the docstring proves)
+        coeffs = analytic.FCoeffs(100, 0, 3)
+        for t in range(343, 730):
+            f, f1, _ = exact_terms(coeffs, t)
+            assert f > 0 and f1 > 0
+            assert analytic.positive_beyond(coeffs, t) == (t >= 729), t
+        for bad in ((100, -1, 0), (100, 0, -1)):
+            assert not analytic.positive_beyond(analytic.FCoeffs(*bad), 10**4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(-60, 60),
+        st.integers(0, 8),
+        st.integers(0, 4),
+        st.integers(1, 4000),
+        st.lists(st.floats(0, 1), max_size=5),
+    )
+    def test_true_means_positive_on_the_whole_tail(self, a, b, c, t, weights):
+        coeffs = analytic.FCoeffs(a, b, c)
+        assume(analytic.positive_beyond(coeffs, t))
+        for w in (0.0, 1.0, *weights):
+            u = t + Decimal(w) * (10**6 - t)
+            assert exact_terms(coeffs, u)[0] > 0, u
+
+
+def reference_check_roots(tol=1e-9):
+    """check_roots as it was before positive_beyond: the float grid is
+    walked to ROOT_SCAN_HI for every instance."""
+    reports = []
+    for name, coeffs in analytic.NAMED_INSTANCES.items():
+        start = analytic.ROOT_SCAN_START[name]
+        hi = analytic.ROOT_SCAN_HI
+        flips = []
+        prev = analytic.F_eval(coeffs, start)
+        for t in range(start + 1, hi + 1):
+            cur = analytic.F_eval(coeffs, t)
+            if (cur < 0) != (prev < 0):
+                flips.append(t)
+            prev = cur
+        data = {"flips": flips, "scan_start": start, "scan_hi": hi}
+        if len(flips) != 1:
+            errata, counterexamples = [], [f"{len(flips)} sign changes at {flips}"]
+            details = f"expected one sign change on [{start}, {hi}]"
+        else:
+            bracket = (flips[0] - 1, flips[0])
+            _, errata, counterexamples = verifier.compare_printed(
+                "root-bracket", [("bracket", name, bracket, analytic.ROOT_BRACKETS[name])]
+            )
+            refined = analytic.isolate_root(coeffs, float(bracket[0]), float(bracket[1]), tol)
+            data.update(
+                {
+                    "bracket": list(bracket),
+                    "root_lo": refined.lo,
+                    "root_hi": refined.hi,
+                    "width": refined.width,
+                }
+            )
+            details = (
+                f"one sign change on [{start}, {hi}]; root inside "
+                f"({bracket[0]}, {bracket[1]}), bisected to "
+                f"[{refined.lo:.12f}, {refined.hi:.12f}]"
+            )
+        reports.append(
+            verifier.make_report(
+                f"roots/{name}",
+                start,
+                hi,
+                details,
+                counterexamples=counterexamples,
+                errata=errata,
+                data=data,
+            )
+        )
+    return reports
+
+
+def same_reports(tol=1e-9):
+    """The reports of check_roots, asserted equal to the plain grid's."""
+    fast = [rep.to_dict() for rep in analytic.check_roots(tol)]
+    assert fast == [rep.to_dict() for rep in reference_check_roots(tol)]
+    return fast
+
+
+class TestRootScan:
+    """check_roots stops each grid walk where positive_beyond proves the
+    tail; the plain walk to ROOT_SCAN_HI is the oracle."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    def test_matches_the_plain_grid_from_the_scan_starts(self, tol):
+        reports = same_reports(tol)
+        assert [rep["data"]["flips"] for rep in reports] == [[561], [385], [380], [325]]
+
+    def test_matches_the_plain_grid_from_one(self, monkeypatch):
+        # from t = 1 three instances cross their dip near the origin first
+        for name in analytic.ROOT_SCAN_START:
+            monkeypatch.setitem(analytic.ROOT_SCAN_START, name, 1)
+        reports = same_reports()
+        flips = [rep["data"]["flips"] for rep in reports]
+        assert flips == [[561], [2, 385], [3, 380], [9, 325]]
+        x_upper = reports[1]
+        assert x_upper["status"] == verifier.DISCREPANCY
+        assert x_upper["counterexamples"] == ["2 sign changes at [2, 385]"]
+        assert x_upper["details"] == "expected one sign change on [1, 10000]"
+
+    def test_a_refused_positive_flip_scans_on(self, monkeypatch):
+        # F turns positive at t = 2, where the predicate must refuse (its
+        # convexity needs t > 2); F dips again at 5 and turns positive for
+        # good at 232
+        coeffs = analytic.FCoeffs(-1, 0, 2)
+        monkeypatch.setitem(analytic.NAMED_INSTANCES, "x-upper", coeffs)
+        monkeypatch.setitem(analytic.ROOT_SCAN_START, "x-upper", 1)
+        assert analytic.F_eval(coeffs, 1) < 0 < analytic.F_eval(coeffs, 2)
+        assert not analytic.positive_beyond(coeffs, 2)
+        (rep,) = [r for r in same_reports() if r["claim_id"] == "roots/x-upper"]
+        assert rep["counterexamples"] == ["3 sign changes at [2, 5, 232]"]
+
+    def test_scan_stops_at_the_first_positive_grid_point(self, monkeypatch):
+        # F_eval runs at each grid point from the start through the first
+        # positive one, then in the bisection: 2 endpoints and 30 halvings
+        # of a unit bracket down to 1e-9
+        calls = {}
+        phase = ["scan"]
+        f_eval, isolate = analytic.F_eval, analytic.isolate_root
+
+        def counting_f_eval(coeffs, t):
+            key = (coeffs, phase[0])
+            calls[key] = calls.get(key, 0) + 1
+            return f_eval(coeffs, t)
+
+        def bisecting(*args):
+            phase[0] = "bisect"
+            try:
+                return isolate(*args)
+            finally:
+                phase[0] = "scan"
+
+        monkeypatch.setattr(analytic, "F_eval", counting_f_eval)
+        monkeypatch.setattr(analytic, "isolate_root", bisecting)
+        analytic.check_roots()
+        for name, coeffs in INSTANCES:
+            first = TestPositiveBeyond.FIRST_PROVED[name]
+            assert calls[coeffs, "scan"] <= first - analytic.ROOT_SCAN_START[name] + 1
+            assert calls[coeffs, "bisect"] <= 32

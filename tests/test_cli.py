@@ -697,7 +697,9 @@ def test_cli_import_loads_no_dataclasses():
 
 def test_decimal_loads_only_for_exact_y():
     # --exact-y alone imports decimal; every other command keeps its
-    # start-up time and memory.  -S keeps site .pth hooks out.
+    # start-up time and memory.  fractions, which imports decimal on
+    # Python 3.10 and 3.11, stays out as well: the root scan's tail
+    # certificate is plain ints.  -S keeps site .pth hooks out.
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = f"""
 import io, sys
@@ -712,6 +714,7 @@ for argv in (
 ):
     assert cli.main(argv.split()) == 0, argv
 assert "decimal" not in sys.modules
+assert "fractions" not in sys.modules
 assert cli.main("seq --to 20 --exact-y".split()) == 0
 assert "decimal" in sys.modules
 """
