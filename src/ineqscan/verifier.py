@@ -326,7 +326,7 @@ def erratum_for(claim: str, column: str, key, computed) -> Erratum | None:
     """Return the documented erratum for this cell if the computed value
     matches the documented correction; None otherwise."""
     entry = KNOWN_ERRATA.get((claim, column, key))
-    return Erratum(*entry) if entry is not None and entry[2] == computed else None
+    return entry if entry is not None and entry.computed == computed else None
 
 
 # ---------------------------------------------------------------------------

@@ -39,11 +39,15 @@ SEQ = "src/ineqscan/sequences.py"
 VER = "src/ineqscan/verifier.py"
 ANA = "src/ineqscan/analytic.py"
 CLI = "src/ineqscan/cli.py"
+EXA = "src/ineqscan/exactarith.py"
+INT = "src/ineqscan/intervals.py"
 
 T_SEQ = "tests/test_sequences.py"
 T_VER = "tests/test_verifier.py"
 T_ANA = "tests/test_analytic.py"
 T_CLI = "tests/test_cli.py"
+T_EXA = "tests/test_exactarith.py"
+T_INT = "tests/test_intervals.py"
 
 TIMEOUT = 300.0  # seconds per pytest run; one that outlasts it is a kill
 
@@ -291,6 +295,97 @@ MUTANTS = [
         "for s in (a,):\n            ns = range(a, b + 1)",
         f"{T_CLI}::TestStreamedOutput::test_blocks_hold_little",
     ),
+    (
+        "cmp_pow2_vs_pow: GT fast path one bit loose",
+        EXA,
+        "if e >= bits * k:",
+        "if e >= bits * k - 1:",
+        f"{T_EXA}::TestCmp::test_small_grid_against_direct",
+    ),
+    (
+        "cmp_pow2_vs_pow: LT fast path one bit loose",
+        EXA,
+        "if e <= (bits - 1) * k and",
+        "if e <= (bits - 1) * k + 1 and",
+        f"{T_EXA}::TestCmp::test_small_grid_against_direct",
+    ),
+    (
+        "cmp_pow2_vs_pow: the power-of-two guard of the LT fast path dropped",
+        EXA,
+        " and n != 1 << (bits - 1)",
+        "",
+        f"{T_EXA}::TestCmp::test_power_of_two_base_edge",
+    ),
+    (
+        "check_gap: links settled whole from n = 5, not n = 10",
+        VER,
+        "if lo >= 10 and first > 5",
+        "if lo >= 5 and first > 5",
+        f"{T_VER}::TestRewrittenChecksAgainstPerN::test_spot_limits",
+    ),
+    (
+        "partition_x: zero cut one short",
+        VER,
+        "(k3 + 3) // 2",
+        "(k3 + 3) // 2 - 1",
+        f"{T_VER}::TestPartitions::test_x_partition_matches_golden",
+    ),
+    (
+        "check_sign_criteria: positive cut one early",
+        VER,
+        "3 * ((threshold + mm - 4) // 2) + 3)",
+        "3 * ((threshold + mm - 4) // 2) + 2)",
+        f"{T_VER}::TestLemmaChecks::test_sign_criteria",
+    ),
+    (
+        "erratum_for: the computed value ignored",
+        VER,
+        "return entry if entry is not None and entry.computed == computed else None",
+        "return entry",
+        f"{T_VER}::TestRegistry::test_erratum_for_matches_the_documented_correction",
+    ),
+    (
+        "_check_envelopes: two lower candidates, not three",
+        ANA,
+        "link[:3], link[-3:]",
+        "link[:2], link[-3:]",
+        f"{T_ANA}::TestCandidateRoute::test_period_three_term_in_the_envelopes",
+    ),
+    (
+        "_check_envelopes: two upper candidates, not three",
+        ANA,
+        "link[:3], link[-3:]",
+        "link[:3], link[-2:]",
+        f"{T_ANA}::TestCandidateRoute::test_period_three_term_in_the_envelopes",
+    ),
+    (
+        "check_sign_consistency: two candidates, not three",
+        ANA,
+        "(piece[:3] if sign > 0 else piece[-3:])",
+        "(piece[:2] if sign > 0 else piece[-2:])",
+        f"{T_ANA}::TestSurrogates::test_sign_consistency_report",
+    ),
+    (
+        "_margins_monotone: always True",
+        ANA,
+        "    return math.sqrt(2 * n) * (coeffs.b * LOG2 + math.log(n)) > max(0, 2 * coeffs.c - 2)",
+        "    return True",
+        f"{T_ANA}::TestCandidateRoute::test_instance_outside_the_proved_class_is_walked_per_n",
+    ),
+    (
+        "_check_envelopes: the MARGIN_FLOOR warning never given",
+        ANA,
+        "if min(min_low, min_up) < MARGIN_FLOOR:",
+        "if False:",
+        f"{T_ANA}::TestSandwichThroughSharedLoop::test_x_upper_below_the_data",
+    ),
+    (
+        "f_bounds: the r block left out",
+        INT,
+        "return max(d1, e1), min(d2, e2)",
+        "return d1, d2",
+        f"{T_INT}::TestBounds::test_f_bounds_is_intersection",
+    ),
 ]
 
 KNOWN_SURVIVORS = [
@@ -302,6 +397,26 @@ KNOWN_SURVIVORS = [
         f"{T_CLI}::TestSeq",
         "equivalent: P is 2**e either way, so only the time of seq --exact-y "
         "changes, which the benchmark measures and no test does",
+    ),
+    (
+        "check_gap: a link from n = 10 settled whole at a first gap of 5",
+        VER,
+        "first > 5 and",
+        "first >= 5 and",
+        f"{T_VER}::TestRewrittenChecksAgainstPerN",
+        "equivalent: no link from n = 10 on starts with a gap of 5, since the "
+        "least gap there is 6, so the same links are settled whole",
+    ),
+    (
+        "PER_N_BELOW = 4",
+        ANA,
+        "PER_N_BELOW = 16",
+        "PER_N_BELOW = 4",
+        f"{T_ANA}::TestCandidateRoute",
+        "equivalent on the named instances: each meets _margins_monotone from "
+        "n = 2, and on the links that start at 4 to 15 the candidates hold "
+        "every minimum and every counterexample, so every report the tests "
+        "compare stays the same",
     ),
 ]
 

@@ -1,0 +1,385 @@
+"""The per-n specification: each claim of ineqscan stated one n at a time.
+
+Every fast route (blockwise partitions, cut points, a few candidate n per
+chain link, the streamed emitters, the root scan that stops early) is
+checked against a route here.  The routes on integer data read one row
+source: row(n) computes (n, z, m, r, c, x, c - m, y sign) straight from
+README's definitions with math.isqrt, // and bit_length, and takes y's
+sign from exactarith.cmp_pow2_vs_pow, which test_exactarith checks
+against plain big-int comparison.  rows(limit) yields row(n) on
+[1, limit] from a table kept once per session.
+
+Nothing here imports sequences, intervals or cli, nor any partition_*,
+check_*, scan* or chain_links: the code under test (test_reference
+holds it to that).  It takes verifier's report plumbing and printed
+constants and analytic's envelope definitions.  Only what depends on n
+and limit alone is cached; a constant a test may patch is read at call
+time.  The name keeps pytest from collecting this file.
+"""
+
+import json
+import math
+import sys
+from contextlib import contextmanager
+from functools import cache
+from itertools import chain, count, groupby, islice
+from operator import itemgetter
+
+from ineqscan import analytic, verifier
+from ineqscan.exactarith import cmp_pow2_vs_pow
+
+TABLE_TOP = 10**5  # rows kept for the session; rows past it are recomputed
+
+
+def row(n):
+    """(n, z, m, r, c, x, c - m, sign of y) at n, from the definitions."""
+    z = (2 * n - 1) // 3
+    m = math.isqrt(2 * n)
+    r = (n - 1).bit_length()
+    c = 2 * n - 2 * z + 2
+    return n, z, m, r, c, z - (r + 1) * m, c - m, cmp_pow2_vs_pow(c - m, n, m - 1)
+
+
+def y(n):
+    """The exact y(n) = 2**(c - m) - n**(m - 1)."""
+    _, _, m, _, _, _, gap, _ = row(n)
+    return (1 << gap) - n ** (m - 1)
+
+
+@cache
+def _table():
+    return list(map(row, range(1, TABLE_TOP + 1)))
+
+
+def rows(limit):
+    """row(n) for each n in [1, limit], in order."""
+    return chain(islice(_table(), limit), map(row, range(TABLE_TOP + 1, limit + 1)))
+
+
+def _push(runs, n, sign):
+    if runs and runs[-1][2] == sign:
+        runs[-1][1] = n
+    else:
+        runs.append([n, n, sign])
+
+
+@cache
+def per_n_runs(limit):
+    """The signs of x and of y at every n of [1, limit], each folded into
+    (start, end, sign) runs: the oracle for the blockwise partitions."""
+    xs, ys = [], []
+    for n, _, _, _, _, xx, _, ysign in rows(limit):
+        _push(xs, n, (xx > 0) - (xx < 0))
+        _push(ys, n, ysign)
+    return tuple(map(tuple, xs)), tuple(map(tuple, ys))
+
+
+def expected_x_sign(n):
+    """Sign of x(n) by the printed classification, read at n alone; a
+    zero wins over a negative run that also holds n."""
+    if n in verifier.X_ZERO_SET:
+        return 0
+    if any(a <= n <= b for a, b in verifier.X_NEGATIVE_RUNS):
+        return -1
+    return 1
+
+
+def expected_y_sign(n):
+    """Sign of y(n) by the printed classification, read at n alone."""
+    if any(a <= n <= b for a, b in verifier.Y_NEGATIVE_RUNS):
+        return -1
+    return 1
+
+
+def per_n_x_counterexamples(runs):
+    """Theorem 1's comparison, one n at a time."""
+    return [n for a, b, s in runs for n in range(a, b + 1) if expected_x_sign(n) != s]
+
+
+def per_n_y_counterexamples(runs):
+    """Theorem 2's comparison, one n at a time; y = 0 never holds."""
+    return [
+        n for a, b, s in runs for n in range(a, b + 1) if s == 0 or expected_y_sign(n) != s
+    ]
+
+
+def reference_gap(limit):
+    """check_gap: the gap c - m read at every n."""
+    counterexamples, min_gap_at = [], []
+    min_gap = min_gap_from_10 = None
+    for n, _, _, _, _, _, gap, _ in rows(limit):
+        if min_gap is None or gap < min_gap:
+            min_gap, min_gap_at = gap, [n]
+        elif gap == min_gap:
+            min_gap_at.append(n)
+        if n >= 10:
+            if min_gap_from_10 is None or gap < min_gap_from_10:
+                min_gap_from_10 = gap
+            if gap < 5:
+                counterexamples.append(n)
+        if gap < 2 or (gap == 2 and n != 2):
+            counterexamples.append(n)
+    details = (
+        f"min gap {min_gap} attained exactly at {min_gap_at}; "
+        f"min gap over n >= 10 is {min_gap_from_10}"
+    )
+    data = {"min_gap": min_gap, "min_gap_at": min_gap_at, "min_gap_from_10": min_gap_from_10}
+    return verifier.make_report(
+        "lemmas/gap", 1, limit, details, counterexamples=counterexamples, data=data
+    )
+
+
+def reference_sign_criteria(limit):
+    """check_sign_criteria: both criteria tested at every n."""
+    counterexamples = []
+    applies_negative = applies_positive = 0
+    for n, _, mm, rr, cc, _, _, ysign in rows(limit):
+        threshold = rr * (mm - 1)
+        if cc <= threshold + 1:
+            applies_negative += 1
+            if ysign != -1:
+                counterexamples.append(n)
+        elif cc > threshold + mm:
+            applies_positive += 1
+            if ysign != 1:
+                counterexamples.append(n)
+    verdict = verifier.plural(len(counterexamples), "contradiction")
+    details = (
+        f"negative criterion applies to {applies_negative} values, "
+        f"positive criterion to {applies_positive}; "
+        + (verdict if counterexamples else "no contradictions")
+    )
+    data = {"applies_negative": applies_negative, "applies_positive": applies_positive}
+    return verifier.make_report(
+        "lemmas/sign-criteria", 1, limit, details, counterexamples=counterexamples, data=data
+    )
+
+
+def reference_negative_x_bound(limit):
+    """check_negative_x_bound: x <= -r - 3 <= -6 tested at every n with y <= 0."""
+    held = [(n, xx <= -rr - 3 <= -6) for n, _, _, rr, _, xx, _, s in rows(limit) if s <= 0]
+    return verifier.make_report(
+        "lemmas/negative-x-bound",
+        1,
+        limit,
+        f"bound checked at {len(held)} values with y <= 0",
+        counterexamples=[n for n, ok in held if not ok],
+        data={"applicable": len(held)},
+    )
+
+
+def reference_range_bounds(limit):
+    """check_range_bounds: the endpoint bounds of each constant-m block
+    built in full, and compared with every y of the block, built too."""
+    counterexamples = []
+    blocks = decided_negative = decided_positive = 0
+    for mm, block in groupby(rows(limit), key=itemgetter(2)):
+        block = list(block)
+        (a, _, _, _, ca, _, _, _), (b, _, _, _, cb, _, _, _) = block[0], block[-1]
+        low = (1 << (ca - mm)) - b ** (mm - 1)
+        high = (1 << (cb - mm)) - a ** (mm - 1)
+        blocks += 1
+        decided_negative += high < 0
+        decided_positive += low > 0
+        prev_c = prev_y = None
+        for n, _, _, _, cc, _, _, _ in block:
+            yv = y(n)
+            if not low <= yv <= high:
+                counterexamples.append(n)
+            if high < 0 and not yv < 0:
+                counterexamples.append(n)
+            if low > 0 and not yv > 0:
+                counterexamples.append(n)
+            if prev_c == cc and not yv < prev_y:
+                counterexamples.append(n)
+            prev_c, prev_y = cc, yv
+    decided = (
+        f"{decided_negative} blocks decided negative and "
+        f"{decided_positive} decided positive by their bounds alone"
+    )
+    if counterexamples:
+        details = (
+            f"{blocks} constant-m blocks; "
+            f"{verifier.plural(len(counterexamples), 'counterexample')} to the "
+            f"enclosure, the block sign or the decrease; {decided}"
+        )
+    else:
+        details = (
+            f"{blocks} constant-m blocks; endpoint bounds enclose every y; "
+            f"{decided}; y strictly decreases whenever m and c both repeat"
+        )
+    data = {
+        "blocks": blocks,
+        "decided_negative": decided_negative,
+        "decided_positive": decided_positive,
+    }
+    return verifier.make_report(
+        "lemmas/range-bounds", 1, limit, details, counterexamples=counterexamples, data=data
+    )
+
+
+def _Y(n, mm, gap):
+    """The float surrogate of y's sign, (c - m) - (m - 1) log2 n."""
+    return gap - (mm - 1) * math.log2(n)
+
+
+def _reference_margins(claim_id, what, lower, upper, limit, values):
+    """Both envelope margins of a value at every (n, value)."""
+    counterexamples = []
+    min_low = min_up = math.inf
+    min_low_at = min_up_at = None
+    for n, value in values:
+        low = value - analytic.F_eval(lower, n)
+        up = analytic.F_eval(upper, n) - value
+        if low <= 0 or up <= 0:
+            counterexamples.append(n)
+        if low < min_low:
+            min_low, min_low_at = low, n
+        if up < min_up:
+            min_up, min_up_at = up, n
+    if counterexamples:
+        base = f"envelopes not strict around {what} at "
+        base += verifier.plural(len(counterexamples), "value")
+    else:
+        base = f"both envelopes strict around {what}"
+    details = (
+        f"{base}; smallest lower margin {min_low:.6f} at n = {min_low_at}, "
+        f"smallest upper margin {min_up:.6f} at n = {min_up_at}"
+    )
+    if min(min_low, min_up) < analytic.MARGIN_FLOOR:
+        details += "; warning: a margin sits inside float noise"
+    data = {"min_lower_margin": min_low, "min_upper_margin": min_up}
+    return verifier.make_report(
+        claim_id, 1, limit, details, counterexamples=counterexamples, data=data
+    )
+
+
+def reference_bounds_x(limit):
+    """check_bounds_x: both envelopes of x evaluated at every n."""
+    values = ((n, xx) for n, _, _, _, _, xx, _, _ in rows(limit))
+    return _reference_margins(
+        "analytic/x-bounds", "x", analytic.X_LOWER, analytic.X_UPPER, limit, values
+    )
+
+
+def reference_bounds_Y(limit):
+    """check_bounds_Y: both envelopes of Y evaluated at every n."""
+    values = ((n, _Y(n, mm, gap)) for n, _, mm, _, _, _, gap, _ in rows(limit))
+    return _reference_margins(
+        "analytic/Y-bounds", "the y surrogate", analytic.Y_LOWER, analytic.Y_UPPER, limit, values
+    )
+
+
+def reference_sign_consistency(limit):
+    """check_sign_consistency: the float sign of Y against y's at every n."""
+    counterexamples = []
+    min_abs, min_abs_at = math.inf, None
+    for n, _, mm, _, _, _, gap, ysign in rows(limit):
+        yy = _Y(n, mm, gap)
+        if n >= 5 and abs(yy) < min_abs:
+            min_abs, min_abs_at = abs(yy), n
+        if abs(yy) <= 1e-6 or (1 if yy > 0 else -1) != ysign:
+            counterexamples.append(n)
+    if counterexamples:
+        details = "float surrogate sign differs from the exact sign at "
+        details += verifier.plural(len(counterexamples), "value")
+    else:
+        details = "float surrogate sign matches the exact sign everywhere"
+    if min_abs_at is None:
+        min_abs = None
+    else:
+        details += f"; smallest |Y| over [5, {limit}] is {min_abs:.6f} at n = {min_abs_at}"
+    data = {"min_abs_Y": min_abs, "min_abs_Y_at": min_abs_at}
+    return verifier.make_report(
+        "analytic/sign-consistency", 1, limit, details, counterexamples=counterexamples, data=data
+    )
+
+
+def reference_check_roots(tol=1e-9):
+    """check_roots with each float grid walked to ROOT_SCAN_HI, and no
+    tail certificate."""
+    reports = []
+    hi = analytic.ROOT_SCAN_HI
+    for name, coeffs in analytic.NAMED_INSTANCES.items():
+        start = analytic.ROOT_SCAN_START[name]
+        signs = [analytic.F_eval(coeffs, t) < 0 for t in range(start, hi + 1)]
+        flips = [start + i for i in range(1, len(signs)) if signs[i] != signs[i - 1]]
+        data = {"flips": flips, "scan_start": start, "scan_hi": hi}
+        errata = []
+        if len(flips) != 1:
+            counterexamples = [f"{len(flips)} sign changes at {flips}"]
+            details = f"expected one sign change on [{start}, {hi}]"
+        else:
+            lo_t, hi_t = bracket = (flips[0] - 1, flips[0])
+            _, errata, counterexamples = verifier.compare_printed(
+                "root-bracket", [("bracket", name, bracket, analytic.ROOT_BRACKETS[name])]
+            )
+            root = analytic.isolate_root(coeffs, float(lo_t), float(hi_t), tol)
+            data.update(bracket=[lo_t, hi_t], root_lo=root.lo, root_hi=root.hi, width=root.width)
+            details = (
+                f"one sign change on [{start}, {hi}]; root inside ({lo_t}, {hi_t}), "
+                f"bisected to [{root.lo:.12f}, {root.hi:.12f}]"
+            )
+        reports.append(
+            verifier.make_report(
+                f"roots/{name}",
+                start,
+                hi,
+                details,
+                counterexamples=counterexamples,
+                errata=errata,
+                data=data,
+            )
+        )
+    return reports
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Printing or parsing a big y needs the int <-> str digit cap lifted."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def reference_table(records, columns, fmt):
+    """Print dict records the way seq and intervals did before they
+    streamed: the whole table built first, then printed."""
+    if fmt == "json":
+        return json.dumps(records, indent=2) + "\n"
+    lines = [columns] + [[str(rec[col]) for col in columns] for rec in records]
+    if fmt == "csv":
+        return "".join(",".join(line) + "\n" for line in lines)
+    widths = [max(map(len, cells)) for cells in zip(*lines)]
+    return "".join("  ".join(map(str.rjust, line, widths)) + "\n" for line in lines)
+
+
+def reference_seq(start, stop, exact_y, fmt):
+    """seq output from one row(n) per n, kept as dicts."""
+    columns = ["n", "z", "m", "r", "c", "x", "c_minus_m", "y_sign"] + ["y"] * exact_y
+    records = [
+        dict(zip(columns, row(n) + ((y(n),) if exact_y else ()))) for n in range(start, stop + 1)
+    ]
+    with unlimited_int_digits():
+        return reference_table(records, columns, fmt)
+
+
+def reference_intervals(limit, fmt):
+    """intervals output: each maximal run of n with constant m and r that
+    starts at or below limit, in full, with x at its two ends."""
+    columns = ["index", "lo", "hi", "r", "m", "x_lo", "x_hi"]
+    records = []
+    links = groupby(map(row, count(1)), key=itemgetter(2, 3))
+    for index, (_, link) in enumerate(links, start=1):
+        link = list(link)
+        (lo, _, mm, rr, _, x_lo, _, _), (hi, _, _, _, _, x_hi, _, _) = link[0], link[-1]
+        if lo > limit:
+            break
+        records.append(dict(zip(columns, (index, lo, hi, rr, mm, x_lo, x_hi))))
+    return reference_table(records, columns, fmt)

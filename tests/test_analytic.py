@@ -18,7 +18,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ineqscan import analytic, sequences, verifier
-from ineqscan.exactarith import cmp_pow2_vs_pow
+from reference import (
+    reference_bounds_x,
+    reference_bounds_Y,
+    reference_check_roots,
+    reference_sign_consistency,
+)
 
 INSTANCES = list(analytic.NAMED_INSTANCES.items())
 
@@ -339,100 +344,6 @@ class TestClosedFormAnchors:
 # ---------------------------------------------------------------------------
 
 
-def _reference_margins(claim_id, what, lower, upper, limit, values):
-    counterexamples = []
-    min_low = min_up = math.inf
-    min_low_at = min_up_at = None
-    for n, value in values:
-        low = value - analytic.F_eval(lower, n)
-        up = analytic.F_eval(upper, n) - value
-        if low <= 0 or up <= 0:
-            counterexamples.append(n)
-        if low < min_low:
-            min_low, min_low_at = low, n
-        if up < min_up:
-            min_up, min_up_at = up, n
-    if counterexamples:
-        base = f"envelopes not strict around {what} at {len(counterexamples)} value"
-        base += "" if len(counterexamples) == 1 else "s"
-    else:
-        base = f"both envelopes strict around {what}"
-    details = (
-        f"{base}; smallest lower margin {min_low:.6f} at n = {min_low_at}, "
-        f"smallest upper margin {min_up:.6f} at n = {min_up_at}"
-    )
-    if min(min_low, min_up) < analytic.MARGIN_FLOOR:
-        details += "; warning: a margin sits inside float noise"
-    return verifier.make_report(
-        claim_id,
-        1,
-        limit,
-        details,
-        counterexamples=counterexamples,
-        data={"min_lower_margin": min_low, "min_upper_margin": min_up},
-    )
-
-
-def reference_bounds_x(limit):
-    values = [(n, xx) for n, _, _, _, _, xx, _, _ in sequences.scan(1, limit)]
-    return _reference_margins(
-        "analytic/x-bounds",
-        "x",
-        analytic.X_LOWER,
-        analytic.X_UPPER,
-        limit,
-        values,
-    )
-
-
-def reference_bounds_Y(limit):
-    values = [
-        (n, (cc - mm) - (mm - 1) * math.log2(n))
-        for n, _, mm, _, cc, _, _, _ in sequences.scan(1, limit)
-    ]
-    return _reference_margins(
-        "analytic/Y-bounds",
-        "the y surrogate",
-        analytic.Y_LOWER,
-        analytic.Y_UPPER,
-        limit,
-        values,
-    )
-
-
-def reference_sign_consistency(limit):
-    counterexamples = []
-    min_abs, min_abs_at = math.inf, None
-    for n, _, mm, _, cc, _, _, _ in sequences.scan(1, limit):
-        yy = (cc - mm) - (mm - 1) * math.log2(n)
-        if n >= 5 and abs(yy) < min_abs:
-            min_abs, min_abs_at = abs(yy), n
-        if abs(yy) <= 1e-6:
-            counterexamples.append(n)
-            continue
-        if (1 if yy > 0 else -1) != cmp_pow2_vs_pow(cc - mm, n, mm - 1):
-            counterexamples.append(n)
-    if counterexamples:
-        details = (
-            "float surrogate sign differs from the exact sign at "
-            f"{len(counterexamples)} value" + ("" if len(counterexamples) == 1 else "s")
-        )
-    else:
-        details = "float surrogate sign matches the exact sign everywhere"
-    if min_abs_at is None:
-        min_abs = None
-    else:
-        details += f"; smallest |Y| over [5, {limit}] is {min_abs:.6f} at n = {min_abs_at}"
-    return verifier.make_report(
-        "analytic/sign-consistency",
-        1,
-        limit,
-        details,
-        counterexamples=counterexamples,
-        data={"min_abs_Y": min_abs, "min_abs_Y_at": min_abs_at},
-    )
-
-
 REFERENCE_CHECKS = (
     (analytic.check_bounds_x, reference_bounds_x),
     (analytic.check_bounds_Y, reference_bounds_Y),
@@ -470,7 +381,7 @@ class TestRewrittenChecksAgainstPerN:
 
 class TestCandidateRoute:
     """The three range checks settle each chain link from a few candidate
-    n; the per-n references above are the oracle."""
+    n; the per-n references of tests/reference.py are the oracle."""
 
     def test_every_limit_to_600(self):
         # every printed link and every boundary of y's sign runs ends in
@@ -639,10 +550,8 @@ class TestRootRegistry:
         ]
 
     def test_wrong_correction_is_a_discrepancy(self, monkeypatch):
-        label, printed, _, note = verifier.KNOWN_ERRATA[self.KEY]
-        monkeypatch.setitem(
-            verifier.KNOWN_ERRATA, self.KEY, (label, printed, (378, 379), note)
-        )
+        wrong = verifier.KNOWN_ERRATA[self.KEY]._replace(computed=(378, 379))
+        monkeypatch.setitem(verifier.KNOWN_ERRATA, self.KEY, wrong)
         rep = self._y_lower()
         assert rep.status == verifier.DISCREPANCY
         assert rep.errata == []
@@ -757,57 +666,6 @@ class TestPositiveBeyond:
         for w in (0.0, 1.0, *weights):
             u = t + Decimal(w) * (10**6 - t)
             assert exact_terms(coeffs, u)[0] > 0, u
-
-
-def reference_check_roots(tol=1e-9):
-    """check_roots as it was before positive_beyond: the float grid is
-    walked to ROOT_SCAN_HI for every instance."""
-    reports = []
-    for name, coeffs in analytic.NAMED_INSTANCES.items():
-        start = analytic.ROOT_SCAN_START[name]
-        hi = analytic.ROOT_SCAN_HI
-        flips = []
-        prev = analytic.F_eval(coeffs, start)
-        for t in range(start + 1, hi + 1):
-            cur = analytic.F_eval(coeffs, t)
-            if (cur < 0) != (prev < 0):
-                flips.append(t)
-            prev = cur
-        data = {"flips": flips, "scan_start": start, "scan_hi": hi}
-        if len(flips) != 1:
-            errata, counterexamples = [], [f"{len(flips)} sign changes at {flips}"]
-            details = f"expected one sign change on [{start}, {hi}]"
-        else:
-            bracket = (flips[0] - 1, flips[0])
-            _, errata, counterexamples = verifier.compare_printed(
-                "root-bracket", [("bracket", name, bracket, analytic.ROOT_BRACKETS[name])]
-            )
-            refined = analytic.isolate_root(coeffs, float(bracket[0]), float(bracket[1]), tol)
-            data.update(
-                {
-                    "bracket": list(bracket),
-                    "root_lo": refined.lo,
-                    "root_hi": refined.hi,
-                    "width": refined.width,
-                }
-            )
-            details = (
-                f"one sign change on [{start}, {hi}]; root inside "
-                f"({bracket[0]}, {bracket[1]}), bisected to "
-                f"[{refined.lo:.12f}, {refined.hi:.12f}]"
-            )
-        reports.append(
-            verifier.make_report(
-                f"roots/{name}",
-                start,
-                hi,
-                details,
-                counterexamples=counterexamples,
-                errata=errata,
-                data=data,
-            )
-        )
-    return reports
 
 
 def same_reports(tol=1e-9):

@@ -9,19 +9,19 @@ two import tests a fresh interpreter.
 import hashlib
 import io
 import json
-import math
 import os
 import subprocess
 import sys
 import tracemalloc
-from contextlib import contextmanager, redirect_stdout
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ineqscan import analytic, cli, intervals, sequences, verifier
+from ineqscan import analytic, cli, sequences, verifier
+from reference import reference_intervals, reference_seq, unlimited_int_digits, y
 
 # computed rows for the default seq range, including the exact y column
 SEQ_ROWS_1_16 = [
@@ -44,26 +44,6 @@ SEQ_ROWS_1_16 = [
 ]
 
 
-@contextmanager
-def unlimited_int_digits():
-    """Parsing the output back needs the int <-> str digit cap lifted."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
-def exact_y(n):
-    c = 2 * n - 2 * ((2 * n - 1) // 3) + 2
-    m = math.isqrt(2 * n)
-    return 2 ** (c - m) - n ** (m - 1)
-
-
 def printed_y(out):
     """(n, y) as printed by seq --format csv --exact-y, both kept as text."""
     return [(f[0], f[-1]) for f in (ln.split(",") for ln in out.split("\n")[1:-1])]
@@ -71,59 +51,7 @@ def printed_y(out):
 
 def expected_y(start, stop):
     with unlimited_int_digits():
-        return [(str(n), str(sequences.y_value(n))) for n in range(start, stop + 1)]
-
-
-def reference_table(rows, columns, fmt):
-    """Print dict rows the way seq and intervals did before they
-    streamed: the whole table built first, then printed."""
-    if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(str(row[col]) for col in columns) for row in rows]
-    elif fmt == "json":
-        lines = [json.dumps(rows, indent=2)]
-    else:
-        widths = [
-            max(len(col), max((len(str(row[col])) for row in rows), default=0))
-            for col in columns
-        ]
-        lines = ["  ".join(col.rjust(w) for col, w in zip(columns, widths))]
-        lines += [
-            "  ".join(str(row[col]).rjust(w) for col, w in zip(columns, widths))
-            for row in rows
-        ]
-    return "\n".join(lines) + "\n"
-
-
-def reference_seq(start, stop, exact_y, fmt):
-    """seq output from one sequences.row() per n, kept as dicts."""
-    columns = ["n", "z", "m", "r", "c", "x", "c_minus_m", "y_sign"]
-    rows = []
-    for n in range(start, stop + 1):
-        rw = sequences.row(n)
-        rec = {col: getattr(rw, col) for col in columns}
-        if exact_y:
-            rec["y"] = sequences.y_value(n)
-        rows.append(rec)
-    with unlimited_int_digits():
-        return reference_table(rows, columns + ["y"] * exact_y, fmt)
-
-
-def reference_intervals(limit, fmt):
-    columns = ["index", "lo", "hi", "r", "m", "x_lo", "x_hi"]
-    rows = [
-        {
-            "index": rec.index,
-            "lo": rec.lo,
-            "hi": rec.hi,
-            "r": rec.r_const,
-            "m": rec.m_const,
-            "x_lo": rec.x_lo,
-            "x_hi": rec.x_hi,
-        }
-        for rec in intervals.interval_table(limit)
-    ]
-    return reference_table(rows, columns, fmt)
+        return [(str(n), str(y(n))) for n in range(start, stop + 1)]
 
 
 class TestStreamedOutput:
@@ -290,8 +218,8 @@ class TestSeq:
             else:
                 lines = out.strip().split("\n")[1:]
                 got = [(int(f[0]), int(f[-1])) for f in (ln.split() for ln in lines)]
-            assert got == [(n, exact_y(n)) for n in range(21730, 21741)]
-            assert len(str(abs(exact_y(21735)))) > 4300
+            assert got == [(n, y(n)) for n in range(21730, 21741)]
+            assert len(str(abs(y(21735)))) > 4300
 
     # The y column carries 2**(c - m) from row to row: all of [1, 600]
     # (y <= 0 up to 368), m's steps at n = k*k//2 (c - m falls by 1, or

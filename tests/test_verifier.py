@@ -8,14 +8,22 @@ never set freely.
 """
 
 import json
-from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ineqscan import analytic, cli, exactarith, intervals, sequences, verifier
+from ineqscan import analytic, cli, exactarith, sequences, verifier
 from ineqscan.exactarith import cmp_pow2_vs_pow
+from reference import (
+    per_n_runs,
+    per_n_x_counterexamples,
+    per_n_y_counterexamples,
+    reference_gap,
+    reference_negative_x_bound,
+    reference_range_bounds,
+    reference_sign_criteria,
+)
 
 REFERENCE_TOP = 10**5
 
@@ -313,71 +321,12 @@ class TestLemmaAnchors:
 # ---------------------------------------------------------------------------
 
 
-def _push(runs, n, sign):
-    if runs and runs[-1][2] == sign:
-        runs[-1][1] = n
-    else:
-        runs.append([n, n, sign])
-
-
-def per_n_runs(limit):
-    """The per-n route: the sign of x and of y at every n of [1, limit],
-    folded into runs.  This is the oracle for the blockwise partitions."""
-    xs, ys = [], []
-    for n, _, mm, _, cc, xx, _, _ in sequences.scan(1, limit):
-        _push(xs, n, (xx > 0) - (xx < 0))
-        _push(ys, n, cmp_pow2_vs_pow(cc - mm, n, mm - 1))
-    return tuple(map(tuple, xs)), tuple(map(tuple, ys))
-
-
-@lru_cache(maxsize=None)
-def reference_runs():
-    return per_n_runs(REFERENCE_TOP)
-
-
 def truncated(runs, limit):
     return tuple((a, min(b, limit), s) for a, b, s in runs if a <= limit)
 
 
-def expected_x_sign(n):
-    """Sign of x(n) by the printed classification, read at n alone; a
-    zero wins over a negative run that also holds n."""
-    if n in verifier.X_ZERO_SET:
-        return 0
-    if any(a <= n <= b for a, b in verifier.X_NEGATIVE_RUNS):
-        return -1
-    return 1
-
-
-def expected_y_sign(n):
-    """Sign of y(n) by the printed classification, read at n alone."""
-    if any(a <= n <= b for a, b in verifier.Y_NEGATIVE_RUNS):
-        return -1
-    return 1
-
-
-def per_n_x_counterexamples(runs):
-    """Theorem 1's comparison, one n at a time."""
-    return [
-        n
-        for a, b, s in runs
-        for n in range(a, b + 1)
-        if expected_x_sign(n) != s
-    ]
-
-
-def per_n_y_counterexamples(runs):
-    """Theorem 2's comparison, one n at a time; y = 0 never holds."""
-    return [
-        n
-        for a, b, s in runs
-        for n in range(a, b + 1)
-        if s == 0 or expected_y_sign(n) != s
-    ]
-
-
 def assert_blockwise_matches_reference(limit):
-    ref_x, ref_y = reference_runs()
+    ref_x, ref_y = per_n_runs(REFERENCE_TOP)
     assert verifier.partition_x(limit).runs == truncated(ref_x, limit)
     assert verifier.partition_y(limit).runs == truncated(ref_y, limit)
 
@@ -462,7 +411,7 @@ class TestConstantsAreChecked:
         # the printed runs are clipped at the limit, which may fall inside
         # a zero, a negative run or a stretch between them
         monkeypatch.setattr(verifier, name, value)
-        ref_x, ref_y = reference_runs()
+        ref_x, ref_y = per_n_runs(REFERENCE_TOP)
         for limit in range(1, 601):
             theorem1 = verifier.check_theorem1(limit)
             theorem2 = verifier.check_theorem2(limit)
@@ -569,154 +518,6 @@ class TestReach:
 # ---------------------------------------------------------------------------
 # Rewritten checks against the plain per-n loops they replaced
 # ---------------------------------------------------------------------------
-
-
-def reference_gap(limit):
-    """check_gap as an independent stepper: c steps by 2 at every third n,
-    m past each square threshold, every n visited."""
-    counterexamples = []
-    mm, threshold, cc, trip = 1, 4, 4, 0
-    min_gap, min_gap_at, min_gap_from_10 = None, [], None
-    for n in range(1, limit + 1):
-        while threshold <= 2 * n:
-            mm += 1
-            threshold = (mm + 1) * (mm + 1)
-        trip += 1
-        if trip == 3:
-            trip = 0
-            cc += 2
-        gap = cc - mm
-        if min_gap is None or gap < min_gap:
-            min_gap, min_gap_at = gap, [n]
-        elif gap == min_gap:
-            min_gap_at.append(n)
-        if n >= 10:
-            if min_gap_from_10 is None or gap < min_gap_from_10:
-                min_gap_from_10 = gap
-            if gap < 5:
-                counterexamples.append(n)
-        if gap < 2 or (gap == 2 and n != 2):
-            counterexamples.append(n)
-    return verifier.make_report(
-        "lemmas/gap",
-        1,
-        limit,
-        f"min gap {min_gap} attained exactly at {min_gap_at}; "
-        f"min gap over n >= 10 is {min_gap_from_10}",
-        counterexamples=counterexamples,
-        data={
-            "min_gap": min_gap,
-            "min_gap_at": min_gap_at,
-            "min_gap_from_10": min_gap_from_10,
-        },
-    )
-
-
-def reference_sign_criteria(limit):
-    counterexamples = []
-    applies_negative = applies_positive = 0
-    for n, _, mm, rr, cc, _, _, _ in sequences.scan(1, limit):
-        threshold = rr * (mm - 1)
-        if cc <= threshold + 1:
-            applies_negative += 1
-            if cmp_pow2_vs_pow(cc - mm, n, mm - 1) != -1:
-                counterexamples.append(n)
-        elif cc > threshold + mm:
-            applies_positive += 1
-            if cmp_pow2_vs_pow(cc - mm, n, mm - 1) != 1:
-                counterexamples.append(n)
-    verdict = f"{len(counterexamples)} contradiction" + (
-        "" if len(counterexamples) == 1 else "s"
-    )
-    return verifier.make_report(
-        "lemmas/sign-criteria",
-        1,
-        limit,
-        f"negative criterion applies to {applies_negative} values, "
-        f"positive criterion to {applies_positive}; "
-        + (verdict if counterexamples else "no contradictions"),
-        counterexamples=counterexamples,
-        data={
-            "applies_negative": applies_negative,
-            "applies_positive": applies_positive,
-        },
-    )
-
-
-def reference_negative_x_bound(limit):
-    counterexamples = []
-    applicable = 0
-    for n, _, mm, rr, cc, xx, _, _ in sequences.scan(1, limit):
-        if cmp_pow2_vs_pow(cc - mm, n, mm - 1) <= 0:
-            applicable += 1
-            if not (xx <= -rr - 3 <= -6):
-                counterexamples.append(n)
-    return verifier.make_report(
-        "lemmas/negative-x-bound",
-        1,
-        limit,
-        f"bound checked at {applicable} values with y <= 0",
-        counterexamples=counterexamples,
-        data={"applicable": applicable},
-    )
-
-
-def reference_range_bounds(limit):
-    """check_range_bounds as a walk over intervals.d_bounds blocks, with
-    the endpoint enclosure of each block built from the scalar terms and
-    every y from sequences.y_value."""
-    counterexamples = []
-    blocks = decided_negative = decided_positive = 0
-    lo = 1
-    while lo <= limit:
-        d1, d2 = intervals.d_bounds(lo)
-        hi = min(d2, limit)
-        low = sequences.pow2_term(d1) - sequences.npow_term(hi)
-        high = sequences.pow2_term(hi) - sequences.npow_term(d1)
-        blocks += 1
-        decided_negative += high < 0
-        decided_positive += low > 0
-        prev_c = prev_y = None
-        for n in range(d1, hi + 1):
-            cc, yv = sequences.c(n), sequences.y_value(n)
-            if not low <= yv <= high:
-                counterexamples.append(n)
-            if high < 0 and not yv < 0:
-                counterexamples.append(n)
-            if low > 0 and not yv > 0:
-                counterexamples.append(n)
-            if prev_c == cc and not yv < prev_y:
-                counterexamples.append(n)
-            prev_c, prev_y = cc, yv
-        lo = d2 + 1
-    decided = (
-        f"{decided_negative} blocks decided negative and "
-        f"{decided_positive} decided positive by their bounds alone"
-    )
-    count = len(counterexamples)
-    if count:
-        details = (
-            f"{blocks} constant-m blocks; {count} counterexample"
-            f"{'' if count == 1 else 's'} to the enclosure, the block sign or "
-            f"the decrease; {decided}"
-        )
-    else:
-        details = (
-            f"{blocks} constant-m blocks; endpoint bounds enclose every y; "
-            f"{decided}; y strictly decreases whenever m and c both repeat"
-        )
-    return verifier.make_report(
-        "lemmas/range-bounds",
-        1,
-        limit,
-        details,
-        counterexamples=counterexamples,
-        data={
-            "blocks": blocks,
-            "decided_negative": decided_negative,
-            "decided_positive": decided_positive,
-        },
-    )
 
 
 REFERENCE_CHECKS = (
