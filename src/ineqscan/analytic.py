@@ -404,8 +404,6 @@ def check_sign_consistency(limit: int) -> VerificationReport:
     minimum is taken over [5, limit], past the few tiny starting values
     whose magnitudes are artifacts of m(n) - 1 being 0 or 1.
     """
-    if limit < 1:
-        raise ValueError("limit must be a positive integer")
     counterexamples = []
     best = (math.inf, None)
     for a, b, sign in verifier.partition_y(limit).runs:

@@ -16,28 +16,28 @@ subtracting them; ask for y_value only when you really need the digits.
 The gap c(n) - m(n) is at least 2 for every n (exactly 2 only at n = 2),
 which keeps the pow2_term exponent positive.
 
-The scalar functions compute one value from scratch.  Ranges go through
+The scalar functions compute one value from scratch.  y_sign(n) is the
+one exact comparison of y's two terms at a single n.  Ranges go through
 the interval chain instead: chain_links(lo, hi) yields the maximal links
 on which m and r are both constant, one math.isqrt and one bit_length
-per link.  scan_columns, the one stepper, cuts each link into pieces of
-at most PIECE rows and yields a block of columns per piece, in
+per link.  positive_link certifies y > 0 on a whole link from one
+bit-length comparison, and verifier.partition_y, the source of y's sign
+for every range check, calls y_sign for each n of the links it leaves
+open, all of them below n = 421.  bound_signs gives the exact signs of
+y's two endpoint bounds on a constant-m block, which is all
+verifier.check_range_bounds needs; no other module compares the two
+terms of y.
+
+scan_columns, the block stepper, serves seq.  It cuts each link into
+pieces of at most PIECE rows and yields a block of columns per piece, in
 SequenceRow order, taking m, r and (r + 1)*m from the link: n is a
 range, m and r are ints, and the other columns are lists.  z, c, x and
 c - m each rise by 2 every 3 rows of a link, so only their first three
 values are computed in Python and each list is filled from a step-2
-range per residue of n mod 3 by slice assignment.  It settles y's sign
-once per link where positive_link certifies y > 0 on all of it, and
-gives that sign as the int 1; it compares the two terms of y exactly
-for each n of the other links, all of them below n = 421.  scan_columns
-serves seq, which writes each block as one string.  scan yields the
-rows of those blocks as plain tuples, and row(n) is one row of scan, so
-a SequenceRow and a row of a range scan come from the same code.  The
-range checks read the sign of y from the runs of verifier.partition_y,
-which applies the same certificate and reads the sign of each n on the
-links it leaves open from scan.  bound_signs gives the exact signs of
-y's two endpoint bounds on a constant-m block, which is all
-verifier.check_range_bounds needs; no other module compares the two
-terms of y.
+range per residue of n mod 3 by slice assignment.  y's sign is the int 1
+on a link that positive_link certifies and y_sign(n) on the others.
+scan yields the rows of those blocks as plain tuples, and row(n) is one
+row of scan.
 """
 
 import math
@@ -113,7 +113,8 @@ def npow_term(n: int) -> int:
 
 
 def y_sign(n: int) -> int:
-    """Exact sign of y(n), computed without forming the difference."""
+    """Exact sign of y(n), computed without forming the difference: the
+    one comparison of y's two terms at a single n."""
     _require_positive(n)
     return cmp_pow2_vs_pow(c(n) - m(n), n, m(n) - 1)
 
@@ -195,9 +196,8 @@ def scan_columns(lo: int, hi: int) -> Iterator[tuple]:
 
     A block is a tuple of columns in SequenceRow order: n is a range, m
     and r are the link's constant ints, y_sign is the int 1 on a link
-    that positive_link certifies and otherwise a list of exact
-    comparisons of 2**(c - m) with n**(m - 1), as in y_sign(n), and z, c,
-    x and c_minus_m are lists built by _rising.  Inside a link x is z
+    that positive_link certifies and otherwise the list of y_sign(n), and
+    z, c, x and c_minus_m are lists built by _rising.  Inside a link x is z
     minus the constant (r + 1)*m.  The cap on a piece keeps memory flat
     on links of millions of n.  An empty range yields nothing.
     """
@@ -212,11 +212,7 @@ def scan_columns(lo: int, hi: int) -> Iterator[tuple]:
             zs, cs = _rising(z3, size), _rising(c3, size)
             xs = _rising([zz - k for zz in z3], size)
             gaps = _rising([cc - mm for cc in c3], size)
-            yield ns, zs, mm, rr, cs, xs, gaps, (
-                1
-                if settled
-                else [cmp_pow2_vs_pow(g, n, mm - 1) for n, g in zip(ns, gaps)]
-            )
+            yield ns, zs, mm, rr, cs, xs, gaps, 1 if settled else list(map(y_sign, ns))
 
 
 def block_rows(block: tuple) -> Iterator[tuple]:

@@ -19,9 +19,9 @@ counterexample list is non-empty, and its details state a claim as holding
 only when that list is empty; otherwise they give the count.
 
 This module compares no powers and builds no term of y itself: y's sign
-runs come from sequences.positive_link and sequences.scan's y_sign, the
-signs of y's endpoint bounds from sequences.bound_signs, and the exact y
-of the reference table from sequences.y_value.
+runs come from sequences.positive_link and sequences.y_sign, the signs
+of y's endpoint bounds from sequences.bound_signs, and the exact y of
+the reference table from sequences.y_value.
 """
 
 import json
@@ -175,10 +175,9 @@ def partition_y(limit: int) -> SignPartition:
     A link [lo, hi] is positive throughout when sequences.positive_link
     certifies it, by the bit-length fast path of the exact y-sign
     comparison applied to the whole link.  Every other link, and n = 1,
-    is decided one n at a time: its signs are the y_sign column of
-    sequences.scan over the link, the exact comparison of y's two terms.
-    These runs are the one source of y's sign for every check in this
-    package.
+    is decided one n at a time by sequences.y_sign, the exact comparison
+    of y's two terms.  These runs are the one source of y's sign for
+    every check in this package.
     """
     if limit < 1:
         raise ValueError("limit must be a positive integer")
@@ -190,8 +189,8 @@ def partition_y(limit: int) -> SignPartition:
             _append_run(runs, lo, hi, 1)
             continue
         per_n += hi - lo + 1
-        for n, *_, sign in sequences.scan(lo, hi):
-            _append_run(runs, n, n, sign)
+        for n in range(lo, hi + 1):
+            _append_run(runs, n, n, sequences.y_sign(n))
     return SignPartition(limit, tuple(map(tuple, runs)), blocks=blocks, per_n=per_n)
 
 
@@ -357,8 +356,7 @@ def check_reference_table() -> VerificationReport:
     """Recompute (x, c - m, y) for n = 1..16 against the printed table."""
     cells = []
     for n in range(1, 17):
-        rw = sequences.row(n)
-        values = (rw.x, rw.c_minus_m, sequences.y_value(n))
+        values = (sequences.x(n), sequences.c(n) - sequences.m(n), sequences.y_value(n))
         cells.extend(zip(("x", "c_minus_m", "y"), [n] * 3, values, REFERENCE_TABLE[n]))
     confirmed, errata, counterexamples = compare_printed("reference-table", cells)
     details = (
@@ -621,8 +619,6 @@ def check_sign_criteria(limit: int) -> VerificationReport:
     Each piece where a criterion holds against the run's sign is a list
     of counterexamples.  No n is visited one at a time, so the cost is
     that of partition_y, O(links)."""
-    if limit < 1:
-        raise ValueError("limit must be a positive integer")
     counterexamples = []
     applies_negative = applies_positive = 0
     for a, b, sign in partition_y(limit).runs:
@@ -669,8 +665,6 @@ def check_negative_x_bound(limit: int) -> VerificationReport:
     -r - 3 <= -6 exactly when r >= 3.  Every n of a piece is applicable;
     the rest of the piece past that prefix is counterexamples.  No n is
     visited one at a time, so the cost is that of partition_y, O(links)."""
-    if limit < 1:
-        raise ValueError("limit must be a positive integer")
     counterexamples = []
     applicable = 0
     for a, b, sign in partition_y(limit).runs:

@@ -134,9 +134,24 @@ MUTANTS = [
     (
         "partition_y: fallback sign fixed at 1",
         VER,
-        "_append_run(runs, n, n, sign)",
+        "_append_run(runs, n, n, sequences.y_sign(n))",
         "_append_run(runs, n, n, 1)",
         f"{T_VER}::TestPartitions",
+    ),
+    (
+        # flips y's sign at n = 2 and at 351 to 353, on the open link [338, 364]
+        "y_sign: 2**(c - m - 1) for 2**(c - m)",
+        SEQ,
+        "return cmp_pow2_vs_pow(c(n) - m(n), n, m(n) - 1)",
+        "return cmp_pow2_vs_pow(c(n) - m(n) - 1, n, m(n) - 1)",
+        f"{T_VER}::TestPartitions::test_y_partition_matches_golden",
+    ),
+    (
+        "check_reference_table: the c - m cell read as c - r",
+        VER,
+        "sequences.c(n) - sequences.m(n), sequences.y_value(n)",
+        "sequences.c(n) - sequences.r(n), sequences.y_value(n)",
+        f"{T_VER}::TestGoldenTableChecks::test_reference_table_exact_errata",
     ),
     (
         "partition_x: negative cut one too late",

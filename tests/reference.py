@@ -7,7 +7,9 @@ source: row(n) computes (n, z, m, r, c, x, c - m, y sign) straight from
 README's definitions with math.isqrt, // and bit_length, and takes y's
 sign from exactarith.cmp_pow2_vs_pow, which test_exactarith checks
 against plain big-int comparison.  rows(limit) yields row(n) on
-[1, limit] from a table kept once per session.
+[1, limit] from a table kept once per session: one array('i') per
+column, built on demand up to the largest limit asked for, through
+TABLE_TOP.
 
 Nothing here imports sequences, intervals or cli, nor any partition_*,
 check_*, scan* or chain_links: the code under test (test_reference
@@ -20,15 +22,21 @@ time.  The name keeps pytest from collecting this file.
 import json
 import math
 import sys
+from array import array
 from contextlib import contextmanager
 from functools import cache
-from itertools import chain, count, groupby, islice
+from itertools import chain, count, groupby
 from operator import itemgetter
 
 from ineqscan import analytic, verifier
 from ineqscan.exactarith import cmp_pow2_vs_pow
 
-TABLE_TOP = 10**5  # rows kept for the session; rows past it are recomputed
+TABLE_TOP = 10**6  # rows kept for the session; rows past it are recomputed
+CHUNK = 1 << 12  # rows built at a time as tuples, while the table grows
+
+# Every column of row(n) but n, for n = 1, 2, ..., as exactly sized arrays
+# of 4-byte ints: 28 bytes a row.
+_columns = [array("i") for _ in range(7)]
 
 
 def row(n):
@@ -46,14 +54,28 @@ def y(n):
     return (1 << gap) - n ** (m - 1)
 
 
-@cache
-def _table():
-    return list(map(row, range(1, TABLE_TOP + 1)))
+def _grow_table(top):
+    """Extend the columns through row(top): each is resized once, exactly,
+    and filled a chunk of rows at a time."""
+    have = len(_columns[0])
+    if top <= have:
+        return
+    for i, column in enumerate(_columns):
+        _columns[i] = column + array("i", [0]) * (top - have)
+    for start in range(have + 1, top + 1, CHUNK):
+        stop = min(start + CHUNK, top + 1)
+        _, *values = zip(*map(row, range(start, stop)))
+        for column, chunk in zip(_columns, values):
+            column[start - 1 : stop - 1] = array("i", chunk)
 
 
 def rows(limit):
     """row(n) for each n in [1, limit], in order."""
-    return chain(islice(_table(), limit), map(row, range(TABLE_TOP + 1, limit + 1)))
+    kept = min(limit, TABLE_TOP)
+    _grow_table(kept)
+    return chain(
+        zip(range(1, kept + 1), *_columns), map(row, range(TABLE_TOP + 1, limit + 1))
+    )
 
 
 def _push(runs, n, sign):

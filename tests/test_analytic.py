@@ -363,11 +363,6 @@ class TestRewrittenChecksAgainstPerN:
         for check, reference in REFERENCE_CHECKS:
             assert check(limit).to_dict() == reference(limit).to_dict()
 
-    def test_invalid_limit(self):
-        for check, _ in REFERENCE_CHECKS:
-            with pytest.raises(ValueError):
-                check(0)
-
     def test_surrogate_at_the_printed_points(self):
         # Y_real is computed as (c - m) - (m - 1) log2(n); at the printed
         # points and across the increment identity it agrees bit for bit
@@ -399,13 +394,13 @@ class TestCandidateRoute:
         # times per link, Y at most three times per piece of a sign run
         limit = 10**9
         links = sum(1 for _ in sequences.chain_links(1, limit))
-        # built beforehand, so scan's callers inside partition_y are not seen
+        # built beforehand, so partition_y's own y_sign calls are not seen
         part = verifier.partition_y(limit)
         monkeypatch.setattr(verifier, "partition_y", lambda limit: part)
         runs = len(part.runs)
         prefix = analytic.PER_N_BELOW
         calls = {"F_eval": 0, "_Y": 0}
-        scanned = []
+        decided = []
 
         def counting(name):
             inner = getattr(analytic, name)
@@ -416,15 +411,15 @@ class TestCandidateRoute:
 
             return wrapper
 
-        scan = sequences.scan
+        y_sign = sequences.y_sign
 
-        def recording_scan(lo, hi):
-            scanned.append((lo, hi))
-            return scan(lo, hi)
+        def recording_y_sign(n):
+            decided.append(n)
+            return y_sign(n)
 
         for name in calls:
             monkeypatch.setattr(analytic, name, counting(name))
-        monkeypatch.setattr(sequences, "scan", recording_scan)
+        monkeypatch.setattr(sequences, "y_sign", recording_y_sign)
         for check in (analytic.check_bounds_x, analytic.check_bounds_Y):
             calls["F_eval"] = 0
             assert check(limit).status == verifier.CONFIRMED
@@ -432,7 +427,7 @@ class TestCandidateRoute:
         calls["_Y"] = 0
         assert analytic.check_sign_consistency(limit).status == verifier.CONFIRMED
         assert calls["_Y"] <= 3 * (links + runs) + prefix
-        assert scanned == []
+        assert decided == []
 
     @pytest.mark.parametrize("limit", [17, 100, 600, 2000])
     def test_instance_outside_the_proved_class_is_walked_per_n(self, monkeypatch, limit):

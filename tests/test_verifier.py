@@ -7,7 +7,10 @@ acceptance gate rely on: status is derived from the evidence lists and
 never set freely.
 """
 
+import ast
+import inspect
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,31 @@ from reference import (
 )
 
 REFERENCE_TOP = 10**5
+
+# Every public check or partition of verifier and analytic that takes a limit.
+LIMIT_TAKERS = [
+    getattr(module, name)
+    for module in (verifier, analytic)
+    for name in dir(module)
+    if name.startswith(("check_", "partition_"))
+    and "limit" in inspect.signature(getattr(module, name)).parameters
+]
+
+# The seq block stepper and its rows, which the claim checks never read.
+STEPPER_NAMES = {"row", "SequenceRow", "scan", "scan_columns", "block_rows", "PIECE"}
+
+
+def names_read(module):
+    """Every name the module's source imports, or reads as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            found += [part for alias in node.names for part in alias.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            found += [*(node.module or "").split("."), *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Attribute):
+            found.append(node.attr)
+    return found
 
 X_RUNS_600 = (
     (1, 435, -1),
@@ -90,11 +118,12 @@ class TestPartitions:
         assert part.support_of(0) == [436, 451, 529, 545, 546]
         assert part.runs_of(-1) == [(1, 435), (450, 450), (513, 528)]
 
-    def test_invalid_limit(self):
-        with pytest.raises(ValueError):
-            verifier.partition_x(0)
-        with pytest.raises(ValueError):
-            verifier.partition_y(-3)
+    @pytest.mark.parametrize("limit", [0, -5])
+    @pytest.mark.parametrize("check", LIMIT_TAKERS, ids=lambda f: f.__name__)
+    def test_nonpositive_limit_is_refused(self, check, limit):
+        # every public check that takes a limit, and both partitions
+        with pytest.raises(ValueError, match="^limit must be a positive integer$"):
+            check(limit)
 
 
 class TestReportShape:
@@ -484,19 +513,19 @@ class TestReach:
         assert calls == 2 * rep.data["blocks"]
 
     def test_sign_criteria_at_one_billion_visits_no_n(self, monkeypatch):
-        # partition_y's fallback steps its few open n through scan; with the
-        # partition built beforehand, the check itself steps none
+        # partition_y's fallback decides its few open n with y_sign; with
+        # the partition built beforehand, the check itself decides none
         part = verifier.partition_y(10**9)
         monkeypatch.setattr(verifier, "partition_y", lambda limit: part)
         calls = 0
-        scan = sequences.scan
+        y_sign = sequences.y_sign
 
-        def counting_scan(lo, hi):
+        def counting_y_sign(n):
             nonlocal calls
-            calls += hi - lo + 1
-            return scan(lo, hi)
+            calls += 1
+            return y_sign(n)
 
-        monkeypatch.setattr(sequences, "scan", counting_scan)
+        monkeypatch.setattr(sequences, "y_sign", counting_y_sign)
         rep = verifier.check_sign_criteria(10**9)
         assert rep.status == verifier.CONFIRMED
         assert rep.data["applies_negative"] == 297
@@ -696,20 +725,26 @@ class TestOneSignSource:
         assert (rep.data["applicable"], rep.counterexamples) == (len(stepped), expected)
         assert 0 < len(expected) < len(stepped) or limit == 5
 
-    def test_scan_steps_only_the_partition_fallback(self, monkeypatch, capsys):
+    def test_y_sign_decides_only_the_partition_fallback(self, monkeypatch, capsys):
         # through the CLI, every lemma check reads partition_y, whose
-        # fallback is the one caller of scan: it steps each link that the
-        # certificate leaves open, once per partition_y call
+        # fallback is the one caller of y_sign: it decides each n of the
+        # links that the certificate leaves open, once per partition_y
+        # call, and scan is never called
         limit = 10**6
-        open_links = [
-            (lo, hi)
+        open_n = [
+            n
             for lo, hi, _, mm in sequences.chain_links(1, limit)
             if not (mm >= 2 and sequences.c(lo) - mm >= hi.bit_length() * (mm - 1))
+            for n in range(lo, hi + 1)
         ]
         per_n = verifier.partition_y(limit).per_n
-        spans = []
+        decided, spans = [], []
         parts = 0
-        scan, partition_y = sequences.scan, verifier.partition_y
+        y_sign, scan, partition_y = sequences.y_sign, sequences.scan, verifier.partition_y
+
+        def recording_y_sign(n):
+            decided.append(n)
+            return y_sign(n)
 
         def recording_scan(lo, hi):
             spans.append((lo, hi))
@@ -720,14 +755,32 @@ class TestOneSignSource:
             parts += 1
             return partition_y(limit)
 
+        monkeypatch.setattr(sequences, "y_sign", recording_y_sign)
         monkeypatch.setattr(sequences, "scan", recording_scan)
         monkeypatch.setattr(verifier, "partition_y", counting_partition)
         argv = ["verify", "--suite", "lemmas", "--limit", str(limit), "--format", "json"]
         assert cli.main(argv) == 0
         assert '"status": "CONFIRMED"' in capsys.readouterr().out
         assert parts == 3
-        assert spans == open_links * parts
-        assert sum(hi - lo + 1 for lo, hi in spans) == per_n * parts
+        assert len(decided) == per_n * parts
+        assert decided == open_n * parts
+        assert spans == []
+
+    def test_checks_read_no_stepper_and_one_function_compares_at_an_n(self):
+        # verifier and analytic reach the sequences through the scalar
+        # definitions, chain_links, positive_link and bound_signs only; in
+        # sequences, y_sign is the one comparison of y's terms at an n
+        for module in (verifier, analytic):
+            assert STEPPER_NAMES.intersection(names_read(module)) == set(), module.__name__
+        tree = ast.parse(Path(sequences.__file__).read_text())
+        comparers = {
+            getattr(stmt, "name", "<module>")
+            for stmt in tree.body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and node.id == "cmp_pow2_vs_pow"
+            or isinstance(node, ast.Attribute) and node.attr == "cmp_pow2_vs_pow"
+        }
+        assert comparers == {"y_sign", "bound_signs"}
 
     def test_compares_only_in_the_partition_fallback(self, monkeypatch):
         limit = 10**5
