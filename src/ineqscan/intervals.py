@@ -39,14 +39,8 @@ class IntervalRecord(NamedTuple):
 
 
 def d_bounds(n: int) -> tuple[int, int]:
-    """Smallest and largest n' with m(n') == m(n).
-
-    With t = m(n), those are ceil(t*t/2) and floor(t*t/2) + t; pure
-    integer arithmetic either way.
-    """
-    t = sequences.m(n)
-    sq = t * t
-    return (sq + 1) // 2, sq // 2 + t
+    """Smallest and largest n' with m(n') == m(n): sequences.m_block."""
+    return sequences.m_block(sequences.m(n))
 
 
 def e_bounds(n: int) -> tuple[int, int]:

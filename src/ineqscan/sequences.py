@@ -20,12 +20,14 @@ The scalar functions compute one value from scratch.  y_sign(n) is the
 one exact comparison of y's two terms at a single n.  Ranges go through
 the interval chain instead: chain_links(lo, hi) yields the maximal links
 on which m and r are both constant, one math.isqrt and one bit_length
-per link.  positive_link certifies y > 0 on a whole link from one
-bit-length comparison, and verifier.partition_y, the source of y's sign
-for every range check, calls y_sign for each n of the links it leaves
-open, all of them below n = 421.  bound_signs gives the exact signs of
-y's two endpoint bounds on a constant-m block, which is all
-verifier.check_range_bounds needs; no other module compares the two
+per link, and m_block(m) the first and last n with m(n) = m.  A range
+check cuts a link where z or c passes v, at z_last(v) or c_last(v), the
+last n with z(n) <= v or c(n) <= v.  positive_link certifies y > 0 on a
+whole link from one bit-length comparison, and verifier.partition_y, the
+source of y's sign for every range check, calls y_sign for each n of the
+links it leaves open, all of them below n = 421.  bound_signs gives the
+exact signs of y's two endpoint bounds on a constant-m block, which is
+all verifier.check_range_bounds needs; no other module compares the two
 terms of y.
 
 scan_columns, the block stepper, serves seq.  It cuts each link into
@@ -94,6 +96,21 @@ def c(n: int) -> int:
     return 2 * n - 2 * z(n) + 2
 
 
+def z_last(v: int) -> int:
+    """z does not decrease: z(n) <= v exactly for n <= z_last(v)."""
+    return (3 * v + 3) // 2
+
+
+def c_last(v: int) -> int:
+    """c does not decrease: c(n) <= v exactly for n <= c_last(v)."""
+    return 3 * ((v - 4) // 2) + 2
+
+
+def m_block(mm: int) -> tuple[int, int]:
+    """The first and last n with m(n) = mm, for mm >= 1."""
+    return (mm * mm + 1) // 2, mm * mm // 2 + mm
+
+
 def x(n: int) -> int:
     """z(n) - (r(n) + 1)*m(n)."""
     _require_positive(n)
@@ -115,8 +132,8 @@ def npow_term(n: int) -> int:
 def y_sign(n: int) -> int:
     """Exact sign of y(n), computed without forming the difference: the
     one comparison of y's two terms at a single n."""
-    _require_positive(n)
-    return cmp_pow2_vs_pow(c(n) - m(n), n, m(n) - 1)
+    mm = m(n)
+    return cmp_pow2_vs_pow(c(n) - mm, n, mm - 1)
 
 
 def y_value(n: int) -> int:

@@ -21,12 +21,12 @@ only when that list is empty; otherwise they give the count.
 This module compares no powers and builds no term of y itself: y's sign
 runs come from sequences.positive_link and sequences.y_sign, the signs
 of y's endpoint bounds from sequences.bound_signs, and the exact y of
-the reference table from sequences.y_value.
+the reference table from sequences.y_value.  It solves for no cut: each
+n where z or c crosses a threshold on a link, and each constant-m block,
+comes from sequences.z_last, c_last and m_block.
 """
 
 import json
-from itertools import groupby
-from operator import itemgetter
 from typing import Any, NamedTuple
 
 from . import intervals, sequences
@@ -150,10 +150,9 @@ def _append_run(runs: list, a: int, b: int, sign: int) -> None:
 def partition_x(limit: int) -> SignPartition:
     """Exact sign runs of x over [1, limit], one chain link at a time.
 
-    On a link r and m are constant, so x(n) = z(n) - K with K = (r+1)*m,
-    and z(n) = floor((2n - 1)/3) does not decrease.  Hence x < 0 exactly
-    for n <= floor(3K/2), x = 0 for floor(3K/2) < n <= floor((3K+3)/2),
-    and x > 0 above that: every link is settled in O(1).
+    On a link r and m are constant, so x(n) = z(n) - K with K = (r+1)*m:
+    x < 0 exactly for n <= z_last(K - 1), x = 0 up to z_last(K), and
+    x > 0 above that.  Every link is settled in O(1).
     """
     if limit < 1:
         raise ValueError("limit must be a positive integer")
@@ -161,8 +160,8 @@ def partition_x(limit: int) -> SignPartition:
     blocks = 0
     for lo, hi, rr, mm in sequences.chain_links(1, limit):
         blocks += 1
-        k3 = 3 * (rr + 1) * mm
-        neg_end, zero_end = k3 // 2, (k3 + 3) // 2
+        k = (rr + 1) * mm
+        neg_end, zero_end = sequences.z_last(k - 1), sequences.z_last(k)
         _append_run(runs, lo, min(hi, neg_end), -1)
         _append_run(runs, max(lo, neg_end + 1), min(hi, zero_end), 0)
         _append_run(runs, max(lo, zero_end + 1), hi, 1)
@@ -513,38 +512,31 @@ def check_gap(limit: int) -> VerificationReport:
     and at least 5 for every n >= 10.
 
     Walked one chain link at a time.  On a link m is constant and c does
-    not decrease, so the gap is smallest at the link's first n.  A link
-    from n >= 10 on whose first gap exceeds 5 and the least gap so far
-    can hold neither a counterexample nor a new minimum; it is settled
-    from that first gap alone.  Every other link is stepped one n at a
-    time, as sequences.c(n) - m.  Only the six links that end by n = 12
-    need the steps, so the cost is O(links), about sqrt(2 * limit).
+    not decrease, so the gap is least at the link's first n, ties it up
+    to c_last(c(lo)), is below 5 up to c_last(m + 4) and at most 2 up to
+    c_last(m + 2); at n = 2 it is its link's first, as c(1) = c(2).  Only
+    a link whose first gap is below 5 is cut.  No n is stepped: O(links).
     """
     if limit < 1:
         raise ValueError("limit must be a positive integer")
     counterexamples = []
-    min_gap = None
+    min_gap = min_gap_from_10 = None
     min_gap_at = []
-    min_gap_from_10 = None
     for lo, hi, _, mm in sequences.chain_links(1, limit):
         first = sequences.c(lo) - mm
-        if lo >= 10 and first > 5 and first > min_gap:
+        if min_gap is None or first < min_gap:
+            min_gap, min_gap_at = first, []
+        if first == min_gap:
+            min_gap_at.extend(range(lo, min(hi, sequences.c_last(first + mm)) + 1))
+        if lo >= 10:
             min_gap_from_10 = min(min_gap_from_10, first)
-            continue
-        for n in range(lo, hi + 1):
-            gap = sequences.c(n) - mm
-            if min_gap is None or gap < min_gap:
-                min_gap = gap
-                min_gap_at = [n]
-            elif gap == min_gap:
-                min_gap_at.append(n)
-            if n >= 10:
-                if min_gap_from_10 is None or gap < min_gap_from_10:
-                    min_gap_from_10 = gap
-                if gap < 5:
-                    counterexamples.append(n)
-            if gap < 2 or (gap == 2 and n != 2):
-                counterexamples.append(n)
+        elif hi >= 10:  # the link that holds n = 10 comes before those past it
+            min_gap_from_10 = sequences.c(10) - mm
+        if first < 5:
+            below_5 = range(max(lo, 10), min(hi, sequences.c_last(mm + 4)) + 1)
+            at_most_2 = range(lo, min(hi, sequences.c_last(mm + 2)) + 1)
+            faults = [*below_5, *(n for n in at_most_2 if n != 2 or first < 2)]
+            counterexamples += sorted(faults)
     details = (
         f"min gap {min_gap} attained exactly at {min_gap_at}; "
         f"min gap over n >= 10 is {min_gap_from_10}"
@@ -568,23 +560,23 @@ def check_range_bounds(limit: int) -> VerificationReport:
     every y, a one-signed bound decides the whole block, and y strictly
     decreases across steps that keep both m and c.
 
-    The blocks are the links of sequences.chain_links(1, limit) grouped
-    by m.  On a block [a, b] c(n) = 2*(n // 3) + 4 does not decrease and,
-    for m >= 2, n**(m-1) strictly increases, so low = 2**(c(a)-m) - b**(m-1)
+    The blocks are sequences.m_block(m) for m = 1 to m(limit), the last
+    clipped to limit.  On a block [a, b] c does not decrease and, for
+    m >= 2, n**(m-1) strictly increases, so low = 2**(c(a)-m) - b**(m-1)
     and high = 2**(c(b)-m) - a**(m-1) enclose y, high < 0 decides the
     block negative, low > 0 decides it positive, and y strictly decreases
     wherever c repeats.  m = 1 only at n = 1, a block of one point: there
     a = b, both bounds equal y(1), and there is no step to decrease
     across.  No block can hold a counterexample, so each is settled by
     sequences.bound_signs, the signs of high and low alone, and no y is
-    evaluated.  The cost is O(links)."""
+    evaluated.  The cost is one pair of comparisons per block."""
     if limit < 1:
         raise ValueError("limit must be a positive integer")
-    blocks = decided_negative = decided_positive = 0
-    for mm, links in groupby(sequences.chain_links(1, limit), key=itemgetter(3)):
-        links = list(links)
-        high, low = sequences.bound_signs(links[0][0], links[-1][1], mm)
-        blocks += 1
+    blocks = sequences.m(limit)
+    decided_negative = decided_positive = 0
+    for mm in range(1, blocks + 1):
+        a, b = sequences.m_block(mm)
+        high, low = sequences.bound_signs(a, min(b, limit), mm)
         decided_negative += high < 0
         decided_positive += low > 0
     details = (
@@ -612,24 +604,22 @@ def check_sign_criteria(limit: int) -> VerificationReport:
 
     Walked run by run: for each run (a, b, sign) of partition_y, the
     chain links clipped to [a, b].  r and m are functions of n, so a
-    clipped link keeps its link's threshold T = r*(m-1), and
-    c(n) = 2*(n // 3) + 4 does not decrease: the negative criterion holds
-    exactly on the prefix n <= 3*((T - 3) // 2) + 2 of the link and the
-    positive one exactly on the suffix n >= 3*((T + m - 4) // 2) + 3.
-    Each piece where a criterion holds against the run's sign is a list
-    of counterexamples.  No n is visited one at a time, so the cost is
-    that of partition_y, O(links)."""
+    clipped link keeps its link's threshold T = r*(m-1), and c does not
+    decrease: the negative criterion holds exactly up to c_last(T + 1)
+    and the positive one exactly past c_last(T + m).  Each piece where a
+    criterion holds against the run's sign is a list of counterexamples.
+    No n is visited one at a time, so the cost is that of partition_y."""
     counterexamples = []
     applies_negative = applies_positive = 0
     for a, b, sign in partition_y(limit).runs:
         for lo, hi, rr, mm in sequences.chain_links(a, b):
             threshold = rr * (mm - 1)
-            neg_end = min(hi, 3 * ((threshold - 3) // 2) + 2)
+            neg_end = min(hi, sequences.c_last(threshold + 1))
             if lo <= neg_end:
                 applies_negative += neg_end - lo + 1
                 if sign != -1:
                     counterexamples.extend(range(lo, neg_end + 1))
-            pos_start = max(lo, 3 * ((threshold + mm - 4) // 2) + 3)
+            pos_start = max(lo, sequences.c_last(threshold + mm) + 1)
             if pos_start <= hi:
                 applies_positive += hi - pos_start + 1
                 if sign != 1:
@@ -660,11 +650,10 @@ def check_negative_x_bound(limit: int) -> VerificationReport:
 
     Walked run by run, as check_sign_criteria is: for each run of
     partition_y with y <= 0, the chain links clipped to it.  On a link
-    x = z - K with K = (r+1)*m and z does not decrease, so x <= -r - 3
-    holds exactly on the prefix n <= (3*(K - r - 3) + 3) // 2, and
-    -r - 3 <= -6 exactly when r >= 3.  Every n of a piece is applicable;
-    the rest of the piece past that prefix is counterexamples.  No n is
-    visited one at a time, so the cost is that of partition_y, O(links)."""
+    x = z - K with K = (r+1)*m, so x <= -r - 3 holds exactly up to
+    z_last(K - r - 3), and -r - 3 <= -6 exactly when r >= 3.  Every n of a
+    piece is applicable and the rest of it past that prefix is
+    counterexamples.  No n is visited one at a time: O(links)."""
     counterexamples = []
     applicable = 0
     for a, b, sign in partition_y(limit).runs:
@@ -672,7 +661,7 @@ def check_negative_x_bound(limit: int) -> VerificationReport:
             continue
         for lo, hi, rr, mm in sequences.chain_links(a, b):
             applicable += hi - lo + 1
-            holds_to = (3 * ((rr + 1) * mm - rr - 3) + 3) // 2 if rr >= 3 else 0
+            holds_to = sequences.z_last((rr + 1) * mm - rr - 3) if rr >= 3 else 0
             counterexamples.extend(range(max(lo, holds_to + 1), hi + 1))
     details = f"bound checked at {applicable} values with y <= 0"
     return make_report(

@@ -142,8 +142,8 @@ MUTANTS = [
         # flips y's sign at n = 2 and at 351 to 353, on the open link [338, 364]
         "y_sign: 2**(c - m - 1) for 2**(c - m)",
         SEQ,
-        "return cmp_pow2_vs_pow(c(n) - m(n), n, m(n) - 1)",
-        "return cmp_pow2_vs_pow(c(n) - m(n) - 1, n, m(n) - 1)",
+        "return cmp_pow2_vs_pow(c(n) - mm, n, mm - 1)",
+        "return cmp_pow2_vs_pow(c(n) - mm - 1, n, mm - 1)",
         f"{T_VER}::TestPartitions::test_y_partition_matches_golden",
     ),
     (
@@ -154,11 +154,47 @@ MUTANTS = [
         f"{T_VER}::TestGoldenTableChecks::test_reference_table_exact_errata",
     ),
     (
-        "partition_x: negative cut one too late",
-        VER,
-        "neg_end, zero_end = k3 // 2, (k3 + 3) // 2",
-        "neg_end, zero_end = k3 // 2 + 1, (k3 + 3) // 2",
-        f"{T_VER}::TestPartitions",
+        # partition_x cuts each link at z_last(K - 1) and z_last(K)
+        "z_last: one n late when v is even",
+        SEQ,
+        "return (3 * v + 3) // 2",
+        "return (3 * v + 4) // 2",
+        f"{T_VER}::TestPartitions::test_x_partition_matches_golden",
+    ),
+    (
+        "z_last: one n early when v is odd",
+        SEQ,
+        "return (3 * v + 3) // 2",
+        "return (3 * v + 2) // 2",
+        f"{T_VER}::TestPartitions::test_x_partition_matches_golden",
+    ),
+    (
+        "c_last: one n late",
+        SEQ,
+        "return 3 * ((v - 4) // 2) + 2",
+        "return 3 * ((v - 4) // 2) + 3",
+        f"{T_VER}::TestLemmaChecks::test_sign_criteria",
+    ),
+    (
+        "c_last: one n early",
+        SEQ,
+        "return 3 * ((v - 4) // 2) + 2",
+        "return 3 * ((v - 4) // 2) + 1",
+        f"{T_VER}::TestRewrittenChecksAgainstPerN::test_block_routes_at_every_limit_to_600",
+    ),
+    (
+        "m_block: the first n one early on odd m",
+        SEQ,
+        "return (mm * mm + 1) // 2, mm * mm // 2 + mm",
+        "return mm * mm // 2, mm * mm // 2 + mm",
+        f"{T_SEQ}::TestCuts::test_m_block_is_the_run_of_each_m",
+    ),
+    (
+        "m_block: the last n one late",
+        SEQ,
+        "return (mm * mm + 1) // 2, mm * mm // 2 + mm",
+        "return (mm * mm + 1) // 2, mm * mm // 2 + mm + 1",
+        f"{T_INT}::TestBounds::test_d_bounds_examples",
     ),
     (
         "printed_runs: a negative run wins over a zero",
@@ -166,20 +202,6 @@ MUTANTS = [
         "0 if a in zeros else -1 if negative else 1",
         "-1 if negative else 0 if a in zeros else 1",
         f"{T_VER}::TestConstantsAreChecked",
-    ),
-    (
-        "check_sign_criteria: negative cut one too late",
-        VER,
-        "neg_end = min(hi, 3 * ((threshold - 3) // 2) + 2)",
-        "neg_end = min(hi, 3 * ((threshold - 3) // 2) + 3)",
-        f"{T_VER}::TestRewrittenChecksAgainstPerN::test_block_routes_at_every_limit_to_600",
-    ),
-    (
-        "check_negative_x_bound: cut one later on odd 3*(K - r - 3) + 3",
-        VER,
-        "- rr - 3) + 3) // 2 if rr >= 3",
-        "- rr - 3) + 4) // 2 if rr >= 3",
-        f"{T_VER}::TestOneSignSource::test_negative_x_bound_cut_on_faulty_runs",
     ),
     (
         "check_negative_x_bound: -r - 3 <= -6 taken from r >= 2",
@@ -332,25 +354,32 @@ MUTANTS = [
         f"{T_EXA}::TestCmp::test_power_of_two_base_edge",
     ),
     (
-        "check_gap: links settled whole from n = 5, not n = 10",
+        "check_gap: a gap of 5 from n = 10 counted as below 5",
         VER,
-        "if lo >= 10 and first > 5",
-        "if lo >= 5 and first > 5",
-        f"{T_VER}::TestRewrittenChecksAgainstPerN::test_spot_limits",
+        "min(hi, sequences.c_last(mm + 4))",
+        "min(hi, sequences.c_last(mm + 5))",
+        f"{T_VER}::TestRewrittenChecksAgainstPerN::test_gap_counterexamples_on_raised_links",
     ),
     (
-        "partition_x: zero cut one short",
+        "check_gap: the below-5 cut read from n = 9",
         VER,
-        "(k3 + 3) // 2",
-        "(k3 + 3) // 2 - 1",
-        f"{T_VER}::TestPartitions::test_x_partition_matches_golden",
+        "range(max(lo, 10),",
+        "range(max(lo, 9),",
+        f"{T_VER}::TestRewrittenChecksAgainstPerN::test_gap_counterexamples_on_raised_links",
     ),
     (
-        "check_sign_criteria: positive cut one early",
+        "check_gap: n = 2 excused at a gap below 2",
         VER,
-        "3 * ((threshold + mm - 4) // 2) + 3)",
-        "3 * ((threshold + mm - 4) // 2) + 2)",
-        f"{T_VER}::TestLemmaChecks::test_sign_criteria",
+        "if n != 2 or first < 2",
+        "if n != 2",
+        f"{T_VER}::TestRewrittenChecksAgainstPerN::test_gap_counterexamples_on_raised_links",
+    ),
+    (
+        "check_gap: the ties of the least gap run one n long",
+        VER,
+        "min(hi, sequences.c_last(first + mm)) + 1",
+        "min(hi, sequences.c_last(first + mm)) + 2",
+        f"{T_VER}::TestRewrittenChecksAgainstPerN::test_gap_counterexamples_on_raised_links",
     ),
     (
         "erratum_for: the computed value ignored",
@@ -412,15 +441,6 @@ KNOWN_SURVIVORS = [
         f"{T_CLI}::TestSeq",
         "equivalent: P is 2**e either way, so only the time of seq --exact-y "
         "changes, which the benchmark measures and no test does",
-    ),
-    (
-        "check_gap: a link from n = 10 settled whole at a first gap of 5",
-        VER,
-        "first > 5 and",
-        "first >= 5 and",
-        f"{T_VER}::TestRewrittenChecksAgainstPerN",
-        "equivalent: no link from n = 10 on starts with a gap of 5, since the "
-        "least gap there is 6, so the same links are settled whole",
     ),
     (
         "PER_N_BELOW = 4",

@@ -125,11 +125,14 @@ def per_n_y_counterexamples(runs):
     ]
 
 
-def reference_gap(limit):
-    """check_gap: the gap c - m read at every n."""
+def reference_gap(limit, gaps=None):
+    """check_gap: the gap c - m read at every n, from rows(limit) or else
+    from gaps, the (n, gap) pairs for n = 1 to limit."""
+    if gaps is None:
+        gaps = ((n, gap) for n, _, _, _, _, _, gap, _ in rows(limit))
     counterexamples, min_gap_at = [], []
     min_gap = min_gap_from_10 = None
-    for n, _, _, _, _, _, gap, _ in rows(limit):
+    for n, gap in gaps:
         if min_gap is None or gap < min_gap:
             min_gap, min_gap_at = gap, [n]
         elif gap == min_gap:

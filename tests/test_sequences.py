@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ineqscan import sequences, verifier
+from reference import rows
 
 # n: (z, m, r, c, x, c_minus_m, y)
 GOLDEN_ROWS = {
@@ -135,6 +136,46 @@ class TestDefiningProperties:
                 fn(0)
             with pytest.raises(ValueError):
                 fn(-7)
+
+
+class TestCuts:
+    """z_last, c_last and m_block against the per-n rows of the reference:
+    each names where a non-decreasing column of the rows crosses a value."""
+
+    TOP = 600
+
+    @pytest.mark.parametrize("column, last", [(1, sequences.z_last), (4, sequences.c_last)])
+    def test_last_n_at_or_below_each_value(self, column, last):
+        table = list(rows(self.TOP))
+        # from values no n reaches (z(1) = 0, c(1) = 4) to the last one
+        # whose every qualifying n lies in the table
+        for v in range(table[0][column] - 5, table[-1][column]):
+            qualifying = [row[0] for row in table if row[column] <= v]
+            assert qualifying == list(range(1, last(v) + 1)), v
+        assert sequences.z_last(-1) < 1 and sequences.c_last(3) < 1
+
+    def test_m_block_is_the_run_of_each_m(self):
+        table = list(rows(self.TOP))
+        for mm in range(1, table[-1][2]):
+            a, b = sequences.m_block(mm)
+            assert [row[0] for row in table if row[2] == mm] == list(range(a, b + 1)), mm
+
+
+@given(st.integers(min_value=-5, max_value=10**15))
+def test_last_n_at_scale(v):
+    for column, last in ((sequences.z, sequences.z_last), (sequences.c, sequences.c_last)):
+        n = last(v)
+        # n qualifies or is below 1, and the next n (at least 1) does not
+        assert n < 1 or column(n) <= v
+        assert column(max(n + 1, 1)) > v
+
+
+@given(st.integers(min_value=1, max_value=10**8))
+def test_m_block_at_scale(mm):
+    a, b = sequences.m_block(mm)
+    assert sequences.m(a) == sequences.m(b) == mm
+    assert a == 1 or sequences.m(a - 1) == mm - 1
+    assert sequences.m(b + 1) == mm + 1
 
 
 class TestScan:

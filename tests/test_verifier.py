@@ -26,6 +26,7 @@ from reference import (
     reference_negative_x_bound,
     reference_range_bounds,
     reference_sign_criteria,
+    row,
 )
 
 REFERENCE_TOP = 10**5
@@ -486,12 +487,13 @@ class TestReach:
         assert rep.data["applicable"] == 348
 
     def test_range_bounds_at_one_billion_compares_block_ends(self, monkeypatch):
-        spans = []
-        scan = sequences.scan
+        # the blocks come from m_block, one per m, and no chain link is read
+        walks = []
+        chain_links = sequences.chain_links
 
-        def recording_scan(lo, hi):
-            spans.append((lo, hi))
-            return scan(lo, hi)
+        def recording_links(lo, hi):
+            walks.append((lo, hi))
+            return chain_links(lo, hi)
 
         calls = 0
 
@@ -500,7 +502,7 @@ class TestReach:
             calls += 1
             return cmp_pow2_vs_pow(*args)
 
-        monkeypatch.setattr(sequences, "scan", recording_scan)
+        monkeypatch.setattr(sequences, "chain_links", recording_links)
         monkeypatch.setattr(sequences, "cmp_pow2_vs_pow", counting_cmp)
         rep = verifier.check_range_bounds(10**9)
         assert rep.status == verifier.CONFIRMED
@@ -509,7 +511,7 @@ class TestReach:
             "decided_negative": 20,
             "decided_positive": 44695,
         }
-        assert spans == []
+        assert walks == []
         assert calls == 2 * rep.data["blocks"]
 
     def test_sign_criteria_at_one_billion_visits_no_n(self, monkeypatch):
@@ -576,9 +578,8 @@ class TestRewrittenChecksAgainstPerN:
         # every printed link end and every boundary of y's sign runs
         # falls in this range
         for limit in range(1, 601):
-            for check, reference in (
+            for check, reference in REFERENCE_CHECKS + (
                 (verifier.check_range_bounds, reference_range_bounds),
-                (verifier.check_sign_criteria, reference_sign_criteria),
             ):
                 assert check(limit).to_dict() == reference(limit).to_dict(), limit
 
@@ -595,11 +596,11 @@ class TestRewrittenChecksAgainstPerN:
         assert verifier.check_gap(10**6).to_dict() == reference_gap(10**6).to_dict()
 
     def test_gap_settles_links_as_a_whole(self, monkeypatch):
-        # far past the stepped start, the gap check reads c once per link,
-        # and once per n only on the six links that end by n = 12
-        walks, spans = [], []
-        links = calls = 0
-        chain_links, scan, c = sequences.chain_links, sequences.scan, sequences.c
+        # the gap check reads c once per link, at its first n, and once
+        # more at n = 10 for the link [9, 12] that holds it
+        walks = []
+        links = calls = tens = 0
+        chain_links, c = sequences.chain_links, sequences.c
 
         def counting_links(lo, hi):
             nonlocal links
@@ -608,24 +609,46 @@ class TestRewrittenChecksAgainstPerN:
                 links += 1
                 yield link
 
-        def recording_scan(lo, hi):
-            spans.append((lo, hi))
-            return scan(lo, hi)
-
         def counting_c(n):
-            nonlocal calls
+            nonlocal calls, tens
             calls += 1
+            tens += n == 10
             return c(n)
 
         monkeypatch.setattr(sequences, "chain_links", counting_links)
-        monkeypatch.setattr(sequences, "scan", recording_scan)
         monkeypatch.setattr(sequences, "c", counting_c)
         rep = verifier.check_gap(10**12)
         assert rep.status == verifier.CONFIRMED
         assert rep.data["min_gap_from_10"] == 6
         assert walks == [(1, 10**12)] and links == 1414251
-        assert spans == []
-        assert calls == links + 12
+        assert (calls, tens) == (links + 1, 1)
+
+    # m of the i-th link raised by raises[i % len(raises)]: gaps drop
+    # below 5 from n = 10 on, to 2 and below 2, and at n = 2 (the link of
+    # index 1) below 2 or, with (3, 0), not at all
+    @pytest.mark.parametrize(
+        "raises", [(1,), (2,), (4,), (7,), (0, 1, 2, 3), (0, 2, 4), (3, 0)]
+    )
+    def test_gap_counterexamples_on_raised_links(self, monkeypatch, raises):
+        # c_last reads c's closed form, so the fault goes in through m
+        chain_links = sequences.chain_links
+
+        def raised_links(lo, hi):
+            for i, (a, b, rr, mm) in enumerate(chain_links(lo, hi)):
+                yield a, b, rr, mm + raises[i % len(raises)]
+
+        monkeypatch.setattr(sequences, "chain_links", raised_links)
+        found = set()
+        for limit in (1, 2, 3, 9, 10, 12, 13, 600, 2000):
+            gaps = [
+                (n, row(n)[4] - mm)
+                for a, b, _, mm in raised_links(1, limit)
+                for n in range(a, b + 1)
+            ]
+            rep = verifier.check_gap(limit)
+            assert rep.to_dict() == reference_gap(limit, gaps).to_dict(), limit
+            found.update(rep.counterexamples)
+        assert found, "the raised links must hold counterexamples"
 
 
 class TestDetailsFollowCounterexamples:
@@ -728,8 +751,7 @@ class TestOneSignSource:
     def test_y_sign_decides_only_the_partition_fallback(self, monkeypatch, capsys):
         # through the CLI, every lemma check reads partition_y, whose
         # fallback is the one caller of y_sign: it decides each n of the
-        # links that the certificate leaves open, once per partition_y
-        # call, and scan is never called
+        # links that the certificate leaves open, once per partition_y call
         limit = 10**6
         open_n = [
             n
@@ -738,17 +760,13 @@ class TestOneSignSource:
             for n in range(lo, hi + 1)
         ]
         per_n = verifier.partition_y(limit).per_n
-        decided, spans = [], []
+        decided = []
         parts = 0
-        y_sign, scan, partition_y = sequences.y_sign, sequences.scan, verifier.partition_y
+        y_sign, partition_y = sequences.y_sign, verifier.partition_y
 
         def recording_y_sign(n):
             decided.append(n)
             return y_sign(n)
-
-        def recording_scan(lo, hi):
-            spans.append((lo, hi))
-            return scan(lo, hi)
 
         def counting_partition(limit):
             nonlocal parts
@@ -756,7 +774,6 @@ class TestOneSignSource:
             return partition_y(limit)
 
         monkeypatch.setattr(sequences, "y_sign", recording_y_sign)
-        monkeypatch.setattr(sequences, "scan", recording_scan)
         monkeypatch.setattr(verifier, "partition_y", counting_partition)
         argv = ["verify", "--suite", "lemmas", "--limit", str(limit), "--format", "json"]
         assert cli.main(argv) == 0
@@ -764,7 +781,6 @@ class TestOneSignSource:
         assert parts == 3
         assert len(decided) == per_n * parts
         assert decided == open_n * parts
-        assert spans == []
 
     def test_checks_read_no_stepper_and_one_function_compares_at_an_n(self):
         # verifier and analytic reach the sequences through the scalar
