@@ -19,9 +19,10 @@ ROOT_SCAN_HI.
 
 The range checks walk sequences.chain_links.  On a link m and r are
 fixed, and every margin they report is monotone up to a term that
-depends only on n mod 3, so each link is settled from at most three n
-at either end; the links below PER_N_BELOW, and any link whose
-candidates fail, are stepped per n (see _check_envelopes and
+depends only on n mod 3, so each link, from n = 1 on, is settled from
+at most three n at either end; a link whose candidates fail, and every
+link of an envelope outside the class where that monotonicity is
+proved, is stepped per n (see _check_envelopes and
 check_sign_consistency).  The exact sign of y comes from the runs of
 verifier.partition_y, the one place that decides it, and never from a
 per-n comparison here.  The real surrogate Y = (c - m) - (m - 1) log2(n)
@@ -255,19 +256,13 @@ def Y_real(n: int) -> float:
 # Checks
 # ---------------------------------------------------------------------------
 
-# Chain links that start below this n are stepped one n at a time; every
-# later link is settled from a few candidate n.  It keeps the candidate
-# route clear of the small n where the monotonicity arguments below do
-# not hold (y-upper needs n >= 2, the three-step rise of Y needs n >= 10).
-PER_N_BELOW = 16
-
 
 def _margins_monotone(coeffs: FCoeffs) -> bool:
     """Whether s * ln(2**b * n) > max(0, 2c - 2), s = sqrt(2n), holds at
-    n = PER_N_BELOW for this instance: the condition under which
-    _check_envelopes settles a link from candidate n.  The left side
-    increases with n once it is positive, so it then holds from there on."""
-    n = PER_N_BELOW
+    n = 2 for this instance: the condition under which _check_envelopes
+    settles a link from candidate n.  The left side increases with n once
+    it is positive, so it then holds from there on."""
+    n = 2
     return math.sqrt(2 * n) * (coeffs.b * LOG2 + math.log(n)) > max(0, 2 * coeffs.c - 2)
 
 
@@ -287,21 +282,24 @@ def _check_envelopes(claim_id, what, lower, upper, limit, value):
     derivative of G(n) - (m - 1) log2(n) is at least
     (s ln(2**b n) + 2 - 2c) / (s**2 ln 2), the smaller of the two, so both
     are positive where s ln(2**b n) > 2c - 2.  _margins_monotone checks
-    that at n = PER_N_BELOW; the four named instances meet it from n = 2
-    on (y-upper, b = 1 and c = 2, is the tightest: 2 ln 4 > 2).  Then on
-    each residue class of a link value - F_lower increases and
+    that at n = 2, and the four named instances meet it there (y-upper,
+    b = 1 and c = 2, is the tightest: 2 ln 4 > 2).  Then on each residue
+    class of a link from n = 2 on, value - F_lower increases and
     F_upper - value decreases: the lower margin is least among the first
-    three n of the link and the upper margin among the last three.
+    three n of the link and the upper margin among the last three.  The
+    one link before n = 2 is [1, 1], a single n, and every link that
+    starts below 9 holds at most three n, so there the candidates are all
+    of its n.
 
-    A link from PER_N_BELOW on is therefore settled by its lower margins
-    at those first three n and its upper margins at the last three,
-    provided both instances pass _margins_monotone.  Every other link,
-    and a link with a candidate margin <= 0, is stepped per n, so the
-    counterexample list stays exact.  Candidates are folded in increasing
-    n by min, which keeps the first of equal values, so the minima and
-    their n are those of a walk over every n, as long as float error stays
-    below the three-step change of a margin (above 0.01 up to n = 10**7,
-    against float errors near 1e-9).
+    Every link is therefore settled by its lower margins at its first
+    three n and its upper margins at its last three, provided both
+    instances pass _margins_monotone.  Otherwise every link is stepped
+    per n, and so is a link with a candidate margin <= 0, on both sides,
+    so the counterexample list stays exact.  Candidates are folded in
+    increasing n by min, which keeps the first of equal values, so the
+    minima and their n are those of a walk over every n, as long as float
+    error stays below the three-step change of a margin (above 0.01 up
+    to n = 10**7, against float errors near 1e-9).
     """
     if limit < 1:
         raise ValueError("limit must be a positive integer")
@@ -317,7 +315,7 @@ def _check_envelopes(claim_id, what, lower, upper, limit, value):
     for a, b, rr, mm in sequences.chain_links(1, limit):
         link = range(a, b + 1)
         lows = ups = None
-        if blockwise and a >= PER_N_BELOW:
+        if blockwise:
             lows, ups = margins(rr, mm, link[:3], link[-3:])
         if lows is None or not all(margin > 0 for margin, _ in lows + ups):
             lows, ups = margins(rr, mm, link, link)
@@ -388,35 +386,33 @@ def check_sign_consistency(limit: int) -> VerificationReport:
     the chain links clipped to [a, b], so that the sign and m are fixed
     on each piece.  With s = sqrt(2n) and m <= s,
     Y(n + 3) - Y(n) = 2 - (m - 1) log2(1 + 3/n) is at least
-    2 - 3(s - 1)/(n ln 2), which is positive from n = 10 on (1.50 is
-    subtracted at n = 10, less after).  So Y increases on each residue
-    class mod 3 of a piece: a positive piece is settled by Y at its
-    first three n and a negative one by Y at its last three, and the
-    same n hold the piece's least |Y|.  A piece is stepped per n instead
-    when it starts below PER_N_BELOW, when its run has sign 0, or when a
-    candidate has |Y| <= 1e-6 or the wrong sign, so the counterexample
-    list stays exact.  Candidates are folded in increasing n by min,
-    which keeps the first of equal values, as a walk over every n would.
+    2 - 3(s - 1)/(n ln 2).  That bound is positive from n = 4 on (1.98 is
+    subtracted at n = 4) and decreases after, and the links that start
+    below 4, [1, 1], [2, 2] and [3, 4], hold at most two n.  So Y
+    increases on each residue class mod 3 of a piece: a positive piece is
+    settled by Y at its first three n and a negative one by Y at its last
+    three, and the same n hold the piece's least |Y|.  A piece whose
+    candidates do not all pass the test below is stepped per n, so the
+    counterexample list stays exact; a run of sign 0 fails it at every
+    candidate.  Candidates are folded in increasing n by min, which keeps
+    the first of equal values, as a walk over every n would.
 
-    Any |Y_real| at or below 1e-6 would be too close to zero to trust
-    the float sign and is reported as a counterexample; none occur (the
-    smallest magnitude from n = 5 on is about 0.105).  The reported
-    minimum is taken over [5, limit], past the few tiny starting values
-    whose magnitudes are artifacts of m(n) - 1 being 0 or 1.
+    An n is a counterexample unless sign * Y_real(n) > 1e-6: Y_real of the
+    wrong sign, or with |Y_real| at or below 1e-6, too close to zero to
+    trust the float sign; none occur (the smallest magnitude from n = 5
+    on is about 0.105).  The reported minimum is taken over [5, limit],
+    past the few tiny starting values whose magnitudes are artifacts of
+    m(n) - 1 being 0 or 1.
     """
     counterexamples = []
     best = (math.inf, None)
     for a, b, sign in verifier.partition_y(limit).runs:
         for lo, hi, _, mm in sequences.chain_links(a, b):
             piece = range(lo, hi + 1)
-            ys = None
-            if lo >= PER_N_BELOW and sign != 0:
-                ys = [(_Y(n, mm), n) for n in (piece[:3] if sign > 0 else piece[-3:])]
-            if ys is None or not all(sign * y > 1e-6 for y, _ in ys):
+            ys = [(_Y(n, mm), n) for n in (piece[:3] if sign > 0 else piece[-3:])]
+            if not all(sign * y > 1e-6 for y, _ in ys):
                 ys = [(_Y(n, mm), n) for n in piece]
-            counterexamples.extend(
-                n for y, n in ys if abs(y) <= 1e-6 or (1 if y > 0 else -1) != sign
-            )
+            counterexamples.extend(n for y, n in ys if not sign * y > 1e-6)
             best = min(
                 (best, *((abs(y), n) for y, n in ys if n >= 5)), key=itemgetter(0)
             )

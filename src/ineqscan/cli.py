@@ -238,8 +238,10 @@ def _chunks(records):
 
 
 def cmd_intervals(args):
-    limit = max(args.limit, 1)  # a row per m-block, at most one more per power of 2
-    _refuse_long_text(args.format, sequences.m(limit) + limit.bit_length())
+    if args.limit < 1:
+        raise ValueError("need --limit >= 1")
+    # a row per m-block, at most one more per power of 2
+    _refuse_long_text(args.format, sequences.m(args.limit) + args.limit.bit_length())
     columns = ["index", "lo", "hi", "r", "m", "x_lo", "x_hi"]
     _emit_table(columns, _chunks(intervals.interval_table(args.limit)), args.format)
     return 0

@@ -4,10 +4,11 @@ Run from anywhere, with pytest and hypothesis installed:
 
     python tests/mutants.py
 
-Each entry of MUTANTS is (name, file, old text, new text, test selector).
-For each one the script copies src/, tests/ and pyproject.toml to a fresh
-temporary directory, replaces the one exact occurrence of the old text
-in the file, and runs `python -m pytest -x -q` on the selector there.
+Each entry of MUTANTS is (name, file, old text, new text, test
+selectors), the selectors one string separated by spaces.  For each one
+the script copies src/, tests/ and pyproject.toml to a fresh temporary
+directory, replaces the one exact occurrence of the old text in the
+file, and runs `python -m pytest -x -q` on the selectors there.
 pytest's `pythonpath = ["src"]` then imports the mutated copy; a conftest
 written into the copy records `ineqscan.__file__`, and the script checks
 that every passing run imported it from the copy.  The mutant is killed
@@ -154,7 +155,8 @@ MUTANTS = [
         f"{T_VER}::TestGoldenTableChecks::test_reference_table_exact_errata",
     ),
     (
-        # partition_x cuts each link at z_last(K - 1) and z_last(K)
+        # partition_x cuts each link at z_last(K - 1) and z_last(K), and
+        # check_negative_x_bound at z_last(K - r - 3)
         "z_last: one n late when v is even",
         SEQ,
         "return (3 * v + 3) // 2",
@@ -166,7 +168,8 @@ MUTANTS = [
         SEQ,
         "return (3 * v + 3) // 2",
         "return (3 * v + 2) // 2",
-        f"{T_VER}::TestPartitions::test_x_partition_matches_golden",
+        f"{T_VER}::TestPartitions::test_x_partition_matches_golden "
+        f"{T_VER}::TestOneSignSource::test_negative_x_bound_cut_at_an_odd_threshold",
     ),
     (
         "c_last: one n late",
@@ -417,6 +420,29 @@ MUTANTS = [
         f"{T_ANA}::TestCandidateRoute::test_instance_outside_the_proved_class_is_walked_per_n",
     ),
     (
+        # y-upper fails the condition at n = 1, so check_bounds_Y steps
+        # every n; the reports stay the same, only the F_eval count moves
+        "_margins_monotone: evaluated at n = 1",
+        ANA,
+        "    n = 2\n    return math.sqrt(2 * n)",
+        "    n = 1\n    return math.sqrt(2 * n)",
+        f"{T_ANA}::TestCandidateRoute::test_links_from_n_one",
+    ),
+    (
+        "check_sign_consistency: the counterexample test made >= 1e-6",
+        ANA,
+        "if not sign * y > 1e-6)",
+        "if not sign * y >= 1e-6)",
+        f"{T_ANA}::TestCandidateRoute::test_float_floor_on_both_signs",
+    ),
+    (
+        "check_sign_consistency: abs(y) in the fallback test",
+        ANA,
+        "if not all(sign * y > 1e-6 for y, _ in ys):",
+        "if not all(abs(y) > 1e-6 for y, _ in ys):",
+        f"{T_ANA}::TestCandidateRoute::test_zero_run_is_stepped_per_n",
+    ),
+    (
         "_check_envelopes: the MARGIN_FLOOR warning never given",
         ANA,
         "if min(min_low, min_up) < MARGIN_FLOOR:",
@@ -441,17 +467,6 @@ KNOWN_SURVIVORS = [
         f"{T_CLI}::TestSeq",
         "equivalent: P is 2**e either way, so only the time of seq --exact-y "
         "changes, which the benchmark measures and no test does",
-    ),
-    (
-        "PER_N_BELOW = 4",
-        ANA,
-        "PER_N_BELOW = 16",
-        "PER_N_BELOW = 4",
-        f"{T_ANA}::TestCandidateRoute",
-        "equivalent on the named instances: each meets _margins_monotone from "
-        "n = 2, and on the links that start at 4 to 15 the candidates hold "
-        "every minimum and every counterexample, so every report the tests "
-        "compare stays the same",
     ),
 ]
 
@@ -533,7 +548,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="ineqscan-mutants-") as tmp:
         base = Path(tmp) / "unmutated"
         make_copy(base)
-        selectors = sorted({e[4] for e in MUTANTS})
+        selectors = sorted({sel for e in MUTANTS for sel in e[4].split()})
         outcome, seconds, tail = run_pytest(base, selectors)
         print(f"baseline {outcome} in {seconds:.1f} s ({len(selectors)} selectors)")
         if outcome != "passed":
@@ -543,7 +558,7 @@ def main() -> int:
             copy = Path(tmp) / f"mutant-{i}"
             make_copy(copy)
             (copy / file).write_text(mutated(copy, file, old, new))
-            outcome, seconds, _ = run_pytest(copy, [selector])
+            outcome, seconds, _ = run_pytest(copy, selector.split())
             killed = outcome != "passed"
             survived += not killed
             print(f"{'killed' if killed else 'SURVIVED':8} {name} ({outcome} in {seconds:.1f} s)")

@@ -389,16 +389,19 @@ class TestCandidateRoute:
         for check, reference in REFERENCE_CHECKS:
             assert check(10**5).to_dict() == reference(10**5).to_dict()
 
-    def test_links_at_one_billion(self, monkeypatch):
-        # past the per-n prefix no n is stepped: F_eval runs at most six
-        # times per link, Y at most three times per piece of a sign run
-        limit = 10**9
-        links = sum(1 for _ in sequences.chain_links(1, limit))
+    @staticmethod
+    def assert_settled_from_candidates(monkeypatch, limit):
+        # no n is stepped, from n = 1 on: F_eval runs at the first three
+        # and last three n of each link, at most six times per link, and
+        # Y at three n of each piece of a sign run, at most three times
+        # per link and run; no sign of y is decided here
+        links = list(sequences.chain_links(1, limit))
         # built beforehand, so partition_y's own y_sign calls are not seen
         part = verifier.partition_y(limit)
         monkeypatch.setattr(verifier, "partition_y", lambda limit: part)
-        runs = len(part.runs)
-        prefix = analytic.PER_N_BELOW
+        pieces = [
+            piece for a, b, _ in part.runs for piece in sequences.chain_links(a, b)
+        ]
         calls = {"F_eval": 0, "_Y": 0}
         decided = []
 
@@ -420,14 +423,25 @@ class TestCandidateRoute:
         for name in calls:
             monkeypatch.setattr(analytic, name, counting(name))
         monkeypatch.setattr(sequences, "y_sign", recording_y_sign)
+        candidates = sum(2 * min(3, b - a + 1) for a, b, *_ in links)
         for check in (analytic.check_bounds_x, analytic.check_bounds_Y):
             calls["F_eval"] = 0
             assert check(limit).status == verifier.CONFIRMED
-            assert calls["F_eval"] <= 6 * links + 2 * prefix, check.__name__
+            assert calls["F_eval"] == candidates, check.__name__
+            assert calls["F_eval"] <= 6 * len(links), check.__name__
         calls["_Y"] = 0
         assert analytic.check_sign_consistency(limit).status == verifier.CONFIRMED
-        assert calls["_Y"] <= 3 * (links + runs) + prefix
+        assert calls["_Y"] == sum(min(3, b - a + 1) for a, b, *_ in pieces)
+        assert calls["_Y"] <= 3 * (len(links) + len(part.runs))
         assert decided == []
+
+    def test_links_at_one_billion(self, monkeypatch):
+        self.assert_settled_from_candidates(monkeypatch, 10**9)
+
+    def test_links_from_n_one(self, monkeypatch):
+        # the small links take candidates too: the named instances pass
+        # _margins_monotone at n = 2, and the one link before it is [1, 1]
+        self.assert_settled_from_candidates(monkeypatch, 600)
 
     @pytest.mark.parametrize("limit", [17, 100, 600, 2000])
     def test_instance_outside_the_proved_class_is_walked_per_n(self, monkeypatch, limit):
@@ -498,6 +512,29 @@ class TestCandidateRoute:
         assert rep.details.startswith(
             f"float surrogate sign differs from the exact sign at {b - a + 1} values;"
         )
+
+    def test_float_floor_on_both_signs(self, monkeypatch):
+        # |Y| at 1e-6 is too close to zero to trust on either sign: 421
+        # starts the positive link [421, 449] and 335 ends the negative
+        # piece [313, 335]; just past the floor, at the first n of
+        # [450, 480] and next to 335, the sign is trusted
+        patched = {421: 1e-6, 450: 1.0000001e-6, 335: -1e-6, 334: -1.0000001e-6}
+        y = analytic._Y
+        monkeypatch.setattr(analytic, "_Y", lambda n, mm: patched.get(n, y(n, mm)))
+        rep = analytic.check_sign_consistency(1000)
+        assert rep.counterexamples == [335, 421]
+        assert (rep.data["min_abs_Y"], rep.data["min_abs_Y_at"]) == (1e-6, 335)
+
+    def test_zero_run_is_stepped_per_n(self, monkeypatch):
+        # sign 0 fails the test at every candidate, so the run is stepped
+        # and each of its n is listed
+        part = verifier.partition_y(1000)
+        assert part.runs[-1] == (369, 1000, 1)
+        zeroed = ((369, 399, 1), (400, 420, 0), (421, 1000, 1))
+        zeroed_part = part._replace(runs=part.runs[:-1] + zeroed)
+        monkeypatch.setattr(verifier, "partition_y", lambda limit: zeroed_part)
+        rep = analytic.check_sign_consistency(1000)
+        assert rep.counterexamples == list(range(400, 421))
 
 
 class TestSandwichThroughSharedLoop:

@@ -340,8 +340,9 @@ class TestIntervals:
         assert [r["lo"] for r in rows] == [1, 2, 3, 5, 8]
 
     def test_bad_limit_exits_2(self, capsys):
-        assert cli.main(["intervals", "--limit", "0"]) == 2
-        capsys.readouterr()
+        for limit in ("0", "-5"):
+            assert cli.main(["intervals", "--limit", limit]) == 2
+            assert capsys.readouterr() == ("", "error: need --limit >= 1\n")
 
     def test_long_text_table_is_refused_before_any_link(self, capsys, monkeypatch):
         # at most isqrt(2 * limit) m-blocks, and one more link per power of

@@ -748,6 +748,32 @@ class TestOneSignSource:
         assert (rep.data["applicable"], rep.counterexamples) == (len(stepped), expected)
         assert 0 < len(expected) < len(stepped) or limit == 5
 
+    def test_negative_x_bound_cut_at_an_odd_threshold(self, monkeypatch):
+        # on the true chain below 2 * 10**5 no link with r >= 3 holds the
+        # cut z_last(v) of an odd v = K - r - 3, so faulty runs alone never
+        # reach one; with m raised by 2 on every link, the link
+        # [513, 544] (r = 10, m = 34) has v = 361 and its cut at 543
+        chain_links = sequences.chain_links
+
+        def raised_links(lo, hi):
+            for a, b, rr, mm in chain_links(lo, hi):
+                yield a, b, rr, mm + 2
+
+        monkeypatch.setattr(sequences, "chain_links", raised_links)
+        part = verifier.SignPartition(600, ((1, 600, -1),))
+        monkeypatch.setattr(verifier, "partition_y", lambda limit: part)
+        assert (513, 544, 10, 34) in raised_links(1, 600)
+        assert sequences.z_last(11 * 34 - 13) == 543
+        expected = [
+            n
+            for a, b, rr, mm in raised_links(1, 600)
+            for n in range(a, b + 1)
+            if not sequences.z(n) - (rr + 1) * mm <= -rr - 3 <= -6
+        ]
+        rep = verifier.check_negative_x_bound(600)
+        assert (rep.data["applicable"], rep.counterexamples) == (600, expected)
+        assert 543 not in expected and 544 in expected
+
     def test_y_sign_decides_only_the_partition_fallback(self, monkeypatch, capsys):
         # through the CLI, every lemma check reads partition_y, whose
         # fallback is the one caller of y_sign: it decides each n of the
