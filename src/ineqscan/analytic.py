@@ -32,7 +32,6 @@ included, through verifier.compare_printed.
 """
 
 import math
-from operator import itemgetter
 from typing import NamedTuple
 
 # partition_y is called through the module, so a wrapper set on
@@ -295,14 +294,13 @@ def _check_envelopes(claim_id, what, lower, upper, limit, value):
     three n and its upper margins at its last three, provided both
     instances pass _margins_monotone.  Otherwise every link is stepped
     per n, and so is a link with a candidate margin <= 0, on both sides,
-    so the counterexample list stays exact.  Candidates are folded in
-    increasing n by min, which keeps the first of equal values, so the
-    minima and their n are those of a walk over every n, as long as float
-    error stays below the three-step change of a margin (above 0.01 up
-    to n = 10**7, against float errors near 1e-9).
+    so the counterexample list stays exact.  Candidates come in
+    increasing n, and min over (margin, n) keeps the least n of a tie, so
+    the minima and their n are those of a walk over every n, as long as
+    float error stays below the three-step change of a margin (above 0.01
+    up to n = 10**7, against float errors near 1e-9).
     """
-    if limit < 1:
-        raise ValueError("limit must be a positive integer")
+    sequences.require_positive(limit, "limit")
     blockwise = _margins_monotone(lower) and _margins_monotone(upper)
 
     def margins(rr, mm, firsts, lasts):
@@ -320,8 +318,8 @@ def _check_envelopes(claim_id, what, lower, upper, limit, value):
         if lows is None or not all(margin > 0 for margin, _ in lows + ups):
             lows, ups = margins(rr, mm, link, link)
         counterexamples.extend(sorted({n for margin, n in lows + ups if margin <= 0}))
-        best_low = min((best_low, *lows), key=itemgetter(0))
-        best_up = min((best_up, *ups), key=itemgetter(0))
+        best_low = min((best_low, *lows))
+        best_up = min((best_up, *ups))
     (min_low, min_low_at), (min_up, min_up_at) = best_low, best_up
     if counterexamples:
         claim = (
@@ -394,8 +392,8 @@ def check_sign_consistency(limit: int) -> VerificationReport:
     three, and the same n hold the piece's least |Y|.  A piece whose
     candidates do not all pass the test below is stepped per n, so the
     counterexample list stays exact; a run of sign 0 fails it at every
-    candidate.  Candidates are folded in increasing n by min, which keeps
-    the first of equal values, as a walk over every n would.
+    candidate.  Candidates come in increasing n, and min over (|Y|, n)
+    keeps the least n of a tie, as a walk over every n would.
 
     An n is a counterexample unless sign * Y_real(n) > 1e-6: Y_real of the
     wrong sign, or with |Y_real| at or below 1e-6, too close to zero to
@@ -413,9 +411,7 @@ def check_sign_consistency(limit: int) -> VerificationReport:
             if not all(sign * y > 1e-6 for y, _ in ys):
                 ys = [(_Y(n, mm), n) for n in piece]
             counterexamples.extend(n for y, n in ys if not sign * y > 1e-6)
-            best = min(
-                (best, *((abs(y), n) for y, n in ys if n >= 5)), key=itemgetter(0)
-            )
+            best = min((best, *((abs(y), n) for y, n in ys if n >= 5)))
     min_abs, min_abs_at = best
     if counterexamples:
         details = (

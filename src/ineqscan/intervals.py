@@ -74,8 +74,7 @@ def interval_table(n_max: int) -> Iterator[IntervalRecord]:
     the end of n_max's own link, so memory stays flat.  n_max is checked
     on the call, before the first record is asked for.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be a positive integer")
+    sequences.require_positive(n_max, "n_max")
     links = sequences.chain_links(1, f_bounds(n_max)[1])
     return (
         IntervalRecord(index, lo, hi, rr, mm, sequences.x(lo), sequences.x(hi))

@@ -154,8 +154,7 @@ def partition_x(limit: int) -> SignPartition:
     x < 0 exactly for n <= z_last(K - 1), x = 0 up to z_last(K), and
     x > 0 above that.  Every link is settled in O(1).
     """
-    if limit < 1:
-        raise ValueError("limit must be a positive integer")
+    sequences.require_positive(limit, "limit")
     runs: list = []
     blocks = 0
     for lo, hi, rr, mm in sequences.chain_links(1, limit):
@@ -178,8 +177,7 @@ def partition_y(limit: int) -> SignPartition:
     of y's two terms.  These runs are the one source of y's sign for
     every check in this package.
     """
-    if limit < 1:
-        raise ValueError("limit must be a positive integer")
+    sequences.require_positive(limit, "limit")
     runs: list = []
     blocks = per_n = 0
     for lo, hi, _, mm in sequences.chain_links(1, limit):
@@ -517,8 +515,7 @@ def check_gap(limit: int) -> VerificationReport:
     c_last(m + 2); at n = 2 it is its link's first, as c(1) = c(2).  Only
     a link whose first gap is below 5 is cut.  No n is stepped: O(links).
     """
-    if limit < 1:
-        raise ValueError("limit must be a positive integer")
+    sequences.require_positive(limit, "limit")
     counterexamples = []
     min_gap = min_gap_from_10 = None
     min_gap_at = []
@@ -570,8 +567,7 @@ def check_range_bounds(limit: int) -> VerificationReport:
     across.  No block can hold a counterexample, so each is settled by
     sequences.bound_signs, the signs of high and low alone, and no y is
     evaluated.  The cost is one pair of comparisons per block."""
-    if limit < 1:
-        raise ValueError("limit must be a positive integer")
+    sequences.require_positive(limit, "limit")
     blocks = sequences.m(limit)
     decided_negative = decided_positive = 0
     for mm in range(1, blocks + 1):
@@ -682,8 +678,7 @@ def check_positive_tail(limit: int) -> VerificationReport:
     the y runs of partition_y there: chain links certified positive as a
     whole, the rest decided per n (data.blocks and data.per_n count the
     two).  An honest no-op when the limit sits below the tail."""
-    if limit < 1:
-        raise ValueError("limit must be a positive integer")
+    sequences.require_positive(limit, "limit")
     start = POSITIVE_TAIL_START
     if limit < start:
         return make_report(

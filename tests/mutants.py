@@ -155,6 +155,20 @@ MUTANTS = [
         f"{T_VER}::TestGoldenTableChecks::test_reference_table_exact_errata",
     ),
     (
+        "c: (n + 1) // 3 for n // 3",
+        SEQ,
+        "return 2 * (n // 3) + 4",
+        "return 2 * ((n + 1) // 3) + 4",
+        f"{T_SEQ}::TestDefiningProperties::test_c_closed_form",
+    ),
+    (
+        "require_positive: value < 0",
+        SEQ,
+        "if value < 1:",
+        "if value < 0:",
+        f"{T_SEQ}::TestDefiningProperties::test_domain_errors",
+    ),
+    (
         # partition_x cuts each link at z_last(K - 1) and z_last(K), and
         # check_negative_x_bound at z_last(K - r - 3)
         "z_last: one n late when v is even",
@@ -317,9 +331,16 @@ MUTANTS = [
     (
         "scan_columns: c's first three values taken at n + 1",
         SEQ,
-        "c3 = [2 * (n // 3) + 4 for n in ns[:3]]",
-        "c3 = [2 * ((n + 1) // 3) + 4 for n in ns[:3]]",
+        "c3 = list(map(c, ns[:3]))",
+        "c3 = [c(n + 1) for n in ns[:3]]",
         f"{T_SEQ}::TestRows",
+    ),
+    (
+        "cmd_verify: minimum refused with <=",
+        CLI,
+        "if minimum is not None and args.limit < minimum:",
+        "if minimum is not None and args.limit <= minimum:",
+        f"{T_CLI}::TestVerify::test_minimum_limits_accepted",
     ),
     (
         "_block_text: a lazy column formatted with the rest, every y of a block at once",

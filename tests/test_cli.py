@@ -317,6 +317,26 @@ class TestSeq:
             assert cli.main(["seq", "--from", "13", "--to", "17", "--format", fmt]) == 0
             assert capsys.readouterr().out == reference_seq(13, 17, False, fmt)
 
+    def test_exact_y_past_its_bound_is_refused_before_any_row(self, capsys, monkeypatch):
+        assert cli.EXACT_Y_MAX_N == 10**8
+        monkeypatch.setattr(cli, "EXACT_Y_MAX_N", 20)
+        argv = ["seq", "--from", "17", "--format", "csv", "--to"]
+        assert cli.main(argv + ["20", "--exact-y"]) == 0
+        assert capsys.readouterr().out == reference_seq(17, 20, True, "csv")
+        # without --exact-y the bound does not apply
+        assert cli.main(argv + ["21"]) == 0
+        assert capsys.readouterr().out == reference_seq(17, 21, False, "csv")
+
+        def never(*args):
+            raise AssertionError("a row or a y was built")
+
+        for name in ("scan_columns", "y_value"):
+            monkeypatch.setattr(sequences, name, never)
+        assert cli.main(argv + ["21", "--exact-y"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --exact-y takes --to <= 20, not 21\n"
+
     def test_bad_range_exits_2(self, capsys):
         assert cli.main(["seq", "--from", "0", "--to", "5"]) == 2
         assert cli.main(["seq", "--from", "9", "--to", "3"]) == 2
@@ -455,6 +475,29 @@ class TestVerify:
         capsys.readouterr()
         assert cli.main(["verify", "--suite", "all", "--limit", "0"]) == 2
         assert "547" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "suite, limit, err",
+        [
+            (
+                "theorem1",
+                "100",
+                "error: suite 'theorem1' needs --limit >= 547 to attest its claims\n",
+            ),
+            (
+                "all",
+                "10000001",
+                "error: suite 'all' takes --limit <= 10000000: its float envelope scan "
+                "compares margins that shrink toward float error as n grows (about 1e-3 "
+                "at 2**29 + 1, and a float 0.0 for a true 6e-6 at 2**45 + 1), so the cap "
+                "waits for an error budget; --suite theorem1|theorem2|lemmas reach "
+                "10**12\n",
+            ),
+        ],
+    )
+    def test_refusal_text(self, capsys, suite, limit, err):
+        assert cli.main(["verify", "--suite", suite, "--limit", limit]) == 2
+        assert capsys.readouterr() == ("", err)
 
     def test_all_suite_capped_by_envelope_scan(self, capsys):
         argv = ["verify", "--suite", "all", "--limit", str(10**7 + 1)]

@@ -109,7 +109,7 @@ class TestBounds:
         for fn in (intervals.d_bounds, intervals.e_bounds, intervals.f_bounds):
             with pytest.raises(ValueError):
                 fn(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n_max must be a positive integer$"):
             intervals.interval_table(0)
 
 
@@ -237,7 +237,7 @@ class TestChainWalker:
 
     def test_start_below_one_and_empty_range(self):
         for lo in (0, -7):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="^lo must be a positive integer$"):
                 list(sequences.chain_links(lo, 5))
         assert list(sequences.chain_links(10, 9)) == []
         assert list(sequences.chain_links(10**12, 1)) == []

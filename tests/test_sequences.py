@@ -8,8 +8,10 @@ correct ones, which differ from a published table; the verifier, not
 this module, is where that mismatch is surfaced.
 """
 
+import ast
 import math
 from itertools import groupby
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -97,10 +99,11 @@ class TestDefiningProperties:
             prev = cc
 
     def test_c_closed_form(self):
-        # the block routes of the range-bound and sign-criteria checks
-        # rest on this identity
+        # c is computed in closed form, and the block routes of the
+        # range-bound and sign-criteria checks rest on it: compare it
+        # with the definition
         for n in range(1, 10**5 + 1):
-            assert sequences.c(n) == 2 * (n // 3) + 4, n
+            assert sequences.c(n) == 2 * n - 2 * sequences.z(n) + 2, n
 
     def test_y_value_sign_agrees_with_y_sign(self):
         for n in range(1, 5000):
@@ -128,14 +131,15 @@ class TestDefiningProperties:
             sequences.r,
             sequences.c,
             sequences.x,
+            sequences.pow2_term,
+            sequences.npow_term,
             sequences.y_sign,
             sequences.y_value,
             sequences.row,
         ):
-            with pytest.raises(ValueError):
-                fn(0)
-            with pytest.raises(ValueError):
-                fn(-7)
+            for n in (0, -7):
+                with pytest.raises(ValueError, match="^n must be a positive integer$"):
+                    fn(n)
 
 
 class TestCuts:
@@ -438,4 +442,69 @@ def test_x_closed_form(n):
 
 @given(st.integers(min_value=1, max_value=10**40))
 def test_c_closed_form_everywhere(n):
-    assert sequences.c(n) == 2 * (n // 3) + 4
+    assert sequences.c(n) == 2 * n - 2 * sequences.z(n) + 2
+
+
+def owners(predicate, sources):
+    """(module, enclosing function) of every node of sources, a dict of
+    module name to source text, that predicate holds for; the function is
+    None at module level."""
+    found = []
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if predicate(child):
+                found.append((module, owner))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, module, child.name if inner else owner)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), module, None)
+    return found
+
+
+PACKAGE = {
+    path.stem: path.read_text()
+    for path in sorted(Path(sequences.__file__).parent.glob("*.py"))
+}
+
+
+def is_floor_div_by_3(node):
+    if isinstance(node, ast.BinOp):
+        op, right = node.op, node.right
+    elif isinstance(node, ast.AugAssign):
+        op, right = node.op, node.value
+    else:
+        return False
+    return isinstance(op, ast.FloorDiv) and isinstance(right, ast.Constant) and right.value == 3
+
+
+def states_positive_integer(node):
+    return isinstance(node, ast.Constant) and "must be a positive integer" in str(node.value)
+
+
+class TestEachFactStatedOnce:
+    """z and c are each written once, in their own functions, and so is
+    the positive-integer argument check; exactarith's base check, with its
+    own contract, is the one other."""
+
+    def test_floor_division_by_3_only_in_z_and_c(self):
+        assert owners(is_floor_div_by_3, PACKAGE) == [("sequences", "z"), ("sequences", "c")]
+
+    def test_positive_integer_message_only_in_require_positive(self):
+        assert owners(states_positive_integer, PACKAGE) == [
+            ("exactarith", "cmp_pow2_vs_pow"),
+            ("sequences", "require_positive"),
+        ]
+
+    def test_each_form_is_found(self):
+        source = (
+            "def f(n):\n"
+            "    n //= 3\n"
+            "    if n < 1:\n"
+            "        raise ValueError(f'{n} must be a positive integer')\n"
+            "    return [(2 * k - 1) // 3 for k in (n // 2, n / 3, n % 3)]\n"
+            "c3 = [2 * (n // 3) + 4 for n in ns]\n"
+        )
+        assert owners(is_floor_div_by_3, {"m": source}) == [("m", "f"), ("m", "f"), ("m", None)]
+        assert owners(states_positive_integer, {"m": source}) == [("m", "f")]
