@@ -7,6 +7,10 @@ Subcommands:
     verify      run claim checks and report their status
     roots       isolate the envelope roots by bisection
 
+seq writes csv and json from the pieces of sequences.scan_pieces, one
+string a piece, with no int converted to str per cell (_piece_texts);
+its text format and --exact-y, and intervals, format a row at a time.
+
 Each verify suite is one row of SUITES: its checks, its smallest and
 default --limit and its cap, if any.  --suite all runs every row.
 
@@ -17,10 +21,10 @@ before the output ended, 2 for usage errors.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
-from collections.abc import Iterator
 from itertools import islice
 from typing import Callable, NamedTuple
 
@@ -102,58 +106,105 @@ def _refuse_long_text(fmt, rows):
         )
 
 
-def _block_text(row, block):
-    """The text of a block of columns, as strings to write.  row(cells) is
-    the row template for a cell per column: an int column's text, shared
-    by every row, or "%s".  The other columns are interleaved into one
-    argument list by slice assignment, so the block is one string; a lazy
-    last column (--exact-y's y) is formatted a row at a time instead, so
-    one of its values is held at a time."""
-    line = row([str(col) if isinstance(col, int) else "%s" for col in block])
-    cols = [col for col in block if not isinstance(col, int)]
-    if isinstance(cols[-1], Iterator):
-        return map(line.__mod__, zip(*cols))
-    size, width = len(cols[0]), len(cols)
-    args = [None] * (size * width)
-    for i, col in enumerate(cols):
-        args[i::width] = col
-    return [line * size % tuple(args)]
+def _row_parts(columns, fmt):
+    """(seps, end) of a csv or json row: the text before each column's
+    cell, and after the last.  The json parts give the bytes of
+    json.dumps(list_of_dicts, indent=2), a row at a time, since JSON
+    writes an int as str() does.  Every json row opens with ",", which
+    the first row's "[" replaces."""
+    if fmt == "csv":
+        return [""] + [","] * (len(columns) - 1), "\n"
+    names = [json.dumps(col) + ": " for col in columns]
+    return [",\n  {\n    " + names[0]] + [",\n    " + nm for nm in names[1:]], "\n  }"
 
 
-def _emit_table(columns, blocks, fmt):
-    """Write blocks of columns, in the shape of sequences.scan_columns, to
-    stdout as csv, json or text.
+def _row_texts(blocks, seps, end):
+    """The text of each row of blocks of columns, a row at a time, so a
+    lazy column (--exact-y's y) holds one value at a time.  An int
+    column's text, shared by every row of its block, is written into the
+    block's row template once; the other columns fill its "%s"."""
+    for block in blocks:
+        cells = [str(col) if isinstance(col, int) else "%s" for col in block]
+        line = "".join(map(str.__add__, seps, cells)) + end
+        yield from map(line.__mod__, zip(*[col for col in block if not isinstance(col, int)]))
 
-    csv and json write each block as the text _block_text gives, with
-    one write per block (a row at a time for --exact-y), so memory stays
-    flat however long the range.  text sizes each column to its widest
+
+@functools.cache
+def _digit_tables():
+    """(small, padded), built on first use: small[v + 999] is str(v) for
+    v in (-1000, 1000), and padded[u] is "%03d" % u for u in [0, 1000).
+    Only x is ever negative, and x >= -59 (its least value, on [129, 144];
+    x > 0 past n = 546), so small holds every value below 1000 that seq
+    prints."""
+    return tuple(map(str, range(-999, 1000))), tuple("%03d" % u for u in range(1000))
+
+
+def _fill(items, pos, stride, v, step, count, sep):
+    """Write the text of the count values v, v + step, ... into items, two
+    slots a value from pos on, stride apart: sep with the value's
+    thousands, then its last three digits, both shared strings.  A value
+    below 1000 is sep, then its whole text.  Each run of values inside
+    one thousand is two slice assignments."""
+    small, padded = _digit_tables()
+    while count:
+        if v < 1000:
+            k = min(count, (999 - v) // step + 1)
+            head, tails = sep, small[v + 999 : v + 999 + step * k : step]
+        else:
+            t, u = divmod(v, 1000)
+            k = min(count, (999 - u) // step + 1)
+            head, tails = sep + str(t), padded[u : u + step * k : step]
+        stop = pos + stride * k
+        items[pos:stop:stride] = [head] * k
+        items[pos + 1 : stop + 1 : stride] = tails
+        pos, v, count = stop, v + step * k, count - k
+
+
+# The slots of a row in _piece_texts: two for each of n, z, c, x and
+# c - m, and a last one for y's sign and the row end.
+_SLOTS = 11
+
+
+def _piece_texts(pieces, seps, end):
+    """The csv or json text of each piece of sequences.scan_pieces, one
+    string a piece, with no string built per cell.
+
+    n rises by 1 a row, and z, c, x and c - m by 2 every 3 rows, so _fill
+    writes n over all the rows and each of the others over each third of
+    them, from its first three values.  m and r are the link's, so their
+    text joins c's separator.  The last slot, y's sign and the row end,
+    is one shared string on a settled link and one per sign on the
+    others.  The slots are joined into one string.
+    """
+    for ns, z3, mm, rr, c3, x3, gaps3, ys in pieces:
+        rows = len(ns)
+        items = [""] * (_SLOTS * rows)
+        _fill(items, 0, _SLOTS, ns.start, 1, rows, seps[0])
+        heads = (seps[1], seps[2] + str(mm) + seps[3] + str(rr) + seps[4], seps[5], seps[6])
+        for slot, first3, head in zip((2, 4, 6, 8), (z3, c3, x3, gaps3), heads):
+            for i, v in enumerate(first3):
+                _fill(items, _SLOTS * i + slot, 3 * _SLOTS, v, 2, len(range(i, rows, 3)), head)
+        last = {sign: seps[7] + str(sign) + end for sign in (-1, 0, 1)}
+        if isinstance(ys, int):
+            items[_SLOTS - 1 :: _SLOTS] = [last[ys]] * rows
+        else:
+            items[_SLOTS - 1 :: _SLOTS] = map(last.__getitem__, ys)
+        yield "".join(items)
+
+
+def _emit_table(columns, fmt, blocks, texts=_row_texts):
+    """Write blocks to stdout as csv, json or text.
+
+    csv and json write the strings that texts(blocks, seps, end) gives,
+    with the parts of _row_parts: a row at a time from blocks of columns
+    by default, or a piece at a time from _piece_texts, so memory stays
+    flat however long the range.  text takes blocks of columns, in the
+    shape of sequences.scan_columns, and sizes each column to its widest
     cell, so it keeps every row (as strings) before writing any: it is
     meant for ranges a person reads.
     """
     out = sys.stdout
-    if fmt == "csv":
-        out.write(",".join(columns) + "\n")
-        for block in blocks:
-            out.writelines(_block_text(lambda cells: ",".join(cells) + "\n", block))
-    elif fmt == "json":
-        # The bytes of json.dumps(list_of_dicts, indent=2), a block at a
-        # time: JSON writes an int as str() does.  Every row opens with
-        # ",", which the first row's "[" replaces.
-        names = [json.dumps(col) + ": " for col in columns]
-
-        def row(cells):
-            pairs = ",\n    ".join(map(str.__add__, names, cells))
-            return ",\n  {\n    " + pairs + "\n  }"
-
-        first = True
-        for block in blocks:
-            text = iter(_block_text(row, block))
-            if first:
-                out.write("[" + next(text)[1:])
-                first = False
-            out.writelines(text)
-        out.write("[]\n" if first else "\n]\n")
-    else:
+    if fmt == "text":
         cells = [
             tuple(map(str, rec))
             for block in blocks
@@ -166,6 +217,19 @@ def _emit_table(columns, blocks, fmt):
         line = "  ".join(f"%{w}s" for w in widths) + "\n"
         out.write(line % tuple(columns))
         out.writelines(line % row for row in cells)
+        return
+    text = texts(blocks, *_row_parts(columns, fmt))
+    if fmt == "csv":
+        out.write(",".join(columns) + "\n")
+        out.writelines(text)
+        return
+    first = next(text, None)
+    if first is None:
+        out.write("[]\n")
+        return
+    out.write("[" + first[1:])
+    out.writelines(text)
+    out.write("\n]\n")
 
 
 def _with_exact_y(blocks):
@@ -215,8 +279,10 @@ def _with_exact_y(blocks):
 
 
 def cmd_seq(args):
-    """Print sequences.scan_columns over [--from, --to], a block at a time;
-    with --exact-y, add y(n) as an exact Decimal built by _with_exact_y,
+    """Print the sequences over [--from, --to]: csv and json a piece of
+    sequences.scan_pieces at a time, by _piece_texts, and text from the
+    blocks of sequences.scan_columns.  With --exact-y, every format reads
+    the blocks and adds y(n) as an exact Decimal built by _with_exact_y,
     whose text is that of the int, so no big int is converted to str and
     the interpreter's digit cap never applies.  A text range longer than
     TEXT_MAX_ROWS, and --exact-y past EXACT_Y_MAX_N, are refused before
@@ -228,11 +294,13 @@ def cmd_seq(args):
     if args.exact_y and stop > EXACT_Y_MAX_N:
         raise ValueError(f"--exact-y takes --to <= {EXACT_Y_MAX_N}, not {stop}")
     columns = list(sequences.SequenceRow._fields)
-    blocks = sequences.scan_columns(start, stop)
     if args.exact_y:
         columns.append("y")
-        blocks = _with_exact_y(blocks)
-    _emit_table(columns, blocks, args.format)
+        _emit_table(columns, args.format, _with_exact_y(sequences.scan_columns(start, stop)))
+    elif args.format == "text":
+        _emit_table(columns, args.format, sequences.scan_columns(start, stop))
+    else:
+        _emit_table(columns, args.format, sequences.scan_pieces(start, stop), _piece_texts)
     return 0
 
 
@@ -250,7 +318,7 @@ def cmd_intervals(args):
     # a row per m-block, at most one more per power of 2
     _refuse_long_text(args.format, sequences.m(args.limit) + args.limit.bit_length())
     columns = ["index", "lo", "hi", "r", "m", "x_lo", "x_hi"]
-    _emit_table(columns, _chunks(intervals.interval_table(args.limit)), args.format)
+    _emit_table(columns, args.format, _chunks(intervals.interval_table(args.limit)))
     return 0
 
 

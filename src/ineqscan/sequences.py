@@ -31,16 +31,18 @@ n = 421.  bound_signs gives the exact signs of y's two endpoint bounds
 on a constant-m block, which is all verifier.check_range_bounds needs;
 no other module compares the two terms of y.
 
-scan_columns, the block stepper, serves seq.  It cuts each link into
-pieces of at most PIECE rows and yields a block of columns per piece, in
-SequenceRow order, taking m, r and (r + 1)*m from the link: n is a
-range, m and r are ints, and the other columns are lists.  z, c, x and
-c - m each rise by 2 every 3 rows of a link, so only their first three
-values are computed, by z and c, and each list is filled from a step-2
-range per residue of n mod 3 by slice assignment.  y's sign is the int 1
-on a link that positive_link certifies and y_sign(n) on the others.
-scan yields the rows of those blocks as plain tuples, and row(n) is one
-row of scan.
+scan_pieces, the stepper, serves seq.  It cuts each link into pieces
+of at most PIECE rows and yields one per piece, in SequenceRow order,
+taking m, r and (r + 1)*m from the link: n is a range, m and r are
+ints, and z, c, x and c - m, which each rise by 2 every 3 rows of a
+link, are their first three values, computed by z and c.  y's sign is
+the int 1 on a link that positive_link certifies and the list of
+y_sign(n) on the others.  seq's csv and json text is written from the
+pieces themselves.  scan_columns fills each piece out to a block of
+columns, a list of a value per row for each rising column, from a
+step-2 range per residue of n mod 3 by slice assignment; seq's text
+format and exact y read those.  scan yields the rows of the blocks as
+plain tuples, and row(n) is one row of scan.
 """
 
 import math
@@ -49,8 +51,9 @@ from typing import Iterator, NamedTuple
 
 from .exactarith import cmp_pow2_vs_pow
 
-# The most rows in one block of scan_columns: it keeps a block's lists small
-# on links of millions of n, and seq still builds a row template rarely.
+# The most rows in one piece of scan_pieces: it keeps a piece's lists and
+# seq's text of it small on links of millions of n, while the fixed work
+# of a piece (in seq, a few shared strings) stays rare.
 PIECE = 1024
 
 
@@ -197,6 +200,30 @@ def bound_signs(a: int, b: int, mm: int) -> tuple[int, int]:
     )
 
 
+def scan_pieces(lo: int, hi: int) -> Iterator[tuple]:
+    """Yield one piece per cut of each chain link that meets [lo, hi], in
+    order; a piece holds at most PIECE rows.
+
+    A piece is a tuple in SequenceRow order: n is a range, m and r are
+    the link's constant ints, and z, c, x and c_minus_m, which each rise
+    by 2 every 3 rows of a link, are lists of their first (up to) three
+    values; inside a link x is z minus the constant (r + 1)*m.  y_sign is
+    the int 1 on a link that positive_link certifies and otherwise the
+    list of y_sign(n).  The cap on a piece keeps memory flat on links of
+    millions of n.  An empty range yields nothing.
+    """
+    for a, b, rr, mm in chain_links(lo, hi):
+        k = (rr + 1) * mm
+        settled = positive_link(a, b, mm)
+        for s in range(a, b + 1, PIECE):
+            ns = range(s, min(s + PIECE, b + 1))
+            z3 = list(map(z, ns[:3]))
+            c3 = list(map(c, ns[:3]))
+            x3 = [zz - k for zz in z3]
+            gaps3 = [cc - mm for cc in c3]
+            yield ns, z3, mm, rr, c3, x3, gaps3, 1 if settled else list(map(y_sign, ns))
+
+
 def _rising(first3, size):
     """A column of size values that rises by 2 every 3 rows, as z, c, x
     and c - m do inside a link, from its first (up to) three values: each
@@ -208,28 +235,13 @@ def _rising(first3, size):
 
 
 def scan_columns(lo: int, hi: int) -> Iterator[tuple]:
-    """Yield one block per piece of each chain link that meets [lo, hi],
-    in order; a piece holds at most PIECE rows.
-
-    A block is a tuple of columns in SequenceRow order: n is a range, m
-    and r are the link's constant ints, y_sign is the int 1 on a link
-    that positive_link certifies and otherwise the list of y_sign(n), and
-    z, c, x and c_minus_m are lists built by _rising.  Inside a link x is z
-    minus the constant (r + 1)*m.  The cap on a piece keeps memory flat
-    on links of millions of n.  An empty range yields nothing.
+    """Yield one block of columns per piece of scan_pieces(lo, hi): the
+    piece with its z, c, x and c_minus_m filled out to lists of a value
+    per row by _rising.  An empty range yields nothing.
     """
-    for a, b, rr, mm in chain_links(lo, hi):
-        k = (rr + 1) * mm
-        settled = positive_link(a, b, mm)
-        for s in range(a, b + 1, PIECE):
-            ns = range(s, min(s + PIECE, b + 1))
-            size = len(ns)
-            z3 = list(map(z, ns[:3]))
-            c3 = list(map(c, ns[:3]))
-            zs, cs = _rising(z3, size), _rising(c3, size)
-            xs = _rising([zz - k for zz in z3], size)
-            gaps = _rising([cc - mm for cc in c3], size)
-            yield ns, zs, mm, rr, cs, xs, gaps, 1 if settled else list(map(y_sign, ns))
+    for ns, z3, mm, rr, c3, x3, gaps3, ys in scan_pieces(lo, hi):
+        zs, cs, xs, gaps = (_rising(col, len(ns)) for col in (z3, c3, x3, gaps3))
+        yield ns, zs, mm, rr, cs, xs, gaps, ys
 
 
 def block_rows(block: tuple) -> Iterator[tuple]:

@@ -308,14 +308,14 @@ MUTANTS = [
         f"{T_CLI}::TestStreamedOutput::test_blocks_hold_little",
     ),
     (
-        "scan_columns: a piece ends one row short",
+        "scan_pieces: a piece ends one row short",
         SEQ,
         "ns = range(s, min(s + PIECE, b + 1))",
         "ns = range(s, min(s + PIECE - 1, b + 1))",
         f"{T_CLI}::TestSeq::test_csv_matches_golden_digest",
     ),
     (
-        "scan_columns: a piece ends one row long",
+        "scan_pieces: a piece ends one row long",
         SEQ,
         "ns = range(s, min(s + PIECE, b + 1))",
         "ns = range(s, min(s + PIECE + 1, b + 1))",
@@ -329,7 +329,7 @@ MUTANTS = [
         f"{T_SEQ}::TestRows",
     ),
     (
-        "scan_columns: c's first three values taken at n + 1",
+        "scan_pieces: c's first three values taken at n + 1",
         SEQ,
         "c3 = list(map(c, ns[:3]))",
         "c3 = [c(n + 1) for n in ns[:3]]",
@@ -343,14 +343,49 @@ MUTANTS = [
         f"{T_CLI}::TestVerify::test_minimum_limits_accepted",
     ),
     (
-        "_block_text: a lazy column formatted with the rest, every y of a block at once",
+        "_row_texts: every row of a block formatted at once, every y with them",
         CLI,
-        "    if isinstance(cols[-1], Iterator):",
-        "    if False:",
+        "yield from map(line.__mod__, zip(*[col for col in block if not isinstance(col, int)]))",
+        'yield "".join(map(line.__mod__, zip(*[col for col in block if not isinstance(col, int)])))',
         f"{T_CLI}::TestStreamedOutput::test_blocks_hold_little",
     ),
     (
-        "scan_columns: the piece cap removed, one block per link",
+        "_fill: the padded table used below 1000",
+        CLI,
+        "head, tails = sep, small[v + 999 : v + 999 + step * k : step]",
+        "head, tails = sep, padded[v : v + step * k : step]",
+        f"{T_CLI}::TestStreamedOutput::test_seq_matches_row_by_row_emitter[1-16-False-csv]",
+    ),
+    (
+        "_fill: the unpadded table used past 999",
+        CLI,
+        "head, tails = sep + str(t), padded[u : u + step * k : step]",
+        "head, tails = sep + str(t), small[u + 999 : u + 999 + step * k : step]",
+        f"{T_CLI}::TestStreamedOutput::test_seq_matches_row_by_row_emitter[990-1010-False-csv]",
+    ),
+    (
+        "_fill: a thousand split one value late",
+        CLI,
+        "k = min(count, (999 - u) // step + 1)",
+        "k = min(count, (1000 - u) // step + 1)",
+        f"{T_CLI}::TestStreamedOutput::test_seq_matches_row_by_row_emitter[2995-3010-False-json]",
+    ),
+    (
+        "_fill: the step to 1000 split one value late",
+        CLI,
+        "k = min(count, (999 - v) // step + 1)",
+        "k = min(count, (1000 - v) // step + 1)",
+        f"{T_CLI}::TestStreamedOutput::test_seq_matches_row_by_row_emitter[1490-1510-False-csv]",
+    ),
+    (
+        "_piece_texts: an open link's signs all written as 1",
+        CLI,
+        "items[_SLOTS - 1 :: _SLOTS] = map(last.__getitem__, ys)",
+        "items[_SLOTS - 1 :: _SLOTS] = [last[1]] * rows",
+        f"{T_CLI}::TestStreamedOutput::test_seq_matches_row_by_row_emitter[1-16-False-json]",
+    ),
+    (
+        "scan_pieces: the piece cap removed, one piece per link",
         SEQ,
         "for s in range(a, b + 1, PIECE):\n            ns = range(s, min(s + PIECE, b + 1))",
         "for s in (a,):\n            ns = range(a, b + 1)",

@@ -57,7 +57,12 @@ def expected_y(start, stop):
 class TestStreamedOutput:
     # 2040..2060 crosses m's step at 2n = 64*64 (n = 2048) and r's at
     # n = 2**11 + 1; y(21735) is the first y with more than 4300 digits;
-    # 124997..125003 crosses m's step at n = 500*500/2, where c - m falls
+    # 124997..125003 crosses m's step at n = 500*500/2, where c - m falls.
+    # The csv and json text of a value past 999 is its thousands and its
+    # last three digits, so each column's step from 999 to 1000 has a
+    # window: n at 1000, c at 1494, z at 1501, c - m at 1578 and x at
+    # 3002.  525300..525330 holds the start of the first link longer than
+    # PIECE rows, at 525313.
     @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
     @pytest.mark.parametrize("exact_y", [False, True])
     @pytest.mark.parametrize(
@@ -67,15 +72,50 @@ class TestStreamedOutput:
             (1, 16),
             (13, 16),
             (400, 600),
+            (990, 1010),
+            (1490, 1510),
+            (1570, 1585),
+            (2995, 3010),
             (2040, 2060),
             (21730, 21740),
             (124997, 125003),
+            (525300, 525330),
         ],
     )
     def test_seq_matches_row_by_row_emitter(self, capsys, fmt, exact_y, start, stop):
         argv = ["seq", "--from", str(start), "--to", str(stop), "--format", fmt]
         assert cli.main(argv + ["--exact-y"] * exact_y) == 0
         assert capsys.readouterr().out == reference_seq(start, stop, exact_y, fmt)
+
+    def test_columns_step_past_999_in_their_windows(self):
+        # each window above holds the step of its column from 999 to 1000
+        steps = {"n": 1000, "c": 1494, "z": 1501, "c_minus_m": 1578, "x": 3002}
+        for name, n in steps.items():
+            before, at = (getattr(sequences.row(k), name) for k in (n - 1, n))
+            assert before <= 999 < 1000 <= at, name
+        links = sequences.chain_links(1, 525313 + sequences.PIECE)
+        assert [a for a, b, _, _ in links if b - a + 1 > sequences.PIECE] == [525313]
+
+    def test_seq_compares_y_terms_only_on_open_links(self, monkeypatch, capsys):
+        # a link that positive_link certifies prints y's sign without a
+        # comparison; each n of the others takes one y_sign call
+        open_n = sum(
+            b - a + 1
+            for a, b, _, mm in sequences.chain_links(1, 5000)
+            if not sequences.positive_link(a, b, mm)
+        )
+        calls = 0
+        y_sign = sequences.y_sign
+
+        def counting(n):
+            nonlocal calls
+            calls += 1
+            return y_sign(n)
+
+        monkeypatch.setattr(sequences, "y_sign", counting)
+        assert cli.main(["seq", "--from", "1", "--to", "5000", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == reference_seq(1, 5000, False, "csv")
+        assert calls == open_n == verifier.partition_y(5000).per_n
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
     def test_intervals_match_table_emitter(self, capsys, fmt):

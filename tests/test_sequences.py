@@ -325,7 +325,8 @@ class TestRows:
 
 class TestScanColumns:
     """scan_columns' blocks: how they tile the range, their column types
-    and constants, and the rows scan reads from them."""
+    and constants, the pieces of scan_pieces they fill out, and the rows
+    scan reads from them."""
 
     # [392, 421] holds the last links left to the per-n comparison and
     # the first certified one; around 10**12 one link is cut into pieces
@@ -358,6 +359,13 @@ class TestScanColumns:
             else:
                 assert type(ys) is list and len(ys) == len(ns)
         assert start == hi and next(links, None) is None
+        # a block is its piece of scan_pieces with z, c, x and c - m
+        # filled out from their first three values
+        pieces = list(sequences.scan_pieces(lo, hi))
+        assert len(pieces) == len(blocks)
+        for piece, block in zip(pieces, blocks):
+            for i, (seeds, col) in enumerate(zip(piece, block)):
+                assert seeds == (col[:3] if i in (1, 4, 5, 6) else col)
         flat = [
             tuple(col if type(col) is int else col[i] for col in block)
             for block in blocks

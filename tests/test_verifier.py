@@ -41,7 +41,7 @@ LIMIT_TAKERS = [
 ]
 
 # The seq block stepper and its rows, which the claim checks never read.
-STEPPER_NAMES = {"row", "SequenceRow", "scan", "scan_columns", "block_rows", "PIECE"}
+STEPPER_NAMES = {"row", "SequenceRow", "scan", "scan_pieces", "scan_columns", "block_rows", "PIECE"}
 
 
 def names_read(module):
