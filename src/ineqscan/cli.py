@@ -7,9 +7,10 @@ Subcommands:
     verify      run claim checks and report their status
     roots       isolate the envelope roots by bisection
 
-seq writes csv and json from the pieces of sequences.scan_pieces, one
-string a piece, with no int converted to str per cell (_piece_texts);
-its text format and --exact-y, and intervals, format a row at a time.
+seq writes the pieces of sequences.scan_pieces, one string a piece,
+with no int converted to str per cell (_piece_texts).  seq --exact-y
+and intervals format a row tuple at a time (_line_texts).  The text
+format is the csv text of either, split into cells.
 
 Each verify suite is one row of SUITES: its checks, its smallest and
 default --limit and its cap, if any.  --suite all runs every row.
@@ -25,7 +26,6 @@ import functools
 import json
 import os
 import sys
-from itertools import islice
 from typing import Callable, NamedTuple
 
 from . import analytic, intervals, sequences, verifier
@@ -107,26 +107,22 @@ def _refuse_long_text(fmt, rows):
 
 
 def _row_parts(columns, fmt):
-    """(seps, end) of a csv or json row: the text before each column's
-    cell, and after the last.  The json parts give the bytes of
-    json.dumps(list_of_dicts, indent=2), a row at a time, since JSON
-    writes an int as str() does.  Every json row opens with ",", which
-    the first row's "[" replaces."""
-    if fmt == "csv":
+    """(seps, end) of a row: the text before each column's cell, and
+    after the last.  csv's, which text splits into cells, or json's,
+    which give the bytes of json.dumps(list_of_dicts, indent=2), a row at
+    a time, since JSON writes an int as str() does.  Every json row opens
+    with ",", which the first row's "[" replaces."""
+    if fmt != "json":
         return [""] + [","] * (len(columns) - 1), "\n"
     names = [json.dumps(col) + ": " for col in columns]
     return [",\n  {\n    " + names[0]] + [",\n    " + nm for nm in names[1:]], "\n  }"
 
 
-def _row_texts(blocks, seps, end):
-    """The text of each row of blocks of columns, a row at a time, so a
-    lazy column (--exact-y's y) holds one value at a time.  An int
-    column's text, shared by every row of its block, is written into the
-    block's row template once; the other columns fill its "%s"."""
-    for block in blocks:
-        cells = [str(col) if isinstance(col, int) else "%s" for col in block]
-        line = "".join(map(str.__add__, seps, cells)) + end
-        yield from map(line.__mod__, zip(*[col for col in block if not isinstance(col, int)]))
+def _line_texts(rows, seps, end):
+    """The text of each row tuple, a row at a time, so a big cell
+    (--exact-y's y) is held only while its row is written."""
+    line = "".join(sep + "%s" for sep in seps) + end
+    return map(line.__mod__, rows)
 
 
 @functools.cache
@@ -192,24 +188,21 @@ def _piece_texts(pieces, seps, end):
         yield "".join(items)
 
 
-def _emit_table(columns, fmt, blocks, texts=_row_texts):
-    """Write blocks to stdout as csv, json or text.
+def _emit_table(columns, fmt, texts):
+    """Write a table to stdout as csv, json or text.
 
-    csv and json write the strings that texts(blocks, seps, end) gives,
-    with the parts of _row_parts: a row at a time from blocks of columns
-    by default, or a piece at a time from _piece_texts, so memory stays
-    flat however long the range.  text takes blocks of columns, in the
-    shape of sequences.scan_columns, and sizes each column to its widest
-    cell, so it keeps every row (as strings) before writing any: it is
-    meant for ranges a person reads.
+    texts(seps, end) gives the table's text in strings of one row or
+    more, with the parts of _row_parts around each cell: _line_texts or
+    _piece_texts over a lazy source.  csv and json write the strings as
+    they come, so memory stays flat however long the range.  text splits
+    csv's strings into cells, none of which holds a comma, and sizes each
+    column to its widest cell, so it keeps every row (as strings) before
+    writing any: it is meant for ranges a person reads.
     """
     out = sys.stdout
+    text = texts(*_row_parts(columns, fmt))
     if fmt == "text":
-        cells = [
-            tuple(map(str, rec))
-            for block in blocks
-            for rec in sequences.block_rows(block)
-        ]
+        cells = [tuple(ln.split(",")) for chunk in text for ln in chunk.splitlines()]
         widths = [
             max([len(col)] + [len(row[i]) for row in cells])
             for i, col in enumerate(columns)
@@ -218,7 +211,6 @@ def _emit_table(columns, fmt, blocks, texts=_row_texts):
         out.write(line % tuple(columns))
         out.writelines(line % row for row in cells)
         return
-    text = texts(blocks, *_row_parts(columns, fmt))
     if fmt == "csv":
         out.write(",".join(columns) + "\n")
         out.writelines(text)
@@ -232,19 +224,17 @@ def _emit_table(columns, fmt, blocks, texts=_row_texts):
     out.write("\n]\n")
 
 
-def _with_exact_y(blocks):
-    """Append y(n) to each block of sequences.scan_columns, as a lazy
-    column of exact Decimals, so only one y is held at a time.
+def _with_exact_y(rows):
+    """Append y(n), as an exact Decimal, to each row of sequences.scan,
+    a row at a time, so only one y is held at a time.
 
     y = 2**e - q with e = c - m and q = n**(m - 1), and q has a small
     share of y's bits (about a fifth at n = 20000, less further out).
-    So 2**e is kept as a Decimal P from row to row, across blocks:
-    multiplied by 2**(e' - e) when e rises (by 2 at each multiple of 3
-    inside a link), and recomputed by one power when e falls (by 1 at
-    each m step).  Each row then converts only q = 2**e - y from binary,
-    where str(y) of the int would convert all of y, at a cost quadratic
-    in its digits.  A block's column is read to its end before the next
-    block is asked for, which is the order P steps in.
+    So 2**e is kept as a Decimal P from row to row: multiplied by
+    2**(e' - e) when e rises (by 2 at each multiple of 3 inside a link),
+    and recomputed by one power when e falls (by 1 at each m step).  Each
+    row then converts only q = 2**e - y from binary, where str(y) of the
+    int would convert all of y, at a cost quadratic in its digits.
 
     Exact: every operand is an integer with exponent 0, the precision
     and exponent range are the largest the module allows, and Inexact
@@ -262,29 +252,27 @@ def _with_exact_y(blocks):
     )
     e = p = None
 
-    def column(ns, gaps):  # gaps is the c - m column
+    def exact_y(n, gap):  # gap is c - m
         nonlocal e, p
-        for n, gap in zip(ns, gaps):
-            y = sequences.y_value(n)
-            if gap != e:
-                if e is not None and gap > e:
-                    p = ctx.multiply(p, 1 << (gap - e))
-                else:
-                    p = ctx.power(2, gap)
-                e = gap
-            yield ctx.subtract(p, (1 << e) - y)
+        y = sequences.y_value(n)
+        if gap != e:
+            if e is not None and gap > e:
+                p = ctx.multiply(p, 1 << (gap - e))
+            else:
+                p = ctx.power(2, gap)
+            e = gap
+        return ctx.subtract(p, (1 << e) - y)
 
-    for block in blocks:
-        yield block + (column(block[0], block[6]),)
+    return (row + (exact_y(row[0], row[6]),) for row in rows)
 
 
 def cmd_seq(args):
-    """Print the sequences over [--from, --to]: csv and json a piece of
-    sequences.scan_pieces at a time, by _piece_texts, and text from the
-    blocks of sequences.scan_columns.  With --exact-y, every format reads
-    the blocks and adds y(n) as an exact Decimal built by _with_exact_y,
-    whose text is that of the int, so no big int is converted to str and
-    the interpreter's digit cap never applies.  A text range longer than
+    """Print the sequences over [--from, --to]: a piece of
+    sequences.scan_pieces at a time, by _piece_texts, or with --exact-y a
+    row of sequences.scan at a time, with y(n) appended as an exact
+    Decimal by _with_exact_y and formatted by _line_texts.  y's text is
+    that of the int, so no big int is converted to str and the
+    interpreter's digit cap never applies.  A text range longer than
     TEXT_MAX_ROWS, and --exact-y past EXACT_Y_MAX_N, are refused before
     any row is built."""
     start, stop = args.start, args.stop
@@ -296,20 +284,11 @@ def cmd_seq(args):
     columns = list(sequences.SequenceRow._fields)
     if args.exact_y:
         columns.append("y")
-        _emit_table(columns, args.format, _with_exact_y(sequences.scan_columns(start, stop)))
-    elif args.format == "text":
-        _emit_table(columns, args.format, sequences.scan_columns(start, stop))
+        texts = functools.partial(_line_texts, _with_exact_y(sequences.scan(start, stop)))
     else:
-        _emit_table(columns, args.format, sequences.scan_pieces(start, stop), _piece_texts)
+        texts = functools.partial(_piece_texts, sequences.scan_pieces(start, stop))
+    _emit_table(columns, args.format, texts)
     return 0
-
-
-def _chunks(records):
-    """Records regrouped as blocks of columns, 64 rows at a time: few
-    enough that a long table's memory stays flat."""
-    records = iter(records)
-    while chunk := list(islice(records, 64)):
-        yield tuple(zip(*chunk))
 
 
 def cmd_intervals(args):
@@ -318,7 +297,8 @@ def cmd_intervals(args):
     # a row per m-block, at most one more per power of 2
     _refuse_long_text(args.format, sequences.m(args.limit) + args.limit.bit_length())
     columns = ["index", "lo", "hi", "r", "m", "x_lo", "x_hi"]
-    _emit_table(columns, args.format, _chunks(intervals.interval_table(args.limit)))
+    texts = functools.partial(_line_texts, intervals.interval_table(args.limit))
+    _emit_table(columns, args.format, texts)
     return 0
 
 

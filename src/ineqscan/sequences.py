@@ -37,12 +37,11 @@ taking m, r and (r + 1)*m from the link: n is a range, m and r are
 ints, and z, c, x and c - m, which each rise by 2 every 3 rows of a
 link, are their first three values, computed by z and c.  y's sign is
 the int 1 on a link that positive_link certifies and the list of
-y_sign(n) on the others.  seq's csv and json text is written from the
-pieces themselves.  scan_columns fills each piece out to a block of
-columns, a list of a value per row for each rising column, from a
-step-2 range per residue of n mod 3 by slice assignment; seq's text
-format and exact y read those.  scan yields the rows of the blocks as
-plain tuples, and row(n) is one row of scan.
+y_sign(n) on the others.  seq's text is written from the pieces
+themselves, but with --exact-y.  scan yields their rows as plain
+tuples, each rising column filled out from a step-2 range per residue
+of n mod 3 by slice assignment; seq --exact-y reads those, and row(n)
+is one row of scan.
 """
 
 import math
@@ -234,26 +233,13 @@ def _rising(first3, size):
     return col
 
 
-def scan_columns(lo: int, hi: int) -> Iterator[tuple]:
-    """Yield one block of columns per piece of scan_pieces(lo, hi): the
-    piece with its z, c, x and c_minus_m filled out to lists of a value
-    per row by _rising.  An empty range yields nothing.
+def scan(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
+    """Yield (n, z, m, r, c, x, c_minus_m, y_sign) for each n in [lo, hi],
+    in SequenceRow field order, as plain tuples: the rows of the pieces
+    of scan_pieces(lo, hi), each rising column filled out by _rising.
+    An empty range yields nothing.
     """
     for ns, z3, mm, rr, c3, x3, gaps3, ys in scan_pieces(lo, hi):
         zs, cs, xs, gaps = (_rising(col, len(ns)) for col in (z3, c3, x3, gaps3))
-        yield ns, zs, mm, rr, cs, xs, gaps, ys
-
-
-def block_rows(block: tuple) -> Iterator[tuple]:
-    """The rows of a block of columns, as tuples: an int column repeats
-    its value on every row, and every other column is iterated."""
-    return zip(*[repeat(col) if isinstance(col, int) else col for col in block])
-
-
-def scan(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
-    """Yield (n, z, m, r, c, x, c_minus_m, y_sign) for each n in [lo, hi],
-    in SequenceRow field order, as plain tuples: the rows of the blocks
-    of scan_columns(lo, hi).  An empty range yields nothing.
-    """
-    for block in scan_columns(lo, hi):
-        yield from block_rows(block)
+        signs = repeat(ys) if isinstance(ys, int) else ys
+        yield from zip(ns, zs, repeat(mm), repeat(rr), cs, xs, gaps, signs)

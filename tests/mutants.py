@@ -296,15 +296,15 @@ MUTANTS = [
     (
         "_with_exact_y: P not recomputed when e falls",
         CLI,
-        "                else:\n                    p = ctx.power(2, gap)",
-        "                elif e is None:\n                    p = ctx.power(2, gap)",
+        "            else:\n                p = ctx.power(2, gap)",
+        "            elif e is None:\n                p = ctx.power(2, gap)",
         f"{T_CLI}::TestSeq",
     ),
     (
-        "_with_exact_y: the lazy y column made a list",
+        "_with_exact_y: the lazy rows, each with its y, made a list",
         CLI,
-        "yield block + (column(block[0], block[6]),)",
-        "yield block + (list(column(block[0], block[6])),)",
+        "return (row + (exact_y(row[0], row[6]),) for row in rows)",
+        "return [row + (exact_y(row[0], row[6]),) for row in rows]",
         f"{T_CLI}::TestStreamedOutput::test_blocks_hold_little",
     ),
     (
@@ -343,10 +343,10 @@ MUTANTS = [
         f"{T_CLI}::TestVerify::test_minimum_limits_accepted",
     ),
     (
-        "_row_texts: every row of a block formatted at once, every y with them",
+        "_line_texts: every row formatted at once, every y with them",
         CLI,
-        "yield from map(line.__mod__, zip(*[col for col in block if not isinstance(col, int)]))",
-        'yield "".join(map(line.__mod__, zip(*[col for col in block if not isinstance(col, int)])))',
+        "return map(line.__mod__, rows)",
+        'return ["".join(map(line.__mod__, rows))]',
         f"{T_CLI}::TestStreamedOutput::test_blocks_hold_little",
     ),
     (

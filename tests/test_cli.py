@@ -336,8 +336,8 @@ class TestSeq:
         def no_rows(lo, hi):
             raise AssertionError("a row was built")
 
+        monkeypatch.setattr(sequences, "scan_pieces", no_rows)
         monkeypatch.setattr(sequences, "scan", no_rows)
-        monkeypatch.setattr(sequences, "scan_columns", no_rows)
         argv = ["seq", "--from", "5", "--to", str(5 + cli.TEXT_MAX_ROWS)]
         assert cli.main(argv + ["--exact-y"] * exact_y) == 2
         out, err = capsys.readouterr()
@@ -370,7 +370,7 @@ class TestSeq:
         def never(*args):
             raise AssertionError("a row or a y was built")
 
-        for name in ("scan_columns", "y_value"):
+        for name in ("scan_pieces", "scan", "y_value"):
             monkeypatch.setattr(sequences, name, never)
         assert cli.main(argv + ["21", "--exact-y"]) == 2
         out, err = capsys.readouterr()

@@ -323,25 +323,24 @@ class TestRows:
         assert calls == per_n == 417
 
 
-class TestScanColumns:
-    """scan_columns' blocks: how they tile the range, their column types
-    and constants, the pieces of scan_pieces they fill out, and the rows
-    scan reads from them."""
+class TestScanPieces:
+    """scan_pieces: how its pieces tile the range, their types and
+    constants, and the rows scan expands them to."""
 
     # [392, 421] holds the last links left to the per-n comparison and
     # the first certified one; around 10**12 one link is cut into pieces
     @pytest.mark.parametrize(
         "lo, hi", [(1, 3000), (392, 421), (10**12 - 5000, 10**12 + 5000)]
     )
-    def test_blocks_tile_the_range_in_link_pieces(self, lo, hi):
+    def test_pieces_tile_the_range_in_link_pieces(self, lo, hi):
         assert sequences.PIECE == 1024
-        blocks = list(sequences.scan_columns(lo, hi))
+        pieces = list(sequences.scan_pieces(lo, hi))
         links = iter(sequences.chain_links(lo, hi))
         a = b = start = lo - 1
-        for block in blocks:
-            ns, zs, mm, rr, cs, xs, gaps, ys = block
+        flat = []
+        for ns, z3, mm, rr, c3, x3, gaps3, ys in pieces:
             assert type(ns) is range and ns.step == 1 and ns.start == start + 1
-            if ns.start > b:  # the block opens the next link
+            if ns.start > b:  # the piece opens the next link
                 assert ns.start == b + 1
                 a, b, link_r, link_m = next(links)
             # pieces are cut from a link's start; only its last is short
@@ -352,25 +351,21 @@ class TestScanColumns:
             assert type(mm) is int and type(rr) is int and (rr, mm) == (link_r, link_m)
             assert mm == sequences.m(ns[0]) == sequences.m(ns[-1])
             assert rr == sequences.r(ns[0]) == sequences.r(ns[-1])
-            for col in (zs, cs, xs, gaps):
-                assert type(col) is list and len(col) == len(ns)
+            first = ns[:3]
+            assert all(type(col) is list for col in (z3, c3, x3, gaps3))
+            assert z3 == list(map(sequences.z, first)) and c3 == list(map(sequences.c, first))
+            assert x3 == list(map(sequences.x, first)) and gaps3 == [cc - mm for cc in c3]
             if sequences.positive_link(a, b, mm):
                 assert type(ys) is int and ys == 1
             else:
                 assert type(ys) is list and len(ys) == len(ns)
+            # z, c, x and c - m rise by 2 every 3 rows of the piece
+            for i, n in enumerate(ns):
+                step, k = divmod(i, 3)
+                rising = [col[k] + 2 * step for col in (z3, c3, x3, gaps3)]
+                y_sign = ys if type(ys) is int else ys[i]
+                flat.append((n, rising[0], mm, rr, *rising[1:], y_sign))
         assert start == hi and next(links, None) is None
-        # a block is its piece of scan_pieces with z, c, x and c - m
-        # filled out from their first three values
-        pieces = list(sequences.scan_pieces(lo, hi))
-        assert len(pieces) == len(blocks)
-        for piece, block in zip(pieces, blocks):
-            for i, (seeds, col) in enumerate(zip(piece, block)):
-                assert seeds == (col[:3] if i in (1, 4, 5, 6) else col)
-        flat = [
-            tuple(col if type(col) is int else col[i] for col in block)
-            for block in blocks
-            for i in range(len(block[0]))
-        ]
         assert list(sequences.scan(lo, hi)) == flat
 
 

@@ -40,8 +40,8 @@ LIMIT_TAKERS = [
     and "limit" in inspect.signature(getattr(module, name)).parameters
 ]
 
-# The seq block stepper and its rows, which the claim checks never read.
-STEPPER_NAMES = {"row", "SequenceRow", "scan", "scan_pieces", "scan_columns", "block_rows", "PIECE"}
+# The seq piece stepper and its rows, which the claim checks never read.
+STEPPER_NAMES = {"row", "SequenceRow", "scan", "scan_pieces", "PIECE"}
 
 
 def names_read(module):
