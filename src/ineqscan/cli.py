@@ -251,19 +251,16 @@ def _with_exact_y(rows):
         traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
     )
     e = p = None
-
-    def exact_y(n, gap):  # gap is c - m
-        nonlocal e, p
-        y = sequences.y_value(n)
+    for row in rows:
+        gap = row[6]  # c - m
+        y = sequences.y_value(row[0])
         if gap != e:
             if e is not None and gap > e:
                 p = ctx.multiply(p, 1 << (gap - e))
             else:
                 p = ctx.power(2, gap)
             e = gap
-        return ctx.subtract(p, (1 << e) - y)
-
-    return (row + (exact_y(row[0], row[6]),) for row in rows)
+        yield row + (ctx.subtract(p, (1 << e) - y),)
 
 
 def cmd_seq(args):

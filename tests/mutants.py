@@ -301,10 +301,10 @@ MUTANTS = [
         f"{T_CLI}::TestSeq",
     ),
     (
-        "_with_exact_y: the lazy rows, each with its y, made a list",
+        "_with_exact_y: its lazy rows, each with its y, made a list",
         CLI,
-        "return (row + (exact_y(row[0], row[6]),) for row in rows)",
-        "return [row + (exact_y(row[0], row[6]),) for row in rows]",
+        "_line_texts, _with_exact_y(sequences.scan(start, stop)))",
+        "_line_texts, list(_with_exact_y(sequences.scan(start, stop))))",
         f"{T_CLI}::TestStreamedOutput::test_blocks_hold_little",
     ),
     (
