@@ -141,13 +141,13 @@ class TestStreamedOutput:
         argv = ["seq", "--from", "1", "--to", "100000", "--format", fmt]
         assert self.traced_peak(monkeypatch, argv) < 2 * 2**20
 
-    # One guard per way a block could hold too much: every y of a block
-    # at once (about 2 MB here, where one at a time peaks near 0.4 MB), a
-    # chain link of over a million n in one block instead of pieces of
-    # PIECE rows (3.4 MB on this window, against about 0.5 MB), and the
-    # interval table in large chunks (2.6 MB with 4096 links a block).
-    # A json block's text, written as one string, is the largest a block
-    # holds: about 0.7 MB at 10**12 with pieces of PIECE rows.
+    # One guard per way the output could hold too much: every y at once
+    # (about 2 MB here, where one at a time peaks near 0.4 MB), a chain
+    # link of over a million n in one piece instead of pieces of PIECE
+    # rows (3.4 MB on this window, against about 0.5 MB), and the
+    # interval table formatted all at once.  A json piece's text, written
+    # as one string, is the largest a piece holds: about 0.7 MB at 10**12
+    # with pieces of PIECE rows.
     @pytest.mark.parametrize(
         "argv, limit_mb",
         [
@@ -309,8 +309,8 @@ class TestSeq:
             assert cli.main(argv) == 0
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
-    # the same windows as json: the blocks are written through another
-    # row template, whose first row opens with "[" instead of ","
+    # the same windows as json: the pieces are written with other
+    # separators, whose first row opens with "[" instead of ","
     @pytest.mark.parametrize(
         "start, stop, digest",
         [
