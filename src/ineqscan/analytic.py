@@ -17,18 +17,27 @@ integers only, that an envelope stays positive on a whole real tail
 t where it holds, just past each root, instead of walking on to
 ROOT_SCAN_HI.
 
-The range checks walk sequences.chain_links.  On a link m and r are
-fixed, and every margin they report is monotone up to a term that
-depends only on n mod 3, so each link, from n = 1 on, is settled from
-at most three n at either end; a link whose candidates fail, and every
-link of an envelope outside the class where that monotonicity is
-proved, is stepped per n (see _check_envelopes and
-check_sign_consistency).  The exact sign of y comes from the runs of
-verifier.partition_y, the one place that decides it, and never from a
-per-n comparison here.  The real surrogate Y = (c - m) - (m - 1) log2(n)
-is written once, in _Y.  Reports go through verifier.make_report, and
-the root brackets are compared with the printed ones, erratum lookups
-included, through verifier.compare_printed.
+The range checks walk sequences.chain_links, on which m and r are
+fixed.  With s = sqrt(2n), L = log2(n) and rho = n mod 3, the margins of
+the four named envelopes around x and Y are exactly
+
+    x - F(x-lower) = rho/3 + (r + 1)(s - m) + s(L - r + 1)          > 0
+    F(x-upper) - x = (1 - rho/3) + (1 + L)(1 - (s - m)) + m(r - L)  > 1/3
+    Y - F(y-lower) = (2 - 2 rho/3) + (1 + L)(s - m)                 >= 2/3
+    F(y-upper) - Y = 2 rho/3 + (1 + L)(1 - (s - m))                 > 0
+
+each bound resting only on 0 <= s - m < 1 and 2**(r - 1) < n <= 2**r;
+the y-lower margin is 2/3 exactly where 2n is a square and rho = 2.  On
+each residue class mod 3 of a link the lower margins rise and the upper
+ones fall, and Y rises from n = 4 on, so each link, from n = 1 on, is
+settled from at most three n at either end; a link whose candidates
+fail is stepped per n (see _check_envelopes and check_sign_consistency).
+The exact sign of y comes from the runs of verifier.partition_y, the one
+place that decides it, and never from a per-n comparison here.  The real
+surrogate Y = (c - m) - (m - 1) log2(n) is written once, in _Y.  Reports
+go through verifier.make_report, and the root brackets are compared with
+the printed ones, erratum lookups included, through
+verifier.compare_printed.
 """
 
 import math
@@ -256,52 +265,33 @@ def Y_real(n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _margins_monotone(coeffs: FCoeffs) -> bool:
-    """Whether s * ln(2**b * n) > max(0, 2c - 2), s = sqrt(2n), holds at
-    n = 2 for this instance: the condition under which _check_envelopes
-    settles a link from candidate n.  The left side increases with n once
-    it is positive, so it then holds from there on."""
-    n = 2
-    return math.sqrt(2 * n) * (coeffs.b * LOG2 + math.log(n)) > max(0, 2 * coeffs.c - 2)
-
-
 def _check_envelopes(claim_id, what, lower, upper, limit, value):
     """One claim that the lower envelope stays strictly below, and the
     upper strictly above, value(n, r, m) for every n in [1, limit]; the
     smallest margin on each side is reported.
 
-    Each chain link (a, b, r, m) is settled from at most six n.  On a link
-    r and m are fixed, and z(n) = (2n - 1)//3 and c(n) = 2*(n//3) + 4 are
-    2n/3 plus a term that depends only on n mod 3.  So on each residue
-    class mod 3 of a link, x = z - (r + 1)m is 2n/3 plus a constant, and
-    Y = (c - m) - (m - 1) log2(n) is 2n/3 - (m - 1) log2(n) plus a
-    constant.  With s = sqrt(2n), an instance (a, b, c) gives
-    G(n) = 2n/3 - F(n) = -a + b s - c log2(n) + s log2(n), whose derivative
-    is (s (b ln 2 + ln n + 2) - 2c) / (s**2 ln 2).  As m <= s, the
-    derivative of G(n) - (m - 1) log2(n) is at least
-    (s ln(2**b n) + 2 - 2c) / (s**2 ln 2), the smaller of the two, so both
-    are positive where s ln(2**b n) > 2c - 2.  _margins_monotone checks
-    that at n = 2, and the four named instances meet it there (y-upper,
-    b = 1 and c = 2, is the tightest: 2 ln 4 > 2).  Then on each residue
-    class of a link from n = 2 on, value - F_lower increases and
-    F_upper - value decreases: the lower margin is least among the first
-    three n of the link and the upper margin among the last three.  The
-    one link before n = 2 is [1, 1], a single n, and every link that
-    starts below 9 holds at most three n, so there the candidates are all
-    of its n.
+    Each chain link (a, b, r, m) is settled from at most six n.
+    check_bounds_x and check_bounds_Y pass the named instances, whose
+    margins are the identities of the module docstring.  On a residue
+    class mod 3 of a link rho is fixed, so with s' = 1/s and
+    L' = 1/(n ln 2) their derivatives in n are
 
-    Every link is therefore settled by its lower margins at its first
-    three n and its upper margins at its last three, provided both
-    instances pass _margins_monotone.  Otherwise every link is stepped
-    per n, and so is a link with a candidate margin <= 0, on both sides,
-    so the counterexample list stays exact.  Candidates come in
-    increasing n, and min over (margin, n) keeps the least n of a tie, so
-    the minima and their n are those of a walk over every n, as long as
-    float error stays below the three-step change of a margin (above 0.01
-    up to n = 10**7, against float errors near 1e-9).
+        x-lower  s'(L + 2) + s L'                         > 0
+        x-upper  L'(1 - s) - (1 + L)/s                    < 0
+        y-lower  L'(s - m) + (1 + L)/s                    > 0
+        y-upper  L'(1 - (s - m)) - (1 + L)/s
+                     <= 1/(n ln 2) - (1 + L)/s            < 0 from n = 2
+
+    So the lower margin is least among the first three n of a link and
+    the upper margin among its last three; the one link before n = 2 is
+    [1, 1].  A link with a candidate margin <= 0 is stepped per n, on
+    both sides, so the counterexample list stays exact.  Candidates come
+    in increasing n, and min over (margin, n) keeps the least n of a tie,
+    so the minima and their n are those of a walk over every n, as long
+    as float error stays below the three-step change of a margin (above
+    0.01 up to n = 10**7, against float errors near 1e-9).
     """
     sequences.require_positive(limit, "limit")
-    blockwise = _margins_monotone(lower) and _margins_monotone(upper)
 
     def margins(rr, mm, firsts, lasts):
         lows = [(value(n, rr, mm) - F_eval(lower, n), n) for n in firsts]
@@ -312,10 +302,8 @@ def _check_envelopes(claim_id, what, lower, upper, limit, value):
     best_low = best_up = (math.inf, None)
     for a, b, rr, mm in sequences.chain_links(1, limit):
         link = range(a, b + 1)
-        lows = ups = None
-        if blockwise:
-            lows, ups = margins(rr, mm, link[:3], link[-3:])
-        if lows is None or not all(margin > 0 for margin, _ in lows + ups):
+        lows, ups = margins(rr, mm, link[:3], link[-3:])
+        if not all(margin > 0 for margin, _ in lows + ups):
             lows, ups = margins(rr, mm, link, link)
         counterexamples.extend(sorted({n for margin, n in lows + ups if margin <= 0}))
         best_low = min((best_low, *lows))
@@ -362,11 +350,12 @@ def check_bounds_Y(limit: int) -> VerificationReport:
     y-upper envelope strictly above it, for every n in [1, limit].
 
     In real arithmetic the lower margin ties at exactly 2/3 wherever 2n
-    is a perfect square and n = 2 (mod 3): there sqrt(2n) = m, so
-    Y - F = c - 2n/3 - 2, and c = 2(n - 2)/3 + 4.  The n reported for the
-    smallest lower margin is whichever of those ties float rounding puts
-    lowest (98, 1682 and 27848 at limits 600, 5000 and 10**5), not a
-    property of the envelope; the error budget has to settle it."""
+    is a perfect square and n = 2 (mod 3): by the y-lower identity of the
+    module docstring, Y - F = (2 - 2 rho/3) + (1 + L)(s - m), and there
+    rho = 2 and s = m.  The n reported for the smallest lower margin is
+    whichever of those ties float rounding puts lowest (98, 1682 and 27848
+    at limits 600, 5000 and 10**5), not a property of the envelope; the
+    error budget has to settle it."""
     return _check_envelopes(
         "analytic/Y-bounds",
         "the y surrogate",

@@ -462,27 +462,32 @@ MUTANTS = [
         f"{T_ANA}::TestCandidateRoute::test_period_three_term_in_the_envelopes",
     ),
     (
+        "_check_envelopes: lower candidates from the link's last three n",
+        ANA,
+        "link[:3], link[-3:]",
+        "link[-3:], link[-3:]",
+        f"{T_ANA}::TestRewrittenChecksAgainstPerN::test_spot_limits[5000]",
+    ),
+    (
+        "_check_envelopes: upper candidates from its first three n",
+        ANA,
+        "link[:3], link[-3:]",
+        "link[:3], link[:3]",
+        f"{T_ANA}::TestRewrittenChecksAgainstPerN::test_spot_limits[5000]",
+    ),
+    (
+        "Y_UPPER: c raised to 40",
+        ANA,
+        "Y_UPPER = FCoeffs(5, 1, 2)",
+        "Y_UPPER = FCoeffs(5, 1, 40)",
+        f"{T_ANA}::TestEnvelopeIdentities",
+    ),
+    (
         "check_sign_consistency: two candidates, not three",
         ANA,
         "(piece[:3] if sign > 0 else piece[-3:])",
         "(piece[:2] if sign > 0 else piece[-2:])",
         f"{T_ANA}::TestSurrogates::test_sign_consistency_report",
-    ),
-    (
-        "_margins_monotone: always True",
-        ANA,
-        "    return math.sqrt(2 * n) * (coeffs.b * LOG2 + math.log(n)) > max(0, 2 * coeffs.c - 2)",
-        "    return True",
-        f"{T_ANA}::TestCandidateRoute::test_instance_outside_the_proved_class_is_walked_per_n",
-    ),
-    (
-        # y-upper fails the condition at n = 1, so check_bounds_Y steps
-        # every n; the reports stay the same, only the F_eval count moves
-        "_margins_monotone: evaluated at n = 1",
-        ANA,
-        "    n = 2\n    return math.sqrt(2 * n)",
-        "    n = 1\n    return math.sqrt(2 * n)",
-        f"{T_ANA}::TestCandidateRoute::test_links_from_n_one",
     ),
     (
         "check_sign_consistency: the counterexample test made >= 1e-6",

@@ -10,8 +10,11 @@ certificate positive_beyond against F, F' and F'' at 80 digits.
 import decimal
 import json
 import math
+import random
 import re
 from decimal import Decimal
+from functools import cache
+from itertools import pairwise
 
 import pytest
 from hypothesis import assume, given, settings
@@ -255,6 +258,105 @@ class TestSandwich:
             assert yy < analytic.F_eval(analytic.Y_UPPER, n)
 
 
+def identity_points():
+    """Every n < 5000, 2**k - 1 ... 2**k + 2 for 13 <= k < 50, both ends of
+    the m-blocks of a spread of m, and 1500 seeded draws below 10**15."""
+    points = set(range(1, 5000))
+    points.update(2**k + d for k in range(13, 50) for d in (-1, 0, 1, 2))
+    for mm in {int(10 ** (e / 4)) for e in range(8, 31)}:
+        points.update(((mm * mm + 1) // 2, mm * mm // 2 + mm))
+    draw = random.Random(1)
+    points.update(draw.randrange(1, 10**15) for _ in range(1500))
+    return sorted(points)
+
+
+@cache
+def exact_margins(n):
+    """The four envelope margins at n to 80 digits, keyed by instance, each
+    as (margin from F, margin from its identity).  F is built from the
+    coefficients of analytic.NAMED_INSTANCES, so a changed constant shows."""
+    mm, rr, rho = sequences.m(n), sequences.r(n), n % 3
+    xx = sequences.x(n)
+    with decimal.localcontext(EXACT):
+        s = Decimal(2 * n).sqrt()
+        lg = Decimal(n).ln() / LN2
+        yy = sequences.c(n) - mm - (mm - 1) * lg
+        f = {
+            name: 2 * Decimal(n) / 3 + a - b * s + c * lg - s * lg
+            for name, (a, b, c) in analytic.NAMED_INSTANCES.items()
+        }
+        third = Decimal(rho) / 3
+        return {
+            "x-lower": (xx - f["x-lower"], third + (rr + 1) * (s - mm) + s * (lg - rr + 1)),
+            "x-upper": (
+                f["x-upper"] - xx,
+                (1 - third) + (1 + lg) * (1 - (s - mm)) + mm * (rr - lg),
+            ),
+            "y-lower": (yy - f["y-lower"], (2 - 2 * third) + (1 + lg) * (s - mm)),
+            "y-upper": (f["y-upper"] - yy, 2 * third + (1 + lg) * (1 - (s - mm))),
+        }
+
+
+# the bound each margin keeps; only the y-lower margin meets it, at its ties
+MARGIN_BOUNDS = {
+    "x-lower": 0,
+    "x-upper": EXACT.divide(1, 3),
+    "y-lower": EXACT.divide(2, 3),
+    "y-upper": 0,
+}
+IDENTITY_TOL = Decimal("1e-60")
+
+
+def y_lower_tie(n):
+    """Where the y-lower identity gives exactly 2/3: s = m and rho = 2."""
+    return math.isqrt(2 * n) ** 2 == 2 * n and n % 3 == 2
+
+
+class TestEnvelopeIdentities:
+    """The margins of check_bounds_x and check_bounds_Y in closed form
+    (the analytic module docstring), checked at 80 digits: with
+    s = sqrt(2n), L = log2(n) and rho = n mod 3 each is a sum of terms
+    whose signs follow from 0 <= s - m < 1 and 2**(r - 1) < n <= 2**r,
+    and on each residue class of a chain link the lower margins rise and
+    the upper ones fall, which is what lets _check_envelopes settle a
+    link from three n at either end."""
+
+    def test_identities(self):
+        for n in identity_points():
+            for name, (margin, identity) in exact_margins(n).items():
+                assert abs(margin - identity) < IDENTITY_TOL, (name, n)
+
+    def test_bounds(self):
+        for n in identity_points():
+            for name, (margin, _) in exact_margins(n).items():
+                bound = MARGIN_BOUNDS[name]
+                if name == "y-lower" and y_lower_tie(n):
+                    assert abs(margin - bound) < IDENTITY_TOL, (name, n)
+                else:
+                    assert margin - bound > IDENTITY_TOL, (name, n)
+
+    def test_y_lower_ties_below_5000(self):
+        ties = [
+            n
+            for n in range(1, 5000)
+            if abs(exact_margins(n)["y-lower"][0] - MARGIN_BOUNDS["y-lower"]) < IDENTITY_TOL
+        ]
+        assert ties == [n for n in range(1, 5000) if y_lower_tie(n)]
+        assert ties[:5] == [2, 8, 32, 50, 98]
+
+    def test_monotone_on_each_residue_class_of_a_link(self):
+        # the lower margins rise and the upper ones fall, strictly, on
+        # every residue class of every chain link in [2, 5000]
+        for a, b, _, _ in sequences.chain_links(2, 5000):
+            for first in range(a, min(a + 3, b + 1)):
+                cls = [exact_margins(n) for n in range(first, b + 1, 3)]
+                for name in analytic.NAMED_INSTANCES:
+                    margins = [point[name][0] for point in cls]
+                    if name.endswith("-upper"):
+                        margins.reverse()
+                    assert all(u < v for u, v in pairwise(margins)), (name, first)
+
+
 class TestApproximations:
     def test_report_confirmed(self):
         rep = analytic.check_approximations()
@@ -439,34 +541,10 @@ class TestCandidateRoute:
         self.assert_settled_from_candidates(monkeypatch, 10**9)
 
     def test_links_from_n_one(self, monkeypatch):
-        # the small links take candidates too: the named instances pass
-        # _margins_monotone at n = 2, and the one link before it is [1, 1]
+        # the small links take candidates too: by the margin identities
+        # (TestEnvelopeIdentities) each margin is monotone on every residue
+        # class of a link from n = 2 on, and the one link before is [1, 1]
         self.assert_settled_from_candidates(monkeypatch, 600)
-
-    @pytest.mark.parametrize("limit", [17, 100, 600, 2000])
-    def test_instance_outside_the_proved_class_is_walked_per_n(self, monkeypatch, limit):
-        # c = 40 breaks the monotonicity the candidate route rests on: the
-        # check must step every n and still equal the per-n reference
-        mutant = analytic.FCoeffs(1, 1, 40)
-        calls = 0
-        f_eval = analytic.F_eval
-
-        def counting_f_eval(coeffs, t):
-            nonlocal calls
-            calls += 1
-            return f_eval(coeffs, t)
-
-        for name, check, reference in (
-            ("X_UPPER", analytic.check_bounds_x, reference_bounds_x),
-            ("Y_UPPER", analytic.check_bounds_Y, reference_bounds_Y),
-        ):
-            with monkeypatch.context() as patch:
-                patch.setattr(analytic, name, mutant)
-                expected = reference(limit).to_dict()
-                patch.setattr(analytic, "F_eval", counting_f_eval)
-                calls = 0
-                assert check(limit).to_dict() == expected, name
-                assert calls == 2 * limit, name
 
     def test_tied_margins_keep_the_first_n(self, monkeypatch):
         # with whole-number envelopes the x margins are integers and tie
