@@ -13,7 +13,9 @@ and intervals format a row tuple at a time (_line_texts).  The text
 format is the csv text of either, split into cells.
 
 Each verify suite is one row of SUITES: its checks, its smallest and
-default --limit and its cap, if any.  --suite all runs every row.
+default --limit and its cap, if any.  --suite all runs every row.  A
+verify run builds y's sign partition at most once per limit and hands it
+to every check that reads it.
 
 Exit codes: 0 when every requested check is clean (documented errata do
 not count against a run unless --strict is given), 1 when a check found
@@ -33,7 +35,8 @@ from . import analytic, intervals, sequences, verifier
 class Suite(NamedTuple):
     """The smallest --limit that attests the claims and the --limit used
     when none is given (both None where the printed tables fix the range
-    and --limit is ignored), run(limit, tol) -> reports, and (largest
+    and --limit is ignored), run(limit, tol, y_runs) -> reports, where
+    y_runs(limit) is y's sign partition on [1, limit], and (largest
     --limit, why)."""
 
     minimum: int | None
@@ -50,28 +53,30 @@ _Y_SETTLED = verifier.POSITIVE_TAIL_START
 # In report order.  Checks are looked up through their module at call
 # time, so a wrapper set there (a tracer or a test double) sees the call.
 SUITES = {
-    "table": Suite(None, None, lambda limit, _: [verifier.check_reference_table()]),
-    "intervals": Suite(None, None, lambda limit, _: [verifier.check_interval_table()]),
-    "theorem1": Suite(_X_SETTLED, 600, lambda limit, _: [verifier.check_theorem1(limit)]),
-    "theorem2": Suite(_Y_SETTLED, 1000, lambda limit, _: [verifier.check_theorem2(limit)]),
+    "table": Suite(None, None, lambda limit, *_: [verifier.check_reference_table()]),
+    "intervals": Suite(None, None, lambda limit, *_: [verifier.check_interval_table()]),
+    "theorem1": Suite(_X_SETTLED, 600, lambda limit, *_: [verifier.check_theorem1(limit)]),
+    "theorem2": Suite(
+        _Y_SETTLED, 1000, lambda limit, _, y_runs: [verifier.check_theorem2(y_runs(limit))]
+    ),
     "lemmas": Suite(
         _Y_SETTLED,
         5000,
-        lambda limit, _: [
+        lambda limit, _, y_runs: [
             verifier.check_gap(limit),
             verifier.check_range_bounds(limit),
-            verifier.check_sign_criteria(limit),
-            verifier.check_negative_x_bound(limit),
-            verifier.check_positive_tail(limit),
+            verifier.check_sign_criteria(y_runs(limit)),
+            verifier.check_negative_x_bound(y_runs(limit)),
+            verifier.check_positive_tail(y_runs(limit)),
         ],
     ),
     "analytic": Suite(
         1,
         100000,
-        lambda limit, tol: [
+        lambda limit, tol, y_runs: [
             analytic.check_bounds_x(limit),
             analytic.check_bounds_Y(limit),
-            analytic.check_sign_consistency(limit),
+            analytic.check_sign_consistency(y_runs(limit)),
             analytic.check_approximations(),
             *analytic.check_roots(tol),
         ],
@@ -331,7 +336,16 @@ def cmd_verify(args):
                 "fixed range; --limit is ignored",
                 file=sys.stderr,
             )
-    reports = [rep for p in parts for rep in p.run(args.limit or p.default, args.tol)]
+    built = {}
+
+    def y_runs(limit):
+        """y's sign partition on [1, limit], built once in this run, through
+        the module, so that a wrapper set on verifier.partition_y sees it."""
+        if limit not in built:
+            built[limit] = verifier.partition_y(limit)
+        return built[limit]
+
+    reports = [rep for p in parts for rep in p.run(args.limit or p.default, args.tol, y_runs)]
     return _emit_reports(reports, args)
 
 

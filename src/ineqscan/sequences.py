@@ -175,6 +175,16 @@ def chain_links(lo: int, hi: int) -> Iterator[tuple[int, int, int, int]]:
         a = b + 1
 
 
+def link_count(hi: int) -> int:
+    """The number of links chain_links(1, hi) yields, in O(log hi): one
+    for each m-block that meets [1, hi], m(hi) of them, and one more for
+    each power of two below hi that does not end an m-block, as each
+    such 2**r splits its block in two."""
+    require_positive(hi, "hi")
+    powers = (1 << rr for rr in range((hi - 1).bit_length()))
+    return math.isqrt(2 * hi) + sum(m_block(math.isqrt(2 * p))[1] != p for p in powers)
+
+
 def positive_link(lo: int, hi: int, mm: int) -> bool:
     """True when one bit-length comparison certifies y > 0 on all of
     [lo, hi], a run of n on which m(n) = mm throughout, such as a link of

@@ -24,6 +24,14 @@ of y's endpoint bounds from sequences.bound_signs, and the exact y of
 the reference table from sequences.y_value.  It solves for no cut: each
 n where z or c crosses a threshold on a link, and each constant-m block,
 comes from sequences.z_last, c_last and m_block.
+
+Both partitions walk chain links only up to BAND_BASE = 2112; past it an
+integer induction over m-blocks, the band, makes x and y positive at
+every n, and theorem1 and theorem2 carry it as data.certificate.  The
+checks that read y's sign runs (check_theorem2, check_sign_criteria,
+check_negative_x_bound, check_positive_tail and
+analytic.check_sign_consistency) take partition_y's SignPartition as
+their argument, so a caller builds it once for all of them.
 """
 
 import json
@@ -147,40 +155,92 @@ def _append_run(runs: list, a: int, b: int, sign: int) -> None:
         runs.append([a, b, sign])
 
 
+# The m-band.  Take an m-block [a, b] = sequences.m_block(m) and let
+# k = bitlen(m); then bitlen(b) and bitlen(b - 1) are at most 2k, and
+# c(a) >= m**2/3 + 8/3 and z(a) >= (m**2 - 3)/3.  So m >= 6k + 3 gives
+# c(a) - m >= 2k(m - 1) >= bitlen(b)(m - 1), which is positive_link on
+# the whole block and on every link clipped from it, and m >= 6k + 4
+# gives z(a) > (2k + 1)m >= (r(b) + 1)m, so x > 0 on the block.  Both
+# hold for every m >= 2**(BAND_K0 - 1): 2**(k - 1) >= 6k + j at k = BAND_K0
+# is the base case, and 2**k >= 12k + 2j >= 6(k + 1) + j the step.  So
+# past BAND_BASE, the end of that m's block, x and y are positive at
+# every n, and a partition walks links only up to BAND_BASE.
+BAND_K0 = 7
+BAND_BASE = sequences.m_block(1 << (BAND_K0 - 1))[1]
+# For x and for y: j of the block predicate m >= 6k + j, and what it gives.
+BAND_PREDICATE = {
+    "x": (4, "z(a) > (2k + 1)m >= (r(b) + 1)m and x > 0"),
+    "y": (3, "c(a) - m >= 2k(m - 1) >= bitlen(b)(m - 1) and y > 0"),
+}
+
+
+def band_certificate(seq: str, limit: int) -> dict | None:
+    """The proof that seq, "x" or "y", is positive at every n past
+    BAND_BASE, once [1, limit] holds [1, BAND_BASE], the range its
+    partition walks link by link; None for a smaller limit.
+
+    It holds the base range, BAND_K0 and the band inequality.  The base
+    case 2**(BAND_K0 - 1) >= 6*BAND_K0 + j is checked here, when a run
+    needs it, and a failing one raises, so it is part of what the run
+    attests.
+    """
+    if limit < BAND_BASE:
+        return None
+    j, gives = BAND_PREDICATE[seq]
+    k0 = BAND_K0
+    if 2 ** (k0 - 1) < 6 * k0 + j:
+        raise ArithmeticError(f"the band's base case fails: 2**{k0 - 1} < {6 * k0 + j}")
+    return {
+        "base": [1, BAND_BASE],
+        "k0": k0,
+        "band": (
+            f"every m-block [a, b] with m >= 2**(k0 - 1) = {1 << (k0 - 1)} has "
+            f"m >= 6k + {j} for k = bitlen(m), so {gives} on it"
+        ),
+    }
+
+
 def partition_x(limit: int) -> SignPartition:
-    """Exact sign runs of x over [1, limit], one chain link at a time.
+    """Exact sign runs of x over [1, limit], one chain link at a time up
+    to BAND_BASE, and one positive run past it, by the band.
 
     On a link r and m are constant, so x(n) = z(n) - K with K = (r+1)*m:
     x < 0 exactly for n <= z_last(K - 1), x = 0 up to z_last(K), and
-    x > 0 above that.  Every link is settled in O(1).
+    x > 0 above that.  Every link is settled in O(1), and blocks counts
+    them all, from sequences.link_count: O(log limit) past BAND_BASE.
     """
     sequences.require_positive(limit, "limit")
+    top = BAND_BASE if band_certificate("x", limit) else limit
     runs: list = []
-    blocks = 0
-    for lo, hi, rr, mm in sequences.chain_links(1, limit):
-        blocks += 1
+    for lo, hi, rr, mm in sequences.chain_links(1, top):
         k = (rr + 1) * mm
         neg_end, zero_end = sequences.z_last(k - 1), sequences.z_last(k)
         _append_run(runs, lo, min(hi, neg_end), -1)
         _append_run(runs, max(lo, neg_end + 1), min(hi, zero_end), 0)
         _append_run(runs, max(lo, zero_end + 1), hi, 1)
-    return SignPartition(limit, tuple(map(tuple, runs)), blocks=blocks)
+    _append_run(runs, top + 1, limit, 1)
+    return SignPartition(limit, tuple(map(tuple, runs)), blocks=sequences.link_count(limit))
 
 
 def partition_y(limit: int) -> SignPartition:
-    """Exact sign runs of y over [1, limit], one chain link at a time.
+    """Exact sign runs of y over [1, limit], one chain link at a time up
+    to BAND_BASE, and one positive run past it, by the band.
 
     A link [lo, hi] is positive throughout when sequences.positive_link
     certifies it, by the bit-length fast path of the exact y-sign
     comparison applied to the whole link.  Every other link, and n = 1,
     is decided one n at a time by sequences.y_sign, the exact comparison
-    of y's two terms.  These runs are the one source of y's sign for
+    of y's two terms; all of them end by n = 420.  Past BAND_BASE the
+    band certifies every link, so blocks adds their count,
+    sequences.link_count(limit) - link_count(BAND_BASE), and per_n stays
+    that of the walk.  These runs are the one source of y's sign for
     every check in this package.
     """
     sequences.require_positive(limit, "limit")
+    top = BAND_BASE if band_certificate("y", limit) else limit
     runs: list = []
     blocks = per_n = 0
-    for lo, hi, _, mm in sequences.chain_links(1, limit):
+    for lo, hi, _, mm in sequences.chain_links(1, top):
         if sequences.positive_link(lo, hi, mm):
             blocks += 1
             _append_run(runs, lo, hi, 1)
@@ -188,6 +248,8 @@ def partition_y(limit: int) -> SignPartition:
         per_n += hi - lo + 1
         for n in range(lo, hi + 1):
             _append_run(runs, n, n, sequences.y_sign(n))
+    blocks += sequences.link_count(limit) - sequences.link_count(top)
+    _append_run(runs, top + 1, limit, 1)
     return SignPartition(limit, tuple(map(tuple, runs)), blocks=blocks, per_n=per_n)
 
 
@@ -444,10 +506,11 @@ def _mismatches(actual, expected) -> list[int]:
 
 
 def _theorem_report(
-    claim_id: str, part: SignPartition, printed: list, zeros_text: str, *notes: str
+    claim_id: str, seq: str, part: SignPartition, printed: list, zeros_text: str, *notes: str
 ) -> VerificationReport:
-    """Compare the runs of part with the printed runs; every n where they
-    disagree is a counterexample.  The details open with zeros_text."""
+    """Compare the runs of part, seq's partition, with the printed runs;
+    every n where they disagree is a counterexample.  The details open
+    with zeros_text, and data.certificate is seq's band_certificate."""
     negative, positive = (_runs_repr(part.runs_of(sign)) for sign in (-1, 1))
     details = "; ".join(
         [zeros_text, f"negative runs {negative}", f"positive runs {positive}", *notes]
@@ -462,6 +525,7 @@ def _theorem_report(
             "runs": [list(run) for run in part.runs],
             "blocks": part.blocks,
             "per_n": part.per_n,
+            "certificate": band_certificate(seq, part.limit),
         },
     )
 
@@ -472,34 +536,41 @@ def check_theorem1(limit: int) -> VerificationReport:
     everywhere else.
 
     Checked on [1, limit] by comparing the sign runs of partition_x,
-    which settles each chain link in O(1) from the exact cut points of
-    x on it, with the runs of the classification; no n is visited one
-    at a time.  Counterexamples are every n where the two disagree."""
+    which settles each chain link to BAND_BASE in O(1) from the exact
+    cut points of x on it, and the rest by the band, with the runs of
+    the classification; no n is visited one at a time.  Counterexamples
+    are every n where the two disagree.  From limit = BAND_BASE on,
+    data.certificate carries the band, which extends the claim to every
+    n."""
     part = partition_x(limit)
     return _theorem_report(
         "theorem1",
+        "x",
         part,
         printed_runs(limit, X_ZERO_SET, X_NEGATIVE_RUNS),
         f"zero set {{{', '.join(str(n) for n in part.support_of(0))}}}",
     )
 
 
-def check_theorem2(limit: int) -> VerificationReport:
+def check_theorem2(part: SignPartition) -> VerificationReport:
     """Theorem 2: y is never zero, negative exactly on [5, 335],
     [338, 350] and [365, 368], positive everywhere else.
 
-    Checked on [1, limit] by comparing the sign runs of partition_y with
-    the runs of the classification.  partition_y certifies a chain link
-    positive as a whole when c(lo) - m >= bitlen(hi) * (m - 1) and falls
-    back to the exact per-n comparison on every other link; data.blocks
-    and data.per_n count the two.  The classification has no zero, so
-    any n with y = 0 is a counterexample."""
-    part = partition_y(limit)
+    Checked on [1, part.limit] by comparing the runs of part, y's
+    partition_y, with the runs of the classification.  partition_y
+    certifies a chain link positive as a whole when
+    c(lo) - m >= bitlen(hi) * (m - 1), falls back to the exact per-n
+    comparison on every other link, and past BAND_BASE reads the band;
+    data.blocks and data.per_n count the two kinds.  The classification
+    has no zero, so any n with y = 0 is a counterexample.  From
+    part.limit = BAND_BASE on, data.certificate carries the band, which
+    extends the claim to every n."""
     zeros = part.runs_of(0)
     return _theorem_report(
         "theorem2",
+        "y",
         part,
-        printed_runs(limit, (), Y_NEGATIVE_RUNS),
+        printed_runs(part.limit, (), Y_NEGATIVE_RUNS),
         f"zero runs {_runs_repr(zeros)}" if zeros else "no zeros",
         NARRATIVE_NOTE_338_350,
     )
@@ -594,20 +665,21 @@ def check_range_bounds(limit: int) -> VerificationReport:
     )
 
 
-def check_sign_criteria(limit: int) -> VerificationReport:
+def check_sign_criteria(part: SignPartition) -> VerificationReport:
     """The two threshold criteria on c: with s = r(n) and t = m(n),
     c <= s(t-1) + 1 forces y < 0 and c > s(t-1) + t forces y > 0.
 
-    Walked run by run: for each run (a, b, sign) of partition_y, the
-    chain links clipped to [a, b].  r and m are functions of n, so a
-    clipped link keeps its link's threshold T = r*(m-1), and c does not
-    decrease: the negative criterion holds exactly up to c_last(T + 1)
-    and the positive one exactly past c_last(T + m).  Each piece where a
-    criterion holds against the run's sign is a list of counterexamples.
-    No n is visited one at a time, so the cost is that of partition_y."""
+    Checked on [1, part.limit], walked run by run: for each run
+    (a, b, sign) of part, y's partition_y, the chain links clipped to
+    [a, b].  r and m are functions of n, so a clipped link keeps its
+    link's threshold T = r*(m-1), and c does not decrease: the negative
+    criterion holds exactly up to c_last(T + 1) and the positive one
+    exactly past c_last(T + m).  Each piece where a criterion holds
+    against the run's sign is a list of counterexamples.  No n is
+    visited one at a time: O(links)."""
     counterexamples = []
     applies_negative = applies_positive = 0
-    for a, b, sign in partition_y(limit).runs:
+    for a, b, sign in part.runs:
         for lo, hi, rr, mm in sequences.chain_links(a, b):
             threshold = rr * (mm - 1)
             neg_end = min(hi, sequences.c_last(threshold + 1))
@@ -630,7 +702,7 @@ def check_sign_criteria(limit: int) -> VerificationReport:
     return make_report(
         "lemmas/sign-criteria",
         1,
-        limit,
+        part.limit,
         details,
         counterexamples=counterexamples,
         data={
@@ -640,19 +712,20 @@ def check_sign_criteria(limit: int) -> VerificationReport:
     )
 
 
-def check_negative_x_bound(limit: int) -> VerificationReport:
+def check_negative_x_bound(part: SignPartition) -> VerificationReport:
     """Wherever y(n) <= 0, x(n) is at most -r(n) - 3, which is itself
     at most -6.  Vacuous below n = 5 where y is positive.
 
-    Walked run by run, as check_sign_criteria is: for each run of
-    partition_y with y <= 0, the chain links clipped to it.  On a link
-    x = z - K with K = (r+1)*m, so x <= -r - 3 holds exactly up to
-    z_last(K - r - 3), and -r - 3 <= -6 exactly when r >= 3.  Every n of a
-    piece is applicable and the rest of it past that prefix is
-    counterexamples.  No n is visited one at a time: O(links)."""
+    Checked on [1, part.limit], walked run by run, as
+    check_sign_criteria is: for each run of part, y's partition_y, with
+    y <= 0, the chain links clipped to it.  On a link x = z - K with
+    K = (r+1)*m, so x <= -r - 3 holds exactly up to z_last(K - r - 3),
+    and -r - 3 <= -6 exactly when r >= 3.  Every n of a piece is
+    applicable and the rest of it past that prefix is counterexamples.
+    No n is visited one at a time: O(links)."""
     counterexamples = []
     applicable = 0
-    for a, b, sign in partition_y(limit).runs:
+    for a, b, sign in part.runs:
         if sign > 0:
             continue
         for lo, hi, rr, mm in sequences.chain_links(a, b):
@@ -663,7 +736,7 @@ def check_negative_x_bound(limit: int) -> VerificationReport:
     return make_report(
         "lemmas/negative-x-bound",
         1,
-        limit,
+        part.limit,
         details,
         counterexamples=counterexamples,
         data={"applicable": applicable},
@@ -673,12 +746,13 @@ def check_negative_x_bound(limit: int) -> VerificationReport:
 POSITIVE_TAIL_START = 404
 
 
-def check_positive_tail(limit: int) -> VerificationReport:
-    """y(n) > 0 for every n >= 404.  Checked on [404, limit] by reading
-    the y runs of partition_y there: chain links certified positive as a
-    whole, the rest decided per n (data.blocks and data.per_n count the
-    two).  An honest no-op when the limit sits below the tail."""
-    sequences.require_positive(limit, "limit")
+def check_positive_tail(part: SignPartition) -> VerificationReport:
+    """y(n) > 0 for every n >= 404.  Checked on [404, part.limit] by
+    reading the runs of part, y's partition_y, there: chain links
+    certified positive as a whole, the rest decided per n (data.blocks
+    and data.per_n count the two).  An honest no-op when the limit sits
+    below the tail."""
+    limit = part.limit
     start = POSITIVE_TAIL_START
     if limit < start:
         return make_report(
@@ -688,7 +762,6 @@ def check_positive_tail(limit: int) -> VerificationReport:
             f"limit {limit} is below the tail start {start}; nothing scanned",
             data={"blocks": 0, "per_n": 0},
         )
-    part = partition_y(limit)
     counterexamples = _mismatches(part.runs, [(start, limit, 1)])
     if counterexamples:
         details = (

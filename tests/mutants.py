@@ -133,6 +133,34 @@ MUTANTS = [
         f"{T_SEQ}::TestRows",
     ),
     (
+        "BAND_BASE: a base that ends before 577",
+        VER,
+        "BAND_BASE = sequences.m_block(1 << (BAND_K0 - 1))[1]",
+        "BAND_BASE = sequences.m_block(32)[1]",
+        f"{T_VER}::TestBandAgainstLinkWalk::test_every_limit_to_600",
+    ),
+    (
+        "BAND_K0: 6 for 7",
+        VER,
+        "BAND_K0 = 7",
+        "BAND_K0 = 6",
+        f"{T_VER}::TestBand::test_certificate",
+    ),
+    (
+        "BAND_PREDICATE: m >= 6k + 2 for 6k + 3 on y",
+        VER,
+        '"y": (3, ',
+        '"y": (2, ',
+        f"{T_VER}::TestBand::test_certificate",
+    ),
+    (
+        "link_count: the power-of-two splits ignored",
+        SEQ,
+        "return math.isqrt(2 * hi) + sum(m_block(math.isqrt(2 * p))[1] != p for p in powers)",
+        "return math.isqrt(2 * hi)",
+        f"{T_VER}::TestBandAgainstLinkWalk::test_at_m_block_ends_powers_of_two_and_spot_limits",
+    ),
+    (
         "partition_y: fallback sign fixed at 1",
         VER,
         "_append_run(runs, n, n, sequences.y_sign(n))",
@@ -266,9 +294,18 @@ MUTANTS = [
     (
         "positive_beyond: bitlen(t**Q) for bitlen(t**Q) - 1",
         ANA,
-        "p = (t**q).bit_length() - 1",
-        "p = (t**q).bit_length()",
+        "p = _pow_bit_length(t, q) - 1",
+        "p = _pow_bit_length(t, q)",
         f"{T_ANA}::TestPositiveBeyond",
+    ),
+    (
+        # equivalent on every t below about 2**130: only a power just
+        # above a power of two tells the two roundings apart
+        "_pow_bit_length: the upper bound rounded down",
+        ANA,
+        "lo >> cut, -(-hi >> cut), shift + cut",
+        "lo >> cut, hi >> cut, shift + cut",
+        f"{T_ANA}::TestPositiveBeyond::test_pow_bit_length_just_above_a_power_of_two",
     ),
     (
         "positive_beyond: r for r + 1 in the sqrt upper bound",

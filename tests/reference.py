@@ -11,6 +11,10 @@ against plain big-int comparison.  rows(limit) yields row(n) on
 column, built on demand up to the largest limit asked for, through
 TABLE_TOP.
 
+reference_partition_x and reference_partition_y are the per-link walks
+the partitions made over every link before the band: O(links), so they
+reach 10**9, and test_verifier checks them against per_n_runs.
+
 Nothing here imports sequences, intervals or cli, nor any partition_*,
 check_*, scan* or chain_links: the code under test (test_reference
 holds it to that).  It takes verifier's report plumbing and printed
@@ -21,6 +25,7 @@ time.  The name keeps pytest from collecting this file.
 
 import json
 import math
+import re
 import sys
 from array import array
 from contextlib import contextmanager
@@ -78,11 +83,15 @@ def rows(limit):
     )
 
 
-def _push(runs, n, sign):
+def _push(runs, a, b, sign):
+    """Extend runs by [a, b] with sign, merging a repeated sign; an empty
+    [a, b] adds nothing."""
+    if a > b:
+        return
     if runs and runs[-1][2] == sign:
-        runs[-1][1] = n
+        runs[-1][1] = b
     else:
-        runs.append([n, n, sign])
+        runs.append([a, b, sign])
 
 
 @cache
@@ -91,9 +100,56 @@ def per_n_runs(limit):
     (start, end, sign) runs: the oracle for the blockwise partitions."""
     xs, ys = [], []
     for n, _, _, _, _, xx, _, ysign in rows(limit):
-        _push(xs, n, (xx > 0) - (xx < 0))
-        _push(ys, n, ysign)
+        _push(xs, n, n, (xx > 0) - (xx < 0))
+        _push(ys, n, n, ysign)
     return tuple(map(tuple, xs)), tuple(map(tuple, ys))
+
+
+@cache
+def reference_links(limit):
+    """(lo, hi, r, m) of each maximal run of n in [1, limit] on which m
+    and r are both constant, the last clipped to limit.  m and r come
+    from row(lo); the run ends at the last n of that m, (m*m + 2m) // 2
+    (as 2n < (m + 1)**2), or of that r, 2**r, whichever comes first."""
+    links = []
+    lo = 1
+    while lo <= limit:
+        _, _, mm, rr, *_ = row(lo)
+        hi = min((mm * mm + 2 * mm) // 2, 1 << rr, limit)
+        links.append((lo, hi, rr, mm))
+        lo = hi + 1
+    return tuple(links)
+
+
+def reference_partition_x(limit):
+    """partition_x as a walk over every link: on a link x = z - K with
+    K = (r + 1)m and z = (2n - 1) // 3 rising, so x < 0 exactly while
+    2n <= 3K and x <= 0 while 2n <= 3K + 3.  blocks counts the links."""
+    runs = []
+    links = reference_links(limit)
+    for lo, hi, rr, mm in links:
+        k = (rr + 1) * mm
+        neg_end, zero_end = 3 * k // 2, (3 * k + 3) // 2
+        _push(runs, lo, min(hi, neg_end), -1)
+        _push(runs, max(lo, neg_end + 1), min(hi, zero_end), 0)
+        _push(runs, max(lo, zero_end + 1), hi, 1)
+    return verifier.SignPartition(limit, tuple(map(tuple, runs)), blocks=len(links))
+
+
+def reference_partition_y(limit):
+    """partition_y as a walk over every link: positive as a whole when
+    m >= 2 and c(lo) - m >= bitlen(hi)(m - 1), else y's sign at each n."""
+    runs = []
+    blocks = per_n = 0
+    for lo, hi, _, mm in reference_links(limit):
+        if mm >= 2 and row(lo)[4] - mm >= hi.bit_length() * (mm - 1):
+            blocks += 1
+            _push(runs, lo, hi, 1)
+            continue
+        per_n += hi - lo + 1
+        for n in range(lo, hi + 1):
+            _push(runs, n, n, row(n)[7])
+    return verifier.SignPartition(limit, tuple(map(tuple, runs)), blocks=blocks, per_n=per_n)
 
 
 def expected_x_sign(n):
@@ -395,16 +451,18 @@ def y_text(n):
 
 
 def reference_seq(start, stop, exact_y, fmt):
-    """seq output from one row(n) per n, kept as dicts; json prints the
-    int y itself, csv and text its kept text."""
+    """seq output from one row(n) per n, kept as dicts, each y as its kept
+    text.  JSON writes an int as its str(), so json prints y's text where
+    json.dumps put it as a string, without the quotes."""
     columns = ["n", "z", "m", "r", "c", "x", "c_minus_m", "y_sign"] + ["y"] * exact_y
-    exact = y if fmt == "json" else y_text
     records = [
-        dict(zip(columns, row(n) + ((exact(n),) if exact_y else ())))
+        dict(zip(columns, row(n) + ((y_text(n),) if exact_y else ())))
         for n in range(start, stop + 1)
     ]
-    with unlimited_int_digits():
-        return reference_table(records, columns, fmt)
+    text = reference_table(records, columns, fmt)
+    if fmt == "json" and exact_y:
+        text = re.sub(r'("y": )"(-?[0-9]+)"', r"\1\2", text)
+    return text
 
 
 def reference_intervals(limit, fmt):

@@ -97,7 +97,7 @@ def test_criterion_04_second_sign_classification():
     for n in range(1, 5001):
         yv = sequences.y_value(n)
         direct[n] = (yv > 0) - (yv < 0)
-    rep = verifier.check_theorem2(5000)
+    rep = verifier.check_theorem2(part)
     dt = time.perf_counter() - t0
     agree = all(
         direct[n] == s for a, b, s in part.runs for n in range(a, b + 1)
@@ -137,11 +137,12 @@ def test_criterion_05_gap_lower_bounds():
 
 
 def test_criterion_06_implication_lemmas():
+    part = verifier.partition_y(5000)
     reports = [
         verifier.check_range_bounds(5000),
-        verifier.check_sign_criteria(5000),
-        verifier.check_negative_x_bound(5000),
-        verifier.check_positive_tail(5000),
+        verifier.check_sign_criteria(part),
+        verifier.check_negative_x_bound(part),
+        verifier.check_positive_tail(part),
     ]
     ok = all(
         rep.status == verifier.CONFIRMED and rep.counterexamples == []
@@ -274,7 +275,7 @@ def test_criterion_10_printed_approximations():
 
 
 def test_criterion_11_float_exact_consistency():
-    rep = analytic.check_sign_consistency(5000)
+    rep = analytic.check_sign_consistency(verifier.partition_y(5000))
     min_abs = rep.data["min_abs_Y"]
     ok = (
         rep.status == verifier.CONFIRMED

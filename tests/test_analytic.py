@@ -222,7 +222,7 @@ class TestSurrogates:
         assert analytic.Y_real(338) == pytest.approx(-8.021986, abs=1e-6)
 
     def test_sign_consistency_report(self):
-        rep = analytic.check_sign_consistency(5000)
+        rep = analytic.check_sign_consistency(verifier.partition_y(5000))
         assert rep.status == verifier.CONFIRMED
         assert rep.data["min_abs_Y_at"] == 333
         assert rep.data["min_abs_Y"] == pytest.approx(0.105081, abs=1e-6)
@@ -435,7 +435,7 @@ class TestClosedFormAnchors:
     def test_sign_consistency_degenerate_limit_serializes(self):
         # below n = 5 there is nothing to take a minimum over; the report
         # must still be valid JSON (no float infinities)
-        rep = analytic.check_sign_consistency(1)
+        rep = analytic.check_sign_consistency(verifier.partition_y(1))
         blob = json.loads(json.dumps(rep.to_dict()))
         assert blob["data"]["min_abs_Y"] is None
         assert rep.status == verifier.CONFIRMED
@@ -446,10 +446,15 @@ class TestClosedFormAnchors:
 # ---------------------------------------------------------------------------
 
 
+def sign_consistency(limit):
+    """check_sign_consistency on y's partition of [1, limit]."""
+    return analytic.check_sign_consistency(verifier.partition_y(limit))
+
+
 REFERENCE_CHECKS = (
     (analytic.check_bounds_x, reference_bounds_x),
     (analytic.check_bounds_Y, reference_bounds_Y),
-    (analytic.check_sign_consistency, reference_sign_consistency),
+    (sign_consistency, reference_sign_consistency),
 )
 
 
@@ -500,7 +505,6 @@ class TestCandidateRoute:
         links = list(sequences.chain_links(1, limit))
         # built beforehand, so partition_y's own y_sign calls are not seen
         part = verifier.partition_y(limit)
-        monkeypatch.setattr(verifier, "partition_y", lambda limit: part)
         pieces = [
             piece for a, b, _ in part.runs for piece in sequences.chain_links(a, b)
         ]
@@ -532,7 +536,7 @@ class TestCandidateRoute:
             assert calls["F_eval"] == candidates, check.__name__
             assert calls["F_eval"] <= 6 * len(links), check.__name__
         calls["_Y"] = 0
-        assert analytic.check_sign_consistency(limit).status == verifier.CONFIRMED
+        assert analytic.check_sign_consistency(part).status == verifier.CONFIRMED
         assert calls["_Y"] == sum(min(3, b - a + 1) for a, b, *_ in pieces)
         assert calls["_Y"] <= 3 * (len(links) + len(part.runs))
         assert decided == []
@@ -584,8 +588,7 @@ class TestCandidateRoute:
         part = verifier.partition_y(5000)
         a, b, sign = part.runs[-1]
         flipped = part._replace(runs=part.runs[:-1] + ((a, b, -sign),))
-        monkeypatch.setattr(verifier, "partition_y", lambda limit: flipped)
-        rep = analytic.check_sign_consistency(5000)
+        rep = analytic.check_sign_consistency(flipped)
         assert rep.counterexamples == list(range(a, b + 1))
         assert rep.details.startswith(
             f"float surrogate sign differs from the exact sign at {b - a + 1} values;"
@@ -599,7 +602,7 @@ class TestCandidateRoute:
         patched = {421: 1e-6, 450: 1.0000001e-6, 335: -1e-6, 334: -1.0000001e-6}
         y = analytic._Y
         monkeypatch.setattr(analytic, "_Y", lambda n, mm: patched.get(n, y(n, mm)))
-        rep = analytic.check_sign_consistency(1000)
+        rep = analytic.check_sign_consistency(verifier.partition_y(1000))
         assert rep.counterexamples == [335, 421]
         assert (rep.data["min_abs_Y"], rep.data["min_abs_Y_at"]) == (1e-6, 335)
 
@@ -610,8 +613,7 @@ class TestCandidateRoute:
         assert part.runs[-1] == (369, 1000, 1)
         zeroed = ((369, 399, 1), (400, 420, 0), (421, 1000, 1))
         zeroed_part = part._replace(runs=part.runs[:-1] + zeroed)
-        monkeypatch.setattr(verifier, "partition_y", lambda limit: zeroed_part)
-        rep = analytic.check_sign_consistency(1000)
+        rep = analytic.check_sign_consistency(zeroed_part)
         assert rep.counterexamples == list(range(400, 421))
 
 
@@ -747,6 +749,44 @@ class TestPositiveBeyond:
         f, f1, _ = exact_terms(coeffs, t)
         assert -2e-4 < f < 0 < f1
         assert not analytic.positive_beyond(coeffs, t)
+
+    @staticmethod
+    def pow_bit_length(t, q):
+        """bitlen(t**q) from q log2 t in floats, whose error here is below
+        1e-9, and from the exact power where that cannot decide."""
+        f = q * math.log2(t)
+        if abs(f - round(f)) > 1e-6:
+            return math.floor(f) + 1
+        return (t**q).bit_length()
+
+    def test_pow_bit_length_without_the_power(self):
+        q = analytic.LOG_SCALE
+        rng = random.Random(4096)
+        for t in [*range(1, 20001), *(rng.randrange(3, 10**9) for _ in range(3000))]:
+            assert analytic._pow_bit_length(t, q) == self.pow_bit_length(t, q), t
+
+    @pytest.mark.parametrize("bits", [2, 8, 40])
+    def test_pow_bit_length_falls_back_to_the_power(self, monkeypatch, bits):
+        # bounds this narrow often disagree on the bit length, and then
+        # the exact power decides
+        monkeypatch.setattr(analytic, "POWER_BITS", bits)
+        for t in range(1, 600):
+            assert analytic._pow_bit_length(t, analytic.LOG_SCALE) == self.pow_bit_length(
+                t, analytic.LOG_SCALE
+            ), t
+
+    def test_pow_bit_length_just_above_a_power_of_two(self):
+        # t = floor(2**(p/Q)) + 1 has t**Q just above 2**p, by less than the
+        # rounding of POWER_BITS-bit bounds: only a bound rounded up keeps
+        # it above, and only the exact power settles it
+        q = analytic.LOG_SCALE
+        for p in (q * 131 + 1, q * 140 + 1000, q * 150 + 4095):
+            root = 1 << p
+            for _ in range(q.bit_length() - 1):
+                root = math.isqrt(root)
+            t = root + 1
+            assert (t - 1) ** q < 1 << p < t**q < 1 << (p + 1)
+            assert analytic._pow_bit_length(t, q) == p + 1
 
     def test_convexity_guard(self):
         # proved only where 2**b t >= 9**c, which gives F'' > 0 on [t, oo)

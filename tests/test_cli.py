@@ -504,7 +504,8 @@ class TestVerify:
         argv = ["verify", "--suite", "theorem2", "--limit", "5000", "--format", "json"]
         assert cli.main(argv) == 0
         (rep,) = json.loads(capsys.readouterr().out)
-        assert set(rep["data"]) == {"runs", "blocks", "per_n"}
+        assert set(rep["data"]) == {"runs", "blocks", "per_n", "certificate"}
+        assert rep["data"]["certificate"]["base"] == [1, verifier.BAND_BASE]
 
     def test_low_limit_exits_2(self, capsys):
         assert cli.main(["verify", "--suite", "theorem1", "--limit", "100"]) == 2
@@ -602,10 +603,16 @@ def all_suite_calls(limit=None, tol=1e-9):
     ]
 
 
+def limit_of(arg):
+    """The limit a check was run at: a SignPartition's, or arg itself."""
+    return arg.limit if isinstance(arg, verifier.SignPartition) else arg
+
+
 class TestSuiteTable:
     """verify looks each check up through its module when it runs, so a
     wrapper set on the module sees every call, with the limit the suite
-    passes."""
+    passes; a check that reads y's sign runs gets y's partition on
+    [1, limit], recorded here by its limit."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -617,11 +624,39 @@ class TestSuiteTable:
                     check = getattr(module, name)
 
                     def wrapper(*args, _check=check, _name=(short, name)):
-                        recorded.append((*_name, *args))
+                        recorded.append((*_name, *map(limit_of, args)))
                         return _check(*args)
 
                     monkeypatch.setattr(module, name, wrapper)
         return recorded
+
+    @pytest.fixture
+    def y_builds(self, monkeypatch):
+        built = []
+        partition_y = verifier.partition_y
+
+        def spy(limit):
+            built.append(limit)
+            return partition_y(limit)
+
+        monkeypatch.setattr(verifier, "partition_y", spy)
+        return built
+
+    @pytest.mark.parametrize(
+        "argv, limits",
+        [
+            ([], [1000, 5000, 100000]),
+            (["--suite", "all", "--limit", "547"], [547]),
+            (["--suite", "lemmas"], [5000]),
+            (["--suite", "theorem1"], []),
+            (["--suite", "theorem2", "--limit", "10000"], [10000]),
+            (["--suite", "analytic", "--limit", "600"], [600]),
+        ],
+    )
+    def test_y_partition_built_once_per_limit(self, y_builds, capsys, argv, limits):
+        assert cli.main(["verify", *argv]) == 0
+        capsys.readouterr()
+        assert y_builds == limits
 
     def test_all_runs_every_check_in_report_order_at_its_default(self, calls, capsys):
         assert cli.main(["verify"]) == 0

@@ -8,8 +8,11 @@ never set freely.
 """
 
 import ast
+import functools
 import inspect
 import json
+import random
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -23,7 +26,10 @@ from reference import (
     per_n_x_counterexamples,
     per_n_y_counterexamples,
     reference_gap,
+    reference_links,
     reference_negative_x_bound,
+    reference_partition_x,
+    reference_partition_y,
     reference_range_bounds,
     reference_sign_criteria,
     row,
@@ -31,13 +37,23 @@ from reference import (
 
 REFERENCE_TOP = 10**5
 
-# Every public check or partition of verifier and analytic that takes a limit.
-LIMIT_TAKERS = [
+
+def on_y_runs(check):
+    """check, which reads y's sign runs, as a function of the limit: it
+    gets y's partition of [1, limit]."""
+    return functools.wraps(check)(lambda limit: check(verifier.partition_y(limit)))
+
+
+# Every public check or partition of verifier and analytic that takes a
+# limit, and every check that reads y's sign runs, through partition_y.
+PUBLIC = [
     getattr(module, name)
     for module in (verifier, analytic)
     for name in dir(module)
     if name.startswith(("check_", "partition_"))
-    and "limit" in inspect.signature(getattr(module, name)).parameters
+]
+LIMIT_TAKERS = [f for f in PUBLIC if "limit" in inspect.signature(f).parameters] + [
+    on_y_runs(f) for f in PUBLIC if "part" in inspect.signature(f).parameters
 ]
 
 # The seq piece stepper and its rows, which the claim checks never read.
@@ -266,7 +282,7 @@ class TestTheoremChecks:
         assert "436, 451, 529, 545, 546" in rep.details
 
     def test_theorem2_confirmed_and_notes_narrative(self):
-        rep = verifier.check_theorem2(5000)
+        rep = verifier.check_theorem2(verifier.partition_y(5000))
         assert rep.status == verifier.CONFIRMED
         assert rep.counterexamples == []
         assert "[338, 350]" in rep.details
@@ -305,21 +321,21 @@ class TestLemmaChecks:
         assert rep.data == {"blocks": 100, "decided_negative": 0, "decided_positive": 0}
 
     def test_sign_criteria(self):
-        rep = verifier.check_sign_criteria(5000)
+        rep = verifier.check_sign_criteria(verifier.partition_y(5000))
         assert rep.status == verifier.CONFIRMED
         assert rep.data["applies_negative"] == 297
         assert rep.data["applies_positive"] == 4608
 
     def test_negative_x_bound(self):
-        rep = verifier.check_negative_x_bound(5000)
+        rep = verifier.check_negative_x_bound(verifier.partition_y(5000))
         assert rep.status == verifier.CONFIRMED
         assert rep.data["applicable"] == 348
 
     def test_positive_tail(self):
-        rep = verifier.check_positive_tail(5000)
+        rep = verifier.check_positive_tail(verifier.partition_y(5000))
         assert rep.status == verifier.CONFIRMED
         assert rep.lo == 404
-        rep = verifier.check_positive_tail(100)
+        rep = verifier.check_positive_tail(verifier.partition_y(100))
         assert rep.status == verifier.CONFIRMED
         assert "nothing scanned" in rep.details
 
@@ -392,6 +408,146 @@ class TestBlockwiseAgainstPerN:
             assert part.per_n + sum(settled) == limit
 
 
+# ---------------------------------------------------------------------------
+# The band past BAND_BASE against the walk over every link
+# ---------------------------------------------------------------------------
+
+BASE = verifier.BAND_BASE
+LINK_TOP = 2**30 + 1  # the reference walk the sweeps below are cut from
+
+
+def cut_reference(part, limit, starts):
+    """part, a reference partition of [1, top], cut to [1, limit] for
+    420 < limit <= top, where starts are the first n of the links to top:
+    every link that starts past n = 420 is certified whole, clipped or
+    not, so the cut drops one block for each link that starts past
+    limit, and per_n stays."""
+    assert 420 < limit <= part.limit
+    dropped = len(starts) - bisect_right(starts, limit)
+    return part._replace(
+        limit=limit, runs=truncated(part.runs, limit), blocks=part.blocks - dropped
+    )
+
+
+def m_block_ends(top):
+    """The last n of each m-block up to top, one below it and one past it."""
+    ends = (sequences.m_block(mm)[1] for mm in range(1, sequences.m(top) + 1))
+    return [n for end in ends for n in (end - 1, end, end + 1) if 1 <= n <= top]
+
+
+class TestBand:
+    """Past BAND_BASE = m_block(64)[1] every m-block satisfies the block
+    predicate, so both partitions stop walking links there."""
+
+    EXPECTED = {
+        "x": {
+            "base": [1, 2112],
+            "k0": 7,
+            "band": "every m-block [a, b] with m >= 2**(k0 - 1) = 64 has "
+            "m >= 6k + 4 for k = bitlen(m), so z(a) > (2k + 1)m >= (r(b) + 1)m "
+            "and x > 0 on it",
+        },
+        "y": {
+            "base": [1, 2112],
+            "k0": 7,
+            "band": "every m-block [a, b] with m >= 2**(k0 - 1) = 64 has "
+            "m >= 6k + 3 for k = bitlen(m), so c(a) - m >= 2k(m - 1) >= "
+            "bitlen(b)(m - 1) and y > 0 on it",
+        },
+    }
+
+    def test_certificate(self):
+        assert BASE == sequences.m_block(64)[1] == 2112
+        for seq, expected in self.EXPECTED.items():
+            assert verifier.band_certificate(seq, BASE - 1) is None
+            for limit in (BASE, BASE + 1, 10**100):
+                assert verifier.band_certificate(seq, limit) == expected
+        assert verifier.check_theorem1(BASE - 1).data["certificate"] is None
+        rep = verifier.check_theorem1(BASE)
+        assert rep.data["certificate"] == self.EXPECTED["x"]
+        rep = verifier.check_theorem2(verifier.partition_y(10**6))
+        assert rep.data["certificate"] == self.EXPECTED["y"]
+
+    def test_base_case_is_checked_at_run_time(self, monkeypatch):
+        # 2**5 = 32 < 6*6 + 3: the induction has no base at k0 = 6
+        monkeypatch.setattr(verifier, "BAND_K0", 6)
+        for seq in ("x", "y"):
+            with pytest.raises(ArithmeticError, match="base case"):
+                verifier.band_certificate(seq, BASE)
+        assert verifier.band_certificate("x", BASE - 1) is None
+
+    def test_whole_blocks_below_and_in_the_band(self):
+        # the whole-block tests fail last at m = 28 for y ([392, 420]) and
+        # at m = 33 for x ([545, 577]); from m = 64 on the block predicate
+        # holds and gives both
+        y_fails, x_fails = [], []
+        for mm in range(2, 20000):
+            a, b = sequences.m_block(mm)
+            k = mm.bit_length()
+            y_whole = sequences.c(a) - mm >= b.bit_length() * (mm - 1)
+            x_whole = sequences.z(a) > (sequences.r(b) + 1) * mm
+            if not y_whole:
+                y_fails.append(mm)
+            if not x_whole:
+                x_fails.append(mm)
+            if mm >= 64:
+                assert mm >= 6 * k + 4 and sequences.c(a) - mm >= 2 * k * (mm - 1), mm
+                assert sequences.z(a) > (2 * k + 1) * mm, mm
+        assert y_fails[-1] == 28 and x_fails[-1] == 33
+
+    def test_no_link_is_walked_past_the_base(self, monkeypatch):
+        walks = []
+        chain_links = sequences.chain_links
+
+        def recording_links(lo, hi):
+            walks.append((lo, hi))
+            return chain_links(lo, hi)
+
+        monkeypatch.setattr(sequences, "chain_links", recording_links)
+        tails = {verifier.partition_x: 547, verifier.partition_y: 369}
+        for partition, tail_start in tails.items():
+            assert partition(10**100).runs[-1] == (tail_start, 10**100, 1)
+        assert walks == [(1, BASE), (1, BASE)]
+
+
+class TestBandAgainstLinkWalk:
+    """Both partitions, blocks and per_n included, against the walk over
+    every link that tests/reference.py keeps."""
+
+    def test_references_against_the_per_n_signs(self):
+        ref_x, ref_y = per_n_runs(REFERENCE_TOP)
+        assert reference_partition_x(REFERENCE_TOP).runs == ref_x
+        assert reference_partition_y(REFERENCE_TOP).runs == ref_y
+
+    def test_every_limit_to_600(self):
+        for limit in range(1, 601):
+            assert verifier.partition_x(limit) == reference_partition_x(limit), limit
+            assert verifier.partition_y(limit) == reference_partition_y(limit), limit
+
+    def test_at_m_block_ends_powers_of_two_and_spot_limits(self):
+        ref_x, ref_y = reference_partition_x(LINK_TOP), reference_partition_y(LINK_TOP)
+        starts = [lo for lo, *_ in reference_links(LINK_TOP)]
+        rng = random.Random(30)
+        limits = {
+            *(n for n in m_block_ends(20000) if n > 600),
+            *rng.sample([n for n in m_block_ends(LINK_TOP) if n > 20000], 1000),
+            *(n for k in range(10, 31) for n in (2**k - 1, 2**k, 2**k + 1)),
+            BASE + 1, 2200, 10**5, 10**6, 3 * 10**7 + 1, 10**9,
+            *(rng.randrange(601, 10**7) for _ in range(20)),
+        }
+        for limit in sorted(limits):
+            assert verifier.partition_x(limit) == cut_reference(ref_x, limit, starts), limit
+            assert verifier.partition_y(limit) == cut_reference(ref_y, limit, starts), limit
+
+    def test_link_count_at_every_m_block_end(self):
+        # past BAND_BASE the blocks of both partitions come from link_count
+        starts = [lo for lo, *_ in reference_links(LINK_TOP)]
+        limits = m_block_ends(LINK_TOP) + [2**k + d for k in range(31) for d in (-1, 0, 1)]
+        for limit in limits:
+            if limit >= 1:
+                assert sequences.link_count(limit) == bisect_right(starts, limit), limit
+
+
 class TestConstantsAreChecked:
     """A wrong classification constant must surface as a discrepancy
     whose counterexamples are exactly those of the per-n comparison."""
@@ -423,7 +579,7 @@ class TestConstantsAreChecked:
         monkeypatch.setattr(
             verifier, "Y_NEGATIVE_RUNS", ((5, 330), (338, 352), (365, 368))
         )
-        rep = verifier.check_theorem2(self.LIMIT)
+        rep = verifier.check_theorem2(verifier.partition_y(self.LIMIT))
         _, ref_y = per_n_runs(self.LIMIT)
         assert rep.status == verifier.DISCREPANCY
         assert rep.counterexamples == per_n_y_counterexamples(ref_y)
@@ -444,7 +600,7 @@ class TestConstantsAreChecked:
         ref_x, ref_y = per_n_runs(REFERENCE_TOP)
         for limit in range(1, 601):
             theorem1 = verifier.check_theorem1(limit)
-            theorem2 = verifier.check_theorem2(limit)
+            theorem2 = verifier.check_theorem2(verifier.partition_y(limit))
             assert theorem1.counterexamples == per_n_x_counterexamples(
                 truncated(ref_x, limit)
             )
@@ -454,7 +610,7 @@ class TestConstantsAreChecked:
 
     def test_tail_started_too_early(self, monkeypatch):
         monkeypatch.setattr(verifier, "POSITIVE_TAIL_START", 335)
-        rep = verifier.check_positive_tail(self.LIMIT)
+        rep = verifier.check_positive_tail(verifier.partition_y(self.LIMIT))
         _, ref_y = per_n_runs(self.LIMIT)
         per_n = [
             n for a, b, s in ref_y for n in range(max(a, 335), b + 1) if s != 1
@@ -475,14 +631,14 @@ class TestReach:
 
         monkeypatch.setattr(sequences, "cmp_pow2_vs_pow", counting_cmp)
         t1 = verifier.check_theorem1(10**9)
-        t2 = verifier.check_theorem2(10**9)
+        t2 = verifier.check_theorem2(verifier.partition_y(10**9))
         assert t1.status == t2.status == verifier.CONFIRMED
         assert t1.data["per_n"] == 0
         assert t2.data["per_n"] <= 420
         assert calls == t2.data["per_n"]
 
     def test_negative_x_bound_at_one_billion(self):
-        rep = verifier.check_negative_x_bound(10**9)
+        rep = verifier.check_negative_x_bound(verifier.partition_y(10**9))
         assert rep.status == verifier.CONFIRMED
         assert rep.data["applicable"] == 348
 
@@ -518,7 +674,6 @@ class TestReach:
         # partition_y's fallback decides its few open n with y_sign; with
         # the partition built beforehand, the check itself decides none
         part = verifier.partition_y(10**9)
-        monkeypatch.setattr(verifier, "partition_y", lambda limit: part)
         calls = 0
         y_sign = sequences.y_sign
 
@@ -528,21 +683,22 @@ class TestReach:
             return y_sign(n)
 
         monkeypatch.setattr(sequences, "y_sign", counting_y_sign)
-        rep = verifier.check_sign_criteria(10**9)
+        rep = verifier.check_sign_criteria(part)
         assert rep.status == verifier.CONFIRMED
         assert rep.data["applies_negative"] == 297
         assert rep.data["applies_positive"] == 999999608
         assert calls == 0
 
     def test_reports_carry_block_counts(self):
+        part = verifier.partition_y(5000)
         for rep in (
             verifier.check_theorem1(5000),
-            verifier.check_theorem2(5000),
-            verifier.check_positive_tail(5000),
+            verifier.check_theorem2(part),
+            verifier.check_positive_tail(part),
         ):
             assert rep.data["blocks"] > 0
             assert rep.data["per_n"] >= 0
-        rep = verifier.check_positive_tail(100)
+        rep = verifier.check_positive_tail(verifier.partition_y(100))
         assert rep.data == {"blocks": 0, "per_n": 0}
 
 
@@ -553,8 +709,8 @@ class TestReach:
 
 REFERENCE_CHECKS = (
     (verifier.check_gap, reference_gap),
-    (verifier.check_sign_criteria, reference_sign_criteria),
-    (verifier.check_negative_x_bound, reference_negative_x_bound),
+    (on_y_runs(verifier.check_sign_criteria), reference_sign_criteria),
+    (on_y_runs(verifier.check_negative_x_bound), reference_negative_x_bound),
 )
 
 SPOT_LIMITS = (1, 2, 9, 10, 11, 12, 20, 547, 5000, REFERENCE_TOP)
@@ -652,18 +808,18 @@ class TestRewrittenChecksAgainstPerN:
 
 
 class TestDetailsFollowCounterexamples:
-    def test_zero_run_is_named(self, monkeypatch):
+    def test_zero_run_is_named(self):
         part = verifier.partition_y(1000)
         zeroed = part._replace(
             runs=part.runs[:1] + ((5, 5, 0), (6, 335, -1)) + part.runs[2:]
         )
-        monkeypatch.setattr(verifier, "partition_y", lambda limit: zeroed)
-        rep = verifier.check_theorem2(1000)
+        rep = verifier.check_theorem2(zeroed)
         assert rep.counterexamples == [5]
         assert rep.details.startswith("zero runs [5, 5]; negative runs [6, 335], ")
 
     def test_confirmed_details_keep_their_claims(self):
-        assert "; no contradictions" in verifier.check_sign_criteria(600).details
+        rep = verifier.check_sign_criteria(verifier.partition_y(600))
+        assert "; no contradictions" in rep.details
         rep = verifier.check_range_bounds(600)
         assert "endpoint bounds enclose every y" in rep.details
         assert rep.details.endswith("y strictly decreases whenever m and c both repeat")
@@ -688,25 +844,25 @@ CLAIMS_OF_SUCCESS = (
 
 class TestOneSignSource:
     """The range checks that need the sign of y read it from the runs of
-    verifier.partition_y and compare no powers themselves."""
+    the verifier.partition_y they are given and compare no powers
+    themselves."""
 
-    def test_flipped_run_is_a_discrepancy(self, monkeypatch):
+    def test_flipped_run_is_a_discrepancy(self):
         part = verifier.partition_y(5000)
         a, b, sign = part.runs[-1]  # the positive tail, [369, 5000]
         flipped = part._replace(runs=part.runs[:-1] + ((a, b, -sign),))
-        monkeypatch.setattr(verifier, "partition_y", lambda limit: flipped)
         for check in SIGN_READERS + (verifier.check_positive_tail,):
-            rep = check(5000)
+            rep = check(flipped)
             assert rep.status == verifier.DISCREPANCY, check.__name__
             assert all(a <= n <= b for n in rep.counterexamples)
             # the details follow the counterexamples, not the claim
             assert not any(phrase in rep.details for phrase in CLAIMS_OF_SUCCESS)
-        rep = verifier.check_sign_criteria(5000)
+        rep = verifier.check_sign_criteria(flipped)
         assert rep.details.endswith(f"; {len(rep.counterexamples)} contradictions")
-        rep = verifier.check_positive_tail(5000)
+        rep = verifier.check_positive_tail(flipped)
         assert rep.details == f"y <= 0 at {5000 - 404 + 1} values in [404, 5000]"
 
-    def test_run_boundary_inside_a_link_is_cut_exactly(self, monkeypatch):
+    def test_run_boundary_inside_a_link_is_cut_exactly(self):
         # a negative run [1000, 1010] strictly inside the link [968, 1012]:
         # the checks must cut the link at both run ends, so exactly the n of
         # that run disagree, and the criteria still count every n once
@@ -715,17 +871,16 @@ class TestOneSignSource:
         assert (968, 1012, 10, 44) in sequences.chain_links(900, 1100)
         split = ((369, 999, 1), (1000, 1010, -1), (1011, 5000, 1))
         split_part = part._replace(runs=part.runs[:-1] + split)
-        monkeypatch.setattr(verifier, "partition_y", lambda limit: split_part)
         positive = [
             n
             for n in range(1000, 1011)
             if sequences.c(n) > sequences.r(n) * (sequences.m(n) - 1) + sequences.m(n)
         ]
         assert positive == list(range(1000, 1011))
-        rep = verifier.check_sign_criteria(5000)
+        rep = verifier.check_sign_criteria(split_part)
         assert rep.counterexamples == positive
         assert (rep.data["applies_negative"], rep.data["applies_positive"]) == (297, 4608)
-        rep = analytic.check_sign_consistency(5000)
+        rep = analytic.check_sign_consistency(split_part)
         assert rep.counterexamples == list(range(1000, 1011))
 
     # faulty partitions: all negative on [1, L], and a y <= 0 run that
@@ -736,15 +891,14 @@ class TestOneSignSource:
         [((1, 5, -1),), ((1, 30, -1),), ((1, 600, -1),), ((1, 3000, -1),)]
         + [((1, 394, 1), (395, 3000, -1))],
     )
-    def test_negative_x_bound_cut_on_faulty_runs(self, monkeypatch, runs):
+    def test_negative_x_bound_cut_on_faulty_runs(self, runs):
         limit = runs[-1][1]
         part = verifier.SignPartition(limit, runs)
-        monkeypatch.setattr(verifier, "partition_y", lambda limit: part)
         stepped = [n for a, b, s in runs if s <= 0 for n in range(a, b + 1)]
         expected = [
             n for n in stepped if not sequences.x(n) <= -sequences.r(n) - 3 <= -6
         ]
-        rep = verifier.check_negative_x_bound(limit)
+        rep = verifier.check_negative_x_bound(part)
         assert (rep.data["applicable"], rep.counterexamples) == (len(stepped), expected)
         assert 0 < len(expected) < len(stepped) or limit == 5
 
@@ -761,7 +915,6 @@ class TestOneSignSource:
 
         monkeypatch.setattr(sequences, "chain_links", raised_links)
         part = verifier.SignPartition(600, ((1, 600, -1),))
-        monkeypatch.setattr(verifier, "partition_y", lambda limit: part)
         assert (513, 544, 10, 34) in raised_links(1, 600)
         assert sequences.z_last(11 * 34 - 13) == 543
         expected = [
@@ -770,14 +923,14 @@ class TestOneSignSource:
             for n in range(a, b + 1)
             if not sequences.z(n) - (rr + 1) * mm <= -rr - 3 <= -6
         ]
-        rep = verifier.check_negative_x_bound(600)
+        rep = verifier.check_negative_x_bound(part)
         assert (rep.data["applicable"], rep.counterexamples) == (600, expected)
         assert 543 not in expected and 544 in expected
 
     def test_y_sign_decides_only_the_partition_fallback(self, monkeypatch, capsys):
-        # through the CLI, every lemma check reads partition_y, whose
+        # through the CLI, every lemma check reads one partition_y, whose
         # fallback is the one caller of y_sign: it decides each n of the
-        # links that the certificate leaves open, once per partition_y call
+        # links that the certificate leaves open, once in the run
         limit = 10**6
         open_n = [
             n
@@ -804,9 +957,9 @@ class TestOneSignSource:
         argv = ["verify", "--suite", "lemmas", "--limit", str(limit), "--format", "json"]
         assert cli.main(argv) == 0
         assert '"status": "CONFIRMED"' in capsys.readouterr().out
-        assert parts == 3
-        assert len(decided) == per_n * parts
-        assert decided == open_n * parts
+        assert parts == 1
+        assert len(decided) == per_n
+        assert decided == open_n
 
     def test_checks_read_no_stepper_and_one_function_compares_at_an_n(self):
         # verifier and analytic reach the sequences through the scalar
@@ -838,7 +991,7 @@ class TestOneSignSource:
         monkeypatch.setattr(exactarith, "cmp_pow2_vs_pow", counting_cmp)
         for check in SIGN_READERS:
             calls = 0
-            assert check(limit).status == verifier.CONFIRMED
+            assert check(verifier.partition_y(limit)).status == verifier.CONFIRMED
             assert calls == per_n, check.__name__
 
 
