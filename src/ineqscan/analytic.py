@@ -51,6 +51,7 @@ from .verifier import (
     compare_printed,
     make_report,
     plural,
+    signed_links,
 )
 
 LOG2 = math.log(2.0)
@@ -152,34 +153,11 @@ def F_second(coeffs: FCoeffs, t: float) -> float:
 
 
 # Scales of the integer bounds in positive_beyond: log2 t is bounded to
-# within 1/LOG_SCALE and sqrt(2 t) to within 1/SQRT_SCALE.
-LOG_SCALE = 1 << 12
+# within 1/LOG_SCALE and sqrt(2 t) to within 1/SQRT_SCALE.  2**8 is the
+# coarsest power of two that still proves all four named instances at
+# their first positive grid point (2**7 misses y-upper at 325).
+LOG_SCALE = 1 << 8
 SQRT_SCALE = 1 << 20
-
-# Bits kept in the bounds of _pow_bit_length: at this width its two bounds
-# agreed on every t in [3, 20000] and on 3000 random t < 10**9.
-POWER_BITS = 128
-
-
-def _pow_bit_length(t: int, q: int) -> int:
-    """bitlen(t**q) for t >= 1 and q a power of two, mostly without
-    building t**q.
-
-    Squaring log2(q) times keeps lo * 2**shift <= t**(2**i) <= hi * 2**shift,
-    where lo and hi are cut to POWER_BITS bits after each squaring, lo
-    rounded down and hi up.  When lo and hi have the same bit length,
-    t**q has it too, plus shift; otherwise t**q is built and measured.
-    """
-    lo = hi = t
-    shift = 0
-    for _ in range(q.bit_length() - 1):
-        lo, hi, shift = lo * lo, hi * hi, 2 * shift
-        cut = hi.bit_length() - POWER_BITS
-        if cut > 0:
-            lo, hi, shift = lo >> cut, -(-hi >> cut), shift + cut
-    if lo.bit_length() == hi.bit_length():
-        return lo.bit_length() + shift
-    return (t**q).bit_length()
 
 
 def positive_beyond(coeffs: FCoeffs, t: int) -> bool:
@@ -207,7 +185,7 @@ def positive_beyond(coeffs: FCoeffs, t: int) -> bool:
     if t <= 2 or b < 0 or c < 0 or (t << b) < 9**c:
         return False
     q, k = LOG_SCALE, SQRT_SCALE
-    p = _pow_bit_length(t, q) - 1
+    p = (t**q).bit_length() - 1
     r = math.isqrt(2 * t * k * k)
     value = 2 * t * q * k + 3 * a * q * k + 3 * c * p * k - 3 * (b * q + p + 1) * (r + 1)
     slope = 2 * r * q - 3 * k * ((b + 3) * q + p + 1)
@@ -400,9 +378,8 @@ def check_sign_consistency(part: SignPartition) -> VerificationReport:
     """sign(Y_real(n)) agrees with the exact sign of y(n) on
     [1, part.limit].
 
-    Walked run by run: for each run (a, b, sign) of part, y's
-    verifier.partition_y, the chain links clipped to [a, b], so that the
-    sign and m are fixed on each piece.  With s = sqrt(2n) and m <= s,
+    Walked piece by piece of verifier.signed_links(part), on which the
+    sign and m are fixed.  With s = sqrt(2n) and m <= s,
     Y(n + 3) - Y(n) = 2 - (m - 1) log2(1 + 3/n) is at least
     2 - 3(s - 1)/(n ln 2).  That bound is positive from n = 4 on (1.98 is
     subtracted at n = 4) and decreases after, and the links that start
@@ -425,14 +402,13 @@ def check_sign_consistency(part: SignPartition) -> VerificationReport:
     counterexamples = []
     best = (math.inf, None)
     limit = part.limit
-    for a, b, sign in part.runs:
-        for lo, hi, _, mm in sequences.chain_links(a, b):
-            piece = range(lo, hi + 1)
-            ys = [(_Y(n, mm), n) for n in (piece[:3] if sign > 0 else piece[-3:])]
-            if not all(sign * y > 1e-6 for y, _ in ys):
-                ys = [(_Y(n, mm), n) for n in piece]
-            counterexamples.extend(n for y, n in ys if not sign * y > 1e-6)
-            best = min((best, *((abs(y), n) for y, n in ys if n >= 5)))
+    for lo, hi, _, mm, sign in signed_links(part):
+        piece = range(lo, hi + 1)
+        ys = [(_Y(n, mm), n) for n in (piece[:3] if sign > 0 else piece[-3:])]
+        if not all(sign * y > 1e-6 for y, _ in ys):
+            ys = [(_Y(n, mm), n) for n in piece]
+        counterexamples.extend(n for y, n in ys if not sign * y > 1e-6)
+        best = min((best, *((abs(y), n) for y, n in ys if n >= 5)))
     min_abs, min_abs_at = best
     if counterexamples:
         details = (

@@ -88,8 +88,6 @@ SUITES = {
         ),
     ),
 }
-# The suites --limit takes up to 10**12: those with a range and no cap.
-_UNCAPPED = "|".join(k for k, v in SUITES.items() if v.default and not v.cap)
 
 
 # Text tables keep every row before they print any (about 0.7 GB at this
@@ -328,7 +326,7 @@ def cmd_verify(args):
         if cap is not None and args.limit > cap:
             raise ValueError(
                 f"suite {args.suite!r} takes --limit <= {cap}: {reason}; "
-                f"--suite {_UNCAPPED} reach 10**12"
+                "--suite theorem1|theorem2 take any --limit, --suite lemmas up to 10**12"
             )
         if all(p.default is None for p in parts):
             print(
@@ -336,15 +334,8 @@ def cmd_verify(args):
                 "fixed range; --limit is ignored",
                 file=sys.stderr,
             )
-    built = {}
-
-    def y_runs(limit):
-        """y's sign partition on [1, limit], built once in this run, through
-        the module, so that a wrapper set on verifier.partition_y sees it."""
-        if limit not in built:
-            built[limit] = verifier.partition_y(limit)
-        return built[limit]
-
+    # Looked up through the module, so a wrapper there sees each build.
+    y_runs = functools.cache(lambda limit: verifier.partition_y(limit))
     reports = [rep for p in parts for rep in p.run(args.limit or p.default, args.tol, y_runs)]
     return _emit_reports(reports, args)
 

@@ -28,10 +28,11 @@ comes from sequences.z_last, c_last and m_block.
 Both partitions walk chain links only up to BAND_BASE = 2112; past it an
 integer induction over m-blocks, the band, makes x and y positive at
 every n, and theorem1 and theorem2 carry it as data.certificate.  The
-checks that read y's sign runs (check_theorem2, check_sign_criteria,
-check_negative_x_bound, check_positive_tail and
+checks that read y's sign runs (check_theorem2, check_positive_tail,
+check_sign_criteria, check_negative_x_bound and
 analytic.check_sign_consistency) take partition_y's SignPartition as
-their argument, so a caller builds it once for all of them.
+their argument, so a caller builds it once for all of them; the last
+three walk its runs link by link through signed_links alone.
 """
 
 import json
@@ -251,6 +252,18 @@ def partition_y(limit: int) -> SignPartition:
     blocks += sequences.link_count(limit) - sequences.link_count(top)
     _append_run(runs, top + 1, limit, 1)
     return SignPartition(limit, tuple(map(tuple, runs)), blocks=blocks, per_n=per_n)
+
+
+def signed_links(part: SignPartition, signs=(-1, 0, 1)):
+    """The pieces (lo, hi, r, m, sign) of part, y's partition_y: each run
+    (a, b, sign) with sign in signs, and only those, cut by
+    chain_links(a, b).  r and m are functions of n, so a clipped link
+    keeps its link's r, m and cut points (z_last, c_last), and on it the
+    sign of y is fixed as well."""
+    for a, b, sign in part.runs:
+        if sign in signs:
+            for lo, hi, rr, mm in sequences.chain_links(a, b):
+                yield lo, hi, rr, mm, sign
 
 
 # ---------------------------------------------------------------------------
@@ -669,29 +682,26 @@ def check_sign_criteria(part: SignPartition) -> VerificationReport:
     """The two threshold criteria on c: with s = r(n) and t = m(n),
     c <= s(t-1) + 1 forces y < 0 and c > s(t-1) + t forces y > 0.
 
-    Checked on [1, part.limit], walked run by run: for each run
-    (a, b, sign) of part, y's partition_y, the chain links clipped to
-    [a, b].  r and m are functions of n, so a clipped link keeps its
-    link's threshold T = r*(m-1), and c does not decrease: the negative
-    criterion holds exactly up to c_last(T + 1) and the positive one
-    exactly past c_last(T + m).  Each piece where a criterion holds
-    against the run's sign is a list of counterexamples.  No n is
-    visited one at a time: O(links)."""
+    Checked on [1, part.limit], piece by piece of signed_links(part).
+    On a piece the threshold T = r*(m-1) is fixed and c does not
+    decrease: the negative criterion holds exactly up to c_last(T + 1)
+    and the positive one exactly past c_last(T + m).  Each piece where a
+    criterion holds against the run's sign is a list of counterexamples.
+    No n is visited one at a time: O(links)."""
     counterexamples = []
     applies_negative = applies_positive = 0
-    for a, b, sign in part.runs:
-        for lo, hi, rr, mm in sequences.chain_links(a, b):
-            threshold = rr * (mm - 1)
-            neg_end = min(hi, sequences.c_last(threshold + 1))
-            if lo <= neg_end:
-                applies_negative += neg_end - lo + 1
-                if sign != -1:
-                    counterexamples.extend(range(lo, neg_end + 1))
-            pos_start = max(lo, sequences.c_last(threshold + mm) + 1)
-            if pos_start <= hi:
-                applies_positive += hi - pos_start + 1
-                if sign != 1:
-                    counterexamples.extend(range(pos_start, hi + 1))
+    for lo, hi, rr, mm, sign in signed_links(part):
+        threshold = rr * (mm - 1)
+        neg_end = min(hi, sequences.c_last(threshold + 1))
+        if lo <= neg_end:
+            applies_negative += neg_end - lo + 1
+            if sign != -1:
+                counterexamples.extend(range(lo, neg_end + 1))
+        pos_start = max(lo, sequences.c_last(threshold + mm) + 1)
+        if pos_start <= hi:
+            applies_positive += hi - pos_start + 1
+            if sign != 1:
+                counterexamples.extend(range(pos_start, hi + 1))
     verdict = "no contradictions"
     if counterexamples:
         verdict = plural(len(counterexamples), "contradiction")
@@ -716,22 +726,18 @@ def check_negative_x_bound(part: SignPartition) -> VerificationReport:
     """Wherever y(n) <= 0, x(n) is at most -r(n) - 3, which is itself
     at most -6.  Vacuous below n = 5 where y is positive.
 
-    Checked on [1, part.limit], walked run by run, as
-    check_sign_criteria is: for each run of part, y's partition_y, with
-    y <= 0, the chain links clipped to it.  On a link x = z - K with
-    K = (r+1)*m, so x <= -r - 3 holds exactly up to z_last(K - r - 3),
-    and -r - 3 <= -6 exactly when r >= 3.  Every n of a piece is
-    applicable and the rest of it past that prefix is counterexamples.
-    No n is visited one at a time: O(links)."""
+    Checked on [1, part.limit], piece by piece of
+    signed_links(part, (-1, 0)), so the positive runs are never walked.
+    On a piece x = z - K with K = (r+1)*m, so x <= -r - 3 holds exactly
+    up to z_last(K - r - 3), and -r - 3 <= -6 exactly when r >= 3.
+    Every n of a piece is applicable and the rest of it past that prefix
+    is counterexamples.  No n is visited one at a time: O(links)."""
     counterexamples = []
     applicable = 0
-    for a, b, sign in part.runs:
-        if sign > 0:
-            continue
-        for lo, hi, rr, mm in sequences.chain_links(a, b):
-            applicable += hi - lo + 1
-            holds_to = sequences.z_last((rr + 1) * mm - rr - 3) if rr >= 3 else 0
-            counterexamples.extend(range(max(lo, holds_to + 1), hi + 1))
+    for lo, hi, rr, mm, _ in signed_links(part, (-1, 0)):
+        applicable += hi - lo + 1
+        holds_to = sequences.z_last((rr + 1) * mm - rr - 3) if rr >= 3 else 0
+        counterexamples.extend(range(max(lo, holds_to + 1), hi + 1))
     details = f"bound checked at {applicable} values with y <= 0"
     return make_report(
         "lemmas/negative-x-bound",

@@ -263,6 +263,22 @@ MUTANTS = [
         f"{T_VER}::TestOneSignSource::test_negative_x_bound_cut_on_faulty_runs",
     ),
     (
+        "signed_links: the sign filter drops the first sign asked for",
+        VER,
+        "if sign in signs:",
+        "if sign in signs[1:]:",
+        f"{T_VER}::TestReach::test_negative_x_bound_at_one_billion",
+    ),
+    (
+        # not run against check_negative_x_bound at 10**9: it would list
+        # every n of the positive tail, about 10**9 ints, as counterexamples
+        "signed_links: no sign filter",
+        VER,
+        "if sign in signs:",
+        "if True:",
+        f"{T_VER}::TestSignedLinks::test_negative_runs_walk_no_link_past_368",
+    ),
+    (
         "check_positive_tail: tail read from one past its start",
         VER,
         "_mismatches(part.runs, [(start, limit, 1)])",
@@ -294,18 +310,17 @@ MUTANTS = [
     (
         "positive_beyond: bitlen(t**Q) for bitlen(t**Q) - 1",
         ANA,
-        "p = _pow_bit_length(t, q) - 1",
-        "p = _pow_bit_length(t, q)",
+        "p = (t**q).bit_length() - 1",
+        "p = (t**q).bit_length()",
         f"{T_ANA}::TestPositiveBeyond",
     ),
     (
-        # equivalent on every t below about 2**130: only a power just
-        # above a power of two tells the two roundings apart
-        "_pow_bit_length: the upper bound rounded down",
+        # the bounds then miss y-upper's first positive grid point, 325
+        "LOG_SCALE: 2**7 for 2**8",
         ANA,
-        "lo >> cut, -(-hi >> cut), shift + cut",
-        "lo >> cut, hi >> cut, shift + cut",
-        f"{T_ANA}::TestPositiveBeyond::test_pow_bit_length_just_above_a_power_of_two",
+        "LOG_SCALE = 1 << 8",
+        "LOG_SCALE = 1 << 7",
+        f"{T_ANA}::TestPositiveBeyond::test_named_instances_against_the_exact_reference",
     ),
     (
         "positive_beyond: r for r + 1 in the sqrt upper bound",

@@ -531,8 +531,8 @@ class TestVerify:
                 "error: suite 'all' takes --limit <= 10000000: its float envelope scan "
                 "compares margins that shrink toward float error as n grows (about 1e-3 "
                 "at 2**29 + 1, and a float 0.0 for a true 6e-6 at 2**45 + 1), so the cap "
-                "waits for an error budget; --suite theorem1|theorem2|lemmas reach "
-                "10**12\n",
+                "waits for an error budget; --suite theorem1|theorem2 take any --limit, "
+                "--suite lemmas up to 10**12\n",
             ),
         ],
     )
@@ -546,7 +546,7 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert out == ""
         assert "10000000" in err and "float envelope scan" in err
-        assert "--suite theorem1|theorem2|lemmas" in err
+        assert "--suite theorem1|theorem2 take any --limit" in err
 
     def test_lemmas_at_one_billion(self, capsys):
         argv = ["verify", "--suite", "lemmas", "--limit", "1000000000", "--format", "json"]

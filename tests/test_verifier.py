@@ -842,6 +842,17 @@ CLAIMS_OF_SUCCESS = (
 )
 
 
+# Faulty y runs: all negative on [1, L], and a y <= 0 run that starts
+# inside the link [392, 420], before its cut at 403.
+FAULTY_Y_RUNS = [
+    ((1, 5, -1),),
+    ((1, 30, -1),),
+    ((1, 600, -1),),
+    ((1, 3000, -1),),
+    ((1, 394, 1), (395, 3000, -1)),
+]
+
+
 class TestOneSignSource:
     """The range checks that need the sign of y read it from the runs of
     the verifier.partition_y they are given and compare no powers
@@ -883,14 +894,9 @@ class TestOneSignSource:
         rep = analytic.check_sign_consistency(split_part)
         assert rep.counterexamples == list(range(1000, 1011))
 
-    # faulty partitions: all negative on [1, L], and a y <= 0 run that
-    # starts inside the link [392, 420], before its cut at 403.  On the
-    # true runs x <= -r - 3 holds at every n, so no cut is tested there
-    @pytest.mark.parametrize(
-        "runs",
-        [((1, 5, -1),), ((1, 30, -1),), ((1, 600, -1),), ((1, 3000, -1),)]
-        + [((1, 394, 1), (395, 3000, -1))],
-    )
+    # On the true runs x <= -r - 3 holds at every n, so no cut is tested
+    # there; FAULTY_Y_RUNS reach the cuts
+    @pytest.mark.parametrize("runs", FAULTY_Y_RUNS)
     def test_negative_x_bound_cut_on_faulty_runs(self, runs):
         limit = runs[-1][1]
         part = verifier.SignPartition(limit, runs)
@@ -993,6 +999,50 @@ class TestOneSignSource:
             calls = 0
             assert check(verifier.partition_y(limit)).status == verifier.CONFIRMED
             assert calls == per_n, check.__name__
+
+
+class TestSignedLinks:
+    """signed_links is the one walk of y's runs link by link; the
+    reference is the nested loop each sign check wrote for itself."""
+
+    @staticmethod
+    def nested_loop(part, skip_positive):
+        pieces = []
+        for a, b, sign in part.runs:
+            if skip_positive and sign > 0:
+                continue
+            for lo, hi, rr, mm in sequences.chain_links(a, b):
+                pieces.append((lo, hi, rr, mm, sign))
+        return pieces
+
+    @pytest.mark.parametrize(
+        "part",
+        [verifier.partition_y(limit) for limit in (1, 4, 5, 404, 600, 2112, 2113, 5000, 10**5)]
+        + [verifier.SignPartition(runs[-1][1], runs) for runs in FAULTY_Y_RUNS],
+        ids=lambda part: f"{part.limit}-{len(part.runs)}runs",
+    )
+    def test_pieces_match_the_nested_loop(self, part):
+        pieces = list(verifier.signed_links(part))
+        assert pieces == self.nested_loop(part, False)
+        assert list(verifier.signed_links(part, (-1, 0))) == self.nested_loop(part, True)
+        # the pieces tile [1, limit]
+        assert [lo for lo, *_ in pieces] == [1] + [hi + 1 for _, hi, *_ in pieces[:-1]]
+        assert pieces[-1][1] == part.limit
+
+    def test_negative_runs_walk_no_link_past_368(self, monkeypatch):
+        part = verifier.partition_y(10**9)
+        walks = []
+        chain_links = sequences.chain_links
+
+        def recording_links(lo, hi):
+            walks.append((lo, hi))
+            return chain_links(lo, hi)
+
+        monkeypatch.setattr(sequences, "chain_links", recording_links)
+        pieces = list(verifier.signed_links(part, (-1, 0)))
+        assert walks == [(a, b) for a, b, sign in part.runs if sign <= 0]
+        assert max(hi for _, hi in walks) == 368
+        assert sum(hi - lo + 1 for lo, hi, *_ in pieces) == 348
 
 
 class TestRegistry:
