@@ -326,7 +326,7 @@ def cmd_verify(args):
         if cap is not None and args.limit > cap:
             raise ValueError(
                 f"suite {args.suite!r} takes --limit <= {cap}: {reason}; "
-                "--suite theorem1|theorem2 take any --limit, --suite lemmas up to 10**12"
+                "--suite theorem1|theorem2|lemmas take any --limit"
             )
         if all(p.default is None for p in parts):
             print(

@@ -28,8 +28,8 @@ certifies y > 0 on a whole link from one bit-length comparison, and
 verifier.partition_y, the source of y's sign for every range check,
 calls y_sign for each n of the links it leaves open, all of them below
 n = 421.  bound_signs gives the exact signs of y's two endpoint bounds
-on a constant-m block, which is all verifier.check_range_bounds needs;
-no other module compares the two terms of y.
+on a constant-m block, all that verifier.check_range_bounds needs on
+the 64 blocks to n = 2112; no other module compares the two terms of y.
 
 scan_pieces, the stepper, serves seq.  It cuts each link into pieces
 of at most PIECE rows and yields one per piece, in SequenceRow order,

@@ -25,11 +25,11 @@ the reference table from sequences.y_value.  It solves for no cut: each
 n where z or c crosses a threshold on a link, and each constant-m block,
 comes from sequences.z_last, c_last and m_block.
 
-Both partitions walk chain links only up to BAND_BASE = 2112; past it an
-integer induction over m-blocks, the band, makes x and y positive at
-every n, and theorem1 and theorem2 carry it as data.certificate.  The
-checks that read y's sign runs (check_theorem2, check_positive_tail,
-check_sign_criteria, check_negative_x_bound and
+Both partitions, check_gap, check_range_bounds and check_sign_criteria
+walk [1, BAND_BASE = 2112] only; past it an integer induction over
+m-blocks, the band, settles each, and theorem1 and theorem2 carry it as
+data.certificate.  The checks that read y's sign runs (check_theorem2,
+check_positive_tail, check_sign_criteria, check_negative_x_bound and
 analytic.check_sign_consistency) take partition_y's SignPartition as
 their argument, so a caller builds it once for all of them; the last
 three walk its runs link by link through signed_links alone.
@@ -159,13 +159,14 @@ def _append_run(runs: list, a: int, b: int, sign: int) -> None:
 # The m-band.  Take an m-block [a, b] = sequences.m_block(m) and let
 # k = bitlen(m); then bitlen(b) and bitlen(b - 1) are at most 2k, and
 # c(a) >= m**2/3 + 8/3 and z(a) >= (m**2 - 3)/3.  So m >= 6k + 3 gives
-# c(a) - m >= 2k(m - 1) >= bitlen(b)(m - 1), which is positive_link on
-# the whole block and on every link clipped from it, and m >= 6k + 4
-# gives z(a) > (2k + 1)m >= (r(b) + 1)m, so x > 0 on the block.  Both
-# hold for every m >= 2**(BAND_K0 - 1): 2**(k - 1) >= 6k + j at k = BAND_K0
-# is the base case, and 2**k >= 12k + 2j >= 6(k + 1) + j the step.  So
-# past BAND_BASE, the end of that m's block, x and y are positive at
-# every n, and a partition walks links only up to BAND_BASE.
+# c(a) - m - 2k(m - 1) >= (m + 5)/3 > 0: the gap c - m exceeds 2k(m - 1)
+# >= bitlen(b)(m - 1), which is positive_link on the block and on every
+# link or block clipped from it, and c > r(m - 1) + m, the positive sign
+# criterion.  m >= 6k + 4 gives z(a) > (2k + 1)m >= (r(b) + 1)m, so x > 0
+# on the block.  Both hold for every m >= 2**(BAND_K0 - 1): 2**(k - 1) >=
+# 6k + j at k = BAND_K0 is the base case, and 2**k >= 12k + 2j >=
+# 6(k + 1) + j the step.  So past BAND_BASE, the end of that m's block,
+# x and y are positive at every n.
 BAND_K0 = 7
 BAND_BASE = sequences.m_block(1 << (BAND_K0 - 1))[1]
 # For x and for y: j of the block predicate m >= 6k + j, and what it gives.
@@ -593,31 +594,23 @@ def check_gap(limit: int) -> VerificationReport:
     """The gap c(n) - m(n) is at least 2 with equality only at n = 2,
     and at least 5 for every n >= 10.
 
-    Walked one chain link at a time.  On a link m is constant and c does
-    not decrease, so the gap is least at the link's first n, ties it up
-    to c_last(c(lo)), is below 5 up to c_last(m + 4) and at most 2 up to
-    c_last(m + 2); at n = 2 it is its link's first, as c(1) = c(2).  Only
-    a link whose first gap is below 5 is cut.  No n is stepped: O(links).
-    """
+    Read at each n to BAND_BASE, m from its chain link.  Past it the band
+    puts every gap above 2k(m - 1) >= 882, which changes nothing."""
     sequences.require_positive(limit, "limit")
-    counterexamples = []
+    top = BAND_BASE if band_certificate("y", limit) else limit
+    counterexamples, min_gap_at = [], []
     min_gap = min_gap_from_10 = None
-    min_gap_at = []
-    for lo, hi, _, mm in sequences.chain_links(1, limit):
-        first = sequences.c(lo) - mm
-        if min_gap is None or first < min_gap:
-            min_gap, min_gap_at = first, []
-        if first == min_gap:
-            min_gap_at.extend(range(lo, min(hi, sequences.c_last(first + mm)) + 1))
-        if lo >= 10:
-            min_gap_from_10 = min(min_gap_from_10, first)
-        elif hi >= 10:  # the link that holds n = 10 comes before those past it
-            min_gap_from_10 = sequences.c(10) - mm
-        if first < 5:
-            below_5 = range(max(lo, 10), min(hi, sequences.c_last(mm + 4)) + 1)
-            at_most_2 = range(lo, min(hi, sequences.c_last(mm + 2)) + 1)
-            faults = [*below_5, *(n for n in at_most_2 if n != 2 or first < 2)]
-            counterexamples += sorted(faults)
+    for lo, hi, _, mm in sequences.chain_links(1, top):
+        for n in range(lo, hi + 1):
+            gap = sequences.c(n) - mm
+            if min_gap is None or gap < min_gap:
+                min_gap, min_gap_at = gap, []
+            if gap == min_gap:
+                min_gap_at.append(n)
+            if n >= 10:
+                min_gap_from_10 = gap if n == 10 else min(min_gap_from_10, gap)
+            if gap < 2 or (gap == 2 and n != 2) or (gap < 5 and n >= 10):
+                counterexamples.append(n)
     details = (
         f"min gap {min_gap} attained exactly at {min_gap_at}; "
         f"min gap over n >= 10 is {min_gap_from_10}"
@@ -648,17 +641,19 @@ def check_range_bounds(limit: int) -> VerificationReport:
     block negative, low > 0 decides it positive, and y strictly decreases
     wherever c repeats.  m = 1 only at n = 1, a block of one point: there
     a = b, both bounds equal y(1), and there is no step to decrease
-    across.  No block can hold a counterexample, so each is settled by
-    sequences.bound_signs, the signs of high and low alone, and no y is
-    evaluated.  The cost is one pair of comparisons per block."""
+    across.  No block can hold a counterexample, so each block to
+    BAND_BASE, m = 1 to 64, is settled by sequences.bound_signs, the signs
+    of high and low alone, and each one past it positive by the band."""
     sequences.require_positive(limit, "limit")
-    blocks = sequences.m(limit)
+    top = BAND_BASE if band_certificate("y", limit) else limit
+    blocks, walked = sequences.m(limit), sequences.m(top)
     decided_negative = decided_positive = 0
-    for mm in range(1, blocks + 1):
+    for mm in range(1, walked + 1):
         a, b = sequences.m_block(mm)
         high, low = sequences.bound_signs(a, min(b, limit), mm)
         decided_negative += high < 0
         decided_positive += low > 0
+    decided_positive += blocks - walked  # low > 0 on each block of the band
     details = (
         f"{blocks} constant-m blocks; endpoint bounds enclose every y; "
         f"{decided_negative} blocks decided negative and "
@@ -682,15 +677,18 @@ def check_sign_criteria(part: SignPartition) -> VerificationReport:
     """The two threshold criteria on c: with s = r(n) and t = m(n),
     c <= s(t-1) + 1 forces y < 0 and c > s(t-1) + t forces y > 0.
 
-    Checked on [1, part.limit], piece by piece of signed_links(part).
-    On a piece the threshold T = r*(m-1) is fixed and c does not
-    decrease: the negative criterion holds exactly up to c_last(T + 1)
-    and the positive one exactly past c_last(T + m).  Each piece where a
-    criterion holds against the run's sign is a list of counterexamples.
-    No n is visited one at a time: O(links)."""
+    Checked piece by piece of signed_links(part), to BAND_BASE at most, a
+    link's end.  On a piece T = r*(m-1) is fixed and c does not decrease:
+    the negative criterion holds exactly up to c_last(T + 1) and the
+    positive one exactly past c_last(T + m).  A piece where a criterion
+    holds against its run's sign is a list of counterexamples.  Past
+    BAND_BASE the band gives both y > 0 and the positive criterion."""
+    top = BAND_BASE if band_certificate("y", part.limit) else part.limit
     counterexamples = []
     applies_negative = applies_positive = 0
     for lo, hi, rr, mm, sign in signed_links(part):
+        if lo > top:
+            break
         threshold = rr * (mm - 1)
         neg_end = min(hi, sequences.c_last(threshold + 1))
         if lo <= neg_end:
@@ -702,6 +700,7 @@ def check_sign_criteria(part: SignPartition) -> VerificationReport:
             applies_positive += hi - pos_start + 1
             if sign != 1:
                 counterexamples.extend(range(pos_start, hi + 1))
+    applies_positive += part.limit - top
     verdict = "no contradictions"
     if counterexamples:
         verdict = plural(len(counterexamples), "contradiction")

@@ -467,30 +467,66 @@ MUTANTS = [
     (
         "check_gap: a gap of 5 from n = 10 counted as below 5",
         VER,
-        "min(hi, sequences.c_last(mm + 4))",
-        "min(hi, sequences.c_last(mm + 5))",
+        "(gap < 5 and n >= 10)",
+        "(gap <= 5 and n >= 10)",
         f"{T_VER}::TestRewrittenChecksAgainstPerN::test_gap_counterexamples_on_raised_links",
     ),
     (
-        "check_gap: the below-5 cut read from n = 9",
+        "check_gap: the below-5 claim read from n = 9",
         VER,
-        "range(max(lo, 10),",
-        "range(max(lo, 9),",
+        "(gap < 5 and n >= 10)",
+        "(gap < 5 and n >= 9)",
         f"{T_VER}::TestRewrittenChecksAgainstPerN::test_gap_counterexamples_on_raised_links",
     ),
     (
         "check_gap: n = 2 excused at a gap below 2",
         VER,
-        "if n != 2 or first < 2",
-        "if n != 2",
+        "gap < 2 or (gap == 2 and n != 2)",
+        "(gap <= 2 and n != 2)",
         f"{T_VER}::TestRewrittenChecksAgainstPerN::test_gap_counterexamples_on_raised_links",
     ),
     (
-        "check_gap: the ties of the least gap run one n long",
+        "check_gap: a gap one above the least counted as a tie",
         VER,
-        "min(hi, sequences.c_last(first + mm)) + 1",
-        "min(hi, sequences.c_last(first + mm)) + 2",
+        "if gap == min_gap:",
+        "if gap <= min_gap + 1:",
         f"{T_VER}::TestRewrittenChecksAgainstPerN::test_gap_counterexamples_on_raised_links",
+    ),
+    (
+        "check_gap: the band taken without band_certificate",
+        VER,
+        'top = BAND_BASE if band_certificate("y", limit) else limit\n    counterexamples',
+        "top = min(limit, BAND_BASE)\n    counterexamples",
+        f"{T_VER}::TestBand::test_base_case_is_checked_at_run_time",
+    ),
+    (
+        "check_range_bounds: the band's blocks counted one too many",
+        VER,
+        "decided_positive += blocks - walked",
+        "decided_positive += blocks - walked + 1",
+        f"{T_VER}::TestRewrittenChecksAgainstPerN::test_lemmas_across_the_band",
+    ),
+    (
+        "check_range_bounds: the band taken without band_certificate",
+        VER,
+        'top = BAND_BASE if band_certificate("y", limit) else limit\n    blocks',
+        "top = min(limit, BAND_BASE)\n    blocks",
+        f"{T_VER}::TestBand::test_base_case_is_checked_at_run_time",
+    ),
+    (
+        # the walk still ends at BAND_BASE, the end of its link
+        "check_sign_criteria: L - 2111 for L - 2112 past the band",
+        VER,
+        'top = BAND_BASE if band_certificate("y", part.limit) else part.limit',
+        'top = BAND_BASE - 1 if band_certificate("y", part.limit) else part.limit',
+        f"{T_VER}::TestRewrittenChecksAgainstPerN::test_lemmas_across_the_band",
+    ),
+    (
+        "check_sign_criteria: the band taken without band_certificate",
+        VER,
+        'top = BAND_BASE if band_certificate("y", part.limit) else part.limit',
+        "top = min(part.limit, BAND_BASE)",
+        f"{T_VER}::TestBand::test_base_case_is_checked_at_run_time",
     ),
     (
         "erratum_for: the computed value ignored",

@@ -531,8 +531,8 @@ class TestVerify:
                 "error: suite 'all' takes --limit <= 10000000: its float envelope scan "
                 "compares margins that shrink toward float error as n grows (about 1e-3 "
                 "at 2**29 + 1, and a float 0.0 for a true 6e-6 at 2**45 + 1), so the cap "
-                "waits for an error budget; --suite theorem1|theorem2 take any --limit, "
-                "--suite lemmas up to 10**12\n",
+                "waits for an error budget; --suite theorem1|theorem2|lemmas take any "
+                "--limit\n",
             ),
         ],
     )
@@ -546,7 +546,7 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert out == ""
         assert "10000000" in err and "float envelope scan" in err
-        assert "--suite theorem1|theorem2 take any --limit" in err
+        assert "--suite theorem1|theorem2|lemmas take any --limit" in err
 
     def test_lemmas_at_one_billion(self, capsys):
         argv = ["verify", "--suite", "lemmas", "--limit", "1000000000", "--format", "json"]
@@ -556,6 +556,14 @@ class TestVerify:
         for rep in reports:
             assert rep["status"] == "CONFIRMED", rep["claim_id"]
             assert rep["range"][1] == 10**9
+
+    def test_lemmas_at_a_googol(self, capsys):
+        # past n = 2112 the band settles every lemma, so any limit is cheap
+        argv = ["verify", "--suite", "lemmas", "--limit", str(10**100), "--format", "json"]
+        assert cli.main(argv) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert [rep["status"] for rep in reports] == ["CONFIRMED"] * 5
+        assert {rep["range"][1] for rep in reports} == {10**100}
 
     def test_analytic_suite_capped(self, capsys):
         argv = ["verify", "--suite", "analytic", "--limit", str(10**7 + 1)]

@@ -314,11 +314,15 @@ class TestLemmaChecks:
 
     def test_zero_bound_decides_no_block(self, monkeypatch):
         # a bound equal to 0 leaves room for y = 0, so it fixes no sign;
-        # low is 0 on the block [2, 4], no high up to 10**9 is
+        # low is 0 on the block [2, 4], no high up to 10**9 is.  Only the
+        # blocks m = 1 to 64, to BAND_BASE, read their bounds: the band
+        # decides the 36 blocks past it positive
         assert sequences.bound_signs(2, 4, 2) == (1, 0)
         monkeypatch.setattr(sequences, "bound_signs", lambda a, b, mm: (0, 0))
+        rep = verifier.check_range_bounds(verifier.BAND_BASE)
+        assert rep.data == {"blocks": 64, "decided_negative": 0, "decided_positive": 0}
         rep = verifier.check_range_bounds(5000)
-        assert rep.data == {"blocks": 100, "decided_negative": 0, "decided_positive": 0}
+        assert rep.data == {"blocks": 100, "decided_negative": 0, "decided_positive": 36}
 
     def test_sign_criteria(self):
         rep = verifier.check_sign_criteria(verifier.partition_y(5000))
@@ -470,11 +474,20 @@ class TestBand:
 
     def test_base_case_is_checked_at_run_time(self, monkeypatch):
         # 2**5 = 32 < 6*6 + 3: the induction has no base at k0 = 6
+        part = verifier.partition_y(BASE)
         monkeypatch.setattr(verifier, "BAND_K0", 6)
         for seq in ("x", "y"):
             with pytest.raises(ArithmeticError, match="base case"):
                 verifier.band_certificate(seq, BASE)
         assert verifier.band_certificate("x", BASE - 1) is None
+        # each check that reads the band asks for it, and so checks the base
+        for check, arg in [
+            (verifier.check_gap, BASE),
+            (verifier.check_range_bounds, BASE),
+            (verifier.check_sign_criteria, part),
+        ]:
+            with pytest.raises(ArithmeticError, match="base case"):
+                check(arg)
 
     def test_whole_blocks_below_and_in_the_band(self):
         # the whole-block tests fail last at m = 28 for y ([392, 420]) and
@@ -493,6 +506,10 @@ class TestBand:
             if mm >= 64:
                 assert mm >= 6 * k + 4 and sequences.c(a) - mm >= 2 * k * (mm - 1), mm
                 assert sequences.z(a) > (2 * k + 1) * mm, mm
+                # the strict form the lemma checks read, and what it gives:
+                # the positive sign criterion on the whole block
+                assert 3 * (sequences.c(a) - mm - 2 * k * (mm - 1)) >= mm + 5, mm
+                assert sequences.c(a) > sequences.r(b) * (mm - 1) + mm, mm
         assert y_fails[-1] == 28 and x_fails[-1] == 33
 
     def test_no_link_is_walked_past_the_base(self, monkeypatch):
@@ -508,6 +525,52 @@ class TestBand:
         for partition, tail_start in tails.items():
             assert partition(10**100).runs[-1] == (tail_start, 10**100, 1)
         assert walks == [(1, BASE), (1, BASE)]
+
+    def test_no_lemma_check_walks_past_the_base(self, monkeypatch):
+        # the three lemma checks read y's band past BAND_BASE: their
+        # reports at 10**100 are those at BAND_BASE but for the range and
+        # the band's counts, and they read no link or block past it but the
+        # one link at BASE + 1 that ends the sign-criteria walk
+        top = 10**100
+        part, base_part = verifier.partition_y(top), verifier.partition_y(BASE)
+        base = [
+            verifier.check_gap(BASE),
+            verifier.check_range_bounds(BASE),
+            verifier.check_sign_criteria(base_part),
+        ]
+        links, blocks = [], []
+        chain_links, m_block = sequences.chain_links, sequences.m_block
+
+        def recording_links(lo, hi):
+            for link in chain_links(lo, hi):
+                links.append(link)
+                yield link
+
+        def recording_block(mm):
+            blocks.append(mm)
+            return m_block(mm)
+
+        monkeypatch.setattr(sequences, "chain_links", recording_links)
+        monkeypatch.setattr(sequences, "m_block", recording_block)
+        reps = [
+            verifier.check_gap(top),
+            verifier.check_range_bounds(top),
+            verifier.check_sign_criteria(part),
+        ]
+        assert [lo for lo, *_ in links if lo > BASE] == [BASE + 1]
+        assert max(blocks) == 64
+        past = {
+            "blocks": sequences.m(top) - 64,
+            "decided_positive": sequences.m(top) - 64,
+            "applies_positive": top - BASE,
+        }
+        for rep, at_base in zip(reps, base):
+            assert rep.status == verifier.CONFIRMED
+            assert (rep.lo, rep.hi) == (1, top)
+            assert rep.data == {
+                key: value + past[key] if key in past else value
+                for key, value in at_base.data.items()
+            }
 
 
 class TestBandAgainstLinkWalk:
@@ -643,7 +706,8 @@ class TestReach:
         assert rep.data["applicable"] == 348
 
     def test_range_bounds_at_one_billion_compares_block_ends(self, monkeypatch):
-        # the blocks come from m_block, one per m, and no chain link is read
+        # the blocks to BAND_BASE come from m_block, one per m, and no
+        # chain link is read
         walks = []
         chain_links = sequences.chain_links
 
@@ -668,7 +732,7 @@ class TestReach:
             "decided_positive": 44695,
         }
         assert walks == []
-        assert calls == 2 * rep.data["blocks"]
+        assert calls == 2 * 64  # the blocks to BAND_BASE; the band decides the rest
 
     def test_sign_criteria_at_one_billion_visits_no_n(self, monkeypatch):
         # partition_y's fallback decides its few open n with y_sign; with
@@ -751,33 +815,21 @@ class TestRewrittenChecksAgainstPerN:
     def test_gap_at_one_million(self):
         assert verifier.check_gap(10**6).to_dict() == reference_gap(10**6).to_dict()
 
-    def test_gap_settles_links_as_a_whole(self, monkeypatch):
-        # the gap check reads c once per link, at its first n, and once
-        # more at n = 10 for the link [9, 12] that holds it
-        walks = []
-        links = calls = tens = 0
-        chain_links, c = sequences.chain_links, sequences.c
-
-        def counting_links(lo, hi):
-            nonlocal links
-            walks.append((lo, hi))
-            for link in chain_links(lo, hi):
-                links += 1
-                yield link
-
-        def counting_c(n):
-            nonlocal calls, tens
-            calls += 1
-            tens += n == 10
-            return c(n)
-
-        monkeypatch.setattr(sequences, "chain_links", counting_links)
-        monkeypatch.setattr(sequences, "c", counting_c)
-        rep = verifier.check_gap(10**12)
-        assert rep.status == verifier.CONFIRMED
-        assert rep.data["min_gap_from_10"] == 6
-        assert walks == [(1, 10**12)] and links == 1414251
-        assert (calls, tens) == (links + 1, 1)
+    def test_lemmas_across_the_band(self):
+        # each side of BAND_BASE = 2112, the ends of the m-blocks 64 and 65,
+        # powers of two, and 10**6; every y is built up to 2**16 + 1 only,
+        # as the exact reference costs about limit**2
+        limits = {
+            *range(BASE - 1, BASE + 3),
+            *(e + d for mm in (64, 65) for e in sequences.m_block(mm) for d in (-1, 0, 1)),
+            *(2**k + d for k in range(11, 21) for d in (-1, 1)),
+            10**6,
+        }
+        for limit in sorted(limits):
+            for check, reference in REFERENCE_CHECKS:
+                assert check(limit).to_dict() == reference(limit).to_dict(), limit
+            range_bounds = reference_range_bounds(limit, every_y=limit <= 2**16 + 1)
+            assert verifier.check_range_bounds(limit).to_dict() == range_bounds.to_dict(), limit
 
     # m of the i-th link raised by raises[i % len(raises)]: gaps drop
     # below 5 from n = 10 on, to 2 and below 2, and at n = 2 (the link of
@@ -803,6 +855,8 @@ class TestRewrittenChecksAgainstPerN:
             ]
             rep = verifier.check_gap(limit)
             assert rep.to_dict() == reference_gap(limit, gaps).to_dict(), limit
+            # each n once, in increasing order
+            assert rep.counterexamples == sorted(set(rep.counterexamples)), limit
             found.update(rep.counterexamples)
         assert found, "the raised links must hold counterexamples"
 
