@@ -7,8 +7,8 @@ Subcommands:
     verify      run claim checks and report their status
     roots       isolate the envelope roots by bisection
 
-seq writes the pieces of sequences.scan_pieces, one string a piece,
-with no int converted to str per cell (_piece_texts).  seq --exact-y
+seq writes each piece of sequences.scan_pieces as fixed-width rows in
+a bytearray, a digit place per strided slice (_piece_texts).  seq --exact-y
 and intervals format a row tuple at a time (_line_texts).  The text
 format is the csv text of either, split into cells.
 
@@ -25,6 +25,7 @@ before the output ended, 2 for usage errors.
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -129,74 +130,85 @@ def _line_texts(rows, seps, end):
 
 
 @functools.cache
-def _digit_tables():
-    """(small, padded), built on first use: small[v + 999] is str(v) for
-    v in (-1000, 1000), and padded[u] is "%03d" % u for u in [0, 1000).
-    Only x is ever negative, and x >= -59 (its least value, on [129, 144];
-    x > 0 past n = 546), so small holds every value below 1000 that seq
-    prints."""
-    return tuple(map(str, range(-999, 1000))), tuple("%03d" % u for u in range(1000))
-
-
-def _fill(items, pos, stride, v, step, count, sep):
-    """Write the text of the count values v, v + step, ... into items, two
-    slots a value from pos on, stride apart: sep with the value's
-    thousands, then its last three digits, both shared strings.  A value
-    below 1000 is sep, then its whole text.  Each run of values inside
-    one thousand is two slice assignments."""
-    small, padded = _digit_tables()
-    while count:
-        if v < 1000:
-            k = min(count, (999 - v) // step + 1)
-            head, tails = sep, small[v + 999 : v + 999 + step * k : step]
-        else:
-            t, u = divmod(v, 1000)
-            k = min(count, (999 - u) // step + 1)
-            head, tails = sep + str(t), padded[u : u + step * k : step]
-        stop = pos + stride * k
-        items[pos:stop:stride] = [head] * k
-        items[pos + 1 : stop + 1 : stride] = tails
-        pos, v, count = stop, v + step * k, count - k
-
-
-# The slots of a row in _piece_texts: two for each of n, z, c, x and
-# c - m, and a last one for y's sign and the row end.
-_SLOTS = 11
+def _digits(f, last, unit, place, e):
+    """(P, digits): digits[j] is digit `place` of f(j) - e in ASCII, for j
+    from 0 to P + PIECE or more, where P = unit * 10**place is its period,
+    as z(j + 15 * 10**d) = z(j) + 10**(d + 1), c's likewise, and n's with
+    10 for 15.  A run of one digit ends at a last(), so it is one bytes
+    product.  Built on first use, so only seq pays for it."""
+    p = 10**place
+    period = unit * p
+    runs, j = bytearray(), period  # one period from P on, as z and c take j >= 1
+    while j < 2 * period:
+        v = (f(j) - e) // p
+        stop = min(last((v + 1) * p + e - 1) + 1, 2 * period)
+        runs += b"%d" % (v % 10) * (stop - j)
+        j = stop
+    return period, bytes(runs * (sequences.PIECE // period + 2))
 
 
 def _piece_texts(pieces, seps, end):
-    """The csv or json text of each piece of sequences.scan_pieces, one
-    string a piece, with no string built per cell.
+    """The csv or json text of the pieces of sequences.scan_pieces, with
+    no string built per cell or per row.
 
-    n rises by 1 a row, and z, c, x and c - m by 2 every 3 rows, so _fill
-    writes n over all the rows and each of the others over each third of
-    them, from its first three values.  m and r are the link's, so their
-    text joins c's separator.  The last slot, y's sign and the row end,
-    is one shared string on a settled link and one per sign on the
-    others.  The slots are joined into one string.
+    A piece on a certified link with x >= 0 (every piece past n = 546) is
+    cut where a column gains a digit, into parts whose rows have one
+    width.  A part is one bytearray: its first row repeated, then each of
+    the last three digit places of each rising column as one strided
+    slice from _digits.  A column (cell, f, last, unit, offset) holds
+    f(n) - offset in its cell, f being n (int), z or c, and last(v) is the
+    last n with f(n) <= v.  x's offset (r + 1)*m and c - m's m, as 2q + e,
+    read the digits of f - e at n - 3q, as z(n) - 2q = z(n - 3q) and
+    c(n) - 2q = c(n - 3q).  Each rise of a column's thousands inside a
+    part rewrites the high digits that change, from the row last() names.
+    The other pieces, all below n = 547, go a row at a time by _line_texts.
     """
-    for ns, z3, mm, rr, c3, x3, gaps3, ys in pieces:
-        rows = len(ns)
-        items = [""] * (_SLOTS * rows)
-        _fill(items, 0, _SLOTS, ns.start, 1, rows, seps[0])
-        heads = (seps[1], seps[2] + str(mm) + seps[3] + str(rr) + seps[4], seps[5], seps[6])
-        for slot, first3, head in zip((2, 4, 6, 8), (z3, c3, x3, gaps3), heads):
-            for i, v in enumerate(first3):
-                _fill(items, _SLOTS * i + slot, 3 * _SLOTS, v, 2, len(range(i, rows, 3)), head)
-        last = {sign: seps[7] + str(sign) + end for sign in (-1, 0, 1)}
-        if isinstance(ys, int):
-            items[_SLOTS - 1 :: _SLOTS] = [last[ys]] * rows
-        else:
-            items[_SLOTS - 1 :: _SLOTS] = map(last.__getitem__, ys)
-        yield "".join(items)
+    for piece in pieces:
+        ns, _, mm, rr, _, x3, _, ys = piece
+        if not isinstance(ys, int) or x3[0] < 0:
+            yield "".join(_line_texts(sequences.piece_rows(piece), seps, end))
+            continue
+        z, c = (sequences.z, sequences.z_last, 15), (sequences.c, sequences.c_last, 15)
+        cols = [(0, int, int, 10, 0), (1, *z, 0), (4, *c, 0), (5, *z, (rr + 1) * mm), (6, *c, mm)]
+        s = ns.start
+        while s < ns.stop:
+            cells = [s, 0, mm, rr, 0, 0, 0, ys]
+            for cell, f, _, _, off in cols:
+                cells[cell] = f(s) - off
+            texts = [sep + str(v) for sep, v in zip(seps, cells)]
+            ends = list(itertools.accumulate(map(len, texts)))
+            line = "".join(texts) + end
+            # the part ends before a column gains a digit
+            gains = [
+                last(10 ** len(str(cells[cell])) + off - 1) + 1 for cell, _, last, _, off in cols
+            ]
+            t = min(gains + [ns.stop])
+            width, rows = len(line), t - s
+            buf = bytearray(line, "ascii") * rows
+            for cell, f, last, unit, off in cols:
+                q, e = divmod(off, 2)
+                pos, size = ends[cell] - 1, len(str(cells[cell]))
+                for place in range(min(3, size)):
+                    period, digits = _digits(f, last, unit, place, e)
+                    j = (s - 3 * q) % period
+                    buf[pos - place :: width] = digits[j : j + rows]
+                for high in range(cells[cell] // 1000 + 1, (f(t - 1) - off) // 1000 + 1):
+                    row = last(1000 * high + off - 1) + 1 - s
+                    text, at = b"%d" % high, row * width + pos - size + 1
+                    # high's trailing zeros and the digit before them are new
+                    for i in range(len(text.rstrip(b"0")) - 1, len(text)):
+                        buf[at + i :: width] = text[i : i + 1] * (rows - row)
+            yield buf.decode("ascii")
+            s = t
 
 
 def _emit_table(columns, fmt, texts):
     """Write a table to stdout as csv, json or text.
 
-    texts(seps, end) gives the table's text in strings of one row or
-    more, with the parts of _row_parts around each cell: _line_texts or
-    _piece_texts over a lazy source.  csv and json write the strings as
+    texts(seps, end) gives the table's text in str of one row or more,
+    with the parts of _row_parts around each cell: _line_texts, or
+    _piece_texts's ASCII-decoded bytearrays, over a lazy source, so any
+    text stream takes them.  csv and json write the strings as
     they come, so memory stays flat however long the range.  text splits
     csv's strings into cells, none of which holds a comma, and sizes each
     column to its widest cell, so it keeps every row (as strings) before
@@ -268,9 +280,10 @@ def _with_exact_y(rows):
 
 def cmd_seq(args):
     """Print the sequences over [--from, --to]: a piece of
-    sequences.scan_pieces at a time, by _piece_texts, or with --exact-y a
-    row of sequences.scan at a time, with y(n) appended as an exact
-    Decimal by _with_exact_y and formatted by _line_texts.  y's text is
+    sequences.scan_pieces at a time, in parts of fixed-width rows by
+    _piece_texts, or with --exact-y a row of sequences.scan at a time,
+    with y(n) appended as an exact Decimal by _with_exact_y and
+    formatted by _line_texts.  y's text is
     that of the int, so no big int is converted to str and the
     interpreter's digit cap never applies.  A text range longer than
     TEXT_MAX_ROWS, and --exact-y past EXACT_Y_MAX_N, are refused before

@@ -37,22 +37,23 @@ taking m, r and (r + 1)*m from the link: n is a range, m and r are
 ints, and z, c, x and c - m, which each rise by 2 every 3 rows of a
 link, are their first three values, computed by z and c.  y's sign is
 the int 1 on a link that positive_link certifies and the list of
-y_sign(n) on the others.  seq's text is written from the pieces
-themselves, but with --exact-y.  scan yields their rows as plain
-tuples, each rising column filled out from a step-2 range per residue
-of n mod 3 by slice assignment; seq --exact-y reads those, and row(n)
-is one row of scan.
+y_sign(n) on the others.  seq writes a piece past n = 546 from its
+first values alone, as rows of fixed width, and any other from its
+piece_rows: plain tuples, each rising column filled out from a step-2
+range per residue of n mod 3 by slice assignment.  scan yields every
+piece's piece_rows; seq --exact-y reads those, and row(n) is one row
+of scan.
 """
 
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterator, NamedTuple
 
 from .exactarith import cmp_pow2_vs_pow
 
 # The most rows in one piece of scan_pieces: it keeps a piece's lists and
 # seq's text of it small on links of millions of n, while the fixed work
-# of a piece (in seq, a few shared strings) stays rare.
+# of a piece (in seq, a template row and a few strided slices) stays rare.
 PIECE = 1024
 
 
@@ -243,13 +244,18 @@ def _rising(first3, size):
     return col
 
 
+def piece_rows(piece: tuple) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
+    """The rows of one piece of scan_pieces as plain tuples, in
+    SequenceRow field order, each rising column filled out by _rising."""
+    ns, z3, mm, rr, c3, x3, gaps3, ys = piece
+    zs, cs, xs, gaps = (_rising(col, len(ns)) for col in (z3, c3, x3, gaps3))
+    signs = repeat(ys) if isinstance(ys, int) else ys
+    return zip(ns, zs, repeat(mm), repeat(rr), cs, xs, gaps, signs)
+
+
 def scan(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
-    """Yield (n, z, m, r, c, x, c_minus_m, y_sign) for each n in [lo, hi],
-    in SequenceRow field order, as plain tuples: the rows of the pieces
-    of scan_pieces(lo, hi), each rising column filled out by _rising.
-    An empty range yields nothing.
+    """(n, z, m, r, c, x, c_minus_m, y_sign) for each n in [lo, hi], lazily:
+    the piece_rows of each piece of scan_pieces(lo, hi).  An empty range
+    yields nothing.
     """
-    for ns, z3, mm, rr, c3, x3, gaps3, ys in scan_pieces(lo, hi):
-        zs, cs, xs, gaps = (_rising(col, len(ns)) for col in (z3, c3, x3, gaps3))
-        signs = repeat(ys) if isinstance(ys, int) else ys
-        yield from zip(ns, zs, repeat(mm), repeat(rr), cs, xs, gaps, signs)
+    return chain.from_iterable(map(piece_rows, scan_pieces(lo, hi)))

@@ -402,39 +402,46 @@ MUTANTS = [
         f"{T_CLI}::TestStreamedOutput::test_blocks_hold_little",
     ),
     (
-        "_fill: the padded table used below 1000",
+        "_digits: a place's period taken 10 times too short",
         CLI,
-        "head, tails = sep, small[v + 999 : v + 999 + step * k : step]",
-        "head, tails = sep, padded[v : v + step * k : step]",
-        f"{T_CLI}::TestStreamedOutput::test_seq_matches_row_by_row_emitter[1-16-False-csv]",
+        "period = unit * p\n",
+        "period = unit * p // 10\n",
+        f"{T_CLI}::TestDigitPatterns",
     ),
     (
-        "_fill: the unpadded table used past 999",
+        "_piece_texts: x's and c - m's shift 3q read as 2q",
         CLI,
-        "head, tails = sep + str(t), padded[u : u + step * k : step]",
-        "head, tails = sep + str(t), small[u + 999 : u + 999 + step * k : step]",
+        "j = (s - 3 * q) % period",
+        "j = (s - 2 * q) % period",
         f"{T_CLI}::TestStreamedOutput::test_seq_matches_row_by_row_emitter[990-1010-False-csv]",
     ),
     (
-        "_fill: a thousand split one value late",
+        "_piece_texts: the odd part e of an offset dropped",
         CLI,
-        "k = min(count, (999 - u) // step + 1)",
-        "k = min(count, (1000 - u) // step + 1)",
+        "q, e = divmod(off, 2)",
+        "q, e = off // 2, 0",
         f"{T_CLI}::TestStreamedOutput::test_seq_matches_row_by_row_emitter[2995-3010-False-json]",
     ),
     (
-        "_fill: the step to 1000 split one value late",
+        "_piece_texts: a width cut one n late",
         CLI,
-        "k = min(count, (999 - v) // step + 1)",
-        "k = min(count, (1000 - v) // step + 1)",
-        f"{T_CLI}::TestStreamedOutput::test_seq_matches_row_by_row_emitter[1490-1510-False-csv]",
+        "last(10 ** len(str(cells[cell])) + off - 1) + 1",
+        "last(10 ** len(str(cells[cell])) + off - 1) + 2",
+        f"{T_CLI}::TestStreamedOutput::test_seq_matches_row_by_row_emitter[14984-15004-False-csv]",
     ),
     (
-        "_piece_texts: an open link's signs all written as 1",
+        "_piece_texts: a thousand run starting one row late",
         CLI,
-        "items[_SLOTS - 1 :: _SLOTS] = map(last.__getitem__, ys)",
-        "items[_SLOTS - 1 :: _SLOTS] = [last[1]] * rows",
-        f"{T_CLI}::TestStreamedOutput::test_seq_matches_row_by_row_emitter[1-16-False-json]",
+        "row = last(1000 * high + off - 1) + 1 - s",
+        "row = last(1000 * high + off - 1) + 2 - s",
+        f"{T_CLI}::TestStreamedOutput::test_seq_matches_row_by_row_emitter[14984-15004-False-json]",
+    ),
+    (
+        "_piece_texts: a piece with x < 0 written in fixed width",
+        CLI,
+        "or x3[0] < 0:",
+        "or x3[0] < -1:",
+        f"{T_CLI}::TestStreamedOutput::test_seq_matches_row_by_row_emitter[400-600-False-csv]",
     ),
     (
         "scan_pieces: the piece cap removed, one piece per link",

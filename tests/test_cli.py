@@ -44,6 +44,14 @@ SEQ_ROWS_1_16 = [
 ]
 
 
+# The n at which each column of seq first reaches 10**4 and 10**5; below
+# n = power / 2 and up to 2 * power, no column crosses power elsewhere.
+DIGIT_STEPS = {
+    10**4: {"n": 10000, "c": 14994, "z": 15001, "c_minus_m": 15255, "x": 19753},
+    10**5: {"n": 100000, "c": 149994, "z": 150001, "c_minus_m": 150819, "x": 166417},
+}
+
+
 def printed_y(out):
     """(n, y) as printed by seq --format csv --exact-y, both kept as text."""
     return [(f[0], f[-1]) for f in (ln.split(",") for ln in out.split("\n")[1:-1])]
@@ -61,8 +69,9 @@ class TestStreamedOutput:
     # The csv and json text of a value past 999 is its thousands and its
     # last three digits, so each column's step from 999 to 1000 has a
     # window: n at 1000, c at 1494, z at 1501, c - m at 1578 and x at
-    # 3002.  525300..525330 holds the start of the first link longer than
-    # PIECE rows, at 525313.
+    # 3002.  seq cuts a piece where a column gains a digit, so each
+    # column's steps to 10**4 and 10**5 have a window too.  525300..525330
+    # holds the start of the first link longer than PIECE rows, at 525313.
     @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
     @pytest.mark.parametrize("exact_y", [False, True])
     @pytest.mark.parametrize(
@@ -80,7 +89,9 @@ class TestStreamedOutput:
             (21730, 21740),
             (124997, 125003),
             (525300, 525330),
-        ],
+        ]
+        + [(n - 10, n + 10) for n in DIGIT_STEPS[10**4].values()]
+        + [(n - 10, n + 10) for n in DIGIT_STEPS[10**5].values()],
     )
     def test_seq_matches_row_by_row_emitter(self, capsys, fmt, exact_y, start, stop):
         argv = ["seq", "--from", str(start), "--to", str(stop), "--format", fmt]
@@ -95,6 +106,26 @@ class TestStreamedOutput:
             assert before <= 999 < 1000 <= at, name
         links = sequences.chain_links(1, 525313 + sequences.PIECE)
         assert [a for a, b, _, _ in links if b - a + 1 > sequences.PIECE] == [525313]
+
+    @pytest.mark.parametrize("power", DIGIT_STEPS)
+    def test_columns_gain_a_digit_in_their_windows(self, power):
+        # each column crosses power once, at its window's centre
+        rows = list(sequences.scan(power // 2, 2 * power - 1))
+        for name, n in DIGIT_STEPS[power].items():
+            values = [row[sequences.SequenceRow._fields.index(name)] for row in rows]
+            crossings = [k for k, (a, b) in enumerate(zip(values, values[1:])) if a < power <= b]
+            assert crossings == [n - power // 2 - 1], name
+
+    # a window can span a width cut, a thousand step and a piece's end
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 2 * 10**6), st.integers(0, 2100))
+    def test_seq_matches_row_by_row_emitter_on_any_window(self, start, width):
+        argv = ["seq", "--from", str(start), "--to", str(start + width), "--format"]
+        for fmt in ("csv", "json"):
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                assert cli.main(argv + [fmt]) == 0
+            assert buf.getvalue() == reference_seq(start, start + width, False, fmt)
 
     def test_seq_compares_y_terms_only_on_open_links(self, monkeypatch, capsys):
         # a link that positive_link certifies prints y's sign without a
@@ -183,6 +214,36 @@ class TestStreamedOutput:
         assert head == [b"n,z,m,r,c,x,c_minus_m,y_sign\n", b"1,0,1,0,4,-1,3,1\n"]
         assert err == b""
         assert proc.returncode == 1
+
+
+class TestDigitPatterns:
+    """cli._digits, read as the seq writer reads it: at n, and for x and
+    c - m, whose offset is 2q + e, at n - 3q."""
+
+    # (f, last, unit, shifts q): n is read unshifted
+    COLUMNS = [
+        (int, int, 10, [0]),
+        (sequences.z, sequences.z_last, 15, [0, 1, 7, 12345]),
+        (sequences.c, sequences.c_last, 15, [0, 1, 7, 12345]),
+    ]
+
+    @pytest.mark.parametrize("f, last, unit, shifts", COLUMNS)
+    @pytest.mark.parametrize("place", [0, 1, 2])
+    @pytest.mark.parametrize("e", [0, 1])
+    def test_each_row_of_two_periods_reads_its_digit(self, f, last, unit, shifts, place, e):
+        period, digits = cli._digits(f, last, unit, place, e)
+        assert period == unit * 10**place
+        assert len(digits) >= period + sequences.PIECE
+        for q in shifts:
+            lo = 3 * q + 1 + 12345  # any n from which n - 3q >= 1
+            want = bytes(
+                48 + (f(n) - 2 * q - e) // 10**place % 10
+                for n in range(lo, lo + 2 * period + sequences.PIECE)
+            )
+            # each read of a part, PIECE rows from any of two periods of n
+            for n in range(lo, lo + 2 * period):
+                j = (n - 3 * q) % period
+                assert digits[j : j + sequences.PIECE] == want[n - lo : n - lo + sequences.PIECE]
 
 
 class TestSeq:

@@ -448,6 +448,15 @@ def test_c_closed_form_everywhere(n):
     assert sequences.c(n) == 2 * n - 2 * sequences.z(n) + 2
 
 
+# seq's digit patterns rest on these: digit place d of z and c has period
+# 15 * 10**d in n, and x and c - m read z's and c's at n - 3q
+@given(st.integers(1, 10**30), st.integers(0, 25), st.integers(0, 10**30))
+def test_z_and_c_period_and_shift(n, d, q):
+    for f in (sequences.z, sequences.c):
+        assert f(n + 15 * 10**d) == f(n) + 10 ** (d + 1)
+        assert f(n + 3 * q) - 2 * q == f(n)
+
+
 def owners(predicate, sources):
     """(module, enclosing function) of every node of sources, a dict of
     module name to source text, that predicate holds for; the function is
