@@ -29,10 +29,11 @@ the four named envelopes around x and Y are exactly
 each bound resting only on 0 <= s - m < 1 and 2**(r - 1) < n <= 2**r;
 the y-lower margin is 2/3 exactly where 2n is a square and rho = 2.  On
 each residue class mod 3 of a link the lower margins rise and the upper
-ones fall, and Y rises from n = 4 on, so each link, from n = 1 on, is
-settled from at most three n at either end; a link whose candidates
-fail is stepped per n (see _check_envelopes and check_sign_consistency).
-The exact sign of y comes from the runs of verifier.partition_y, the one
+ones fall, so each link, from n = 1 on, is settled from at most three n
+at either end; a link whose candidates fail is stepped per n (see
+_check_envelopes).  check_sign_consistency reads Y at every n to
+verifier.band_top, 2112 once y's band holds, past which Y >= 23.  The
+exact sign of y comes from the runs of verifier.partition_y, the one
 place that decides it, which check_sign_consistency takes as its
 argument, and never from a per-n comparison here.  The real
 surrogate Y = (c - m) - (m - 1) log2(n) is written once, in _Y.  Reports
@@ -48,6 +49,7 @@ from . import sequences
 from .verifier import (
     SignPartition,
     VerificationReport,
+    band_top,
     compare_printed,
     make_report,
     plural,
@@ -378,35 +380,30 @@ def check_sign_consistency(part: SignPartition) -> VerificationReport:
     """sign(Y_real(n)) agrees with the exact sign of y(n) on
     [1, part.limit].
 
-    Walked piece by piece of verifier.signed_links(part), on which the
-    sign and m are fixed.  With s = sqrt(2n) and m <= s,
-    Y(n + 3) - Y(n) = 2 - (m - 1) log2(1 + 3/n) is at least
-    2 - 3(s - 1)/(n ln 2).  That bound is positive from n = 4 on (1.98 is
-    subtracted at n = 4) and decreases after, and the links that start
-    below 4, [1, 1], [2, 2] and [3, 4], hold at most two n.  So Y
-    increases on each residue class mod 3 of a piece: a positive piece is
-    settled by Y at its first three n and a negative one by Y at its last
-    three, and the same n hold the piece's least |Y|.  A piece whose
-    candidates do not all pass the test below is stepped per n, so the
-    counterexample list stays exact; a run of sign 0 fails it at every
-    candidate.  Candidates come in increasing n, and min over (|Y|, n)
-    keeps the least n of a tie, as a walk over every n would.
+    Y is read at every n of verifier.signed_links(part), whose pieces fix
+    the sign and m, to band_top("y", part.limit): 2112, a link's end,
+    once the band holds.  Past it the band gives y > 0 and, as
+    log2 n < bitlen(n) <= 2k on each block, Y >= c(a) - m - 2k(m - 1)
+    >= (m + 5)/3 >= 23, so no counterexample or least |Y| lies there.
 
-    An n is a counterexample unless sign * Y_real(n) > 1e-6: Y_real of the
-    wrong sign, or with |Y_real| at or below 1e-6, too close to zero to
-    trust the float sign; none occur (the smallest magnitude from n = 5
-    on is about 0.105).  The reported minimum is taken over [5, limit],
-    past the few tiny starting values whose magnitudes are artifacts of
-    m(n) - 1 being 0 or 1.
+    An n is a counterexample unless sign * Y_real(n) > 1e-6: of the wrong
+    sign, or too close to zero to trust.  None occur; the least |Y| from
+    n = 5 on is about 0.105, and it is reported over [5, limit], past the
+    starting values where m(n) - 1 is 0 or 1.  The floor holds with room
+    to spare: log2 is within an ulp and the product and the difference
+    round once each, so with u = 2**-53 the float Y is off by at most
+    about 3u(m - 1) log2 n + u|Y| (Higham, Accuracy and Stability of
+    Numerical Algorithms, SIAM 2002, ch. 1): below 1e-12 on [1, 2112],
+    where m <= 64, log2 n < 11.05 and |Y| < 700.
     """
     counterexamples = []
     best = (math.inf, None)
     limit = part.limit
+    top = band_top("y", limit)
     for lo, hi, _, mm, sign in signed_links(part):
-        piece = range(lo, hi + 1)
-        ys = [(_Y(n, mm), n) for n in (piece[:3] if sign > 0 else piece[-3:])]
-        if not all(sign * y > 1e-6 for y, _ in ys):
-            ys = [(_Y(n, mm), n) for n in piece]
+        if lo > top:
+            break
+        ys = [(_Y(n, mm), n) for n in range(lo, hi + 1)]
         counterexamples.extend(n for y, n in ys if not sign * y > 1e-6)
         best = min((best, *((abs(y), n) for y, n in ys if n >= 5)))
     min_abs, min_abs_at = best

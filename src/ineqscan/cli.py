@@ -164,8 +164,8 @@ def _piece_texts(pieces, seps, end):
     The other pieces, all below n = 547, go a row at a time by _line_texts.
     """
     for piece in pieces:
-        ns, _, mm, rr, _, x3, _, ys = piece
-        if not isinstance(ys, int) or x3[0] < 0:
+        ns, mm, rr, ys = piece
+        if not isinstance(ys, int) or sequences.z(ns.start) - (rr + 1) * mm < 0:
             yield "".join(_line_texts(sequences.piece_rows(piece), seps, end))
             continue
         z, c = (sequences.z, sequences.z_last, 15), (sequences.c, sequences.c_last, 15)
@@ -198,7 +198,8 @@ def _piece_texts(pieces, seps, end):
                     # high's trailing zeros and the digit before them are new
                     for i in range(len(text.rstrip(b"0")) - 1, len(text)):
                         buf[at + i :: width] = text[i : i + 1] * (rows - row)
-            yield buf.decode("ascii")
+            buf = buf.decode("ascii")  # a paused generator holds only the text
+            yield buf
             s = t
 
 

@@ -32,15 +32,14 @@ on a constant-m block, all that verifier.check_range_bounds needs on
 the 64 blocks to n = 2112; no other module compares the two terms of y.
 
 scan_pieces, the stepper, serves seq.  It cuts each link into pieces
-of at most PIECE rows and yields one per piece, in SequenceRow order,
-taking m, r and (r + 1)*m from the link: n is a range, m and r are
-ints, and z, c, x and c - m, which each rise by 2 every 3 rows of a
-link, are their first three values, computed by z and c.  y's sign is
-the int 1 on a link that positive_link certifies and the list of
-y_sign(n) on the others.  seq writes a piece past n = 546 from its
-first values alone, as rows of fixed width, and any other from its
-piece_rows: plain tuples, each rising column filled out from a step-2
-range per residue of n mod 3 by slice assignment.  scan yields every
+of at most PIECE rows and yields one (ns, m, r, signs) per piece: ns is
+a range, m and r are the link's ints, and signs is the int 1 on a link
+that positive_link certifies and the list of y_sign(n) on the others.
+seq writes a piece past n = 546 as rows of fixed width, from z and c at
+the first n of each part, and any other from its piece_rows: plain
+tuples in SequenceRow order, where z, c, x and c - m, which each rise
+by 2 every 3 rows of a link, are filled out from their first three
+values by a step-2 range per residue of n mod 3.  scan yields every
 piece's piece_rows; seq --exact-y reads those, and row(n) is one row
 of scan.
 """
@@ -214,24 +213,17 @@ def scan_pieces(lo: int, hi: int) -> Iterator[tuple]:
     """Yield one piece per cut of each chain link that meets [lo, hi], in
     order; a piece holds at most PIECE rows.
 
-    A piece is a tuple in SequenceRow order: n is a range, m and r are
-    the link's constant ints, and z, c, x and c_minus_m, which each rise
-    by 2 every 3 rows of a link, are lists of their first (up to) three
-    values; inside a link x is z minus the constant (r + 1)*m.  y_sign is
-    the int 1 on a link that positive_link certifies and otherwise the
-    list of y_sign(n).  The cap on a piece keeps memory flat on links of
-    millions of n.  An empty range yields nothing.
+    A piece is a tuple (ns, m, r, signs): ns is a range, m and r are the
+    link's constant ints, and signs is the int 1 on a link that
+    positive_link certifies and otherwise the list of y_sign(n).  The
+    cap on a piece keeps memory flat on links of millions of n.  An empty
+    range yields nothing.
     """
     for a, b, rr, mm in chain_links(lo, hi):
-        k = (rr + 1) * mm
         settled = positive_link(a, b, mm)
         for s in range(a, b + 1, PIECE):
             ns = range(s, min(s + PIECE, b + 1))
-            z3 = list(map(z, ns[:3]))
-            c3 = list(map(c, ns[:3]))
-            x3 = [zz - k for zz in z3]
-            gaps3 = [cc - mm for cc in c3]
-            yield ns, z3, mm, rr, c3, x3, gaps3, 1 if settled else list(map(y_sign, ns))
+            yield ns, mm, rr, 1 if settled else list(map(y_sign, ns))
 
 
 def _rising(first3, size):
@@ -246,9 +238,11 @@ def _rising(first3, size):
 
 def piece_rows(piece: tuple) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
     """The rows of one piece of scan_pieces as plain tuples, in
-    SequenceRow field order, each rising column filled out by _rising."""
-    ns, z3, mm, rr, c3, x3, gaps3, ys = piece
-    zs, cs, xs, gaps = (_rising(col, len(ns)) for col in (z3, c3, x3, gaps3))
+    SequenceRow field order: z, c, x = z - (r + 1)*m and c - m, each
+    filled out by _rising from its first (up to) three values."""
+    ns, mm, rr, ys = piece
+    cols = ((z, 0), (c, 0), (z, (rr + 1) * mm), (c, mm))
+    zs, cs, xs, gaps = (_rising([f(n) - off for n in ns[:3]], len(ns)) for f, off in cols)
     signs = repeat(ys) if isinstance(ys, int) else ys
     return zip(ns, zs, repeat(mm), repeat(rr), cs, xs, gaps, signs)
 

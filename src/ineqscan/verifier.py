@@ -25,10 +25,11 @@ the reference table from sequences.y_value.  It solves for no cut: each
 n where z or c crosses a threshold on a link, and each constant-m block,
 comes from sequences.z_last, c_last and m_block.
 
-Both partitions, check_gap, check_range_bounds and check_sign_criteria
-walk [1, BAND_BASE = 2112] only; past it an integer induction over
-m-blocks, the band, settles each, and theorem1 and theorem2 carry it as
-data.certificate.  The checks that read y's sign runs (check_theorem2,
+Both partitions, check_gap, check_range_bounds, check_sign_criteria and
+analytic.check_sign_consistency walk [1, band_top(seq, limit)]: to
+BAND_BASE = 2112 once limit reaches it, as an integer induction over
+m-blocks, the band, settles the rest, which theorem1 and theorem2 carry
+as data.certificate.  The checks that read y's sign runs (check_theorem2,
 check_positive_tail, check_sign_criteria, check_negative_x_bound and
 analytic.check_sign_consistency) take partition_y's SignPartition as
 their argument, so a caller builds it once for all of them; the last
@@ -202,6 +203,12 @@ def band_certificate(seq: str, limit: int) -> dict | None:
     }
 
 
+def band_top(seq: str, limit: int) -> int:
+    """The top of a walk over [1, limit] that reads seq's band: BAND_BASE
+    when band_certificate(seq, limit) holds, and limit otherwise."""
+    return BAND_BASE if band_certificate(seq, limit) else limit
+
+
 def partition_x(limit: int) -> SignPartition:
     """Exact sign runs of x over [1, limit], one chain link at a time up
     to BAND_BASE, and one positive run past it, by the band.
@@ -212,7 +219,7 @@ def partition_x(limit: int) -> SignPartition:
     them all, from sequences.link_count: O(log limit) past BAND_BASE.
     """
     sequences.require_positive(limit, "limit")
-    top = BAND_BASE if band_certificate("x", limit) else limit
+    top = band_top("x", limit)
     runs: list = []
     for lo, hi, rr, mm in sequences.chain_links(1, top):
         k = (rr + 1) * mm
@@ -239,7 +246,7 @@ def partition_y(limit: int) -> SignPartition:
     every check in this package.
     """
     sequences.require_positive(limit, "limit")
-    top = BAND_BASE if band_certificate("y", limit) else limit
+    top = band_top("y", limit)
     runs: list = []
     blocks = per_n = 0
     for lo, hi, _, mm in sequences.chain_links(1, top):
@@ -597,7 +604,7 @@ def check_gap(limit: int) -> VerificationReport:
     Read at each n to BAND_BASE, m from its chain link.  Past it the band
     puts every gap above 2k(m - 1) >= 882, which changes nothing."""
     sequences.require_positive(limit, "limit")
-    top = BAND_BASE if band_certificate("y", limit) else limit
+    top = band_top("y", limit)
     counterexamples, min_gap_at = [], []
     min_gap = min_gap_from_10 = None
     for lo, hi, _, mm in sequences.chain_links(1, top):
@@ -645,7 +652,7 @@ def check_range_bounds(limit: int) -> VerificationReport:
     BAND_BASE, m = 1 to 64, is settled by sequences.bound_signs, the signs
     of high and low alone, and each one past it positive by the band."""
     sequences.require_positive(limit, "limit")
-    top = BAND_BASE if band_certificate("y", limit) else limit
+    top = band_top("y", limit)
     blocks, walked = sequences.m(limit), sequences.m(top)
     decided_negative = decided_positive = 0
     for mm in range(1, walked + 1):
@@ -683,7 +690,7 @@ def check_sign_criteria(part: SignPartition) -> VerificationReport:
     positive one exactly past c_last(T + m).  A piece where a criterion
     holds against its run's sign is a list of counterexamples.  Past
     BAND_BASE the band gives both y > 0 and the positive criterion."""
-    top = BAND_BASE if band_certificate("y", part.limit) else part.limit
+    top = band_top("y", part.limit)
     counterexamples = []
     applies_negative = applies_positive = 0
     for lo, hi, rr, mm, sign in signed_links(part):

@@ -381,11 +381,11 @@ MUTANTS = [
         f"{T_SEQ}::TestRows",
     ),
     (
-        "scan_pieces: c's first three values taken at n + 1",
+        "piece_rows: c's first three values taken at n + 1",
         SEQ,
-        "c3 = list(map(c, ns[:3]))",
-        "c3 = [c(n + 1) for n in ns[:3]]",
-        f"{T_SEQ}::TestRows",
+        "[f(n) - off for n in ns[:3]]",
+        "[f(n + (f is c)) - off for n in ns[:3]]",
+        f"{T_SEQ}::TestRows {T_SEQ}::TestScanPieces",
     ),
     (
         "cmd_verify: minimum refused with <=",
@@ -439,8 +439,8 @@ MUTANTS = [
     (
         "_piece_texts: a piece with x < 0 written in fixed width",
         CLI,
-        "or x3[0] < 0:",
-        "or x3[0] < -1:",
+        "(rr + 1) * mm < 0:",
+        "(rr + 1) * mm < -1:",
         f"{T_CLI}::TestStreamedOutput::test_seq_matches_row_by_row_emitter[400-600-False-csv]",
     ),
     (
@@ -500,13 +500,6 @@ MUTANTS = [
         f"{T_VER}::TestRewrittenChecksAgainstPerN::test_gap_counterexamples_on_raised_links",
     ),
     (
-        "check_gap: the band taken without band_certificate",
-        VER,
-        'top = BAND_BASE if band_certificate("y", limit) else limit\n    counterexamples',
-        "top = min(limit, BAND_BASE)\n    counterexamples",
-        f"{T_VER}::TestBand::test_base_case_is_checked_at_run_time",
-    ),
-    (
         "check_range_bounds: the band's blocks counted one too many",
         VER,
         "decided_positive += blocks - walked",
@@ -514,25 +507,18 @@ MUTANTS = [
         f"{T_VER}::TestRewrittenChecksAgainstPerN::test_lemmas_across_the_band",
     ),
     (
-        "check_range_bounds: the band taken without band_certificate",
-        VER,
-        'top = BAND_BASE if band_certificate("y", limit) else limit\n    blocks',
-        "top = min(limit, BAND_BASE)\n    blocks",
-        f"{T_VER}::TestBand::test_base_case_is_checked_at_run_time",
-    ),
-    (
         # the walk still ends at BAND_BASE, the end of its link
         "check_sign_criteria: L - 2111 for L - 2112 past the band",
         VER,
-        'top = BAND_BASE if band_certificate("y", part.limit) else part.limit',
-        'top = BAND_BASE - 1 if band_certificate("y", part.limit) else part.limit',
+        'top = band_top("y", part.limit)',
+        'top = band_top("y", part.limit) - 1',
         f"{T_VER}::TestRewrittenChecksAgainstPerN::test_lemmas_across_the_band",
     ),
     (
-        "check_sign_criteria: the band taken without band_certificate",
+        "band_top: the band taken without band_certificate",
         VER,
-        'top = BAND_BASE if band_certificate("y", part.limit) else part.limit',
-        "top = min(part.limit, BAND_BASE)",
+        "return BAND_BASE if band_certificate(seq, limit) else limit",
+        "return min(limit, BAND_BASE)",
         f"{T_VER}::TestBand::test_base_case_is_checked_at_run_time",
     ),
     (
@@ -578,13 +564,6 @@ MUTANTS = [
         f"{T_ANA}::TestEnvelopeIdentities",
     ),
     (
-        "check_sign_consistency: two candidates, not three",
-        ANA,
-        "(piece[:3] if sign > 0 else piece[-3:])",
-        "(piece[:2] if sign > 0 else piece[-2:])",
-        f"{T_ANA}::TestSurrogates::test_sign_consistency_report",
-    ),
-    (
         "check_sign_consistency: the counterexample test made >= 1e-6",
         ANA,
         "if not sign * y > 1e-6)",
@@ -592,11 +571,18 @@ MUTANTS = [
         f"{T_ANA}::TestCandidateRoute::test_float_floor_on_both_signs",
     ),
     (
-        "check_sign_consistency: abs(y) in the fallback test",
+        "check_sign_consistency: the sign walk stops at 2111",
         ANA,
-        "if not all(sign * y > 1e-6 for y, _ in ys):",
-        "if not all(abs(y) > 1e-6 for y, _ in ys):",
-        f"{T_ANA}::TestCandidateRoute::test_zero_run_is_stepped_per_n",
+        "for n in range(lo, hi + 1)]",
+        "for n in range(lo, min(hi, top - 1) + 1)]",
+        f"{T_ANA}::TestSignWalk::test_reads_no_n_past_the_base",
+    ),
+    (
+        "check_sign_consistency: the minimum of |Y| taken from n >= 4",
+        ANA,
+        "if n >= 5)))",
+        "if n >= 4)))",
+        f"{T_ANA}::TestCandidateRoute::test_every_limit_to_600",
     ),
     (
         "_check_envelopes: the MARGIN_FLOOR warning never given",

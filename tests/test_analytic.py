@@ -482,8 +482,9 @@ class TestRewrittenChecksAgainstPerN:
 
 
 class TestCandidateRoute:
-    """The three range checks settle each chain link from a few candidate
-    n; the per-n references of tests/reference.py are the oracle."""
+    """The two envelope checks settle each chain link from a few candidate
+    n, and check_sign_consistency reads Y at every n to 2112; the per-n
+    references of tests/reference.py are the oracle."""
 
     def test_every_limit_to_600(self):
         # every printed link and every boundary of y's sign runs ends in
@@ -499,46 +500,33 @@ class TestCandidateRoute:
     @staticmethod
     def assert_settled_from_candidates(monkeypatch, limit):
         # no n is stepped, from n = 1 on: F_eval runs at the first three
-        # and last three n of each link, at most six times per link, and
-        # Y at three n of each piece of a sign run, at most three times
-        # per link and run; no sign of y is decided here
+        # and last three n of each link, at most six times per link; no
+        # sign of y is decided here
         links = list(sequences.chain_links(1, limit))
         # built beforehand, so partition_y's own y_sign calls are not seen
         part = verifier.partition_y(limit)
-        pieces = [
-            piece for a, b, _ in part.runs for piece in sequences.chain_links(a, b)
-        ]
-        calls = {"F_eval": 0, "_Y": 0}
+        calls = 0
         decided = []
+        f_eval, y_sign = analytic.F_eval, sequences.y_sign
 
-        def counting(name):
-            inner = getattr(analytic, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return inner(*args)
-
-            return wrapper
-
-        y_sign = sequences.y_sign
+        def counting_f_eval(*args):
+            nonlocal calls
+            calls += 1
+            return f_eval(*args)
 
         def recording_y_sign(n):
             decided.append(n)
             return y_sign(n)
 
-        for name in calls:
-            monkeypatch.setattr(analytic, name, counting(name))
+        monkeypatch.setattr(analytic, "F_eval", counting_f_eval)
         monkeypatch.setattr(sequences, "y_sign", recording_y_sign)
         candidates = sum(2 * min(3, b - a + 1) for a, b, *_ in links)
         for check in (analytic.check_bounds_x, analytic.check_bounds_Y):
-            calls["F_eval"] = 0
+            calls = 0
             assert check(limit).status == verifier.CONFIRMED
-            assert calls["F_eval"] == candidates, check.__name__
-            assert calls["F_eval"] <= 6 * len(links), check.__name__
-        calls["_Y"] = 0
+            assert calls == candidates, check.__name__
+            assert calls <= 6 * len(links), check.__name__
         assert analytic.check_sign_consistency(part).status == verifier.CONFIRMED
-        assert calls["_Y"] == sum(min(3, b - a + 1) for a, b, *_ in pieces)
-        assert calls["_Y"] <= 3 * (len(links) + len(part.runs))
         assert decided == []
 
     def test_links_at_one_billion(self, monkeypatch):
@@ -584,14 +572,16 @@ class TestCandidateRoute:
 
     def test_flipped_run_is_stepped_per_n(self, monkeypatch):
         # the float sign disagrees with a flipped run at every n of it,
-        # so every n of the run must be listed, not only the candidates
+        # so every n of the run to 2112 is listed; past it the band
+        # settles y > 0 and the run's sign is not read
         part = verifier.partition_y(5000)
         a, b, sign = part.runs[-1]
+        assert (a, b, sign) == (369, 5000, 1)
         flipped = part._replace(runs=part.runs[:-1] + ((a, b, -sign),))
         rep = analytic.check_sign_consistency(flipped)
-        assert rep.counterexamples == list(range(a, b + 1))
+        assert rep.counterexamples == list(range(369, 2113))
         assert rep.details.startswith(
-            f"float surrogate sign differs from the exact sign at {b - a + 1} values;"
+            "float surrogate sign differs from the exact sign at 1744 values;"
         )
 
     def test_float_floor_on_both_signs(self, monkeypatch):
@@ -615,6 +605,45 @@ class TestCandidateRoute:
         zeroed_part = part._replace(runs=part.runs[:-1] + zeroed)
         rep = analytic.check_sign_consistency(zeroed_part)
         assert rep.counterexamples == list(range(400, 421))
+
+
+class TestSignWalk:
+    """check_sign_consistency reads Y at every n to BAND_BASE = 2112 and
+    takes the rest from y's band, where Y >= 23."""
+
+    def test_across_the_band(self):
+        # each side of 2112, the ends of the m-blocks 64 and 65, and powers
+        # of two, against the reference that reads every n to the limit
+        base = verifier.BAND_BASE
+        limits = {
+            *range(base - 1, base + 3),
+            *(e + d for mm in (64, 65) for e in sequences.m_block(mm) for d in (-1, 0, 1)),
+            *(2**k + d for k in range(11, 18) for d in (-1, 1)),
+            10**5,
+            10**6,
+        }
+        for limit in sorted(limits):
+            expected = reference_sign_consistency(limit).to_dict()
+            assert sign_consistency(limit).to_dict() == expected, limit
+
+    @pytest.mark.parametrize("limit", [10**7, 10**100])
+    def test_reads_no_n_past_the_base(self, monkeypatch, limit):
+        base = verifier.BAND_BASE
+        at_base = sign_consistency(base)
+        part = verifier.partition_y(limit)
+        read = []
+        y = analytic._Y
+
+        def recording_y(n, mm):
+            read.append(n)
+            return y(n, mm)
+
+        monkeypatch.setattr(analytic, "_Y", recording_y)
+        rep = analytic.check_sign_consistency(part)
+        assert read == list(range(1, base + 1))
+        assert (rep.lo, rep.hi) == (1, limit)
+        assert rep.details == at_base.details.replace(f"[5, {base}]", f"[5, {limit}]")
+        assert rep._replace(hi=base, details=at_base.details) == at_base
 
 
 class TestSandwichThroughSharedLoop:

@@ -177,8 +177,8 @@ class TestStreamedOutput:
     # link of over a million n in one piece instead of pieces of PIECE
     # rows (3.4 MB on this window, against about 0.5 MB), and the
     # interval table formatted all at once.  A json piece's text, written
-    # as one string, is the largest a piece holds: about 0.7 MB at 10**12
-    # with pieces of PIECE rows.
+    # as one string, is the largest a piece holds: the peak is about
+    # 0.56 MB at 10**12 with pieces of PIECE rows.
     @pytest.mark.parametrize(
         "argv, limit_mb",
         [

@@ -325,7 +325,7 @@ class TestRows:
 
 class TestScanPieces:
     """scan_pieces: how its pieces tile the range, their types and
-    constants, and the rows scan expands them to."""
+    constants, and the rows piece_rows, and so scan, expands them to."""
 
     # [392, 421] holds the last links left to the per-n comparison and
     # the first certified one; around 10**12 one link is cut into pieces
@@ -338,7 +338,7 @@ class TestScanPieces:
         links = iter(sequences.chain_links(lo, hi))
         a = b = start = lo - 1
         flat = []
-        for ns, z3, mm, rr, c3, x3, gaps3, ys in pieces:
+        for ns, mm, rr, ys in pieces:
             assert type(ns) is range and ns.step == 1 and ns.start == start + 1
             if ns.start > b:  # the piece opens the next link
                 assert ns.start == b + 1
@@ -351,20 +351,15 @@ class TestScanPieces:
             assert type(mm) is int and type(rr) is int and (rr, mm) == (link_r, link_m)
             assert mm == sequences.m(ns[0]) == sequences.m(ns[-1])
             assert rr == sequences.r(ns[0]) == sequences.r(ns[-1])
-            first = ns[:3]
-            assert all(type(col) is list for col in (z3, c3, x3, gaps3))
-            assert z3 == list(map(sequences.z, first)) and c3 == list(map(sequences.c, first))
-            assert x3 == list(map(sequences.x, first)) and gaps3 == [cc - mm for cc in c3]
             if sequences.positive_link(a, b, mm):
                 assert type(ys) is int and ys == 1
             else:
                 assert type(ys) is list and len(ys) == len(ns)
-            # z, c, x and c - m rise by 2 every 3 rows of the piece
-            for i, n in enumerate(ns):
-                step, k = divmod(i, 3)
-                rising = [col[k] + 2 * step for col in (z3, c3, x3, gaps3)]
-                y_sign = ys if type(ys) is int else ys[i]
-                flat.append((n, rising[0], mm, rr, *rising[1:], y_sign))
+            signs = [ys] * len(ns) if type(ys) is int else ys
+            z, c, x = sequences.z, sequences.c, sequences.x
+            rows = [(n, z(n), mm, rr, c(n), x(n), c(n) - mm, y) for n, y in zip(ns, signs)]
+            assert list(sequences.piece_rows((ns, mm, rr, ys))) == rows
+            flat.extend(rows)
         assert start == hi and next(links, None) is None
         assert list(sequences.scan(lo, hi)) == flat
 

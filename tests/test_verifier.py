@@ -464,8 +464,10 @@ class TestBand:
         assert BASE == sequences.m_block(64)[1] == 2112
         for seq, expected in self.EXPECTED.items():
             assert verifier.band_certificate(seq, BASE - 1) is None
+            assert verifier.band_top(seq, BASE - 1) == BASE - 1
             for limit in (BASE, BASE + 1, 10**100):
                 assert verifier.band_certificate(seq, limit) == expected
+                assert verifier.band_top(seq, limit) == BASE
         assert verifier.check_theorem1(BASE - 1).data["certificate"] is None
         rep = verifier.check_theorem1(BASE)
         assert rep.data["certificate"] == self.EXPECTED["x"]
@@ -480,11 +482,15 @@ class TestBand:
             with pytest.raises(ArithmeticError, match="base case"):
                 verifier.band_certificate(seq, BASE)
         assert verifier.band_certificate("x", BASE - 1) is None
-        # each check that reads the band asks for it, and so checks the base
+        # each walk that reads the band asks band_top for it, and so checks
+        # the base
         for check, arg in [
+            (verifier.partition_x, BASE),
+            (verifier.partition_y, BASE),
             (verifier.check_gap, BASE),
             (verifier.check_range_bounds, BASE),
             (verifier.check_sign_criteria, part),
+            (analytic.check_sign_consistency, part),
         ]:
             with pytest.raises(ArithmeticError, match="base case"):
                 check(arg)
