@@ -7,9 +7,10 @@ Subcommands:
     verify      run claim checks and report their status
     roots       isolate the envelope roots by bisection
 
-seq writes each piece of sequences.scan_pieces as fixed-width rows in
-a bytearray, a digit place per strided slice (_piece_texts).  seq --exact-y
-and intervals format a row tuple at a time (_line_texts).  The text
+seq writes the pieces of sequences.scan_pieces as fixed-width rows in
+bytearrays, a digit place per strided slice (_piece_texts); one part of
+rows may span pieces and chain links.  seq --exact-y and intervals
+format a row tuple at a time (_line_texts).  The text
 format is the csv text of either, split into cells.
 
 Each verify suite is one row of SUITES: its checks, its smallest and
@@ -26,7 +27,6 @@ before the output ended, 2 for usage errors.
 import argparse
 import functools
 import itertools
-import json
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -118,6 +118,8 @@ def _row_parts(columns, fmt):
     with ",", which the first row's "[" replaces."""
     if fmt != "json":
         return [""] + [","] * (len(columns) - 1), "\n"
+    import json  # only json output pays its import
+
     names = [json.dumps(col) + ": " for col in columns]
     return [",\n  {\n    " + names[0]] + [",\n    " + nm for nm in names[1:]], "\n  }"
 
@@ -151,56 +153,135 @@ def _piece_texts(pieces, seps, end):
     """The csv or json text of the pieces of sequences.scan_pieces, with
     no string built per cell or per row.
 
-    A piece on a certified link with x >= 0 (every piece past n = 546) is
-    cut where a column gains a digit, into parts whose rows have one
-    width.  A part is one bytearray: its first row repeated, then each of
-    the last three digit places of each rising column as one strided
-    slice from _digits.  A column (cell, f, last, unit, offset) holds
-    f(n) - offset in its cell, f being n (int), z or c, and last(v) is the
-    last n with f(n) <= v.  x's offset (r + 1)*m and c - m's m, as 2q + e,
-    read the digits of f - e at n - 3q, as z(n) - 2q = z(n - 3q) and
-    c(n) - 2q = c(n - 3q).  Each rise of a column's thousands inside a
-    part rewrites the high digits that change, from the row last() names.
-    The other pieces, all below n = 547, go a row at a time by _line_texts.
+    The pieces on certified links with x >= 0 (every piece past n = 546)
+    go in parts of at most PIECE rows of one width.  A part runs across
+    pieces and chain links.  It is cut where n, z or c gains a digit,
+    where x or c - m gains one inside a link, and where a link starts
+    with m, r, x or c - m of another width (x falls from 103 to 93 at
+    n = 800).  A part is one bytearray: its first row repeated, then
+    each of the last three digit places of each rising column as a
+    strided slice from _digits.  A rising column holds f(n) - offset, f
+    being n (int), z or c, and last(v) is the last n with f(n) <= v.  n,
+    z and c, with offset 0, take one slice per place for the whole part.
+    x, with offset (r + 1)*m, and c - m, with offset m, take one per
+    link, as their offset 2q + e changes from link to link: they read
+    the digits of f - e at n - 3q, as z(n) - 2q = z(n - 3q) and
+    c(n) - 2q = c(n - 3q).  Where a column's thousands change, and where
+    m or r changes at a link start, the digits that change are rewritten
+    from that row to the end of the part.  The other pieces, all below
+    n = 547, go a row at a time by _line_texts.
     """
-    for piece in pieces:
+    # each rising column: f, last, and for e = 0 and 1 the _digits of its
+    # last three places, copied to bytearrays, as a bytearray goes into a
+    # strided slice without a conversion
+    columns = []
+    for f, last, unit in (
+        (int, int, 10),
+        (sequences.z, sequences.z_last, 15),
+        (sequences.c, sequences.c_last, 15),
+    ):
+        pats = [[_digits(f, last, unit, place, e) for place in range(3)] for e in (0, 1)]
+        columns.append((f, last, [[(p, bytearray(d)) for p, d in places] for places in pats]))
+    ncol, zcol, ccol = columns
+    rising = ((0, ncol), (1, zcol), (4, ccol))  # with their cells
+    z, c = sequences.z, sequences.c
+    runs = [bytearray(b"%d" % d) * sequences.PIECE for d in range(10)]
+    pieces = iter(pieces)
+    piece = next(pieces, None)
+    while piece is not None:
         ns, mm, rr, ys = piece
-        if not isinstance(ys, int) or sequences.z(ns.start) - (rr + 1) * mm < 0:
-            yield "".join(_line_texts(sequences.piece_rows(piece), seps, end))
-            continue
-        z, c = (sequences.z, sequences.z_last, 15), (sequences.c, sequences.c_last, 15)
-        cols = [(0, int, int, 10, 0), (1, *z, 0), (4, *c, 0), (5, *z, (rr + 1) * mm), (6, *c, mm)]
         s = ns.start
-        while s < ns.stop:
-            cells = [s, 0, mm, rr, 0, 0, 0, ys]
-            for cell, f, _, _, off in cols:
-                cells[cell] = f(s) - off
-            texts = [sep + str(v) for sep, v in zip(seps, cells)]
-            ends = list(itertools.accumulate(map(len, texts)))
-            line = "".join(texts) + end
-            # the part ends before a column gains a digit
-            gains = [
-                last(10 ** len(str(cells[cell])) + off - 1) + 1 for cell, _, last, _, off in cols
-            ]
-            t = min(gains + [ns.stop])
-            width, rows = len(line), t - s
-            buf = bytearray(line, "ascii") * rows
-            for cell, f, last, unit, off in cols:
-                q, e = divmod(off, 2)
-                pos, size = ends[cell] - 1, len(str(cells[cell]))
-                for place in range(min(3, size)):
-                    period, digits = _digits(f, last, unit, place, e)
-                    j = (s - 3 * q) % period
-                    buf[pos - place :: width] = digits[j : j + rows]
-                for high in range(cells[cell] // 1000 + 1, (f(t - 1) - off) // 1000 + 1):
-                    row = last(1000 * high + off - 1) + 1 - s
-                    text, at = b"%d" % high, row * width + pos - size + 1
-                    # high's trailing zeros and the digit before them are new
-                    for i in range(len(text.rstrip(b"0")) - 1, len(text)):
-                        buf[at + i :: width] = text[i : i + 1] * (rows - row)
-            buf = buf.decode("ascii")  # a paused generator holds only the text
-            yield buf
-            s = t
+        if not isinstance(ys, int) or sequences.x(s) < 0:
+            yield "".join(_line_texts(sequences.piece_rows(piece), seps, end))
+            piece = next(pieces, None)
+            continue
+        zs, cs = z(s), c(s)
+        cells = [s, zs, mm, rr, cs, zs - (rr + 1) * mm, cs - mm, ys]
+        texts = [sep + str(v) for sep, v in zip(seps, cells)]
+        ends = list(itertools.accumulate(map(len, texts)))
+        sizes = [len(text) - len(sep) for text, sep in zip(texts, seps)]
+        # the part ends within PIECE rows, before n, z or c gains a digit, ...
+        t = min(s + sequences.PIECE, *(col[1](10 ** sizes[cell] - 1) + 1 for cell, col in rising))
+        (ml, mh), (rl, rh), (xl, xh), (gl, gh) = (
+            (10 ** (k - 1) if k > 1 else 0, 10**k) for k in sizes[2:4] + sizes[5:7]
+        )
+        links = []  # (a, b, m, r, x, c - m): the part's rows [a, b) of a link, and x, c - m at a
+        xs, gaps = cells[5:7]
+        while True:
+            ns, mm, rr, ys = piece
+            # ... before x or c - m gains a digit inside a link, ...
+            b = min(
+                ns.stop,
+                t,
+                sequences.z_last(xh + (rr + 1) * mm - 1) + 1,
+                sequences.c_last(gh + mm - 1) + 1,
+            )
+            if links and links[-1][2:4] == (mm, rr):
+                links[-1] = (links[-1][0], b, *links[-1][2:])
+            else:
+                links.append((ns.start, b, mm, rr, xs, gaps))
+            if b < ns.stop:
+                piece = (range(b, ns.stop), mm, rr, ys)
+                break
+            piece = next(pieces, None)
+            if b == t or piece is None:
+                break
+            # ... and where a piece goes by rows or starts a link in other widths
+            ns, mm, rr, ys = piece
+            xs, gaps = z(b) - (rr + 1) * mm, c(b) - mm
+            if not (
+                isinstance(ys, int)
+                and ml <= mm < mh
+                and rl <= rr < rh
+                and xl <= xs < xh
+                and gl <= gaps < gh
+            ):
+                break
+        line = "".join(texts) + end
+        width = len(line)
+        buf = bytearray(line, "ascii") * (b - s)
+
+        def restamp(tail, n, old, new):
+            """From row n on, rewrite the digits of new, a number with as
+            many as old, up to the first that differs from old's, in the
+            field that ends at byte tail of a row."""
+            at = (n - s) * width + tail
+            while old != new:
+                buf[at::width] = runs[new % 10][: b - n]
+                old, new, at = old // 10, new // 10, at - 1
+
+        def fill(cell, col, off, lo, hi, value, high):
+            """Write f(n) - off, which is value at lo, in cell on the rows
+            [lo, hi), where the row before lo (or lo itself, at the part's
+            start) has thousands high; return the thousands at hi - 1."""
+            f, last, pats = col
+            at, stop, k = (lo - s) * width + ends[cell] - 1, (hi - s) * width, hi - lo
+            j = lo - 3 * (off >> 1)
+            for period, digits in pats[off & 1][: sizes[cell]]:
+                i = j % period
+                buf[at:stop:width] = digits[i : i + k]
+                at -= 1
+            first, top = value // 1000, (f(hi - 1) - off) // 1000
+            if first != high:
+                restamp(ends[cell] - 4, lo, high, first)
+            for high in range(first + 1, top + 1):
+                restamp(ends[cell] - 4, last(1000 * high + off - 1) + 1, high - 1, high)
+            return top
+
+        for cell, col in rising:
+            fill(cell, col, 0, s, b, cells[cell], cells[cell] // 1000)
+        _, _, mm, rr, _, xs, gaps, _ = cells
+        xk, gk = xs // 1000, gaps // 1000  # the thousands of x and c - m so far
+        for lo, hi, m2, r2, xs, gaps in links:
+            if m2 != mm:
+                restamp(ends[2] - 1, lo, mm, m2)
+            if r2 != rr:
+                restamp(ends[3] - 1, lo, rr, r2)
+            mm, rr = m2, r2
+            xk = fill(5, zcol, (rr + 1) * mm, lo, hi, xs, xk)
+            gk = fill(6, ccol, mm, lo, hi, gaps, gk)
+        buf = buf.decode("ascii")  # a paused generator holds only the text
+        yield buf
 
 
 def _emit_table(columns, fmt, texts):
@@ -280,15 +361,14 @@ def _with_exact_y(rows):
 
 
 def cmd_seq(args):
-    """Print the sequences over [--from, --to]: a piece of
-    sequences.scan_pieces at a time, in parts of fixed-width rows by
-    _piece_texts, or with --exact-y a row of sequences.scan at a time,
-    with y(n) appended as an exact Decimal by _with_exact_y and
-    formatted by _line_texts.  y's text is
-    that of the int, so no big int is converted to str and the
-    interpreter's digit cap never applies.  A text range longer than
-    TEXT_MAX_ROWS, and --exact-y past EXACT_Y_MAX_N, are refused before
-    any row is built."""
+    """Print the sequences over [--from, --to]: the pieces of
+    sequences.scan_pieces, in parts of fixed-width rows that may span
+    pieces and links, by _piece_texts, or with --exact-y a row of
+    sequences.scan at a time, with y(n) appended as an exact Decimal by
+    _with_exact_y and formatted by _line_texts.  y's text is that of the
+    int, so no big int is converted to str and the interpreter's digit
+    cap never applies.  A text range longer than TEXT_MAX_ROWS, and
+    --exact-y past EXACT_Y_MAX_N, are refused before any row is built."""
     start, stop = args.start, args.stop
     if start < 1 or stop < start:
         raise ValueError("need 1 <= --from <= --to")

@@ -35,13 +35,14 @@ scan_pieces, the stepper, serves seq.  It cuts each link into pieces
 of at most PIECE rows and yields one (ns, m, r, signs) per piece: ns is
 a range, m and r are the link's ints, and signs is the int 1 on a link
 that positive_link certifies and the list of y_sign(n) on the others.
-seq writes a piece past n = 546 as rows of fixed width, from z and c at
-the first n of each part, and any other from its piece_rows: plain
-tuples in SequenceRow order, where z, c, x and c - m, which each rise
-by 2 every 3 rows of a link, are filled out from their first three
-values by a step-2 range per residue of n mod 3.  scan yields every
-piece's piece_rows; seq --exact-y reads those, and row(n) is one row
-of scan.
+seq writes the pieces past n = 546 as rows of fixed width, in parts
+that may span pieces and links, from z and c at the first n of each
+part and m and r at the first n of each link; any other piece goes by
+its piece_rows: plain tuples in SequenceRow order, where z, c, x and
+c - m, which each rise by 2 every 3 rows of a link, are filled out from
+their first three values by a step-2 range per residue of n mod 3.
+scan yields every piece's piece_rows; seq --exact-y reads those, and
+row(n) is one row of scan.
 """
 
 import math
@@ -50,9 +51,11 @@ from typing import Iterator, NamedTuple
 
 from .exactarith import cmp_pow2_vs_pow
 
-# The most rows in one piece of scan_pieces: it keeps a piece's lists and
-# seq's text of it small on links of millions of n, while the fixed work
-# of a piece (in seq, a template row and a few strided slices) stays rare.
+# The most rows in one piece of scan_pieces, and in one part of seq's
+# fixed-width text, which may span pieces and links: it keeps a piece's
+# lists and a part's text small on links of millions of n, while the
+# fixed work of a part (a template row and a few strided slices) stays
+# rare.
 PIECE = 1024
 
 

@@ -36,7 +36,6 @@ their argument, so a caller builds it once for all of them; the last
 three walk its runs link by link through signed_links alone.
 """
 
-import json
 from typing import Any, NamedTuple
 
 from . import intervals, sequences
@@ -799,6 +798,8 @@ def check_positive_tail(part: SignPartition) -> VerificationReport:
 
 def reports_to_json(reports: list[VerificationReport]) -> str:
     """Deterministic JSON array of report dicts."""
+    import json  # only json output pays its import
+
     return json.dumps([rep.to_dict() for rep in reports], indent=2)
 
 

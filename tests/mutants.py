@@ -364,14 +364,14 @@ MUTANTS = [
         SEQ,
         "ns = range(s, min(s + PIECE, b + 1))",
         "ns = range(s, min(s + PIECE - 1, b + 1))",
-        f"{T_CLI}::TestSeq::test_csv_matches_golden_digest",
+        f"{T_SEQ}::TestScanPieces::test_pieces_tile_the_range_in_link_pieces",
     ),
     (
         "scan_pieces: a piece ends one row long",
         SEQ,
         "ns = range(s, min(s + PIECE, b + 1))",
         "ns = range(s, min(s + PIECE + 1, b + 1))",
-        f"{T_CLI}::TestSeq::test_csv_matches_golden_digest",
+        f"{T_SEQ}::TestScanPieces::test_pieces_tile_the_range_in_link_pieces",
     ),
     (
         "_rising: each third of a column rises by 1, not 2",
@@ -411,44 +411,72 @@ MUTANTS = [
     (
         "_piece_texts: x's and c - m's shift 3q read as 2q",
         CLI,
-        "j = (s - 3 * q) % period",
-        "j = (s - 2 * q) % period",
+        "j = lo - 3 * (off >> 1)",
+        "j = lo - 2 * (off >> 1)",
         f"{T_CLI}::TestStreamedOutput::test_seq_matches_row_by_row_emitter[990-1010-False-csv]",
     ),
     (
         "_piece_texts: the odd part e of an offset dropped",
         CLI,
-        "q, e = divmod(off, 2)",
-        "q, e = off // 2, 0",
+        "pats[off & 1]",
+        "pats[0]",
         f"{T_CLI}::TestStreamedOutput::test_seq_matches_row_by_row_emitter[2995-3010-False-json]",
     ),
     (
         "_piece_texts: a width cut one n late",
         CLI,
-        "last(10 ** len(str(cells[cell])) + off - 1) + 1",
-        "last(10 ** len(str(cells[cell])) + off - 1) + 2",
+        "col[1](10 ** sizes[cell] - 1) + 1",
+        "col[1](10 ** sizes[cell] - 1) + 2",
         f"{T_CLI}::TestStreamedOutput::test_seq_matches_row_by_row_emitter[14984-15004-False-csv]",
     ),
     (
         "_piece_texts: a thousand run starting one row late",
         CLI,
-        "row = last(1000 * high + off - 1) + 1 - s",
-        "row = last(1000 * high + off - 1) + 2 - s",
+        "last(1000 * high + off - 1) + 1, high - 1, high)",
+        "last(1000 * high + off - 1) + 2, high - 1, high)",
         f"{T_CLI}::TestStreamedOutput::test_seq_matches_row_by_row_emitter[14984-15004-False-json]",
     ),
     (
         "_piece_texts: a piece with x < 0 written in fixed width",
         CLI,
-        "(rr + 1) * mm < 0:",
-        "(rr + 1) * mm < -1:",
+        "sequences.x(s) < 0:",
+        "sequences.x(s) < -1:",
         f"{T_CLI}::TestStreamedOutput::test_seq_matches_row_by_row_emitter[400-600-False-csv]",
+    ),
+    (
+        "_piece_texts: m's cell not rewritten at a link start inside a part",
+        CLI,
+        "restamp(ends[2] - 1, lo, mm, m2)",
+        "pass",
+        f"{T_CLI}::TestStreamedOutput::test_seq_matches_row_by_row_emitter[2040-2060-False-csv]",
+    ),
+    (
+        "_piece_texts: x's offset taken from the part's first link",
+        CLI,
+        "xk = fill(5, zcol, (rr + 1) * mm,",
+        "xk = fill(5, zcol, (cells[3] + 1) * cells[2],",
+        f"{T_CLI}::TestStreamedOutput::test_seq_matches_row_by_row_emitter[4087-4107-False-csv]",
+    ),
+    (
+        "_piece_texts: a part runs across x's width drop",
+        CLI,
+        "and xl <= xs < xh",
+        "and xs < xh",
+        f"{T_CLI}::TestStreamedOutput::test_seq_matches_row_by_row_emitter[790-810-False-csv]",
+    ),
+    (
+        "_piece_texts: a part's bytearray held beside its text at the yield",
+        CLI,
+        'buf = buf.decode("ascii")  # a paused generator holds only the text\n        yield buf\n',
+        'yield buf.decode("ascii")\n',
+        f"{T_CLI}::TestStreamedOutput::test_blocks_hold_little",
     ),
     (
         "scan_pieces: the piece cap removed, one piece per link",
         SEQ,
         "for s in range(a, b + 1, PIECE):\n            ns = range(s, min(s + PIECE, b + 1))",
         "for s in (a,):\n            ns = range(a, b + 1)",
-        f"{T_CLI}::TestStreamedOutput::test_blocks_hold_little",
+        f"{T_SEQ}::TestScanPieces::test_pieces_tile_the_range_in_link_pieces",
     ),
     (
         "cmp_pow2_vs_pow: GT fast path one bit loose",

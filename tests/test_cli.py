@@ -3,7 +3,7 @@
 Everything runs in-process through cli.main so exit codes and exact
 stdout bytes can be asserted without spawning subprocesses; only the
 closed-pipe test needs a real child process and a real pipe, and the
-two import tests a fresh interpreter.
+three import tests a fresh interpreter.
 """
 
 import hashlib
@@ -52,6 +52,14 @@ DIGIT_STEPS = {
 }
 
 
+# Link starts where seq's fixed-width parts must cut or rewrite a cell:
+# x falls from 103 to 93 at the first n of m's block 40, and m gains a
+# digit at the first n of its block 100, so a part is cut at each; r
+# steps at 2**k + 1, inside an m-block and, for 12 <= k <= 17, with every
+# column keeping its width, so a part runs across each and rewrites r.
+LINK_STEPS = {"x": 800, "m": 5000, "r": [2**k + 1 for k in range(12, 18)]}
+
+
 def printed_y(out):
     """(n, y) as printed by seq --format csv --exact-y, both kept as text."""
     return [(f[0], f[-1]) for f in (ln.split(",") for ln in out.split("\n")[1:-1])]
@@ -72,6 +80,8 @@ class TestStreamedOutput:
     # 3002.  seq cuts a piece where a column gains a digit, so each
     # column's steps to 10**4 and 10**5 have a window too.  525300..525330
     # holds the start of the first link longer than PIECE rows, at 525313.
+    # A part runs across links, so each link step of LINK_STEPS has a
+    # window too.
     @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
     @pytest.mark.parametrize("exact_y", [False, True])
     @pytest.mark.parametrize(
@@ -91,7 +101,8 @@ class TestStreamedOutput:
             (525300, 525330),
         ]
         + [(n - 10, n + 10) for n in DIGIT_STEPS[10**4].values()]
-        + [(n - 10, n + 10) for n in DIGIT_STEPS[10**5].values()],
+        + [(n - 10, n + 10) for n in DIGIT_STEPS[10**5].values()]
+        + [(n - 10, n + 10) for n in (LINK_STEPS["x"], LINK_STEPS["m"], *LINK_STEPS["r"])],
     )
     def test_seq_matches_row_by_row_emitter(self, capsys, fmt, exact_y, start, stop):
         argv = ["seq", "--from", str(start), "--to", str(stop), "--format", fmt]
@@ -115,6 +126,31 @@ class TestStreamedOutput:
             values = [row[sequences.SequenceRow._fields.index(name)] for row in rows]
             crossings = [k for k, (a, b) in enumerate(zip(values, values[1:])) if a < power <= b]
             assert crossings == [n - power // 2 - 1], name
+
+    def test_link_steps_in_their_windows(self):
+        # each link step of LINK_STEPS is the first n of a link, at its
+        # window's centre, where the column named changes as described
+        row = sequences.row
+        starts = {a for a, _, _, _ in sequences.chain_links(1, 2**17 + 1)}
+        n = LINK_STEPS["x"]
+        assert n == sequences.m_block(40)[0] and n in starts
+        assert (row(n - 1).x, row(n).x) == (103, 93)
+        n = LINK_STEPS["m"]
+        assert n == sequences.m_block(100)[0] and n in starts
+        assert (row(n - 1).m, row(n).m) == (99, 100)
+        for k, n in zip(range(12, 18), LINK_STEPS["r"]):
+            before, at = row(n - 1), row(n)
+            assert n in starts and (before.r, at.r) == (k, k + 1) and before.m == at.m
+            for name in ("n", "z", "r", "c", "x", "c_minus_m"):
+                assert len(str(getattr(before, name))) == len(str(getattr(at, name))), (k, name)
+
+    def test_parts_run_across_pieces(self):
+        # over [600, 200599] the 608 pieces, each on one link, go in 208
+        # fixed-width parts
+        seps, end = cli._row_parts(list(sequences.SequenceRow._fields), "csv")
+        pieces = sum(1 for _ in sequences.scan_pieces(600, 200599))
+        parts = sum(1 for _ in cli._piece_texts(sequences.scan_pieces(600, 200599), seps, end))
+        assert parts < pieces
 
     # a window can span a width cut, a thousand step and a piece's end
     @settings(max_examples=40, deadline=None)
@@ -155,9 +191,12 @@ class TestStreamedOutput:
 
     @staticmethod
     def traced_peak(monkeypatch, argv):
-        """The peak of memory traced while cli.main runs argv into devnull."""
+        """The peak of memory traced while cli.main runs argv into devnull,
+        after one untraced run, so that work done once per process (json's
+        import, the cached digit patterns) stays out of it."""
         with open(os.devnull, "w") as sink:
             monkeypatch.setattr(sys, "stdout", sink)
+            assert cli.main(argv) == 0
             tracemalloc.start()
             try:
                 assert cli.main(argv) == 0
@@ -173,20 +212,21 @@ class TestStreamedOutput:
         assert self.traced_peak(monkeypatch, argv) < 2 * 2**20
 
     # One guard per way the output could hold too much: every y at once
-    # (about 2 MB here, where one at a time peaks near 0.4 MB), a chain
-    # link of over a million n in one piece instead of pieces of PIECE
-    # rows (3.4 MB on this window, against about 0.5 MB), and the
-    # interval table formatted all at once.  A json piece's text, written
-    # as one string, is the largest a piece holds: the peak is about
-    # 0.56 MB at 10**12 with pieces of PIECE rows.
+    # (about 2 MB here, where one at a time peaks near 0.1 MiB), the
+    # interval table formatted all at once, and a part's bytearray held
+    # beside its text while seq's writer waits at its yield.  A part's
+    # text is the largest a part holds; on the 10**12 windows the peak is
+    # 0.223-0.232 MiB in csv and 0.596-0.609 MiB in json (Python 3.10 and
+    # 3.11), and 0.306-0.308 and 0.778-0.785 MiB with the bytearray held,
+    # so each bound lies between the two.
     @pytest.mark.parametrize(
         "argv, limit_mb",
         [
             (["seq", "--from", "60000", "--to", "60399", "--exact-y", "--format", "csv"], 1),
             (["seq", "--from", "60000", "--to", "60399", "--exact-y", "--format", "json"], 1),
-            (["seq", "--from", str(10**12), "--to", str(10**12 + 20000), "--format", "csv"], 1.5),
+            (["seq", "--from", str(10**12), "--to", str(10**12 + 20000), "--format", "csv"], 0.27),
             (["intervals", "--limit", str(10**9), "--format", "csv"], 1),
-            (["seq", "--from", str(10**12), "--to", str(10**12 + 20000), "--format", "json"], 1.5),
+            (["seq", "--from", str(10**12), "--to", str(10**12 + 20000), "--format", "json"], 0.69),
         ],
     )
     def test_blocks_hold_little(self, monkeypatch, argv, limit_mb):
@@ -833,6 +873,36 @@ assert "decimal" not in sys.modules
 assert "fractions" not in sys.modules
 assert cli.main("seq --to 20 --exact-y".split()) == 0
 assert "decimal" in sys.modules
+"""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_json_loads_only_for_json_output():
+    # json output alone imports json, which costs a fresh interpreter
+    # about 3 ms; seq and intervals in csv or text, and verify and roots
+    # in text or csv, keep it out.  -S keeps site .pth hooks out.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"""
+import io, sys
+sys.path.insert(0, {src!r})
+from ineqscan import cli
+sys.stdout = io.StringIO()
+for argv in (
+    "seq --to 5 --format csv",
+    "seq --from 1000 --to 3000 --format text",
+    "intervals --limit 600 --format csv",
+    "intervals --limit 600",
+    "verify --suite all --limit 5000",
+    "verify --suite lemmas --format csv",
+    "roots --format csv",
+):
+    assert cli.main(argv.split()) == 0, argv
+assert "json" not in sys.modules
+assert cli.main("seq --to 5 --format json".split()) == 0
+assert "json" in sys.modules
 """
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, timeout=60
