@@ -9,9 +9,10 @@ and spot checks of the published decimal approximations.
 The envelope checks, the surrogates and the bisection are ordinary
 floating point.  That is safe on the range the command line allows
 (n <= 10**7): the margins there stay far above double-precision error,
-and any comparison that lands inside float noise is reported instead of
-trusted.  Past it the margins shrink toward float error, which is why
-that range is capped.  One piece is exact: positive_beyond proves, in
+and a least margin below float_noise(limit), a bound on the float error
+of every margin compared on [1, limit], is reported instead of trusted.
+Past it the margins shrink toward float error, which is why that range
+is capped.  One piece is exact: positive_beyond proves, in
 integers only, that an envelope stays positive on a whole real tail
 [t, oo), and check_roots stops its float grid walk at the first positive
 t where it holds, just past each root, instead of walking on to
@@ -58,9 +59,9 @@ from .verifier import (
 
 LOG2 = math.log(2.0)
 
-# Margins tighter than this are inside double-precision noise and are
-# flagged in the report details rather than trusted silently.
-MARGIN_FLOOR = 1e-9
+# The width a root bracket is bisected down to when no tolerance is given:
+# the default of isolate_root, check_roots and the command line's --tol.
+ROOT_TOL = 1e-9
 
 
 class FCoeffs(NamedTuple):
@@ -214,7 +215,7 @@ def require_tol(tol: float) -> None:
         raise ValueError("tol must be a finite positive number")
 
 
-def isolate_root(coeffs: FCoeffs, lo: float, hi: float, tol: float = 1e-9) -> RootBracket:
+def isolate_root(coeffs: FCoeffs, lo: float, hi: float, tol: float = ROOT_TOL) -> RootBracket:
     """Shrink a sign-changing bracket to width <= tol by bisection.
 
     The endpoints must evaluate to nonzero values of opposite sign.
@@ -270,6 +271,39 @@ def Y_real(n: int) -> float:
     return _Y(n, sequences.m(n))
 
 
+def float_noise(limit: int) -> float:
+    """A bound on the float error of every envelope margin that
+    _check_envelopes compares on [1, limit]:
+
+        2**-48 (L + sqrt(2L)(log2 L + 2) + 6),  L = limit.
+
+    A margin at n is v - F or F - v.  F is F_eval's sum of (2/3)n, a,
+    b s, c log2 n and s log2 n, with s = sqrt(2n).  v is x, an int (exact
+    as n < 2**53, and |x| <= 2n/3 + (r + 1)m), or _Y's c - m, exact, less
+    (m - 1) log2 n.  With unit roundoff u = 2**-53, sqrt correctly
+    rounded and log2 within an ulp (2u), each term is off by at most 5u
+    of its size (s log2 n, the worst, takes u + 2u + u and second-order
+    terms), and each of the at most six additions and subtractions
+    rounds once, by u of its result (Higham, Accuracy and Stability of
+    Numerical Algorithms, SIAM 2002, ch. 1).  For the named instances
+    |a| <= 5 and 0 <= b, c <= 2, and m <= s, r < log2 n + 1,
+    c <= 2n/3 + 4 and log2 n <= s.  So for n <= L the terms of F, those
+    of v and every partial sum are at most G = 2L/3 + 5 +
+    sqrt(2L)(log2 L + 4) in size, and the margin itself at most 2G, and
+    a margin is off by at most 5u G + 5u G + u(5G + 2G) = 17u G.  That is
+    below 32u (L + sqrt(2L)(log2 L + 2) + 6), the bound: term by term it
+    is larger only in 68 sqrt(2L) against 64 sqrt(2L), and
+    4 sqrt(2L) <= 20L.
+
+    The bound is 3.6e-8 at 10**7, where the least margin is 2.7e-3, and
+    3.6e-6 at 10**9, where it is 3.5e-4.  Against the margins at 80
+    digits, the float error at every candidate n of the chain links to
+    10**7 stays more than 10 times below the bound at n (2.1e-9 at
+    n = 6472801, where the bound is 2.3e-8).
+    """
+    return 2.0**-48 * (limit + math.sqrt(2 * limit) * (math.log2(limit) + 2) + 6)
+
+
 # ---------------------------------------------------------------------------
 # Checks
 # ---------------------------------------------------------------------------
@@ -299,7 +333,9 @@ def _check_envelopes(claim_id, what, lower, upper, limit, value):
     in increasing n, and min over (margin, n) keeps the least n of a tie,
     so the minima and their n are those of a walk over every n, as long
     as float error stays below the three-step change of a margin (above
-    0.01 up to n = 10**7, against float errors near 1e-9).
+    0.01 up to n = 10**7, against float errors below float_noise(10**7),
+    3.6e-8).  A least margin below float_noise(limit) gets a warning in
+    the details.
     """
     sequences.require_positive(limit, "limit")
 
@@ -330,7 +366,7 @@ def _check_envelopes(claim_id, what, lower, upper, limit, value):
         f"{claim}; smallest lower margin {min_low:.6f} at n = {min_low_at}, "
         f"smallest upper margin {min_up:.6f} at n = {min_up_at}"
     )
-    if min(min_low, min_up) < MARGIN_FLOOR:
+    if min(min_low, min_up) < float_noise(limit):
         details += "; warning: a margin sits inside float noise"
     return make_report(
         claim_id,
@@ -481,7 +517,7 @@ def check_approximations() -> VerificationReport:
     )
 
 
-def check_roots(tol: float = 1e-9) -> list[VerificationReport]:
+def check_roots(tol: float = ROOT_TOL) -> list[VerificationReport]:
     """Isolate the main root of each envelope instance.
 
     For each instance: find the sign changes of F on the integer grid

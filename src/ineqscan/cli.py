@@ -13,10 +13,11 @@ rows may span pieces and chain links.  seq --exact-y and intervals
 format a row tuple at a time (_line_texts).  The text
 format is the csv text of either, split into cells.
 
-Each verify suite is one row of SUITES: its checks, its smallest and
-default --limit and its cap, if any.  --suite all runs every row.  A
-verify run builds y's sign partition at most once per limit and hands it
-to every check that reads it.
+Each verify suite is one row of SUITES: its checks, its smallest
+--limit and its cap, if any.  Every suite that reads --limit defaults to
+DEFAULT_LIMIT, so a verify run without one runs every suite at one
+limit.  --suite all runs every row.  A verify run builds y's sign
+partition at most once and hands it to every check that reads it.
 
 Exit codes: 0 when every requested check is clean (documented errata do
 not count against a run unless --strict is given), 1 when a check found
@@ -34,16 +35,19 @@ from typing import Callable, NamedTuple
 from . import analytic, intervals, sequences, verifier
 
 class Suite(NamedTuple):
-    """The smallest --limit that attests the claims and the --limit used
-    when none is given (both None where the printed tables fix the range
-    and --limit is ignored), run(limit, tol, y_runs) -> reports, where
-    y_runs(limit) is y's sign partition on [1, limit], and (largest
-    --limit, why)."""
+    """The smallest --limit that attests the claims (None where the
+    printed tables fix the range and --limit is ignored), run(limit, tol,
+    y_runs) -> reports, where y_runs(limit) is y's sign partition on
+    [1, limit], and (largest --limit, why)."""
 
     minimum: int | None
-    default: int | None
     run: Callable
     cap: tuple | None = None
+
+
+# The --limit of every suite when none is given.  Past BAND_BASE the
+# theorem reports carry the band certificate that extends them to every n.
+DEFAULT_LIMIT = 10**5
 
 
 # x's sign structure ends at n = 546, so the first theorem needs to see
@@ -54,15 +58,14 @@ _Y_SETTLED = verifier.POSITIVE_TAIL_START
 # In report order.  Checks are looked up through their module at call
 # time, so a wrapper set there (a tracer or a test double) sees the call.
 SUITES = {
-    "table": Suite(None, None, lambda limit, *_: [verifier.check_reference_table()]),
-    "intervals": Suite(None, None, lambda limit, *_: [verifier.check_interval_table()]),
-    "theorem1": Suite(_X_SETTLED, 600, lambda limit, *_: [verifier.check_theorem1(limit)]),
+    "table": Suite(None, lambda limit, *_: [verifier.check_reference_table()]),
+    "intervals": Suite(None, lambda limit, *_: [verifier.check_interval_table()]),
+    "theorem1": Suite(_X_SETTLED, lambda limit, *_: [verifier.check_theorem1(limit)]),
     "theorem2": Suite(
-        _Y_SETTLED, 1000, lambda limit, _, y_runs: [verifier.check_theorem2(y_runs(limit))]
+        _Y_SETTLED, lambda limit, _, y_runs: [verifier.check_theorem2(y_runs(limit))]
     ),
     "lemmas": Suite(
         _Y_SETTLED,
-        5000,
         lambda limit, _, y_runs: [
             verifier.check_gap(limit),
             verifier.check_range_bounds(limit),
@@ -73,7 +76,6 @@ SUITES = {
     ),
     "analytic": Suite(
         1,
-        100000,
         lambda limit, tol, y_runs: [
             analytic.check_bounds_x(limit),
             analytic.check_bounds_Y(limit),
@@ -422,7 +424,7 @@ def cmd_verify(args):
                 f"suite {args.suite!r} takes --limit <= {cap}: {reason}; "
                 "--suite theorem1|theorem2|lemmas take any --limit"
             )
-        if all(p.default is None for p in parts):
+        if minimum is None:
             print(
                 f"note: suite {args.suite!r} checks the printed tables at their "
                 "fixed range; --limit is ignored",
@@ -430,7 +432,7 @@ def cmd_verify(args):
             )
     # Looked up through the module, so a wrapper there sees each build.
     y_runs = functools.cache(lambda limit: verifier.partition_y(limit))
-    reports = [rep for p in parts for rep in p.run(args.limit or p.default, args.tol, y_runs)]
+    reports = [rep for p in parts for rep in p.run(args.limit or DEFAULT_LIMIT, args.tol, y_runs)]
     return _emit_reports(reports, args)
 
 
@@ -475,11 +477,11 @@ def build_parser():
         action="store_true",
         help="treat documented errata as failures",
     )
-    p_ver.add_argument("--tol", type=float, default=1e-9)
+    p_ver.add_argument("--tol", type=float, default=analytic.ROOT_TOL)
     p_ver.set_defaults(func=cmd_verify)
 
     p_roots = sub.add_parser("roots", help="isolate the envelope roots")
-    p_roots.add_argument("--tol", type=float, default=1e-9)
+    p_roots.add_argument("--tol", type=float, default=analytic.ROOT_TOL)
     p_roots.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_roots.add_argument("--strict", action="store_true")
     p_roots.set_defaults(func=cmd_roots)

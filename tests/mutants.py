@@ -613,11 +613,25 @@ MUTANTS = [
         f"{T_ANA}::TestCandidateRoute::test_every_limit_to_600",
     ),
     (
-        "_check_envelopes: the MARGIN_FLOOR warning never given",
+        "_check_envelopes: the float-noise warning never given",
         ANA,
-        "if min(min_low, min_up) < MARGIN_FLOOR:",
+        "if min(min_low, min_up) < float_noise(limit):",
         "if False:",
         f"{T_ANA}::TestSandwichThroughSharedLoop::test_x_upper_below_the_data",
+    ),
+    (
+        "float_noise: the bound taken at n = 1, not at the limit",
+        ANA,
+        "return 2.0**-48 * (limit + math.sqrt(2 * limit) * (math.log2(limit) + 2) + 6)",
+        "return 2.0**-48 * (1 + math.sqrt(2 * 1) * (math.log2(1) + 2) + 6)",
+        f"{T_ANA}::TestFloatNoise::test_bound_covers_the_float_error",
+    ),
+    (
+        "DEFAULT_LIMIT: one below the band's base",
+        CLI,
+        "DEFAULT_LIMIT = 10**5",
+        "DEFAULT_LIMIT = 2111",
+        f"{T_CLI}::TestSuiteTable::test_default_run_certifies_both_theorems",
     ),
     (
         "f_bounds: the r block left out",

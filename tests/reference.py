@@ -304,6 +304,12 @@ def _Y(n, mm, gap):
     return gap - (mm - 1) * math.log2(n)
 
 
+def float_noise(limit):
+    """The float error bound of an envelope margin on [1, limit], as
+    analytic.float_noise states it: 2**-48 (L + sqrt(2L)(log2 L + 2) + 6)."""
+    return 2.0**-48 * (limit + math.sqrt(2 * limit) * (math.log2(limit) + 2) + 6)
+
+
 def _reference_margins(claim_id, what, lower, upper, limit, values):
     """Both envelope margins of a value at every (n, value)."""
     counterexamples = []
@@ -327,7 +333,7 @@ def _reference_margins(claim_id, what, lower, upper, limit, values):
         f"{base}; smallest lower margin {min_low:.6f} at n = {min_low_at}, "
         f"smallest upper margin {min_up:.6f} at n = {min_up_at}"
     )
-    if min(min_low, min_up) < analytic.MARGIN_FLOOR:
+    if min(min_low, min_up) < float_noise(limit):
         details += "; warning: a margin sits inside float noise"
     data = {"min_lower_margin": min_low, "min_upper_margin": min_up}
     return verifier.make_report(

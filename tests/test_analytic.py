@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from ineqscan import analytic, sequences, verifier
 from reference import (
+    float_noise,
     reference_bounds_x,
     reference_bounds_Y,
     reference_check_roots,
@@ -357,6 +358,75 @@ class TestEnvelopeIdentities:
                     assert all(u < v for u, v in pairwise(margins)), (name, first)
 
 
+def link_of(n):
+    """The chain link [a, b] that holds n: where m's block and r's meet."""
+    lo, hi = sequences.m_block(sequences.m(n))
+    rr = sequences.r(n)
+    return range(max(lo, (1 << rr >> 1) + 1), min(hi, 1 << rr) + 1)
+
+
+def float_margins(n):
+    """The four envelope margins at n as _check_envelopes computes them."""
+    mm, rr = sequences.m(n), sequences.r(n)
+    values = {"x": sequences.z(n) - (rr + 1) * mm, "y": analytic._Y(n, mm)}
+    margins = {}
+    for name, coeffs in analytic.NAMED_INSTANCES.items():
+        value, envelope = values[name[0]], analytic.F_eval(coeffs, n)
+        margins[name] = value - envelope if name.endswith("-lower") else envelope - value
+    return margins
+
+
+class TestFloatNoise:
+    """analytic.float_noise(limit) bounds the float error of every margin
+    _check_envelopes compares on [1, limit]; a least margin below it is
+    flagged in the report."""
+
+    def test_bound_covers_the_float_error(self):
+        # the candidates of the links on both sides of each power of two
+        # to 2**23, of the link at 10**7, and of the link of 6472801,
+        # where the error comes nearest the bound below 10**7 (by 11x);
+        # the bound is taken at n itself, the least limit that reads n
+        centres = [2**k + d for k in range(1, 24) for d in (-1, 1)] + [10**7, 6472801]
+        points = set()
+        for centre in centres:
+            link = link_of(centre)
+            points.update((*link[:3], *link[-3:]))
+        worst = 0.0
+        for n in sorted(points):
+            exact = exact_margins(n)
+            for name, margin in float_margins(n).items():
+                error = abs(Decimal(margin) - exact[name][0])
+                assert error < analytic.float_noise(n), (name, n)
+                worst = max(worst, float(error) / analytic.float_noise(n))
+        assert worst > 0.05  # the bound is not vacuous: 0.09 at 6472801
+
+    def test_mirrored_in_the_reference(self):
+        for limit in (1, 2, 600, 10**5, 10**7, 10**9, 10**100):
+            assert analytic.float_noise(limit) == float_noise(limit)
+        assert float_noise(10**7) == pytest.approx(3.593e-8, rel=1e-3)
+        assert float_noise(10**9) == pytest.approx(3.558e-6, rel=1e-3)
+
+    @pytest.mark.parametrize("scale, warned", [(0.5, True), (2.0, False)])
+    def test_warning_below_the_bound(self, monkeypatch, scale, warned):
+        # the x-upper margin at the limit, the last candidate, is set to
+        # half or twice the bound; half of it is still above 1e-9
+        limit = 10**6
+        margin = scale * analytic.float_noise(limit)
+        assert margin > 1e-9
+        f_eval, x_at = analytic.F_eval, sequences.x(limit)
+
+        def patched(coeffs, t):
+            if coeffs is analytic.X_UPPER and t == limit:
+                return x_at + margin
+            return f_eval(coeffs, t)
+
+        monkeypatch.setattr(analytic, "F_eval", patched)
+        rep = analytic.check_bounds_x(limit)
+        assert rep.status == verifier.CONFIRMED
+        assert rep.data["min_upper_margin"] == pytest.approx(margin, rel=0.1)
+        assert rep.details.endswith("; warning: a margin sits inside float noise") is warned
+
+
 class TestApproximations:
     def test_report_confirmed(self):
         rep = analytic.check_approximations()
@@ -523,7 +593,9 @@ class TestCandidateRoute:
         candidates = sum(2 * min(3, b - a + 1) for a, b, *_ in links)
         for check in (analytic.check_bounds_x, analytic.check_bounds_Y):
             calls = 0
-            assert check(limit).status == verifier.CONFIRMED
+            rep = check(limit)
+            assert rep.status == verifier.CONFIRMED
+            assert "warning" not in rep.details, check.__name__
             assert calls == candidates, check.__name__
             assert calls <= 6 * len(links), check.__name__
         assert analytic.check_sign_consistency(part).status == verifier.CONFIRMED

@@ -695,18 +695,18 @@ LEMMA_CHECKS = [
 ]
 
 
-def all_suite_calls(limit=None, tol=1e-9):
+def all_suite_calls(limit=100000, tol=1e-9):
     """Every check verify --suite all runs, in report order, with the
-    arguments it gets: the --limit given, else its suite's default."""
+    arguments it gets: the --limit given, else 100000."""
     return [
         ("verifier", "check_reference_table"),
         ("verifier", "check_interval_table"),
-        ("verifier", "check_theorem1", limit or 600),
-        ("verifier", "check_theorem2", limit or 1000),
-        *(("verifier", name, limit or 5000) for name in LEMMA_CHECKS),
-        ("analytic", "check_bounds_x", limit or 100000),
-        ("analytic", "check_bounds_Y", limit or 100000),
-        ("analytic", "check_sign_consistency", limit or 100000),
+        ("verifier", "check_theorem1", limit),
+        ("verifier", "check_theorem2", limit),
+        *(("verifier", name, limit) for name in LEMMA_CHECKS),
+        ("analytic", "check_bounds_x", limit),
+        ("analytic", "check_bounds_Y", limit),
+        ("analytic", "check_sign_consistency", limit),
         ("analytic", "check_approximations"),
         ("analytic", "check_roots", tol),
     ]
@@ -754,9 +754,9 @@ class TestSuiteTable:
     @pytest.mark.parametrize(
         "argv, limits",
         [
-            ([], [1000, 5000, 100000]),
+            ([], [100000]),
             (["--suite", "all", "--limit", "547"], [547]),
-            (["--suite", "lemmas"], [5000]),
+            (["--suite", "lemmas"], [100000]),
             (["--suite", "theorem1"], []),
             (["--suite", "theorem2", "--limit", "10000"], [10000]),
             (["--suite", "analytic", "--limit", "600"], [600]),
@@ -766,6 +766,17 @@ class TestSuiteTable:
         assert cli.main(["verify", *argv]) == 0
         capsys.readouterr()
         assert y_builds == limits
+
+    def test_default_run_certifies_both_theorems(self, y_builds, capsys):
+        # without --limit every suite runs at 100000, past the band's base
+        # 2112, so both theorem reports carry the certificate that extends
+        # them to every n, from one partition of y
+        assert cli.main(["verify", "--format", "json"]) == 0
+        by_claim = {rep["claim_id"]: rep for rep in json.loads(capsys.readouterr().out)}
+        for claim in ("theorem1", "theorem2"):
+            assert by_claim[claim]["range"] == [1, 100000], claim
+            assert by_claim[claim]["data"]["certificate"]["base"] == [1, verifier.BAND_BASE]
+        assert y_builds == [100000]
 
     def test_all_runs_every_check_in_report_order_at_its_default(self, calls, capsys):
         assert cli.main(["verify"]) == 0
@@ -778,7 +789,7 @@ class TestSuiteTable:
         capsys.readouterr()
         assert calls == all_suite_calls(limit=547, tol=1e-6)
 
-    @pytest.mark.parametrize("argv, limit", [([], 5000), (["--limit", "404"], 404)])
+    @pytest.mark.parametrize("argv, limit", [([], 100000), (["--limit", "404"], 404)])
     def test_lemmas_runs_exactly_the_lemma_checks(self, calls, capsys, argv, limit):
         assert cli.main(["verify", "--suite", "lemmas", *argv]) == 0
         capsys.readouterr()
@@ -786,14 +797,14 @@ class TestSuiteTable:
 
 
 def readme_suites():
-    """The rows of README's suite table: name -> (minimum, default, cap),
-    with None for a cell that is not a number ("none", "fixed range")."""
+    """The rows of README's suite table: name -> (minimum, cap), with None
+    for a cell that is not a number ("none")."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = {}
     for line in readme.splitlines():
         cells = [cell.strip() for cell in line.strip("|").split("|")]
         name, limits = cells[0], cells[2:]
-        if len(limits) == 3 and name.startswith("`") and (
+        if len(limits) == 2 and name.startswith("`") and (
             limits[0].isdigit() or limits[0] == "none"
         ):
             rows[name.strip("`")] = tuple(int(c) if c.isdigit() else None for c in limits)
@@ -805,10 +816,10 @@ def test_readme_suite_table_matches_suites():
     assert list(rows) == [*cli.SUITES, "all"]
     for name, suite in cli.SUITES.items():
         cap = suite.cap and suite.cap[0]
-        assert rows[name] == (suite.minimum, suite.default, cap), name
+        assert rows[name] == (suite.minimum, cap), name
     minimum = max(suite.minimum or 0 for suite in cli.SUITES.values())
     cap = min(suite.cap[0] for suite in cli.SUITES.values() if suite.cap)
-    assert rows["all"] == (minimum, None, cap)
+    assert rows["all"] == (minimum, cap)
 
 
 @pytest.mark.parametrize(
