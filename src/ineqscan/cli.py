@@ -13,11 +13,13 @@ rows may span pieces and chain links.  seq --exact-y and intervals
 format a row tuple at a time (_line_texts).  The text
 format is the csv text of either, split into cells.
 
-Each verify suite is one row of SUITES: its checks, its smallest
---limit and its cap, if any.  Every suite that reads --limit defaults to
-DEFAULT_LIMIT, so a verify run without one runs every suite at one
-limit.  --suite all runs every row.  A verify run builds y's sign
-partition at most once and hands it to every check that reads it.
+Each verify suite is one row of SUITES: its checks and its cap, if any.
+A report covers [1, --limit]; every suite that reads --limit refuses one
+below 1 and defaults to DEFAULT_LIMIT, so a verify run without one runs
+every suite at one limit.  table and intervals check the printed tables
+at their fixed range and ignore --limit.  --suite all runs every row.  A
+verify run builds y's sign partition at most once and hands it to every
+check that reads it.
 
 Exit codes: 0 when every requested check is clean (documented errata do
 not count against a run unless --strict is given), 1 when a check found
@@ -35,38 +37,26 @@ from typing import Callable, NamedTuple
 from . import analytic, intervals, sequences, verifier
 
 class Suite(NamedTuple):
-    """The smallest --limit that attests the claims (None where the
-    printed tables fix the range and --limit is ignored), run(limit, tol,
-    y_runs) -> reports, where y_runs(limit) is y's sign partition on
-    [1, limit], and (largest --limit, why)."""
+    """run(limit, y_runs) -> reports, where y_runs(limit) is y's sign
+    partition on [1, limit], and (largest --limit, why)."""
 
-    minimum: int | None
     run: Callable
     cap: tuple | None = None
 
 
-# The --limit of every suite when none is given.  Past BAND_BASE the
+# The --limit of every suite when none is given.  From BAND_BASE on the
 # theorem reports carry the band certificate that extends them to every n.
 DEFAULT_LIMIT = 10**5
-
-
-# x's sign structure ends at n = 546, so the first theorem needs to see
-# past it; the y-side claims need the start of the all-positive tail.
-_X_SETTLED = max(verifier.X_ZERO_SET) + 1
-_Y_SETTLED = verifier.POSITIVE_TAIL_START
 
 # In report order.  Checks are looked up through their module at call
 # time, so a wrapper set there (a tracer or a test double) sees the call.
 SUITES = {
-    "table": Suite(None, lambda limit, *_: [verifier.check_reference_table()]),
-    "intervals": Suite(None, lambda limit, *_: [verifier.check_interval_table()]),
-    "theorem1": Suite(_X_SETTLED, lambda limit, *_: [verifier.check_theorem1(limit)]),
-    "theorem2": Suite(
-        _Y_SETTLED, lambda limit, _, y_runs: [verifier.check_theorem2(y_runs(limit))]
-    ),
+    "table": Suite(lambda *_: [verifier.check_reference_table()]),
+    "intervals": Suite(lambda *_: [verifier.check_interval_table()]),
+    "theorem1": Suite(lambda limit, _: [verifier.check_theorem1(limit)]),
+    "theorem2": Suite(lambda limit, y_runs: [verifier.check_theorem2(y_runs(limit))]),
     "lemmas": Suite(
-        _Y_SETTLED,
-        lambda limit, _, y_runs: [
+        lambda limit, y_runs: [
             verifier.check_gap(limit),
             verifier.check_range_bounds(limit),
             verifier.check_sign_criteria(y_runs(limit)),
@@ -75,19 +65,19 @@ SUITES = {
         ],
     ),
     "analytic": Suite(
-        1,
-        lambda limit, tol, y_runs: [
+        lambda limit, y_runs: [
             analytic.check_bounds_x(limit),
             analytic.check_bounds_Y(limit),
             analytic.check_sign_consistency(y_runs(limit)),
             analytic.check_approximations(),
-            *analytic.check_roots(tol),
+            *analytic.check_roots(),
         ],
         cap=(
             10**7,
-            "its float envelope scan compares margins that shrink toward float "
-            "error as n grows (about 1e-3 at 2**29 + 1, and a float 0.0 for a true "
-            "6e-6 at 2**45 + 1), so the cap waits for an error budget",
+            "its float envelope scan is run and tested up to there; its error "
+            "budget, float_noise, stays far below the least margins past it "
+            "(3.6e-6 against 3.5e-4 at 10**9), so the cap waits only for a "
+            "certificate of the envelopes for every n",
         ),
     ),
 }
@@ -409,35 +399,32 @@ def _emit_reports(reports, args):
 
 
 def cmd_verify(args):
-    # Refuse a bad --tol before any check runs, not after the whole suite.
-    analytic.require_tol(args.tol)
     parts = SUITES.values() if args.suite == "all" else [SUITES[args.suite]]
-    if args.limit is not None:
-        minimum = max((p.minimum for p in parts if p.minimum), default=None)
-        if minimum is not None and args.limit < minimum:
-            raise ValueError(
-                f"suite {args.suite!r} needs --limit >= {minimum} to attest its claims"
-            )
-        cap, reason = min((p.cap for p in parts if p.cap), default=(None, None))
-        if cap is not None and args.limit > cap:
-            raise ValueError(
-                f"suite {args.suite!r} takes --limit <= {cap}: {reason}; "
-                "--suite theorem1|theorem2|lemmas take any --limit"
-            )
-        if minimum is None:
+    limit = DEFAULT_LIMIT if args.limit is None else args.limit
+    if args.suite in ("table", "intervals"):
+        if args.limit is not None:
             print(
                 f"note: suite {args.suite!r} checks the printed tables at their "
                 "fixed range; --limit is ignored",
                 file=sys.stderr,
             )
+    elif limit < 1:
+        raise ValueError("need --limit >= 1")
+    else:
+        cap, reason = min((p.cap for p in parts if p.cap), default=(limit, None))
+        if limit > cap:
+            raise ValueError(
+                f"suite {args.suite!r} takes --limit <= {cap}: {reason}; "
+                "--suite theorem1|theorem2|lemmas take any --limit"
+            )
     # Looked up through the module, so a wrapper there sees each build.
     y_runs = functools.cache(lambda limit: verifier.partition_y(limit))
-    reports = [rep for p in parts for rep in p.run(args.limit or DEFAULT_LIMIT, args.tol, y_runs)]
+    reports = [rep for p in parts for rep in p.run(limit, y_runs)]
     return _emit_reports(reports, args)
 
 
 def cmd_roots(args):
-    return _emit_reports(analytic.check_roots(args.tol), args)
+    return _emit_reports(analytic.check_roots(), args)
 
 
 def build_parser():
@@ -477,11 +464,9 @@ def build_parser():
         action="store_true",
         help="treat documented errata as failures",
     )
-    p_ver.add_argument("--tol", type=float, default=analytic.ROOT_TOL)
     p_ver.set_defaults(func=cmd_verify)
 
     p_roots = sub.add_parser("roots", help="isolate the envelope roots")
-    p_roots.add_argument("--tol", type=float, default=analytic.ROOT_TOL)
     p_roots.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_roots.add_argument("--strict", action="store_true")
     p_roots.set_defaults(func=cmd_roots)

@@ -617,9 +617,10 @@ def check_gap(limit: int) -> VerificationReport:
                 min_gap_from_10 = gap if n == 10 else min(min_gap_from_10, gap)
             if gap < 2 or (gap == 2 and n != 2) or (gap < 5 and n >= 10):
                 counterexamples.append(n)
-    details = (
-        f"min gap {min_gap} attained exactly at {min_gap_at}; "
-        f"min gap over n >= 10 is {min_gap_from_10}"
+    details = f"min gap {min_gap} attained exactly at {min_gap_at}; " + (
+        "no n >= 10 is in range"
+        if min_gap_from_10 is None
+        else f"min gap over n >= 10 is {min_gap_from_10}"
     )
     return make_report(
         "lemmas/gap",

@@ -388,11 +388,18 @@ MUTANTS = [
         f"{T_SEQ}::TestRows {T_SEQ}::TestScanPieces",
     ),
     (
-        "cmd_verify: minimum refused with <=",
+        "cmd_verify: --limit 0 let through to the checks",
         CLI,
-        "if minimum is not None and args.limit < minimum:",
-        "if minimum is not None and args.limit <= minimum:",
-        f"{T_CLI}::TestVerify::test_minimum_limits_accepted",
+        "elif limit < 1:",
+        "elif limit < 0:",
+        f"{T_CLI}::TestVerify::test_low_limit_exits_2",
+    ),
+    (
+        "cmd_verify: --limit 0 taken for no --limit",
+        CLI,
+        "limit = DEFAULT_LIMIT if args.limit is None else args.limit",
+        "limit = args.limit or DEFAULT_LIMIT",
+        f"{T_CLI}::TestVerify::test_low_limit_exits_2",
     ),
     (
         "_line_texts: every row formatted at once, every y with them",

@@ -198,10 +198,11 @@ def reference_gap(limit, gaps=None):
         # each n that breaks either claim, once
         if (n >= 10 and gap < 5) or gap < 2 or (gap == 2 and n != 2):
             counterexamples.append(n)
-    details = (
-        f"min gap {min_gap} attained exactly at {min_gap_at}; "
-        f"min gap over n >= 10 is {min_gap_from_10}"
-    )
+    if min_gap_from_10 is None:
+        tail = "no n >= 10 is in range"
+    else:
+        tail = f"min gap over n >= 10 is {min_gap_from_10}"
+    details = f"min gap {min_gap} attained exactly at {min_gap_at}; {tail}"
     data = {"min_gap": min_gap, "min_gap_at": min_gap_at, "min_gap_from_10": min_gap_from_10}
     return verifier.make_report(
         "lemmas/gap", 1, limit, details, counterexamples=counterexamples, data=data

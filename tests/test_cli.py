@@ -608,32 +608,52 @@ class TestVerify:
         assert set(rep["data"]) == {"runs", "blocks", "per_n", "certificate"}
         assert rep["data"]["certificate"]["base"] == [1, verifier.BAND_BASE]
 
-    def test_low_limit_exits_2(self, capsys):
-        assert cli.main(["verify", "--suite", "theorem1", "--limit", "100"]) == 2
-        err = capsys.readouterr().err
-        assert "547" in err
-        assert cli.main(["verify", "--suite", "theorem2", "--limit", "100"]) == 2
-        assert cli.main(["verify", "--suite", "all", "--limit", "546"]) == 2
-        capsys.readouterr()
-        assert cli.main(["verify", "--suite", "all", "--limit", "0"]) == 2
-        assert "547" in capsys.readouterr().err
+    def test_low_limit_exits_2(self, monkeypatch, capsys):
+        # every suite that reads --limit refuses one below 1 before any
+        # check runs; a 0 taken for "no --limit" would run at 100000
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a check ran before --limit was refused")
+
+        for module in (verifier, analytic):
+            for name in dir(module):
+                if name.startswith(("check_", "partition_")):
+                    monkeypatch.setattr(module, name, must_not_run)
+        for suite in ("theorem1", "theorem2", "lemmas", "analytic", "all"):
+            for limit in ("0", "-3"):
+                argv = ["verify", "--suite", suite, "--limit", limit]
+                assert cli.main(argv) == 2, argv
+                assert capsys.readouterr() == ("", "error: need --limit >= 1\n"), argv
+
+    @pytest.mark.parametrize("suite", [*cli.SUITES, "all"])
+    @pytest.mark.parametrize(
+        "limit", [1, 2, 5, 9, 10, 335, 336, 403, 404, 546, 547, 2111, 2112]
+    )
+    def test_every_suite_runs_at_any_limit(self, capsys, suite, limit):
+        # a report covers [1, limit] at any limit >= 1; from the band's
+        # base 2112 on the theorem reports carry the certificate
+        argv = ["verify", "--suite", suite, "--limit", str(limit), "--format", "json"]
+        assert cli.main(argv) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert reports
+        assert verifier.DISCREPANCY not in {rep["status"] for rep in reports}
+        for rep in reports:
+            if rep["claim_id"] in ("theorem1", "theorem2"):
+                assert rep["range"] == [1, limit]
+                certified = rep["data"]["certificate"] is not None
+                assert certified == (limit >= verifier.BAND_BASE), rep["claim_id"]
 
     @pytest.mark.parametrize(
         "suite, limit, err",
         [
-            (
-                "theorem1",
-                "100",
-                "error: suite 'theorem1' needs --limit >= 547 to attest its claims\n",
-            ),
+            ("theorem1", "0", "error: need --limit >= 1\n"),
             (
                 "all",
                 "10000001",
                 "error: suite 'all' takes --limit <= 10000000: its float envelope scan "
-                "compares margins that shrink toward float error as n grows (about 1e-3 "
-                "at 2**29 + 1, and a float 0.0 for a true 6e-6 at 2**45 + 1), so the cap "
-                "waits for an error budget; --suite theorem1|theorem2|lemmas take any "
-                "--limit\n",
+                "is run and tested up to there; its error budget, float_noise, stays far "
+                "below the least margins past it (3.6e-6 against 3.5e-4 at 10**9), so the "
+                "cap waits only for a certificate of the envelopes for every n; --suite "
+                "theorem1|theorem2|lemmas take any --limit\n",
             ),
         ],
     )
@@ -674,11 +694,6 @@ class TestVerify:
         assert "10000000" in err and "float envelope scan" in err
         assert "range-bound" not in err
 
-    def test_minimum_limits_accepted(self, capsys):
-        assert cli.main(["verify", "--suite", "theorem1", "--limit", "547"]) == 0
-        assert cli.main(["verify", "--suite", "lemmas", "--limit", "404"]) == 0
-        capsys.readouterr()
-
     def test_csv_format(self, capsys):
         assert cli.main(["verify", "--suite", "table", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
@@ -695,7 +710,7 @@ LEMMA_CHECKS = [
 ]
 
 
-def all_suite_calls(limit=100000, tol=1e-9):
+def all_suite_calls(limit=100000):
     """Every check verify --suite all runs, in report order, with the
     arguments it gets: the --limit given, else 100000."""
     return [
@@ -708,7 +723,7 @@ def all_suite_calls(limit=100000, tol=1e-9):
         ("analytic", "check_bounds_Y", limit),
         ("analytic", "check_sign_consistency", limit),
         ("analytic", "check_approximations"),
-        ("analytic", "check_roots", tol),
+        ("analytic", "check_roots"),
     ]
 
 
@@ -783,11 +798,11 @@ class TestSuiteTable:
         capsys.readouterr()
         assert calls == all_suite_calls()
 
-    def test_all_passes_the_given_limit_and_tol(self, calls, capsys):
-        argv = ["verify", "--suite", "all", "--limit", "547", "--tol", "1e-6"]
+    def test_all_passes_the_given_limit(self, calls, capsys):
+        argv = ["verify", "--suite", "all", "--limit", "100"]
         assert cli.main(argv) == 0
         capsys.readouterr()
-        assert calls == all_suite_calls(limit=547, tol=1e-6)
+        assert calls == all_suite_calls(limit=100)
 
     @pytest.mark.parametrize("argv, limit", [([], 100000), (["--limit", "404"], 404)])
     def test_lemmas_runs_exactly_the_lemma_checks(self, calls, capsys, argv, limit):
@@ -797,17 +812,15 @@ class TestSuiteTable:
 
 
 def readme_suites():
-    """The rows of README's suite table: name -> (minimum, cap), with None
-    for a cell that is not a number ("none")."""
+    """The rows of README's suite table: name -> cap, with None for a
+    cell that is not a number ("none")."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = {}
     for line in readme.splitlines():
         cells = [cell.strip() for cell in line.strip("|").split("|")]
-        name, limits = cells[0], cells[2:]
-        if len(limits) == 2 and name.startswith("`") and (
-            limits[0].isdigit() or limits[0] == "none"
-        ):
-            rows[name.strip("`")] = tuple(int(c) if c.isdigit() else None for c in limits)
+        name, caps = cells[0], cells[2:]
+        if len(caps) == 1 and name.startswith("`") and (caps[0].isdigit() or caps[0] == "none"):
+            rows[name.strip("`")] = int(caps[0]) if caps[0].isdigit() else None
     return rows
 
 
@@ -815,11 +828,8 @@ def test_readme_suite_table_matches_suites():
     rows = readme_suites()
     assert list(rows) == [*cli.SUITES, "all"]
     for name, suite in cli.SUITES.items():
-        cap = suite.cap and suite.cap[0]
-        assert rows[name] == (suite.minimum, cap), name
-    minimum = max(suite.minimum or 0 for suite in cli.SUITES.values())
-    cap = min(suite.cap[0] for suite in cli.SUITES.values() if suite.cap)
-    assert rows["all"] == (minimum, cap)
+        assert rows[name] == (suite.cap and suite.cap[0]), name
+    assert rows["all"] == min(suite.cap[0] for suite in cli.SUITES.values() if suite.cap)
 
 
 @pytest.mark.parametrize(
@@ -921,6 +931,16 @@ assert "json" in sys.modules
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+def assert_refused(argv, capsys):
+    """argparse refuses argv: exit 2, nothing on stdout, the option named."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --tol" in err
+
+
 class TestRoots:
     def test_default_run(self, capsys):
         assert cli.main(["roots"]) == 0
@@ -933,11 +953,11 @@ class TestRoots:
         capsys.readouterr()
 
     def test_json_roots(self, capsys):
-        assert cli.main(["roots", "--format", "json", "--tol", "1e-6"]) == 0
+        assert cli.main(["roots", "--format", "json"]) == 0
         reports = json.loads(capsys.readouterr().out)
         assert len(reports) == 4
         for rep in reports:
-            assert rep["data"]["width"] <= 1e-6
+            assert rep["data"]["width"] <= analytic.ROOT_TOL
         # the one erratum, key order included; floats elsewhere in this
         # output keep it out of tests/golden
         (rep,) = [rep for rep in reports if rep["claim_id"] == "roots/y-lower"]
@@ -945,19 +965,17 @@ class TestRoots:
         expected = {"item": item, "printed": [379, 389], "computed": [379, 380], "note": note}
         assert [list(e.items()) for e in rep["errata"]] == [list(expected.items())]
 
+    # Roots are bisected to analytic.ROOT_TOL: --tol is no option of roots
+    # or verify, whatever its value, and argparse refuses it with exit 2.
     def test_bad_tol_exits_2(self, capsys):
-        assert cli.main(["roots", "--tol", "-1"]) == 2
-        capsys.readouterr()
+        assert_refused(["roots", "--tol", "1e-6"], capsys)
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_exits_2(self, capsys, tol):
-        assert cli.main(["roots", "--tol", tol]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "tol must be a finite positive number" in err
+        assert_refused(["roots", "--tol", tol], capsys)
 
     @pytest.mark.parametrize("suite", ["all", "lemmas", "table"])
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "1e-6"])
     def test_verify_refuses_bad_tol_before_any_check(
         self, monkeypatch, capsys, suite, tol
     ):
@@ -966,7 +984,4 @@ class TestRoots:
 
         for name in ("check_reference_table", "check_gap"):
             monkeypatch.setattr(verifier, name, must_not_run)
-        assert cli.main(["verify", "--suite", suite, "--tol", tol]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: tol must be a finite positive number\n"
+        assert_refused(["verify", "--suite", suite, "--tol", tol], capsys)

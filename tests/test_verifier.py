@@ -305,6 +305,18 @@ class TestLemmaChecks:
         assert rep.data["min_gap_at"] == [2]
         assert rep.data["min_gap_from_10"] == 6
 
+    @pytest.mark.parametrize("limit", range(1, 11))
+    def test_gap_text_below_ten(self, limit):
+        # below 10 no n >= 10 is in range: the text says so, not "is None"
+        rep = verifier.check_gap(limit)
+        assert rep.status == verifier.CONFIRMED
+        if limit < 10:
+            assert rep.details.endswith("; no n >= 10 is in range")
+            assert rep.data["min_gap_from_10"] is None
+        else:
+            assert rep.details.endswith("; min gap over n >= 10 is 6")
+            assert rep.data["min_gap_from_10"] == 6
+
     def test_range_bounds(self):
         rep = verifier.check_range_bounds(5000)
         assert rep.status == verifier.CONFIRMED
