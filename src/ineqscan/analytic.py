@@ -6,40 +6,46 @@ family of smooth envelope functions that sandwich the integer data,
 their first two derivatives, bisection brackets for the envelope roots,
 and spot checks of the published decimal approximations.
 
-The envelope checks, the surrogates and the bisection are ordinary
-floating point.  That is safe on the range the command line allows
-(n <= 10**7): the margins there stay far above double-precision error,
-and a least margin below float_noise(limit), a bound on the float error
-of every margin compared on [1, limit], is reported instead of trusted.
-Past it the margins shrink, yet stay far above float_noise (3.5e-4
-against 3.6e-6 at 10**9); the cap marks the range run and tested.  One
-piece is exact: positive_beyond proves, in integers only, that an
-envelope stays positive on a whole real tail [t, oo), and check_roots
-stops its float grid walk at the first positive t where it holds, just
-past each root, instead of walking on to ROOT_SCAN_HI.
-
-The range checks walk sequences.chain_links, on which m and r are
-fixed.  With s = sqrt(2n), L = log2(n) and rho = n mod 3, the margins of
-the four named envelopes around x and Y are exactly
+With s = sqrt(2n), L = log2(n) and rho = n mod 3, the margins of the
+four named envelopes around x and Y are exactly
 
     x - F(x-lower) = rho/3 + (r + 1)(s - m) + s(L - r + 1)          > 0
     F(x-upper) - x = (1 - rho/3) + (1 + L)(1 - (s - m)) + m(r - L)  > 1/3
     Y - F(y-lower) = (2 - 2 rho/3) + (1 + L)(s - m)                 >= 2/3
     F(y-upper) - Y = 2 rho/3 + (1 + L)(1 - (s - m))                 > 0
 
-each bound resting only on 0 <= s - m < 1 and 2**(r - 1) < n <= 2**r;
-the y-lower margin is 2/3 exactly where 2n is a square and rho = 2.  On
-each residue class mod 3 of a link the lower margins rise and the upper
-ones fall, so each link, from n = 1 on, is settled from at most three n
-at either end; a link whose candidates fail is stepped per n (see
-_check_envelopes).  check_sign_consistency reads Y at every n to
-verifier.band_top, 2112 once y's band holds, past which Y >= 23.  The
-exact sign of y comes from the runs of verifier.partition_y, the one
-place that decides it, which check_sign_consistency takes as its
-argument, and never from a per-n comparison here.  The real
-surrogate Y = (c - m) - (m - 1) log2(n) is written once, in _Y.  Reports
-go through verifier.make_report, and the root brackets are compared with
-the printed ones, erratum lookups included, through
+each bound resting only on 0 <= s - m < 1 and 2**(r - 1) < n <= 2**r,
+which hold at every n by the definitions of m and r.  So every envelope
+is strict at every n, and check_bounds_x and check_bounds_Y claim that
+from the identities, in data.certificate, without a scan.  What they
+compute is the least margin on each side over [1, limit]: the minimum
+of identity_margin over a few candidate n that a monotonicity argument
+picks (_x_lower_points, _x_upper_points, _y_lower_points,
+_y_upper_points), about 210 per check up to 10**9 however many chain
+links there are.  identity_margin sums the terms of an identity, each
+to a few units of roundoff, so the minima are right to about 14
+digits.  At each candidate the margin is also taken from F_eval and the
+named coefficients; one that is <= 0, or off the identity by more than
+float_noise(limit), its float error bound, is a counterexample, so a
+changed coefficient still fails.  The y-lower margin is 2/3 exactly
+where 2n is a square and rho = 2; its least n, 2, is the one reported.
+Float64 orders two candidates rightly while their margins differ by
+more than twice IDENTITY_ERROR, relatively.  Past about 2**100 the x-upper
+margins, 1/3 + O(2**(-r/2)), no longer do, and ordering them there
+needs decimal.  The command line caps --limit at 10**7: the claims hold
+for every n, but the least margins are run and tested only that far.
+
+check_sign_consistency reads Y at every n to verifier.band_top, 2112
+once y's band holds, past which Y >= 23.  The exact sign of y comes from
+the runs of verifier.partition_y, the one place that decides it, which
+check_sign_consistency takes as its argument, and never from a per-n
+comparison here.  The real surrogate Y = (c - m) - (m - 1) log2(n) is
+written once, in _Y.  One piece of the root isolation is exact:
+positive_beyond proves, in integers only, that an envelope stays
+positive on a whole real tail [t, oo), and check_roots stops its float
+grid walk at the first positive t where it holds, just past each root.
+Reports go through verifier.make_report, and the root brackets are
+compared with the printed ones, erratum lookups included, through
 verifier.compare_printed.
 """
 
@@ -272,8 +278,8 @@ def Y_real(n: int) -> float:
 
 
 def float_noise(limit: int) -> float:
-    """A bound on the float error of every envelope margin that
-    _check_envelopes compares on [1, limit]:
+    """A bound on the float error of every envelope margin F_eval gives
+    on [1, limit], the tolerance of the envelope checks' guard:
 
         2**-48 (L + sqrt(2L)(log2 L + 2) + 6),  L = limit.
 
@@ -297,9 +303,9 @@ def float_noise(limit: int) -> float:
 
     The bound is 3.6e-8 at 10**7, where the least margin is 2.7e-3, and
     3.6e-6 at 10**9, where it is 3.5e-4.  Against the margins at 80
-    digits, the float error at every candidate n of the chain links to
-    10**7 stays more than 10 times below the bound at n (2.1e-9 at
-    n = 6472801, where the bound is 2.3e-8).
+    digits, the float error at the first and last three n of the chain
+    links near each power of two to 2**23 stays more than 10 times below
+    the bound at n (2.1e-9 at n = 6472801, where the bound is 2.3e-8).
     """
     return 2.0**-48 * (limit + math.sqrt(2 * limit) * (math.log2(limit) + 2) + 6)
 
@@ -309,56 +315,221 @@ def float_noise(limit: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_envelopes(claim_id, what, lower, upper, limit, value):
+# The margin identities of the module docstring, one per named instance:
+# (margin, identity, the bound it keeps).  Each bound rests on the
+# IDENTITY_FACTS alone, so it holds at every n.
+IDENTITIES = {
+    "x-lower": ("x - F(x-lower)", "rho/3 + (r + 1)(s - m) + s(L - r + 1)", "> 0"),
+    "x-upper": ("F(x-upper) - x", "(1 - rho/3) + (1 + L)(1 - (s - m)) + m(r - L)", "> 1/3"),
+    "y-lower": ("Y - F(y-lower)", "(2 - 2 rho/3) + (1 + L)(s - m)", ">= 2/3"),
+    "y-upper": ("F(y-upper) - Y", "2 rho/3 + (1 + L)(1 - (s - m))", "> 0"),
+}
+IDENTITY_TERMS = "s = sqrt(2n), L = log2(n), rho = n mod 3, m = m(n), r = r(n)"
+IDENTITY_FACTS = ["0 <= s - m < 1", "2**(r - 1) < n <= 2**r"]
+
+# The relative error of identity_margin.  A candidate window takes every
+# n whose bound is at most the least margin so far times
+# 1 + 4 IDENTITY_ERROR, which covers that error and the 8 units of
+# roundoff of the bound, so no n it leaves out can reach the least margin.
+IDENTITY_ERROR = 2**-48
+
+
+def identity_margin(name: str, n: int) -> float:
+    """The margin of the named instance at n, from its identity (the
+    module docstring), term by term: s - m = (2n - m**2)/(s + m),
+    1 - (s - m) = ((m + 1)**2 - 2n)/(s + m + 1), L - r + 1 = log2(2n/2**r)
+    and r - L = -log2(n/2**r) by _log2_ratio, and 1 + L = log2(2n).  So
+    no term cancels, each is within 8 units of roundoff of its value, and
+    as every term is >= 0 the sum is within IDENTITY_ERROR of the margin,
+    relatively."""
+    mm, rr, rho = sequences.m(n), sequences.r(n), n % 3
+    s = math.sqrt(2 * n)
+    if name.endswith("-lower"):
+        below = (2 * n - mm * mm) / (s + mm)
+        if name == "x-lower":
+            return rho / 3 + (rr + 1) * below + s * _log2_ratio(2 * n, 1 << rr)
+        return (6 - 2 * rho) / 3 + math.log2(2 * n) * below
+    above = ((mm + 1) ** 2 - 2 * n) / (s + mm + 1)
+    if name == "x-upper":
+        return (3 - rho) / 3 + math.log2(2 * n) * above - mm * _log2_ratio(n, 1 << rr)
+    return 2 * rho / 3 + math.log2(2 * n) * above
+
+
+def _log2_ratio(p, q):
+    """log2(p/q) for ints p, q > 0, as log1p((p - q)/q)/ln 2: to a few
+    units of roundoff relative to itself, also where p/q is near 1."""
+    return math.log1p((p - q) / q) / LOG2
+
+
+def _add(points, name, ns):
+    """Put identity_margin(name, n) in points for each n of ns not in it."""
+    for n in ns:
+        if n not in points:
+            points[n] = identity_margin(name, n)
+
+
+def _first(lo, hi, holds):
+    """The least n in [lo, hi] where holds(n), or hi + 1 if none; holds
+    is false and then true on [lo, hi]."""
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _r_blocks(limit):
+    """(lo, hi, r) of each r-block (2**(r - 1), 2**r] that meets
+    [1, limit], clipped to it; r = 0 gives [1, 1]."""
+    return [
+        ((1 << rr >> 1) + 1, min(1 << rr, limit), rr) for rr in range((limit - 1).bit_length() + 1)
+    ]
+
+
+def _x_lower_points(limit):
+    """{n: margin} at candidates that hold the least x-lower margin on
+    [1, limit].
+
+    On a chain link, where m and r are fixed, and on one residue class
+    mod 3, rho is fixed and the margin rises: its derivative in n is
+    (r + 1)/s + (L - r + 1)/s + s/(n ln 2) > 0.  So a link's least margin
+    is at one of its first three n.  The margin is at least
+    s(L - r + 1), as rho/3 and (r + 1)(s - m) are >= 0, and that bound
+    rises on each r-block.  So with the first three n of every r-block as
+    seeds, only a prefix of each r-block, where the bound is at most the
+    least margin so far, can hold a smaller margin, and the candidates
+    there are the first three n of each link that starts in it."""
+    points = {}
+    blocks = _r_blocks(limit)
+    for lo, hi, _ in blocks:
+        _add(points, "x-lower", range(lo, min(lo + 2, hi) + 1))
+    for lo, hi, rr in blocks:
+        cut, top = min(points.values()) * (1 + 4 * IDENTITY_ERROR), 1 << rr
+        # the last n where s(L - r + 1) <= cut, as L - r + 1 = log2(2n/2**r)
+        end = _first(lo, hi, lambda n: math.sqrt(2 * n) * _log2_ratio(2 * n, top) > cut) - 1
+        if end < lo:
+            continue
+        for mm in range(sequences.m(lo) + 1, sequences.m(end) + 1):
+            a = sequences.m_block(mm)[0]
+            _add(points, "x-lower", range(a, min(a + 2, hi) + 1))
+    return points
+
+
+def _x_upper_points(limit):
+    """{n: margin} at candidates that hold the least x-upper margin on
+    [1, limit].
+
+    On a chain link and one residue class mod 3 the margin falls from
+    n = 2 on: its derivative is (1 - s)/(n ln 2) - (1 + L)/s < 0.  So a
+    link's least margin is at one of its last three n.  The margin is
+    more than 1/3 + (s - 1)(r - L), as 1 - rho/3 >= 1/3, (1 + L)(1 - (s -
+    m)) > 0, m > s - 1 and r - L >= 0, and that bound falls on each r-block from
+    n = 2 on: its derivative (r - L)/s - (s - 1)/(n ln 2) is < 0, as
+    (r - L) ln 2 < 1 <= 2 - sqrt(2/n) = s(s - 1)/n.  So with the last
+    three n of every r-block (those up to each power of two <= limit, and
+    up to limit) as seeds, only a top window of each r-block, where the
+    bound is below the least margin so far, can hold a smaller margin,
+    and the candidates there are the last three n of each link that ends
+    in it."""
+    points = {}
+    blocks = _r_blocks(limit)
+    for lo, hi, _ in blocks:
+        _add(points, "x-upper", range(max(hi - 2, 1), hi + 1))
+    for lo, hi, rr in blocks:
+        cut, top = min(points.values()) * (1 + 4 * IDENTITY_ERROR), 1 << rr
+        # the first n where 1/3 + (s - 1)(r - L) <= cut, as r - L = -log2(n/2**r)
+        excess = cut - 1 / 3
+        start = _first(lo, hi, lambda n: (1 - math.sqrt(2 * n)) * _log2_ratio(n, top) <= excess)
+        if start > hi:
+            continue
+        ends = [sequences.m_block(mm)[1] for mm in range(sequences.m(start), sequences.m(hi))]
+        for end in ends + [hi]:
+            _add(points, "x-upper", range(max(end - 2, 1), end + 1))
+    return points
+
+
+def _y_lower_points(limit):
+    """{n: margin} at the n of the least y-lower margin on [1, limit].
+
+    The margin (2 - 2 rho/3) + (1 + L)(s - m) is at least 2/3, with
+    equality exactly where rho = 2 and s = m: at the ties n = 2, 8, 32,
+    50, 98, ..., where 2n is a square and n = 2 (mod 3).  The least of
+    them is n = 2, and at n = 1 the margin is 4/3 + sqrt(2) - 1.  So the
+    least margin is 2/3 at n = 2 once limit >= 2, the first n that
+    reaches it, and at n = 1 for limit 1."""
+    n = min(limit, 2)
+    return {n: identity_margin("y-lower", n)}
+
+
+def _y_upper_points(limit):
+    """{n: margin} at candidates that hold the least y-upper margin on
+    [1, limit].
+
+    The margin 2 rho/3 + (1 + L)(1 - (s - m)) does not read r, and on
+    each m-block and residue class mod 3 it falls from n = 2 on: its
+    derivative is (1 - (s - m))/(n ln 2) - (1 + L)/s < 0.  So an m-block's
+    least margin is at one of its last three n, or of those up to limit
+    in the block that holds limit.  Every m-block with m < 64 gives its
+    last three.  Past them rho >= 1 gives a margin above 2/3, more than
+    the 0.375 at n = 2046, the n with rho = 0 that ends the block m = 63.
+    In a whole block [a, b] the n with rho = 0 among the last three has
+    2n = (m + 1)**2 - d, with d in 1..6 fixed by m mod 6 (1, 4, 3, 4, 1,
+    6 for m = 0, ..., 5), and its margin is, with k = m + 1 and
+    s = sqrt(k**2 - d),
+
+        (1 + L)(k - s) = 2 log2(s) d / (k + s),
+
+    which falls as k grows with d fixed: with dk/ds = s/k its derivative
+    in s has the sign of k - s ln(s), and s ln(s) > 1.3 s > k once s >= 4.
+    So of the whole blocks with m >= 64 the last of each class mod 6 is
+    enough, with the last three n up to limit."""
+    points = {}
+    m_limit = sequences.m(limit)
+    for mm in range(1, min(64, m_limit + 1)):
+        end = min(sequences.m_block(mm)[1], limit)
+        _add(points, "y-upper", range(max(end - 2, 1), end + 1))
+    whole = m_limit if sequences.m_block(m_limit)[1] == limit else m_limit - 1
+    for mm in range(max(64, whole - 6 + 1), whole + 1):
+        end = sequences.m_block(mm)[1]
+        _add(points, "y-upper", range(end - 2, end + 1))
+    _add(points, "y-upper", range(max(limit - 2, 1), limit + 1))
+    return points
+
+
+def _check_envelopes(claim_id, what, value, lower, upper, limit):
     """One claim that the lower envelope stays strictly below, and the
-    upper strictly above, value(n, r, m) for every n in [1, limit]; the
-    smallest margin on each side is reported.
-
-    Each chain link (a, b, r, m) is settled from at most six n.
-    check_bounds_x and check_bounds_Y pass the named instances, whose
-    margins are the identities of the module docstring.  On a residue
-    class mod 3 of a link rho is fixed, so with s' = 1/s and
-    L' = 1/(n ln 2) their derivatives in n are
-
-        x-lower  s'(L + 2) + s L'                         > 0
-        x-upper  L'(1 - s) - (1 + L)/s                    < 0
-        y-lower  L'(s - m) + (1 + L)/s                    > 0
-        y-upper  L'(1 - (s - m)) - (1 + L)/s
-                     <= 1/(n ln 2) - (1 + L)/s            < 0 from n = 2
-
-    So the lower margin is least among the first three n of a link and
-    the upper margin among its last three; the one link before n = 2 is
-    [1, 1].  A link with a candidate margin <= 0 is stepped per n, on
-    both sides, so the counterexample list stays exact.  Candidates come
-    in increasing n, and min over (margin, n) keeps the least n of a tie,
-    so the minima and their n are those of a walk over every n, as long
-    as float error stays below the three-step change of a margin (above
-    0.01 up to n = 10**7, against float errors below float_noise(10**7),
-    3.6e-8).  A least margin below float_noise(limit) gets a warning in
-    the details.
-    """
+    upper strictly above, value(n) for every n: the two identities of the
+    named instances, lower and upper (name, coefficients, candidates),
+    stated in data.certificate.  The least margin of each side on
+    [1, limit] is the least identity_margin over the side's candidates,
+    the first n of a tie.  At every candidate the margin is also taken from F_eval and
+    the coefficients: one <= 0, or off the identity by more than
+    float_noise(limit) plus IDENTITY_ERROR of the margin, the identity's
+    own error, is a counterexample."""
     sequences.require_positive(limit, "limit")
-
-    def margins(rr, mm, firsts, lasts):
-        lows = [(value(n, rr, mm) - F_eval(lower, n), n) for n in firsts]
-        ups = [(F_eval(upper, n) - value(n, rr, mm), n) for n in lasts]
-        return lows, ups
-
-    counterexamples = []
-    best_low = best_up = (math.inf, None)
-    for a, b, rr, mm in sequences.chain_links(1, limit):
-        link = range(a, b + 1)
-        lows, ups = margins(rr, mm, link[:3], link[-3:])
-        if not all(margin > 0 for margin, _ in lows + ups):
-            lows, ups = margins(rr, mm, link, link)
-        counterexamples.extend(sorted({n for margin, n in lows + ups if margin <= 0}))
-        best_low = min((best_low, *lows))
-        best_up = min((best_up, *ups))
-    (min_low, min_low_at), (min_up, min_up_at) = best_low, best_up
+    tol = float_noise(limit)
+    counterexamples, least, certificate = set(), [], {"terms": IDENTITY_TERMS}
+    for side, sign, (name, coeffs, candidates) in (("lower", 1, lower), ("upper", -1, upper)):
+        points = candidates(limit)
+        for n, margin in points.items():
+            f_margin = sign * (value(n) - F_eval(coeffs, n))
+            if not (f_margin > 0 and abs(f_margin - margin) <= tol + margin * IDENTITY_ERROR):
+                counterexamples.add(n)
+        least.append(min((margin, n) for n, margin in points.items()))
+        margin_of, identity, bound = IDENTITIES[name]
+        certificate[side] = {
+            "margin": margin_of,
+            "identity": identity,
+            "bound": bound,
+            "facts": IDENTITY_FACTS,
+        }
+    (min_low, min_low_at), (min_up, min_up_at) = least
     if counterexamples:
         claim = (
-            f"envelopes not strict around {what} at "
-            f"{plural(len(counterexamples), 'value')}"
+            f"envelope margins off their identities around {what} at "
+            f"{plural(len(counterexamples), 'candidate')}"
         )
     else:
         claim = f"both envelopes strict around {what}"
@@ -366,49 +537,43 @@ def _check_envelopes(claim_id, what, lower, upper, limit, value):
         f"{claim}; smallest lower margin {min_low:.6f} at n = {min_low_at}, "
         f"smallest upper margin {min_up:.6f} at n = {min_up_at}"
     )
-    if min(min_low, min_up) < float_noise(limit):
-        details += "; warning: a margin sits inside float noise"
     return make_report(
         claim_id,
         1,
         limit,
         details,
-        counterexamples=counterexamples,
-        data={"min_lower_margin": min_low, "min_upper_margin": min_up},
+        counterexamples=sorted(counterexamples),
+        data={"min_lower_margin": min_low, "min_upper_margin": min_up, "certificate": certificate},
     )
 
 
 def check_bounds_x(limit: int) -> VerificationReport:
     """The x-lower envelope stays strictly below x(n) and the x-upper
-    envelope strictly above it, for every n in [1, limit]."""
+    envelope strictly above it, for every n; the least margins are those
+    on [1, limit]."""
     return _check_envelopes(
         "analytic/x-bounds",
         "x",
-        X_LOWER,
-        X_UPPER,
+        sequences.x,
+        ("x-lower", X_LOWER, _x_lower_points),
+        ("x-upper", X_UPPER, _x_upper_points),
         limit,
-        lambda n, rr, mm: sequences.z(n) - (rr + 1) * mm,
     )
 
 
 def check_bounds_Y(limit: int) -> VerificationReport:
     """The y-lower envelope stays strictly below Y_real(n) and the
-    y-upper envelope strictly above it, for every n in [1, limit].
-
-    In real arithmetic the lower margin ties at exactly 2/3 wherever 2n
-    is a perfect square and n = 2 (mod 3): by the y-lower identity of the
-    module docstring, Y - F = (2 - 2 rho/3) + (1 + L)(s - m), and there
-    rho = 2 and s = m.  The n reported for the smallest lower margin is
-    whichever of those ties float rounding puts lowest (98, 1682 and 27848
-    at limits 600, 5000 and 10**5), not a property of the envelope; the
-    error budget has to settle it."""
+    y-upper envelope strictly above it, for every n; the least margins
+    are those on [1, limit].  The least lower margin is 2/3 at n = 2 once
+    limit >= 2, the first of the ties where 2n is a square and n = 2
+    (mod 3) (see _y_lower_points)."""
     return _check_envelopes(
         "analytic/Y-bounds",
         "the y surrogate",
-        Y_LOWER,
-        Y_UPPER,
+        Y_real,
+        ("y-lower", Y_LOWER, _y_lower_points),
+        ("y-upper", Y_UPPER, _y_upper_points),
         limit,
-        lambda n, rr, mm: _Y(n, mm),
     )
 
 

@@ -13,7 +13,9 @@ rows may span pieces and chain links.  seq --exact-y and intervals
 format a row tuple at a time (_line_texts).  The text
 format is the csv text of either, split into cells.
 
-Each verify suite is one row of SUITES: its checks and its cap, if any.
+Each verify suite is one row of SUITES: its module, its checks and its
+cap, if any.  A command imports only the modules it runs: seq imports
+sequences alone, and verify imports analytic only for its suite.
 A report covers [1, --limit]; every suite that reads --limit refuses one
 below 1 and defaults to DEFAULT_LIMIT, so a verify run without one runs
 every suite at one limit.  table and intervals check the printed tables
@@ -29,17 +31,21 @@ before the output ended, 2 for usage errors.
 
 import argparse
 import functools
+import importlib
 import itertools
 import os
 import sys
 from typing import Callable, NamedTuple
 
-from . import analytic, intervals, sequences, verifier
+from . import sequences
+
 
 class Suite(NamedTuple):
-    """run(limit, y_runs) -> reports, where y_runs(limit) is y's sign
-    partition on [1, limit], and (largest --limit, why)."""
+    """The module of a suite's checks, run(module, limit, y_runs) ->
+    reports, where y_runs(limit) is y's sign partition on [1, limit],
+    and (largest --limit, why)."""
 
+    module: str
     run: Callable
     cap: tuple | None = None
 
@@ -48,36 +54,39 @@ class Suite(NamedTuple):
 # theorem reports carry the band certificate that extends them to every n.
 DEFAULT_LIMIT = 10**5
 
-# In report order.  Checks are looked up through their module at call
-# time, so a wrapper set there (a tracer or a test double) sees the call.
+# In report order.  A suite's module is imported when the suite runs, and
+# its checks are looked up through it at call time, so a wrapper set
+# there (a tracer or a test double) sees the call.
 SUITES = {
-    "table": Suite(lambda *_: [verifier.check_reference_table()]),
-    "intervals": Suite(lambda *_: [verifier.check_interval_table()]),
-    "theorem1": Suite(lambda limit, _: [verifier.check_theorem1(limit)]),
-    "theorem2": Suite(lambda limit, y_runs: [verifier.check_theorem2(y_runs(limit))]),
+    "table": Suite("verifier", lambda ver, *_: [ver.check_reference_table()]),
+    "intervals": Suite("verifier", lambda ver, *_: [ver.check_interval_table()]),
+    "theorem1": Suite("verifier", lambda ver, limit, _: [ver.check_theorem1(limit)]),
+    "theorem2": Suite(
+        "verifier", lambda ver, limit, y_runs: [ver.check_theorem2(y_runs(limit))]
+    ),
     "lemmas": Suite(
-        lambda limit, y_runs: [
-            verifier.check_gap(limit),
-            verifier.check_range_bounds(limit),
-            verifier.check_sign_criteria(y_runs(limit)),
-            verifier.check_negative_x_bound(y_runs(limit)),
-            verifier.check_positive_tail(y_runs(limit)),
+        "verifier",
+        lambda ver, limit, y_runs: [
+            ver.check_gap(limit),
+            ver.check_range_bounds(limit),
+            ver.check_sign_criteria(y_runs(limit)),
+            ver.check_negative_x_bound(y_runs(limit)),
+            ver.check_positive_tail(y_runs(limit)),
         ],
     ),
     "analytic": Suite(
-        lambda limit, y_runs: [
-            analytic.check_bounds_x(limit),
-            analytic.check_bounds_Y(limit),
-            analytic.check_sign_consistency(y_runs(limit)),
-            analytic.check_approximations(),
-            *analytic.check_roots(),
+        "analytic",
+        lambda ana, limit, y_runs: [
+            ana.check_bounds_x(limit),
+            ana.check_bounds_Y(limit),
+            ana.check_sign_consistency(y_runs(limit)),
+            ana.check_approximations(),
+            *ana.check_roots(),
         ],
         cap=(
             10**7,
-            "its float envelope scan is run and tested up to there; its error "
-            "budget, float_noise, stays far below the least margins past it "
-            "(3.6e-6 against 3.5e-4 at 10**9), so the cap waits only for a "
-            "certificate of the envelopes for every n",
+            "its envelopes hold for every n by their identities, but the least "
+            "margins it reports are run and tested up to there",
         ),
     ),
 }
@@ -378,6 +387,8 @@ def cmd_seq(args):
 
 
 def cmd_intervals(args):
+    from . import intervals
+
     if args.limit < 1:
         raise ValueError("need --limit >= 1")
     # a row per m-block, at most one more per power of 2
@@ -391,6 +402,8 @@ def cmd_intervals(args):
 def _emit_reports(reports, args):
     """Print the reports in --format; return the exit code, 1 when one is a
     discrepancy, or with --strict a documented erratum, and 0 otherwise."""
+    from . import verifier
+
     emit = {"json": verifier.reports_to_json, "csv": verifier.reports_to_csv}
     print(emit.get(args.format, verifier.reports_to_text)(reports))
     statuses = {rep.status for rep in reports}
@@ -399,6 +412,8 @@ def _emit_reports(reports, args):
 
 
 def cmd_verify(args):
+    from . import verifier
+
     parts = SUITES.values() if args.suite == "all" else [SUITES[args.suite]]
     limit = DEFAULT_LIMIT if args.limit is None else args.limit
     if args.suite in ("table", "intervals"):
@@ -419,11 +434,17 @@ def cmd_verify(args):
             )
     # Looked up through the module, so a wrapper there sees each build.
     y_runs = functools.cache(lambda limit: verifier.partition_y(limit))
-    reports = [rep for p in parts for rep in p.run(limit, y_runs)]
+    reports = [
+        rep
+        for p in parts
+        for rep in p.run(importlib.import_module(f"{__package__}.{p.module}"), limit, y_runs)
+    ]
     return _emit_reports(reports, args)
 
 
 def cmd_roots(args):
+    from . import analytic
+
     return _emit_reports(analytic.check_roots(), args)
 
 

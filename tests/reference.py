@@ -1,8 +1,8 @@
 """The per-n specification: each claim of ineqscan stated one n at a time.
 
-Every fast route (blockwise partitions, cut points, a few candidate n per
-chain link, the streamed emitters, the root scan that stops early) is
-checked against a route here.  The routes on integer data read one row
+Every fast route (blockwise partitions, cut points, the envelope minima
+from a few candidate n, the streamed emitters, the root scan that stops
+early) is checked against a route here.  The routes on integer data read one row
 source: row(n) computes (n, z, m, r, c, x, c - m, y sign) straight from
 README's definitions with math.isqrt, // and bit_length, and takes y's
 sign from exactarith.cmp_pow2_vs_pow, which test_exactarith checks
@@ -14,6 +14,9 @@ TABLE_TOP.
 reference_partition_x and reference_partition_y are the per-link walks
 the partitions made over every link before the band: O(links), so they
 reach 10**9, and test_verifier checks them against per_n_runs.
+link_walk_bounds_x and link_walk_bounds_Y are the per-link walk the
+envelope checks made before their identities, O(links) as well, and
+test_analytic checks them against the per-n references.
 
 Nothing here imports sequences, intervals or cli, nor any partition_*,
 check_*, scan* or chain_links: the code under test (test_reference
@@ -307,24 +310,15 @@ def _Y(n, mm, gap):
 
 def float_noise(limit):
     """The float error bound of an envelope margin on [1, limit], as
-    analytic.float_noise states it: 2**-48 (L + sqrt(2L)(log2 L + 2) + 6)."""
+    analytic.float_noise states it: 2**-48 (L + sqrt(2L)(log2 L + 2) + 6).
+    The comparisons with the references allow it."""
     return 2.0**-48 * (limit + math.sqrt(2 * limit) * (math.log2(limit) + 2) + 6)
 
 
-def _reference_margins(claim_id, what, lower, upper, limit, values):
-    """Both envelope margins of a value at every (n, value)."""
-    counterexamples = []
-    min_low = min_up = math.inf
-    min_low_at = min_up_at = None
-    for n, value in values:
-        low = value - analytic.F_eval(lower, n)
-        up = analytic.F_eval(upper, n) - value
-        if low <= 0 or up <= 0:
-            counterexamples.append(n)
-        if low < min_low:
-            min_low, min_low_at = low, n
-        if up < min_up:
-            min_up, min_up_at = up, n
+def _margins_report(claim_id, what, limit, counterexamples, low, up):
+    """An envelope report from its counterexamples and the least
+    (margin, n) on each side."""
+    (min_low, min_low_at), (min_up, min_up_at) = low, up
     if counterexamples:
         base = f"envelopes not strict around {what} at "
         base += verifier.plural(len(counterexamples), "value")
@@ -334,12 +328,23 @@ def _reference_margins(claim_id, what, lower, upper, limit, values):
         f"{base}; smallest lower margin {min_low:.6f} at n = {min_low_at}, "
         f"smallest upper margin {min_up:.6f} at n = {min_up_at}"
     )
-    if min(min_low, min_up) < float_noise(limit):
-        details += "; warning: a margin sits inside float noise"
     data = {"min_lower_margin": min_low, "min_upper_margin": min_up}
     return verifier.make_report(
         claim_id, 1, limit, details, counterexamples=counterexamples, data=data
     )
+
+
+def _reference_margins(claim_id, what, lower, upper, limit, values):
+    """Both envelope margins of a value at every (n, value), from F_eval."""
+    counterexamples = []
+    low = up = (math.inf, None)
+    for n, value in values:
+        n_low = (value - analytic.F_eval(lower, n), n)
+        n_up = (analytic.F_eval(upper, n) - value, n)
+        if n_low[0] <= 0 or n_up[0] <= 0:
+            counterexamples.append(n)
+        low, up = min(low, n_low), min(up, n_up)
+    return _margins_report(claim_id, what, limit, counterexamples, low, up)
 
 
 def reference_bounds_x(limit):
@@ -355,6 +360,55 @@ def reference_bounds_Y(limit):
     values = ((n, _Y(n, mm, gap)) for n, _, mm, _, _, _, gap, _ in rows(limit))
     return _reference_margins(
         "analytic/Y-bounds", "the y surrogate", analytic.Y_LOWER, analytic.Y_UPPER, limit, values
+    )
+
+
+def _link_walk(claim_id, what, lower, upper, limit, value):
+    """An envelope check as a walk over every chain link, from F_eval's
+    margins at a few n of each: O(links) where the per-n references are
+    O(limit), so it reaches 10**7 in a fraction of a second.
+
+    On each residue class mod 3 of a link the lower margins rise and the
+    upper ones fall, from n = 2 on (tests/test_analytic.py,
+    TestEnvelopeIdentities), so a link's least lower margin is at one of
+    its first three n and its least upper margin at one of its last
+    three.  A link with a margin <= 0 there is stepped per n, so the
+    counterexamples are those of the per-n walk.  The least (margin, n)
+    keeps the first n of a tie."""
+    counterexamples = []
+    low = up = (math.inf, None)
+
+    def margins(firsts, lasts):
+        lows = [(value(n) - analytic.F_eval(lower, n), n) for n in firsts]
+        ups = [(analytic.F_eval(upper, n) - value(n), n) for n in lasts]
+        return lows, ups
+
+    for a, b, _, _ in reference_links(limit):
+        link = range(a, b + 1)
+        lows, ups = margins(link[:3], link[-3:])
+        if not all(margin > 0 for margin, _ in lows + ups):
+            lows, ups = margins(link, link)
+        counterexamples.extend(sorted({n for margin, n in lows + ups if margin <= 0}))
+        low, up = min((low, *lows)), min((up, *ups))
+    return _margins_report(claim_id, what, limit, counterexamples, low, up)
+
+
+def link_walk_bounds_x(limit):
+    """check_bounds_x by _link_walk."""
+    return _link_walk(
+        "analytic/x-bounds", "x", analytic.X_LOWER, analytic.X_UPPER, limit, lambda n: row(n)[5]
+    )
+
+
+def link_walk_bounds_Y(limit):
+    """check_bounds_Y by _link_walk."""
+
+    def value(n):
+        _, _, mm, _, _, _, gap, _ = row(n)
+        return _Y(n, mm, gap)
+
+    return _link_walk(
+        "analytic/Y-bounds", "the y surrogate", analytic.Y_LOWER, analytic.Y_UPPER, limit, value
     )
 
 

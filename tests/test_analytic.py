@@ -23,6 +23,8 @@ from hypothesis import strategies as st
 from ineqscan import analytic, sequences, verifier
 from reference import (
     float_noise,
+    link_walk_bounds_x,
+    link_walk_bounds_Y,
     reference_bounds_x,
     reference_bounds_Y,
     reference_check_roots,
@@ -241,11 +243,12 @@ class TestSandwich:
 
     @pytest.mark.parametrize("limit", [600, 5000, 10**5])
     def test_y_lower_margin_ties_at_two_thirds(self, limit):
-        # Y - F = c - 2n/3 - 2 = 2/3 where 2n = m*m and n % 3 == 2, so the
-        # reported n is one of those ties, picked by float rounding
+        # Y - F = c - 2n/3 - 2 = 2/3 where 2n = m*m and n % 3 == 2; the
+        # reported n is the first of those ties, 2, whatever the limit
         rep = analytic.check_bounds_Y(limit)
-        assert abs(rep.data["min_lower_margin"] - 2 / 3) < 1e-9
+        assert rep.data["min_lower_margin"] == 2 / 3
         n = int(re.search(r"smallest lower margin \S+ at n = (\d+)", rep.details)[1])
+        assert n == 2
         assert math.isqrt(2 * n) ** 2 == 2 * n
         assert n % 3 == 2
 
@@ -318,9 +321,10 @@ class TestEnvelopeIdentities:
     (the analytic module docstring), checked at 80 digits: with
     s = sqrt(2n), L = log2(n) and rho = n mod 3 each is a sum of terms
     whose signs follow from 0 <= s - m < 1 and 2**(r - 1) < n <= 2**r,
-    and on each residue class of a chain link the lower margins rise and
-    the upper ones fall, which is what lets _check_envelopes settle a
-    link from three n at either end."""
+    which is the claim of both checks, and on each residue class of a
+    chain link the lower margins rise and the upper ones fall, which the
+    candidate rules and the link walk of tests/reference.py rest on.
+    analytic.identity_margin evaluates the identities in floats."""
 
     def test_identities(self):
         for n in identity_points():
@@ -335,6 +339,30 @@ class TestEnvelopeIdentities:
                     assert abs(margin - bound) < IDENTITY_TOL, (name, n)
                 else:
                     assert margin - bound > IDENTITY_TOL, (name, n)
+
+    def test_identity_margin_in_floats(self):
+        # every term is >= 0 and none cancels, so the float sum stays
+        # within IDENTITY_ERROR of the 80-digit identity, relatively
+        for n in identity_points():
+            for name, (_, identity) in exact_margins(n).items():
+                error = abs(Decimal(analytic.identity_margin(name, n)) - identity) / identity
+                assert error < analytic.IDENTITY_ERROR, (name, n)
+
+    def test_certificate_states_the_identities(self):
+        for check, names in (
+            (analytic.check_bounds_x, ("x-lower", "x-upper")),
+            (analytic.check_bounds_Y, ("y-lower", "y-upper")),
+        ):
+            cert = check(10**7).data["certificate"]
+            assert cert["terms"] == analytic.IDENTITY_TERMS
+            for side, name in zip(("lower", "upper"), names):
+                margin, identity, bound = analytic.IDENTITIES[name]
+                assert cert[side] == {
+                    "margin": margin,
+                    "identity": identity,
+                    "bound": bound,
+                    "facts": ["0 <= s - m < 1", "2**(r - 1) < n <= 2**r"],
+                }
 
     def test_y_lower_ties_below_5000(self):
         ties = [
@@ -366,7 +394,8 @@ def link_of(n):
 
 
 def float_margins(n):
-    """The four envelope margins at n as _check_envelopes computes them."""
+    """The four envelope margins at n as F_eval gives them, the side the
+    envelope checks' guard compares with the identities."""
     mm, rr = sequences.m(n), sequences.r(n)
     values = {"x": sequences.z(n) - (rr + 1) * mm, "y": analytic._Y(n, mm)}
     margins = {}
@@ -378,8 +407,8 @@ def float_margins(n):
 
 class TestFloatNoise:
     """analytic.float_noise(limit) bounds the float error of every margin
-    _check_envelopes compares on [1, limit]; a least margin below it is
-    flagged in the report."""
+    F_eval gives on [1, limit]; the envelope checks' guard allows it
+    between that margin and the identity at each candidate."""
 
     def test_bound_covers_the_float_error(self):
         # the candidates of the links on both sides of each power of two
@@ -406,25 +435,27 @@ class TestFloatNoise:
         assert float_noise(10**7) == pytest.approx(3.593e-8, rel=1e-3)
         assert float_noise(10**9) == pytest.approx(3.558e-6, rel=1e-3)
 
-    @pytest.mark.parametrize("scale, warned", [(0.5, True), (2.0, False)])
-    def test_warning_below_the_bound(self, monkeypatch, scale, warned):
-        # the x-upper margin at the limit, the last candidate, is set to
-        # half or twice the bound; half of it is still above 1e-9
+    @pytest.mark.parametrize("scale, flagged", [(0.5, False), (2.0, True)])
+    def test_guard_at_its_tolerance(self, monkeypatch, scale, flagged):
+        # the x-upper margin from F_eval at the limit, a candidate, is set
+        # off its identity by half or twice the guard's tolerance there;
+        # the minima still come from the identities
         limit = 10**6
-        margin = scale * analytic.float_noise(limit)
-        assert margin > 1e-9
+        unpatched = analytic.check_bounds_x(limit)
+        identity = analytic.identity_margin("x-upper", limit)
+        off = scale * (analytic.float_noise(limit) + identity * analytic.IDENTITY_ERROR)
         f_eval, x_at = analytic.F_eval, sequences.x(limit)
 
         def patched(coeffs, t):
             if coeffs is analytic.X_UPPER and t == limit:
-                return x_at + margin
+                return x_at + identity + off
             return f_eval(coeffs, t)
 
         monkeypatch.setattr(analytic, "F_eval", patched)
         rep = analytic.check_bounds_x(limit)
-        assert rep.status == verifier.CONFIRMED
-        assert rep.data["min_upper_margin"] == pytest.approx(margin, rel=0.1)
-        assert rep.details.endswith("; warning: a margin sits inside float noise") is warned
+        assert rep.counterexamples == ([limit] if flagged else [])
+        assert (rep.status == verifier.DISCREPANCY) is flagged
+        assert rep.data == unpatched.data
 
 
 class TestApproximations:
@@ -521,24 +552,54 @@ def sign_consistency(limit):
     return analytic.check_sign_consistency(verifier.partition_y(limit))
 
 
-REFERENCE_CHECKS = (
-    (analytic.check_bounds_x, reference_bounds_x),
-    (analytic.check_bounds_Y, reference_bounds_Y),
-    (sign_consistency, reference_sign_consistency),
+def minima(rep):
+    """((least lower margin, its n), (least upper margin, its n)) of an
+    envelope report."""
+    at = [int(n) for n in re.findall(r"at n = (\d+)", rep.details)]
+    return (rep.data["min_lower_margin"], at[0]), (rep.data["min_upper_margin"], at[1])
+
+
+def assert_same_minima(rep, ref, limit):
+    """An envelope report against a reference's at the same limit: the
+    same claim, range, status, counterexamples and errata, and each least
+    margin at the same n and within float_noise(limit), the float error
+    of the reference's margins.  The y-lower margin is the exception: it
+    is 2/3 at every tie where 2n is a square and n = 2 (mod 3), the
+    report names the first, n = 2 (n = 1 at limit 1), and a reference
+    names whichever tie float rounding puts lowest."""
+    got, want = rep.to_dict(), ref.to_dict()
+    for key in ("claim_id", "range", "status", "counterexamples", "errata"):
+        assert got[key] == want[key], (key, limit)
+    for side, (value, n), (ref_value, ref_n) in zip(("lower", "upper"), minima(rep), minima(ref)):
+        assert abs(value - ref_value) <= float_noise(limit), (rep.claim_id, side, limit)
+        if (rep.claim_id, side) == ("analytic/Y-bounds", "lower"):
+            assert n == min(limit, 2), limit
+        else:
+            assert n == ref_n, (rep.claim_id, side, limit)
+
+
+ENVELOPE_CHECKS = (
+    (analytic.check_bounds_x, reference_bounds_x, link_walk_bounds_x),
+    (analytic.check_bounds_Y, reference_bounds_Y, link_walk_bounds_Y),
 )
+
+
+def assert_matches_per_n(limit):
+    """The three range checks of analytic against the per-n references."""
+    for check, reference, _ in ENVELOPE_CHECKS:
+        assert_same_minima(check(limit), reference(limit), limit)
+    assert sign_consistency(limit).to_dict() == reference_sign_consistency(limit).to_dict(), limit
 
 
 class TestRewrittenChecksAgainstPerN:
     @pytest.mark.parametrize("limit", [1, 2, 9, 10, 11, 12, 20, 547, 5000])
     def test_spot_limits(self, limit):
-        for check, reference in REFERENCE_CHECKS:
-            assert check(limit).to_dict() == reference(limit).to_dict()
+        assert_matches_per_n(limit)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=1, max_value=20000))
     def test_any_limit(self, limit):
-        for check, reference in REFERENCE_CHECKS:
-            assert check(limit).to_dict() == reference(limit).to_dict()
+        assert_matches_per_n(limit)
 
     def test_surrogate_at_the_printed_points(self):
         # Y_real is computed as (c - m) - (m - 1) log2(n); at the printed
@@ -551,55 +612,95 @@ class TestRewrittenChecksAgainstPerN:
             assert analytic.Y_real(n) == sequences.c(n) + analytic.d_real(n)
 
 
+def walk_limits():
+    """1 to 299, 2**k - 1 ... 2**k + 1 for k <= 23, 10**4 ... 10**7 and 40
+    seeded draws below 10**7."""
+    draw = random.Random(38)
+    limits = {*range(1, 300), *(10**e for e in range(4, 8))}
+    limits.update(2**k + d for k in range(2, 24) for d in (-1, 0, 1))
+    limits.update(draw.randrange(300, 10**7) for _ in range(40))
+    return sorted(limits)
+
+
 class TestCandidateRoute:
-    """The two envelope checks settle each chain link from a few candidate
-    n, and check_sign_consistency reads Y at every n to 2112; the per-n
-    references of tests/reference.py are the oracle."""
+    """The two envelope checks take their least margins from the
+    identities at a few candidate n (at most 300 per report to 10**9),
+    and check_sign_consistency reads Y at every n to 2112; the per-n
+    references and the link walk of tests/reference.py are the oracles.
+    The link walk, with F_eval patched, is checked against the per-n
+    references here too."""
 
     def test_every_limit_to_600(self):
         # every printed link and every boundary of y's sign runs ends in
         # this range, so each clipped last link is compared too
         for limit in range(1, 601):
-            for check, reference in REFERENCE_CHECKS:
-                assert check(limit).to_dict() == reference(limit).to_dict(), limit
+            assert_matches_per_n(limit)
 
     def test_at_ten_to_the_fifth(self):
-        for check, reference in REFERENCE_CHECKS:
-            assert check(10**5).to_dict() == reference(10**5).to_dict()
+        assert_matches_per_n(10**5)
+
+    def test_against_the_link_walk(self):
+        for limit in walk_limits():
+            for check, _, walk in ENVELOPE_CHECKS:
+                assert_same_minima(check(limit), walk(limit), limit)
+
+    def test_minima_at_ten_to_the_seventh_to_80_digits(self):
+        # the y-upper margin from F_eval cancels terms near 10**6 and is
+        # off from the 7th digit there; the identities are not
+        limit = 10**7
+        (x_low, x_up), (y_low, y_up) = (minima(check(limit)) for check, _, _ in ENVELOPE_CHECKS)
+        found = {"x-lower": x_low, "x-upper": x_up, "y-lower": y_low, "y-upper": y_up}
+        assert {name: n for name, (_, n) in found.items()} == {
+            "x-lower": 8388609,
+            "x-upper": 8388605,
+            "y-lower": 2,
+            "y-upper": 9994920,
+        }
+        for name, (value, n) in found.items():
+            exact = exact_margins(n)[name][0]
+            assert abs(Decimal(value) - exact) / exact < Decimal("1e-12"), name
+        assert y_up[0] == pytest.approx(0.00271223036146583435, rel=1e-14)
 
     @staticmethod
     def assert_settled_from_candidates(monkeypatch, limit):
-        # no n is stepped, from n = 1 on: F_eval runs at the first three
-        # and last three n of each link, at most six times per link; no
-        # sign of y is decided here
-        links = list(sequences.chain_links(1, limit))
-        # built beforehand, so partition_y's own y_sign calls are not seen
+        # each candidate takes one identity_margin and one F_eval, at most
+        # 300 of them per report, and no sign of y is decided here
         part = verifier.partition_y(limit)
-        calls = 0
+        calls = {"F_eval": 0, "identity_margin": 0}
         decided = []
-        f_eval, y_sign = analytic.F_eval, sequences.y_sign
+        f_eval, identity_margin, y_sign = (
+            analytic.F_eval,
+            analytic.identity_margin,
+            sequences.y_sign,
+        )
 
-        def counting_f_eval(*args):
-            nonlocal calls
-            calls += 1
-            return f_eval(*args)
+        def counting(name, f):
+            def counted(*args):
+                calls[name] += 1
+                return f(*args)
+
+            return counted
 
         def recording_y_sign(n):
             decided.append(n)
             return y_sign(n)
 
-        monkeypatch.setattr(analytic, "F_eval", counting_f_eval)
+        monkeypatch.setattr(analytic, "F_eval", counting("F_eval", f_eval))
+        monkeypatch.setattr(
+            analytic, "identity_margin", counting("identity_margin", identity_margin)
+        )
         monkeypatch.setattr(sequences, "y_sign", recording_y_sign)
-        candidates = sum(2 * min(3, b - a + 1) for a, b, *_ in links)
         for check in (analytic.check_bounds_x, analytic.check_bounds_Y):
-            calls = 0
+            calls.update(F_eval=0, identity_margin=0)
             rep = check(limit)
             assert rep.status == verifier.CONFIRMED
-            assert "warning" not in rep.details, check.__name__
-            assert calls == candidates, check.__name__
-            assert calls <= 6 * len(links), check.__name__
+            assert 0 < calls["F_eval"] == calls["identity_margin"] <= 300, check.__name__
         assert analytic.check_sign_consistency(part).status == verifier.CONFIRMED
         assert decided == []
+
+    @pytest.mark.parametrize("limit", [10**5, 10**6, 10**7])
+    def test_candidates_stay_flat(self, monkeypatch, limit):
+        self.assert_settled_from_candidates(monkeypatch, limit)
 
     def test_links_at_one_billion(self, monkeypatch):
         self.assert_settled_from_candidates(monkeypatch, 10**9)
@@ -613,22 +714,21 @@ class TestCandidateRoute:
     def test_tied_margins_keep_the_first_n(self, monkeypatch):
         # with whole-number envelopes the x margins are integers and tie
         # often (floor keeps them monotone on each residue class, since x
-        # steps by exactly 2 every three n); the smallest margin must be
-        # reported at its first n
+        # steps by exactly 2 every three n); the link walk must report the
+        # smallest margin at its first n
         f_eval = analytic.F_eval
         monkeypatch.setattr(
             analytic, "F_eval", lambda coeffs, t: float(math.floor(f_eval(coeffs, t)))
         )
         for limit in range(1, 601):
-            rep = analytic.check_bounds_x(limit)
-            assert rep.to_dict() == reference_bounds_x(limit).to_dict(), limit
+            assert link_walk_bounds_x(limit).to_dict() == reference_bounds_x(limit).to_dict(), limit
 
     @pytest.mark.parametrize("favoured", [0, 1, 2])
     def test_period_three_term_in_the_envelopes(self, monkeypatch, favoured):
         # a term that depends only on n mod 3 keeps every margin monotone
-        # on each residue class, so the candidate route must stay exact;
-        # raising the margins off one class moves the link minima onto
-        # that class, the third candidate on some links
+        # on each residue class, so the link walk must stay exact; raising
+        # the margins off one class moves the link minima onto that class,
+        # the third candidate on some links
         f_eval = analytic.F_eval
 
         def shifted(coeffs, t):
@@ -639,8 +739,8 @@ class TestCandidateRoute:
 
         monkeypatch.setattr(analytic, "F_eval", shifted)
         for limit in [*range(1, 601, 7), 5000]:
-            for check, reference in REFERENCE_CHECKS[:2]:
-                assert check(limit).to_dict() == reference(limit).to_dict(), limit
+            for _, reference, walk in ENVELOPE_CHECKS:
+                assert walk(limit).to_dict() == reference(limit).to_dict(), limit
 
     def test_flipped_run_is_stepped_per_n(self, monkeypatch):
         # the float sign disagrees with a flipped run at every n of it,
@@ -677,6 +777,54 @@ class TestCandidateRoute:
         zeroed_part = part._replace(runs=part.runs[:-1] + zeroed)
         rep = analytic.check_sign_consistency(zeroed_part)
         assert rep.counterexamples == list(range(400, 421))
+
+
+class TestCandidateRules:
+    """The facts the docstrings of analytic's candidate rules prove,
+    checked where they are cheap to check."""
+
+    def test_x_bounds_monotone_on_r_blocks(self):
+        # s(L - r + 1) rises on each r-block, and 1/3 + (s - 1)(r - L)
+        # falls on it from n = 2 on
+        for rr in range(1, 15):
+            block = range((1 << rr >> 1) + 1, (1 << rr) + 1)
+            s = [math.sqrt(2 * n) for n in block]
+            lg = [math.log2(n) for n in block]
+            lower = [si * (li - rr + 1) for si, li in zip(s, lg)]
+            upper = [(si - 1) * (rr - li) for si, li in zip(s, lg)]
+            assert all(u < v for u, v in pairwise(lower)), rr
+            assert all(u > v for u, v in pairwise(upper)), rr
+
+    def test_x_bounds_below_the_margins(self):
+        for n in range(2, 5000):
+            s, lg, rr = math.sqrt(2 * n), math.log2(n), sequences.r(n)
+            assert analytic.identity_margin("x-lower", n) >= s * (lg - rr + 1) - 1e-12, n
+            assert analytic.identity_margin("x-upper", n) > 1 / 3 + (s - 1) * (rr - lg), n
+
+    def test_y_upper_classes_mod_six(self):
+        # the n with rho = 0 among an m-block's last three has
+        # (m + 1)**2 - 2n = d, d fixed by m mod 6
+        for mm in range(2, 3000):
+            end = sequences.m_block(mm)[1]
+            (n,) = [n for n in range(end - 2, end + 1) if n % 3 == 0]
+            assert (mm + 1) ** 2 - 2 * n == (1, 4, 3, 4, 1, 6)[mm % 6], mm
+
+    def test_y_upper_falls_within_a_class(self):
+        # the margin at those n falls with m on each class, from m = 4 on
+        for first in range(4, 10):
+            ends = [sequences.m_block(mm)[1] for mm in range(first, 3000, 6)]
+            margins = [
+                min(analytic.identity_margin("y-upper", n) for n in range(e - 2, e + 1))
+                for e in ends
+            ]
+            assert all(u > v for u, v in pairwise(margins)), first
+
+    def test_y_upper_below_two_thirds_at_block_63(self):
+        # past m = 63 an n with rho != 0 has a margin above 2/3, more than
+        # the least margin once the block m = 63 is in range
+        assert sequences.m_block(63)[1] == 2047 and 2046 % 3 == 0
+        assert analytic.identity_margin("y-upper", 2046) == pytest.approx(0.375, abs=1e-3)
+        assert analytic.check_bounds_Y(2047).data["min_upper_margin"] < 2 / 3
 
 
 class TestSignWalk:
@@ -719,26 +867,62 @@ class TestSignWalk:
 
 
 class TestSandwichThroughSharedLoop:
-    """An envelope that dips below the data must surface as a
-    discrepancy, with the counterexamples of the plain per-n loop."""
+    """A named envelope that its identity no longer describes must
+    surface as a discrepancy at the candidates of its side, whether its
+    margin from F_eval drops to <= 0 there or only moves off the
+    identity; the least margins still come from the identities."""
+
+    @staticmethod
+    def assert_flagged(monkeypatch, check, attr, coeffs, points, limit=2000):
+        unpatched = check(limit)
+        monkeypatch.setattr(analytic, attr, coeffs)
+        rep = check(limit)
+        assert rep.status == verifier.DISCREPANCY
+        assert rep.counterexamples == sorted(points(limit))
+        what = "x" if check is analytic.check_bounds_x else "the y surrogate"
+        assert rep.details.startswith(
+            f"envelope margins off their identities around {what} "
+            f"at {len(rep.counterexamples)} candidates;"
+        )
+        assert rep.data == unpatched.data
+        return rep
 
     def test_x_upper_below_the_data(self, monkeypatch):
-        monkeypatch.setattr(analytic, "X_UPPER", analytic.FCoeffs(-4, 1, 1))
-        rep = analytic.check_bounds_x(2000)
-        assert rep.status == verifier.DISCREPANCY
-        assert rep.data["min_upper_margin"] <= 0
-        assert rep.to_dict() == reference_bounds_x(2000).to_dict()
-        assert rep.details.startswith(
-            f"envelopes not strict around x at {len(rep.counterexamples)} values;"
+        # F(x-upper) 5 lower: below x wherever the margin was under 5
+        self.assert_flagged(
+            monkeypatch,
+            analytic.check_bounds_x,
+            "X_UPPER",
+            analytic.FCoeffs(-4, 1, 1),
+            analytic._x_upper_points,
         )
+        assert reference_bounds_x(2000).status == verifier.DISCREPANCY
 
     def test_y_upper_below_the_data(self, monkeypatch):
-        monkeypatch.setattr(analytic, "Y_UPPER", analytic.FCoeffs(0, 1, 2))
-        rep = analytic.check_bounds_Y(2000)
-        assert rep.status == verifier.DISCREPANCY
-        assert rep.data["min_upper_margin"] <= 0
-        assert rep.to_dict() == reference_bounds_Y(2000).to_dict()
-        assert "both envelopes strict" not in rep.details
+        self.assert_flagged(
+            monkeypatch,
+            analytic.check_bounds_Y,
+            "Y_UPPER",
+            analytic.FCoeffs(0, 1, 2),
+            analytic._y_upper_points,
+        )
+        assert reference_bounds_Y(2000).status == verifier.DISCREPANCY
+
+    @pytest.mark.parametrize(
+        "check, attr, coeffs, points",
+        [
+            (analytic.check_bounds_x, "X_UPPER", (2, 1, 1), analytic._x_upper_points),
+            (analytic.check_bounds_Y, "Y_UPPER", (6, 1, 2), analytic._y_upper_points),
+        ],
+        ids=["x-upper", "y-upper"],
+    )
+    def test_raised_envelope_is_off_its_identity(self, monkeypatch, check, attr, coeffs, points):
+        # a raised by 1: every margin from F_eval stays > 0, and a per-n
+        # walk would pass it, but each is 1 off the identity
+        rep = self.assert_flagged(
+            monkeypatch, check, attr, analytic.FCoeffs(*coeffs), points, limit=10**5
+        )
+        assert rep.data["min_upper_margin"] > 0
 
 
 class TestRootRegistry:

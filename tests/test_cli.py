@@ -3,9 +3,10 @@
 Everything runs in-process through cli.main so exit codes and exact
 stdout bytes can be asserted without spawning subprocesses; only the
 closed-pipe test needs a real child process and a real pipe, and the
-three import tests a fresh interpreter.
+four import tests a fresh interpreter.
 """
 
+import csv
 import hashlib
 import io
 import json
@@ -642,6 +643,26 @@ class TestVerify:
                 certified = rep["data"]["certificate"] is not None
                 assert certified == (limit >= verifier.BAND_BASE), rep["claim_id"]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("limit", [5, 403])
+    def test_positive_tail_below_its_start(self, capsys, fmt, limit):
+        # below 404 the tail report covers [1, L] and says no n of its
+        # claim is in range; no report prints a range with lo > hi
+        argv = ["verify", "--suite", "all", "--limit", str(limit), "--format", fmt]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            reports = {rep["claim_id"]: rep for rep in json.loads(out)}
+            ranges = {claim: tuple(rep["range"]) for claim, rep in reports.items()}
+            details = reports["lemmas/positive-tail"]["details"]
+        else:
+            rows = {row["claim_id"]: row for row in csv.DictReader(io.StringIO(out))}
+            ranges = {claim: (int(row["lo"]), int(row["hi"])) for claim, row in rows.items()}
+            details = rows["lemmas/positive-tail"]["details"]
+        assert ranges["lemmas/positive-tail"] == (1, limit)
+        assert details == "no n >= 404 is in range"
+        assert all(lo <= hi for lo, hi in ranges.values()), ranges
+
     @pytest.mark.parametrize(
         "suite, limit, err",
         [
@@ -649,11 +670,10 @@ class TestVerify:
             (
                 "all",
                 "10000001",
-                "error: suite 'all' takes --limit <= 10000000: its float envelope scan "
-                "is run and tested up to there; its error budget, float_noise, stays far "
-                "below the least margins past it (3.6e-6 against 3.5e-4 at 10**9), so the "
-                "cap waits only for a certificate of the envelopes for every n; --suite "
-                "theorem1|theorem2|lemmas take any --limit\n",
+                "error: suite 'all' takes --limit <= 10000000: its envelopes hold for "
+                "every n by their identities, but the least margins it reports are run "
+                "and tested up to there; --suite theorem1|theorem2|lemmas take any "
+                "--limit\n",
             ),
         ],
     )
@@ -666,7 +686,7 @@ class TestVerify:
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "10000000" in err and "float envelope scan" in err
+        assert "10000000" in err and "least margins" in err
         assert "--suite theorem1|theorem2|lemmas take any --limit" in err
 
     def test_lemmas_at_one_billion(self, capsys):
@@ -691,7 +711,7 @@ class TestVerify:
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "10000000" in err and "float envelope scan" in err
+        assert "10000000" in err and "least margins" in err
         assert "range-bound" not in err
 
     def test_csv_format(self, capsys):
@@ -866,6 +886,31 @@ def test_cli_import_loads_no_dataclasses():
         "import ineqscan.cli, ineqscan.intervals; "
         "assert 'dataclasses' not in sys.modules"
     )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_commands_import_only_what_they_run():
+    # seq reads sequences alone, and verify imports analytic only for a
+    # suite that runs it.  -S keeps site .pth hooks out.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"""
+import io, sys
+sys.path.insert(0, {src!r})
+from ineqscan import cli
+sys.stdout = io.StringIO()
+loaded = lambda: sorted(k for k in sys.modules if k.startswith("ineqscan."))
+assert cli.main("seq --to 2".split()) == 0
+assert loaded() == ["ineqscan.cli", "ineqscan.exactarith", "ineqscan.sequences"], loaded()
+for suite in ("theorem1", "theorem2", "lemmas"):
+    assert cli.main(["verify", "--suite", suite, "--limit", "5000"]) == 0
+    assert "ineqscan.analytic" not in sys.modules, suite
+assert "ineqscan.verifier" in sys.modules
+assert cli.main("verify --suite analytic --limit 5000".split()) == 0
+assert "ineqscan.analytic" in sys.modules
+"""
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, timeout=60
     )

@@ -353,7 +353,8 @@ class TestLemmaChecks:
         assert rep.lo == 404
         rep = verifier.check_positive_tail(verifier.partition_y(100))
         assert rep.status == verifier.CONFIRMED
-        assert "nothing scanned" in rep.details
+        assert (rep.lo, rep.hi) == (1, 100)
+        assert rep.details == "no n >= 404 is in range"
 
 
 class TestLemmaAnchors:
