@@ -34,6 +34,10 @@ more than twice IDENTITY_ERROR, relatively.  Past about 2**100 the x-upper
 margins, 1/3 + O(2**(-r/2)), no longer do, and ordering them there
 needs decimal.  The command line caps --limit at 10**7: the claims hold
 for every n, but the least margins are run and tested only that far.
+The cap also keeps the guard sound.  Past it, F_eval's margin at a
+candidate can round to 0.0 where the identity's is positive: at limit
+213796208950 the y-upper margin at n = 213795874512 is 2.95e-5, F_eval
+gives 0.0, and the guard reports a counterexample that is not one.
 
 check_sign_consistency reads Y at every n to verifier.band_top, 2112
 once y's band holds, past which Y >= 23.  The exact sign of y comes from
@@ -65,8 +69,7 @@ from .verifier import (
 
 LOG2 = math.log(2.0)
 
-# The width a root bracket is bisected down to when no tolerance is given:
-# the default of isolate_root and check_roots, and the one verify and roots use.
+# The width isolate_root bisects a root bracket down to.
 ROOT_TOL = 1e-9
 
 
@@ -212,22 +215,13 @@ class RootBracket(NamedTuple):
         return self.hi - self.lo
 
 
-def require_tol(tol: float) -> None:
-    """Raise ValueError unless tol is a finite positive number.
-
-    NaN passes "tol <= 0" and would skip the bisection loop unnoticed.
-    """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be a finite positive number")
-
-
-def isolate_root(coeffs: FCoeffs, lo: float, hi: float, tol: float = ROOT_TOL) -> RootBracket:
-    """Shrink a sign-changing bracket to width <= tol by bisection.
+def isolate_root(coeffs: FCoeffs, lo: float, hi: float) -> RootBracket:
+    """Shrink a sign-changing bracket to width <= ROOT_TOL by bisection.
 
     The endpoints must evaluate to nonzero values of opposite sign.
-    Stops early if float resolution is exhausted before tol is reached.
+    Stops early if float resolution is exhausted before ROOT_TOL is
+    reached.
     """
-    require_tol(tol)
     if not lo < hi:
         raise ValueError("need lo < hi")
     flo = F_eval(coeffs, lo)
@@ -235,7 +229,7 @@ def isolate_root(coeffs: FCoeffs, lo: float, hi: float, tol: float = ROOT_TOL) -
     if flo == 0 or fhi == 0 or (flo < 0) == (fhi < 0):
         raise ValueError("endpoints must straddle a sign change")
     neg_left = flo < 0
-    while hi - lo > tol:
+    while hi - lo > ROOT_TOL:
         mid = (lo + hi) / 2.0
         if not lo < mid < hi:
             break
@@ -682,12 +676,12 @@ def check_approximations() -> VerificationReport:
     )
 
 
-def check_roots(tol: float = ROOT_TOL) -> list[VerificationReport]:
+def check_roots() -> list[VerificationReport]:
     """Isolate the main root of each envelope instance.
 
     For each instance: find the sign changes of F on the integer grid
     [ROOT_SCAN_START, ROOT_SCAN_HI] and require exactly one, compare the
-    unit bracket with the printed one, then bisect down to tol.  The
+    unit bracket with the printed one, then bisect down to ROOT_TOL.  The
     printed y-lower bracket is a documented misprint.
 
     The grid is walked in floats from the start, and the walk stops at the
@@ -703,7 +697,6 @@ def check_roots(tol: float = ROOT_TOL) -> list[VerificationReport]:
     the walk goes on toward ROOT_SCAN_HI.  The four named instances stop
     at 561, 385, 380 and 325, just past their roots.
     """
-    require_tol(tol)
     reports = []
     for name, coeffs in NAMED_INSTANCES.items():
         start = ROOT_SCAN_START[name]
@@ -725,7 +718,7 @@ def check_roots(tol: float = ROOT_TOL) -> list[VerificationReport]:
             _, errata, counterexamples = compare_printed(
                 "root-bracket", [("bracket", name, bracket, ROOT_BRACKETS[name])]
             )
-            refined = isolate_root(coeffs, float(bracket[0]), float(bracket[1]), tol)
+            refined = isolate_root(coeffs, float(bracket[0]), float(bracket[1]))
             data.update(
                 {
                     "bracket": list(bracket),

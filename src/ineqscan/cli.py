@@ -7,11 +7,11 @@ Subcommands:
     verify      run claim checks and report their status
     roots       isolate the envelope roots by bisection
 
-seq writes the pieces of sequences.scan_pieces as fixed-width rows in
-bytearrays, a digit place per strided slice (_piece_texts); one part of
-rows may span pieces and chain links.  seq --exact-y and intervals
-format a row tuple at a time (_line_texts).  The text
-format is the csv text of either, split into cells.
+seq writes the pieces of sequences.scan_pieces, one per chain link, as
+fixed-width rows in bytearrays, a digit place per strided slice
+(_piece_texts); one part of at most PIECE rows may span links.  seq
+--exact-y and intervals format a row tuple at a time (_line_texts).  The
+text format is the csv text of either, split into cells.
 
 Each verify suite is one row of SUITES: its module, its checks and its
 cap, if any.  A command imports only the modules it runs: seq imports
@@ -96,6 +96,12 @@ SUITES = {
 # many seq rows), so longer ones are refused before a row is built.
 TEXT_MAX_ROWS = 10**6
 
+# The most rows in one part of seq's fixed-width text, which may span
+# chain links: it keeps a part's text small on links of millions of n,
+# while the fixed work of a part (a template row and a few strided
+# slices) stays rare.
+PIECE = 1024
+
 # --exact-y builds y(n), about 2n/3 bits, in full for each row: one row
 # takes 0.7 s and 37 MB at n = 3 * 10**7, and would take 83 GB at 10**12.
 EXACT_Y_MAX_N = 10**8
@@ -147,16 +153,17 @@ def _digits(f, last, unit, place, e):
         stop = min(last((v + 1) * p + e - 1) + 1, 2 * period)
         runs += b"%d" % (v % 10) * (stop - j)
         j = stop
-    return period, bytes(runs * (sequences.PIECE // period + 2))
+    return period, bytes(runs * (PIECE // period + 2))
 
 
 def _piece_texts(pieces, seps, end):
     """The csv or json text of the pieces of sequences.scan_pieces, with
     no string built per cell or per row.
 
-    The pieces on certified links with x >= 0 (every piece past n = 546)
-    go in parts of at most PIECE rows of one width.  A part runs across
-    pieces and chain links.  It is cut where n, z or c gains a digit,
+    A piece is one chain link.  The pieces on certified links with
+    x >= 0 (every piece past n = 546) go in parts of at most PIECE rows
+    of one width.  A part runs across links, and a link longer than
+    PIECE rows across parts.  It is cut where n, z or c gains a digit,
     where x or c - m gains one inside a link, and where a link starts
     with m, r, x or c - m of another width (x falls from 103 to 93 at
     n = 800).  A part is one bytearray: its first row repeated, then
@@ -186,7 +193,7 @@ def _piece_texts(pieces, seps, end):
     ncol, zcol, ccol = columns
     rising = ((0, ncol), (1, zcol), (4, ccol))  # with their cells
     z, c = sequences.z, sequences.c
-    runs = [bytearray(b"%d" % d) * sequences.PIECE for d in range(10)]
+    runs = [bytearray(b"%d" % d) * PIECE for d in range(10)]
     pieces = iter(pieces)
     piece = next(pieces, None)
     while piece is not None:
@@ -202,7 +209,7 @@ def _piece_texts(pieces, seps, end):
         ends = list(itertools.accumulate(map(len, texts)))
         sizes = [len(text) - len(sep) for text, sep in zip(texts, seps)]
         # the part ends within PIECE rows, before n, z or c gains a digit, ...
-        t = min(s + sequences.PIECE, *(col[1](10 ** sizes[cell] - 1) + 1 for cell, col in rising))
+        t = min(s + PIECE, *(col[1](10 ** sizes[cell] - 1) + 1 for cell, col in rising))
         (ml, mh), (rl, rh), (xl, xh), (gl, gh) = (
             (10 ** (k - 1) if k > 1 else 0, 10**k) for k in sizes[2:4] + sizes[5:7]
         )
@@ -217,10 +224,7 @@ def _piece_texts(pieces, seps, end):
                 sequences.z_last(xh + (rr + 1) * mm - 1) + 1,
                 sequences.c_last(gh + mm - 1) + 1,
             )
-            if links and links[-1][2:4] == (mm, rr):
-                links[-1] = (links[-1][0], b, *links[-1][2:])
-            else:
-                links.append((ns.start, b, mm, rr, xs, gaps))
+            links.append((ns.start, b, mm, rr, xs, gaps))
             if b < ns.stop:
                 piece = (range(b, ns.stop), mm, rr, ys)
                 break
@@ -363,8 +367,8 @@ def _with_exact_y(rows):
 
 def cmd_seq(args):
     """Print the sequences over [--from, --to]: the pieces of
-    sequences.scan_pieces, in parts of fixed-width rows that may span
-    pieces and links, by _piece_texts, or with --exact-y a row of
+    sequences.scan_pieces, one per chain link, in parts of fixed-width
+    rows that may span links, by _piece_texts, or with --exact-y a row of
     sequences.scan at a time, with y(n) appended as an exact Decimal by
     _with_exact_y and formatted by _line_texts.  y's text is that of the
     int, so no big int is converted to str and the interpreter's digit

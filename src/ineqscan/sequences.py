@@ -31,18 +31,16 @@ n = 421.  bound_signs gives the exact signs of y's two endpoint bounds
 on a constant-m block, all that verifier.check_range_bounds needs on
 the 64 blocks to n = 2112; no other module compares the two terms of y.
 
-scan_pieces, the stepper, serves seq.  It cuts each link into pieces
-of at most PIECE rows and yields one (ns, m, r, signs) per piece: ns is
-a range, m and r are the link's ints, and signs is the int 1 on a link
-that positive_link certifies and the list of y_sign(n) on the others.
-seq writes the pieces past n = 546 as rows of fixed width, in parts
-that may span pieces and links, from z and c at the first n of each
+scan_pieces, the stepper, serves seq.  It yields one piece per chain
+link, clipped to the range: (ns, m, r, signs), where ns is the link's
+range of n, m and r are its ints, and signs is the int 1 on a link that
+positive_link certifies and the list of y_sign(n) on the others, all
+below n = 421.  seq writes the pieces past n = 546 as rows of fixed
+width, in parts that may span links, from z and c at the first n of each
 part and m and r at the first n of each link; any other piece goes by
-its piece_rows: plain tuples in SequenceRow order, where z, c, x and
-c - m, which each rise by 2 every 3 rows of a link, are filled out from
-their first three values by a step-2 range per residue of n mod 3.
-scan yields every piece's piece_rows; seq --exact-y reads those, and
-row(n) is one row of scan.
+its piece_rows: plain tuples in SequenceRow order, with z(n) and c(n)
+computed a row at a time.  scan yields every piece's piece_rows; seq
+--exact-y reads those, and row(n) is one row of scan.
 """
 
 import math
@@ -50,13 +48,6 @@ from itertools import chain, repeat
 from typing import Iterator, NamedTuple
 
 from .exactarith import cmp_pow2_vs_pow
-
-# The most rows in one piece of scan_pieces, and in one part of seq's
-# fixed-width text, which may span pieces and links: it keeps a piece's
-# lists and a part's text small on links of millions of n, while the
-# fixed work of a part (a template row and a few strided slices) stays
-# rare.
-PIECE = 1024
 
 
 class SequenceRow(NamedTuple):
@@ -191,7 +182,7 @@ def link_count(hi: int) -> int:
 def positive_link(lo: int, hi: int, mm: int) -> bool:
     """True when one bit-length comparison certifies y > 0 on all of
     [lo, hi], a run of n on which m(n) = mm throughout, such as a link of
-    chain_links or a piece of one.
+    chain_links.
 
     The certificate is mm >= 2 and c(lo) - mm >= bitlen(hi) * (mm - 1):
     c does not decrease, so 2**(c(n) - mm) >= 2**(c(lo) - mm), and every
@@ -213,41 +204,29 @@ def bound_signs(a: int, b: int, mm: int) -> tuple[int, int]:
 
 
 def scan_pieces(lo: int, hi: int) -> Iterator[tuple]:
-    """Yield one piece per cut of each chain link that meets [lo, hi], in
-    order; a piece holds at most PIECE rows.
+    """Yield one piece per chain link that meets [lo, hi], clipped to
+    [lo, hi], in order.
 
-    A piece is a tuple (ns, m, r, signs): ns is a range, m and r are the
-    link's constant ints, and signs is the int 1 on a link that
-    positive_link certifies and otherwise the list of y_sign(n).  The
-    cap on a piece keeps memory flat on links of millions of n.  An empty
-    range yields nothing.
+    A piece is a tuple (ns, m, r, signs): ns is the link's range of n, m
+    and r are its constant ints, and signs is the int 1 on a link that
+    positive_link certifies and otherwise the list of y_sign(n), which
+    only the links below n = 421 need, so memory stays flat on links of
+    millions of n.  An empty range yields nothing.
     """
     for a, b, rr, mm in chain_links(lo, hi):
-        settled = positive_link(a, b, mm)
-        for s in range(a, b + 1, PIECE):
-            ns = range(s, min(s + PIECE, b + 1))
-            yield ns, mm, rr, 1 if settled else list(map(y_sign, ns))
-
-
-def _rising(first3, size):
-    """A column of size values that rises by 2 every 3 rows, as z, c, x
-    and c - m do inside a link, from its first (up to) three values: each
-    third of the rows is a step-2 range, written in by slice assignment."""
-    col = [0] * size
-    for i, v in enumerate(first3):
-        col[i::3] = range(v, v + 2 * len(range(i, size, 3)), 2)
-    return col
+        ns = range(a, b + 1)
+        yield ns, mm, rr, 1 if positive_link(a, b, mm) else list(map(y_sign, ns))
 
 
 def piece_rows(piece: tuple) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
     """The rows of one piece of scan_pieces as plain tuples, in
-    SequenceRow field order: z, c, x = z - (r + 1)*m and c - m, each
-    filled out by _rising from its first (up to) three values."""
+    SequenceRow field order, lazily: z(n) and c(n) at each row, and
+    x = z - (r + 1)*m and c - m from them and the link's m and r."""
     ns, mm, rr, ys = piece
-    cols = ((z, 0), (c, 0), (z, (rr + 1) * mm), (c, mm))
-    zs, cs, xs, gaps = (_rising([f(n) - off for n in ns[:3]], len(ns)) for f, off in cols)
-    signs = repeat(ys) if isinstance(ys, int) else ys
-    return zip(ns, zs, repeat(mm), repeat(rr), cs, xs, gaps, signs)
+    off = (rr + 1) * mm
+    for n, sign in zip(ns, repeat(ys) if isinstance(ys, int) else ys):
+        zz, cc = z(n), c(n)
+        yield n, zz, mm, rr, cc, zz - off, cc - mm, sign
 
 
 def scan(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:

@@ -120,16 +120,16 @@ MUTANTS = [
     (
         "scan: every link settled positive",
         SEQ,
-        "settled = positive_link(a, b, mm)",
-        "settled = True",
+        "1 if positive_link(a, b, mm) else",
+        "1 if True else",
         f"{T_SEQ}::TestRows",
     ),
     (
         # the signs stay right; only the count of comparisons grows
         "scan: no link settled, every n compared",
         SEQ,
-        "settled = positive_link(a, b, mm)",
-        "settled = False",
+        "1 if positive_link(a, b, mm) else",
+        "1 if False else",
         f"{T_SEQ}::TestRows",
     ),
     (
@@ -360,31 +360,24 @@ MUTANTS = [
         f"{T_CLI}::TestStreamedOutput::test_blocks_hold_little",
     ),
     (
-        "scan_pieces: a piece ends one row short",
+        "scan_pieces: a piece one row short of its link",
         SEQ,
-        "ns = range(s, min(s + PIECE, b + 1))",
-        "ns = range(s, min(s + PIECE - 1, b + 1))",
+        "ns = range(a, b + 1)",
+        "ns = range(a, b)",
         f"{T_SEQ}::TestScanPieces::test_pieces_tile_the_range_in_link_pieces",
     ),
     (
-        "scan_pieces: a piece ends one row long",
+        "piece_rows: x's offset taken as r*m",
         SEQ,
-        "ns = range(s, min(s + PIECE, b + 1))",
-        "ns = range(s, min(s + PIECE + 1, b + 1))",
-        f"{T_SEQ}::TestScanPieces::test_pieces_tile_the_range_in_link_pieces",
-    ),
-    (
-        "_rising: each third of a column rises by 1, not 2",
-        SEQ,
-        "col[i::3] = range(v, v + 2 * len(range(i, size, 3)), 2)",
-        "col[i::3] = range(v, v + len(range(i, size, 3)))",
+        "off = (rr + 1) * mm",
+        "off = rr * mm",
         f"{T_SEQ}::TestRows",
     ),
     (
-        "piece_rows: c's first three values taken at n + 1",
+        "piece_rows: c taken at n + 1",
         SEQ,
-        "[f(n) - off for n in ns[:3]]",
-        "[f(n + (f is c)) - off for n in ns[:3]]",
+        "zz, cc = z(n), c(n)",
+        "zz, cc = z(n), c(n + 1)",
         f"{T_SEQ}::TestRows {T_SEQ}::TestScanPieces",
     ),
     (
@@ -477,13 +470,6 @@ MUTANTS = [
         'buf = buf.decode("ascii")  # a paused generator holds only the text\n        yield buf\n',
         'yield buf.decode("ascii")\n',
         f"{T_CLI}::TestStreamedOutput::test_blocks_hold_little",
-    ),
-    (
-        "scan_pieces: the piece cap removed, one piece per link",
-        SEQ,
-        "for s in range(a, b + 1, PIECE):\n            ns = range(s, min(s + PIECE, b + 1))",
-        "for s in (a,):\n            ns = range(a, b + 1)",
-        f"{T_SEQ}::TestScanPieces::test_pieces_tile_the_range_in_link_pieces",
     ),
     (
         "cmp_pow2_vs_pow: GT fast path one bit loose",
@@ -611,6 +597,13 @@ MUTANTS = [
         "range(max(64, whole - 6 + 1), whole + 1)",
         "range(max(64, whole - 3 + 1), whole + 1)",
         f"{T_ANA}::TestCandidateRoute::test_against_the_link_walk",
+    ),
+    (
+        "_x_lower_points: an r-block window one link short",
+        ANA,
+        "for mm in range(sequences.m(lo) + 1, sequences.m(end) + 1):",
+        "for mm in range(sequences.m(lo) + 1, sequences.m(end)):",
+        f"{T_ANA}::TestCandidateRoute::test_x_lower_window_holds_twenty",
     ),
     (
         "_x_upper_points: an r-block window one link short",

@@ -437,7 +437,7 @@ def reference_sign_consistency(limit):
     )
 
 
-def reference_check_roots(tol=1e-9):
+def reference_check_roots():
     """check_roots with each float grid walked to ROOT_SCAN_HI, and no
     tail certificate."""
     reports = []
@@ -456,7 +456,7 @@ def reference_check_roots(tol=1e-9):
             _, errata, counterexamples = verifier.compare_printed(
                 "root-bracket", [("bracket", name, bracket, analytic.ROOT_BRACKETS[name])]
             )
-            root = analytic.isolate_root(coeffs, float(lo_t), float(hi_t), tol)
+            root = analytic.isolate_root(coeffs, float(lo_t), float(hi_t))
             data.update(bracket=[lo_t, hi_t], root_lo=root.lo, root_hi=root.hi, width=root.width)
             details = (
                 f"one sign change on [{start}, {hi}]; root inside ({lo_t}, {hi_t}), "

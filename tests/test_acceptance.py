@@ -159,7 +159,7 @@ def test_criterion_06_implication_lemmas():
 
 def test_criterion_07_root_brackets():
     t0 = time.perf_counter()
-    reports = analytic.check_roots(tol=1e-9)
+    reports = analytic.check_roots()
     dt = time.perf_counter() - t0
     expected = {
         "roots/x-lower": (560, 561),

@@ -139,19 +139,12 @@ class TestRootIsolation:
     def test_bisection_shrinks_to_tolerance(self):
         for name, coeffs in INSTANCES:
             lo, hi = unit_bracket(name)
-            out = analytic.isolate_root(coeffs, float(lo), float(hi), 1e-9)
+            out = analytic.isolate_root(coeffs, float(lo), float(hi))
             assert out.width <= 1e-9
             assert out.lo < GOLDEN_ROOTS[name] < out.hi
             flo = analytic.F_eval(coeffs, out.lo)
             fhi = analytic.F_eval(coeffs, out.hi)
             assert flo != 0 and fhi != 0 and (flo < 0) != (fhi < 0)
-
-    def test_brackets_nest_as_tolerance_shrinks(self):
-        for name, coeffs in INSTANCES:
-            lo, hi = unit_bracket(name)
-            coarse = analytic.isolate_root(coeffs, float(lo), float(hi), 1e-3)
-            fine = analytic.isolate_root(coeffs, float(lo), float(hi), 1e-9)
-            assert coarse.lo <= fine.lo < fine.hi <= coarse.hi
 
     def test_endpoint_signs_honest(self):
         # bisected from the printed brackets, the y-lower misprint included
@@ -168,16 +161,6 @@ class TestRootIsolation:
             analytic.isolate_root(analytic.X_LOWER, 10.0, 20.0)  # same sign
         with pytest.raises(ValueError):
             analytic.isolate_root(analytic.X_LOWER, 561.0, 560.0)
-        with pytest.raises(ValueError):
-            analytic.isolate_root(analytic.X_LOWER, 560.0, 561.0, tol=0.0)
-
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
-    def test_rejects_non_finite_tolerance(self, tol):
-        # NaN passes a plain "tol <= 0" guard and would skip the bisection
-        with pytest.raises(ValueError):
-            analytic.isolate_root(analytic.X_LOWER, 560.0, 561.0, tol=tol)
-        with pytest.raises(ValueError):
-            analytic.check_roots(tol)
 
     def test_check_roots_reports(self):
         reports = analytic.check_roots()
@@ -644,6 +627,15 @@ class TestCandidateRoute:
             for check, _, walk in ENVELOPE_CHECKS:
                 assert_same_minima(check(limit), walk(limit), limit)
 
+    def test_x_lower_window_holds_twenty(self):
+        # the least x-lower margin sits at a seed on every walked limit, so
+        # the window is tested by what it adds: n = 20 is a candidate only
+        # through the link m = 6 that starts at 18, inside the r-block
+        # (16, 32], whose seeds are 17 to 19
+        assert sequences.m_block(6)[0] == 18 and sequences.r(18) == 5
+        for limit in range(20, 40):
+            assert 20 in analytic._x_lower_points(limit), limit
+
     def test_minima_at_ten_to_the_seventh_to_80_digits(self):
         # the y-upper margin from F_eval cancels terms near 10**6 and is
         # off from the 7th digit there; the identities are not
@@ -930,7 +922,7 @@ class TestRootRegistry:
 
     @staticmethod
     def _y_lower():
-        (rep,) = [r for r in analytic.check_roots(1e-6) if r.claim_id == "roots/y-lower"]
+        (rep,) = [r for r in analytic.check_roots() if r.claim_id == "roots/y-lower"]
         return rep
 
     def test_untouched_registry(self):
@@ -964,7 +956,7 @@ class TestRootRegistry:
     def test_drifted_printed_bracket_is_a_discrepancy(self, monkeypatch):
         # a printed bracket no erratum explains is a counterexample
         monkeypatch.setitem(analytic.ROOT_BRACKETS, "x-lower", (559, 560))
-        (rep,) = [r for r in analytic.check_roots(1e-6) if r.claim_id == "roots/x-lower"]
+        (rep,) = [r for r in analytic.check_roots() if r.claim_id == "roots/x-lower"]
         assert rep.status == verifier.DISCREPANCY
         assert rep.counterexamples == ["x-lower"]
         assert rep.errata == []
@@ -1065,10 +1057,10 @@ class TestPositiveBeyond:
             assert exact_terms(coeffs, u)[0] > 0, u
 
 
-def same_reports(tol=1e-9):
+def same_reports():
     """The reports of check_roots, asserted equal to the plain grid's."""
-    fast = [rep.to_dict() for rep in analytic.check_roots(tol)]
-    assert fast == [rep.to_dict() for rep in reference_check_roots(tol)]
+    fast = [rep.to_dict() for rep in analytic.check_roots()]
+    assert fast == [rep.to_dict() for rep in reference_check_roots()]
     return fast
 
 
@@ -1076,9 +1068,8 @@ class TestRootScan:
     """check_roots stops each grid walk where positive_beyond proves the
     tail; the plain walk to ROOT_SCAN_HI is the oracle."""
 
-    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
-    def test_matches_the_plain_grid_from_the_scan_starts(self, tol):
-        reports = same_reports(tol)
+    def test_matches_the_plain_grid_from_the_scan_starts(self):
+        reports = same_reports()
         assert [rep["data"]["flips"] for rep in reports] == [[561], [385], [380], [325]]
 
     def test_matches_the_plain_grid_from_one(self, monkeypatch):

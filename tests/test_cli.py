@@ -78,7 +78,7 @@ class TestStreamedOutput:
     # The csv and json text of a value past 999 is its thousands and its
     # last three digits, so each column's step from 999 to 1000 has a
     # window: n at 1000, c at 1494, z at 1501, c - m at 1578 and x at
-    # 3002.  seq cuts a piece where a column gains a digit, so each
+    # 3002.  seq cuts a part where a column gains a digit, so each
     # column's steps to 10**4 and 10**5 have a window too.  525300..525330
     # holds the start of the first link longer than PIECE rows, at 525313.
     # A part runs across links, so each link step of LINK_STEPS has a
@@ -116,8 +116,8 @@ class TestStreamedOutput:
         for name, n in steps.items():
             before, at = (getattr(sequences.row(k), name) for k in (n - 1, n))
             assert before <= 999 < 1000 <= at, name
-        links = sequences.chain_links(1, 525313 + sequences.PIECE)
-        assert [a for a, b, _, _ in links if b - a + 1 > sequences.PIECE] == [525313]
+        links = sequences.chain_links(1, 525313 + cli.PIECE)
+        assert [a for a, b, _, _ in links if b - a + 1 > cli.PIECE] == [525313]
 
     @pytest.mark.parametrize("power", DIGIT_STEPS)
     def test_columns_gain_a_digit_in_their_windows(self, power):
@@ -146,14 +146,14 @@ class TestStreamedOutput:
                 assert len(str(getattr(before, name))) == len(str(getattr(at, name))), (k, name)
 
     def test_parts_run_across_pieces(self):
-        # over [600, 200599] the 608 pieces, each on one link, go in 208
+        # over [600, 200599] the 608 pieces, one per chain link, go in 208
         # fixed-width parts
         seps, end = cli._row_parts(list(sequences.SequenceRow._fields), "csv")
         pieces = sum(1 for _ in sequences.scan_pieces(600, 200599))
         parts = sum(1 for _ in cli._piece_texts(sequences.scan_pieces(600, 200599), seps, end))
         assert parts < pieces
 
-    # a window can span a width cut, a thousand step and a piece's end
+    # a window can span a width cut, a thousand step and a part's end
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 2 * 10**6), st.integers(0, 2100))
     def test_seq_matches_row_by_row_emitter_on_any_window(self, start, width):
@@ -274,17 +274,17 @@ class TestDigitPatterns:
     def test_each_row_of_two_periods_reads_its_digit(self, f, last, unit, shifts, place, e):
         period, digits = cli._digits(f, last, unit, place, e)
         assert period == unit * 10**place
-        assert len(digits) >= period + sequences.PIECE
+        assert len(digits) >= period + cli.PIECE
         for q in shifts:
             lo = 3 * q + 1 + 12345  # any n from which n - 3q >= 1
             want = bytes(
                 48 + (f(n) - 2 * q - e) // 10**place % 10
-                for n in range(lo, lo + 2 * period + sequences.PIECE)
+                for n in range(lo, lo + 2 * period + cli.PIECE)
             )
             # each read of a part, PIECE rows from any of two periods of n
             for n in range(lo, lo + 2 * period):
                 j = (n - 3 * q) % period
-                assert digits[j : j + sequences.PIECE] == want[n - lo : n - lo + sequences.PIECE]
+                assert digits[j : j + cli.PIECE] == want[n - lo : n - lo + cli.PIECE]
 
 
 class TestSeq:

@@ -280,16 +280,14 @@ class TestRows:
     # elsewhere; a window that starts or ends inside a link hands the
     # certificate a clipped link, whose c(lo) and bitlen(hi) differ from
     # the whole link's
-    # and each piece's z, c, x and c - m are filled from its first three
-    # rows, so a piece of 1 to 6 rows can start at any residue of n mod 3
     @pytest.mark.parametrize("width", [0, 1, 2, 3, 4, 5, 50])
     def test_every_short_window_to_600(self, width):
         for lo in range(1, 601):
             assert list(sequences.scan(lo, lo + width)) == self.scalar_rows(lo, lo + width)
 
-    # windows of PIECE - 1, PIECE and PIECE + 1 rows inside one link of
-    # 44721 n around 10**9: one short piece, one whole, and one whole and
-    # a piece of one row, from each residue of n mod 3
+    # windows of 1023 to 1025 rows, about seq's part size, inside one link
+    # of 44721 n around 10**9: a piece clipped at both ends, from each
+    # residue of n mod 3
     @pytest.mark.parametrize("rows", [1023, 1024, 1025])
     def test_piece_sized_windows_in_one_long_link(self, rows):
         for lo in (10**9, 10**9 + 1, 10**9 + 2):
@@ -324,34 +322,25 @@ class TestRows:
 
 
 class TestScanPieces:
-    """scan_pieces: how its pieces tile the range, their types and
-    constants, and the rows piece_rows, and so scan, expands them to."""
+    """scan_pieces: its pieces are the chain links, clipped to the range,
+    with their types and constants, and the rows piece_rows, and so scan,
+    expands them to."""
 
     # [392, 421] holds the last links left to the per-n comparison and
-    # the first certified one; around 10**12 one link is cut into pieces
+    # the first certified one; around 10**12 one link of more than a
+    # million n is clipped at both ends into a single piece
     @pytest.mark.parametrize(
         "lo, hi", [(1, 3000), (392, 421), (10**12 - 5000, 10**12 + 5000)]
     )
     def test_pieces_tile_the_range_in_link_pieces(self, lo, hi):
-        assert sequences.PIECE == 1024
         pieces = list(sequences.scan_pieces(lo, hi))
-        links = iter(sequences.chain_links(lo, hi))
-        a = b = start = lo - 1
+        links = list(sequences.chain_links(lo, hi))
+        assert [(ns.start, ns[-1], rr, mm) for ns, mm, rr, _ in pieces] == links
         flat = []
         for ns, mm, rr, ys in pieces:
-            assert type(ns) is range and ns.step == 1 and ns.start == start + 1
-            if ns.start > b:  # the piece opens the next link
-                assert ns.start == b + 1
-                a, b, link_r, link_m = next(links)
-            # pieces are cut from a link's start; only its last is short
-            assert (ns.start - a) % 1024 == 0
-            assert len(ns) == 1024 or ns[-1] == b
-            assert 1 <= len(ns) <= 1024 and ns[-1] <= b
-            start = ns[-1]
-            assert type(mm) is int and type(rr) is int and (rr, mm) == (link_r, link_m)
-            assert mm == sequences.m(ns[0]) == sequences.m(ns[-1])
-            assert rr == sequences.r(ns[0]) == sequences.r(ns[-1])
-            if sequences.positive_link(a, b, mm):
+            assert type(ns) is range and ns.step == 1
+            assert type(mm) is int and type(rr) is int
+            if sequences.positive_link(ns.start, ns[-1], mm):
                 assert type(ys) is int and ys == 1
             else:
                 assert type(ys) is list and len(ys) == len(ns)
@@ -360,7 +349,6 @@ class TestScanPieces:
             rows = [(n, z(n), mm, rr, c(n), x(n), c(n) - mm, y) for n, y in zip(ns, signs)]
             assert list(sequences.piece_rows((ns, mm, rr, ys))) == rows
             flat.extend(rows)
-        assert start == hi and next(links, None) is None
         assert list(sequences.scan(lo, hi)) == flat
 
 

@@ -57,7 +57,7 @@ LIMIT_TAKERS = [f for f in PUBLIC if "limit" in inspect.signature(f).parameters]
 ]
 
 # The seq piece stepper and its rows, which the claim checks never read.
-STEPPER_NAMES = {"row", "SequenceRow", "scan", "scan_pieces", "piece_rows", "PIECE"}
+STEPPER_NAMES = {"row", "SequenceRow", "scan", "scan_pieces", "piece_rows"}
 
 
 def names_read(module):
