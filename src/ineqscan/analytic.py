@@ -18,26 +18,19 @@ each bound resting only on 0 <= s - m < 1 and 2**(r - 1) < n <= 2**r,
 which hold at every n by the definitions of m and r.  So every envelope
 is strict at every n, and check_bounds_x and check_bounds_Y claim that
 from the identities, in data.certificate, without a scan.  What they
-compute is the least margin on each side over [1, limit]: the minimum
-of identity_margin over a few candidate n that a monotonicity argument
+compute is the least margin on each side over [1, min(limit,
+MARGINS_TOP)], the range the report lists: the minimum of
+identity_margin over a few candidate n that a monotonicity argument
 picks (_x_lower_points, _x_upper_points, _y_lower_points,
-_y_upper_points), about 210 per check up to 10**9 however many chain
-links there are.  identity_margin sums the terms of an identity, each
-to a few units of roundoff, so the minima are right to about 14
-digits.  At each candidate the margin is also taken from F_eval and the
-named coefficients; one that is <= 0, or off the identity by more than
-float_noise(limit), its float error bound, is a counterexample, so a
-changed coefficient still fails.  The y-lower margin is 2/3 exactly
-where 2n is a square and rho = 2; its least n, 2, is the one reported.
-Float64 orders two candidates rightly while their margins differ by
-more than twice IDENTITY_ERROR, relatively.  Past about 2**100 the x-upper
-margins, 1/3 + O(2**(-r/2)), no longer do, and ordering them there
-needs decimal.  The command line caps --limit at 10**7: the claims hold
-for every n, but the least margins are run and tested only that far.
-The cap also keeps the guard sound.  Past it, F_eval's margin at a
-candidate can round to 0.0 where the identity's is positive: at limit
-213796208950 the y-upper margin at n = 213795874512 is 2.95e-5, F_eval
-gives 0.0, and the guard reports a counterexample that is not one.
+_y_upper_points), at most about 210 per check however many chain links
+there are.  identity_margin sums the terms of an identity, each to a
+few units of roundoff, so the minima are right to about 14 digits.  At
+each candidate the margin is also taken from F_eval and the named
+coefficients; one that is <= 0, or off the identity by more than
+float_noise of the range, its float error bound, is a counterexample,
+so a changed coefficient still fails.  The y-lower margin is 2/3
+exactly where 2n is a square and rho = 2; its least n, 2, is the one
+reported.
 
 check_sign_consistency reads Y at every n to verifier.band_top, 2112
 once y's band holds, past which Y >= 23.  The exact sign of y comes from
@@ -492,21 +485,34 @@ def _y_upper_points(limit):
     return points
 
 
+# The envelope reports list their least margins on [1, min(limit,
+# MARGINS_TOP)]; their claim for every n rests on the identities alone
+# (data.certificate).  The candidate rules are tested up to here against
+# the link walk and at 80 digits, and the F_eval guard is sound here.
+# Past it F_eval's margin can round to 0.0 where the identity's is
+# positive (the y-upper margin at n = 213795874512 is 2.95e-5), and past
+# about 2**100 float64 no longer orders the x-upper candidates, whose
+# margins differ from 1/3 by O(2**(-r/2)).
+MARGINS_TOP = 10**7
+
+
 def _check_envelopes(claim_id, what, value, lower, upper, limit):
     """One claim that the lower envelope stays strictly below, and the
     upper strictly above, value(n) for every n: the two identities of the
     named instances, lower and upper (name, coefficients, candidates),
     stated in data.certificate.  The least margin of each side on
-    [1, limit] is the least identity_margin over the side's candidates,
-    the first n of a tie.  At every candidate the margin is also taken from F_eval and
-    the coefficients: one <= 0, or off the identity by more than
-    float_noise(limit) plus IDENTITY_ERROR of the margin, the identity's
+    [1, top], top = min(limit, MARGINS_TOP), the report's range, is the
+    least identity_margin over the side's candidates, the first n of a
+    tie.  At every candidate the margin is also taken from F_eval and the
+    coefficients: one <= 0, or off the identity by more than
+    float_noise(top) plus IDENTITY_ERROR of the margin, the identity's
     own error, is a counterexample."""
     sequences.require_positive(limit, "limit")
-    tol = float_noise(limit)
+    top = min(limit, MARGINS_TOP)
+    tol = float_noise(top)
     counterexamples, least, certificate = set(), [], {"terms": IDENTITY_TERMS}
     for side, sign, (name, coeffs, candidates) in (("lower", 1, lower), ("upper", -1, upper)):
-        points = candidates(limit)
+        points = candidates(top)
         for n, margin in points.items():
             f_margin = sign * (value(n) - F_eval(coeffs, n))
             if not (f_margin > 0 and abs(f_margin - margin) <= tol + margin * IDENTITY_ERROR):
@@ -534,7 +540,7 @@ def _check_envelopes(claim_id, what, value, lower, upper, limit):
     return make_report(
         claim_id,
         1,
-        limit,
+        top,
         details,
         counterexamples=sorted(counterexamples),
         data={"min_lower_margin": min_low, "min_upper_margin": min_up, "certificate": certificate},
@@ -544,7 +550,7 @@ def _check_envelopes(claim_id, what, value, lower, upper, limit):
 def check_bounds_x(limit: int) -> VerificationReport:
     """The x-lower envelope stays strictly below x(n) and the x-upper
     envelope strictly above it, for every n; the least margins are those
-    on [1, limit]."""
+    on [1, min(limit, MARGINS_TOP)]."""
     return _check_envelopes(
         "analytic/x-bounds",
         "x",
@@ -558,9 +564,9 @@ def check_bounds_x(limit: int) -> VerificationReport:
 def check_bounds_Y(limit: int) -> VerificationReport:
     """The y-lower envelope stays strictly below Y_real(n) and the
     y-upper envelope strictly above it, for every n; the least margins
-    are those on [1, limit].  The least lower margin is 2/3 at n = 2 once
-    limit >= 2, the first of the ties where 2n is a square and n = 2
-    (mod 3) (see _y_lower_points)."""
+    are those on [1, min(limit, MARGINS_TOP)].  The least lower margin is
+    2/3 at n = 2 once limit >= 2, the first of the ties where 2n is a
+    square and n = 2 (mod 3) (see _y_lower_points)."""
     return _check_envelopes(
         "analytic/Y-bounds",
         "the y surrogate",

@@ -13,15 +13,15 @@ fixed-width rows in bytearrays, a digit place per strided slice
 --exact-y and intervals format a row tuple at a time (_line_texts).  The
 text format is the csv text of either, split into cells.
 
-Each verify suite is one row of SUITES: its module, its checks and its
-cap, if any.  A command imports only the modules it runs: seq imports
-sequences alone, and verify imports analytic only for its suite.
-A report covers [1, --limit]; every suite that reads --limit refuses one
-below 1 and defaults to DEFAULT_LIMIT, so a verify run without one runs
-every suite at one limit.  table and intervals check the printed tables
-at their fixed range and ignore --limit.  --suite all runs every row.  A
-verify run builds y's sign partition at most once and hands it to every
-check that reads it.
+Each verify suite is one row of SUITES: its module and its checks.  A
+command imports only the modules it runs: seq imports sequences alone,
+and verify imports analytic only for its suite.  verify takes any
+--limit >= 1, DEFAULT_LIMIT when none is given, for every suite, and
+each report's range says what it lists: the envelope reports [1, min(L,
+analytic.MARGINS_TOP)], the printed tables, decimals and root scans
+their own fixed range, and every other report [1, L].  --suite all runs
+every row at one limit.  A verify run builds y's sign partition at most
+once and hands it to every check that reads it.
 
 Exit codes: 0 when every requested check is clean (documented errata do
 not count against a run unless --strict is given), 1 when a check found
@@ -41,13 +41,11 @@ from . import sequences
 
 
 class Suite(NamedTuple):
-    """The module of a suite's checks, run(module, limit, y_runs) ->
-    reports, where y_runs(limit) is y's sign partition on [1, limit],
-    and (largest --limit, why)."""
+    """The module of a suite's checks, and run(module, limit, y_runs) ->
+    reports, where y_runs(limit) is y's sign partition on [1, limit]."""
 
     module: str
     run: Callable
-    cap: tuple | None = None
 
 
 # The --limit of every suite when none is given.  From BAND_BASE on the
@@ -83,11 +81,6 @@ SUITES = {
             ana.check_approximations(),
             *ana.check_roots(),
         ],
-        cap=(
-            10**7,
-            "its envelopes hold for every n by their identities, but the least "
-            "margins it reports are run and tested up to there",
-        ),
     ),
 }
 
@@ -420,22 +413,8 @@ def cmd_verify(args):
 
     parts = SUITES.values() if args.suite == "all" else [SUITES[args.suite]]
     limit = DEFAULT_LIMIT if args.limit is None else args.limit
-    if args.suite in ("table", "intervals"):
-        if args.limit is not None:
-            print(
-                f"note: suite {args.suite!r} checks the printed tables at their "
-                "fixed range; --limit is ignored",
-                file=sys.stderr,
-            )
-    elif limit < 1:
+    if limit < 1:
         raise ValueError("need --limit >= 1")
-    else:
-        cap, reason = min((p.cap for p in parts if p.cap), default=(limit, None))
-        if limit > cap:
-            raise ValueError(
-                f"suite {args.suite!r} takes --limit <= {cap}: {reason}; "
-                "--suite theorem1|theorem2|lemmas take any --limit"
-            )
     # Looked up through the module, so a wrapper there sees each build.
     y_runs = functools.cache(lambda limit: verifier.partition_y(limit))
     reports = [

@@ -383,8 +383,8 @@ MUTANTS = [
     (
         "cmd_verify: --limit 0 let through to the checks",
         CLI,
-        "elif limit < 1:",
-        "elif limit < 0:",
+        "if limit < 1:",
+        "if limit < 0:",
         f"{T_CLI}::TestVerify::test_low_limit_exits_2",
     ),
     (
@@ -623,9 +623,16 @@ MUTANTS = [
     (
         "_check_envelopes: the guard's tolerance made infinite",
         ANA,
-        "tol = float_noise(limit)",
+        "tol = float_noise(top)",
         "tol = math.inf",
         f"{T_ANA}::TestSandwichThroughSharedLoop::test_raised_envelope_is_off_its_identity",
+    ),
+    (
+        "_check_envelopes: the report range not clipped to MARGINS_TOP",
+        ANA,
+        "top = min(limit, MARGINS_TOP)\n",
+        "top = limit\n",
+        f"{T_ANA}::TestMarginsTop",
     ),
     (
         "float_noise: the bound taken at n = 1, not at the limit",

@@ -695,7 +695,25 @@ class TestCandidateRoute:
         self.assert_settled_from_candidates(monkeypatch, limit)
 
     def test_links_at_one_billion(self, monkeypatch):
+        # past MARGINS_TOP a report lists [1, 10**7] and makes the same
+        # identity_margin and F_eval calls as at 10**7
         self.assert_settled_from_candidates(monkeypatch, 10**9)
+        calls = []
+        for name in ("F_eval", "identity_margin"):
+
+            def recorded(*args, f=getattr(analytic, name), name=name):
+                calls.append((name, args))
+                return f(*args)
+
+            monkeypatch.setattr(analytic, name, recorded)
+        for check in (analytic.check_bounds_x, analytic.check_bounds_Y):
+            made = {}
+            for limit in (10**7, 10**9):
+                calls.clear()
+                rep = check(limit)
+                assert (rep.lo, rep.hi) == (1, 10**7)
+                made[limit] = list(calls)
+            assert made[10**9] == made[10**7], check.__name__
 
     def test_links_from_n_one(self, monkeypatch):
         # the small links take candidates too: by the margin identities
@@ -769,6 +787,40 @@ class TestCandidateRoute:
         zeroed_part = part._replace(runs=part.runs[:-1] + zeroed)
         rep = analytic.check_sign_consistency(zeroed_part)
         assert rep.counterexamples == list(range(400, 421))
+
+
+def envelope_reports(limit):
+    """The to_dict() of both envelope reports at limit."""
+    return [check(limit).to_dict() for check, _, _ in ENVELOPE_CHECKS]
+
+
+class TestMarginsTop:
+    """Both envelope reports list their least margins on [1, min(L,
+    MARGINS_TOP)]: past 10**7 each is its report at 10**7, and no guard
+    or float bound is taken past it."""
+
+    at_the_top = staticmethod(cache(lambda: envelope_reports(analytic.MARGINS_TOP)))
+
+    def test_the_top(self):
+        assert analytic.MARGINS_TOP == 10**7
+        for rep in self.at_the_top():
+            assert rep["range"] == [1, 10**7]
+            assert rep["status"] == verifier.CONFIRMED
+
+    # at 213796208950 a guard taken past the top reports a false
+    # DISCREPANCY: F_eval's y-upper margin at n = 213795874512 rounds to
+    # 0.0, while the identity's is 2.95e-5; at 10**400 float_noise
+    # overflows
+    @pytest.mark.parametrize(
+        "limit", [10**7 + 1, 213796208950, 10**12, 2**60, 10**100, 10**400]
+    )
+    def test_reports_past_the_top_are_those_at_it(self, limit):
+        assert envelope_reports(limit) == self.at_the_top()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=10**7 + 1, max_value=10**500))
+    def test_any_limit_past_the_top(self, limit):
+        assert envelope_reports(limit) == self.at_the_top()
 
 
 class TestCandidateRules:

@@ -539,6 +539,19 @@ class TestIntervals:
         assert cli.main(["intervals", "--limit", "13", "--format", "csv"]) == 0
 
 
+# The reports that list a fixed range whatever the --limit: the printed
+# tables, the printed decimals and the root scans.
+FIXED_RANGES = {
+    "reference-table": [1, 16],
+    "interval-table": [1, 577],
+    "analytic/approximations": [325, 391],
+    **{
+        f"roots/{name}": [start, analytic.ROOT_SCAN_HI]
+        for name, start in analytic.ROOT_SCAN_START.items()
+    },
+}
+
+
 class TestVerify:
     def test_all_at_5000_is_clean(self, capsys):
         assert cli.main(["verify", "--suite", "all", "--limit", "5000"]) == 0
@@ -584,19 +597,15 @@ class TestVerify:
         assert cli.main(["verify", "--suite", "lemmas"]) == 0
         capsys.readouterr()
 
-    def test_limit_ignored_note(self, capsys):
+    def test_table_suites_list_their_printed_range(self, capsys):
+        # --limit is read by every suite alike; the tables list their
+        # printed range whatever it is, and nothing goes to stderr
         for suite in ("table", "intervals"):
             assert cli.main(["verify", "--suite", suite]) == 0
             plain = capsys.readouterr()
             assert plain.err == ""
-            for limit in ("5000", "0", "-3"):
-                assert cli.main(["verify", "--suite", suite, "--limit", limit]) == 0
-                noted = capsys.readouterr()
-                assert noted.out == plain.out
-                assert noted.err.count("\n") == 1
-                assert "--limit is ignored" in noted.err
-        assert cli.main(["verify", "--suite", "theorem1", "--limit", "600"]) == 0
-        assert capsys.readouterr().err == ""
+            assert cli.main(["verify", "--suite", suite, "--limit", "5000"]) == 0
+            assert capsys.readouterr() == (plain.out, "")
 
     def test_theorem2_at_one_billion(self, capsys):
         assert cli.main(["verify", "--suite", "theorem2", "--limit", "1000000000"]) == 0
@@ -619,29 +628,46 @@ class TestVerify:
             for name in dir(module):
                 if name.startswith(("check_", "partition_")):
                     monkeypatch.setattr(module, name, must_not_run)
-        for suite in ("theorem1", "theorem2", "lemmas", "analytic", "all"):
+        for suite in (*cli.SUITES, "all"):
             for limit in ("0", "-3"):
                 argv = ["verify", "--suite", suite, "--limit", limit]
                 assert cli.main(argv) == 2, argv
                 assert capsys.readouterr() == ("", "error: need --limit >= 1\n"), argv
 
-    @pytest.mark.parametrize("suite", [*cli.SUITES, "all"])
-    @pytest.mark.parametrize(
-        "limit", [1, 2, 5, 9, 10, 335, 336, 403, 404, 546, 547, 2111, 2112]
-    )
-    def test_every_suite_runs_at_any_limit(self, capsys, suite, limit):
-        # a report covers [1, limit] at any limit >= 1; from the band's
-        # base 2112 on the theorem reports carry the certificate
+    @staticmethod
+    def verify_json(capsys, suite, limit):
         argv = ["verify", "--suite", suite, "--limit", str(limit), "--format", "json"]
         assert cli.main(argv) == 0
-        reports = json.loads(capsys.readouterr().out)
+        return {rep["claim_id"]: rep for rep in json.loads(capsys.readouterr().out)}
+
+    @pytest.mark.parametrize("suite", [*cli.SUITES, "all"])
+    @pytest.mark.parametrize(
+        "limit",
+        [1, 2, 5, 9, 10, 335, 336, 403, 404, 546, 547, 2111, 2112, 10**7 + 1, 10**100],
+    )
+    def test_every_suite_runs_at_any_limit(self, capsys, suite, limit):
+        # any limit >= 1 runs; the envelope reports list [1, min(L, 10**7)],
+        # the same reports past it as at 10**7, the printed tables,
+        # decimals and root scans their own fixed range, and every other
+        # report ends at L; from the band's base 2112 on the theorem
+        # reports carry the certificate
+        reports = self.verify_json(capsys, suite, limit)
         assert reports
-        assert verifier.DISCREPANCY not in {rep["status"] for rep in reports}
-        for rep in reports:
-            if rep["claim_id"] in ("theorem1", "theorem2"):
+        assert verifier.DISCREPANCY not in {rep["status"] for rep in reports.values()}
+        top = analytic.MARGINS_TOP
+        at_top = self.verify_json(capsys, suite, top) if limit > top else reports
+        for claim, rep in reports.items():
+            if claim in ("analytic/x-bounds", "analytic/Y-bounds"):
+                assert rep["range"] == [1, min(limit, top)], claim
+                assert rep == at_top[claim], claim
+            elif claim in FIXED_RANGES:
+                assert rep["range"] == FIXED_RANGES[claim], claim
+            else:
+                assert rep["range"][1] == limit, claim
+            if claim in ("theorem1", "theorem2"):
                 assert rep["range"] == [1, limit]
                 certified = rep["data"]["certificate"] is not None
-                assert certified == (limit >= verifier.BAND_BASE), rep["claim_id"]
+                assert certified == (limit >= verifier.BAND_BASE), claim
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("limit", [5, 403])
@@ -667,27 +693,11 @@ class TestVerify:
         "suite, limit, err",
         [
             ("theorem1", "0", "error: need --limit >= 1\n"),
-            (
-                "all",
-                "10000001",
-                "error: suite 'all' takes --limit <= 10000000: its envelopes hold for "
-                "every n by their identities, but the least margins it reports are run "
-                "and tested up to there; --suite theorem1|theorem2|lemmas take any "
-                "--limit\n",
-            ),
         ],
     )
     def test_refusal_text(self, capsys, suite, limit, err):
         assert cli.main(["verify", "--suite", suite, "--limit", limit]) == 2
         assert capsys.readouterr() == ("", err)
-
-    def test_all_suite_capped_by_envelope_scan(self, capsys):
-        argv = ["verify", "--suite", "all", "--limit", str(10**7 + 1)]
-        assert cli.main(argv) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "10000000" in err and "least margins" in err
-        assert "--suite theorem1|theorem2|lemmas take any --limit" in err
 
     def test_lemmas_at_one_billion(self, capsys):
         argv = ["verify", "--suite", "lemmas", "--limit", "1000000000", "--format", "json"]
@@ -705,14 +715,6 @@ class TestVerify:
         reports = json.loads(capsys.readouterr().out)
         assert [rep["status"] for rep in reports] == ["CONFIRMED"] * 5
         assert {rep["range"][1] for rep in reports} == {10**100}
-
-    def test_analytic_suite_capped(self, capsys):
-        argv = ["verify", "--suite", "analytic", "--limit", str(10**7 + 1)]
-        assert cli.main(argv) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "10000000" in err and "least margins" in err
-        assert "range-bound" not in err
 
     def test_csv_format(self, capsys):
         assert cli.main(["verify", "--suite", "table", "--format", "csv"]) == 0
@@ -832,24 +834,15 @@ class TestSuiteTable:
 
 
 def readme_suites():
-    """The rows of README's suite table: name -> cap, with None for a
-    cell that is not a number ("none")."""
+    """The suite names of README's suite table, the first cell of each
+    row below its "| Suite | Claims |" header."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    rows = {}
-    for line in readme.splitlines():
-        cells = [cell.strip() for cell in line.strip("|").split("|")]
-        name, caps = cells[0], cells[2:]
-        if len(caps) == 1 and name.startswith("`") and (caps[0].isdigit() or caps[0] == "none"):
-            rows[name.strip("`")] = int(caps[0]) if caps[0].isdigit() else None
-    return rows
+    table = readme.split("| Suite | Claims |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    return [line.split("|")[1].strip().strip("`") for line in table.splitlines()]
 
 
 def test_readme_suite_table_matches_suites():
-    rows = readme_suites()
-    assert list(rows) == [*cli.SUITES, "all"]
-    for name, suite in cli.SUITES.items():
-        assert rows[name] == (suite.cap and suite.cap[0]), name
-    assert rows["all"] == min(suite.cap[0] for suite in cli.SUITES.values() if suite.cap)
+    assert readme_suites() == [*cli.SUITES, "all"]
 
 
 @pytest.mark.parametrize(
