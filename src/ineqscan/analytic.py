@@ -47,7 +47,7 @@ verifier.compare_printed.
 """
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import sequences
 from .verifier import (
@@ -66,7 +66,7 @@ LOG2 = math.log(2.0)
 ROOT_TOL = 1e-9
 
 
-class FCoeffs(NamedTuple):
+class FCoeffs(namedtuple("FCoeffs", "a b c")):
     """Coefficients (a, b, c) of one envelope instance.
 
     The envelope family is
@@ -76,9 +76,7 @@ class FCoeffs(NamedTuple):
     whose members differ only in the three constants.
     """
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
 
 X_LOWER = FCoeffs(-1, 2, 0)
@@ -197,11 +195,10 @@ def positive_beyond(coeffs: FCoeffs, t: int) -> bool:
     return value > 0 and slope > 0
 
 
-class RootBracket(NamedTuple):
+class RootBracket(namedtuple("RootBracket", "lo hi")):
     """A bisection outcome: the root lies strictly inside (lo, hi)."""
 
-    lo: float
-    hi: float
+    __slots__ = ()
 
     @property
     def width(self) -> float:

@@ -23,29 +23,35 @@ their own fixed range, and every other report [1, L].  --suite all runs
 every row at one limit.  A verify run builds y's sign partition at most
 once and hands it to every check that reads it.
 
+argv is read by one table, COMMANDS: each command's function, help line
+and options, each option a flag, an int or a tuple of choices.
+_parse_args reads it as argparse would, unique prefixes included, and
+builds -h from it.  argparse is not used: its import, with the gettext
+and locale that building a parser loads, would take about 4 ms of each
+command's start.
+
 Exit codes: 0 when every requested check is clean (documented errata do
 not count against a run unless --strict is given), 1 when a check found
 a discrepancy (or, with --strict, an erratum) or when stdout was closed
 before the output ended, 2 for usage errors.
 """
 
-import argparse
 import functools
 import importlib
 import itertools
 import os
 import sys
-from typing import Callable, NamedTuple
+import types
+from collections import namedtuple
 
 from . import sequences
 
 
-class Suite(NamedTuple):
+class Suite(namedtuple("Suite", "module run")):
     """The module of a suite's checks, and run(module, limit, y_runs) ->
     reports, where y_runs(limit) is y's sign partition on [1, limit]."""
 
-    module: str
-    run: Callable
+    __slots__ = ()
 
 
 # The --limit of every suite when none is given.  From BAND_BASE on the
@@ -431,51 +437,151 @@ def cmd_roots(args):
     return _emit_reports(analytic.check_roots(), args)
 
 
+DESCRIPTION = (
+    "Exact scans and envelope checks for the sign classification of two integer sequences."
+)
+
+# The commands, in help order: (function, help, options).  Each option maps
+# its flag to (dest, kind, default, help), where kind is bool for a flag,
+# int, or the tuple of the values it takes.
+COMMANDS = {
+    "seq": (
+        cmd_seq,
+        "print the sequences over a range",
+        {
+            "--from": ("start", int, 1, ""),
+            "--to": ("stop", int, 16, ""),
+            "--format": ("format", ("csv", "json", "text"), "text", ""),
+            "--exact-y": ("exact_y", bool, False, "include the exact y column (big integers)"),
+        },
+    ),
+    "intervals": (
+        cmd_intervals,
+        "print the interval chain",
+        {
+            "--limit": ("limit", int, 600, ""),
+            "--format": ("format", ("csv", "json", "text"), "text", ""),
+        },
+    ),
+    "verify": (
+        cmd_verify,
+        "run claim checks",
+        {
+            "--suite": ("suite", (*SUITES, "all"), "all", ""),
+            "--limit": ("limit", int, None, ""),
+            "--format": ("format", ("text", "json", "csv"), "text", ""),
+            "--strict": ("strict", bool, False, "treat documented errata as failures"),
+        },
+    ),
+    "roots": (
+        cmd_roots,
+        "isolate the envelope roots",
+        {
+            "--format": ("format", ("text", "json", "csv"), "text", ""),
+            "--strict": ("strict", bool, False, "treat documented errata as failures"),
+        },
+    ),
+}
+
+
+def _metavar(kind):
+    """What follows an option's flag in usage and help."""
+    return "" if kind is bool else " N" if kind is int else " {%s}" % ",".join(kind)
+
+
+def _usage(command):
+    """The usage line of a command, or of the top level for None."""
+    if command is None:
+        return "usage: ineqscan [-h] {%s} ..." % ",".join(COMMANDS)
+    opts = COMMANDS[command][2].items()
+    return f"usage: ineqscan {command} [-h]" + "".join(
+        f" [{flag}{_metavar(kind)}]" for flag, (_, kind, _, _) in opts
+    )
+
+
+def _help(command):
+    """The -h text of a command, or of the top level for None."""
+    if command is None:
+        about, rows = DESCRIPTION, [(name, cmd[1]) for name, cmd in COMMANDS.items()]
+    else:
+        _, about, opts = COMMANDS[command]
+        rows = [(flag + _metavar(kind), hint) for flag, (_, kind, _, hint) in opts.items()]
+    rows.append(("-h, --help", "show this help message and exit"))
+    width = max(len(left) for left, hint in rows if hint)  # a row without one may be wider
+    lines = [f"  {left:{width}}  {hint}".rstrip() for left, hint in rows]
+    return "\n".join([_usage(command), "", about, "", *lines, ""])
+
+
+def _refuse(command, message):
+    """Print the usage line and the error to stderr, and exit 2."""
+    prog = "ineqscan" if command is None else f"ineqscan {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _invalid_choice(value, choices):
+    return f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+
+
+def _parse_args(argv=None):
+    """The namespace of argv (sys.argv[1:] by default): its command, the
+    command's func, and a value for each of its options.  An option is
+    `--opt value`, `--opt=value`, or either with a unique prefix of --opt;
+    a later one overrides an earlier.  -h or --help prints help and exits
+    0; a refusal names the option and the value, and exits 2."""
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    command, opts, values, strays = None, {}, {}, []
+    for tok in tokens:
+        if tok[:1] != "-" or tok in ("-", "--"):
+            if command is not None:
+                strays.append(tok)
+            elif tok in COMMANDS:
+                command, opts = tok, COMMANDS[tok][2]
+                values = {dest: default for dest, _, default, _ in opts.values()}
+            else:
+                _refuse(None, "argument command: " + _invalid_choice(tok, COMMANDS))
+            continue
+        flag, eq, value = tok.partition("=")
+        names = [name for name in ("-h", "--help", *opts) if name.startswith(flag)]
+        if flag in names:
+            names = [flag]
+        if len(names) > 1:
+            _refuse(command, f"ambiguous option: {flag} could match {', '.join(names)}")
+        if not names:
+            strays.append(tok)
+            continue
+        flag = names[0]
+        dest, kind, _, _ = opts.get(flag, ("help", bool, None, None))  # -h, --help
+        if eq and kind is bool:
+            _refuse(command, f"argument {flag}: ignored explicit argument {value!r}")
+        if dest == "help":
+            sys.stdout.write(_help(command))
+            raise SystemExit(0)
+        if kind is bool:
+            values[dest] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value[:1] == "-" and not value[1:2].isdigit():
+                _refuse(command, f"argument {flag}: expected one argument")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _refuse(command, f"argument {flag}: invalid int value: {value!r}")
+        elif value not in kind:
+            _refuse(command, f"argument {flag}: " + _invalid_choice(value, kind))
+        values[dest] = value
+    if command is None:
+        _refuse(None, "the following arguments are required: command")
+    if strays:
+        _refuse(None, f"unrecognized arguments: {' '.join(strays)}")
+    return types.SimpleNamespace(command=command, func=COMMANDS[command][0], **values)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="ineqscan",
-        description="Exact scans and envelope checks for the sign "
-        "classification of two integer sequences.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_seq = sub.add_parser("seq", help="print the sequences over a range")
-    p_seq.add_argument("--from", dest="start", type=int, default=1, metavar="N")
-    p_seq.add_argument("--to", dest="stop", type=int, default=16, metavar="N")
-    p_seq.add_argument("--format", choices=("csv", "json", "text"), default="text")
-    p_seq.add_argument(
-        "--exact-y",
-        action="store_true",
-        help="include the exact y column (big integers)",
-    )
-    p_seq.set_defaults(func=cmd_seq)
-
-    p_int = sub.add_parser("intervals", help="print the interval chain")
-    p_int.add_argument("--limit", type=int, default=600, metavar="N")
-    p_int.add_argument("--format", choices=("csv", "json", "text"), default="text")
-    p_int.set_defaults(func=cmd_intervals)
-
-    p_ver = sub.add_parser("verify", help="run claim checks")
-    p_ver.add_argument(
-        "--suite",
-        choices=(*SUITES, "all"),
-        default="all",
-    )
-    p_ver.add_argument("--limit", type=int, default=None, metavar="N")
-    p_ver.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_ver.add_argument(
-        "--strict",
-        action="store_true",
-        help="treat documented errata as failures",
-    )
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_roots = sub.add_parser("roots", help="isolate the envelope roots")
-    p_roots.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_roots.add_argument("--strict", action="store_true")
-    p_roots.set_defaults(func=cmd_roots)
-
-    return parser
+    """The parser main uses: its parse_args(argv) reads argv by COMMANDS."""
+    return types.SimpleNamespace(parse_args=_parse_args)
 
 
 def main(argv=None):

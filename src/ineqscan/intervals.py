@@ -12,12 +12,13 @@ interval_table is a generator: it yields the links one at a time, each
 in full, as the table is printed.
 """
 
-from typing import Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterator
 
 from . import sequences
 
 
-class IntervalRecord(NamedTuple):
+class IntervalRecord(namedtuple("IntervalRecord", "index lo hi r_const m_const x_lo x_hi")):
     """One link of the interval chain.
 
     Attributes:
@@ -29,13 +30,7 @@ class IntervalRecord(NamedTuple):
             these are also the minimum and maximum of x on the interval.
     """
 
-    index: int
-    lo: int
-    hi: int
-    r_const: int
-    m_const: int
-    x_lo: int
-    x_hi: int
+    __slots__ = ()
 
 
 def d_bounds(n: int) -> tuple[int, int]:

@@ -44,23 +44,17 @@ computed a row at a time.  scan yields every piece's piece_rows; seq
 """
 
 import math
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import chain, repeat
-from typing import Iterator, NamedTuple
 
 from .exactarith import cmp_pow2_vs_pow
 
 
-class SequenceRow(NamedTuple):
+class SequenceRow(namedtuple("SequenceRow", "n z m r c x c_minus_m y_sign")):
     """Every sequence value at a single n, mutually consistent."""
 
-    n: int
-    z: int
-    m: int
-    r: int
-    c: int
-    x: int
-    c_minus_m: int
-    y_sign: int
+    __slots__ = ()
 
 
 def require_positive(value: int, name: str = "n") -> None:

@@ -36,7 +36,7 @@ their argument, so a caller builds it once for all of them; the last
 three walk its runs link by link through signed_links alone.
 """
 
-from typing import Any, NamedTuple
+from collections import namedtuple
 
 from . import intervals, sequences
 
@@ -49,29 +49,24 @@ KNOWN_ERRATUM = "KNOWN_ERRATUM"
 DISCREPANCY = "DISCREPANCY"
 
 
-class Erratum(NamedTuple):
+class Erratum(namedtuple("Erratum", "item printed computed note")):
     """One documented misprint in the reference data."""
 
-    item: str
-    printed: Any
-    computed: Any
-    note: str
+    __slots__ = ()
 
 
-class VerificationReport(NamedTuple):
+class VerificationReport(
+    namedtuple(
+        "VerificationReport",
+        "claim_id lo hi status details counterexamples errata data",
+    )
+):
     """Outcome of one claim check over an inclusive range [lo, hi].
 
     Built by make_report and immutable, so its status stays the one its
     evidence gives."""
 
-    claim_id: str
-    lo: int
-    hi: int
-    status: str
-    details: str
-    counterexamples: list
-    errata: list
-    data: dict
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -112,7 +107,7 @@ def make_report(claim_id, lo, hi, details, counterexamples=(), errata=(), data=N
     )
 
 
-class SignPartition(NamedTuple):
+class SignPartition(namedtuple("SignPartition", "limit runs blocks per_n", defaults=(0, 0))):
     """Decomposition of [1, limit] into maximal runs of constant sign.
 
     Attributes:
@@ -128,10 +123,7 @@ class SignPartition(NamedTuple):
     to ask whether two routes agree on the signs.
     """
 
-    limit: int
-    runs: tuple
-    blocks: int = 0
-    per_n: int = 0
+    __slots__ = ()
 
     def runs_of(self, sign: int) -> list[tuple[int, int]]:
         """The (start, end) pairs whose run has the given sign."""

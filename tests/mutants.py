@@ -649,6 +649,27 @@ MUTANTS = [
         f"{T_CLI}::TestSuiteTable::test_default_run_certifies_both_theorems",
     ),
     (
+        "_parse_args: an int value left as a string",
+        CLI,
+        "value = int(value)",
+        "int(value)",
+        f"{T_CLI}::TestParser::test_reads_argv_as_argparse_did",
+    ),
+    (
+        "_parse_args: a choice not checked",
+        CLI,
+        "elif value not in kind:",
+        "elif False:",
+        f"{T_CLI}::TestParser::test_reads_argv_as_argparse_did",
+    ),
+    (
+        "_parse_args: the =value split dropped",
+        CLI,
+        'flag, eq, value = tok.partition("=")',
+        'flag, eq, value = tok, "", ""',
+        f"{T_CLI}::TestParser::test_reads_argv_as_argparse_did",
+    ),
+    (
         "f_bounds: the r block left out",
         INT,
         "return max(d1, e1), min(d2, e2)",

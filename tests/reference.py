@@ -17,6 +17,8 @@ reach 10**9, and test_verifier checks them against per_n_runs.
 link_walk_bounds_x and link_walk_bounds_Y are the per-link walk the
 envelope checks made before their identities, O(links) as well, and
 test_analytic checks them against the per-n references.
+build_parser is the argparse tree the command line was read by before
+cli.COMMANDS, and test_cli checks cli's parser against it.
 
 Nothing here imports sequences, intervals or cli, nor any partition_*,
 check_*, scan* or chain_links: the code under test (test_reference
@@ -26,6 +28,7 @@ and limit alone is cached; a constant a test may patch is read at call
 time.  The name keeps pytest from collecting this file.
 """
 
+import argparse
 import json
 import math
 import re
@@ -539,3 +542,59 @@ def reference_intervals(limit, fmt):
             break
         records.append(dict(zip(columns, (index, lo, hi, rr, mm, x_lo, x_hi))))
     return reference_table(records, columns, fmt)
+
+
+# The argparse tree of the command line before cli.COMMANDS, the oracle of
+# cli's parser.  It names the suites and the command functions itself, as
+# this module does not import cli; test_cli holds SUITES to cli.SUITES and
+# each func to the name of cli's.
+SUITES = ("table", "intervals", "theorem1", "theorem2", "lemmas", "analytic")
+cmd_seq, cmd_intervals = "cmd_seq", "cmd_intervals"
+cmd_verify, cmd_roots = "cmd_verify", "cmd_roots"
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="ineqscan",
+        description="Exact scans and envelope checks for the sign "
+        "classification of two integer sequences.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_seq = sub.add_parser("seq", help="print the sequences over a range")
+    p_seq.add_argument("--from", dest="start", type=int, default=1, metavar="N")
+    p_seq.add_argument("--to", dest="stop", type=int, default=16, metavar="N")
+    p_seq.add_argument("--format", choices=("csv", "json", "text"), default="text")
+    p_seq.add_argument(
+        "--exact-y",
+        action="store_true",
+        help="include the exact y column (big integers)",
+    )
+    p_seq.set_defaults(func=cmd_seq)
+
+    p_int = sub.add_parser("intervals", help="print the interval chain")
+    p_int.add_argument("--limit", type=int, default=600, metavar="N")
+    p_int.add_argument("--format", choices=("csv", "json", "text"), default="text")
+    p_int.set_defaults(func=cmd_intervals)
+
+    p_ver = sub.add_parser("verify", help="run claim checks")
+    p_ver.add_argument(
+        "--suite",
+        choices=(*SUITES, "all"),
+        default="all",
+    )
+    p_ver.add_argument("--limit", type=int, default=None, metavar="N")
+    p_ver.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p_ver.add_argument(
+        "--strict",
+        action="store_true",
+        help="treat documented errata as failures",
+    )
+    p_ver.set_defaults(func=cmd_verify)
+
+    p_roots = sub.add_parser("roots", help="isolate the envelope roots")
+    p_roots.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p_roots.add_argument("--strict", action="store_true")
+    p_roots.set_defaults(func=cmd_roots)
+
+    return parser

@@ -3,7 +3,7 @@
 Everything runs in-process through cli.main so exit codes and exact
 stdout bytes can be asserted without spawning subprocesses; only the
 closed-pipe test needs a real child process and a real pipe, and the
-four import tests a fresh interpreter.
+five import tests a fresh interpreter.
 """
 
 import csv
@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ineqscan import analytic, cli, sequences, verifier
+import reference
 from reference import reference_intervals, reference_seq, unlimited_int_digits, y
 
 # computed rows for the default seq range, including the exact y column
@@ -871,7 +872,7 @@ def test_integer_suites_match_golden_bytes(capsys, suite, limit):
 
 
 def test_cli_import_loads_no_dataclasses():
-    # every record is a NamedTuple; dataclasses would cost each CLI process
+    # every record is a namedtuple; dataclasses would cost each CLI process
     # most of the package's import time.  -S keeps site .pth hooks out.
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
@@ -969,8 +970,42 @@ assert "json" in sys.modules
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+def test_no_command_loads_argparse_or_typing():
+    # cli reads argv by its own table and the records are namedtuples:
+    # argparse (with the gettext and locale it loads) and typing would
+    # cost each CLI process about a third of a clean start.  Every command
+    # and format, help and a refusal run here.  -S keeps site .pth hooks out.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"""
+import io, sys
+sys.path.insert(0, {src!r})
+from ineqscan import cli
+sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+runs = [
+    "seq --to 600", "seq --from 20 --to 30 --exact-y", "intervals", "verify --limit 5000", "roots",
+    "verify --strict", "verify --help", "seq -h", "-h", "verify --suite nope", "verify --limit x",
+]
+for fmt in ("text", "csv", "json"):
+    runs += [f"seq --to 600 --format {{fmt}}", f"seq --to 30 --exact-y --format {{fmt}}",
+             f"intervals --format {{fmt}}", f"verify --limit 5000 --format {{fmt}}",
+             f"roots --format {{fmt}}"]
+for argv in runs:
+    try:
+        cli.main(argv.split())
+    except SystemExit:
+        pass
+loaded = {{"argparse", "gettext", "locale", "typing"}} & set(sys.modules)
+assert not loaded, loaded
+assert {{"json", "decimal", "ineqscan.analytic"}} <= set(sys.modules)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
 def assert_refused(argv, capsys):
-    """argparse refuses argv: exit 2, nothing on stdout, the option named."""
+    """The parser refuses argv: exit 2, nothing on stdout, the option named."""
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
@@ -1004,7 +1039,7 @@ class TestRoots:
         assert [list(e.items()) for e in rep["errata"]] == [list(expected.items())]
 
     # Roots are bisected to analytic.ROOT_TOL: --tol is no option of roots
-    # or verify, whatever its value, and argparse refuses it with exit 2.
+    # or verify, whatever its value, and the parser refuses it with exit 2.
     def test_bad_tol_exits_2(self, capsys):
         assert_refused(["roots", "--tol", "1e-6"], capsys)
 
@@ -1023,3 +1058,189 @@ class TestRoots:
         for name in ("check_reference_table", "check_gap"):
             monkeypatch.setattr(verifier, name, must_not_run)
         assert_refused(["verify", "--suite", suite, "--tol", tol], capsys)
+
+
+# argv that cli's parser must read as the argparse oracle does: each
+# command's defaults and options, = forms, unique and ambiguous prefixes,
+# a missing value, a bad int, a bad choice, a flag given a value, stray
+# tokens, --tol, negative and underscored ints, a repeated option, no
+# command or an unknown one, and -h at the top and on each command.
+PARSER_CORPUS = [
+    *map(
+        str.split,
+        [
+            "seq",
+            "intervals",
+            "verify",
+            "roots",
+            "seq --from 5 --to 9 --format csv --exact-y",
+            "intervals --limit 1000 --format json",
+            "verify --suite lemmas --limit 5000 --format json --strict",
+            "roots --format csv --strict",
+            "seq --from=5 --to=9 --format=json",
+            "intervals --limit=1000 --format=csv",
+            "verify --suite=theorem2 --limit=77 --format=csv",
+            "roots --format=json",
+            "seq --fr 3 --t 7 --fo json --e",
+            "seq --exact --fro=2",
+            "intervals --l 7 --f csv",
+            "verify --su theorem1 --l 99 --fo csv --st",
+            "verify --li=5 --forma=json",
+            "roots --f json --s",
+            "seq --f 5",
+            "seq --f=csv",
+            "verify --s all",
+            "verify --s",
+            "verify --limit",
+            "seq --to",
+            "verify --suite",
+            "verify --limit --strict",
+            "verify --format -h",
+            "seq --format --exact-y",
+            "verify --limit -",
+            "verify --limit x",
+            "seq --from 1.5",
+            "intervals --limit 1e3",
+            "verify --limit=",
+            "seq --to 0x10",
+            "verify --limit 1__0",
+            "verify --suite nope",
+            "verify --suite All",
+            "seq --format xml",
+            "verify --format=JSON",
+            "roots --format=",
+            "verify --strict=1",
+            "verify --st=0",
+            "seq --exact-y=1",
+            "roots --strict=",
+            "verify --help=1",
+            "-h=1",
+            "verify extra",
+            "seq 5",
+            "verify --limit 5 6",
+            "roots roots",
+            "verify -",
+            "verify --",
+            "verify -5",
+            "verify -l 5",
+            "roots --tol 1e-6",
+            "roots --tol nan",
+            "roots --tol inf",
+            "verify --tol=1e-6",
+            "verify --suite all --tol nan",
+            "verify --suite lemmas --tol -1",
+            "verify --suite table --tol 0",
+            "verify --limit -5",
+            "verify --limit=-5",
+            "seq --from -3 --to -1",
+            "intervals --limit -0",
+            "verify --limit 1_000",
+            "seq --to 1_0",
+            "verify --limit 5 --limit 7",
+            "verify --suite theorem1 --su theorem2",
+            "seq --format csv --format json",
+            "verify --strict --strict",
+            "",
+            "--limit 5",
+            "--limit 5 verify",
+            "-x",
+            "--",
+            "-- verify",
+            "check",
+            "Verify",
+            "ver",
+            "-h",
+            "--help",
+            "--he",
+            "--h",
+            "-h verify",
+            "-h nonsense",
+            "--foo -h",
+            "seq -h",
+            "intervals -h",
+            "verify -h",
+            "roots -h",
+            "seq --help",
+            "verify --he",
+            "verify --limit 5 -h",
+            "verify -h --limit x",
+            "verify --limit x -h",
+            "verify --tol -h",
+        ],
+    ),
+    ["verify", "--limit", " 5 "],
+    ["verify", "--limit", "\u0663"],
+    ["seq", "--from", "+4"],
+    ["verify", "--suite", ""],
+    ["verify", ""],
+]
+
+
+def parse_outcome(parser, argv, capsys):
+    """What parser.parse_args(argv) does: ("args", the namespace as a
+    dict, func by name), ("refused",) with exit 2, nothing on stdout and
+    the usage and an error on stderr, or ("help",) with exit 0, the usage
+    on stdout and nothing on stderr."""
+    try:
+        args = dict(vars(parser.parse_args(argv)))
+    except SystemExit as exc:
+        out, err = capsys.readouterr()
+        if exc.code == 2:
+            assert out == "" and err.startswith("usage: ineqscan") and " error: " in err
+            return ("refused",)
+        assert exc.code == 0 and out.startswith("usage: ineqscan") and err == ""
+        return ("help",)
+    args["func"] = getattr(args["func"], "__name__", args["func"])
+    return ("args", args)
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=repr)
+    def test_reads_argv_as_argparse_did(self, argv, capsys):
+        got = parse_outcome(cli.build_parser(), argv, capsys)
+        assert got == parse_outcome(reference.build_parser(), argv, capsys)
+
+    def test_corpus_has_every_outcome(self, capsys):
+        kinds = {parse_outcome(cli.build_parser(), argv, capsys)[0] for argv in PARSER_CORPUS}
+        assert kinds == {"args", "refused", "help"}
+
+    def test_oracle_has_cli_suites(self):
+        assert reference.SUITES == tuple(cli.SUITES)
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            ("verify --limit x", "verify: error: argument --limit: invalid int value: 'x'"),
+            ("seq --fr=1.5", "seq: error: argument --from: invalid int value: '1.5'"),
+            ("verify --su nope", "verify: error: argument --suite: invalid choice: 'nope'"),
+            ("verify --strict=1", "error: argument --strict: ignored explicit argument '1'"),
+            ("verify --limit", "error: argument --limit: expected one argument"),
+            ("seq --f 1", "error: ambiguous option: --f could match --from, --format"),
+            ("roots --tol 1e-6", "ineqscan: error: unrecognized arguments: --tol 1e-6"),
+            ("check", "ineqscan: error: argument command: invalid choice: 'check'"),
+            ("", "ineqscan: error: the following arguments are required: command"),
+        ],
+    )
+    def test_refusal_names_the_option_and_the_value(self, capsys, argv, error):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv.split())
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[0].startswith("usage: ineqscan")
+        assert error in err.splitlines()[1]
+
+    @pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+    def test_help_lists_every_command_and_option(self, capsys, command):
+        argv = ["-h"] if command is None else [command, "--help"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        if command is None:
+            words = [cli.DESCRIPTION, *cli.COMMANDS, *(cmd[1] for cmd in cli.COMMANDS.values())]
+        else:
+            _, about, opts = cli.COMMANDS[command]
+            choices = [kind for _, kind, _, _ in opts.values() if kind not in (bool, int)]
+            words = [about, *opts, *(value for kind in choices for value in kind)]
+        assert [w for w in words if w not in out] == []
