@@ -6,31 +6,21 @@ family of smooth envelope functions that sandwich the integer data,
 their first two derivatives, bisection brackets for the envelope roots,
 and spot checks of the published decimal approximations.
 
-With s = sqrt(2n), L = log2(n) and rho = n mod 3, the margins of the
-four named envelopes around x and Y are exactly
-
-    x - F(x-lower) = rho/3 + (r + 1)(s - m) + s(L - r + 1)          > 0
-    F(x-upper) - x = (1 - rho/3) + (1 + L)(1 - (s - m)) + m(r - L)  > 1/3
-    Y - F(y-lower) = (2 - 2 rho/3) + (1 + L)(s - m)                 >= 2/3
-    F(y-upper) - Y = 2 rho/3 + (1 + L)(1 - (s - m))                 > 0
-
-each bound resting only on 0 <= s - m < 1 and 2**(r - 1) < n <= 2**r,
-which hold at every n by the definitions of m and r.  So every envelope
-is strict at every n, and check_bounds_x and check_bounds_Y claim that
-from the identities, in data.certificate, without a scan.  What they
-compute is the least margin on each side over [1, min(limit,
-MARGINS_TOP)], the range the report lists: the minimum of
-identity_margin over a few candidate n that a monotonicity argument
+With s = sqrt(2n), L = log2(n) and rho = n mod 3, the margin of each
+named envelope around x or Y, such as x - F(x-lower), is exactly a sum
+of terms, its identity in IDENTITIES, with a bound that rests only on
+0 <= s - m < 1 and 2**(r - 1) < n <= 2**r, true at every n.  So every
+envelope is strict at every n, and check_bounds_x and check_bounds_Y
+claim that from the identities, in data.certificate, without a scan.
+The certificate's text and an exact check, _off_identity on a grid of 96
+points, are both built from that data.  What the checks compute is the
+least margin on each side over [1, min(limit, MARGINS_TOP)], the range
+the report lists: the minimum of identity_margin, right to about 14
+digits, over at most about 210 candidate n that a monotonicity argument
 picks (_x_lower_points, _x_upper_points, _y_lower_points,
-_y_upper_points), at most about 210 per check however many chain links
-there are.  identity_margin sums the terms of an identity, each to a
-few units of roundoff, so the minima are right to about 14 digits.  At
-each candidate the margin is also taken from F_eval and the named
-coefficients; one that is <= 0, or off the identity by more than
-float_noise of the range, its float error bound, is a counterexample,
-so a changed coefficient still fails.  The y-lower margin is 2/3
-exactly where 2n is a square and rho = 2; its least n, 2, is the one
-reported.
+_y_upper_points) however many chain links there are.  The y-lower margin
+is 2/3 exactly where 2n is a square and rho = 2; its least n, 2, is the
+one reported.
 
 check_sign_consistency reads Y at every n to verifier.band_top, 2112
 once y's band holds, past which Y >= 23.  The exact sign of y comes from
@@ -47,7 +37,8 @@ verifier.compare_printed.
 """
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
+from itertools import product
 
 from . import sequences
 from .verifier import (
@@ -231,11 +222,8 @@ def isolate_root(coeffs: FCoeffs, lo: float, hi: float) -> RootBracket:
 
 
 def d_real(n: int) -> float:
-    """The real-valued drift -m(n) - (m(n) - 1) * log2(n).
-
-    Adding c(n) gives the sign surrogate for y: the drift collects the
-    parts of that surrogate that do not depend on c.
-    """
+    """The real-valued drift -m(n) - (m(n) - 1) * log2(n), the part of the
+    sign surrogate for y that does not depend on c(n)."""
     mm = sequences.m(n)
     return -mm - (mm - 1) * math.log2(n)
 
@@ -245,53 +233,18 @@ def delta_d(n: int) -> float:
     return d_real(n + 3) - d_real(n)
 
 
-def _Y(n: int, m: int) -> float:
+def _Y(n: int, m: int, lg=None) -> float:
     """(c(n) - m) - (m - 1) * log2(n), the exponent gap between the two
     exact terms of y, given m = m(n), which a range check takes from the
-    chain link."""
-    return sequences.c(n) - m - (m - 1) * math.log2(n)
+    chain link; exact with an int lg given for log2(n)."""
+    return sequences.c(n) - m - (m - 1) * (math.log2(n) if lg is None else lg)
 
 
 def Y_real(n: int) -> float:
     """The real surrogate (c - m) - (m - 1) log2(n) whose sign matches
-    y(n) wherever it is not within float noise of zero.
-
-    It equals c(n) + d_real(n) up to float rounding.
-    """
+    y(n) wherever it is not within float noise of zero; c(n) + d_real(n)
+    up to float rounding."""
     return _Y(n, sequences.m(n))
-
-
-def float_noise(limit: int) -> float:
-    """A bound on the float error of every envelope margin F_eval gives
-    on [1, limit], the tolerance of the envelope checks' guard:
-
-        2**-48 (L + sqrt(2L)(log2 L + 2) + 6),  L = limit.
-
-    A margin at n is v - F or F - v.  F is F_eval's sum of (2/3)n, a,
-    b s, c log2 n and s log2 n, with s = sqrt(2n).  v is x, an int (exact
-    as n < 2**53, and |x| <= 2n/3 + (r + 1)m), or _Y's c - m, exact, less
-    (m - 1) log2 n.  With unit roundoff u = 2**-53, sqrt correctly
-    rounded and log2 within an ulp (2u), each term is off by at most 5u
-    of its size (s log2 n, the worst, takes u + 2u + u and second-order
-    terms), and each of the at most six additions and subtractions
-    rounds once, by u of its result (Higham, Accuracy and Stability of
-    Numerical Algorithms, SIAM 2002, ch. 1).  For the named instances
-    |a| <= 5 and 0 <= b, c <= 2, and m <= s, r < log2 n + 1,
-    c <= 2n/3 + 4 and log2 n <= s.  So for n <= L the terms of F, those
-    of v and every partial sum are at most G = 2L/3 + 5 +
-    sqrt(2L)(log2 L + 4) in size, and the margin itself at most 2G, and
-    a margin is off by at most 5u G + 5u G + u(5G + 2G) = 17u G.  That is
-    below 32u (L + sqrt(2L)(log2 L + 2) + 6), the bound: term by term it
-    is larger only in 68 sqrt(2L) against 64 sqrt(2L), and
-    4 sqrt(2L) <= 20L.
-
-    The bound is 3.6e-8 at 10**7, where the least margin is 2.7e-3, and
-    3.6e-6 at 10**9, where it is 3.5e-4.  Against the margins at 80
-    digits, the float error at the first and last three n of the chain
-    links near each power of two to 2**23 stays more than 10 times below
-    the bound at n (2.1e-9 at n = 6472801, where the bound is 2.3e-8).
-    """
-    return 2.0**-48 * (limit + math.sqrt(2 * limit) * (math.log2(limit) + 2) + 6)
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +252,88 @@ def float_noise(limit: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-# The margin identities of the module docstring, one per named instance:
-# (margin, identity, the bound it keeps).  Each bound rests on the
-# IDENTITY_FACTS alone, so it holds at every n.
+# The margin identities, one per named instance: (margin, terms, bound).
+# A term (k, f, g) is k f g, f and g linear factors that _factor reads.
+# Each bound rests on the IDENTITY_FACTS alone, so it holds at every n.
 IDENTITIES = {
-    "x-lower": ("x - F(x-lower)", "rho/3 + (r + 1)(s - m) + s(L - r + 1)", "> 0"),
-    "x-upper": ("F(x-upper) - x", "(1 - rho/3) + (1 + L)(1 - (s - m)) + m(r - L)", "> 1/3"),
-    "y-lower": ("Y - F(y-lower)", "(2 - 2 rho/3) + (1 + L)(s - m)", ">= 2/3"),
-    "y-upper": ("F(y-upper) - Y", "2 rho/3 + (1 + L)(1 - (s - m))", "> 0"),
+    "x-lower": (
+        "x - F(x-lower)", ((1, "rho/3", "1"), (1, "r + 1", "s - m"), (1, "s", "L - r + 1")), "> 0"
+    ),
+    "x-upper": (
+        "F(x-upper) - x",
+        ((1, "1 - rho/3", "1"), (1, "1 + L", "1 - (s - m)"), (1, "m", "r - L")),
+        "> 1/3",
+    ),
+    "y-lower": ("Y - F(y-lower)", ((1, "2 - 2 rho/3", "1"), (1, "1 + L", "s - m")), ">= 2/3"),
+    "y-upper": ("F(y-upper) - Y", ((1, "2 rho/3", "1"), (1, "1 + L", "1 - (s - m)")), "> 0"),
 }
 IDENTITY_TERMS = "s = sqrt(2n), L = log2(n), rho = n mod 3, m = m(n), r = r(n)"
 IDENTITY_FACTS = ["0 <= s - m < 1", "2**(r - 1) < n <= 2**r"]
+
+# The envelope family in the same terms: F = 2n/3 + a - b s + c L - s L,
+# with a, b and c those of an instance.
+ENVELOPE = ((1, "2 n/3", "1"), (1, "a", "1"), (-1, "b", "s"), (1, "c", "L"), (-1, "s", "L"))
+
+
+def identity_text(terms) -> str:
+    """The terms of an identity as data.certificate states them."""
+    return " + ".join(
+        ("" if k == 1 else f"{k}")
+        + "".join(f"({f})" if " + " in f or " - " in f else f for f in factors if f != "1")
+        for k, *factors in terms
+    )
+
+
+def _factor(text):
+    """3 times the linear factor text, a sum of k, x, k x, x/3, k x/3 (k an
+    int, x a name) and parenthesized factors, as {name: coefficient}, "1"
+    the constant: "1 - (s - m)" gives {"1": 3, "s": -3, "m": 3}."""
+    form, signs, sign, last = {}, [1], 1, None
+    for token in text.replace("(", "( ").replace(")", " )").replace("/3", " /3").split():
+        if token in ("+", "-"):
+            sign, last = (signs[-1] if token == "+" else -signs[-1]), None
+        elif token in ("(", ")"):
+            signs = signs + [sign] if token == "(" else signs[:-1]
+        elif token == "/3":
+            form[last] -= 2 * k
+        else:
+            if token.isdigit() or last != "1":
+                k = sign * (int(token) if token.isdigit() else 1)
+            else:  # k x: the int k before scales x
+                form["1"] -= 3 * k
+            last = "1" if token.isdigit() else token
+            form[last] = form.get(last, 0) + 3 * k
+    return form
+
+
+def _off_identity(terms, coeffs, sign, value):
+    """The first point (n, m, r, s, L) of the grid where the margin
+    sign (value - F), F the instance of coeffs, is not the identity of
+    terms, or None; value(n, m, r, L) is x or Y with m, r and L given.
+    Both sides are compared times 9, as ints.  The grid is n = 3q + rho
+    for rho in {0, 1, 2} and q in {1, 2}, and m, r, s, L in {1, 2}: 96
+    points.  On a class rho, with m, r, s and L free, each side has degree
+    <= 1 in each of q, m, r, s and L: z and c are affine in q,
+    x = z - (r + 1) m, Y = c - m - (m - 1) L, F's only product is s L, and
+    no identity term multiplies two factors that share a variable.  Such a
+    polynomial that vanishes where each variable is 1 or 2 is zero, by
+    induction on the variables: as p0 + t p1 in the last one,
+    p0 + p1 = p0 + 2 p1 = 0 on the grid of the others.  So the sides agree
+    at q = n // 3, m = m(n), r = r(n), s = sqrt(2n), L = log2(n), any n."""
+    nine = Counter()
+    for k, f, g in [(sign * k, f, g) for k, f, g in ENVELOPE] + list(terms):
+        for u, cu in _factor(f).items():
+            for v, cv in _factor(g).items():
+                nine[min(u, v), max(u, v)] += k * cu * cv
+    products = [(k, u, v) for (u, v), k in nine.items() if k]
+    constants = dict(zip("1abc", (1, *coeffs)))
+    for rho, q, mm, rr, s, lg in product((0, 1, 2), (1, 2), (1, 2), (1, 2), (1, 2), (1, 2)):
+        n = 3 * q + rho
+        at = constants | {"n": n, "q": q, "rho": n % 3, "m": mm, "r": rr, "s": s, "L": lg}
+        if 9 * sign * value(n, mm, rr, lg) != sum(k * at[u] * at[v] for k, u, v in products):
+            return n, mm, rr, s, lg
+    return None
+
 
 # The relative error of identity_margin.  A candidate window takes every
 # n whose bound is at most the least margin so far times
@@ -319,8 +343,8 @@ IDENTITY_ERROR = 2**-48
 
 
 def identity_margin(name: str, n: int) -> float:
-    """The margin of the named instance at n, from its identity (the
-    module docstring), term by term: s - m = (2n - m**2)/(s + m),
+    """The margin of the named instance at n, from its identity in
+    IDENTITIES, term by term: s - m = (2n - m**2)/(s + m),
     1 - (s - m) = ((m + 1)**2 - 2n)/(s + m + 1), L - r + 1 = log2(2n/2**r)
     and r - L = -log2(n/2**r) by _log2_ratio, and 1 + L = log2(2n).  So
     no term cancels, each is within 8 units of roundoff of its value, and
@@ -485,63 +509,43 @@ def _y_upper_points(limit):
 # The envelope reports list their least margins on [1, min(limit,
 # MARGINS_TOP)]; their claim for every n rests on the identities alone
 # (data.certificate).  The candidate rules are tested up to here against
-# the link walk and at 80 digits, and the F_eval guard is sound here.
-# Past it F_eval's margin can round to 0.0 where the identity's is
-# positive (the y-upper margin at n = 213795874512 is 2.95e-5), and past
-# about 2**100 float64 no longer orders the x-upper candidates, whose
-# margins differ from 1/3 by O(2**(-r/2)).
+# the link walk and at 80 digits, and past about 2**100 float64 no longer
+# orders the x-upper candidates, whose margins differ from 1/3 by
+# O(2**(-r/2)).
 MARGINS_TOP = 10**7
 
 
 def _check_envelopes(claim_id, what, value, lower, upper, limit):
     """One claim that the lower envelope stays strictly below, and the
-    upper strictly above, value(n) for every n: the two identities of the
-    named instances, lower and upper (name, coefficients, candidates),
-    stated in data.certificate.  The least margin of each side on
-    [1, top], top = min(limit, MARGINS_TOP), the report's range, is the
-    least identity_margin over the side's candidates, the first n of a
-    tie.  At every candidate the margin is also taken from F_eval and the
-    coefficients: one <= 0, or off the identity by more than
-    float_noise(top) plus IDENTITY_ERROR of the margin, the identity's
-    own error, is a counterexample."""
+    upper strictly above, value for every n: the identities of the named
+    instances lower and upper (name, coefficients, candidates), checked by
+    _off_identity, an instance off its identity a counterexample, and
+    stated in data.certificate.  The least margin of each side on [1, top],
+    top = min(limit, MARGINS_TOP), the report's range, is the least
+    identity_margin over the side's candidates, the first n of a tie."""
     sequences.require_positive(limit, "limit")
     top = min(limit, MARGINS_TOP)
-    tol = float_noise(top)
-    counterexamples, least, certificate = set(), [], {"terms": IDENTITY_TERMS}
+    off, least, certificate = {}, [], {"terms": IDENTITY_TERMS}
     for side, sign, (name, coeffs, candidates) in (("lower", 1, lower), ("upper", -1, upper)):
-        points = candidates(top)
-        for n, margin in points.items():
-            f_margin = sign * (value(n) - F_eval(coeffs, n))
-            if not (f_margin > 0 and abs(f_margin - margin) <= tol + margin * IDENTITY_ERROR):
-                counterexamples.add(n)
-        least.append(min((margin, n) for n, margin in points.items()))
-        margin_of, identity, bound = IDENTITIES[name]
+        margin_of, terms, bound = IDENTITIES[name]
+        point = _off_identity(terms, coeffs, sign, value)
+        if point:
+            off[name] = f"{name} off its identity at (n, m, r, s, L) = {point}"
+        least.append(min((margin, n) for n, margin in candidates(top).items()))
         certificate[side] = {
             "margin": margin_of,
-            "identity": identity,
+            "identity": identity_text(terms),
             "bound": bound,
             "facts": IDENTITY_FACTS,
         }
     (min_low, min_low_at), (min_up, min_up_at) = least
-    if counterexamples:
-        claim = (
-            f"envelope margins off their identities around {what} at "
-            f"{plural(len(counterexamples), 'candidate')}"
-        )
-    else:
-        claim = f"both envelopes strict around {what}"
+    claim = "; ".join(off.values()) or f"both envelopes strict around {what}"
     details = (
         f"{claim}; smallest lower margin {min_low:.6f} at n = {min_low_at}, "
         f"smallest upper margin {min_up:.6f} at n = {min_up_at}"
     )
-    return make_report(
-        claim_id,
-        1,
-        top,
-        details,
-        counterexamples=sorted(counterexamples),
-        data={"min_lower_margin": min_low, "min_upper_margin": min_up, "certificate": certificate},
-    )
+    data = {"min_lower_margin": min_low, "min_upper_margin": min_up, "certificate": certificate}
+    return make_report(claim_id, 1, top, details, counterexamples=list(off), data=data)
 
 
 def check_bounds_x(limit: int) -> VerificationReport:
@@ -551,7 +555,7 @@ def check_bounds_x(limit: int) -> VerificationReport:
     return _check_envelopes(
         "analytic/x-bounds",
         "x",
-        sequences.x,
+        lambda n, mm, rr, lg: sequences.z(n) - (rr + 1) * mm,
         ("x-lower", X_LOWER, _x_lower_points),
         ("x-upper", X_UPPER, _x_upper_points),
         limit,
@@ -567,7 +571,7 @@ def check_bounds_Y(limit: int) -> VerificationReport:
     return _check_envelopes(
         "analytic/Y-bounds",
         "the y surrogate",
-        Y_real,
+        lambda n, mm, rr, lg: _Y(n, mm, lg),
         ("y-lower", Y_LOWER, _y_lower_points),
         ("y-upper", Y_UPPER, _y_upper_points),
         limit,
@@ -688,17 +692,12 @@ def check_roots() -> list[VerificationReport]:
     printed y-lower bracket is a documented misprint.
 
     The grid is walked in floats from the start, and the walk stops at the
-    first t where F turns positive and positive_beyond(coeffs, t) holds.
-    That predicate proves, in integers only, F(u) > 0 for every real
-    u >= t from three facts: F'' > 0 on [t, oo) (t > 2, b, c >= 0 and
-    2**b t >= 9**c, as e**2 < 9), F(t) > 0 and F'(t) > 0.  The last two
-    bound log2 t by p/Q <= log2 t < (p + 1)/Q with p = bitlen(t**Q) - 1,
-    sqrt(2 t) by r/K <= sqrt(2 t) < (r + 1)/K with r = isqrt(2 t K**2),
-    and 1/ln 2 by 3/2, and compare the multiplied-out bounds as integers.
-    So F has no zero past t, and "one sign change" holds for every real
-    past the root, not only on the grid.  Anywhere the predicate refuses,
-    the walk goes on toward ROOT_SCAN_HI.  The four named instances stop
-    at 561, 385, 380 and 325, just past their roots.
+    first t where F turns positive and positive_beyond(coeffs, t) proves,
+    in integers only, F(u) > 0 for every real u >= t.  So "one sign
+    change" holds for every real past the root, not only on the grid.
+    Anywhere the predicate refuses, the walk goes on toward ROOT_SCAN_HI.
+    The four named instances stop at 561, 385, 380 and 325, just past
+    their roots.
     """
     reports = []
     for name, coeffs in NAMED_INSTANCES.items():

@@ -621,11 +621,32 @@ MUTANTS = [
         f"{T_ANA}::TestSandwich::test_y_lower_margin_ties_at_two_thirds",
     ),
     (
-        "_check_envelopes: the guard's tolerance made infinite",
+        "IDENTITIES: the coefficient of m(r - L) in x-upper raised by 1",
         ANA,
-        "tol = float_noise(top)",
-        "tol = math.inf",
-        f"{T_ANA}::TestSandwichThroughSharedLoop::test_raised_envelope_is_off_its_identity",
+        '(1, "m", "r - L")',
+        '(2, "m", "r - L")',
+        f"{T_ANA}::TestExactIdentities::test_named_instances_hold",
+    ),
+    (
+        "IDENTITIES: the term s(L - r + 1) of x-lower dropped",
+        ANA,
+        ', (1, "s", "L - r + 1")),',
+        "),",
+        f"{T_ANA}::TestExactIdentities::test_named_instances_hold",
+    ),
+    (
+        "_off_identity: the grid cut to L = 1",
+        ANA,
+        "(1, 2), (1, 2)):",
+        "(1, 2), (1,)):",
+        f"{T_ANA}::TestExactIdentities::test_each_variable_takes_both_values",
+    ),
+    (
+        "_off_identity: rho taken as (2n - 1) mod 3",
+        ANA,
+        '"rho": n % 3',
+        '"rho": (2 * n - 1) % 3',
+        f"{T_ANA}::TestExactIdentities::test_named_instances_hold",
     ),
     (
         "_check_envelopes: the report range not clipped to MARGINS_TOP",
@@ -633,13 +654,6 @@ MUTANTS = [
         "top = min(limit, MARGINS_TOP)\n",
         "top = limit\n",
         f"{T_ANA}::TestMarginsTop",
-    ),
-    (
-        "float_noise: the bound taken at n = 1, not at the limit",
-        ANA,
-        "return 2.0**-48 * (limit + math.sqrt(2 * limit) * (math.log2(limit) + 2) + 6)",
-        "return 2.0**-48 * (1 + math.sqrt(2 * 1) * (math.log2(1) + 2) + 6)",
-        f"{T_ANA}::TestFloatNoise::test_bound_covers_the_float_error",
     ),
     (
         "DEFAULT_LIMIT: one below the band's base",

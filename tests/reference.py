@@ -312,9 +312,20 @@ def _Y(n, mm, gap):
 
 
 def float_noise(limit):
-    """The float error bound of an envelope margin on [1, limit], as
-    analytic.float_noise states it: 2**-48 (L + sqrt(2L)(log2 L + 2) + 6).
-    The comparisons with the references allow it."""
+    """A bound on the float error of every envelope margin F_eval gives on
+    [1, limit], which the comparisons with the references allow:
+
+        2**-48 (L + sqrt(2L)(log2 L + 2) + 6),  L = limit.
+
+    A margin v - F or F - v at n <= L sums the five terms of F_eval and
+    those of v (x is exact; Y's c - m is exact, less (m - 1) log2 n).
+    With unit roundoff u = 2**-53, sqrt correctly rounded and log2 within
+    an ulp, each term is within 5u of itself and each of at most six
+    additions rounds once, by u of its result (Higham, Accuracy and
+    Stability of Numerical Algorithms, SIAM 2002, ch. 1).  Terms, partial
+    sums and margin are at most 2G, G = 2L/3 + 5 + sqrt(2L)(log2 L + 4),
+    for the named instances, so a margin is off by at most 17u G, below
+    the bound.  TestFloatNoise checks it against 80-digit margins."""
     return 2.0**-48 * (limit + math.sqrt(2 * limit) * (math.log2(limit) + 2) + 6)
 
 

@@ -293,6 +293,15 @@ MARGIN_BOUNDS = {
 }
 IDENTITY_TOL = Decimal("1e-60")
 
+# data.certificate's (margin, identity, bound) of each instance, byte for
+# byte as verify prints them
+CERTIFIED = {
+    "x-lower": ("x - F(x-lower)", "rho/3 + (r + 1)(s - m) + s(L - r + 1)", "> 0"),
+    "x-upper": ("F(x-upper) - x", "(1 - rho/3) + (1 + L)(1 - (s - m)) + m(r - L)", "> 1/3"),
+    "y-lower": ("Y - F(y-lower)", "(2 - 2 rho/3) + (1 + L)(s - m)", ">= 2/3"),
+    "y-upper": ("F(y-upper) - Y", "2 rho/3 + (1 + L)(1 - (s - m))", "> 0"),
+}
+
 
 def y_lower_tie(n):
     """Where the y-lower identity gives exactly 2/3: s = m and rho = 2."""
@@ -337,9 +346,9 @@ class TestEnvelopeIdentities:
             (analytic.check_bounds_Y, ("y-lower", "y-upper")),
         ):
             cert = check(10**7).data["certificate"]
-            assert cert["terms"] == analytic.IDENTITY_TERMS
+            assert cert["terms"] == "s = sqrt(2n), L = log2(n), rho = n mod 3, m = m(n), r = r(n)"
             for side, name in zip(("lower", "upper"), names):
-                margin, identity, bound = analytic.IDENTITIES[name]
+                margin, identity, bound = CERTIFIED[name]
                 assert cert[side] == {
                     "margin": margin,
                     "identity": identity,
@@ -369,6 +378,94 @@ class TestEnvelopeIdentities:
                     assert all(u < v for u, v in pairwise(margins)), (name, first)
 
 
+# the variables of the degree argument: n = 3q + rho, rho fixed on a class
+FREE = {"q", "m", "r", "s", "L"}
+
+
+def free_in(factor):
+    """The free variables a linear factor of analytic reads, n as q."""
+    names = {name for name, k in analytic._factor(factor).items() if k}
+    return {"q" if name == "n" else name for name in names} & FREE
+
+
+class TestExactIdentities:
+    """check_bounds_x and check_bounds_Y tie the named coefficients to the
+    identities exactly, in ints, on analytic._off_identity's grid of 96
+    points, which settles each identity for every n when both sides have
+    degree <= 1 in each of q, m, r, s and L; no float takes part."""
+
+    @pytest.mark.parametrize(
+        "text, form",
+        [
+            ("rho/3", {"rho": 1}),
+            ("2 rho/3", {"rho": 2}),
+            ("2 - 2 rho/3", {"1": 6, "rho": -2}),
+            ("1 - (s - m)", {"1": 3, "s": -3, "m": 3}),
+            ("L - r + 1", {"L": 3, "r": -3, "1": 3}),
+            ("2 n/3", {"n": 2}),
+            ("1/3", {"1": 1}),
+        ],
+    )
+    def test_factor(self, text, form):
+        # 3 times the factor, by name
+        assert {k: v for k, v in analytic._factor(text).items() if v} == form
+
+    def test_premise_from_the_data(self):
+        for name, (_, terms, _) in analytic.IDENTITIES.items():
+            for _, f, g in terms:
+                assert not free_in(f) & free_in(g), (name, f, g)
+        products = [(f, g) for _, f, g in analytic.ENVELOPE if free_in(f) and free_in(g)]
+        assert products == [("s", "L")]
+        # the value sides: z and c are affine in q on each class mod 3
+        for rho in (0, 1, 2):
+            for seq in (sequences.z, sequences.c):
+                steps = {seq(3 * q + 3 + rho) - seq(3 * q + rho) for q in range(1, 100)}
+                assert len(steps) == 1, (seq.__name__, rho)
+
+    def test_named_instances_hold(self):
+        for check in (analytic.check_bounds_x, analytic.check_bounds_Y):
+            for limit in (1, 2, 2112, 10**7):
+                rep = check(limit)
+                assert rep.status == verifier.CONFIRMED, (check.__name__, limit)
+                assert rep.details.startswith("both envelopes strict around "), limit
+
+    @pytest.mark.parametrize(
+        "variable, point",
+        [
+            ("q", (6, 1, 1, 1, 1)),
+            ("rho", (3, 1, 1, 1, 1)),
+            ("m", (3, 2, 1, 1, 1)),
+            ("r", (3, 1, 2, 1, 1)),
+            ("s", (3, 1, 1, 2, 1)),
+            ("L", (3, 1, 1, 1, 2)),
+        ],
+    )
+    def test_each_variable_takes_both_values(self, monkeypatch, variable, point):
+        # (v - 1) added to the x-lower identity is 0 where v = 1, so the
+        # grid must reach v = 2 (or rho = 0) to see it
+        unpatched = analytic.check_bounds_x(10**5)
+        margin, terms, bound = analytic.IDENTITIES["x-lower"]
+        added = (*terms, (1, f"{variable} - 1", "1"))
+        monkeypatch.setitem(analytic.IDENTITIES, "x-lower", (margin, added, bound))
+        rep = analytic.check_bounds_x(10**5)
+        assert rep.counterexamples == ["x-lower"]
+        assert rep.details.startswith(f"x-lower off its identity at (n, m, r, s, L) = {point};")
+        assert rep.data["min_lower_margin"] == unpatched.data["min_lower_margin"]
+
+    @pytest.mark.parametrize("limit", [10**5, 10**7])
+    def test_no_float_decides_the_claims(self, monkeypatch, limit):
+        checks = (analytic.check_bounds_x, analytic.check_bounds_Y)
+        unpatched = [check(limit) for check in checks]
+
+        def refused(*args):
+            raise AssertionError("F_eval called")
+
+        monkeypatch.setattr(analytic, "F_eval", refused)
+        for check, rep in zip(checks, unpatched):
+            assert rep.status == verifier.CONFIRMED
+            assert check(limit) == rep, check.__name__
+
+
 def link_of(n):
     """The chain link [a, b] that holds n: where m's block and r's meet."""
     lo, hi = sequences.m_block(sequences.m(n))
@@ -377,8 +474,8 @@ def link_of(n):
 
 
 def float_margins(n):
-    """The four envelope margins at n as F_eval gives them, the side the
-    envelope checks' guard compares with the identities."""
+    """The four envelope margins at n as F_eval gives them, as the
+    references of tests/reference.py take them."""
     mm, rr = sequences.m(n), sequences.r(n)
     values = {"x": sequences.z(n) - (rr + 1) * mm, "y": analytic._Y(n, mm)}
     margins = {}
@@ -389,9 +486,9 @@ def float_margins(n):
 
 
 class TestFloatNoise:
-    """analytic.float_noise(limit) bounds the float error of every margin
-    F_eval gives on [1, limit]; the envelope checks' guard allows it
-    between that margin and the identity at each candidate."""
+    """reference.float_noise(limit) bounds the float error of every margin
+    F_eval gives on [1, limit]; assert_same_minima allows it between a
+    report's least margins and a reference's."""
 
     def test_bound_covers_the_float_error(self):
         # the candidates of the links on both sides of each power of two
@@ -408,37 +505,10 @@ class TestFloatNoise:
             exact = exact_margins(n)
             for name, margin in float_margins(n).items():
                 error = abs(Decimal(margin) - exact[name][0])
-                assert error < analytic.float_noise(n), (name, n)
-                worst = max(worst, float(error) / analytic.float_noise(n))
+                assert error < float_noise(n), (name, n)
+                worst = max(worst, float(error) / float_noise(n))
         assert worst > 0.05  # the bound is not vacuous: 0.09 at 6472801
-
-    def test_mirrored_in_the_reference(self):
-        for limit in (1, 2, 600, 10**5, 10**7, 10**9, 10**100):
-            assert analytic.float_noise(limit) == float_noise(limit)
         assert float_noise(10**7) == pytest.approx(3.593e-8, rel=1e-3)
-        assert float_noise(10**9) == pytest.approx(3.558e-6, rel=1e-3)
-
-    @pytest.mark.parametrize("scale, flagged", [(0.5, False), (2.0, True)])
-    def test_guard_at_its_tolerance(self, monkeypatch, scale, flagged):
-        # the x-upper margin from F_eval at the limit, a candidate, is set
-        # off its identity by half or twice the guard's tolerance there;
-        # the minima still come from the identities
-        limit = 10**6
-        unpatched = analytic.check_bounds_x(limit)
-        identity = analytic.identity_margin("x-upper", limit)
-        off = scale * (analytic.float_noise(limit) + identity * analytic.IDENTITY_ERROR)
-        f_eval, x_at = analytic.F_eval, sequences.x(limit)
-
-        def patched(coeffs, t):
-            if coeffs is analytic.X_UPPER and t == limit:
-                return x_at + identity + off
-            return f_eval(coeffs, t)
-
-        monkeypatch.setattr(analytic, "F_eval", patched)
-        rep = analytic.check_bounds_x(limit)
-        assert rep.counterexamples == ([limit] if flagged else [])
-        assert (rep.status == verifier.DISCREPANCY) is flagged
-        assert rep.data == unpatched.data
 
 
 class TestApproximations:
@@ -655,8 +725,8 @@ class TestCandidateRoute:
 
     @staticmethod
     def assert_settled_from_candidates(monkeypatch, limit):
-        # each candidate takes one identity_margin and one F_eval, at most
-        # 300 of them per report, and no sign of y is decided here
+        # each candidate takes one identity_margin, at most 300 of them per
+        # report, no F_eval is taken, and no sign of y is decided here
         part = verifier.partition_y(limit)
         calls = {"F_eval": 0, "identity_margin": 0}
         decided = []
@@ -686,7 +756,7 @@ class TestCandidateRoute:
             calls.update(F_eval=0, identity_margin=0)
             rep = check(limit)
             assert rep.status == verifier.CONFIRMED
-            assert 0 < calls["F_eval"] == calls["identity_margin"] <= 300, check.__name__
+            assert calls["F_eval"] == 0 < calls["identity_margin"] <= 300, check.__name__
         assert analytic.check_sign_consistency(part).status == verifier.CONFIRMED
         assert decided == []
 
@@ -696,7 +766,7 @@ class TestCandidateRoute:
 
     def test_links_at_one_billion(self, monkeypatch):
         # past MARGINS_TOP a report lists [1, 10**7] and makes the same
-        # identity_margin and F_eval calls as at 10**7
+        # identity_margin calls as at 10**7, and no F_eval call
         self.assert_settled_from_candidates(monkeypatch, 10**9)
         calls = []
         for name in ("F_eval", "identity_margin"):
@@ -796,8 +866,8 @@ def envelope_reports(limit):
 
 class TestMarginsTop:
     """Both envelope reports list their least margins on [1, min(L,
-    MARGINS_TOP)]: past 10**7 each is its report at 10**7, and no guard
-    or float bound is taken past it."""
+    MARGINS_TOP)]: past 10**7 each is its report at 10**7, and no float is
+    taken past it."""
 
     at_the_top = staticmethod(cache(lambda: envelope_reports(analytic.MARGINS_TOP)))
 
@@ -807,10 +877,9 @@ class TestMarginsTop:
             assert rep["range"] == [1, 10**7]
             assert rep["status"] == verifier.CONFIRMED
 
-    # at 213796208950 a guard taken past the top reports a false
-    # DISCREPANCY: F_eval's y-upper margin at n = 213795874512 rounds to
-    # 0.0, while the identity's is 2.95e-5; at 10**400 float_noise
-    # overflows
+    # limits where a float would mislead: F_eval's y-upper margin at
+    # n = 213795874512 rounds to 0.0, while the identity's is 2.95e-5, and
+    # 10**400 overflows a float
     @pytest.mark.parametrize(
         "limit", [10**7 + 1, 213796208950, 10**12, 2**60, 10**100, 10**400]
     )
@@ -911,62 +980,65 @@ class TestSignWalk:
 
 
 class TestSandwichThroughSharedLoop:
-    """A named envelope that its identity no longer describes must
-    surface as a discrepancy at the candidates of its side, whether its
-    margin from F_eval drops to <= 0 there or only moves off the
-    identity; the least margins still come from the identities."""
+    """A named envelope that its identity no longer describes is a
+    discrepancy that names the instance and the first grid point where
+    the identity fails; the least margins still come from the
+    identities."""
 
     @staticmethod
-    def assert_flagged(monkeypatch, check, attr, coeffs, points, limit=2000):
+    def assert_flagged(monkeypatch, check, attr, coeffs, limit=2000):
         unpatched = check(limit)
         monkeypatch.setattr(analytic, attr, coeffs)
         rep = check(limit)
+        name = attr.lower().replace("_", "-")
         assert rep.status == verifier.DISCREPANCY
-        assert rep.counterexamples == sorted(points(limit))
-        what = "x" if check is analytic.check_bounds_x else "the y surrogate"
+        assert rep.counterexamples == [name]
         assert rep.details.startswith(
-            f"envelope margins off their identities around {what} "
-            f"at {len(rep.counterexamples)} candidates;"
+            f"{name} off its identity at (n, m, r, s, L) = (3, 1, 1, 1, 1); smallest lower margin "
         )
         assert rep.data == unpatched.data
-        return rep
 
     def test_x_upper_below_the_data(self, monkeypatch):
         # F(x-upper) 5 lower: below x wherever the margin was under 5
         self.assert_flagged(
-            monkeypatch,
-            analytic.check_bounds_x,
-            "X_UPPER",
-            analytic.FCoeffs(-4, 1, 1),
-            analytic._x_upper_points,
+            monkeypatch, analytic.check_bounds_x, "X_UPPER", analytic.FCoeffs(-4, 1, 1)
         )
         assert reference_bounds_x(2000).status == verifier.DISCREPANCY
 
     def test_y_upper_below_the_data(self, monkeypatch):
         self.assert_flagged(
-            monkeypatch,
-            analytic.check_bounds_Y,
-            "Y_UPPER",
-            analytic.FCoeffs(0, 1, 2),
-            analytic._y_upper_points,
+            monkeypatch, analytic.check_bounds_Y, "Y_UPPER", analytic.FCoeffs(0, 1, 2)
         )
         assert reference_bounds_Y(2000).status == verifier.DISCREPANCY
 
     @pytest.mark.parametrize(
-        "check, attr, coeffs, points",
+        "check, attr",
         [
-            (analytic.check_bounds_x, "X_UPPER", (2, 1, 1), analytic._x_upper_points),
-            (analytic.check_bounds_Y, "Y_UPPER", (6, 1, 2), analytic._y_upper_points),
+            (analytic.check_bounds_x, "X_LOWER"),
+            (analytic.check_bounds_x, "X_UPPER"),
+            (analytic.check_bounds_Y, "Y_LOWER"),
+            (analytic.check_bounds_Y, "Y_UPPER"),
         ],
-        ids=["x-upper", "y-upper"],
+        ids=["x-lower", "x-upper", "y-lower", "y-upper"],
     )
-    def test_raised_envelope_is_off_its_identity(self, monkeypatch, check, attr, coeffs, points):
-        # a raised by 1: every margin from F_eval stays > 0, and a per-n
-        # walk would pass it, but each is 1 off the identity
-        rep = self.assert_flagged(
-            monkeypatch, check, attr, analytic.FCoeffs(*coeffs), points, limit=10**5
+    def test_raised_envelope_is_off_its_identity(self, monkeypatch, check, attr):
+        # a, b and c raised by 1 in turn; a raised by 1 keeps every margin
+        # of an upper envelope > 0, so a per-n walk would pass it
+        for i in range(3):
+            coeffs = list(getattr(analytic, attr))
+            coeffs[i] += 1
+            with monkeypatch.context() as patch:
+                self.assert_flagged(patch, check, attr, analytic.FCoeffs(*coeffs), limit=10**5)
+
+    def test_both_sides_off(self, monkeypatch):
+        monkeypatch.setattr(analytic, "X_LOWER", analytic.FCoeffs(0, 2, 0))
+        monkeypatch.setattr(analytic, "X_UPPER", analytic.FCoeffs(1, 1, 2))
+        rep = analytic.check_bounds_x(100)
+        assert rep.counterexamples == ["x-lower", "x-upper"]
+        assert rep.details.startswith(
+            "x-lower off its identity at (n, m, r, s, L) = (3, 1, 1, 1, 1); "
+            "x-upper off its identity at (n, m, r, s, L) = (3, 1, 1, 1, 1); "
         )
-        assert rep.data["min_upper_margin"] > 0
 
 
 class TestRootRegistry:
