@@ -16,11 +16,13 @@ The certificate's text and an exact check, _off_identity on a grid of 96
 points, are both built from that data.  What the checks compute is the
 least margin on each side over [1, min(limit, MARGINS_TOP)], the range
 the report lists: the minimum of identity_margin, right to about 14
-digits, over at most about 210 candidate n that a monotonicity argument
-picks (_x_lower_points, _x_upper_points, _y_lower_points,
-_y_upper_points) however many chain links there are.  The y-lower margin
-is 2/3 exactly where 2n is a square and rho = 2; its least n, 2, is the
-one reported.
+digits, over at most about 110 candidate n however many chain links
+there are.  One walk, _walk, picks them: it takes blocks of n in an
+order where a lower bound of the margin does not fall, and stops where
+that bound passes the least margin so far; _x_lower_points,
+_x_upper_points and _y_upper_points each give it their blocks.  The
+y-lower margin is 2/3 exactly where 2n is a square and rho = 2; its
+least n, 2, is the one reported (_y_lower_points).
 
 check_sign_consistency reads Y at every n to verifier.band_top, 2112
 once y's band holds, past which Y >= 23.  The exact sign of y comes from
@@ -38,7 +40,7 @@ verifier.compare_printed.
 
 import math
 from collections import Counter, namedtuple
-from itertools import product
+from itertools import chain, product
 
 from . import sequences
 from .verifier import (
@@ -335,10 +337,10 @@ def _off_identity(terms, coeffs, sign, value):
     return None
 
 
-# The relative error of identity_margin.  A candidate window takes every
-# n whose bound is at most the least margin so far times
-# 1 + 4 IDENTITY_ERROR, which covers that error and the 8 units of
-# roundoff of the bound, so no n it leaves out can reach the least margin.
+# The relative error of identity_margin.  _walk takes every block whose
+# bound is at most the least margin so far times 1 + 4 IDENTITY_ERROR,
+# which covers that error and the 8 units of roundoff of the bound, so no
+# n it leaves out can reach the least margin.
 IDENTITY_ERROR = 2**-48
 
 
@@ -369,31 +371,30 @@ def _log2_ratio(p, q):
     return math.log1p((p - q) / q) / LOG2
 
 
-def _add(points, name, ns):
-    """Put identity_margin(name, n) in points for each n of ns not in it."""
-    for n in ns:
-        if n not in points:
-            points[n] = identity_margin(name, n)
-
-
-def _first(lo, hi, holds):
-    """The least n in [lo, hi] where holds(n), or hi + 1 if none; holds
-    is false and then true on [lo, hi]."""
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    return lo
+def _walk(points, name, blocks):
+    """Put identity_margin(name, n) in points for the n of each block
+    (ns, bound) in turn, up to the first block whose bound exceeds the
+    least margin in points times 1 + 4 IDENTITY_ERROR, and return points.
+    bound is a lower bound of the margin on its block that does not fall
+    from one block to the next, so no block from there on holds a smaller
+    margin.  With points empty the first block is always taken."""
+    least = min(points.values(), default=math.inf)
+    for ns, bound in blocks:
+        if bound > least * (1 + 4 * IDENTITY_ERROR):
+            break
+        for n in ns:
+            if n not in points:
+                points[n] = identity_margin(name, n)
+        least = min(points.values())
+    return points
 
 
 def _r_blocks(limit):
-    """(lo, hi, r) of each r-block (2**(r - 1), 2**r] that meets
-    [1, limit], clipped to it; r = 0 gives [1, 1]."""
-    return [
-        ((1 << rr >> 1) + 1, min(1 << rr, limit), rr) for rr in range((limit - 1).bit_length() + 1)
-    ]
+    """(lo, hi, r) of each r-block sequences.r_block(r) that meets
+    [1, limit], clipped to it, from the top block down."""
+    for rr in range(sequences.r(limit), -1, -1):
+        lo, hi = sequences.r_block(rr)
+        yield lo, min(hi, limit), rr
 
 
 def _x_lower_points(limit):
@@ -405,23 +406,18 @@ def _x_lower_points(limit):
     (r + 1)/s + (L - r + 1)/s + s/(n ln 2) > 0.  So a link's least margin
     is at one of its first three n.  The margin is at least
     s(L - r + 1), as rho/3 and (r + 1)(s - m) are >= 0, and that bound
-    rises on each r-block.  So with the first three n of every r-block as
-    seeds, only a prefix of each r-block, where the bound is at most the
-    least margin so far, can hold a smaller margin, and the candidates
-    there are the first three n of each link that starts in it."""
+    rises on each r-block.  So each r-block, from the top block down,
+    walks its links upward: a link's first three n, with the bound at its
+    first n."""
     points = {}
-    blocks = _r_blocks(limit)
-    for lo, hi, _ in blocks:
-        _add(points, "x-lower", range(lo, min(lo + 2, hi) + 1))
-    for lo, hi, rr in blocks:
-        cut, top = min(points.values()) * (1 + 4 * IDENTITY_ERROR), 1 << rr
-        # the last n where s(L - r + 1) <= cut, as L - r + 1 = log2(2n/2**r)
-        end = _first(lo, hi, lambda n: math.sqrt(2 * n) * _log2_ratio(2 * n, top) > cut) - 1
-        if end < lo:
-            continue
-        for mm in range(sequences.m(lo) + 1, sequences.m(end) + 1):
-            a = sequences.m_block(mm)[0]
-            _add(points, "x-lower", range(a, min(a + 2, hi) + 1))
+    for lo, hi, rr in _r_blocks(limit):
+        above = range(sequences.m(lo) + 1, sequences.m(hi) + 1)
+        starts = chain([lo], (sequences.m_block(mm)[0] for mm in above))
+        links = (
+            (range(a, min(a + 2, hi) + 1), math.sqrt(2 * a) * _log2_ratio(2 * a, 1 << rr))
+            for a in starts
+        )
+        _walk(points, "x-lower", links)
     return points
 
 
@@ -435,26 +431,18 @@ def _x_upper_points(limit):
     more than 1/3 + (s - 1)(r - L), as 1 - rho/3 >= 1/3, (1 + L)(1 - (s -
     m)) > 0, m > s - 1 and r - L >= 0, and that bound falls on each r-block from
     n = 2 on: its derivative (r - L)/s - (s - 1)/(n ln 2) is < 0, as
-    (r - L) ln 2 < 1 <= 2 - sqrt(2/n) = s(s - 1)/n.  So with the last
-    three n of every r-block (those up to each power of two <= limit, and
-    up to limit) as seeds, only a top window of each r-block, where the
-    bound is below the least margin so far, can hold a smaller margin,
-    and the candidates there are the last three n of each link that ends
-    in it."""
+    (r - L) ln 2 < 1 <= 2 - sqrt(2/n) = s(s - 1)/n.  So each r-block, from
+    the top block down, walks its links downward from its top: a link's
+    last three n, with the bound at its last n."""
     points = {}
-    blocks = _r_blocks(limit)
-    for lo, hi, _ in blocks:
-        _add(points, "x-upper", range(max(hi - 2, 1), hi + 1))
-    for lo, hi, rr in blocks:
-        cut, top = min(points.values()) * (1 + 4 * IDENTITY_ERROR), 1 << rr
-        # the first n where 1/3 + (s - 1)(r - L) <= cut, as r - L = -log2(n/2**r)
-        excess = cut - 1 / 3
-        start = _first(lo, hi, lambda n: (1 - math.sqrt(2 * n)) * _log2_ratio(n, top) <= excess)
-        if start > hi:
-            continue
-        ends = [sequences.m_block(mm)[1] for mm in range(sequences.m(start), sequences.m(hi))]
-        for end in ends + [hi]:
-            _add(points, "x-upper", range(max(end - 2, 1), end + 1))
+    for lo, hi, rr in _r_blocks(limit):
+        below = range(sequences.m(hi) - 1, sequences.m(lo) - 1, -1)
+        ends = chain([hi], (sequences.m_block(mm)[1] for mm in below))
+        links = (
+            (range(max(b - 2, 1), b + 1), 1 / 3 + (1 - math.sqrt(2 * b)) * _log2_ratio(b, 1 << rr))
+            for b in ends
+        )
+        _walk(points, "x-upper", links)
     return points
 
 
@@ -478,32 +466,20 @@ def _y_upper_points(limit):
     The margin 2 rho/3 + (1 + L)(1 - (s - m)) does not read r, and on
     each m-block and residue class mod 3 it falls from n = 2 on: its
     derivative is (1 - (s - m))/(n ln 2) - (1 + L)/s < 0.  So an m-block's
-    least margin is at one of its last three n, or of those up to limit
-    in the block that holds limit.  Every m-block with m < 64 gives its
-    last three.  Past them rho >= 1 gives a margin above 2/3, more than
-    the 0.375 at n = 2046, the n with rho = 0 that ends the block m = 63.
-    In a whole block [a, b] the n with rho = 0 among the last three has
-    2n = (m + 1)**2 - d, with d in 1..6 fixed by m mod 6 (1, 4, 3, 4, 1,
-    6 for m = 0, ..., 5), and its margin is, with k = m + 1 and
-    s = sqrt(k**2 - d),
+    least margin is at one of its last three n up to limit.  On the
+    block, 2n >= m**2 gives 1 + L >= 2 log2(m), and (m + 1)**2 - 2n >= 1
+    with s < m + 1 gives 1 - (s - m) > 1/(2(m + 1)), so the margin is
+    more than log2(m)/(m + 1).  That bound falls as m grows from 4 on, as
+    its derivative has the sign of 1 + 1/m - ln(m).  So n <= 7, the
+    blocks m <= 3, are always candidates, and then the m-blocks walk down
+    from m(limit) to 4."""
 
-        (1 + L)(k - s) = 2 log2(s) d / (k + s),
-
-    which falls as k grows with d fixed: with dk/ds = s/k its derivative
-    in s has the sign of k - s ln(s), and s ln(s) > 1.3 s > k once s >= 4.
-    So of the whole blocks with m >= 64 the last of each class mod 6 is
-    enough, with the last three n up to limit."""
-    points = {}
-    m_limit = sequences.m(limit)
-    for mm in range(1, min(64, m_limit + 1)):
+    def block(mm):
         end = min(sequences.m_block(mm)[1], limit)
-        _add(points, "y-upper", range(max(end - 2, 1), end + 1))
-    whole = m_limit if sequences.m_block(m_limit)[1] == limit else m_limit - 1
-    for mm in range(max(64, whole - 6 + 1), whole + 1):
-        end = sequences.m_block(mm)[1]
-        _add(points, "y-upper", range(end - 2, end + 1))
-    _add(points, "y-upper", range(max(limit - 2, 1), limit + 1))
-    return points
+        return range(end - 2, end + 1), math.log2(mm) / (mm + 1)
+
+    blocks = map(block, range(sequences.m(limit), 3, -1))
+    return _walk({}, "y-upper", chain([(range(1, min(limit, 7) + 1), 0)], blocks))
 
 
 # The envelope reports list their least margins on [1, min(limit,

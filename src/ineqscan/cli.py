@@ -120,13 +120,12 @@ def _row_parts(columns, fmt):
     """(seps, end) of a row: the text before each column's cell, and
     after the last.  csv's, which text splits into cells, or json's,
     which give the bytes of json.dumps(list_of_dicts, indent=2), a row at
-    a time, since JSON writes an int as str() does.  Every json row opens
-    with ",", which the first row's "[" replaces."""
+    a time, since JSON writes an int as str() does, and a column name, an
+    ASCII identifier, as '"%s"' does.  Every json row opens with ",", which
+    the first row's "[" replaces."""
     if fmt != "json":
         return [""] + [","] * (len(columns) - 1), "\n"
-    import json  # only json output pays its import
-
-    names = [json.dumps(col) + ": " for col in columns]
+    names = ['"%s": ' % col for col in columns]
     return [",\n  {\n    " + names[0]] + [",\n    " + nm for nm in names[1:]], "\n  }"
 
 

@@ -39,15 +39,8 @@ def d_bounds(n: int) -> tuple[int, int]:
 
 
 def e_bounds(n: int) -> tuple[int, int]:
-    """Smallest and largest n' with r(n') == r(n).
-
-    r is 0 exactly at n = 1, giving the degenerate block (1, 1); for
-    r >= 1 the block is (2**(r-1) + 1, 2**r).
-    """
-    s = sequences.r(n)
-    if s == 0:
-        return 1, 1
-    return (1 << (s - 1)) + 1, 1 << s
+    """Smallest and largest n' with r(n') == r(n): sequences.r_block."""
+    return sequences.r_block(sequences.r(n))
 
 
 def f_bounds(n: int) -> tuple[int, int]:

@@ -21,15 +21,16 @@ require_positive, itself or in its first call, before any work.
 y_sign(n) is the one exact comparison of y's two terms at a single n.
 Ranges go through the interval chain instead: chain_links(lo, hi) yields
 the maximal links on which m and r are both constant, one math.isqrt and
-one bit_length per link, and m_block(m) the first and last n with
-m(n) = m.  A range check cuts a link where z or c passes v, at z_last(v)
-or c_last(v), the last n with z(n) <= v or c(n) <= v.  positive_link
-certifies y > 0 on a whole link from one bit-length comparison, and
-verifier.partition_y, the source of y's sign for every range check,
-calls y_sign for each n of the links it leaves open, all of them below
-n = 421.  bound_signs gives the exact signs of y's two endpoint bounds
-on a constant-m block, all that verifier.check_range_bounds needs on
-the 64 blocks to n = 2112; no other module compares the two terms of y.
+one bit_length per link, and m_block(m) and r_block(r) the first and
+last n with m(n) = m and with r(n) = r.  A range check cuts a link where
+z or c passes v, at z_last(v) or c_last(v), the last n with z(n) <= v
+or c(n) <= v.  positive_link certifies y > 0 on a whole link from one
+bit-length comparison, and verifier.partition_y, the source of y's sign
+for every range check, calls y_sign for each n of the links it leaves
+open, all of them below n = 421.  bound_signs gives the exact signs of
+y's two endpoint bounds on a constant-m block, all that
+verifier.check_range_bounds needs on the 64 blocks to n = 2112; no
+other module compares the two terms of y.
 
 scan_pieces, the stepper, serves seq.  It yields one piece per chain
 link, clipped to the range: (ns, m, r, signs), where ns is the link's
@@ -102,6 +103,12 @@ def c_last(v: int) -> int:
 def m_block(mm: int) -> tuple[int, int]:
     """The first and last n with m(n) = mm, for mm >= 1."""
     return (mm * mm + 1) // 2, mm * mm // 2 + mm
+
+
+def r_block(rr: int) -> tuple[int, int]:
+    """The first and last n with r(n) = rr, for rr >= 0: (1, 1) for
+    rr = 0."""
+    return (1 << rr >> 1) + 1, 1 << rr
 
 
 def x(n: int) -> int:

@@ -592,25 +592,39 @@ MUTANTS = [
         f"{T_ANA}::TestEnvelopeIdentities::test_identity_margin_in_floats",
     ),
     (
-        "_y_upper_points: the whole blocks of each class taken mod 3",
+        "_walk: stops after the first block",
         ANA,
-        "range(max(64, whole - 6 + 1), whole + 1)",
-        "range(max(64, whole - 3 + 1), whole + 1)",
+        "        least = min(points.values())\n    return points",
+        "        least = min(points.values())\n        break\n    return points",
+        f"{T_ANA}::TestCandidateRoute::test_x_upper_walk_holds_five",
+    ),
+    (
+        "_walk: never stops",
+        ANA,
+        "        if bound > least * (1 + 4 * IDENTITY_ERROR):",
+        "        if False:",
+        f"{T_ANA}::TestCandidateRoute::test_candidates_stay_flat",
+    ),
+    (
+        "_y_upper_points: the n <= 7 not taken",
+        ANA,
+        "chain([(range(1, min(limit, 7) + 1), 0)], blocks)",
+        "blocks",
+        f"{T_ANA}::TestCandidateRoute::test_every_limit_to_600",
+    ),
+    (
+        "_x_upper_points: the walk starts below hi",
+        ANA,
+        "ends = chain([hi],",
+        "ends = chain([hi - 1],",
         f"{T_ANA}::TestCandidateRoute::test_against_the_link_walk",
     ),
     (
-        "_x_lower_points: an r-block window one link short",
+        "_x_lower_points: a link's candidates cut to its first n",
         ANA,
-        "for mm in range(sequences.m(lo) + 1, sequences.m(end) + 1):",
-        "for mm in range(sequences.m(lo) + 1, sequences.m(end)):",
+        "(range(a, min(a + 2, hi) + 1),",
+        "(range(a, a + 1),",
         f"{T_ANA}::TestCandidateRoute::test_x_lower_window_holds_twenty",
-    ),
-    (
-        "_x_upper_points: an r-block window one link short",
-        ANA,
-        "for mm in range(sequences.m(start), sequences.m(hi))]",
-        "for mm in range(sequences.m(start) + 1, sequences.m(hi))]",
-        f"{T_ANA}::TestCandidateRoute::test_against_the_link_walk",
     ),
     (
         "_y_lower_points: the tie at the largest n",

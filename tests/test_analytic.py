@@ -666,18 +666,21 @@ class TestRewrittenChecksAgainstPerN:
 
 
 def walk_limits():
-    """1 to 299, 2**k - 1 ... 2**k + 1 for k <= 23, 10**4 ... 10**7 and 40
-    seeded draws below 10**7."""
+    """1 to 299, 2**k - 1 ... 2**k + 1 for k <= 23, the last n of the
+    m-blocks 4 to 63 and of every 313th from 4471 down and the n after
+    each, 10**4 ... 10**7 and 40 seeded draws below 10**7."""
     draw = random.Random(38)
     limits = {*range(1, 300), *(10**e for e in range(4, 8))}
     limits.update(2**k + d for k in range(2, 24) for d in (-1, 0, 1))
+    ms = [*range(4, 64), *range(4471, 63, -313)]
+    limits.update(sequences.m_block(mm)[1] + d for mm in ms for d in (0, 1))
     limits.update(draw.randrange(300, 10**7) for _ in range(40))
     return sorted(limits)
 
 
 class TestCandidateRoute:
     """The two envelope checks take their least margins from the
-    identities at a few candidate n (at most 300 per report to 10**9),
+    identities at a few candidate n (at most 120 for x and 40 for Y),
     and check_sign_consistency reads Y at every n to 2112; the per-n
     references and the link walk of tests/reference.py are the oracles.
     The link walk, with F_eval patched, is checked against the per-n
@@ -698,13 +701,21 @@ class TestCandidateRoute:
                 assert_same_minima(check(limit), walk(limit), limit)
 
     def test_x_lower_window_holds_twenty(self):
-        # the least x-lower margin sits at a seed on every walked limit, so
-        # the window is tested by what it adds: n = 20 is a candidate only
-        # through the link m = 6 that starts at 18, inside the r-block
-        # (16, 32], whose seeds are 17 to 19
+        # the least x-lower margin sits among the first three n of an
+        # r-block on every walked limit, so the walk is tested by what it
+        # adds: n = 20 is a candidate only through the link m = 6 that
+        # starts at 18, the second link of the r-block (16, 32], whose
+        # first gives 17 to 19
         assert sequences.m_block(6)[0] == 18 and sequences.r(18) == 5
         for limit in range(20, 40):
             assert 20 in analytic._x_lower_points(limit), limit
+
+    def test_x_upper_walk_holds_five(self):
+        # n = 5 is a candidate only through the link [5, 7] of m = 3, which
+        # the walk of the r-block (4, 8] takes after its top link [8, 8]
+        assert sequences.m_block(3) == (5, 7) and sequences.r_block(3) == (5, 8)
+        for limit in range(8, 40):
+            assert 5 in analytic._x_upper_points(limit), limit
 
     def test_minima_at_ten_to_the_seventh_to_80_digits(self):
         # the y-upper margin from F_eval cancels terms near 10**6 and is
@@ -725,8 +736,9 @@ class TestCandidateRoute:
 
     @staticmethod
     def assert_settled_from_candidates(monkeypatch, limit):
-        # each candidate takes one identity_margin, at most 300 of them per
-        # report, no F_eval is taken, and no sign of y is decided here
+        # each candidate takes one identity_margin, at most 120 of them for
+        # the x report and 40 for the Y report, no F_eval is taken, and no
+        # sign of y is decided here
         part = verifier.partition_y(limit)
         calls = {"F_eval": 0, "identity_margin": 0}
         decided = []
@@ -752,11 +764,11 @@ class TestCandidateRoute:
             analytic, "identity_margin", counting("identity_margin", identity_margin)
         )
         monkeypatch.setattr(sequences, "y_sign", recording_y_sign)
-        for check in (analytic.check_bounds_x, analytic.check_bounds_Y):
+        for check, cap in ((analytic.check_bounds_x, 120), (analytic.check_bounds_Y, 40)):
             calls.update(F_eval=0, identity_margin=0)
             rep = check(limit)
             assert rep.status == verifier.CONFIRMED
-            assert calls["F_eval"] == 0 < calls["identity_margin"] <= 300, check.__name__
+            assert calls["F_eval"] == 0 < calls["identity_margin"] <= cap, check.__name__
         assert analytic.check_sign_consistency(part).status == verifier.CONFIRMED
         assert decided == []
 
@@ -914,30 +926,16 @@ class TestCandidateRules:
             assert analytic.identity_margin("x-lower", n) >= s * (lg - rr + 1) - 1e-12, n
             assert analytic.identity_margin("x-upper", n) > 1 / 3 + (s - 1) * (rr - lg), n
 
-    def test_y_upper_classes_mod_six(self):
-        # the n with rho = 0 among an m-block's last three has
-        # (m + 1)**2 - 2n = d, d fixed by m mod 6
-        for mm in range(2, 3000):
-            end = sequences.m_block(mm)[1]
-            (n,) = [n for n in range(end - 2, end + 1) if n % 3 == 0]
-            assert (mm + 1) ** 2 - 2 * n == (1, 4, 3, 4, 1, 6)[mm % 6], mm
+    def test_y_upper_above_its_block_bound(self):
+        # the margin exceeds log2(m)/(m + 1) on each m-block
+        for n in range(2, 2 * 10**5 + 1):
+            mm = sequences.m(n)
+            assert analytic.identity_margin("y-upper", n) > math.log2(mm) / (mm + 1), n
 
-    def test_y_upper_falls_within_a_class(self):
-        # the margin at those n falls with m on each class, from m = 4 on
-        for first in range(4, 10):
-            ends = [sequences.m_block(mm)[1] for mm in range(first, 3000, 6)]
-            margins = [
-                min(analytic.identity_margin("y-upper", n) for n in range(e - 2, e + 1))
-                for e in ends
-            ]
-            assert all(u > v for u, v in pairwise(margins)), first
-
-    def test_y_upper_below_two_thirds_at_block_63(self):
-        # past m = 63 an n with rho != 0 has a margin above 2/3, more than
-        # the least margin once the block m = 63 is in range
-        assert sequences.m_block(63)[1] == 2047 and 2046 % 3 == 0
-        assert analytic.identity_margin("y-upper", 2046) == pytest.approx(0.375, abs=1e-3)
-        assert analytic.check_bounds_Y(2047).data["min_upper_margin"] < 2 / 3
+    def test_y_upper_block_bound_falls_from_four(self):
+        bounds = [math.log2(mm) / (mm + 1) for mm in range(3, 10**6 + 1)]
+        assert bounds[0] < bounds[1]
+        assert all(u > v for u, v in pairwise(bounds[1:]))
 
 
 class TestSignWalk:

@@ -941,9 +941,10 @@ assert "decimal" in sys.modules
 
 
 def test_json_loads_only_for_json_output():
-    # json output alone imports json, which costs a fresh interpreter
-    # about 3 ms; seq and intervals in csv or text, and verify and roots
-    # in text or csv, keep it out.  -S keeps site .pth hooks out.
+    # the json of verify and roots alone imports json, which costs a fresh
+    # interpreter about 3 ms; seq and intervals write their json rows
+    # without it, and verify and roots in text or csv keep it out too.  -S
+    # keeps site .pth hooks out.
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = f"""
 import io, sys
@@ -952,8 +953,11 @@ from ineqscan import cli
 sys.stdout = io.StringIO()
 for argv in (
     "seq --to 5 --format csv",
+    "seq --to 5 --format json",
+    "seq --from 20 --to 30 --exact-y --format json",
     "seq --from 1000 --to 3000 --format text",
     "intervals --limit 600 --format csv",
+    "intervals --limit 600 --format json",
     "intervals --limit 600",
     "verify --suite all --limit 5000",
     "verify --suite lemmas --format csv",
@@ -961,7 +965,7 @@ for argv in (
 ):
     assert cli.main(argv.split()) == 0, argv
 assert "json" not in sys.modules
-assert cli.main("seq --to 5 --format json".split()) == 0
+assert cli.main("verify --suite lemmas --limit 5000 --format json".split()) == 0
 assert "json" in sys.modules
 """
     proc = subprocess.run(

@@ -98,6 +98,7 @@ class TestBounds:
             assert lo <= n <= hi
             assert sequences.r(lo) == sequences.r(n) == sequences.r(hi)
             assert sequences.r(hi + 1) == sequences.r(hi) + 1
+            assert (lo, hi) == sequences.r_block(sequences.r(n))
 
     def test_f_bounds_is_intersection(self):
         for n in range(1, 3000):

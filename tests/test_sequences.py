@@ -143,8 +143,9 @@ class TestDefiningProperties:
 
 
 class TestCuts:
-    """z_last, c_last and m_block against the per-n rows of the reference:
-    each names where a non-decreasing column of the rows crosses a value."""
+    """z_last, c_last and m_block against the per-n rows of the reference,
+    and r_block against r: each names where a non-decreasing column of the
+    rows crosses a value."""
 
     TOP = 600
 
@@ -163,6 +164,19 @@ class TestCuts:
         for mm in range(1, table[-1][2]):
             a, b = sequences.m_block(mm)
             assert [row[0] for row in table if row[2] == mm] == list(range(a, b + 1)), mm
+
+    def test_r_block_examples(self):
+        assert [sequences.r_block(rr) for rr in range(4)] == [(1, 1), (2, 2), (3, 4), (5, 8)]
+        assert sequences.r_block(5) == (17, 32) and sequences.r_block(7) == (65, 128)
+
+    def test_r_block_is_the_run_of_each_r(self):
+        # the blocks tile [1, 2**20] in order, and r is rr exactly on each
+        nxt = 1
+        for rr in range(21):
+            a, b = sequences.r_block(rr)
+            assert a == nxt, rr
+            assert {sequences.r(n) for n in range(a, b + 1)} == {rr}, rr
+            nxt = b + 1
 
 
 @given(st.integers(min_value=-5, max_value=10**15))
