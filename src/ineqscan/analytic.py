@@ -84,27 +84,19 @@ NAMED_INSTANCES = {
     "y-upper": Y_UPPER,
 }
 
-# The root scan walks the integer grid from each instance's start point
-# to ROOT_SCAN_HI.  Three of the envelopes dip through zero once more near
-# the origin; starting past that dip leaves exactly one sign change in the
-# scanned window.
-ROOT_SCAN_START = {
-    "x-lower": 1,
-    "x-upper": 4,
-    "y-lower": 4,
-    "y-upper": 9,
+# Each instance's root scan: the integer grid point it starts from, which it
+# walks to ROOT_SCAN_HI, and the unit bracket around its main root as
+# printed.  Three of the envelopes dip through zero once more near the
+# origin; starting past that dip leaves exactly one sign change in the
+# scanned window.  The y-lower bracket is a documented misprint of
+# (379, 380); see verifier.KNOWN_ERRATA.
+ROOTS = {
+    "x-lower": (1, (560, 561)),
+    "x-upper": (4, (384, 385)),
+    "y-lower": (4, (379, 389)),
+    "y-upper": (9, (324, 325)),
 }
 ROOT_SCAN_HI = 10000
-
-# Unit-width integer brackets around the main root of each instance, as
-# printed.  The y-lower bracket is a documented misprint of (379, 380);
-# see verifier.KNOWN_ERRATA.
-ROOT_BRACKETS = {
-    "x-lower": (560, 561),
-    "x-upper": (384, 385),
-    "y-lower": (379, 389),
-    "y-upper": (324, 325),
-}
 
 
 def F_eval(coeffs: FCoeffs, t: float) -> float:
@@ -188,18 +180,9 @@ def positive_beyond(coeffs: FCoeffs, t: int) -> bool:
     return value > 0 and slope > 0
 
 
-class RootBracket(namedtuple("RootBracket", "lo hi")):
-    """A bisection outcome: the root lies strictly inside (lo, hi)."""
-
-    __slots__ = ()
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-
-def isolate_root(coeffs: FCoeffs, lo: float, hi: float) -> RootBracket:
-    """Shrink a sign-changing bracket to width <= ROOT_TOL by bisection.
+def isolate_root(coeffs: FCoeffs, lo: float, hi: float) -> tuple[float, float]:
+    """Shrink a sign-changing bracket to width <= ROOT_TOL by bisection;
+    the root lies strictly inside the (lo, hi) returned.
 
     The endpoints must evaluate to nonzero values of opposite sign.
     Stops early if float resolution is exhausted before ROOT_TOL is
@@ -220,7 +203,7 @@ def isolate_root(coeffs: FCoeffs, lo: float, hi: float) -> RootBracket:
             lo = mid
         else:
             hi = mid
-    return RootBracket(lo, hi)
+    return lo, hi
 
 
 def d_real(n: int) -> float:
@@ -662,10 +645,10 @@ def check_approximations() -> VerificationReport:
 def check_roots() -> list[VerificationReport]:
     """Isolate the main root of each envelope instance.
 
-    For each instance: find the sign changes of F on the integer grid
-    [ROOT_SCAN_START, ROOT_SCAN_HI] and require exactly one, compare the
-    unit bracket with the printed one, then bisect down to ROOT_TOL.  The
-    printed y-lower bracket is a documented misprint.
+    For each instance of ROOTS: find the sign changes of F on the integer
+    grid from its start in ROOTS to ROOT_SCAN_HI and require exactly one,
+    compare the unit bracket with the printed one, then bisect down to
+    ROOT_TOL.  The printed y-lower bracket is a documented misprint.
 
     The grid is walked in floats from the start, and the walk stops at the
     first t where F turns positive and positive_beyond(coeffs, t) proves,
@@ -676,8 +659,8 @@ def check_roots() -> list[VerificationReport]:
     their roots.
     """
     reports = []
-    for name, coeffs in NAMED_INSTANCES.items():
-        start = ROOT_SCAN_START[name]
+    for name, (start, printed) in ROOTS.items():
+        coeffs = NAMED_INSTANCES[name]
         flips = []
         prev = F_eval(coeffs, start)
         for t in range(start + 1, ROOT_SCAN_HI + 1):
@@ -694,21 +677,13 @@ def check_roots() -> list[VerificationReport]:
         else:
             bracket = (flips[0] - 1, flips[0])
             _, errata, counterexamples = compare_printed(
-                "root-bracket", [("bracket", name, bracket, ROOT_BRACKETS[name])]
+                "root-bracket", [("bracket", name, bracket, printed)]
             )
-            refined = isolate_root(coeffs, float(bracket[0]), float(bracket[1]))
-            data.update(
-                {
-                    "bracket": list(bracket),
-                    "root_lo": refined.lo,
-                    "root_hi": refined.hi,
-                    "width": refined.width,
-                }
-            )
+            lo, hi = isolate_root(coeffs, float(bracket[0]), float(bracket[1]))
+            data.update(bracket=list(bracket), root_lo=lo, root_hi=hi, width=hi - lo)
             details = (
                 f"one sign change on [{start}, {ROOT_SCAN_HI}]; root inside "
-                f"({bracket[0]}, {bracket[1]}), bisected to "
-                f"[{refined.lo:.12f}, {refined.hi:.12f}]"
+                f"({bracket[0]}, {bracket[1]}), bisected to [{lo:.12f}, {hi:.12f}]"
             )
         reports.append(
             make_report(

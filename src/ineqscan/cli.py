@@ -42,33 +42,25 @@ import itertools
 import os
 import sys
 import types
-from collections import namedtuple
 
 from . import sequences
-
-
-class Suite(namedtuple("Suite", "module run")):
-    """The module of a suite's checks, and run(module, limit, y_runs) ->
-    reports, where y_runs(limit) is y's sign partition on [1, limit]."""
-
-    __slots__ = ()
 
 
 # The --limit of every suite when none is given.  From BAND_BASE on the
 # theorem reports carry the band certificate that extends them to every n.
 DEFAULT_LIMIT = 10**5
 
-# In report order.  A suite's module is imported when the suite runs, and
-# its checks are looked up through it at call time, so a wrapper set
-# there (a tracer or a test double) sees the call.
+# In report order, each suite a pair (module, run) with run(module, limit,
+# y_runs) -> reports, where y_runs(limit) is y's sign partition on [1,
+# limit].  A suite's module is imported when the suite runs, and its
+# checks are looked up through it at call time, so a wrapper set there (a
+# tracer or a test double) sees the call.
 SUITES = {
-    "table": Suite("verifier", lambda ver, *_: [ver.check_reference_table()]),
-    "intervals": Suite("verifier", lambda ver, *_: [ver.check_interval_table()]),
-    "theorem1": Suite("verifier", lambda ver, limit, _: [ver.check_theorem1(limit)]),
-    "theorem2": Suite(
-        "verifier", lambda ver, limit, y_runs: [ver.check_theorem2(y_runs(limit))]
-    ),
-    "lemmas": Suite(
+    "table": ("verifier", lambda ver, *_: [ver.check_reference_table()]),
+    "intervals": ("verifier", lambda ver, *_: [ver.check_interval_table()]),
+    "theorem1": ("verifier", lambda ver, limit, _: [ver.check_theorem1(limit)]),
+    "theorem2": ("verifier", lambda ver, limit, y_runs: [ver.check_theorem2(y_runs(limit))]),
+    "lemmas": (
         "verifier",
         lambda ver, limit, y_runs: [
             ver.check_gap(limit),
@@ -78,7 +70,7 @@ SUITES = {
             ver.check_positive_tail(y_runs(limit)),
         ],
     ),
-    "analytic": Suite(
+    "analytic": (
         "analytic",
         lambda ana, limit, y_runs: [
             ana.check_bounds_x(limit),
@@ -424,8 +416,8 @@ def cmd_verify(args):
     y_runs = functools.cache(lambda limit: verifier.partition_y(limit))
     reports = [
         rep
-        for p in parts
-        for rep in p.run(importlib.import_module(f"{__package__}.{p.module}"), limit, y_runs)
+        for module, run in parts
+        for rep in run(importlib.import_module(f"{__package__}.{module}"), limit, y_runs)
     ]
     return _emit_reports(reports, args)
 

@@ -308,6 +308,28 @@ MUTANTS = [
         f"{T_ANA}::TestRootScan::test_scan_stops_at_the_first_positive_grid_point",
     ),
     (
+        # from t = 1 the scan also crosses y-upper's dip near the origin
+        "ROOTS: y-upper's scan start 9 made 1",
+        ANA,
+        '"y-upper": (9, (324, 325)),',
+        '"y-upper": (1, (324, 325)),',
+        f"{T_ANA}::TestRootIsolation::test_check_roots_reports",
+    ),
+    (
+        "isolate_root: the pair returned as (hi, lo)",
+        ANA,
+        "    return lo, hi\n",
+        "    return hi, lo\n",
+        f"{T_ANA}::TestRootIsolation::test_bisection_shrinks_to_tolerance",
+    ),
+    (
+        "check_roots: width written as lo - hi",
+        ANA,
+        "width=hi - lo)",
+        "width=lo - hi)",
+        f"{T_ANA}::TestRootIsolation::test_check_roots_reports",
+    ),
+    (
         "positive_beyond: bitlen(t**Q) for bitlen(t**Q) - 1",
         ANA,
         "p = (t**q).bit_length() - 1",

@@ -456,8 +456,8 @@ def reference_check_roots():
     tail certificate."""
     reports = []
     hi = analytic.ROOT_SCAN_HI
-    for name, coeffs in analytic.NAMED_INSTANCES.items():
-        start = analytic.ROOT_SCAN_START[name]
+    for name, (start, printed) in analytic.ROOTS.items():
+        coeffs = analytic.NAMED_INSTANCES[name]
         signs = [analytic.F_eval(coeffs, t) < 0 for t in range(start, hi + 1)]
         flips = [start + i for i in range(1, len(signs)) if signs[i] != signs[i - 1]]
         data = {"flips": flips, "scan_start": start, "scan_hi": hi}
@@ -468,13 +468,15 @@ def reference_check_roots():
         else:
             lo_t, hi_t = bracket = (flips[0] - 1, flips[0])
             _, errata, counterexamples = verifier.compare_printed(
-                "root-bracket", [("bracket", name, bracket, analytic.ROOT_BRACKETS[name])]
+                "root-bracket", [("bracket", name, bracket, printed)]
             )
-            root = analytic.isolate_root(coeffs, float(lo_t), float(hi_t))
-            data.update(bracket=[lo_t, hi_t], root_lo=root.lo, root_hi=root.hi, width=root.width)
+            root_lo, root_hi = analytic.isolate_root(coeffs, float(lo_t), float(hi_t))
+            data.update(
+                bracket=[lo_t, hi_t], root_lo=root_lo, root_hi=root_hi, width=root_hi - root_lo
+            )
             details = (
                 f"one sign change on [{start}, {hi}]; root inside ({lo_t}, {hi_t}), "
-                f"bisected to [{root.lo:.12f}, {root.hi:.12f}]"
+                f"bisected to [{root_lo:.12f}, {root_hi:.12f}]"
             )
         reports.append(
             verifier.make_report(

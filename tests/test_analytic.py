@@ -138,23 +138,25 @@ class TestDerivatives:
 class TestRootIsolation:
     def test_bisection_shrinks_to_tolerance(self):
         for name, coeffs in INSTANCES:
-            lo, hi = unit_bracket(name)
-            out = analytic.isolate_root(coeffs, float(lo), float(hi))
-            assert out.width <= 1e-9
-            assert out.lo < GOLDEN_ROOTS[name] < out.hi
-            flo = analytic.F_eval(coeffs, out.lo)
-            fhi = analytic.F_eval(coeffs, out.hi)
+            k, k1 = unit_bracket(name)
+            out = analytic.isolate_root(coeffs, float(k), float(k1))
+            assert type(out) is tuple and all(type(end) is float for end in out)
+            lo, hi = out
+            assert hi - lo <= 1e-9
+            assert lo < GOLDEN_ROOTS[name] < hi
+            flo = analytic.F_eval(coeffs, lo)
+            fhi = analytic.F_eval(coeffs, hi)
             assert flo != 0 and fhi != 0 and (flo < 0) != (fhi < 0)
 
     def test_endpoint_signs_honest(self):
         # bisected from the printed brackets, the y-lower misprint included
         for name, coeffs in INSTANCES:
-            lo, hi = analytic.ROOT_BRACKETS[name]
-            out = analytic.isolate_root(coeffs, float(lo), float(hi))
-            flo = analytic.F_eval(coeffs, out.lo)
-            fhi = analytic.F_eval(coeffs, out.hi)
+            k, k1 = analytic.ROOTS[name][1]
+            lo, hi = analytic.isolate_root(coeffs, float(k), float(k1))
+            flo = analytic.F_eval(coeffs, lo)
+            fhi = analytic.F_eval(coeffs, hi)
             assert flo != 0 and fhi != 0 and (flo < 0) != (fhi < 0)
-            assert out.lo < GOLDEN_ROOTS[name] < out.hi
+            assert lo < GOLDEN_ROOTS[name] < hi
 
     def test_rejects_bad_brackets(self):
         with pytest.raises(ValueError):
@@ -175,6 +177,8 @@ class TestRootIsolation:
             assert rep.counterexamples == []
             assert rep.data["bracket"] == list(unit_bracket(name))
             assert rep.data["width"] <= 1e-9
+            # exact and positive, so a width taken as lo - hi fails too
+            assert rep.data["width"] == rep.data["root_hi"] - rep.data["root_lo"] > 0
             assert abs(rep.data["root_lo"] - GOLDEN_ROOTS[name]) < 1e-8
         assert by_name["y-lower"].status == verifier.KNOWN_ERRATUM
         assert by_name["y-lower"].errata[0].printed == (379, 389)
@@ -184,7 +188,7 @@ class TestRootIsolation:
     def test_scan_through_the_dip_is_a_discrepancy(self, monkeypatch):
         # from t = 1 the y-upper grid also crosses the dip near the
         # origin, so the scan sees two sign changes and brackets nothing
-        monkeypatch.setitem(analytic.ROOT_SCAN_START, "y-upper", 1)
+        monkeypatch.setitem(analytic.ROOTS, "y-upper", (1, analytic.ROOTS["y-upper"][1]))
         (rep,) = [r for r in analytic.check_roots() if r.claim_id == "roots/y-upper"]
         assert rep.status == verifier.DISCREPANCY
         assert rep.counterexamples == ["2 sign changes at [9, 325]"]
@@ -572,8 +576,8 @@ class TestClosedFormAnchors:
             (analytic.Y_LOWER, 4.0, 379.0),
             (analytic.Y_UPPER, 9.0, 324.0),
         ):
-            br = analytic.isolate_root(coeffs, lo, 1.0e4)
-            assert unit < br.lo <= br.hi < unit + 1.0
+            root_lo, root_hi = analytic.isolate_root(coeffs, lo, 1.0e4)
+            assert unit < root_lo <= root_hi < unit + 1.0
 
     def test_convex_beyond_scan_start(self):
         for t in (5.0, 10.0, 100.0, 5000.0):
@@ -1072,12 +1076,12 @@ class TestRootRegistry:
         # the roots table keeps the printed y-lower bracket verbatim;
         # correcting it there would hide the misprint from every report
         label, printed, computed, _ = verifier.KNOWN_ERRATA[self.KEY]
-        assert printed == analytic.ROOT_BRACKETS["y-lower"]
+        assert printed == analytic.ROOTS["y-lower"][1]
         assert computed == (379, 380)
 
     def test_drifted_printed_bracket_is_a_discrepancy(self, monkeypatch):
         # a printed bracket no erratum explains is a counterexample
-        monkeypatch.setitem(analytic.ROOT_BRACKETS, "x-lower", (559, 560))
+        monkeypatch.setitem(analytic.ROOTS, "x-lower", (analytic.ROOTS["x-lower"][0], (559, 560)))
         (rep,) = [r for r in analytic.check_roots() if r.claim_id == "roots/x-lower"]
         assert rep.status == verifier.DISCREPANCY
         assert rep.counterexamples == ["x-lower"]
@@ -1196,8 +1200,8 @@ class TestRootScan:
 
     def test_matches_the_plain_grid_from_one(self, monkeypatch):
         # from t = 1 three instances cross their dip near the origin first
-        for name in analytic.ROOT_SCAN_START:
-            monkeypatch.setitem(analytic.ROOT_SCAN_START, name, 1)
+        for name, (_, printed) in analytic.ROOTS.items():
+            monkeypatch.setitem(analytic.ROOTS, name, (1, printed))
         reports = same_reports()
         flips = [rep["data"]["flips"] for rep in reports]
         assert flips == [[561], [2, 385], [3, 380], [9, 325]]
@@ -1212,7 +1216,7 @@ class TestRootScan:
         # good at 232
         coeffs = analytic.FCoeffs(-1, 0, 2)
         monkeypatch.setitem(analytic.NAMED_INSTANCES, "x-upper", coeffs)
-        monkeypatch.setitem(analytic.ROOT_SCAN_START, "x-upper", 1)
+        monkeypatch.setitem(analytic.ROOTS, "x-upper", (1, analytic.ROOTS["x-upper"][1]))
         assert analytic.F_eval(coeffs, 1) < 0 < analytic.F_eval(coeffs, 2)
         assert not analytic.positive_beyond(coeffs, 2)
         (rep,) = [r for r in same_reports() if r["claim_id"] == "roots/x-upper"]
@@ -1243,5 +1247,5 @@ class TestRootScan:
         analytic.check_roots()
         for name, coeffs in INSTANCES:
             first = TestPositiveBeyond.FIRST_PROVED[name]
-            assert calls[coeffs, "scan"] <= first - analytic.ROOT_SCAN_START[name] + 1
+            assert calls[coeffs, "scan"] <= first - analytic.ROOTS[name][0] + 1
             assert calls[coeffs, "bisect"] <= 32

@@ -548,7 +548,7 @@ FIXED_RANGES = {
     "analytic/approximations": [325, 391],
     **{
         f"roots/{name}": [start, analytic.ROOT_SCAN_HI]
-        for name, start in analytic.ROOT_SCAN_START.items()
+        for name, (start, _) in analytic.ROOTS.items()
     },
 }
 

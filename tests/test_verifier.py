@@ -1139,7 +1139,7 @@ class TestRegistry:
             "interval-table": lambda col, key: verifier.INTERVAL_TABLE[key - 1][
                 fields.index(col)
             ],
-            "root-bracket": lambda col, key: analytic.ROOT_BRACKETS[key],
+            "root-bracket": lambda col, key: analytic.ROOTS[key][1],
         }
         cells = {
             (claim, col, key): printed_cell[claim](col, key)
