@@ -39,7 +39,7 @@ verifier.compare_printed.
 """
 
 import math
-from collections import Counter, namedtuple
+from collections import Counter
 from itertools import chain, product
 
 from . import sequences
@@ -58,30 +58,12 @@ LOG2 = math.log(2.0)
 # The width isolate_root bisects a root bracket down to.
 ROOT_TOL = 1e-9
 
-
-class FCoeffs(namedtuple("FCoeffs", "a b c")):
-    """Coefficients (a, b, c) of one envelope instance.
-
-    The envelope family is
-
-        F(t) = (2/3) t + a - b sqrt(2 t) + c log2(t) - sqrt(2 t) log2(t)
-
-    whose members differ only in the three constants.
-    """
-
-    __slots__ = ()
-
-
-X_LOWER = FCoeffs(-1, 2, 0)
-X_UPPER = FCoeffs(1, 1, 1)
-Y_LOWER = FCoeffs(2, 1, 1)
-Y_UPPER = FCoeffs(5, 1, 2)
-
+# The coefficients (a, b, c) of each named envelope instance (see F_eval).
 NAMED_INSTANCES = {
-    "x-lower": X_LOWER,
-    "x-upper": X_UPPER,
-    "y-lower": Y_LOWER,
-    "y-upper": Y_UPPER,
+    "x-lower": (-1, 2, 0),
+    "x-upper": (1, 1, 1),
+    "y-lower": (2, 1, 1),
+    "y-upper": (5, 1, 2),
 }
 
 # Each instance's root scan: the integer grid point it starts from, which it
@@ -99,16 +81,24 @@ ROOTS = {
 ROOT_SCAN_HI = 10000
 
 
-def F_eval(coeffs: FCoeffs, t: float) -> float:
-    """Evaluate the envelope instance at t > 0."""
+def F_eval(coeffs: tuple[int, int, int], t: float) -> float:
+    """Evaluate the envelope instance coeffs = (a, b, c) at t > 0.
+
+    The envelope family is
+
+        F(t) = (2/3) t + a - b sqrt(2 t) + c log2(t) - sqrt(2 t) log2(t)
+
+    whose members differ only in the three constants.
+    """
     if t <= 0:
         raise ValueError("envelope functions are defined for t > 0 only")
+    a, b, c = coeffs
     s = math.sqrt(2.0 * t)
     lg = math.log2(t)
-    return (2.0 / 3.0) * t + coeffs.a - coeffs.b * s + coeffs.c * lg - s * lg
+    return (2.0 / 3.0) * t + a - b * s + c * lg - s * lg
 
 
-def F_prime(coeffs: FCoeffs, t: float) -> float:
+def F_prime(coeffs: tuple[int, int, int], t: float) -> float:
     """First derivative of the envelope instance at t > 0.
 
     Tends to 2/3 as t grows, which is why every instance is eventually
@@ -116,17 +106,18 @@ def F_prime(coeffs: FCoeffs, t: float) -> float:
     """
     if t <= 0:
         raise ValueError("envelope functions are defined for t > 0 only")
+    _, b, c = coeffs
     s = math.sqrt(2.0 * t)
     return (
         2.0 / 3.0
-        - coeffs.b / s
-        + coeffs.c / (t * LOG2)
+        - b / s
+        + c / (t * LOG2)
         - math.log(t) / (s * LOG2)
         - s / (t * LOG2)
     )
 
 
-def F_second(coeffs: FCoeffs, t: float) -> float:
+def F_second(coeffs: tuple[int, int, int], t: float) -> float:
     """Second derivative of the envelope instance at t > 0.
 
     Positive exactly when sqrt(t) * ln(2**b * t) exceeds 2 sqrt(2) c, so
@@ -136,7 +127,8 @@ def F_second(coeffs: FCoeffs, t: float) -> float:
     """
     if t <= 0:
         raise ValueError("envelope functions are defined for t > 0 only")
-    num = math.sqrt(t) * (coeffs.b * LOG2 + math.log(t)) - 2.0 * math.sqrt(2.0) * coeffs.c
+    _, b, c = coeffs
+    num = math.sqrt(t) * (b * LOG2 + math.log(t)) - 2.0 * math.sqrt(2.0) * c
     return num / (2.0 * math.sqrt(2.0) * t * t * LOG2)
 
 
@@ -148,7 +140,7 @@ LOG_SCALE = 1 << 8
 SQRT_SCALE = 1 << 20
 
 
-def positive_beyond(coeffs: FCoeffs, t: int) -> bool:
+def positive_beyond(coeffs: tuple[int, int, int], t: int) -> bool:
     """Whether F(u) > 0 is proved for every real u >= t, in integers only.
 
     True only when three facts hold, so that F(u) >= F(t) + F'(t)(u - t) > 0:
@@ -180,7 +172,7 @@ def positive_beyond(coeffs: FCoeffs, t: int) -> bool:
     return value > 0 and slope > 0
 
 
-def isolate_root(coeffs: FCoeffs, lo: float, hi: float) -> tuple[float, float]:
+def isolate_root(coeffs: tuple[int, int, int], lo: float, hi: float) -> tuple[float, float]:
     """Shrink a sign-changing bracket to width <= ROOT_TOL by bisection;
     the root lies strictly inside the (lo, hi) returned.
 
@@ -416,7 +408,9 @@ def _x_upper_points(limit):
     n = 2 on: its derivative (r - L)/s - (s - 1)/(n ln 2) is < 0, as
     (r - L) ln 2 < 1 <= 2 - sqrt(2/n) = s(s - 1)/n.  So each r-block, from
     the top block down, walks its links downward from its top: a link's
-    last three n, with the bound at its last n."""
+    last three n, with the bound at its last n.  At n = 2**r the bound is
+    exactly 1/3, below every x-upper margin, so the walk always takes the
+    top link of each r-block."""
     points = {}
     for lo, hi, rr in _r_blocks(limit):
         below = range(sequences.m(hi) - 1, sequences.m(lo) - 1, -1)
@@ -477,17 +471,18 @@ MARGINS_TOP = 10**7
 def _check_envelopes(claim_id, what, value, lower, upper, limit):
     """One claim that the lower envelope stays strictly below, and the
     upper strictly above, value for every n: the identities of the named
-    instances lower and upper (name, coefficients, candidates), checked by
-    _off_identity, an instance off its identity a counterexample, and
-    stated in data.certificate.  The least margin of each side on [1, top],
+    instances lower and upper (name, candidates), their coefficients read
+    from NAMED_INSTANCES at the call, checked by _off_identity, an
+    instance off its identity a counterexample, and stated in
+    data.certificate.  The least margin of each side on [1, top],
     top = min(limit, MARGINS_TOP), the report's range, is the least
     identity_margin over the side's candidates, the first n of a tie."""
     sequences.require_positive(limit, "limit")
     top = min(limit, MARGINS_TOP)
     off, least, certificate = {}, [], {"terms": IDENTITY_TERMS}
-    for side, sign, (name, coeffs, candidates) in (("lower", 1, lower), ("upper", -1, upper)):
+    for side, sign, (name, candidates) in (("lower", 1, lower), ("upper", -1, upper)):
         margin_of, terms, bound = IDENTITIES[name]
-        point = _off_identity(terms, coeffs, sign, value)
+        point = _off_identity(terms, NAMED_INSTANCES[name], sign, value)
         if point:
             off[name] = f"{name} off its identity at (n, m, r, s, L) = {point}"
         least.append(min((margin, n) for n, margin in candidates(top).items()))
@@ -515,8 +510,8 @@ def check_bounds_x(limit: int) -> VerificationReport:
         "analytic/x-bounds",
         "x",
         lambda n, mm, rr, lg: sequences.z(n) - (rr + 1) * mm,
-        ("x-lower", X_LOWER, _x_lower_points),
-        ("x-upper", X_UPPER, _x_upper_points),
+        ("x-lower", _x_lower_points),
+        ("x-upper", _x_upper_points),
         limit,
     )
 
@@ -531,8 +526,8 @@ def check_bounds_Y(limit: int) -> VerificationReport:
         "analytic/Y-bounds",
         "the y surrogate",
         lambda n, mm, rr, lg: _Y(n, mm, lg),
-        ("y-lower", Y_LOWER, _y_lower_points),
-        ("y-upper", Y_UPPER, _y_upper_points),
+        ("y-lower", _y_lower_points),
+        ("y-upper", _y_upper_points),
         limit,
     )
 

@@ -12,25 +12,9 @@ interval_table is a generator: it yields the links one at a time, each
 in full, as the table is printed.
 """
 
-from collections import namedtuple
 from collections.abc import Iterator
 
 from . import sequences
-
-
-class IntervalRecord(namedtuple("IntervalRecord", "index lo hi r_const m_const x_lo x_hi")):
-    """One link of the interval chain.
-
-    Attributes:
-        index: 1-based position in the chain.
-        lo, hi: the interval [lo, hi], inclusive.
-        r_const: the constant value of r on the interval.
-        m_const: the constant value of m on the interval.
-        x_lo, x_hi: x at the endpoints; x is non-decreasing inside, so
-            these are also the minimum and maximum of x on the interval.
-    """
-
-    __slots__ = ()
 
 
 def d_bounds(n: int) -> tuple[int, int]:
@@ -51,20 +35,25 @@ def f_bounds(n: int) -> tuple[int, int]:
     return max(d1, e1), min(d2, e2)
 
 
-def interval_table(n_max: int) -> Iterator[IntervalRecord]:
-    """The interval chain from 1, one record per link, while links start
-    at or below n_max.
+def interval_table(n_max: int) -> Iterator[tuple]:
+    """The interval chain from 1, one row per link, while links start at
+    or below n_max.
 
-    Each emitted interval is reported in full, so the last hi may exceed
-    n_max; the chain stops as soon as the next link would start beyond
-    n_max.  Records are consecutive and disjoint and cover [1, n_max].
-    They are yielded one at a time from sequences.chain_links run up to
-    the end of n_max's own link, so memory stays flat.  n_max is checked
-    on the call, before the first record is asked for.
+    A row is the plain tuple (index, lo, hi, r, m, x_lo, x_hi), in the
+    order of the csv columns: index the 1-based position in the chain,
+    [lo, hi] the interval, inclusive, r and m their constant values on it,
+    and x_lo, x_hi the value of x at its ends, also its least and greatest
+    there as x is non-decreasing inside.  Each emitted interval is
+    reported in full, so the last hi may exceed n_max; the chain stops as
+    soon as the next link would start beyond n_max.  Rows are consecutive
+    and disjoint and cover [1, n_max].  They are yielded one at a time
+    from sequences.chain_links run up to the end of n_max's own link, so
+    memory stays flat.  n_max is checked on the call, before the first row
+    is asked for.
     """
     sequences.require_positive(n_max, "n_max")
     links = sequences.chain_links(1, f_bounds(n_max)[1])
     return (
-        IntervalRecord(index, lo, hi, rr, mm, sequences.x(lo), sequences.x(hi))
+        (index, lo, hi, rr, mm, sequences.x(lo), sequences.x(hi))
         for index, (lo, hi, rr, mm) in enumerate(links, start=1)
     )

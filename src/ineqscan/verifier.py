@@ -450,7 +450,7 @@ def check_interval_table() -> VerificationReport:
     """Recompute the 41-link interval chain against the printed rows."""
     computed = list(intervals.interval_table(INTERVAL_TABLE[-1][0]))
     cells = [
-        (column, rec.index, value, printed_value)
+        (column, rec[0], value, printed_value)
         for rec, printed in zip(computed, INTERVAL_TABLE)
         for column, value, printed_value in zip(
             ("lo", "hi", "r", "m", "x_lo", "x_hi"), rec[1:], printed
@@ -753,8 +753,10 @@ POSITIVE_TAIL_START = 404
 def check_positive_tail(part: SignPartition) -> VerificationReport:
     """y(n) > 0 for every n >= 404.  Checked on [404, part.limit] by
     reading the runs of part, y's partition_y, there: chain links
-    certified positive as a whole, the rest decided per n (data.blocks
-    and data.per_n count the two).  Below 404 the report covers
+    certified positive as a whole, the rest decided per n.  data.blocks
+    and data.per_n are part's counts of the two over all of
+    [1, part.limit], not over the report's range: at 10**5 per_n is 417,
+    and 17 of those n are >= 404.  Below 404 the report covers
     [1, part.limit] and says that no n of the claim is in range."""
     limit = part.limit
     start = POSITIVE_TAIL_START

@@ -572,11 +572,25 @@ MUTANTS = [
         f"{T_VER}::TestRegistry::test_erratum_for_matches_the_documented_correction",
     ),
     (
-        "Y_UPPER: c raised to 40",
+        "NAMED_INSTANCES: y-upper's c raised to 40",
         ANA,
-        "Y_UPPER = FCoeffs(5, 1, 2)",
-        "Y_UPPER = FCoeffs(5, 1, 40)",
+        '"y-upper": (5, 1, 2),',
+        '"y-upper": (5, 1, 40),',
         f"{T_ANA}::TestEnvelopeIdentities",
+    ),
+    (
+        "_check_envelopes: the upper instance's coefficients read on both sides",
+        ANA,
+        "point = _off_identity(terms, NAMED_INSTANCES[name], sign, value)",
+        "point = _off_identity(terms, NAMED_INSTANCES[upper[0]], sign, value)",
+        f"{T_ANA}::TestExactIdentities::test_named_instances_hold",
+    ),
+    (
+        "interval_table: x_hi yielded before x_lo",
+        INT,
+        "(index, lo, hi, rr, mm, sequences.x(lo), sequences.x(hi))",
+        "(index, lo, hi, rr, mm, sequences.x(hi), sequences.x(lo))",
+        f"{T_INT}::TestChain::test_golden_chain",
     ),
     (
         "check_sign_consistency: the counterexample test made >= 1e-6",

@@ -349,7 +349,9 @@ def _margins_report(claim_id, what, limit, counterexamples, low, up):
 
 
 def _reference_margins(claim_id, what, lower, upper, limit, values):
-    """Both envelope margins of a value at every (n, value), from F_eval."""
+    """Both envelope margins of a value at every (n, value), from F_eval;
+    lower and upper name the two instances in analytic.NAMED_INSTANCES."""
+    lower, upper = analytic.NAMED_INSTANCES[lower], analytic.NAMED_INSTANCES[upper]
     counterexamples = []
     low = up = (math.inf, None)
     for n, value in values:
@@ -365,7 +367,7 @@ def reference_bounds_x(limit):
     """check_bounds_x: both envelopes of x evaluated at every n."""
     values = ((n, xx) for n, _, _, _, _, xx, _, _ in rows(limit))
     return _reference_margins(
-        "analytic/x-bounds", "x", analytic.X_LOWER, analytic.X_UPPER, limit, values
+        "analytic/x-bounds", "x", "x-lower", "x-upper", limit, values
     )
 
 
@@ -373,7 +375,7 @@ def reference_bounds_Y(limit):
     """check_bounds_Y: both envelopes of Y evaluated at every n."""
     values = ((n, _Y(n, mm, gap)) for n, _, mm, _, _, _, gap, _ in rows(limit))
     return _reference_margins(
-        "analytic/Y-bounds", "the y surrogate", analytic.Y_LOWER, analytic.Y_UPPER, limit, values
+        "analytic/Y-bounds", "the y surrogate", "y-lower", "y-upper", limit, values
     )
 
 
@@ -388,7 +390,9 @@ def _link_walk(claim_id, what, lower, upper, limit, value):
     its first three n and its least upper margin at one of its last
     three.  A link with a margin <= 0 there is stepped per n, so the
     counterexamples are those of the per-n walk.  The least (margin, n)
-    keeps the first n of a tie."""
+    keeps the first n of a tie.  lower and upper name the two instances
+    in analytic.NAMED_INSTANCES."""
+    lower, upper = analytic.NAMED_INSTANCES[lower], analytic.NAMED_INSTANCES[upper]
     counterexamples = []
     low = up = (math.inf, None)
 
@@ -410,7 +414,7 @@ def _link_walk(claim_id, what, lower, upper, limit, value):
 def link_walk_bounds_x(limit):
     """check_bounds_x by _link_walk."""
     return _link_walk(
-        "analytic/x-bounds", "x", analytic.X_LOWER, analytic.X_UPPER, limit, lambda n: row(n)[5]
+        "analytic/x-bounds", "x", "x-lower", "x-upper", limit, lambda n: row(n)[5]
     )
 
 
@@ -422,7 +426,7 @@ def link_walk_bounds_Y(limit):
         return _Y(n, mm, gap)
 
     return _link_walk(
-        "analytic/Y-bounds", "the y surrogate", analytic.Y_LOWER, analytic.Y_UPPER, limit, value
+        "analytic/Y-bounds", "the y surrogate", "y-lower", "y-upper", limit, value
     )
 
 

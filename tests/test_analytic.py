@@ -67,14 +67,14 @@ def exact_terms(coeffs, u):
 
 class TestEvaluation:
     def test_anchor_values(self):
-        assert analytic.F_eval(analytic.X_LOWER, 1.0) == pytest.approx(
+        assert analytic.F_eval(analytic.NAMED_INSTANCES["x-lower"], 1.0) == pytest.approx(
             2.0 / 3.0 - 1.0 - 2.0 * math.sqrt(2.0), abs=1e-15
         )
-        assert analytic.F_eval(analytic.X_UPPER, 1.0) == pytest.approx(
+        assert analytic.F_eval(analytic.NAMED_INSTANCES["x-upper"], 1.0) == pytest.approx(
             2.0 / 3.0 + 1.0 - math.sqrt(2.0), abs=1e-15
         )
         # at x = 2 the sqrt(2x) factor is exactly 2
-        assert analytic.F_eval(analytic.Y_LOWER, 2.0) == pytest.approx(
+        assert analytic.F_eval(analytic.NAMED_INSTANCES["y-lower"], 2.0) == pytest.approx(
             4.0 / 3.0 + 2.0 - 2.0 + 1.0 - 2.0, abs=1e-15
         )
 
@@ -123,7 +123,8 @@ class TestDerivatives:
 
     def test_convex_beyond_threshold(self):
         for _, coeffs in INSTANCES:
-            threshold = max(2.0, math.exp(2.0 * coeffs.c) / 2**coeffs.b)
+            _, b, c = coeffs
+            threshold = max(2.0, math.exp(2.0 * c) / 2**b)
             t = threshold + 1e-9
             while t < 1e6:
                 assert analytic.F_second(coeffs, t) > 0, (coeffs, t)
@@ -131,8 +132,8 @@ class TestDerivatives:
 
     def test_concave_region_exists_when_constant_is_large(self):
         # y-upper has the largest c and a genuinely concave stretch
-        assert analytic.F_second(analytic.Y_UPPER, 5.0) < 0
-        assert analytic.F_second(analytic.Y_UPPER, 30.0) > 0
+        assert analytic.F_second(analytic.NAMED_INSTANCES["y-upper"], 5.0) < 0
+        assert analytic.F_second(analytic.NAMED_INSTANCES["y-upper"], 30.0) > 0
 
 
 class TestRootIsolation:
@@ -160,9 +161,9 @@ class TestRootIsolation:
 
     def test_rejects_bad_brackets(self):
         with pytest.raises(ValueError):
-            analytic.isolate_root(analytic.X_LOWER, 10.0, 20.0)  # same sign
+            analytic.isolate_root(analytic.NAMED_INSTANCES["x-lower"], 10.0, 20.0)  # same sign
         with pytest.raises(ValueError):
-            analytic.isolate_root(analytic.X_LOWER, 561.0, 560.0)
+            analytic.isolate_root(analytic.NAMED_INSTANCES["x-lower"], 561.0, 560.0)
 
     def test_check_roots_reports(self):
         reports = analytic.check_roots()
@@ -242,11 +243,11 @@ class TestSandwich:
     def test_pointwise_spot_checks(self):
         for n in (1, 2, 16, 365, 546, 9999):
             xx = sequences.x(n)
-            assert analytic.F_eval(analytic.X_LOWER, n) < xx
-            assert xx < analytic.F_eval(analytic.X_UPPER, n)
+            assert analytic.F_eval(analytic.NAMED_INSTANCES["x-lower"], n) < xx
+            assert xx < analytic.F_eval(analytic.NAMED_INSTANCES["x-upper"], n)
             yy = analytic.Y_real(n)
-            assert analytic.F_eval(analytic.Y_LOWER, n) < yy
-            assert yy < analytic.F_eval(analytic.Y_UPPER, n)
+            assert analytic.F_eval(analytic.NAMED_INSTANCES["y-lower"], n) < yy
+            assert yy < analytic.F_eval(analytic.NAMED_INSTANCES["y-upper"], n)
 
 
 def identity_points():
@@ -546,44 +547,44 @@ class TestApproximations:
 
 class TestClosedFormAnchors:
     def test_upper_instance_at_small_arguments(self):
-        assert analytic.F_eval(analytic.X_UPPER, 4.0) == pytest.approx(
+        assert analytic.F_eval(analytic.NAMED_INSTANCES["x-upper"], 4.0) == pytest.approx(
             8.0 / 3.0 + 3.0 - 6.0 * math.sqrt(2.0), abs=1e-12
         )
-        assert analytic.F_eval(analytic.X_UPPER, 4.0) < 0.0
+        assert analytic.F_eval(analytic.NAMED_INSTANCES["x-upper"], 4.0) < 0.0
         expected = (
             11.0
             - math.sqrt(18.0)
             + 2.0 * math.log2(9.0)
             - math.sqrt(18.0) * math.log2(9.0)
         )
-        assert analytic.F_eval(analytic.Y_UPPER, 9.0) == pytest.approx(
+        assert analytic.F_eval(analytic.NAMED_INSTANCES["y-upper"], 9.0) == pytest.approx(
             expected, abs=1e-12
         )
-        assert analytic.F_eval(analytic.Y_UPPER, 9.0) < 0.0
+        assert analytic.F_eval(analytic.NAMED_INSTANCES["y-upper"], 9.0) < 0.0
 
     def test_signs_flip_across_each_root(self):
-        assert analytic.F_eval(analytic.X_LOWER, 561.0) > 0.0
-        assert analytic.F_eval(analytic.X_UPPER, 384.0) < 0.0
-        assert analytic.F_eval(analytic.Y_LOWER, 380.0) > 0.0
-        assert analytic.F_eval(analytic.Y_UPPER, 324.0) < 0.0
+        assert analytic.F_eval(analytic.NAMED_INSTANCES["x-lower"], 561.0) > 0.0
+        assert analytic.F_eval(analytic.NAMED_INSTANCES["x-upper"], 384.0) < 0.0
+        assert analytic.F_eval(analytic.NAMED_INSTANCES["y-lower"], 380.0) > 0.0
+        assert analytic.F_eval(analytic.NAMED_INSTANCES["y-upper"], 324.0) < 0.0
 
     def test_wide_brackets_land_on_the_same_roots(self):
         # starting from a bracket thousands wide must converge into the
         # unit interval each root is known to occupy
         for coeffs, lo, unit in (
-            (analytic.X_LOWER, 1.0, 560.0),
-            (analytic.X_UPPER, 4.0, 384.0),
-            (analytic.Y_LOWER, 4.0, 379.0),
-            (analytic.Y_UPPER, 9.0, 324.0),
+            (analytic.NAMED_INSTANCES["x-lower"], 1.0, 560.0),
+            (analytic.NAMED_INSTANCES["x-upper"], 4.0, 384.0),
+            (analytic.NAMED_INSTANCES["y-lower"], 4.0, 379.0),
+            (analytic.NAMED_INSTANCES["y-upper"], 9.0, 324.0),
         ):
             root_lo, root_hi = analytic.isolate_root(coeffs, lo, 1.0e4)
             assert unit < root_lo <= root_hi < unit + 1.0
 
     def test_convex_beyond_scan_start(self):
         for t in (5.0, 10.0, 100.0, 5000.0):
-            assert analytic.F_second(analytic.X_UPPER, t) > 0.0
+            assert analytic.F_second(analytic.NAMED_INSTANCES["x-upper"], t) > 0.0
         for t in (10.0, 15.0, 30.0, 100.0, 5000.0):
-            assert analytic.F_second(analytic.Y_UPPER, t) > 0.0
+            assert analytic.F_second(analytic.NAMED_INSTANCES["y-upper"], t) > 0.0
 
     def test_d_surrogate_shape(self):
         assert analytic.d_real(1) == pytest.approx(-1.0, abs=1e-15)
@@ -830,7 +831,7 @@ class TestCandidateRoute:
         def shifted(coeffs, t):
             if int(t) % 3 == favoured:
                 return f_eval(coeffs, t)
-            lower = coeffs in (analytic.X_LOWER, analytic.Y_LOWER)
+            lower = coeffs in map(analytic.NAMED_INSTANCES.get, ("x-lower", "y-lower"))
             return f_eval(coeffs, t) + (-3.0 if lower else 3.0)
 
         monkeypatch.setattr(analytic, "F_eval", shifted)
@@ -988,11 +989,10 @@ class TestSandwichThroughSharedLoop:
     identities."""
 
     @staticmethod
-    def assert_flagged(monkeypatch, check, attr, coeffs, limit=2000):
+    def assert_flagged(monkeypatch, check, name, coeffs, limit=2000):
         unpatched = check(limit)
-        monkeypatch.setattr(analytic, attr, coeffs)
+        monkeypatch.setitem(analytic.NAMED_INSTANCES, name, coeffs)
         rep = check(limit)
-        name = attr.lower().replace("_", "-")
         assert rep.status == verifier.DISCREPANCY
         assert rep.counterexamples == [name]
         assert rep.details.startswith(
@@ -1003,38 +1003,38 @@ class TestSandwichThroughSharedLoop:
     def test_x_upper_below_the_data(self, monkeypatch):
         # F(x-upper) 5 lower: below x wherever the margin was under 5
         self.assert_flagged(
-            monkeypatch, analytic.check_bounds_x, "X_UPPER", analytic.FCoeffs(-4, 1, 1)
+            monkeypatch, analytic.check_bounds_x, "x-upper", (-4, 1, 1)
         )
         assert reference_bounds_x(2000).status == verifier.DISCREPANCY
 
     def test_y_upper_below_the_data(self, monkeypatch):
         self.assert_flagged(
-            monkeypatch, analytic.check_bounds_Y, "Y_UPPER", analytic.FCoeffs(0, 1, 2)
+            monkeypatch, analytic.check_bounds_Y, "y-upper", (0, 1, 2)
         )
         assert reference_bounds_Y(2000).status == verifier.DISCREPANCY
 
     @pytest.mark.parametrize(
-        "check, attr",
+        "check, name",
         [
-            (analytic.check_bounds_x, "X_LOWER"),
-            (analytic.check_bounds_x, "X_UPPER"),
-            (analytic.check_bounds_Y, "Y_LOWER"),
-            (analytic.check_bounds_Y, "Y_UPPER"),
+            (analytic.check_bounds_x, "x-lower"),
+            (analytic.check_bounds_x, "x-upper"),
+            (analytic.check_bounds_Y, "y-lower"),
+            (analytic.check_bounds_Y, "y-upper"),
         ],
         ids=["x-lower", "x-upper", "y-lower", "y-upper"],
     )
-    def test_raised_envelope_is_off_its_identity(self, monkeypatch, check, attr):
+    def test_raised_envelope_is_off_its_identity(self, monkeypatch, check, name):
         # a, b and c raised by 1 in turn; a raised by 1 keeps every margin
         # of an upper envelope > 0, so a per-n walk would pass it
         for i in range(3):
-            coeffs = list(getattr(analytic, attr))
+            coeffs = list(analytic.NAMED_INSTANCES[name])
             coeffs[i] += 1
             with monkeypatch.context() as patch:
-                self.assert_flagged(patch, check, attr, analytic.FCoeffs(*coeffs), limit=10**5)
+                self.assert_flagged(patch, check, name, tuple(coeffs), limit=10**5)
 
     def test_both_sides_off(self, monkeypatch):
-        monkeypatch.setattr(analytic, "X_LOWER", analytic.FCoeffs(0, 2, 0))
-        monkeypatch.setattr(analytic, "X_UPPER", analytic.FCoeffs(1, 1, 2))
+        monkeypatch.setitem(analytic.NAMED_INSTANCES, "x-lower", (0, 2, 0))
+        monkeypatch.setitem(analytic.NAMED_INSTANCES, "x-upper", (1, 1, 2))
         rep = analytic.check_bounds_x(100)
         assert rep.counterexamples == ["x-lower", "x-upper"]
         assert rep.details.startswith(
@@ -1078,6 +1078,19 @@ class TestRootRegistry:
         label, printed, computed, _ = verifier.KNOWN_ERRATA[self.KEY]
         assert printed == analytic.ROOTS["y-lower"][1]
         assert computed == (379, 380)
+
+    def test_the_tables_share_the_instance_names(self):
+        # each table keyed by an instance holds the same four names in the
+        # same order, and the instances themselves are plain int triples
+        names = list(analytic.NAMED_INSTANCES)
+        assert names == ["x-lower", "x-upper", "y-lower", "y-upper"]
+        assert list(analytic.ROOTS) == names
+        assert list(analytic.IDENTITIES) == names
+        for coeffs in analytic.NAMED_INSTANCES.values():
+            assert type(coeffs) is tuple and [type(k) for k in coeffs] == [int] * 3
+        roots = [key for key in verifier.KNOWN_ERRATA if key[0] == "root-bracket"]
+        assert roots == [self.KEY]
+        assert self.KEY[2] in names
 
     def test_drifted_printed_bracket_is_a_discrepancy(self, monkeypatch):
         # a printed bracket no erratum explains is a counterexample
@@ -1128,14 +1141,14 @@ class TestPositiveBeyond:
                     if (t << b) < 9**c:
                         continue
                     g, g1, _ = exact_terms((0, b, c), t)
-                    below = analytic.FCoeffs(math.floor(-g), b, c)
+                    below = (math.floor(-g), b, c)
                     assert not analytic.positive_beyond(below, t), (below, t)
                     with decimal.localcontext(EXACT):
                         kept = s * g1 - 2 * c / (s * LN2)
                         if kept <= 3 - 2 / LN2 + 1 / q + 1 / k:
                             continue
                         slack = (c + s) / q + (b + lg + 1) / k
-                    above = analytic.FCoeffs(math.floor(slack - g) + 1, b, c)
+                    above = (math.floor(slack - g) + 1, b, c)
                     assert analytic.positive_beyond(above, t), (above, t)
                     proved += 1
         assert proved > 2500
@@ -1148,7 +1161,7 @@ class TestPositiveBeyond:
         # F(t) < 0 by less than 2e-4 while F'(t) > 0: found by a search
         # for the points where bounding sqrt(2t) above by r/K instead of
         # (r + 1)/K claims a positive F(t)
-        coeffs = analytic.FCoeffs(a, b, 0)
+        coeffs = (a, b, 0)
         f, f1, _ = exact_terms(coeffs, t)
         assert -2e-4 < f < 0 < f1
         assert not analytic.positive_beyond(coeffs, t)
@@ -1159,13 +1172,13 @@ class TestPositiveBeyond:
         # so only the guard refuses below 729 (7**c would let 343 on:
         # sqrt(3) ln 7 > 2 sqrt(2) makes that bound sound at integer t >= 3,
         # but it is not the one the docstring proves)
-        coeffs = analytic.FCoeffs(100, 0, 3)
+        coeffs = (100, 0, 3)
         for t in range(343, 730):
             f, f1, _ = exact_terms(coeffs, t)
             assert f > 0 and f1 > 0
             assert analytic.positive_beyond(coeffs, t) == (t >= 729), t
         for bad in ((100, -1, 0), (100, 0, -1)):
-            assert not analytic.positive_beyond(analytic.FCoeffs(*bad), 10**4)
+            assert not analytic.positive_beyond(bad, 10**4)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1176,7 +1189,7 @@ class TestPositiveBeyond:
         st.lists(st.floats(0, 1), max_size=5),
     )
     def test_true_means_positive_on_the_whole_tail(self, a, b, c, t, weights):
-        coeffs = analytic.FCoeffs(a, b, c)
+        coeffs = (a, b, c)
         assume(analytic.positive_beyond(coeffs, t))
         for w in (0.0, 1.0, *weights):
             u = t + Decimal(w) * (10**6 - t)
@@ -1214,7 +1227,7 @@ class TestRootScan:
         # F turns positive at t = 2, where the predicate must refuse (its
         # convexity needs t > 2); F dips again at 5 and turns positive for
         # good at 232
-        coeffs = analytic.FCoeffs(-1, 0, 2)
+        coeffs = (-1, 0, 2)
         monkeypatch.setitem(analytic.NAMED_INSTANCES, "x-upper", coeffs)
         monkeypatch.setitem(analytic.ROOTS, "x-upper", (1, analytic.ROOTS["x-upper"][1]))
         assert analytic.F_eval(coeffs, 1) < 0 < analytic.F_eval(coeffs, 2)

@@ -502,6 +502,20 @@ class TestIntervals:
         rows = json.loads(capsys.readouterr().out)
         assert [r["lo"] for r in rows] == [1, 2, 3, 5, 8]
 
+    # sha256 of all 462 links to 10**5 in each format, recorded once
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("csv", "77090ee90dea3271e0643caaacdf63a9f7f5a4bbba262fdaef7a25a8c498f62e"),
+            ("json", "fc747344c8c99c6f6987e6d6dc4468b504aafe2a88d872294273cf06f0166b8f"),
+            ("text", "c3dd7305c47f4e50f4ec56412030903f01b72245d1ff50789d9e1941dcad7c3c"),
+        ],
+    )
+    def test_matches_golden_digest(self, capsys, fmt, digest):
+        assert cli.main(["intervals", "--limit", "100000", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_bad_limit_exits_2(self, capsys):
         for limit in ("0", "-5"):
             assert cli.main(["intervals", "--limit", limit]) == 2

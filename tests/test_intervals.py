@@ -117,31 +117,28 @@ class TestBounds:
 class TestChain:
     def test_small_prefix(self):
         recs = intervals.interval_table(8)
-        assert [(t.lo, t.hi) for t in recs] == [(1, 1), (2, 2), (3, 4), (5, 7), (8, 8)]
+        assert [(t[1], t[2]) for t in recs] == [(1, 1), (2, 2), (3, 4), (5, 7), (8, 8)]
 
     def test_golden_chain(self):
         recs = list(intervals.interval_table(545))
         assert len(recs) == 41
-        got = [
-            (t.index, t.lo, t.hi, t.r_const, t.m_const, t.x_lo, t.x_hi)
-            for t in recs
-        ]
-        assert got == GOLDEN_CHAIN
+        assert all(type(t) is tuple for t in recs)
+        assert recs == GOLDEN_CHAIN
 
     def test_links_are_maximal_constancy_runs(self):
-        for rec in intervals.interval_table(545):
-            assert sequences.r(rec.lo) == rec.r_const == sequences.r(rec.hi)
-            assert sequences.m(rec.lo) == rec.m_const == sequences.m(rec.hi)
-            nxt = rec.hi + 1
-            assert (sequences.r(nxt), sequences.m(nxt)) != (rec.r_const, rec.m_const)
+        for _, lo, hi, rr, mm, _, _ in intervals.interval_table(545):
+            assert sequences.r(lo) == rr == sequences.r(hi)
+            assert sequences.m(lo) == mm == sequences.m(hi)
+            nxt = hi + 1
+            assert (sequences.r(nxt), sequences.m(nxt)) != (rr, mm)
 
     def test_links_tile_without_gaps(self):
         recs = list(intervals.interval_table(2000))
-        assert recs[0].lo == 1
+        assert recs[0][1] == 1
         for prev, cur in zip(recs, recs[1:]):
-            assert cur.lo == prev.hi + 1
-        assert recs[-1].hi >= 2000
-        assert recs[-1].lo <= 2000
+            assert cur[1] == prev[2] + 1
+        assert recs[-1][2] >= 2000
+        assert recs[-1][1] <= 2000
 
     def test_streams_in_constant_memory(self):
         # about 44,700 links; a list of their records alone peaks near 13 MB
@@ -154,34 +151,34 @@ class TestChain:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
-        assert links == rec.index == sum(1 for _ in sequences.chain_links(1, rec.hi))
-        assert rec.lo <= 10**9 <= rec.hi
+        index, lo, hi = rec[:3]
+        assert links == index == sum(1 for _ in sequences.chain_links(1, hi))
+        assert lo <= 10**9 <= hi
 
     def test_x_endpoints_and_monotonicity(self):
-        for rec in intervals.interval_table(600):
-            assert rec.x_lo == sequences.x(rec.lo)
-            assert rec.x_hi == sequences.x(rec.hi)
-            assert rec.x_lo <= rec.x_hi
+        for _, lo, hi, _, _, x_lo, x_hi in intervals.interval_table(600):
+            assert x_lo == sequences.x(lo)
+            assert x_hi == sequences.x(hi)
+            assert x_lo <= x_hi
             prev = None
-            for n in range(rec.lo, rec.hi + 1):
+            for n in range(lo, hi + 1):
                 xx = sequences.x(n)
-                assert rec.x_lo <= xx <= rec.x_hi
+                assert x_lo <= xx <= x_hi
                 if prev is not None:
                     assert xx >= prev
                 prev = xx
 
     def test_x_shift_identity_inside_link(self):
         # with r and m pinned, x moves exactly with z
-        for rec in intervals.interval_table(600):
-            x_lo = sequences.x(rec.lo)
-            for n in range(rec.lo, rec.hi + 1):
-                assert sequences.x(n) == x_lo + sequences.z(n) - sequences.z(rec.lo)
+        for _, lo, hi, *_ in intervals.interval_table(600):
+            x_lo = sequences.x(lo)
+            for n in range(lo, hi + 1):
+                assert sequences.x(n) == x_lo + sequences.z(n) - sequences.z(lo)
 
     def test_every_n_lands_in_its_f_block(self):
-        recs = intervals.interval_table(600)
-        for rec in recs:
-            for n in range(rec.lo, min(rec.hi, 600) + 1):
-                assert intervals.f_bounds(n) == (rec.lo, rec.hi)
+        for _, lo, hi, *_ in intervals.interval_table(600):
+            for n in range(lo, min(hi, 600) + 1):
+                assert intervals.f_bounds(n) == (lo, hi)
 
 
 class TestChainWalker:
